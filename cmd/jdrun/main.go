@@ -45,11 +45,13 @@
 // harnesses can pass port 0.
 //
 // -recover wraps every endpoint in the reliability layer
-// (sequence-numbered frames, ack-driven retransmission, heartbeat
-// failure detection) and arms the runtime's recovery protocol: when a
+// (sequence-numbered frames, NACK- and RTT-driven retransmission,
+// heartbeat failure detection) and arms the runtime's recovery protocol: when a
 // node dies, survivors promote their replicas of its objects and
 // failed invocations are re-driven with exactly-once effects.
-// -heartbeat and -retransmit tune the detection and resend timers;
+// -heartbeat sets the detection clock, -retransmit the resend timeout
+// of a link with no measured round trip (and the measured one's
+// ceiling);
 // -chaos injects deterministic seeded faults (frame drop / duplicate /
 // reorder probabilities) under the reliability layer, which must heal
 // them — the summary's "fault tolerance" line reports how much healing
@@ -110,7 +112,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 1, "worker-pool size for -serve/-listen: invocations run as this many concurrent logical threads")
 	recover := flag.Bool("recover", false, "enable fault tolerance: reliable frames with retransmission, heartbeat failure detection, replica promotion on node loss")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness-probe period for -recover (0 = default)")
-	retransmit := flag.Duration("retransmit", 0, "base ack timeout before a frame is resent under -recover (0 = default)")
+	retransmit := flag.Duration("retransmit", 0, "retransmit timeout under -recover while a link has no round-trip sample, and the ceiling of the measured one (0 = 50ms)")
 	chaos := flag.String("chaos", "", `deterministic fault injection under -recover: "drop=0.01,dup=0.01,reorder=0.01,seed=7"`)
 	compileTier := flag.Bool("compile", false, "tiered execution: compile hot methods from quads to Go closures (deopt keeps behaviour identical)")
 	compileThreshold := flag.Int("compile-threshold", 0, "hotness count that promotes a method under -compile (0 = default)")

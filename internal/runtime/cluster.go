@@ -632,9 +632,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	started := c.started
 	c.stateMu.Unlock()
 	if !started {
-		for _, n := range c.Nodes {
-			_ = n.EP.Close()
-		}
+		closeEndpoints(c.Nodes)
 		return nil
 	}
 
@@ -658,40 +656,57 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Kill stops the cluster immediately: no drain, no final barrier. The
-// batch Run path uses it after a failed main(); services should prefer
-// Shutdown.
+// Kill stops the cluster immediately: no drain, no final barrier, no
+// SHUTDOWN exchange — every endpoint is closed under its serve loop,
+// which ends the loop exactly as a SHUTDOWN frame would. It shares
+// nothing with Shutdown's path, so it also ends a Shutdown that hangs
+// or timed out. The batch Run path uses it after a failed main();
+// services should prefer Shutdown.
 func (c *Cluster) Kill() {
 	c.stateMu.Lock()
 	c.closed = true
 	started := c.started
 	c.stateMu.Unlock()
+	nodes := c.nodesSnapshot()
+	closeEndpoints(nodes)
 	if !started {
-		for _, n := range c.Nodes {
-			_ = n.EP.Close()
-		}
 		return
 	}
-	c.stop()
+	for _, n := range nodes {
+		n.wg.Wait()
+	}
 }
 
-// stop broadcasts shutdown (including to the starter itself, stopping
-// its serve loop) and waits for every node to wind down.
+func closeEndpoints(nodes []*Node) {
+	for _, n := range nodes {
+		_ = n.EP.Close()
+	}
+}
+
+// stop broadcasts shutdown and waits for every node to wind down. The
+// starter stops its own serve loop last, after the flush barrier:
+// closing its endpoint any earlier could strand another node's
+// SHUTDOWN frame in a write batch or — under the reliability layer —
+// unacknowledged in the retransmit ring, where nothing would resend it.
 func (c *Cluster) stop() {
 	c.stopOnce.Do(func() {
 		nodes := c.nodesSnapshot()
 		starter := nodes[0]
-		for rank := len(nodes) - 1; rank >= 0; rank-- {
+		for rank := len(nodes) - 1; rank > 0; rank-- {
 			if starter.departed(rank) {
 				// Already retired by a drain; its endpoint is closed.
 				continue
 			}
 			_ = starter.EP.Send(transport.Message{To: rank, Kind: KindShutdown})
 		}
-		// Flush barrier: on fabrics with buffered writers the shutdown
-		// frames may still sit in a write batch; push them to the
-		// kernel before waiting for the serve loops to wind down.
-		_ = transport.Flush(starter.EP)
+		if transport.Flush(starter.EP) == nil {
+			_ = starter.EP.Send(transport.Message{To: starter.Rank, Kind: KindShutdown})
+			_ = transport.Flush(starter.EP)
+		} else {
+			// Some node may never hear its SHUTDOWN (it is dead, or the
+			// barrier gave up on it): end every serve loop from outside.
+			closeEndpoints(nodes)
+		}
 		for _, n := range nodes {
 			n.wg.Wait()
 		}

@@ -64,7 +64,7 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 	// reach this path through chain-imprecise stamping (a use site
 	// typed at a shared ancestor); its owner-local writes would bypass
 	// invalidation, so the snapshot must be refused outright.
-	if n.Plan == nil || !n.Plan.Replicated[h.Class.Name()] || !n.replicaServable(h) || from == n.Rank {
+	if n.Plan == nil || !n.Plan.Replicated[h.Class.Name()] || from == n.Rank {
 		return wire.ReplicateResponse{Denied: true}
 	}
 	if !n.freezeObject(req.ID) {
@@ -73,11 +73,15 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 		return wire.ReplicateResponse{Denied: true, Busy: true}
 	}
 	defer n.thawObject(req.ID)
-	// Re-read under the freeze (the earlier read raced with in-flight
-	// accesses) and snapshot.
+	// Everything that reads the object's fields happens under the
+	// freeze: outside it a local access may be writing them. Re-read
+	// the holder too (the object may have migrated meanwhile).
 	h = n.holder(req.ID)
-	if h == nil || !n.replicaServable(h) {
+	if h == nil {
 		return wire.ReplicateResponse{Denied: true, Busy: true}
+	}
+	if !n.replicaServable(h) {
+		return wire.ReplicateResponse{Denied: true}
 	}
 	fields, err := n.toWireSlice(h.Fields)
 	if err != nil {

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"autodist/internal/rewrite"
 	"autodist/internal/runtime"
 	"autodist/internal/transport"
+	"autodist/internal/vm"
 )
 
 // regSource is the invalidation-ordering workload: every write is
@@ -200,5 +202,96 @@ func TestReplicateOptionValidation(t *testing.T) {
 	if _, err := runtime.NewCluster(repl.Nodes, repl.Plan, transport.NewInProc(2),
 		runtime.Options{Replicate: true, Unoptimized: true}); err == nil {
 		t.Error("Replicate+Unoptimized accepted")
+	}
+}
+
+// replRaceSource is a replicated register on node 1 driven from the
+// starter: write goes remote and runs under the register's gate there,
+// read is served from a replica that every write invalidates.
+const replRaceSource = `
+class Reg {
+	int a; int b;
+	int geta() { return this.a; }
+	int getb() { return this.b; }
+	int sum() { return this.a + this.b; }
+	void seta(int x) { this.a = x; }
+}
+class Main {
+	static Reg r;
+	static void main() { Main.r = new Reg(); }
+	static void write(int x) { Main.r.seta(x); }
+	static int read() { return Main.r.geta() + Main.r.getb() + Main.r.sum(); }
+}`
+
+// TestReplicateServesUnderConcurrentWrites is the regression for the
+// REPLICATE handler reading an object's fields before freezing its
+// gate: one logical thread keeps writing the register, under its gate
+// on its home node, while another keeps fetching replicas of it (every
+// write invalidates the last one). It asserts nothing about values
+// beyond monotonicity — the race detector is the oracle; run with
+// -race.
+func TestReplicateServesUnderConcurrentWrites(t *testing.T) {
+	bp, _, err := compile.CompileSource(replRaceSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.ODG.Graph.Vertices() {
+		v.Part = 0
+	}
+	for _, s := range res.ODG.Sites {
+		if s.Allocated == "Reg" {
+			res.ODG.Graph.Vertex(s.Node).Part = 1
+		}
+	}
+	rw, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2),
+		runtime.Options{Out: io.Discard, MaxSteps: 50_000_000, Replicate: true, MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Kill()
+	if _, _, err := c.InvokeEntry("main", nil); err != nil {
+		t.Fatalf("main: %v", err)
+	}
+	const writes = 300
+	writerDone := make(chan error, 1)
+	go func() {
+		defer close(writerDone)
+		for i := 1; i <= writes; i++ {
+			if _, _, err := c.InvokeEntry("write", []vm.Value{int64(i)}); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	last := int64(0)
+	for reading := true; reading; {
+		select {
+		case err := <-writerDone:
+			if err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			reading = false
+		default:
+		}
+		v, _, err := c.InvokeEntry("read", nil)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if v.(int64) < last {
+			t.Fatalf("read went backwards: %d after %d", v, last)
+		}
+		last = v.(int64)
+	}
+	if s := c.TotalStats(); s.ReplicaFetches < 2 || s.Invalidations == 0 {
+		t.Errorf("the replica protocol never engaged: %+v", s)
 	}
 }

@@ -7,9 +7,11 @@ package runtime_test
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"autodist/internal/analysis"
 	"autodist/internal/compile"
@@ -283,5 +285,64 @@ func TestMigrationPersistsAcrossInvokes(t *testing.T) {
 	if d3.MessagesSent >= d1.MessagesSent {
 		t.Errorf("third invocation sent %d messages, first sent %d; migration did not persist across invocations",
 			d3.MessagesSent, d1.MessagesSent)
+	}
+}
+
+// lossyShutdown is a fabric that loses every SHUTDOWN frame bound for
+// another node and, having no reliability layer, never resends it.
+type lossyShutdown struct{ transport.Endpoint }
+
+func (l lossyShutdown) Send(m transport.Message) error {
+	if m.Kind == runtime.KindShutdown && m.To != l.Rank() {
+		return nil
+	}
+	return l.Endpoint.Send(m)
+}
+
+// TestKillEndsHungShutdown: a Shutdown whose SHUTDOWN frame never
+// arrives waits for ever on the node that did not hear it. Kill must
+// still tear every endpoint down — it used to queue behind the hung
+// Shutdown on the same sync.Once — and that in turn lets the Shutdown
+// return.
+func TestKillEndsHungShutdown(t *testing.T) {
+	bp, _, err := compile.CompileSource(counterServiceSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := transport.NewInProc(2)
+	for i := range eps {
+		eps[i] = lossyShutdown{eps[i]}
+	}
+	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, eps, runtime.Options{Out: io.Discard, MaxSteps: 50_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- c.Shutdown(context.Background()) }()
+	select {
+	case err := <-shutdown:
+		t.Fatalf("Shutdown returned (%v) although node 1 never heard SHUTDOWN", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	killed := make(chan struct{})
+	go func() { c.Kill(); close(killed) }()
+	select {
+	case <-killed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Kill hung behind the hung Shutdown")
+	}
+	select {
+	case <-shutdown:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown still hung after Kill closed every endpoint")
 	}
 }

@@ -201,14 +201,16 @@ func (e *chaosEndpoint) Send(msg Message) error {
 		return nil
 	}
 	e.mu.Unlock()
+	// A non-copying inner fabric hands the payload to the receiver, who
+	// may recycle it at once: the duplicate's copy is taken first.
+	d := msg
+	if dup && !CopiesPayload(e.inner) && len(d.Payload) > 0 {
+		d.Payload = append([]byte(nil), d.Payload...)
+	}
 	if err := e.inner.Send(msg); err != nil {
 		return err
 	}
 	if dup {
-		d := msg
-		if !CopiesPayload(e.inner) && len(d.Payload) > 0 {
-			d.Payload = append([]byte(nil), d.Payload...)
-		}
 		_ = e.inner.Send(d)
 	}
 	if held != nil {

@@ -80,9 +80,9 @@ func IsPeerDown(err error) bool {
 }
 
 // FaultStats is the reliability layer's counter snapshot: frames
-// retransmitted after an ack timeout, frames recovered on the receive
-// side (duplicates suppressed plus out-of-order frames healed by
-// buffering), and peers declared dead.
+// retransmitted (on a NACK or an ack timeout), frames recovered on the
+// receive side (duplicates suppressed plus out-of-order frames healed
+// by buffering), and peers declared dead.
 type FaultStats struct {
 	Retransmits int64
 	Recovered   int64
@@ -111,9 +111,11 @@ func CopiesPayload(ep Endpoint) bool {
 }
 
 // Flush blocks until every frame the endpoint accepted so far has been
-// handed to the kernel — the flush barrier runtime shutdown uses so
-// control frames are never stranded in a write batch. Fabrics without
-// buffered writers (in-process channels) flush trivially.
+// handed to the kernel — and, under the reliability layer, acknowledged
+// by its peer. It is the barrier runtime shutdown uses so control
+// frames are never stranded in a write batch or a retransmit ring.
+// Fabrics without buffered writers (in-process channels) flush
+// trivially.
 func Flush(ep Endpoint) error {
 	if f, ok := ep.(interface{ Flush() error }); ok {
 		return f.Flush()

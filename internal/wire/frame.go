@@ -60,10 +60,11 @@ const (
 
 // Transport-level control kinds. They live at the top of the kind
 // space, far from the runtime's message kinds, and never reach the
-// runtime's handlers: HEARTBEAT frames are absorbed by the reliability
-// layer (they exist to carry liveness and acknowledgements), and
-// PEERDOWN is synthesised locally by the failure detector — it is the
-// one control kind a runtime serve loop does observe.
+// runtime's handlers: HEARTBEAT and NACK frames are absorbed by the
+// reliability layer (they exist to carry liveness, acknowledgements and
+// loss reports), and PEERDOWN is synthesised locally by the failure
+// detector — it is the one control kind a runtime serve loop does
+// observe.
 const (
 	// KindHeartbeat is a reliability-layer liveness probe carrying the
 	// sender's cumulative acknowledgement. Never sequenced, never
@@ -87,6 +88,15 @@ const (
 	// the surviving ranks and report the new homes, after which the
 	// coordinator retires it from the view.
 	KindLeave uint8 = 0xF4
+	// KindNack is the reliability layer's loss report: the receiver
+	// holds a frame past a sequence gap, and Ack — the cumulative
+	// acknowledgement, as on a heartbeat — names the gap as Ack+1, which
+	// the sender resends at once. Never sequenced, never retransmitted,
+	// never delivered to the application. Like a heartbeat it carries no
+	// payload and picks the smallest sufficient envelope: version 3, or
+	// version 2 while nothing has been received yet (Ack 0: the hole is
+	// the link's first frame).
+	KindNack uint8 = 0xF5
 )
 
 // MaxFrameBody bounds a decoded frame body so a corrupted length prefix

@@ -98,6 +98,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, &seed))
 	v3 := Frame{From: 1, To: 2, Tag: 3, TID: 4, Seq: 1 << 21, Ack: 7, Dedup: 1 << 40, Kind: 9, Payload: []byte("v3")}
 	f.Add(AppendFrame(nil, &v3))
+	f.Add(AppendFrame(nil, &Frame{From: 1, Kind: KindNack, Ack: 1 << 14}))
+	f.Add(AppendFrame(nil, &Frame{From: 1, Kind: KindNack}))
 	if v1, err := AppendFrameV1(nil, &Frame{From: 1, Kind: 2}); err == nil {
 		f.Add(v1)
 	}

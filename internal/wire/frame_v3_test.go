@@ -12,7 +12,7 @@ import (
 // values (1-byte and multi-byte varints), encode→decode is the
 // identity and the encoder picks the version-3 layout.
 func TestFrameV3RoundTrip(t *testing.T) {
-	kinds := append(append([]uint8{}, runtimeFrameKinds...), KindHeartbeat, KindPeerDown)
+	kinds := append(append([]uint8{}, runtimeFrameKinds...), KindHeartbeat, KindPeerDown, KindNack)
 	seqs := []uint64{1, 127, 128, 1 << 20, 1 << 40}
 	for _, kind := range kinds {
 		for _, seq := range seqs {
@@ -98,6 +98,37 @@ func TestFrameV3Truncated(t *testing.T) {
 	for n := 2; n < len(enc); n++ {
 		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:n]))); err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded successfully", n, len(enc))
+		}
+	}
+}
+
+// TestNackFrame pins the loss report's wire form: unsequenced, no
+// payload, the cumulative ack its only cargo — so it picks the
+// version-3 envelope, or version 2 while nothing has been received yet
+// (the hole is the link's first frame); it round-trips, and any
+// truncation of it is a clean error.
+func TestNackFrame(t *testing.T) {
+	for _, tc := range []struct {
+		ack     uint64
+		version byte
+	}{{0, FrameVersion}, {1, FrameVersion3}, {127, FrameVersion3}, {1 << 40, FrameVersion3}} {
+		f := Frame{From: 1, To: 0, Kind: KindNack, Ack: tc.ack}
+		enc := AppendFrame(nil, &f)
+		if enc[1] != tc.version {
+			t.Errorf("NACK with ack %d encodes as version %d, want %d", tc.ack, enc[1], tc.version)
+		}
+		got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+		if err != nil {
+			t.Fatalf("ack %d: %v", tc.ack, err)
+		}
+		if got.Kind != KindNack || got.Ack != tc.ack || got.From != 1 || got.To != 0 ||
+			got.Seq != 0 || got.Dedup != 0 || got.View != 0 || len(got.Payload) != 0 {
+			t.Errorf("ack %d: decoded %+v", tc.ack, got)
+		}
+		for n := 1; n < len(enc); n++ {
+			if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:n]))); err == nil {
+				t.Errorf("ack %d: truncation at %d of %d bytes decoded successfully", tc.ack, n, len(enc))
+			}
 		}
 	}
 }

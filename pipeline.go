@@ -121,9 +121,10 @@ type Config struct {
 	// period (0 = 25ms); a peer silent for four intervals is declared
 	// dead. Requires FailureRecovery.
 	HeartbeatInterval time.Duration
-	// RetransmitTimeout is the base ack timeout before a frame is
-	// resent (0 = 50ms), backed off exponentially per attempt. Requires
-	// FailureRecovery.
+	// RetransmitTimeout is the reliability layer's retransmit timeout
+	// for a link with no round-trip sample yet, and the ceiling of the
+	// measured timeout (SRTT + 4·RTTVAR, doubling per repeat) that
+	// replaces it (0 = 50ms). Requires FailureRecovery.
 	RetransmitTimeout time.Duration
 	// ChaosSeed, ChaosDrop, ChaosDup and ChaosReorder configure the
 	// deterministic fault-injection layer under the reliability layer:
@@ -352,9 +353,10 @@ type RunResult struct {
 	// zero when the deployment ran with Config.NoFuse.
 	FusedBatches  int64
 	FusedAccesses int64
-	// Retransmits counts frames the reliability layer resent after an
-	// ack timeout; Recoveries counts frames it healed on the receive
-	// side (retransmitted-then-delivered plus duplicates suppressed).
+	// Retransmits counts frames the reliability layer resent, on a NACK
+	// or after an ack timeout; Recoveries counts frames it healed on the
+	// receive side (retransmitted-then-delivered plus duplicates
+	// suppressed).
 	// PromotedReplicas counts replica shadows promoted to authoritative
 	// owner after a node death; RedrivenInvocations counts entrypoint
 	// invocations re-executed against the promoted copies. All are zero

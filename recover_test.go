@@ -9,6 +9,8 @@ package autodist_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -433,5 +435,72 @@ func TestClusterSurvivesChaos(t *testing.T) {
 	}
 	if s.PromotedReplicas != 0 {
 		t.Errorf("chaos (no kill) caused %d spurious promotions", s.PromotedReplicas)
+	}
+}
+
+// shutdownDropSeed finds a chaos seed whose 0→1 link loses its first
+// frame and lets the second through. The chaos layer draws one number
+// per frame from a stream seeded by (seed, sender, receiver); the
+// expression below is that seeding, and the test checks through the
+// retransmit counter that the seed still does what it was picked for.
+func shutdownDropSeed(drop float64) int64 {
+	for seed := int64(1); ; seed++ {
+		rng := rand.New(rand.NewSource(seed*1_000_003 + 0*4099 + 1))
+		if rng.Float64() < drop && rng.Float64() >= drop {
+			return seed
+		}
+	}
+}
+
+// TestShutdownSurvivesDroppedShutdownFrame: the SHUTDOWN frame is the
+// first frame node 0 ever sends node 1 here, and the seeded chaos
+// layer drops it. The starter used to close its endpoint right behind
+// it, leaving the frame unacknowledged in a ring nothing would resend
+// from, and Shutdown waited on node 1 for ever. Now the flush barrier
+// holds the endpoint open until the frame is acknowledged (or the
+// barrier gives up and closes node 1 from outside), so Shutdown returns
+// promptly and nothing is left running.
+func TestShutdownSurvivesDroppedShutdownFrame(t *testing.T) {
+	const drop = 0.5
+	dist, err := buildFaultDist(2, autodist.RewriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	cluster, err := dist.Deploy(autodist.Config{
+		K:                 2,
+		FailureRecovery:   true,
+		RetransmitTimeout: 5 * time.Millisecond,
+		ChaosSeed:         shutdownDropSeed(drop),
+		ChaosDrop:         drop,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Kill()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- cluster.Shutdown(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Shutdown hung on the dropped SHUTDOWN frame")
+	}
+	t.Logf("Shutdown took %v", time.Since(start))
+	if s := cluster.Stats(); s.Retransmits == 0 {
+		t.Errorf("no retransmit: the seed no longer drops the SHUTDOWN frame (stats %+v)", s)
+	}
+	// Goroutines wind down asynchronously after their wait groups
+	// release; give stragglers a moment before calling them leaked.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before deploy, %d after shutdown:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
