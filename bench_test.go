@@ -129,7 +129,7 @@ func BenchmarkFigure11DistributedExecution(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				last, err = dist.Run(autodist.RunOptions{Unoptimized: cfg.unoptimized})
+				last, err = dist.Run(autodist.Config{Unoptimized: cfg.unoptimized})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -183,7 +183,7 @@ func BenchmarkAdaptiveRepartitioning(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				last, err = dist.Run(autodist.RunOptions{})
+				last, err = dist.Run(autodist.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -218,7 +218,7 @@ func BenchmarkTable3ProfilerOverheads(b *testing.B) {
 	for _, metric := range []autodist.ProfileMetric{profiler.None, profiler.HotMethods, profiler.MethodDuration} {
 		b.Run(strings.ReplaceAll(metric.String(), " ", ""), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := prog.Profile(metric, autodist.RunOptions{}); err != nil {
+				if _, _, err := prog.Profile(metric, autodist.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +413,7 @@ func BenchmarkInvokeThroughput(b *testing.B) {
 		b.ResetTimer()
 		var last *autodist.RunResult
 		for i := 0; i < b.N; i++ {
-			last, err = dist.Run(autodist.RunOptions{})
+			last, err = dist.Run(autodist.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -115,11 +115,8 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 	}
 	var eps []transport.Endpoint
 	if cfg.TCP {
-		topts := transport.DefaultTCPOptions()
-		topts.Coalesce = !cfg.TCPNoCoalesce
-		topts.Compress = cfg.TCPCompress
 		var err error
-		eps, err = transport.NewTCPClusterOpts(cfg.K, topts)
+		eps, err = transport.NewTCPCluster(cfg.K)
 		if err != nil {
 			return nil, err
 		}

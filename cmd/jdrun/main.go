@@ -57,10 +57,6 @@
 // them — the summary's "fault tolerance" line reports how much healing
 // happened.
 //
-// -tcp-nocoalesce and -tcp-compress tune the TCP fabric (A/B levers
-// for the transport benchmarks): the former restores one Write syscall
-// per frame, the latter negotiates DEFLATE segment framing.
-//
 // -elastic (requires -adaptive and a resident mode) deploys the
 // cluster with membership enabled: "!join" on a -listen connection —
 // or jdrun -join addr from another shell — admits a fresh node while
@@ -99,8 +95,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "partitioner seed")
 	eps := flag.Float64("eps", 0.6, "partitioner imbalance tolerance")
 	tcp := flag.Bool("tcp", false, "use local TCP transport instead of in-process channels")
-	tcpNoCoalesce := flag.Bool("tcp-nocoalesce", false, "disable the TCP write combiner (one Write per frame; A/B lever)")
-	tcpCompress := flag.Bool("tcp-compress", false, "negotiate DEFLATE segment framing on TCP connections")
 	unopt := flag.Bool("unoptimized", false, "disable message-exchange optimisations (caching/async/batching) for A/B runs")
 	nofuse := flag.Bool("nofuse", false, "disable access fusion (one DEPENDENCE round trip per remote access; A/B lever)")
 	adaptive := flag.Bool("adaptive", false, "treat the partition as an initial placement: migrate objects to their observed communication affinity at run time")
@@ -167,7 +161,6 @@ func main() {
 	// distribution flags with k = 1, …).
 	cfg := autodist.Config{
 		K: *k, Out: os.Stdout, TCP: *tcp, Unoptimized: *unopt, NoFuse: *nofuse,
-		TCPNoCoalesce: *tcpNoCoalesce, TCPCompress: *tcpCompress,
 		Adaptive: *adaptive, AdaptEvery: *adaptEvery, Replicate: *replicate,
 		MaxConcurrent:   *concurrency,
 		FailureRecovery: *recover, HeartbeatInterval: *heartbeat, RetransmitTimeout: *retransmit,

@@ -65,8 +65,6 @@ func main() {
 	label := flag.String("label", "coalesce", "run label recorded in the report")
 	k := flag.Int("k", 2, "server node count (metadata)")
 	concurrency := flag.Int("concurrency", 8, "server MaxConcurrent (metadata)")
-	coalesce := flag.Bool("coalesce", true, "server write-combiner mode (metadata)")
-	compress := flag.Bool("compress", false, "server compression mode (metadata)")
 	workload := flag.String("workload", "examples/service/service.mj", "workload description recorded in the report")
 	out := flag.String("out", "", "write (or merge into) this BENCH_transport.json")
 	allocs := flag.Bool("allocs", true, "measure allocations per transport Send in-process")
@@ -112,8 +110,6 @@ func main() {
 	run.Label = *label
 	run.Concurrency = *concurrency
 	run.K = *k
-	run.Coalesce = *coalesce
-	run.Compress = *compress
 	run.Compile = *compileTier
 
 	var allocsPerSend float64

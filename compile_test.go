@@ -283,11 +283,11 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := prog.Run(autodist.RunOptions{})
+	off, err := prog.Run(autodist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := prog.Run(compileOn(autodist.RunOptions{}))
+	on, err := prog.Run(compileOn(autodist.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}

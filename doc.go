@@ -45,21 +45,21 @@
 // For one-shot batch semantics, Distribution.Run survives as the
 // wrapper Deploy → Invoke("main") → Shutdown:
 //
-//	out, err := dist.Run(autodist.RunOptions{})     // batch execution
+//	out, err := dist.Run(autodist.Config{}) // batch execution
 //
-// Config (alias RunOptions) is the single validated execution
-// configuration: Config.Validate is the one source of truth for
-// incoherent option combinations, shared with the cmd/jdrun CLI.
+// Config is the single validated execution configuration:
+// Config.Validate is the one source of truth for incoherent option
+// combinations, shared with the cmd/jdrun CLI.
 //
 // Plan.RewriteAdaptive builds the same distribution with the partition
 // treated as an initial placement instead of a contract: the runtime
 // tracks per-object communication affinity and live-migrates objects
-// between nodes mid-run (see RunOptions.AdaptEvery and the Migrations
+// between nodes mid-run (see Config.AdaptEvery and the Migrations
 // and Forwards counters on RunResult).
 //
 // Plan.RewriteWith composes the modes. RewriteOptions.Replicate stamps
 // read-replication access kinds for read-mostly classes; run with
-// RunOptions.Replicate, proxies then serve those reads from local
+// Config.Replicate, proxies then serve those reads from local
 // replica snapshots kept coherent by an invalidate-on-write protocol
 // (see the ReplicaHits, ReplicaFetches and Invalidations counters on
 // RunResult).

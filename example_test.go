@@ -30,7 +30,7 @@ func ExampleCompileString() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(autodist.RunOptions{})
+	res, err := prog.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func ExampleDistribution_Run() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{})
+	res, err := dist.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func ExamplePlan_RewriteAdaptive() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{AdaptEvery: 4})
+	res, err := dist.Run(autodist.Config{AdaptEvery: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func ExamplePlan_RewriteAdaptive() {
 
 // ExamplePlan_RewriteWith composes the rewriting modes: Replicate
 // stamps read-replication access kinds for the analysis pass's
-// read-mostly candidate classes, and RunOptions.Replicate turns on the
+// read-mostly candidate classes, and Config.Replicate turns on the
 // coherence protocol — reads of the shared object are served from
 // local replicas and its rare writes invalidate them before
 // completing. The program's behaviour is unchanged.
@@ -214,7 +214,7 @@ class Main {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{Replicate: true})
+	res, err := dist.Run(autodist.Config{Replicate: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nrunning over TCP loopback...")
-	res, err := dist.Run(autodist.RunOptions{Out: os.Stdout, TCP: true})
+	res, err := dist.Run(autodist.Config{Out: os.Stdout, TCP: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func main() {
 	}
 
 	// Centralized baseline: the whole simulation on the 800 MHz node.
-	seq, err := prog.Run(autodist.RunOptions{
+	seq, err := prog.Run(autodist.Config{
 		CPUSpeeds: []float64{experiments.ComputeNodeHz},
 	})
 	if err != nil {
@@ -57,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dist.Run(autodist.RunOptions{
+		res, err := dist.Run(autodist.Config{
 			CPUSpeeds: []float64{experiments.ServiceNodeHz, experiments.ComputeNodeHz},
 			Net:       net,
 		})

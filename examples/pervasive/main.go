@@ -90,14 +90,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{})
+	res, err := dist.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndistributed run output:\n%s", res.Output)
 	fmt.Printf("messages: %d (%d bytes)\n", res.Messages, res.BytesSent)
 
-	seq, err := prog.Run(autodist.RunOptions{})
+	seq, err := prog.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nres, err := nd.Run(autodist.RunOptions{})
+	nres, err := nd.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := prog.Run(autodist.RunOptions{})
+	seq, err := prog.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dist.Run(autodist.RunOptions{})
+		res, err := dist.Run(autodist.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

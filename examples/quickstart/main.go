@@ -19,7 +19,7 @@ func main() {
 	}
 
 	// 1. Sequential execution (the monolithic program).
-	seq, err := prog.Run(autodist.RunOptions{})
+	seq, err := prog.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{})
+	res, err := dist.Run(autodist.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,9 +80,6 @@ type TransportRun struct {
 	K           int     `json:"k"`
 	DurationSec float64 `json:"duration_sec"`
 	WarmupSec   float64 `json:"warmup_sec,omitempty"`
-	// Coalesce/Compress record the transport mode under test.
-	Coalesce bool `json:"coalesce"`
-	Compress bool `json:"compress"`
 	// Invocations completed inside the window; InvokesPerSec is the
 	// headline throughput.
 	Invocations   int64   `json:"invocations"`

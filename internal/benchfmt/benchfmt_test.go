@@ -13,7 +13,7 @@ func validReport() *TransportReport {
 		Workload:  `examples/rpcstorm/rpcstorm.mj · "storm 64"`,
 		Runs: []TransportRun{{
 			Label: "coalesce", Conns: 8, Concurrency: 8, K: 2,
-			DurationSec: 3, Coalesce: true,
+			DurationSec: 3,
 			Invocations: 6000, InvokesPerSec: 2000,
 			P50Ms: 3.5, P99Ms: 8.0,
 			FramesPerInvoke: 128, BytesPerInvoke: 1600,

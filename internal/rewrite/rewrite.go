@@ -362,7 +362,7 @@ type Options struct {
 	// Replicate stamps replication access kinds for the analysis
 	// pass's read-mostly candidate classes (see Plan.Replicated). The
 	// runtime protocol is enabled separately (runtime
-	// Options.Replicate / autodist RunOptions.Replicate); without it
+	// Options.Replicate / autodist Config.Replicate); without it
 	// the stamped kinds degrade to plain synchronous accesses.
 	Replicate bool
 	// NoFuse omits the fusion stamps entirely, producing the

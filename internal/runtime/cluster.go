@@ -30,8 +30,9 @@ const (
 
 // Options configures a distributed run.
 type Options struct {
-	// Out receives all System.print output (every node shares it;
-	// only the logical thread of control prints at any moment).
+	// Out receives all System.print output (every node shares it).
+	// With MaxConcurrent > 1 logical threads print concurrently, so Out
+	// must then be safe for concurrent use.
 	Out io.Writer
 	// CPUSpeeds, when non-nil, enables the virtual clock with one
 	// cycles-per-second entry per node (the paper's 1.7 GHz service

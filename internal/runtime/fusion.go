@@ -153,7 +153,7 @@ func (n *Node) fuseExecute(lt *lthread, buf []fusedEntry) ([]vm.Value, error) {
 				}
 			}
 			if j-i >= 2 {
-				if err := n.fuseSendSegment(lt, home, buf[i:j], results[i:j]); err != nil {
+				if err := n.fuseSendSlice(lt, home, buf[i:j], results[i:j]); err != nil {
 					return nil, err
 				}
 				i = j
@@ -240,11 +240,11 @@ func (n *Node) fuseRoute(e *fusedEntry) (int, bool) {
 	return home, true
 }
 
-// fuseSendSegment executes one contiguous same-destination slice of a
+// fuseSendSlice executes one contiguous same-destination slice of a
 // fused run as a single DEPSEQ exchange, applying the per-entry
 // DEPENDENCE-response epilogue (Moved redirects heal each entry's hint
 // individually).
-func (n *Node) fuseSendSegment(lt *lthread, home int, seg []fusedEntry, results []vm.Value) error {
+func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry, results []vm.Value) error {
 	payload, err := n.fuseEncode(lt, seg)
 	if err != nil {
 		return err

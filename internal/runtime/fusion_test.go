@@ -7,6 +7,7 @@ package runtime_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -330,9 +331,10 @@ func TestFusionUnderConcurrentInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
+	// Output is not checked here, and concurrent invocations print
+	// concurrently: a shared unsynchronised builder would race.
 	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2), runtime.Options{
-		Out: &out, MaxSteps: 50_000_000, Fuse: true, MaxConcurrent: 4,
+		Out: io.Discard, MaxSteps: 50_000_000, Fuse: true, MaxConcurrent: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

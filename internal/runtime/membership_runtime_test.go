@@ -315,8 +315,8 @@ func TestJoinDigestMismatchRefused(t *testing.T) {
 }
 
 // viewSpy counts frames sent with a non-zero membership view — each
-// one would make the encoder emit a v4 envelope, changing the byte
-// stream relative to the pre-membership wire format.
+// one would carry the view field in its envelope, changing the byte
+// stream relative to a static cluster.
 type viewSpy struct {
 	transport.Endpoint
 	mu      *sync.Mutex
@@ -334,10 +334,10 @@ func (s viewSpy) Send(m transport.Message) error {
 
 // TestElasticOffWireUnchanged is the compatibility pin: with
 // elasticity off — and even with it on but unexercised — no frame
-// carries a view id, so every envelope encodes in the pre-membership
-// format and the wire stream is byte-identical to the previous
-// release (the v4 encoder is only entered for non-zero views, pinned
-// byte-for-byte in the wire package's tests).
+// carries a view id, so no envelope carries the view field and the
+// wire stream is byte-identical to a static cluster's (the encoder
+// omits zero fields, pinned in the wire package's envelope property
+// test).
 func TestElasticOffWireUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		name string

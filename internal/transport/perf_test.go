@@ -11,9 +11,9 @@ import (
 // tcpPair builds a connected two-endpoint TCP fabric, with a drain
 // goroutine on the receiving side recycling payloads (the runtime's
 // contract for copying fabrics).
-func tcpPair(t testing.TB, opts TCPOptions) (send, recv Endpoint, stop func()) {
+func tcpPair(t testing.TB) (send, recv Endpoint, stop func()) {
 	t.Helper()
-	eps, err := NewTCPClusterOpts(2, opts)
+	eps, err := NewTCPCluster(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func tcpPair(t testing.TB, opts TCPOptions) (send, recv Endpoint, stop func()) {
 // pooled buffer, append into the connection batch, recycle — nothing
 // per-message reaches the heap.
 func BenchmarkTCPSend(b *testing.B) {
-	send, _, stop := tcpPair(b, DefaultTCPOptions())
+	send, _, stop := tcpPair(b)
 	defer stop()
 	payload := make([]byte, 128)
 	msg := Message{To: 1, Kind: 7, Tag: 42, TID: 3, Payload: payload}
@@ -65,7 +65,7 @@ func BenchmarkTCPSend(b *testing.B) {
 // GC is disabled during the probe so the pools are not flushed
 // mid-measurement.
 func TestTCPSendZeroAlloc(t *testing.T) {
-	send, _, stop := tcpPair(t, DefaultTCPOptions())
+	send, _, stop := tcpPair(t)
 	defer stop()
 	payload := make([]byte, 128)
 	msg := Message{To: 1, Kind: 7, Tag: 42, TID: 3, Payload: payload}
@@ -195,70 +195,6 @@ func TestTCPCloseWithFullInbox(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close deadlocked with a full inbox")
 	}
-}
-
-// TestTCPCompressedFabric exercises the negotiated-compression mode
-// end to end: both endpoints opt in, the dialler writes the segment
-// preamble, and messages of every size class round-trip intact.
-func TestTCPCompressedFabric(t *testing.T) {
-	opts := DefaultTCPOptions()
-	opts.Compress = true
-	opts.CompressMin = 1 // compress even tiny batches
-	eps, err := NewTCPClusterOpts(2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, ep := range eps {
-			_ = ep.Close()
-		}
-	}()
-	payloads := [][]byte{
-		nil,
-		[]byte("x"),
-		bytes1k(),
-		make([]byte, 64<<10), // highly compressible
-	}
-	for i, p := range payloads {
-		if err := eps[0].Send(Message{To: 1, Tag: uint64(i), Kind: 5, Payload: p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, p := range payloads {
-		m, err := eps[1].Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Tag != uint64(i) || len(m.Payload) != len(p) {
-			t.Fatalf("message %d: got tag %d len %d, want tag %d len %d",
-				i, m.Tag, len(m.Payload), i, len(p))
-		}
-		for j := range m.Payload {
-			if m.Payload[j] != p[j] {
-				t.Fatalf("message %d: payload corrupted at byte %d", i, j)
-			}
-		}
-		wire.PutBuf(m.Payload)
-	}
-}
-
-func bytes1k() []byte {
-	b := make([]byte, 1024)
-	for i := range b {
-		b[i] = byte(i * 31)
-	}
-	return b
-}
-
-// TestTCPUncoalescedFabric runs the full fabric exchange with the
-// write combiner off — the legacy one-Write-per-frame path must stay
-// fully functional (it is the A/B baseline).
-func TestTCPUncoalescedFabric(t *testing.T) {
-	eps, err := NewTCPClusterOpts(3, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	testFabric(t, eps)
 }
 
 // TestTCPFlushBarrier checks that Flush returns only after previously

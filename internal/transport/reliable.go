@@ -463,7 +463,8 @@ func (e *relEndpoint) resend(m Message) {
 
 // control sends one unsequenced control frame (a heartbeat or a NACK)
 // carrying the cumulative ack. With nothing received yet it has
-// Seq=Ack=Dedup=0 and rides the v2 envelope; its kind still marks it.
+// Seq=Ack=Dedup=0 and its envelope carries no optional field; its kind
+// still marks it.
 func (e *relEndpoint) control(to int, p *relPeer, kind uint8) {
 	_ = e.inner.Send(Message{From: e.rank, To: to, Kind: kind, Ack: p.ack()})
 }

@@ -476,8 +476,8 @@ func TestNeverReachablePeerDown(t *testing.T) {
 }
 
 // TestReliablePassesUnsequencedFrames: frames from a peer without the
-// reliability wrapper (Seq 0) pass straight through — cross-version
-// interop with pre-reliability nodes.
+// reliability wrapper (Seq 0) pass straight through instead of being
+// held for a sequence number that will never come.
 func TestReliablePassesUnsequencedFrames(t *testing.T) {
 	eps := NewInProc(2)
 	b := NewReliable(eps[1], fastRel)

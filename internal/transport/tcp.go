@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -12,54 +11,25 @@ import (
 	"autodist/internal/wire"
 )
 
-// TCPOptions tunes the TCP fabric's hot path. The zero value is the
-// legacy per-frame behaviour (one locked Write per Send, no
-// compression); DefaultTCPOptions enables the wire-speed pipeline.
-type TCPOptions struct {
-	// Coalesce enables the per-connection write combiner: concurrent
-	// senders append encoded frames into a shared batch and the first
-	// of them drains it with single large Writes (see tcpConn). The
-	// byte stream is identical to uncoalesced sends — only the Write
-	// boundaries change — so protocol A/B guards are unaffected.
-	Coalesce bool
-	// Compress negotiates DEFLATE segment framing per connection
-	// (wire.SegmentMagic preamble): payload-heavy batches —
-	// TRANSFER/REPLICATE snapshots, large argument arrays — shrink on
-	// the wire. Off by default; both endpoints must enable it. Implies
-	// the combiner write path (segments need whole-batch framing).
-	Compress bool
-	// CompressMin is the batch size below which compression is skipped
-	// (0 = wire.DefaultCompressMin).
-	CompressMin int
-	// ReadBuf sizes each connection's read buffer (0 = 64 KiB), so the
-	// read loop drains whole coalesced batches per syscall and decodes
-	// ahead of inbox consumption.
-	ReadBuf int
-	// MaxPending bounds a connection's unwritten batch in bytes
-	// (0 = 1 MiB); senders beyond it wait for the drain (backpressure
-	// instead of unbounded buffering).
-	MaxPending int
-}
+// TCPOptions configures the TCP fabric. It has no fields: the fabric
+// has one byte path (every connection runs the write combiner, see
+// tcpConn), so there is nothing left to choose. The type and
+// NewTCPClusterOpts remain so callers written against the options form
+// keep compiling.
+type TCPOptions struct{}
 
-// DefaultTCPOptions is the wire-speed configuration: coalescing on,
-// compression off (it changes bytes on the wire, so it stays opt-in).
-func DefaultTCPOptions() TCPOptions {
-	return TCPOptions{Coalesce: true}
-}
+// DefaultTCPOptions returns the fabric's (only) configuration.
+func DefaultTCPOptions() TCPOptions { return TCPOptions{} }
 
-func (o *TCPOptions) readBuf() int {
-	if o.ReadBuf <= 0 {
-		return 64 << 10
-	}
-	return o.ReadBuf
-}
+// readBufSize sizes each connection's read buffer, so the read loop
+// drains whole coalesced batches per syscall and decodes ahead of inbox
+// consumption.
+const readBufSize = 64 << 10
 
-func (o *TCPOptions) maxPending() int {
-	if o.MaxPending <= 0 {
-		return 1 << 20
-	}
-	return o.MaxPending
-}
+// maxPending bounds a connection's unwritten batch in bytes; senders
+// beyond it wait for the drain (backpressure instead of unbounded
+// buffering).
+const maxPending = 1 << 20
 
 // closeFlushTimeout bounds how long Close waits for a connection's
 // pending batch to reach the socket before tearing it down anyway.
@@ -73,15 +43,12 @@ const combineYields = 4
 // own address; connections are dialled lazily per destination and each
 // direction uses its own connection (dialled conns are write-only,
 // accepted conns are read-only), so no handshake protocol is needed
-// beyond the frame envelope carrying the sender rank — plus, when
-// compression is enabled, the segment-magic preamble a dialler writes
-// before its first frame. Frames use the shared wire codec
-// (length-prefixed binary), the same format family as the runtime's
-// payload bodies.
+// beyond the frame envelope carrying the sender rank. Frames use the
+// shared wire codec (length-prefixed binary), the same format family as
+// the runtime's payload bodies.
 type tcpEndpoint struct {
 	rank int
 	book *addrBook
-	opts TCPOptions
 
 	ln    net.Listener
 	inbox chan Message
@@ -123,7 +90,6 @@ type tcpEndpoint struct {
 // one locked Write per frame.
 type tcpConn struct {
 	c  net.Conn
-	sw *wire.SegmentWriter // non-nil on negotiated-compression conns
 	mu sync.Mutex
 	// work wakes the flusher (pending became non-empty, or close);
 	// drained wakes senders blocked on backpressure and flush/close
@@ -134,13 +100,13 @@ type tcpConn struct {
 	// buffer, kept for ping-pong reuse.
 	pending []byte
 	spare   []byte
-	writing bool // flusher is inside writeOut
+	writing bool // flusher is inside Write
 	closed  bool
 	err     error
 }
 
-func newTCPConn(c net.Conn, sw *wire.SegmentWriter) *tcpConn {
-	tc := &tcpConn{c: c, sw: sw}
+func newTCPConn(c net.Conn) *tcpConn {
+	tc := &tcpConn{c: c}
 	tc.work = sync.NewCond(&tc.mu)
 	tc.drained = sync.NewCond(&tc.mu)
 	return tc
@@ -149,10 +115,9 @@ func newTCPConn(c net.Conn, sw *wire.SegmentWriter) *tcpConn {
 var errConnClosed = fmt.Errorf("transport: connection closed")
 
 // addrBook is a TCP cluster's rank→address table. Endpoints built
-// together (NewTCPClusterOpts, GrowEndpoint) share one book, so
-// admitting a node makes every member's Size() and routing reflect the
-// larger cluster at once; endpoints built standalone get a private
-// book.
+// together (NewTCPCluster, GrowEndpoint) share one book, so admitting a
+// node makes every member's Size() and routing reflect the larger
+// cluster at once.
 type addrBook struct {
 	mu    sync.RWMutex
 	addrs []string
@@ -180,10 +145,9 @@ func (b *addrBook) add(addr string) int {
 	return len(b.addrs) - 1
 }
 
-// enqueue appends one frame to the batch and wakes the flusher.
-// maxPending bounds the unwritten batch in bytes: senders beyond it
-// wait for a drain (backpressure instead of unbounded buffering).
-func (c *tcpConn) enqueue(f *wire.Frame, maxPending int) error {
+// enqueue appends one frame to the batch and wakes the flusher. Senders
+// wait for a drain while the batch holds maxPending bytes.
+func (c *tcpConn) enqueue(f *wire.Frame) error {
 	c.mu.Lock()
 	for c.err == nil && !c.closed && len(c.pending) >= maxPending {
 		c.drained.Wait()
@@ -205,9 +169,9 @@ func (c *tcpConn) enqueue(f *wire.Frame, maxPending int) error {
 
 // flusherLoop is the connection's drain goroutine: it swaps the
 // pending batch against the spare buffer, writes it out in one call
-// (one syscall, or one compressed segment), and goes back to sleep
-// when the queue is empty. It exits once the connection is closed and
-// drained, or on the first write error.
+// (one syscall), and goes back to sleep when the queue is empty. It
+// exits once the connection is closed and drained, or on the first
+// write error.
 func (c *tcpConn) flusherLoop() {
 	c.mu.Lock()
 	for {
@@ -241,7 +205,7 @@ func (c *tcpConn) flusherLoop() {
 		c.spare = nil
 		c.writing = true
 		c.mu.Unlock()
-		werr := c.writeOut(buf)
+		_, werr := c.c.Write(buf)
 		c.mu.Lock()
 		c.spare = buf[:0]
 		c.writing = false
@@ -252,34 +216,6 @@ func (c *tcpConn) flusherLoop() {
 		// flush/close waiters.
 		c.drained.Broadcast()
 	}
-}
-
-// writeDirect is the legacy uncombined path: encode into a pooled
-// buffer, one locked Write per frame.
-func (c *tcpConn) writeDirect(f *wire.Frame) error {
-	buf := wire.AppendFrame(wire.GetBuf(), f)
-	c.mu.Lock()
-	err := c.err
-	if err == nil && c.closed {
-		err = errConnClosed
-	}
-	if err == nil {
-		_, err = c.c.Write(buf)
-		if err != nil {
-			c.err = err
-		}
-	}
-	c.mu.Unlock()
-	wire.PutBuf(buf)
-	return err
-}
-
-func (c *tcpConn) writeOut(buf []byte) error {
-	if c.sw != nil {
-		return c.sw.WriteSegment(buf)
-	}
-	_, err := c.c.Write(buf)
-	return err
 }
 
 // flush blocks until every enqueued frame has reached the socket (or
@@ -316,30 +252,16 @@ func (c *tcpConn) close() {
 	_ = c.c.Close()
 }
 
-// NewTCPNode creates the endpoint for rank within a cluster whose
-// listen addresses are addrs (index = rank), with the default
-// wire-speed options. The listener for this rank must be passed in, so
+// newTCPNodeBook creates the endpoint for rank in the cluster whose
+// addresses book holds. The listener for this rank is passed in, so
 // callers can bind ":0" and exchange real addresses first.
-func NewTCPNode(rank int, addrs []string, ln net.Listener) (Endpoint, error) {
-	return NewTCPNodeOpts(rank, addrs, ln, DefaultTCPOptions())
-}
-
-// NewTCPNodeOpts is NewTCPNode with explicit transport options. Every
-// node of a cluster must use the same options (compression is
-// negotiated per connection, but a compressing dialler needs an
-// accepter that understands the preamble).
-func NewTCPNodeOpts(rank int, addrs []string, ln net.Listener, opts TCPOptions) (Endpoint, error) {
-	return newTCPNodeBook(rank, &addrBook{addrs: append([]string(nil), addrs...)}, ln, opts)
-}
-
-func newTCPNodeBook(rank int, book *addrBook, ln net.Listener, opts TCPOptions) (Endpoint, error) {
+func newTCPNodeBook(rank int, book *addrBook, ln net.Listener) (Endpoint, error) {
 	if rank < 0 || rank >= book.size() {
 		return nil, fmt.Errorf("transport: rank %d out of range", rank)
 	}
 	e := &tcpEndpoint{
 		rank:  rank,
 		book:  book,
-		opts:  opts,
 		ln:    ln,
 		inbox: make(chan Message, 1024),
 		done:  make(chan struct{}),
@@ -360,7 +282,7 @@ func (e *tcpEndpoint) GrowEndpoint() (Endpoint, error) {
 		return nil, err
 	}
 	rank := e.book.add(addr)
-	ep, err := newTCPNodeBook(rank, e.book, ln, e.opts)
+	ep, err := newTCPNodeBook(rank, e.book, ln)
 	if err != nil {
 		_ = ln.Close()
 		return nil, err
@@ -403,41 +325,13 @@ func (e *tcpEndpoint) acceptLoop() {
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, e.opts.readBuf())
-	if e.opts.Compress {
-		if magic, err := br.Peek(len(wire.SegmentMagic)); err == nil && bytes.Equal(magic, wire.SegmentMagic[:]) {
-			_, _ = br.Discard(len(wire.SegmentMagic))
-			e.readSegments(br)
-			return
-		}
-	}
-	e.readFrames(br)
-}
-
-func (e *tcpEndpoint) readFrames(br *bufio.Reader) {
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var scratch []byte
 	for {
 		f, sc, err := wire.ReadFrameScratch(br, scratch)
 		scratch = sc
 		if err != nil || !e.deliver(&f) {
 			return
-		}
-	}
-}
-
-func (e *tcpEndpoint) readSegments(br *bufio.Reader) {
-	sr := wire.NewSegmentReader(br)
-	for {
-		seg, err := sr.Next()
-		if err != nil {
-			return
-		}
-		for len(seg) > 0 {
-			f, rest, err := wire.DecodeFrameBuf(seg)
-			if err != nil || !e.deliver(&f) {
-				return
-			}
-			seg = rest
 		}
 	}
 }
@@ -487,12 +381,7 @@ func (e *tcpEndpoint) Send(msg Message) error {
 	if err != nil {
 		return fmt.Errorf("transport: send to node %d (frame kind %d): %w", msg.To, msg.Kind, err)
 	}
-	if e.opts.Coalesce || conn.sw != nil {
-		err = conn.enqueue(&frame, e.opts.maxPending())
-	} else {
-		err = conn.writeDirect(&frame)
-	}
-	if err != nil {
+	if err := conn.enqueue(&frame); err != nil {
 		e.dropConn(msg.To, conn)
 		return fmt.Errorf("transport: send to node %d (frame kind %d): %w", msg.To, msg.Kind, err)
 	}
@@ -533,9 +422,7 @@ func (e *tcpEndpoint) dropConn(to int, conn *tcpConn) {
 // connTo returns the live connection to a peer, dialling it outside
 // the endpoint lock if none exists. Concurrent first sends may race to
 // dial; the loser's connection is closed and the table's entry wins,
-// so every sender funnels through one connection per destination. A
-// compressing endpoint announces segment framing with the magic
-// preamble before any frame.
+// so every sender funnels through one connection per destination.
 func (e *tcpEndpoint) connTo(to int) (*tcpConn, error) {
 	e.mu.Lock()
 	conn := e.conns[to]
@@ -551,31 +438,19 @@ func (e *tcpEndpoint) connTo(to int) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
 	}
-	var sw *wire.SegmentWriter
-	if e.opts.Compress {
-		if _, err := c.Write(wire.SegmentMagic[:]); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
-		}
-		sw = wire.NewSegmentWriter(c, e.opts.CompressMin)
-	}
 	e.mu.Lock()
 	if existing := e.conns[to]; existing != nil {
 		e.mu.Unlock()
 		_ = c.Close()
 		return existing, nil
 	}
-	conn = newTCPConn(c, sw)
+	conn = newTCPConn(c)
 	e.conns[to] = conn
-	if e.opts.Coalesce || sw != nil {
-		// Combined connections get their drain goroutine; uncombined
-		// ones write inline (writeDirect) and never enqueue.
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			conn.flusherLoop()
-		}()
-	}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		conn.flusherLoop()
+	}()
 	e.mu.Unlock()
 	return conn, nil
 }
@@ -620,14 +495,8 @@ func (e *tcpEndpoint) Close() error {
 
 // NewTCPCluster is a convenience for tests and single-host runs: it
 // binds n ephemeral listeners on localhost and returns connected
-// endpoints with the default options.
+// endpoints.
 func NewTCPCluster(n int) ([]Endpoint, error) {
-	return NewTCPClusterOpts(n, DefaultTCPOptions())
-}
-
-// NewTCPClusterOpts is NewTCPCluster with explicit transport options
-// applied to every node.
-func NewTCPClusterOpts(n int, opts TCPOptions) ([]Endpoint, error) {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -641,11 +510,17 @@ func NewTCPClusterOpts(n int, opts TCPOptions) ([]Endpoint, error) {
 	book := &addrBook{addrs: addrs}
 	eps := make([]Endpoint, n)
 	for i := 0; i < n; i++ {
-		ep, err := newTCPNodeBook(i, book, lns[i], opts)
+		ep, err := newTCPNodeBook(i, book, lns[i])
 		if err != nil {
 			return nil, err
 		}
 		eps[i] = ep
 	}
 	return eps, nil
+}
+
+// NewTCPClusterOpts is NewTCPCluster in the options form (see
+// TCPOptions).
+func NewTCPClusterOpts(n int, _ TCPOptions) ([]Endpoint, error) {
+	return NewTCPCluster(n)
 }

@@ -31,14 +31,14 @@ type Message struct {
 	// Seq and Ack are the reliability layer's sequence number and
 	// cumulative acknowledgement for the (sender, receiver) direction;
 	// Dedup is the runtime's idempotency id for re-driven requests. All
-	// three are zero on fabrics without the reliability wrapper, and
-	// frames with all three zero keep the version-2 wire layout.
+	// three are zero on fabrics without the reliability wrapper, and a
+	// zero field costs nothing in the wire envelope.
 	Seq   uint64
 	Ack   uint64
 	Dedup uint64
 	// View is the sender's membership view id, stamped on coordination
-	// traffic by elastic clusters. Zero everywhere else; frames with a
-	// zero view keep the version-3 (or smaller) wire layout.
+	// traffic by elastic clusters. Zero everywhere else, and then absent
+	// from the wire envelope.
 	View    uint64
 	Time    float64
 	Payload []byte

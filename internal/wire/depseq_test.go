@@ -1,18 +1,11 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// KindDepSeq mirrors the runtime's DEPSEQ frame kind (17). The codec
-// is kind-agnostic, but the envelope-version pins below are stated in
-// terms of the kind the fusion runtime actually sends.
-const kindDepSeqTest uint8 = 17
 
 func randDepRequest(r *rand.Rand) DepRequest {
 	args := make([]Value, r.Intn(4))
@@ -149,57 +142,48 @@ func TestDepSeqResponseRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestDepSeqEnvelopeVersionSelection pins the fusion compatibility
-// contract on the envelope: DEPSEQ introduces a payload kind, not an
-// envelope version, so the encoder still picks the smallest sufficient
-// layout — version 2 with no reliability or membership state, version
-// 3 with reliability fields, version 4 only under a live view id.
-// Unfused streams therefore stay byte-identical: fusion never forces a
-// version bump on frames that don't carry its state.
+// kindDepSeqTest mirrors the runtime's DEPSEQ frame kind (17). The
+// codec is kind-agnostic, but the envelope pins below are stated in
+// terms of the kind the fusion runtime actually sends.
+const kindDepSeqTest uint8 = 17
+
+// TestDepSeqEnvelopeVersionSelection pins the fusion contract on the
+// envelope: DEPSEQ introduces a payload kind, not an envelope field,
+// so a DEPSEQ frame sets exactly the presence bits of the envelope
+// state it carries — none for reliability or membership on a plain
+// run, Seq/Ack/Dedup once reliable, View only under a live view id —
+// and its payload decodes to the same vector under every combination.
 func TestDepSeqEnvelopeVersionSelection(t *testing.T) {
 	payload := (&DepSeq{Reqs: []DepRequest{{ID: 4, Kind: 3, Member: "acc"}}}).Encode()
 	base := Frame{From: 1, To: 0, Tag: 12, TID: 3, Kind: kindDepSeqTest, Payload: payload}
-
-	enc := AppendFrame(nil, &base)
-	if enc[1] != FrameVersion {
-		t.Fatalf("plain DEPSEQ frame encoded version %d, want %d", enc[1], FrameVersion)
-	}
-
 	rel := base
 	rel.Seq, rel.Ack, rel.Dedup = 9, 8, 7
-	if enc := AppendFrame(nil, &rel); enc[1] != FrameVersion3 {
-		t.Fatalf("reliable DEPSEQ frame encoded version %d, want %d", enc[1], FrameVersion3)
-	}
-
 	viewed := rel
 	viewed.View = 2
-	if enc := AppendFrame(nil, &viewed); enc[1] != FrameVersion4 {
-		t.Fatalf("viewed DEPSEQ frame encoded version %d, want %d", enc[1], FrameVersion4)
-	}
 
-	// Cross-version decode contract: a DEPSEQ payload survives every
-	// envelope version that can carry it, and the payload decodes to
-	// the same vector afterwards.
-	v1, err := AppendFrameV1(nil, &Frame{From: 1, Tag: 12, Kind: kindDepSeqTest, Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range map[string][]byte{
-		"v1": v1,
-		"v2": AppendFrame(nil, &base),
-		"v3": AppendFrame(nil, &rel),
-		"v4": AppendFrame(nil, &viewed),
+	for _, tc := range []struct {
+		name  string
+		f     Frame
+		flags uint8
+	}{
+		{"plain", base, flagTID},
+		{"reliable", rel, flagTID | flagSeq | flagAck | flagDedup},
+		{"viewed", viewed, flagTID | flagSeq | flagAck | flagDedup | flagView},
 	} {
-		f, err := ReadFrame(bufio.NewReader(bytes.NewReader(b)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		enc := AppendFrame(nil, &tc.f)
+		if flags := enc[bodyStart(enc)]; flags != tc.flags {
+			t.Fatalf("%s DEPSEQ frame: flags %#x, want %#x", tc.name, flags, tc.flags)
 		}
-		if f.Kind != kindDepSeqTest {
-			t.Fatalf("%s: kind %d, want %d", name, f.Kind, kindDepSeqTest)
+		f, err := readFrameBytes(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !sameFrame(&f, &tc.f) {
+			t.Fatalf("%s: decoded %+v, want %+v", tc.name, f, tc.f)
 		}
 		m, err := DecodeDepSeq(f.Payload)
 		if err != nil || len(m.Reqs) != 1 || m.Reqs[0].Member != "acc" {
-			t.Fatalf("%s: payload decode %+v (%v)", name, m, err)
+			t.Fatalf("%s: payload decode %+v (%v)", tc.name, m, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Frame is the transport envelope: one tagged message between nodes.
@@ -21,10 +22,7 @@ type Frame struct {
 	// Seq and Ack are the reliability layer's per-(peer, direction)
 	// sequence number and cumulative acknowledgement; Dedup is the
 	// runtime's per-(thread, invocation) idempotency id for re-driven
-	// requests. All three are zero outside fault-tolerant runs, and a
-	// frame with all three zero encodes in the version-2 layout — the
-	// wire stream of a non-fault-tolerant cluster is byte-identical to
-	// the pre-v3 protocol.
+	// requests. All three are zero outside fault-tolerant runs.
 	Seq   uint64
 	Ack   uint64
 	Dedup uint64
@@ -32,30 +30,32 @@ type Frame struct {
 	// the frame: coordination traffic (ADAPT, MIGRATE, RECOVER rounds
 	// and the membership handshake itself) is stamped with it so two
 	// nodes that disagree on the cluster's composition detect the skew
-	// instead of acting on it. Zero means "no membership in play" and
-	// encodes in the version-3 (or smaller) layout — a non-elastic
-	// cluster's wire stream is byte-identical to the pre-v4 protocol.
+	// instead of acting on it. Zero means "no membership in play".
 	View    uint64
 	Time    float64
 	Payload []byte
 }
 
-// Frame body versions. Version 1 is the pre-thread-id layout (no TID
-// field; decodes with TID 0); version 2 added the logical-thread id;
-// version 3 appends the reliability fields (Seq, Ack, Dedup) after the
-// thread id; version 4 appends the membership view id after the
-// reliability fields. The decoder selects the layout by the version
-// byte alone — a frame can only carry a thread id, sequence numbers or
-// a view id if its version says so, and an unknown version is a clean
-// error, never a panic or a misparse. The encoder picks the smallest
-// sufficient version: frames with zero Seq/Ack/Dedup emit version 2
-// unchanged, and only frames carrying a nonzero view id pay for the
-// version-4 field.
+// Envelope presence flags. A frame body opens with one flags byte; each
+// optional field owns one bit and is on the wire only when its bit is
+// set, which the encoder does exactly when the field is nonzero. The
+// body layout is
+//
+//	flags | From | To | Tag | [TID] [Seq] [Ack] [Dedup] [View] | Kind | [Time] | len | payload
+//
+// with uvarint integers and Time as 8 big-endian bytes. Every node runs
+// the same program image (JOIN refuses a digest mismatch), so there is
+// one layout and no version negotiation: a bit outside flagsDefined is
+// a clean decode error.
 const (
-	FrameVersion1 = 1
-	FrameVersion  = 2
-	FrameVersion3 = 3
-	FrameVersion4 = 4
+	flagTID uint8 = 1 << iota
+	flagSeq
+	flagAck
+	flagDedup
+	flagView
+	flagTime
+
+	flagsDefined = flagTime<<1 - 1
 )
 
 // Transport-level control kinds. They live at the top of the kind
@@ -93,9 +93,7 @@ const (
 	// acknowledgement, as on a heartbeat — names the gap as Ack+1, which
 	// the sender resends at once. Never sequenced, never retransmitted,
 	// never delivered to the application. Like a heartbeat it carries no
-	// payload and picks the smallest sufficient envelope: version 3, or
-	// version 2 while nothing has been received yet (Ack 0: the hole is
-	// the link's first frame).
+	// payload.
 	KindNack uint8 = 0xF5
 )
 
@@ -113,85 +111,65 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameBodyLen is the exact encoded body size of f in the current
-// frame version, so AppendFrame can emit the length prefix first and
-// encode the body in place — no intermediate buffer, no allocation
-// beyond growing b itself.
-func frameBodyLen(f *Frame) int {
-	n := 1 + // version byte
+// AppendFrame encodes the frame (length-prefixed, flagged body) onto b.
+// It is allocation-free apart from growing b: the body length is
+// computed up front and the fields encode directly into the
+// destination, so a caller appending into a pooled or pre-grown buffer
+// pays nothing per frame. Zero optional fields cost nothing on the
+// wire.
+func AppendFrame(b []byte, f *Frame) []byte {
+	flags := uint8(0)
+	n := 1 + // flags byte
 		uvarintLen(uint64(f.From)) +
 		uvarintLen(uint64(f.To)) +
 		uvarintLen(f.Tag) +
-		uvarintLen(f.TID) +
 		1 + // kind byte
-		8 + // time
 		uvarintLen(uint64(len(f.Payload))) +
 		len(f.Payload)
-	if f.Seq != 0 || f.Ack != 0 || f.Dedup != 0 || f.View != 0 {
-		n += uvarintLen(f.Seq) + uvarintLen(f.Ack) + uvarintLen(f.Dedup)
+	n += optLen(f.TID, flagTID, &flags)
+	n += optLen(f.Seq, flagSeq, &flags)
+	n += optLen(f.Ack, flagAck, &flags)
+	n += optLen(f.Dedup, flagDedup, &flags)
+	n += optLen(f.View, flagView, &flags)
+	tbits := math.Float64bits(f.Time)
+	if tbits != 0 {
+		flags |= flagTime
+		n += 8
 	}
-	if f.View != 0 {
-		n += uvarintLen(f.View)
-	}
-	return n
-}
-
-// AppendFrame encodes the frame (length-prefixed, versioned body) onto
-// b. It is allocation-free apart from growing b: the body length is
-// computed up front and the fields encode directly into the
-// destination, so a caller appending into a pooled or pre-grown buffer
-// pays nothing per frame. Frames without reliability state (Seq, Ack
-// and Dedup all zero) emit the version-2 layout, byte-identical to the
-// historical encoder's; only the reliability layer's frames pay for the
-// version-3 fields, and only frames stamped with a membership view id
-// pay for the version-4 field.
-func AppendFrame(b []byte, f *Frame) []byte {
-	b = appendUvarint(b, uint64(frameBodyLen(f)))
-	v4 := f.View != 0
-	v3 := v4 || f.Seq != 0 || f.Ack != 0 || f.Dedup != 0
-	switch {
-	case v4:
-		b = append(b, FrameVersion4)
-	case v3:
-		b = append(b, FrameVersion3)
-	default:
-		b = append(b, FrameVersion)
-	}
+	b = appendUvarint(b, uint64(n))
+	b = append(b, flags)
 	b = appendUvarint(b, uint64(f.From))
 	b = appendUvarint(b, uint64(f.To))
 	b = appendUvarint(b, f.Tag)
-	b = appendUvarint(b, f.TID)
-	if v3 {
-		b = appendUvarint(b, f.Seq)
-		b = appendUvarint(b, f.Ack)
-		b = appendUvarint(b, f.Dedup)
-	}
-	if v4 {
-		b = appendUvarint(b, f.View)
-	}
+	b = appendOpt(b, f.TID)
+	b = appendOpt(b, f.Seq)
+	b = appendOpt(b, f.Ack)
+	b = appendOpt(b, f.Dedup)
+	b = appendOpt(b, f.View)
 	b = append(b, f.Kind)
-	b = appendFloat(b, f.Time)
+	if tbits != 0 {
+		b = binary.BigEndian.AppendUint64(b, tbits)
+	}
 	b = appendUvarint(b, uint64(len(f.Payload)))
 	return append(b, f.Payload...)
 }
 
-// AppendFrameV1 encodes the frame in the legacy thread-unaware layout
-// (f.TID must be zero — version 1 has nowhere to put it). It exists so
-// tests can pin the cross-version decode contract.
-func AppendFrameV1(b []byte, f *Frame) ([]byte, error) {
-	if f.TID != 0 {
-		return nil, fmt.Errorf("wire: frame version 1 cannot carry thread id %d", f.TID)
+// optLen is the encoded size of an optional envelope field, setting
+// its flag bit when the field is present (nonzero).
+func optLen(v uint64, bit uint8, flags *uint8) int {
+	if v == 0 {
+		return 0
 	}
-	body := append([]byte(nil), FrameVersion1)
-	body = appendUvarint(body, uint64(f.From))
-	body = appendUvarint(body, uint64(f.To))
-	body = appendUvarint(body, f.Tag)
-	body = append(body, f.Kind)
-	body = appendFloat(body, f.Time)
-	body = appendUvarint(body, uint64(len(f.Payload)))
-	body = append(body, f.Payload...)
-	b = appendUvarint(b, uint64(len(body)))
-	return append(b, body...), nil
+	*flags |= bit
+	return uvarintLen(v)
+}
+
+// appendOpt encodes an optional envelope field if it is present.
+func appendOpt(b []byte, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendUvarint(b, v)
 }
 
 // WriteFrame encodes and writes the frame in a single Write call, so
@@ -252,7 +230,7 @@ func ReadFrameScratch(r ByteScanner, scratch []byte) (Frame, []byte, error) {
 // DecodeFrameBuf decodes one length-prefixed frame from the front of
 // buf, returning the remainder. The frame's Payload aliases buf. It is
 // the in-memory counterpart of ReadFrame, used to walk coalesced
-// multi-frame buffers (a decompressed segment, a captured stream).
+// multi-frame buffers (a write batch, a captured stream).
 // io.EOF is returned on an empty buffer.
 func DecodeFrameBuf(buf []byte) (Frame, []byte, error) {
 	var f Frame
@@ -274,36 +252,27 @@ func DecodeFrameBuf(buf []byte) (Frame, []byte, error) {
 	return f, rest[n:], err
 }
 
-// decodeFrameBody parses a version-dispatched frame body. The payload
-// aliases body.
+// decodeFrameBody parses a flagged frame body. The payload aliases
+// body.
 func decodeFrameBody(body []byte) (Frame, error) {
 	var f Frame
 	rd := NewReader(body)
-	ver := rd.Byte()
-	switch ver {
-	case FrameVersion1, FrameVersion, FrameVersion3, FrameVersion4:
-	default:
-		if err := rd.Err(); err != nil {
-			return f, err
-		}
-		return f, fmt.Errorf("wire: unsupported frame version %d", ver)
+	flags := rd.Byte()
+	if flags&^flagsDefined != 0 {
+		return f, fmt.Errorf("wire: undefined frame flags %#x", flags&^flagsDefined)
 	}
 	f.From = int(rd.Uvarint())
 	f.To = int(rd.Uvarint())
 	f.Tag = rd.Uvarint()
-	if ver >= FrameVersion {
-		f.TID = rd.Uvarint()
-	}
-	if ver >= FrameVersion3 {
-		f.Seq = rd.Uvarint()
-		f.Ack = rd.Uvarint()
-		f.Dedup = rd.Uvarint()
-	}
-	if ver >= FrameVersion4 {
-		f.View = rd.Uvarint()
-	}
+	f.TID = readOpt(rd, flags, flagTID)
+	f.Seq = readOpt(rd, flags, flagSeq)
+	f.Ack = readOpt(rd, flags, flagAck)
+	f.Dedup = readOpt(rd, flags, flagDedup)
+	f.View = readOpt(rd, flags, flagView)
 	f.Kind = rd.Byte()
-	f.Time = rd.Float()
+	if flags&flagTime != 0 {
+		f.Time = rd.Float()
+	}
 	pn := rd.Uvarint()
 	if rd.Err() != nil {
 		return f, rd.Err()
@@ -315,6 +284,14 @@ func decodeFrameBody(body []byte) (Frame, error) {
 		f.Payload = rd.Rest()[:pn]
 	}
 	return f, nil
+}
+
+// readOpt decodes an optional envelope field if its flag bit is set.
+func readOpt(rd *Reader, flags, bit uint8) uint64 {
+	if flags&bit == 0 {
+		return 0
+	}
+	return rd.Uvarint()
 }
 
 // readUvarint reads a varint from a stream one byte at a time, keeping

@@ -1,16 +1,32 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 )
+
+// reliabilityFlags are the presence bits f's nonzero Seq, Ack and Dedup
+// set in its flags byte.
+func reliabilityFlags(f *Frame) uint8 {
+	var flags uint8
+	if f.Seq != 0 {
+		flags |= flagSeq
+	}
+	if f.Ack != 0 {
+		flags |= flagAck
+	}
+	if f.Dedup != 0 {
+		flags |= flagDedup
+	}
+	return flags
+}
 
 // TestFrameV3RoundTrip is the round-trip property for the reliability
 // fields: for every frame kind the protocol sends — the runtime kinds
 // plus the transport control kinds — and a spread of Seq/Ack/Dedup
 // values (1-byte and multi-byte varints), encode→decode is the
-// identity and the encoder picks the version-3 layout.
+// identity and the flags byte carries exactly the reliability bits of
+// the nonzero fields.
 func TestFrameV3RoundTrip(t *testing.T) {
 	kinds := append(append([]uint8{}, runtimeFrameKinds...), KindHeartbeat, KindPeerDown, KindNack)
 	seqs := []uint64{1, 127, 128, 1 << 20, 1 << 40}
@@ -22,35 +38,34 @@ func TestFrameV3RoundTrip(t *testing.T) {
 				Time: 1.5, Payload: []byte("payload"),
 			}
 			enc := AppendFrame(nil, &f)
-			if enc[1] != FrameVersion3 {
-				t.Fatalf("kind %d seq %d: encoded version %d, want %d", kind, seq, enc[1], FrameVersion3)
+			want := flagTID | flagTime | reliabilityFlags(&f)
+			if flags := enc[bodyStart(enc)]; flags != want {
+				t.Fatalf("kind %d seq %d: flags %#x, want %#x", kind, seq, flags, want)
 			}
-			got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+			got, err := readFrameBytes(enc)
 			if err != nil {
 				t.Fatalf("kind %d seq %d: %v", kind, seq, err)
 			}
-			if got.From != f.From || got.To != f.To || got.Tag != f.Tag || got.TID != f.TID ||
-				got.Kind != f.Kind || got.Seq != f.Seq || got.Ack != f.Ack || got.Dedup != f.Dedup ||
-				got.Time != f.Time || !bytes.Equal(got.Payload, f.Payload) {
+			if !sameFrame(&got, &f) {
 				t.Fatalf("kind %d seq %d mismatch: %+v vs %+v", kind, seq, got, f)
 			}
 		}
 	}
 }
 
-// TestFrameZeroReliabilityIsByteIdenticalV2 pins the compatibility
-// contract the fault-tolerance work must not break: a frame with zero
-// Seq, Ack and Dedup encodes in the version-2 layout, byte-for-byte
-// identical to the pre-reliability encoder — the wire stream of a
-// cluster with FailureRecovery off is indistinguishable from the old
-// protocol.
+// TestFrameZeroReliabilityIsByteIdenticalV2 pins what a cluster with
+// FailureRecovery off puts on the wire: a frame with zero Seq, Ack and
+// Dedup carries no reliability bytes at all. It encodes byte-for-byte
+// as the hand-built reference below, which has the version-2 field
+// order with the flags byte in the version byte's place — so it is
+// exactly as long as the version-2 layout was.
 func TestFrameZeroReliabilityIsByteIdenticalV2(t *testing.T) {
 	f := Frame{From: 3, To: 1, Tag: 777, TID: 12, Kind: 6, Time: 2.25, Payload: []byte("hello")}
 	enc := AppendFrame(nil, &f)
 
-	// Reference v2 layout, built by hand from the documented field
-	// order: version, from, to, tag, tid, kind, time, payload.
-	body := []byte{FrameVersion}
+	// Reference layout, built by hand from the documented field order:
+	// flags, from, to, tag, tid, kind, time, payload.
+	body := []byte{flagTID | flagTime}
 	body = appendUvarint(body, uint64(f.From))
 	body = appendUvarint(body, uint64(f.To))
 	body = appendUvarint(body, f.Tag)
@@ -63,72 +78,48 @@ func TestFrameZeroReliabilityIsByteIdenticalV2(t *testing.T) {
 	want = append(want, body...)
 
 	if !bytes.Equal(enc, want) {
-		t.Fatalf("zero-reliability frame encoding diverged from the v2 layout:\n got %x\nwant %x", enc, want)
+		t.Fatalf("zero-reliability frame encoding diverged from the reference layout:\n got %x\nwant %x", enc, want)
+	}
+	if len(enc) != versionedLen(&f) {
+		t.Fatalf("zero-reliability frame encodes in %d bytes, the version-2 layout took %d", len(enc), versionedLen(&f))
 	}
 }
 
-// TestFrameCrossVersionReliabilityZero: version-1 and version-2 bodies
-// decode with zero Seq/Ack/Dedup on every kind — old peers simply have
-// no reliability state, never garbage.
+// TestFrameCrossVersionReliabilityZero: frames that carry no
+// reliability state — with or without a thread id — decode with zero
+// Seq/Ack/Dedup on every kind, and set none of their flag bits: a
+// sender without reliability state puts none on the wire, and the
+// receiver reads none back, never garbage.
 func TestFrameCrossVersionReliabilityZero(t *testing.T) {
 	for _, kind := range runtimeFrameKinds {
-		v1, err := AppendFrameV1(nil, &Frame{From: 1, Tag: 4, Kind: kind, Payload: []byte("a")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2 := AppendFrame(nil, &Frame{From: 1, Tag: 4, TID: 9, Kind: kind, Payload: []byte("a")})
-		for name, enc := range map[string][]byte{"v1": v1, "v2": v2} {
-			got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+		for name, f := range map[string]Frame{
+			"bare": {From: 1, Tag: 4, Kind: kind, Payload: []byte("a")},
+			"tid":  {From: 1, Tag: 4, TID: 9, Kind: kind, Payload: []byte("a")},
+		} {
+			enc := AppendFrame(nil, &f)
+			if flags := enc[bodyStart(enc)]; flags&(flagSeq|flagAck|flagDedup) != 0 {
+				t.Fatalf("%s kind %d: flags %#x carry reliability bits", name, kind, flags)
+			}
+			got, err := readFrameBytes(enc)
 			if err != nil {
 				t.Fatalf("%s kind %d: %v", name, kind, err)
 			}
 			if got.Seq != 0 || got.Ack != 0 || got.Dedup != 0 {
-				t.Fatalf("%s kind %d: decoded reliability state %d/%d/%d from a layout that has none",
+				t.Fatalf("%s kind %d: decoded reliability state %d/%d/%d from a frame that has none",
 					name, kind, got.Seq, got.Ack, got.Dedup)
 			}
 		}
 	}
 }
 
-// TestFrameV3Truncated: a version-3 body cut anywhere inside the
-// reliability fields is a clean error.
+// TestFrameV3Truncated: a frame with reliability fields, cut anywhere
+// (inside those fields included), is a clean error.
 func TestFrameV3Truncated(t *testing.T) {
 	f := Frame{From: 1, To: 0, Tag: 2, TID: 3, Seq: 1 << 20, Ack: 1 << 19, Dedup: 9, Kind: 5, Payload: []byte("xyz")}
 	enc := AppendFrame(nil, &f)
-	for n := 2; n < len(enc); n++ {
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:n]))); err == nil {
+	for n := 0; n < len(enc); n++ {
+		if _, err := readFrameBytes(enc[:n]); err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded successfully", n, len(enc))
-		}
-	}
-}
-
-// TestNackFrame pins the loss report's wire form: unsequenced, no
-// payload, the cumulative ack its only cargo — so it picks the
-// version-3 envelope, or version 2 while nothing has been received yet
-// (the hole is the link's first frame); it round-trips, and any
-// truncation of it is a clean error.
-func TestNackFrame(t *testing.T) {
-	for _, tc := range []struct {
-		ack     uint64
-		version byte
-	}{{0, FrameVersion}, {1, FrameVersion3}, {127, FrameVersion3}, {1 << 40, FrameVersion3}} {
-		f := Frame{From: 1, To: 0, Kind: KindNack, Ack: tc.ack}
-		enc := AppendFrame(nil, &f)
-		if enc[1] != tc.version {
-			t.Errorf("NACK with ack %d encodes as version %d, want %d", tc.ack, enc[1], tc.version)
-		}
-		got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
-		if err != nil {
-			t.Fatalf("ack %d: %v", tc.ack, err)
-		}
-		if got.Kind != KindNack || got.Ack != tc.ack || got.From != 1 || got.To != 0 ||
-			got.Seq != 0 || got.Dedup != 0 || got.View != 0 || len(got.Payload) != 0 {
-			t.Errorf("ack %d: decoded %+v", tc.ack, got)
-		}
-		for n := 1; n < len(enc); n++ {
-			if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:n]))); err == nil {
-				t.Errorf("ack %d: truncation at %d of %d bytes decoded successfully", tc.ack, n, len(enc))
-			}
 		}
 	}
 }

@@ -36,25 +36,38 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// randFrame draws a frame whose optional envelope fields are each
+// present or absent at random.
 func randFrame(rng *rand.Rand) Frame {
 	payload := make([]byte, rng.Intn(600))
 	rng.Read(payload)
-	return Frame{
+	opt := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return 0
+		}
+		return rng.Uint64() >> uint(rng.Intn(64))
+	}
+	f := Frame{
 		From:    rng.Intn(16),
 		To:      rng.Intn(16),
 		Tag:     rng.Uint64() >> uint(rng.Intn(60)),
-		TID:     rng.Uint64() >> uint(rng.Intn(60)),
+		TID:     opt(),
+		Seq:     opt(),
+		Ack:     opt(),
+		Dedup:   opt(),
+		View:    opt(),
 		Kind:    uint8(rng.Intn(256)),
-		Time:    rng.NormFloat64(),
 		Payload: payload,
 	}
+	if rng.Intn(2) == 0 {
+		f.Time = rng.NormFloat64()
+	}
+	return f
 }
 
 func framesEqual(t *testing.T, i int, got, want *Frame) {
 	t.Helper()
-	if got.From != want.From || got.To != want.To || got.Tag != want.Tag ||
-		got.TID != want.TID || got.Kind != want.Kind || got.Time != want.Time ||
-		!bytes.Equal(got.Payload, want.Payload) {
+	if !sameFrame(got, want) {
 		t.Fatalf("frame %d mismatch: got %+v want %+v", i, got, want)
 	}
 }
@@ -95,9 +108,9 @@ func TestCoalescedStreamChunkedDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameBufWalksBatch pins the in-memory batch decoder used
-// by the segment reader: DecodeFrameBuf consumes exactly one frame per
-// call and returns the untouched remainder.
+// TestDecodeFrameBufWalksBatch pins the in-memory batch decoder:
+// DecodeFrameBuf consumes exactly one frame per call and returns the
+// untouched remainder.
 func TestDecodeFrameBufWalksBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	frames := make([]Frame, 20)
@@ -121,53 +134,9 @@ func TestDecodeFrameBufWalksBatch(t *testing.T) {
 	}
 }
 
-// TestSegmentRoundTripProperty drives the compressed framing codec
-// with random frame batches at every interesting size: below and
-// above the compression threshold, compressible and random payloads.
-// Whatever the writer chose (raw or DEFLATE), the reader must return
-// the exact batch bytes, segment per segment.
-func TestSegmentRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for round := 0; round < 100; round++ {
-		var buf bytes.Buffer
-		min := 1 << uint(rng.Intn(11)) // 1..1024
-		sw := NewSegmentWriter(&buf, min)
-		var batches [][]byte
-		for seg := 0; seg < 1+rng.Intn(8); seg++ {
-			var batch []byte
-			for i := 0; i < 1+rng.Intn(6); i++ {
-				f := randFrame(rng)
-				if rng.Intn(2) == 0 {
-					// Compressible payload: all-zero.
-					f.Payload = make([]byte, len(f.Payload))
-				}
-				batch = AppendFrame(batch, &f)
-			}
-			batches = append(batches, batch)
-			if err := sw.WriteSegment(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sr := NewSegmentReader(bufio.NewReader(&buf))
-		for i, want := range batches {
-			got, err := sr.Next()
-			if err != nil {
-				t.Fatalf("round %d segment %d: %v", round, i, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d segment %d: decoded bytes differ", round, i)
-			}
-		}
-		if _, err := sr.Next(); err != io.EOF {
-			t.Fatalf("round %d: want EOF after %d segments, got %v", round, len(batches), err)
-		}
-	}
-}
-
 // TestFrameEncodersByteIdentical pins AppendFrame against the
-// io.Writer-based encoder: coalescing only changes Write boundaries,
-// so both paths must emit exactly the same bytes (this is what keeps
-// the A/B stream guards green with the combiner on or off).
+// io.Writer-based encoder: the TCP write combiner batches AppendFrame
+// output, so both paths must emit exactly the same bytes.
 func TestFrameEncodersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 500; i++ {
@@ -182,66 +151,4 @@ func TestFrameEncodersByteIdentical(t *testing.T) {
 				i, appended, buf.Bytes())
 		}
 	}
-}
-
-// FuzzSegmentReader feeds arbitrary bytes to the segment decoder: it
-// must return clean errors (or EOF), never panic, hang, or
-// over-allocate on corrupt length prefixes.
-func FuzzSegmentReader(f *testing.F) {
-	var seed bytes.Buffer
-	sw := NewSegmentWriter(&seed, 4)
-	fr := Frame{From: 1, To: 2, Tag: 9, Kind: 3, Payload: []byte("hello world hello world")}
-	_ = sw.WriteSegment(AppendFrame(nil, &fr))
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add([]byte{4, 0, 'a', 'b', 'c', 'd'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sr := NewSegmentReader(bufio.NewReader(bytes.NewReader(data)))
-		for i := 0; i < 64; i++ {
-			seg, err := sr.Next()
-			if err != nil {
-				return
-			}
-			// Decoded segments must themselves decode or error cleanly.
-			rest := seg
-			for len(rest) > 0 {
-				var derr error
-				_, rest, derr = DecodeFrameBuf(rest)
-				if derr != nil {
-					break
-				}
-			}
-		}
-	})
-}
-
-// FuzzSegmentWriterReader round-trips arbitrary fuzz payloads through
-// the segment codec: whatever bytes go in must come back out intact
-// regardless of compressibility or threshold.
-func FuzzSegmentWriterReader(f *testing.F) {
-	f.Add([]byte("some frame bytes"), 10)
-	f.Add([]byte{}, 1)
-	f.Add(bytes.Repeat([]byte{0}, 4096), 512)
-	f.Fuzz(func(t *testing.T, data []byte, min int) {
-		if min < 0 || min > 1<<20 {
-			return
-		}
-		var buf bytes.Buffer
-		sw := NewSegmentWriter(&buf, min)
-		if err := sw.WriteSegment(data); err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			return // empty batch writes nothing
-		}
-		sr := NewSegmentReader(bufio.NewReader(&buf))
-		got, err := sr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("segment round trip corrupted the batch")
-		}
-	})
 }

@@ -64,17 +64,6 @@ type Config struct {
 	// TCP executes over local TCP sockets instead of in-process
 	// channels (distributed runs only).
 	TCP bool
-	// TCPNoCoalesce disables the TCP transport's per-connection write
-	// combiner, restoring one Write syscall per frame. The byte stream
-	// is identical either way (coalescing only changes Write
-	// boundaries); this exists for A/B measurement and bisection.
-	// Requires TCP.
-	TCPNoCoalesce bool
-	// TCPCompress negotiates DEFLATE segment framing on every TCP
-	// connection: batches of frames travel as compressed segments,
-	// shrinking payload-heavy traffic (object snapshots, large
-	// argument arrays) at some CPU cost. Off by default. Requires TCP.
-	TCPCompress bool
 	// Unoptimized disables the message-exchange optimisations
 	// (proxy-side caching of write-once fields, fire-and-forget
 	// asynchronous void calls, batching) for A/B measurement.
@@ -192,10 +181,6 @@ type Config struct {
 // deployments when Config.MaxRanks is zero.
 const DefaultMaxRanks = 64
 
-// RunOptions is the legacy name for Config; every existing caller
-// keeps compiling and behaving identically.
-type RunOptions = Config
-
 // Validate rejects incoherent option combinations. It is the one
 // source of truth for the pairwise conflict rules: distribution-only
 // options on a sequential configuration, the adaptation epoch without
@@ -267,15 +252,6 @@ func (c *Config) Validate() error {
 	}).Validate(); err != nil {
 		return fmt.Errorf("autodist: %w", err)
 	}
-	if c.TCPNoCoalesce && !c.TCP {
-		return fmt.Errorf("autodist: TCPNoCoalesce requires TCP")
-	}
-	if c.TCPCompress && !c.TCP {
-		return fmt.Errorf("autodist: TCPCompress requires TCP")
-	}
-	if c.TCPCompress && c.TCPNoCoalesce {
-		return fmt.Errorf("autodist: TCPCompress needs the write combiner; drop TCPNoCoalesce")
-	}
 	if c.AdaptEvery > 0 && !c.Adaptive {
 		return fmt.Errorf("autodist: AdaptEvery requires an adaptive distribution (Plan.RewriteAdaptive / -adaptive)")
 	}
@@ -289,7 +265,7 @@ func (c *Config) Validate() error {
 }
 
 // DefaultAdaptEvery is the adaptation epoch applied to adaptive
-// distributions when RunOptions.AdaptEvery is zero.
+// distributions when Config.AdaptEvery is zero.
 const DefaultAdaptEvery = 32
 
 // DefaultCompileThreshold is the hotness count (invocations plus taken
@@ -337,7 +313,7 @@ type RunResult struct {
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
 	// delivered a snapshot; Invalidations counts INVALIDATE frames
 	// writes pushed to replica holders. All are zero unless the run
-	// used RunOptions.Replicate on a replicated distribution.
+	// used Config.Replicate on a replicated distribution.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
@@ -460,7 +436,7 @@ func compileThreshold(cfg Config) int {
 }
 
 // Run executes the program sequentially on one VM.
-func (p *Program) Run(opts RunOptions) (*RunResult, error) {
+func (p *Program) Run(opts Config) (*RunResult, error) {
 	machine, sb, err := p.newVM(opts)
 	if err != nil {
 		return nil, err
@@ -482,7 +458,7 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 
 // Profile runs the program under one profiler metric and returns the
 // profiler alongside the run result.
-func (p *Program) Profile(metric ProfileMetric, opts RunOptions) (*profiler.Profiler, *RunResult, error) {
+func (p *Program) Profile(metric ProfileMetric, opts Config) (*profiler.Profiler, *RunResult, error) {
 	machine, sb, err := p.newVM(opts)
 	if err != nil {
 		return nil, nil, err
@@ -599,7 +575,7 @@ func (pl *Plan) RewriteAdaptive() (*Distribution, error) {
 type RewriteOptions = rewrite.Options
 
 // RewriteWith generates per-node programs under the given mode
-// options (see RewriteOptions). Run it with RunOptions.Replicate to
+// options (see RewriteOptions). Run it with Config.Replicate to
 // enable the replication protocol on a replicated distribution.
 func (pl *Plan) RewriteWith(opts RewriteOptions) (*Distribution, error) {
 	res, err := rewrite.RewriteWith(pl.Analysis.Program.Bytecode, pl.Analysis.Result, pl.K, opts)
@@ -613,7 +589,7 @@ func (pl *Plan) RewriteWith(opts RewriteOptions) (*Distribution, error) {
 // one node per partition, ExecutionStarter on node 0. It is a thin
 // wrapper over the deployment lifecycle — Deploy, Invoke("main"),
 // Shutdown — preserved so batch callers need not manage a Cluster.
-func (d *Distribution) Run(opts RunOptions) (*RunResult, error) {
+func (d *Distribution) Run(opts Config) (*RunResult, error) {
 	cluster, err := d.Deploy(opts)
 	if err != nil {
 		return nil, err

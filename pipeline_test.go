@@ -27,7 +27,7 @@ func TestFullPipelineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := prog.Run(autodist.RunOptions{})
+	seq, err := prog.Run(autodist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFullPipelineThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{})
+	res, err := dist.Run(autodist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFacadeProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, res, err := prog.Profile(autodist.ProfileMethodFrequency, autodist.RunOptions{})
+	prof, res, err := prog.Profile(autodist.ProfileMethodFrequency, autodist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFacadeVirtualClockSpeedup(t *testing.T) {
 	}
 	// Centralized baseline on the slow (800 MHz) node — the paper's
 	// §7.2 methodology.
-	seq, err := prog.Run(autodist.RunOptions{CPUSpeeds: []float64{800e6}})
+	seq, err := prog.Run(autodist.Config{CPUSpeeds: []float64{800e6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFacadeVirtualClockSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dist.Run(autodist.RunOptions{
+	res, err := dist.Run(autodist.Config{
 		CPUSpeeds: []float64{1700e6, 800e6},
 		Net:       &autodist.NetModel{LatencySec: 100e-6, BytesPerSec: 12.5e6},
 	})

@@ -374,7 +374,7 @@ func TestRunMatchesLifecycle(t *testing.T) {
 		}
 		return dist
 	}
-	run, err := build().Run(autodist.RunOptions{})
+	run, err := build().Run(autodist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
