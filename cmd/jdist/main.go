@@ -8,7 +8,7 @@
 //	jdist -k 2 prog.mj                      # analyze + partition + rewrite, print summary
 //	jdist -k 2 -crg crg.vcg -odg odg.vcg prog.mj
 //	jdist -quads Bank.main prog.mj          # Figure 5-style quad listing
-//	jdist -tier Bank.main prog.mj           # quads + compiled-op listing + deopt points
+//	jdist -tier Bank.main prog.mj           # quads + compiled-op listing + call sites
 //	jdist -asm Bank.main -target x86 prog.mj
 //	jdist -k 2 -dump-node 0 prog.mj         # disassemble node 0's rewritten code
 package main
@@ -38,7 +38,7 @@ func main() {
 	crgOut := flag.String("crg", "", "write class relation graph VCG to file")
 	odgOut := flag.String("odg", "", "write object dependence graph VCG to file")
 	quads := flag.String("quads", "", "print quad IR for Class.method")
-	tier := flag.String("tier", "", "print the tiered-execution view of Class.method: quads, the compiled-op listing and its deopt points")
+	tier := flag.String("tier", "", "print the tiered-execution view of Class.method: quads, the compiled-op listing and how each call site runs")
 	asm := flag.String("asm", "", "print generated assembly for Class.method")
 	target := flag.String("target", "x86", "code generation target: x86|strongarm")
 	dumpNode := flag.Int("dump-node", -1, "disassemble the rewritten program for this node")
@@ -95,10 +95,11 @@ func main() {
 		}
 		if *tier != "" {
 			// The tier view pairs the quad IR with what the compiled
-			// tier makes of it: one Go closure per quad, and a deopt
-			// annotation wherever execution must fall back to the
-			// interpreter (access-mediated sites resolve to native
-			// methods, so every one of them is a deopt point).
+			// tier makes of it: one Go closure per quad, and a note on
+			// each call site — a direct call, a native call (the
+			// builtins, and in a rewritten program the access-mediated
+			// sites), an inline-cached virtual call, or a deopt back to
+			// the interpreter where a site does not resolve.
 			machine, err := vm.New(prog.Clone())
 			if err != nil {
 				die(err)

@@ -108,7 +108,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 0, "liveness-probe period for -recover (0 = default)")
 	retransmit := flag.Duration("retransmit", 0, "retransmit timeout under -recover while a link has no round-trip sample, and the ceiling of the measured one (0 = 50ms)")
 	chaos := flag.String("chaos", "", `deterministic fault injection under -recover: "drop=0.01,dup=0.01,reorder=0.01,seed=7"`)
-	compileTier := flag.Bool("compile", false, "tiered execution: compile hot methods from quads to Go closures (deopt keeps behaviour identical)")
+	compileTier := flag.Bool("compile", false, "tiered execution: compile hot methods from quads to Go closures that call the access natives directly (behaviour stays identical)")
 	compileThreshold := flag.Int("compile-threshold", 0, "hotness count that promotes a method under -compile (0 = default)")
 	elastic := flag.Bool("elastic", false, "allow nodes to join and leave the resident cluster at run time (requires -adaptive and -serve/-listen)")
 	maxRanks := flag.Int("max-ranks", 0, "rank-space ceiling for -elastic (0 = default)")

@@ -2,16 +2,18 @@ package autodist_test
 
 // Differential correctness suite for the tiered-execution engine: every
 // workload must behave observably identically with Compile on and off —
-// byte-identical output and identical distribution counters (messages,
-// bytes, cache/replica/retained hits, migrations) — because compiled
-// code deopts to the interpreter at every access-mediated site, so the
-// coherence, replication and migration machinery sees the exact same
-// request stream. The suite also composes the compiled tier with the
-// adaptive, replication and fault-recovery subsystems and pins that
-// deopts actually happen there.
+// byte-identical output, identical distribution counters (messages,
+// bytes, cache/replica/retained hits, migrations) and an identical
+// virtual clock. Compiled frames call the runtime's access natives
+// directly, exactly where the interpreter would, so the coherence,
+// replication and migration machinery sees the same request stream,
+// stamped with the same simulated times. The suite also composes the
+// compiled tier with the adaptive, replication, fault-recovery and
+// concurrent-invocation subsystems.
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,82 +83,125 @@ func runDiffPair(t *testing.T, build func() (*autodist.Distribution, error), cfg
 	}
 }
 
-// TestCompileDifferentialQuickstart: the bank example (the quickstart
-// workload) distributed 2-way under the partitioner's own placement.
-func TestCompileDifferentialQuickstart(t *testing.T) {
-	runDiffPair(t, func() (*autodist.Distribution, error) {
-		prog, err := autodist.CompileString(experiments.BankExampleSource)
-		if err != nil {
-			return nil, err
-		}
-		an, err := prog.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := an.Partition(2, autodist.PartitionOptions{Seed: 1, Epsilon: 0.6})
-		if err != nil {
-			return nil, err
-		}
-		return plan.Rewrite()
-	}, autodist.Config{})
+// partitioned compiles src and partitions it k ways (seed 1) under the
+// partitioner's own placement; callers may move vertices before
+// rewriting.
+func partitioned(src string, k int) (*autodist.Analysis, *autodist.Plan, error) {
+	prog, err := autodist.CompileString(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	an, err := prog.Analyze()
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := an.Partition(k, autodist.PartitionOptions{Seed: 1, Epsilon: 0.6})
+	return an, plan, err
 }
 
-// TestCompileDifferentialPhaseShift: the adaptive-repartitioning
-// showcase with live migrations — compiled frames are invalidated on
-// every ownership change, and the migration counters must not move.
-func TestCompileDifferentialPhaseShift(t *testing.T) {
-	runDiffPair(t, func() (*autodist.Distribution, error) {
-		prog, err := autodist.CompileString(experiments.PhaseShiftSource)
-		if err != nil {
-			return nil, err
-		}
-		an, err := prog.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := an.Partition(2, autodist.PartitionOptions{Seed: 1, Epsilon: 0.6})
-		if err != nil {
-			return nil, err
-		}
-		return plan.RewriteAdaptive()
-	}, autodist.Config{})
+// bankDist is the bank example (the quickstart workload) distributed
+// 2-way.
+func bankDist() (*autodist.Distribution, error) {
+	_, plan, err := partitioned(experiments.BankExampleSource, 2)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Rewrite()
 }
 
-// TestCompileDifferentialReadMostly: the read-replication showcase with
-// the coherence protocol on — replica hit/fetch/invalidation counters
-// must be identical, since every mediated access deopts.
-func TestCompileDifferentialReadMostly(t *testing.T) {
+// phaseShiftDist is the adaptive-repartitioning showcase, 2-way, with
+// live migrations.
+func phaseShiftDist() (*autodist.Distribution, error) {
+	_, plan, err := partitioned(experiments.PhaseShiftSource, 2)
+	if err != nil {
+		return nil, err
+	}
+	return plan.RewriteAdaptive()
+}
+
+// readMostlyDist is the read-replication showcase on 3 nodes: the
+// directory on node 0, the workers spread over the reader nodes. Run it
+// with Config.Replicate.
+func readMostlyDist() (*autodist.Distribution, error) {
 	const k = 3
-	runDiffPair(t, func() (*autodist.Distribution, error) {
-		prog, err := autodist.CompileString(experiments.ReadMostlySource)
-		if err != nil {
-			return nil, err
-		}
-		an, err := prog.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := an.Partition(k, autodist.PartitionOptions{Seed: 1, Epsilon: 0.6})
-		if err != nil {
-			return nil, err
-		}
-		// The showcase placement: directory on node 0, workers spread
-		// over the reader nodes.
-		for _, v := range an.Result.ODG.Graph.Vertices() {
-			v.Part = 0
-		}
-		reader := 1
-		for _, s := range an.Result.ODG.Sites {
-			if s.Allocated == "Worker" {
-				an.Result.ODG.Graph.Vertex(s.Node).Part = reader
-				reader++
-				if reader >= k {
-					reader = 1
-				}
+	an, plan, err := partitioned(experiments.ReadMostlySource, k)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range an.Result.ODG.Graph.Vertices() {
+		v.Part = 0
+	}
+	reader := 1
+	for _, s := range an.Result.ODG.Sites {
+		if s.Allocated == "Worker" {
+			an.Result.ODG.Graph.Vertex(s.Node).Part = reader
+			reader++
+			if reader >= k {
+				reader = 1
 			}
 		}
-		return plan.RewriteWith(autodist.RewriteOptions{Replicate: true})
-	}, autodist.Config{Replicate: true})
+	}
+	return plan.RewriteWith(autodist.RewriteOptions{Replicate: true})
+}
+
+// TestCompileDifferentialQuickstart: the bank example.
+func TestCompileDifferentialQuickstart(t *testing.T) {
+	runDiffPair(t, bankDist, autodist.Config{})
+}
+
+// TestCompileDifferentialPhaseShift: compiled frames are invalidated on
+// every ownership change, and the migration counters must not move.
+func TestCompileDifferentialPhaseShift(t *testing.T) {
+	runDiffPair(t, phaseShiftDist, autodist.Config{})
+}
+
+// TestCompileDifferentialReadMostly: with the coherence protocol on,
+// replica hit/fetch/invalidation counters must be identical — compiled
+// frames reach the replicas through the same access natives.
+func TestCompileDifferentialReadMostly(t *testing.T) {
+	runDiffPair(t, readMostlyDist, autodist.Config{Replicate: true})
+}
+
+// TestCompileVirtualClockParity: with CPUSpeeds set, natives stamp
+// outgoing messages with the node's virtual clock and advance it on
+// replies, so the compiled tier must charge each call's block prefix
+// before calling, as the interpreter does, or the simulated times
+// drift. SimSeconds must be exactly equal with the tier on and off.
+func TestCompileVirtualClockParity(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() (*autodist.Distribution, error)
+		cfg   autodist.Config
+	}{
+		{"bank", bankDist, autodist.Config{CPUSpeeds: []float64{1.7e9, 8e8}}},
+		{"phaseshift", phaseShiftDist, autodist.Config{CPUSpeeds: []float64{1.7e9, 8e8}}},
+		{"readmostly", readMostlyDist, autodist.Config{Replicate: true, CPUSpeeds: []float64{1.7e9, 8e8, 8e8}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(cfg autodist.Config) *autodist.RunResult {
+				dist, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := dist.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			off, on := run(c.cfg), run(compileOn(c.cfg))
+			if off.SimSeconds == 0 {
+				t.Fatal("virtual clock did not run")
+			}
+			if on.CompiledEntries == 0 {
+				t.Error("Compile on never entered compiled code")
+			}
+			if on.SimSeconds != off.SimSeconds {
+				t.Errorf("SimSeconds diverged: compile off %.9g s, on %.9g s", off.SimSeconds, on.SimSeconds)
+			}
+		})
+	}
 }
 
 // TestCompileDifferentialService: a resident cluster serving the same
@@ -216,9 +261,9 @@ func TestCompileDifferentialService(t *testing.T) {
 
 // TestCompileDeoptWithReplicationAndFailover composes the compiled tier
 // with replication and fault recovery: the hot entrypoints run
-// compiled, every mediated access deopts (so Deopts must be counted),
+// compiled and call the access natives directly, so no frame deopts,
 // and killing the owner node still promotes the replica and returns
-// byte-identical results.
+// the same results.
 func TestCompileDeoptWithReplicationAndFailover(t *testing.T) {
 	cluster := deployFault(t, 3, autodist.RewriteOptions{Replicate: true}, compileOn(autodist.Config{
 		K:                 3,
@@ -235,11 +280,8 @@ func TestCompileDeoptWithReplicationAndFailover(t *testing.T) {
 		}
 	}
 	stats := cluster.Stats()
-	if stats.TierUps == 0 {
-		t.Errorf("no tier-ups after warm-up: %+v", stats)
-	}
-	if stats.Deopts == 0 {
-		t.Errorf("no deopts despite access-mediated reads: %+v", stats)
+	if stats.TierUps == 0 || stats.CompiledEntries == 0 {
+		t.Errorf("compiled code never ran after warm-up: %+v", stats)
 	}
 	if err := cluster.FailNode(1); err != nil {
 		t.Fatal(err)
@@ -259,6 +301,9 @@ func TestCompileDeoptWithReplicationAndFailover(t *testing.T) {
 	}
 	if v, _ := invokeInt(t, cluster, "suma"); v != 101 {
 		t.Fatalf("suma() after write to promoted owner = %d, want 101", v)
+	}
+	if stats := cluster.Stats(); stats.Deopts != 0 {
+		t.Errorf("compiled frames deopted %d times at mediated sites, want 0", stats.Deopts)
 	}
 }
 
@@ -299,5 +344,81 @@ class Main {
 	}
 	if on.TierUps == 0 || on.CompiledMethods == 0 {
 		t.Errorf("Compile on reported no tier activity: tierUps=%d compiled=%d", on.TierUps, on.CompiledMethods)
+	}
+}
+
+// TestCompileConcurrentInvoke runs four logical threads at once through
+// the same compiled methods — and so the same call-site inline caches —
+// on the service workload, and requires every result to equal the one
+// the same scripts produce run one after another with the tier off.
+// Each client writes only its own slot, so its results do not depend on
+// the interleaving.
+func TestCompileConcurrentInvoke(t *testing.T) {
+	const clients, per = 4, 6
+	script := func(c *autodist.Cluster, g int) ([]autodist.Value, error) {
+		var out []autodist.Value
+		for i := 0; i < per; i++ {
+			for _, call := range []struct {
+				entry string
+				args  []autodist.Value
+			}{
+				{"work", []autodist.Value{int64(30 + i)}},
+				{"put", []autodist.Value{int64(g), int64(100*g + i)}},
+				{"get", []autodist.Value{int64(g)}},
+				{"label", nil},
+			} {
+				res, err := c.Invoke(call.entry, call.args...)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res.Value)
+			}
+		}
+		return out, nil
+	}
+
+	seq := deployService(t, 2, autodist.Config{})
+	want := make([][]autodist.Value, clients)
+	for g := range want {
+		vals, err := script(seq, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = vals
+	}
+	seq.Shutdown(context.Background())
+
+	cluster := deployService(t, 2, compileOn(autodist.Config{MaxConcurrent: 4}))
+	defer cluster.Shutdown(context.Background())
+	got := make([][]autodist.Value, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = script(cluster, g)
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < clients; g++ {
+		if errs[g] != nil {
+			t.Fatalf("client %d: %v", g, errs[g])
+		}
+		if len(got[g]) != len(want[g]) {
+			t.Fatalf("client %d: %d results, want %d", g, len(got[g]), len(want[g]))
+		}
+		for i := range want[g] {
+			if got[g][i] != want[g][i] {
+				t.Errorf("client %d result %d = %v, sequential run gave %v", g, i, got[g][i], want[g][i])
+			}
+		}
+	}
+	st := cluster.Stats()
+	if st.CompiledEntries == 0 {
+		t.Error("Compile on never entered compiled code")
+	}
+	if st.Deopts != 0 {
+		t.Errorf("%d deopts, want 0", st.Deopts)
 	}
 }

@@ -7,19 +7,26 @@
 //
 // Contract with the VM (vm.CompiledMethod): compiled code must be
 // observably identical to interpretation — same results, same error
-// messages, same hook firings, and the same step/cycle accounting
-// (charged per basic block via Thread.ChargeBlock so totals match the
-// interpreter exactly). Any site the compiler cannot execute faithfully
-// — above all calls that resolve to native methods, which is where the
-// rewriter's access mediation (DependentObject.access, staticAccess,
-// synthetic per-class accessors) and the runtime built-ins live — is a
-// deopt point: the compiled frame charges the partial block it actually
+// messages, same hook firings, and the same step/cycle accounting in
+// the same order relative to every call (Thread.ChargeBlock: each call
+// site first charges its block up to and including the INVOKE, and the
+// block end charges the rest).
+//
+// Every INVOKE that resolves is an ordinary call from the compiled
+// frame, natives included. That covers the rewriter's access mediation
+// (DependentObject.access, staticAccess, <init>, the synthetic
+// per-class accessors) and the runtime built-ins: those natives do all
+// coherence, gate, migration, replica, fusion and re-drive work
+// themselves, on live runtime state, and read no interpreter frame, so
+// they behave the same whichever tier calls them. Each site resolves
+// its callee once (vm.Callee); a virtual site keeps a monomorphic
+// inline cache keyed by receiver class. A site the compiler cannot run
+// — an unresolvable method, or a virtual call on null or a non-object
+// — is a deopt point: the compiled frame charges the partial block it
 // executed, materializes interpreter state (locals plus the operand
 // stack snapshot recorded on the INVOKE quad), and finishes the method
-// in the interpreter from the faulting bytecode pc. Coherence barriers,
-// migration freeze-gates, replication invalidation and fault-recovery
-// re-drive therefore always run under the interpreter, never under
-// compiled assumptions.
+// in the interpreter from the faulting bytecode pc, which raises the
+// interpreter's own error.
 //
 // Methods containing a quad the compiler cannot handle at all are
 // rejected wholesale (the VM blacklists them and they stay
@@ -32,6 +39,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"autodist/internal/bytecode"
 	"autodist/internal/quad"
@@ -205,8 +213,9 @@ const (
 type cblock struct {
 	uops []uop
 	// steps/cycles are the block's precomputed accounting totals over
-	// its bytecode range, charged once per execution so compiled and
-	// interpreted totals agree exactly.
+	// the part of its bytecode range after its last call site (each
+	// call charges the part before it), charged once per execution so
+	// compiled and interpreted totals agree exactly.
 	steps  uint64
 	cycles uint64
 
@@ -238,8 +247,8 @@ type Compiled struct {
 
 	frames sync.Pool
 
-	// notes annotates quad IDs for the inspection listing (deopt
-	// points, guards).
+	// notes annotates quad IDs for the inspection listing (call kinds,
+	// deopt points).
 	notes map[int]string
 }
 
@@ -305,11 +314,12 @@ func Compile(v *vm.VM, c *vm.Class, m *bytecode.Method) (*Compiled, error) {
 // mergeChains straightens goto chains into superblocks: a block ending
 // in an unconditional jump absorbs its successor's micro-ops and
 // terminator when that successor consists purely of inline micro-ops
-// (no uCall closures, hence no deopt can fire inside the absorbed
-// tail). The absorbed block's accounting folds into the predecessor —
-// on every successful path the charged totals are identical, since the
-// pair always executed back to back; only the step-limit trip point
-// gets coarser, which per-block charging already made coarse. Loop
+// (no uCall closures, hence no call or deopt inside the absorbed tail
+// that could observe its accounting early). The absorbed block's
+// accounting folds into the predecessor — on every successful path the
+// charged totals are identical, since the pair always executed back to
+// back; only the step-limit trip point gets coarser, which per-block
+// charging already made coarse. Loop
 // bodies ending in a back-edge to a compare-only header collapse to a
 // single dispatch trip per iteration.
 func (cm *Compiled) mergeChains() {
@@ -411,9 +421,10 @@ func fuseMoves(fn *quad.Func, maxLocals int) {
 func (cm *Compiled) Run(t *vm.Thread, args []vm.Value) (vm.Value, error) {
 	ma := cm.frames.Get().(*mach)
 	ma.t = t
-	clear(ma.ints[:cm.nregs]) // const slots beyond nregs survive reuse
+	// Const slots beyond nregs survive reuse; refs and args come back
+	// from the pool already cleared.
+	clear(ma.ints[:cm.nregs])
 	clear(ma.flts[:cm.nregs])
-	clear(ma.refs)
 	ma.ret = nil
 	for i, ld := range cm.loadArg {
 		if i < len(args) {
@@ -636,8 +647,11 @@ loop:
 	}
 	ma.ret = nil
 	ma.t = nil
-	clear(ma.refs) // no heap retention from the pool
-	clear(ma.args)
+	// No heap retention from the pool. Call sites leave their arguments
+	// in the args buffer (each call overwrites the previous one's), so it
+	// is cleared to capacity here, once per frame.
+	clear(ma.refs)
+	clear(ma.args[:cap(ma.args)])
 	ma.args = ma.args[:0]
 	cm.frames.Put(ma)
 	return ret, err
@@ -1098,13 +1112,23 @@ func (cp *compiler) buildArgLoaders() error {
 
 // ---- block compilation ----
 
+// cost totals the interpreter's step and cycle charges over the
+// bytecode range [from, to).
+func (cp *compiler) cost(from, to int) (steps, cycles uint64) {
+	for i := from; i < to; i++ {
+		steps++
+		cycles += vm.CycleCostOf(cp.cm.m.Code[i].Op)
+	}
+	return steps, cycles
+}
+
 func (cp *compiler) compileBlock(blk *quad.Block) (cblock, error) {
 	cm := cp.cm
 	var cb cblock
-	cb.steps = uint64(blk.PCEnd - blk.PCStart)
-	for i := blk.PCStart; i < blk.PCEnd; i++ {
-		cb.cycles += vm.CycleCostOf(cm.m.Code[i].Op)
-	}
+	// charged is the first pc whose cost is not yet charged: each call
+	// site charges [charged, its pc] before calling, and the block's own
+	// totals cover what follows the last call.
+	charged := blk.PCStart
 	qs := blk.Quads
 	haveTerm := false
 	if n := len(qs); n > 0 {
@@ -1131,7 +1155,14 @@ func (cp *compiler) compileBlock(blk *quad.Block) (cblock, error) {
 		q := qs[i]
 		u, ok := cp.fastUop(q)
 		if !ok {
-			op, err := cp.compileQuad(q, blk)
+			var op opFn
+			var err error
+			if q.Op == quad.INVOKE {
+				op, err = cp.invokeOp(q, charged)
+				charged = q.PC + 1
+			} else {
+				op, err = cp.compileQuad(q)
+			}
 			if err != nil {
 				return cb, err
 			}
@@ -1150,6 +1181,7 @@ func (cp *compiler) compileBlock(blk *quad.Block) (cblock, error) {
 		}
 		cb.uops = append(cb.uops, u)
 	}
+	cb.steps, cb.cycles = cp.cost(charged, blk.PCEnd)
 	return cb, nil
 }
 
@@ -1318,7 +1350,7 @@ func (cp *compiler) floatArith(q *quad.Quad) bool {
 	return false
 }
 
-func (cp *compiler) compileQuad(q *quad.Quad, blk *quad.Block) (opFn, error) {
+func (cp *compiler) compileQuad(q *quad.Quad) (opFn, error) {
 	cm := cp.cm
 	switch q.Op {
 	case quad.MOVE:
@@ -1612,9 +1644,6 @@ func (cp *compiler) compileQuad(q *quad.Quad, blk *quad.Block) (opFn, error) {
 			st(ma, r)
 			return nil
 		}, nil
-
-	case quad.INVOKE:
-		return cp.invokeOp(q, blk)
 	}
 	return nil, fmt.Errorf("jit: unsupported quad %v", q)
 }
@@ -1752,19 +1781,18 @@ func (cp *compiler) floatBinOp(q *quad.Quad) (opFn, error) {
 	return nil, fmt.Errorf("jit: unsupported float op %v", q.Op)
 }
 
-// deoptFn builds the fallback for an INVOKE site: charge exactly the
-// block prefix the compiled code executed, materialize locals and the
-// recorded operand-stack snapshot, and finish the method in the
-// interpreter from the call's bytecode pc (which re-executes the
-// invoke). Accounting totals stay identical to pure interpretation.
-func (cp *compiler) deoptFn(q *quad.Quad, blk *quad.Block) (opFn, error) {
+// deoptFn builds the fallback for an INVOKE site the compiled tier
+// cannot run (an unresolvable method, or a virtual call whose receiver
+// is null or not an object): charge the block prefix the compiled code
+// executed since the last charge point (from), materialize locals and
+// the recorded operand-stack snapshot, and finish the method in the
+// interpreter from the call's bytecode pc (which re-executes the invoke
+// and raises the interpreter's own error). Accounting totals stay
+// identical to pure interpretation.
+func (cp *compiler) deoptFn(q *quad.Quad, from int) (opFn, error) {
 	cm := cp.cm
 	pc := q.PC
-	var preSteps, preCycles uint64
-	for i := blk.PCStart; i < pc; i++ {
-		preSteps++
-		preCycles += vm.CycleCostOf(cm.m.Code[i].Op)
-	}
+	preSteps, preCycles := cp.cost(from, pc)
 	ldrs := make([]func(*mach) vm.Value, len(q.Stack))
 	for i, o := range q.Stack {
 		ld, err := cp.valOf(o)
@@ -1805,9 +1833,19 @@ func (cp *compiler) deoptFn(q *quad.Quad, blk *quad.Block) (opFn, error) {
 	}, nil
 }
 
-func (cp *compiler) invokeOp(q *quad.Quad, blk *quad.Block) (opFn, error) {
+// icEntry is a virtual call site's monomorphic inline cache: the
+// receiver class it saw first and the callee that class dispatches to.
+type icEntry struct {
+	recv *vm.Class
+	ce   *vm.Callee
+}
+
+// invokeOp compiles an INVOKE into a call from the compiled frame —
+// into compiled, interpreted or native code alike (see the package
+// comment). from is the first pc of the block not yet charged.
+func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 	cm := cp.cm
-	deopt, err := cp.deoptFn(q, blk)
+	deopt, err := cp.deoptFn(q, from)
 	if err != nil {
 		return nil, err
 	}
@@ -1827,14 +1865,20 @@ func (cp *compiler) invokeOp(q *quad.Quad, blk *quad.Block) (opFn, error) {
 		}
 	}
 	name, desc := q.Member, q.Desc
+	// The interpreter charges each instruction as it reaches it, so the
+	// callee must see the clock advanced through the INVOKE itself.
+	steps, cycles := cp.cost(from, q.PC+1)
 
-	call := func(ma *mach, tc *vm.Class, tm *bytecode.Method) error {
+	call := func(ma *mach, ce *vm.Callee) error {
+		t := ma.t
+		if err := t.ChargeBlock(steps, cycles); err != nil {
+			return err
+		}
 		buf := ma.args[:0]
 		for _, ld := range argLd {
 			buf = append(buf, ld(ma))
 		}
-		rv, err := ma.t.Invoke(tc, tm, buf)
-		clear(buf)
+		rv, err := t.Call(ce, buf)
 		ma.args = buf[:0]
 		if err != nil {
 			return err
@@ -1847,38 +1891,51 @@ func (cp *compiler) invokeOp(q *quad.Quad, blk *quad.Block) (opFn, error) {
 
 	switch q.Invoke {
 	case bytecode.INVOKESTATIC, bytecode.INVOKESPECIAL:
-		tc, tm, rerr := cm.v.ResolveMethod(q.Class, name, desc)
-		if rerr != nil || tm == nil || tm.IsNative() {
-			// Access-mediated and runtime-native sites (the rewriter's
-			// DependentObject mediation, builtins) always deopt so
-			// coherence, migration and recovery run interpreted.
-			cp.note(q, fmt.Sprintf("deopt @pc%d: native/unresolved %s.%s", q.PC, q.Class, name))
+		ce := cm.v.ResolveCallee(q.Class, name, desc)
+		if ce == nil {
+			cp.note(q, fmt.Sprintf("deopt @pc%d: unresolved %s.%s", q.PC, q.Class, name))
 			return deopt, nil
 		}
-		cp.note(q, fmt.Sprintf("direct call %s.%s", tc.Name(), name))
-		return func(ma *mach) error { return call(ma, tc, tm) }, nil
+		kind := "direct call"
+		if ce.Native() {
+			kind = "native call"
+		}
+		cp.note(q, fmt.Sprintf("%s %s", kind, ce))
+		return func(ma *mach) error { return call(ma, ce) }, nil
 
 	case bytecode.INVOKEVIRTUAL:
-		cp.note(q, fmt.Sprintf("guarded virtual %s:%s (deopt @pc%d on native/odd receiver)", name, desc, q.PC))
+		cp.note(q, fmt.Sprintf("virtual call %s:%s, inline-cached (deopt @pc%d on null receiver)", name, desc, q.PC))
+		// Compiled methods are shared by concurrent logical threads, so
+		// the cache is an atomic pointer. It binds the first receiver
+		// class and never rebinds: other classes resolve through the
+		// class's own dispatch cache.
+		var ic atomic.Pointer[icEntry]
 		return func(ma *mach) error {
-			recv := argLd[0](ma)
-			ro, ok := recv.(*vm.Object)
+			ro, ok := argLd[0](ma).(*vm.Object)
 			if !ok || ro == nil {
 				return deopt(ma)
 			}
-			tc, tm := vm.ResolveVirtual(ro.Class, name, desc)
-			if tm == nil || tm.IsNative() {
+			e := ic.Load()
+			if e != nil && e.recv == ro.Class {
+				return call(ma, e.ce)
+			}
+			ce := cm.v.VirtualCallee(ro.Class, name, desc)
+			if ce == nil {
 				return deopt(ma)
 			}
-			return call(ma, tc, tm)
+			if e == nil {
+				ic.CompareAndSwap(nil, &icEntry{recv: ro.Class, ce: ce})
+			}
+			return call(ma, ce)
 		}, nil
 	}
 	return nil, fmt.Errorf("jit: unknown invoke kind %v", q.Invoke)
 }
 
 // Listing renders the compiled form for inspection (jdist -tier): each
-// block with its bytecode range and accounting totals, each quad with
-// its compilation note (direct call, guard, deopt point).
+// block with its bytecode range and block-end accounting totals, each
+// INVOKE with its compilation note (direct, native or inline-cached
+// virtual call, deopt point).
 func (cm *Compiled) Listing() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "compiled %s.%s:%s  (%d regs:", cm.c.Name(), cm.m.Name, cm.m.Desc, cm.fn.NumRegs)

@@ -168,9 +168,10 @@ class Main {
 	}
 }
 
+// TestDeoptOnNativeCall pins that a native call site no longer deopts:
+// Math.sqrt runs as a direct call from the compiled frame, and the
+// step/cycle totals still match interpretation exactly.
 func TestDeoptOnNativeCall(t *testing.T) {
-	// Math.sqrt is native: the compiled frame must deopt mid-method,
-	// finish interpreted, and still match step/cycle totals exactly.
 	_, mj := runDiff(t, `
 class Main {
 	static void main() {
@@ -183,8 +184,67 @@ class Main {
 		System.println("" + s);
 	}
 }`, 3)
-	if _, _, _, d := mj.JITStats(); d == 0 {
-		t.Errorf("expected deopts on native Math.sqrt, got none")
+	c, _, en, d := mj.JITStats()
+	if c == 0 || en == 0 {
+		t.Errorf("expected compiled code to run, got compiled=%d entries=%d", c, en)
+	}
+	if d != 0 {
+		t.Errorf("native calls deopted %d times, want 0", d)
+	}
+}
+
+// TestDeoptOnNullReceiver: a virtual call on null is the one site
+// shape left that deopts. The interpreter then re-executes the invoke,
+// so the error message and its stack are exactly the interpreter's.
+func TestDeoptOnNullReceiver(t *testing.T) {
+	const src = `
+class Box {
+	int v;
+	int get() { return this.v; }
+}
+class Main {
+	static int probe(Box b, int n) {
+		int s = 0;
+		for (int i = 0; i < n; i++) { s = s + i; }
+		return s + b.get();
+	}
+	static void main() {
+		Box b = new Box();
+		int s = 0;
+		for (int r = 0; r < 5; r++) { s = s + Main.probe(b, 10); }
+		System.println("" + s);
+		Main.probe(null, 10);
+	}
+}`
+	run := func(enable bool) (*vm.VM, error) {
+		bp, _, err := compile.CompileSource(src)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		m, err := vm.New(bp)
+		if err != nil {
+			t.Fatalf("vm.New: %v", err)
+		}
+		m.Out = &strings.Builder{}
+		if enable {
+			m.EnableJIT(1, jit.Backend(m))
+		}
+		_, err = m.CallMethod("Main", "main", "()V", nil)
+		return m, err
+	}
+	_, errI := run(false)
+	mj, errJ := run(true)
+	if errI == nil || errJ == nil {
+		t.Fatalf("want a null-receiver error from both tiers, got interp %v, tiered %v", errI, errJ)
+	}
+	if errI.Error() != errJ.Error() {
+		t.Errorf("errors diverged:\ninterp: %s\ntiered: %s", errI, errJ)
+	}
+	if !strings.Contains(errJ.Error(), "invokevirtual Box.get on null") || !strings.Contains(errJ.Error(), "at Main.probe") {
+		t.Errorf("unexpected error %q", errJ)
+	}
+	if _, _, _, d := mj.JITStats(); d != 1 {
+		t.Errorf("deopts = %d, want exactly the null-receiver one", d)
 	}
 }
 
@@ -309,7 +369,7 @@ class Main {
 	if !strings.Contains(ls, "compiled Main.work:(I)I") {
 		t.Errorf("listing missing header:\n%s", ls)
 	}
-	if !strings.Contains(ls, "deopt") {
-		t.Errorf("listing missing deopt annotation for Math.abs:\n%s", ls)
+	if !strings.Contains(ls, "native call Math.abs") {
+		t.Errorf("listing does not note Math.abs as a native call:\n%s", ls)
 	}
 }

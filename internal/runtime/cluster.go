@@ -97,11 +97,11 @@ type Options struct {
 	MaxConcurrent int
 	// Compile enables tiered execution on every node's VM: methods
 	// whose hotness counter (invocations plus taken loop back-edges)
-	// reaches CompileThreshold are compiled from quads to Go closures;
-	// access-mediated sites deopt back to the interpreter, so
-	// distributed behaviour — messages, replicas, dedup journals — is
-	// observably identical. Off (the default), the VMs stay purely
-	// interpreted, byte-identical to the untiered runtime.
+	// reaches CompileThreshold are compiled from quads to Go closures
+	// that call the access natives directly at access-mediated sites,
+	// so distributed behaviour — messages, replicas, dedup journals,
+	// the virtual clock — is identical. Off (the default), the VMs stay
+	// purely interpreted, byte-identical to the untiered runtime.
 	Compile bool
 	// CompileThreshold is the hotness count that triggers compilation
 	// (values below 1 clamp to 1). Ignored unless Compile is set.

@@ -61,10 +61,7 @@ func (n *Node) registerNatives() {
 			if err := n.restoreArrays(ctorArgs, out.OutArrays); err != nil {
 				return nil, err
 			}
-			cls := self.Class
-			self.Fields[cls.FieldSlot("homeNode")] = int64(home)
-			self.Fields[cls.FieldSlot("className")] = className
-			self.Fields[cls.FieldSlot("remoteId")] = out.ID
+			n.proxy.set(self, home, out.ID, className)
 			n.mu.Lock()
 			if n.canon[out.ID] == nil {
 				n.canon[out.ID] = self

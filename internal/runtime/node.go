@@ -147,6 +147,10 @@ type Node struct {
 	// the write-once cache, read replicas and replica sets.
 	coh coherence
 
+	// proxy is the DependentObject field layout, resolved once: every
+	// mediated access through a proxy reads its identity.
+	proxy proxyLayout
+
 	// gateMu guards the per-object access gates: every local access
 	// registers with its object's gate, and a migration freezes the
 	// gate only when no access is in flight, so an object is never
@@ -480,6 +484,14 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 		done:    make(chan struct{}),
 		errs:    make(chan error, 16),
 	}
+	if cls := machine.Class(depObjectClassName); cls != nil {
+		n.proxy = proxyLayout{
+			cls:   cls,
+			home:  cls.FieldSlot("homeNode"),
+			class: cls.FieldSlot("className"),
+			id:    cls.FieldSlot("remoteId"),
+		}
+	}
 	n.registerNatives()
 	return n, nil
 }
@@ -737,14 +749,11 @@ func (n *Node) proxyFor(birth int, id int64, class string) (*vm.Object, error) {
 		return c, nil
 	}
 	n.mu.Unlock()
-	cls := n.VM.Class(depObjectClassName)
-	if cls == nil {
+	if n.proxy.cls == nil {
 		return nil, fmt.Errorf("runtime: %s not loaded on node %d", depObjectClassName, n.Rank)
 	}
-	p := n.VM.NewObject(cls)
-	p.Fields[cls.FieldSlot("homeNode")] = int64(birth)
-	p.Fields[cls.FieldSlot("className")] = class
-	p.Fields[cls.FieldSlot("remoteId")] = id
+	p := n.VM.NewObject(n.proxy.cls)
+	n.proxy.set(p, birth, id, class)
 	n.mu.Lock()
 	if c := n.canon[id]; c != nil {
 		n.mu.Unlock()
@@ -758,14 +767,24 @@ func (n *Node) proxyFor(birth int, id int64, class string) (*vm.Object, error) {
 	return p, nil
 }
 
+// proxyLayout is the DependentObject class and its field slots.
+type proxyLayout struct {
+	cls             *vm.Class
+	home, class, id int
+}
+
+// set stamps a proxy's birth identity.
+func (l *proxyLayout) set(p *vm.Object, home int, id int64, class string) {
+	p.Fields[l.home] = int64(home)
+	p.Fields[l.class] = class
+	p.Fields[l.id] = id
+}
+
 // proxyIdentity reads a proxy's birth identity (the home field is the
 // placement at proxy creation; hintFor supplies the current owner).
 func (n *Node) proxyIdentity(p *vm.Object) (home int, id int64, class string) {
-	cls := p.Class
-	home = int(p.Fields[cls.FieldSlot("homeNode")].(int64))
-	id = p.Fields[cls.FieldSlot("remoteId")].(int64)
-	class = p.Fields[cls.FieldSlot("className")].(string)
-	return
+	l := &n.proxy
+	return int(p.Fields[l.home].(int64)), p.Fields[l.id].(int64), p.Fields[l.class].(string)
 }
 
 // send stamps the logical thread id, counts and transmits one message.

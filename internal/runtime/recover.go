@@ -334,8 +334,9 @@ func (n *Node) applyRehome(dead int, ids []int64, homes []int) {
 	}
 	n.coh.purgeRank(dead)
 	// Ownership just moved under the node: drop compiled methods so
-	// the tier re-profiles under the repaired topology (deopt guards
-	// already keep stale code correct; this is hygiene, not safety).
+	// the tier re-profiles under the repaired topology (compiled code
+	// reaches objects only through the access natives, which consult
+	// live ownership; this is hygiene, not safety).
 	n.VM.InvalidateCompiled()
 }
 

@@ -61,12 +61,23 @@ func (t *Thread) Invoke(c *Class, m *bytecode.Method, args []Value) (Value, erro
 		}
 		return fn(t, args)
 	}
+	var prof *methodProfile
+	if js := vm.jit; js != nil {
+		prof = js.profileFor(m)
+	}
+	return t.enter(c, m, prof, args)
+}
 
+// enter runs a bytecode method as a new frame: the MethodEnter/Exit
+// hooks, the call-stack entry, then the compiled or interpreted body.
+// prof is the method's hotness profile (nil when the VM has no JIT).
+func (t *Thread) enter(c *Class, m *bytecode.Method, prof *methodProfile, args []Value) (Value, error) {
+	vm := t.vm
 	if vm.Hooks.MethodEnter != nil {
 		vm.Hooks.MethodEnter(c.Name(), m.Name)
 	}
 	t.stack = append(t.stack, StackEntry{Class: c.Name(), Method: m.Name})
-	ret, err := t.run(c, m, args)
+	ret, err := t.run(c, m, prof, args)
 	t.stack = t.stack[:len(t.stack)-1]
 	if vm.Hooks.MethodExit != nil {
 		vm.Hooks.MethodExit(c.Name(), m.Name)
@@ -91,15 +102,17 @@ func (vm *VM) findNative(c *Class, m *bytecode.Method) NativeFunc {
 	return nil
 }
 
-func (t *Thread) run(c *Class, m *bytecode.Method, args []Value) (Value, error) {
+func (t *Thread) run(c *Class, m *bytecode.Method, prof *methodProfile, args []Value) (Value, error) {
 	vm := t.vm
 	// Tiered execution: when a JIT backend is attached, hot methods are
 	// promoted out of the fetch/decode loop into compiled form. The
 	// sampling profiler needs exact per-instruction quanta, so tier-up
 	// is disabled while OnQuantum is attached.
-	var prof *methodProfile
-	if js := vm.jit; js != nil && vm.Hooks.OnQuantum == nil {
-		prof = js.profileFor(m)
+	js := vm.jit
+	if js == nil || vm.Hooks.OnQuantum != nil {
+		prof = nil
+	}
+	if prof != nil {
 		if cm := prof.compiled(); cm != nil {
 			t.entryC++
 			js.entries.Add(1)

@@ -112,9 +112,11 @@ func (js *jitState) promote(t *Thread, c *Class, m *bytecode.Method, prof *metho
 // InvalidateCompiled drops every compiled method and resets the hotness
 // counters (keeping blacklists). The distributed runtime calls it when
 // ownership moves under the node — plan changes, migration, replica
-// promotion after a death — so stale compiled assumptions cannot
-// outlive the topology they were profiled under. Deopt guards already
-// keep execution correct; invalidation re-profiles under the new shape.
+// promotion after a death — so the tier re-profiles under the new
+// shape. It is hygiene, not safety: compiled code bakes in no
+// ownership assumption, because every mediated access is a call into
+// the runtime's access natives, which consult live ownership, gates
+// and coherence state on each call exactly as under interpretation.
 func (vm *VM) InvalidateCompiled() {
 	js := vm.jit
 	if js == nil {
@@ -163,10 +165,13 @@ func (t *Thread) JITCounters() (compiled, tierUps, entries, deopts uint64) {
 
 // ChargeBlock charges a compiled frame's execution against the same
 // meters the interpreter uses: the per-thread step budget (MaxSteps
-// abort) and the simulated clock. Compiled code calls it once per basic
-// block with the block's precomputed totals (and once per deopt with
-// the prefix actually executed), so step and cycle totals equal pure
-// interpretation exactly.
+// abort) and the simulated clock. Compiled code calls it with
+// precomputed totals so that step and cycle totals equal pure
+// interpretation exactly, and in the interpreter's order relative to
+// every call: before each call it charges the block up to and including
+// the INVOKE (natives stamp outgoing messages with the virtual clock
+// and advance it on replies), before a deopt the prefix up to the
+// INVOKE, and at block end the rest.
 // The fast path stays small enough for the compiler to inline into the
 // compiled tier's dispatch loop; the limit error and the simulated
 // clock live in outlined helpers.
@@ -203,20 +208,72 @@ func RefEqual(a, b Value) bool { return refEqual(a, b) }
 // tier.
 func (vm *VM) InstanceOf(v Value, name string) bool { return vm.instanceOf(v, name) }
 
-// ResolveVirtual resolves name:desc against dynamic class c, returning
-// the declaring class and method (nil, nil if absent).
-func ResolveVirtual(c *Class, name, desc string) (*Class, *bytecode.Method) {
-	bm := c.lookupVirtual(name, desc)
-	if bm == nil {
-		return nil, nil
-	}
-	return bm.class, bm.method
+// Callee is a call target the compiled tier resolved once for a call
+// site: the declaring class and method plus what Thread.Invoke would
+// otherwise look up on every call — the native implementation, or the
+// bytecode method's hotness profile.
+type Callee struct {
+	class  *Class
+	method *bytecode.Method
+	native NativeFunc     // natives only
+	prof   *methodProfile // bytecode methods only
 }
 
-// ResolveMethod resolves (class, name, desc) to the declaring class and
-// method — the compiled tier's static/special call resolution.
-func (vm *VM) ResolveMethod(class, name, desc string) (*Class, *bytecode.Method, error) {
-	return vm.resolveMethod(class, name, desc)
+// Native reports whether the callee is a native method (the runtime's
+// access mediation and the builtins).
+func (ce *Callee) Native() bool { return ce.method.IsNative() }
+
+// String names the callee as Class.method.
+func (ce *Callee) String() string { return ce.class.Name() + "." + ce.method.Name }
+
+// ResolveCallee resolves a static or special call site the way the
+// interpreter does; nil when the class or method does not exist.
+func (vm *VM) ResolveCallee(class, name, desc string) *Callee {
+	c := vm.classes[class]
+	if c == nil {
+		return nil
+	}
+	return vm.VirtualCallee(c, name, desc)
+}
+
+// VirtualCallee resolves name:desc against dynamic class c (the
+// INVOKEVIRTUAL lookup); nil when c has no such method. The result is
+// memoized on the class's dispatch-cache entry, so a miss in a call
+// site's inline cache costs one map load and no allocation.
+func (vm *VM) VirtualCallee(c *Class, name, desc string) *Callee {
+	bm := c.lookupVirtual(name, desc)
+	if bm == nil {
+		return nil
+	}
+	if ce := bm.callee.Load(); ce != nil {
+		return ce
+	}
+	ce := &Callee{class: bm.class, method: bm.method}
+	if bm.method.IsNative() {
+		ce.native = vm.findNative(bm.class, bm.method)
+	} else if js := vm.jit; js != nil {
+		ce.prof = js.profileFor(bm.method)
+	}
+	// A callee with neither binding (an unregistered native, or no JIT
+	// yet) stays unmemoized: Call routes it through Invoke.
+	if ce.native != nil || ce.prof != nil {
+		bm.callee.Store(ce)
+	}
+	return ce
+}
+
+// Call invokes a resolved callee with exactly Thread.Invoke's
+// semantics — a native runs directly on the thread; a bytecode method
+// gets the hooks, the stack entry, tier-up and the entry counters —
+// minus Invoke's per-call native-registry and profile lookups.
+func (t *Thread) Call(ce *Callee, args []Value) (Value, error) {
+	if ce.native != nil {
+		return ce.native(t, args)
+	}
+	if ce.prof == nil {
+		return t.Invoke(ce.class, ce.method, args)
+	}
+	return t.enter(ce.class, ce.method, ce.prof, args)
 }
 
 // RuntimeError builds a VMError carrying this thread's call stack, for

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"autodist/internal/bytecode"
 )
@@ -80,6 +81,9 @@ type methodKey struct {
 type boundMethod struct {
 	class  *Class
 	method *bytecode.Method
+	// callee is the compiled tier's resolved form of this binding,
+	// built on first use (see VM.VirtualCallee).
+	callee atomic.Pointer[Callee]
 }
 
 // Name returns the class name.

@@ -151,10 +151,11 @@ type Config struct {
 	MaxConcurrent int
 	// Compile enables tiered execution: per-method hotness counters
 	// (invocations plus taken loop back-edges) promote hot methods from
-	// the interpreter to Go closures compiled from the quad IR, with
-	// guarded deopt back to the interpreter at every access-mediated
-	// site — so sequential results, distributed message counts,
-	// replica behaviour and dedup journals are observably identical
+	// the interpreter to Go closures compiled from the quad IR.
+	// Compiled frames call the runtime's access natives at every
+	// access-mediated site exactly where the interpreter would, so
+	// sequential results, distributed message counts, replica
+	// behaviour, dedup journals and the virtual clock are identical
 	// with the tier on or off. Off (the default), execution is
 	// byte-identical to the untiered machine.
 	Compile bool
