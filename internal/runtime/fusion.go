@@ -8,14 +8,15 @@ package runtime
 // on top of its base access kind (rewrite.FuseEnq / FuseLast /
 // FusePure). With fusion ON, an enqueue site buffers its access on the
 // logical thread and returns a nil placeholder; the run's last site
-// executes the whole buffer — one DEPSEQ request per destination
-// segment, in program order — and returns an Object[] holding every
-// entry's result, which the rewritten epilogue stores back into the
-// local slots that held placeholders. With fusion OFF, every site
-// executes immediately through the ordinary dispatch path with its
-// base kind, so the wire stream is byte-identical to an unstamped
-// build; the results are buffered only to satisfy the epilogue's
-// Object[] contract (its stores are then idempotent re-stores).
+// routes every entry once, executes the whole buffer — one DEPSEQ
+// request per destination segment, in program order — and returns an
+// Object[] holding every entry's result, which the rewritten epilogue
+// stores back into the local slots that held placeholders. With fusion
+// OFF, every site executes immediately through the ordinary dispatch
+// path with its base kind, so the wire stream is byte-identical to an
+// unstamped build; the results are buffered only to satisfy the
+// epilogue's Object[] contract (its stores are then idempotent
+// re-stores).
 //
 // Safety rests on the analysis invariants: between a run's sites only
 // whitelisted register-to-register bytecode executes (no calls, no
@@ -23,10 +24,19 @@ package runtime
 // observed, grown reentrantly, or abandoned by an unwind while a run
 // is open. Runs whose entries are all pure (side-effect-free reads)
 // additionally issue their destination segments concurrently — the
-// scatter-gather path — since no ordering between reads is observable.
+// scatter-gather path — since no ordering between reads is observable:
+// every group but the last goes out on its own goroutine and the last
+// on the calling one, so a run with a single home spawns nothing.
+//
+// A fused run costs what a scalar round trip costs. The thread's entry
+// buffer and encode-side request vector are reused from run to run
+// (zeroed between runs so idle storage pins no objects), each entry
+// carries its own result, and both ends decode DEPSEQ vectors into
+// pooled per-exchange storage (depSeqScratch).
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"autodist/internal/rewrite"
@@ -42,13 +52,43 @@ type fusedEntry struct {
 	member string
 	// args is an owned copy (fusion on): the rewriter-emitted argument
 	// array is recycled when the site's native returns, long before the
-	// run executes.
+	// run executes. The backing array stays with the buffer slot.
 	args []vm.Value
-	// id is the entry's global object id, filled in by fuseRoute.
-	id int64
-	// result holds the immediately-computed value on the fusion-off
-	// path.
+	// id and home are filled in by fuseRoute; home is noHome for an
+	// entry that executes individually.
+	id   int64
+	home int
+	// result is the entry's value once executed.
 	result vm.Value
+}
+
+// noHome marks an entry that is not a plain synchronous remote access
+// right now (see fuseRoute).
+const noHome = -1
+
+// fuseEntry opens the next slot of the thread's run buffer, reusing the
+// argument capacity a previous run left in it.
+func (lt *lthread) fuseEntry() *fusedEntry {
+	if len(lt.fuseBuf) < cap(lt.fuseBuf) {
+		lt.fuseBuf = lt.fuseBuf[:len(lt.fuseBuf)+1]
+	} else {
+		lt.fuseBuf = append(lt.fuseBuf, fusedEntry{})
+	}
+	e := &lt.fuseBuf[len(lt.fuseBuf)-1]
+	*e = fusedEntry{args: e.args[:0]}
+	return e
+}
+
+// recycleFuseBuf hands a finished run's buffer back to its thread. The
+// entries are zeroed, so an idle buffer pins no receivers, proxies,
+// arguments or results; each slot keeps its argument capacity.
+func (lt *lthread) recycleFuseBuf(buf []fusedEntry) {
+	for i := range buf {
+		args := buf[i].args
+		clear(args)
+		buf[i] = fusedEntry{args: args[:0]}
+	}
+	lt.fuseBuf = buf[:0]
 }
 
 // fusedAccess handles an access-site call whose kind carries fusion
@@ -67,132 +107,121 @@ func (n *Node) fusedAccess(lt *lthread, self *vm.Object, kind int, member string
 		v, err := n.dispatchAccess(lt, self, base, member, acc)
 		lt.fuseBuf = saved
 		if err != nil {
-			lt.fuseBuf = nil
+			lt.recycleFuseBuf(saved)
 			return nil, err
 		}
-		lt.fuseBuf = append(lt.fuseBuf, fusedEntry{result: v})
+		lt.fuseEntry().result = v
 		if kind&rewrite.FuseLast == 0 {
 			// The site's original consumer gets the real value; the
 			// epilogue will redundantly re-store it from the array.
 			return v, nil
 		}
 		buf := lt.fuseBuf
-		lt.fuseBuf = nil
-		results := make([]vm.Value, len(buf))
-		for i := range buf {
-			results[i] = buf[i].result
-		}
-		return n.fuseResultArray(results)
+		arr, err := n.fuseResultArray(buf)
+		lt.recycleFuseBuf(buf)
+		return arr, err
 	}
 
 	// Fusion on: buffer the access (copying the dying argument slice)
 	// and defer execution to the run's last site.
-	e := fusedEntry{
-		self:   self,
-		kind:   base,
-		pure:   kind&rewrite.FusePure != 0,
-		member: member,
-	}
-	if len(acc) > 0 {
-		e.args = append(make([]vm.Value, 0, len(acc)), acc...)
-	}
-	lt.fuseBuf = append(lt.fuseBuf, e)
+	e := lt.fuseEntry()
+	e.self, e.kind, e.pure, e.member = self, base, kind&rewrite.FusePure != 0, member
+	e.args = append(e.args, acc...)
 	if kind&rewrite.FuseLast == 0 {
 		return nil, nil // placeholder; real value arrives via the epilogue
 	}
 	buf := lt.fuseBuf
 	lt.fuseBuf = nil // nested runs during execution start from a clean buffer
-	results, err := n.fuseExecute(lt, buf)
-	if err != nil {
-		return nil, err
+	err := n.fuseExecute(lt, buf)
+	var arr vm.Value
+	if err == nil {
+		arr, err = n.fuseResultArray(buf)
 	}
-	return n.fuseResultArray(results)
+	lt.recycleFuseBuf(buf)
+	return arr, err
 }
 
-// fuseResultArray packs per-entry results into the Object[] the
+// fuseResultArray packs the entries' results into the Object[] the
 // rewritten epilogue consumes.
-func (n *Node) fuseResultArray(results []vm.Value) (vm.Value, error) {
-	arr, err := n.VM.NewArray("LObject;", len(results))
+func (n *Node) fuseResultArray(buf []fusedEntry) (vm.Value, error) {
+	arr, err := n.VM.NewArray("LObject;", len(buf))
 	if err != nil {
 		return nil, err
 	}
-	copy(arr.Data, results)
+	for i := range buf {
+		arr.Data[i] = buf[i].result
+	}
 	return arr, nil
 }
 
-// fuseExecute runs a detached fused buffer: contiguous entries that
-// route to the same remote destination travel as one DEPSEQ frame;
-// everything else — locally-owned receivers, cache/replica peels,
-// asynchronous void calls, destination changes — executes individually
-// through the ordinary dispatch path at its program-order position, so
-// peel decisions always see the effects of every earlier entry.
-func (n *Node) fuseExecute(lt *lthread, buf []fusedEntry) ([]vm.Value, error) {
-	results := make([]vm.Value, len(buf))
+// fuseExecute runs a detached fused buffer. Every entry is routed once,
+// up front; contiguous entries that route to the same remote
+// destination travel as one DEPSEQ frame, and everything else —
+// locally-owned receivers, cache/replica peels, asynchronous void
+// calls — executes individually through the ordinary dispatch path at
+// its program-order position, where the peel decision is taken afresh
+// and sees the effects of every earlier entry.
+func (n *Node) fuseExecute(lt *lthread, buf []fusedEntry) error {
 	allPure := true
 	for i := range buf {
-		if !buf[i].pure {
-			allPure = false
-			break
-		}
+		buf[i].home = n.fuseRoute(&buf[i])
+		allPure = allPure && buf[i].pure
 	}
 	if allPure && len(buf) > 1 {
-		if err := n.fuseScatter(lt, buf, results); err != nil {
-			return nil, err
-		}
-		return results, nil
+		return n.fuseScatter(lt, buf)
 	}
-	i := 0
-	for i < len(buf) {
-		if home, ok := n.fuseRoute(&buf[i]); ok {
-			j := i + 1
-			for j < len(buf) {
-				if h2, ok2 := n.fuseRoute(&buf[j]); ok2 && h2 == home {
-					j++
-				} else {
-					break
-				}
-			}
-			if j-i >= 2 {
-				if err := n.fuseSendSlice(lt, home, buf[i:j], results[i:j]); err != nil {
-					return nil, err
-				}
-				i = j
-				continue
+	for i := 0; i < len(buf); {
+		j := i + 1
+		if home := buf[i].home; home != noHome {
+			for j < len(buf) && buf[j].home == home {
+				j++
 			}
 		}
-		v, err := n.dispatchAccess(lt, buf[i].self, buf[i].kind, buf[i].member, buf[i].args)
+		var err error
+		if j-i >= 2 {
+			err = n.fuseSendSlice(lt, buf[i].home, buf[i:j])
+		} else {
+			err = n.fuseDispatch(lt, &buf[i])
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		results[i] = v
-		i++
+		i = j
 	}
-	return results, nil
+	return nil
+}
+
+// fuseDispatch executes one entry individually.
+func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
+	e.result, err = n.dispatchAccess(lt, e.self, e.kind, e.member, e.args)
+	return err
 }
 
 // fuseRoute decides whether an entry is, right now, a plain
 // synchronous remote access — the only shape a DEPSEQ segment may
-// carry — and if so resolves its destination. Anything that might be
-// served without a round trip (an active cache/replica optimisation, a
-// locally-owned receiver) or that isn't synchronous (asynchronous void
-// calls) is excluded and later executes individually, where the
-// ordinary dispatch path applies its optimisation with fully
-// up-to-date state. The resolution mirrors dispatchAccess /
-// dispatchStatic; a stale hint is harmless — the destination forwards
-// and stamps Moved exactly as it would for a plain DEPENDENCE.
-func (n *Node) fuseRoute(e *fusedEntry) (int, bool) {
+// carry — and if so returns its destination (noHome otherwise).
+// Anything that might be served without a round trip (an active
+// cache/replica optimisation, a locally-owned receiver) or that isn't
+// synchronous (asynchronous void calls) is excluded and later executes
+// individually, where the ordinary dispatch path applies its
+// optimisation with fully up-to-date state. The resolution mirrors
+// dispatchAccess / dispatchStatic; a stale hint — including one that
+// went stale while earlier entries of the run executed — is harmless:
+// the destination forwards and stamps Moved exactly as it would for a
+// plain DEPENDENCE.
+func (n *Node) fuseRoute(e *fusedEntry) int {
 	switch e.kind {
 	case rewrite.GetFieldCached:
 		if !n.Unoptimized {
-			return 0, false
+			return noHome
 		}
 	case rewrite.GetFieldReplicated, rewrite.InvokeReplicaRead:
 		if n.replicate && !n.Unoptimized {
-			return 0, false
+			return noHome
 		}
 	case rewrite.InvokeMethodVoidAsync:
 		if !n.Unoptimized {
-			return 0, false
+			return noHome
 		}
 	}
 	o := e.self
@@ -201,13 +230,13 @@ func (n *Node) fuseRoute(e *fusedEntry) (int, bool) {
 	var id int64
 	if n.adaptEvery <= 0 {
 		if !isProxy {
-			return 0, false // static plan: a real receiver is local
+			return noHome // static plan: a real receiver is local
 		}
 		home, id, _ = n.proxyIdentity(o)
 		if n.recovery {
 			// Promotion may have rehomed the object (possibly to us).
 			if n.holder(id) != nil {
-				return 0, false
+				return noHome
 			}
 			home = n.hintFor(id, home)
 		}
@@ -219,7 +248,7 @@ func (n *Node) fuseRoute(e *fusedEntry) (int, bool) {
 			id = o.ID
 		}
 		if n.holder(id) != nil {
-			return 0, false
+			return noHome
 		}
 		if !isProxy {
 			// A real instance that was never exported is private to this
@@ -228,24 +257,23 @@ func (n *Node) fuseRoute(e *fusedEntry) (int, bool) {
 			private := n.canon[id] == nil
 			n.mu.Unlock()
 			if private {
-				return 0, false
+				return noHome
 			}
 		}
 		home = n.hintFor(id, birth)
 	}
 	if home == n.Rank {
-		return 0, false // dangling; individual dispatch surfaces the error
+		return noHome // dangling; individual dispatch surfaces the error
 	}
 	e.id = id
-	return home, true
+	return home
 }
 
 // fuseSendSlice executes one contiguous same-destination slice of a
-// fused run as a single DEPSEQ exchange, applying the per-entry
-// DEPENDENCE-response epilogue (Moved redirects heal each entry's hint
-// individually).
-func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry, results []vm.Value) error {
-	payload, err := n.fuseEncode(lt, seg)
+// fused run as a single DEPSEQ exchange behind the thread's ordinary
+// request barrier.
+func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry) error {
+	payload, err := n.fuseEncode(lt, seg, home)
 	if err != nil {
 		return err
 	}
@@ -253,97 +281,146 @@ func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry, results []
 	if err != nil {
 		return err
 	}
-	return n.fuseFinish(lt, home, seg, results, resp.Payload)
+	return n.fuseFinish(lt, home, seg, resp.Payload)
 }
 
-// fuseEncode builds a segment's DEPSEQ payload and records per-entry
-// affinity (the frame's bytes are split evenly across its entries, so
-// the totals the migration planner sees match the wire).
-func (n *Node) fuseEncode(lt *lthread, seg []fusedEntry) ([]byte, error) {
-	reqs := make([]wire.DepRequest, len(seg))
-	for k := range seg {
-		wargs, err := n.toWireSlice(n.canonicalizeSlice(seg[k].args))
-		if err != nil {
-			return nil, err
+// fuseExchange is one scatter group's DEPSEQ exchange; the caller has
+// already run the flush and adaptation barrier for the whole gather.
+func (n *Node) fuseExchange(lt *lthread, home int, buf []fusedEntry, payload []byte) error {
+	resp, err := n.rawRequest(lt, home, KindDepSeq, payload)
+	if err != nil {
+		return err
+	}
+	return n.fuseFinish(lt, home, buf, resp.Payload)
+}
+
+// fuseEncode builds the DEPSEQ payload of the entries of buf routed to
+// home, in program order, and records per-entry affinity (the frame's
+// bytes are split evenly across its entries, so the totals the
+// migration planner sees match the wire). The request vector and the
+// converted arguments live in the thread's scratch, which is free
+// again once the payload is encoded.
+func (n *Node) fuseEncode(lt *lthread, buf []fusedEntry, home int) ([]byte, error) {
+	nargs := 0
+	for i := range buf {
+		if buf[i].home == home {
+			nargs += len(buf[i].args)
 		}
-		reqs[k] = wire.DepRequest{ID: seg[k].id, Kind: seg[k].kind, Member: seg[k].member, Args: wargs}
 	}
-	seq := wire.DepSeq{Reqs: reqs}
-	payload := seq.Encode()
-	per := len(payload) / len(seg)
-	for k := range seg {
-		n.recordAffinity(seg[k].id, per, accessWrites(seg[k].kind))
+	if cap(lt.wireBuf) < nargs {
+		lt.wireBuf = make([]wire.Value, nargs)
 	}
-	n.count(lt, func(s *NodeStats) *int64 { return &s.FusedBatches }, 1)
-	n.count(lt, func(s *NodeStats) *int64 { return &s.FusedAccesses }, int64(len(seg)))
-	return payload, nil
+	wargs := lt.wireBuf[:nargs]
+	reqs := lt.fuseReqs[:0]
+	rest := wargs
+	var err error
+	for i := 0; i < len(buf) && err == nil; i++ {
+		e := &buf[i]
+		if e.home != home {
+			continue
+		}
+		w := rest[:len(e.args):len(e.args)]
+		rest = rest[len(e.args):]
+		for k, v := range n.canonicalizeSlice(e.args) {
+			if w[k], err = n.toWire(v); err != nil {
+				break
+			}
+		}
+		reqs = append(reqs, wire.DepRequest{ID: e.id, Kind: e.kind, Member: e.member, Args: w})
+	}
+	var payload []byte
+	if err == nil {
+		seq := wire.DepSeq{Reqs: reqs}
+		payload = seq.Encode()
+		per := len(payload) / len(reqs)
+		for i := range reqs {
+			n.recordAffinity(reqs[i].ID, per, accessWrites(reqs[i].Kind))
+		}
+		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedBatches }, 1)
+		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedAccesses }, int64(len(reqs)))
+	}
+	clear(reqs)
+	clear(wargs)
+	lt.fuseReqs = reqs[:0]
+	return payload, err
 }
 
 // fuseFinish decodes a DEPSEQ response and applies the standard
-// dependence-response epilogue to each executed entry in order.
-func (n *Node) fuseFinish(lt *lthread, home int, seg []fusedEntry, results []vm.Value, payload []byte) error {
-	out, err := wire.DecodeDepSeqResponse(payload)
+// dependence-response epilogue, in order, to the entries of buf routed
+// to home.
+func (n *Node) fuseFinish(lt *lthread, home int, buf []fusedEntry, payload []byte) error {
+	sc := getDepSeqScratch()
+	defer putDepSeqScratch(sc)
+	out := &sc.resp
+	err := wire.DecodeDepSeqResponseInto(payload, out)
 	wire.PutBuf(payload)
 	if err != nil {
 		return err
 	}
-	if len(out.Resps) > len(seg) {
-		return fmt.Errorf("runtime: fused response with %d entries for %d requests", len(out.Resps), len(seg))
+	sent := 0
+	for i := range buf {
+		if buf[i].home == home {
+			sent++
+		}
 	}
-	for k := range out.Resps {
+	if len(out.Resps) > sent {
+		return fmt.Errorf("runtime: fused response with %d entries for %d requests", len(out.Resps), sent)
+	}
+	k := 0
+	for i := range buf {
+		e := &buf[i]
+		if e.home != home {
+			continue
+		}
+		if k == len(out.Resps) {
+			// The responder stops only at a failed entry, and that failure
+			// returned below — defensive against a malformed short vector.
+			return fmt.Errorf("runtime: fused run stopped after %d of %d entries on node %d", k, sent, home)
+		}
 		r := &out.Resps[k]
+		k++
 		n.noteAsyncDests(lt, r.AsyncDests)
-		if r.Moved && seg[k].id != 0 {
-			n.learnHome(seg[k].id, r.NewHome)
+		if r.Moved && e.id != 0 {
+			n.learnHome(e.id, r.NewHome)
 		}
 		if r.Err != "" {
-			return fmt.Errorf("remote fused access %s: %s", seg[k].member, r.Err)
+			return fmt.Errorf("remote fused access %s: %s", e.member, r.Err)
 		}
 		if r.AsyncErr != "" {
 			return fmt.Errorf("deferred async failure on node %d: %s", home, r.AsyncErr)
 		}
-		if err := n.restoreArrays(seg[k].args, r.OutArrays); err != nil {
+		if err := n.restoreArrays(e.args, r.OutArrays); err != nil {
 			return err
 		}
 		wire.PutValues(r.OutArrays)
-		v, err := n.fromWire(r.Value)
-		if err != nil {
+		if e.result, err = n.fromWire(r.Value); err != nil {
 			return err
 		}
-		results[k] = v
-	}
-	if len(out.Resps) < len(seg) {
-		// The responder stops only at a failed entry, and that failure
-		// returned above — defensive against a malformed short vector.
-		return fmt.Errorf("runtime: fused run stopped after %d of %d entries on node %d", len(out.Resps), len(seg), home)
 	}
 	return nil
 }
 
 // fuseScatter executes an all-pure run: reads cannot observe each
-// other, so destination segments need no mutual ordering — each
-// remote group goes out as one DEPSEQ frame, all groups concurrently,
-// and locally-servable entries (owned receivers, cache and replica
-// peels) execute inline first.
-func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry, results []vm.Value) error {
-	var order []int           // destination ranks in first-occurrence order
-	groups := map[int][]int{} // rank → entry indices, program order
+// other, so destination groups need no mutual ordering. Entries that
+// are served without a round trip (owned receivers, cache and replica
+// peels) execute inline first; then each remote group goes out as one
+// DEPSEQ frame — every group but the last on its own goroutine, the
+// last on this one, so a single-home run spawns nothing and wakes
+// nobody.
+func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry) error {
+	var homesArr [4]int
+	homes := homesArr[:0] // destinations in first-occurrence order
 	for i := range buf {
-		home, ok := n.fuseRoute(&buf[i])
-		if !ok {
-			v, err := n.dispatchAccess(lt, buf[i].self, buf[i].kind, buf[i].member, buf[i].args)
-			if err != nil {
+		e := &buf[i]
+		if e.home == noHome {
+			if err := n.fuseDispatch(lt, e); err != nil {
 				return err
 			}
-			results[i] = v
-			continue
+		} else if !slices.Contains(homes, e.home) {
+			homes = append(homes, e.home)
 		}
-		if _, seen := groups[home]; !seen {
-			order = append(order, home)
-		}
-		groups[home] = append(groups[home], i)
 	}
-	if len(order) == 0 {
+	if len(homes) == 0 {
 		return nil
 	}
 	// One flush and one adaptation check for the whole gather — the
@@ -352,52 +429,69 @@ func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry, results []vm.Value) er
 		return err
 	}
 	n.maybeAdapt(lt)
-	// Payloads encode sequentially (the conversion path shares
-	// per-thread scratch); only the exchanges themselves overlap.
-	type gather struct {
-		home    int
-		seg     []fusedEntry
-		res     []vm.Value
-		payload []byte
-	}
-	gs := make([]gather, len(order))
-	for gi, home := range order {
-		idx := groups[home]
-		seg := make([]fusedEntry, len(idx))
-		for k, i := range idx {
-			seg[k] = buf[i]
-		}
-		payload, err := n.fuseEncode(lt, seg)
+	// Payloads encode sequentially, before any exchange starts: the
+	// conversion path uses per-thread scratch that a call-back served
+	// on this thread could otherwise touch concurrently.
+	var payloadsArr [4][]byte
+	payloads := payloadsArr[:0]
+	for _, home := range homes {
+		p, err := n.fuseEncode(lt, buf, home)
 		if err != nil {
 			return err
 		}
-		gs[gi] = gather{home: home, seg: seg, res: make([]vm.Value, len(seg)), payload: payload}
+		payloads = append(payloads, p)
 	}
-	errs := make([]error, len(gs))
+	last := len(homes) - 1
+	if last == 0 {
+		return n.fuseExchange(lt, homes[0], buf, payloads[0])
+	}
+	// Each exchange writes only its own group's entries.
+	errs := make([]error, len(homes))
 	var wg sync.WaitGroup
-	for gi := range gs {
-		wg.Add(1)
-		go func(gi int) {
+	wg.Add(last)
+	for g := 0; g < last; g++ {
+		go func(g, home int, payload []byte) {
 			defer wg.Done()
-			g := &gs[gi]
-			resp, err := n.rawRequest(lt, g.home, KindDepSeq, g.payload)
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			errs[gi] = n.fuseFinish(lt, g.home, g.seg, g.res, resp.Payload)
-		}(gi)
+			errs[g] = n.fuseExchange(lt, home, buf, payload)
+		}(g, homes[g], payloads[g])
 	}
+	errs[last] = n.fuseExchange(lt, homes[last], buf, payloads[last])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	for gi := range gs {
-		for k, i := range groups[gs[gi].home] {
-			results[i] = gs[gi].res[k]
-		}
-	}
 	return nil
+}
+
+// depSeqScratch is one DEPSEQ exchange's vector storage — the request
+// vector a server decodes and the response vector it builds, or the
+// response vector a client decodes — recycled through depSeqPool. It is
+// per exchange, never per thread: a thread's call-back can re-enter the
+// serve path on this node while one of its DEPSEQ serves is still open,
+// and a scatter's groups finish concurrently.
+type depSeqScratch struct {
+	seq  wire.DepSeq
+	resp wire.DepSeqResponse
+}
+
+var depSeqPool = sync.Pool{New: func() any { return new(depSeqScratch) }}
+
+// maxPooledSeq bounds the vectors depSeqPool retains.
+const maxPooledSeq = 256
+
+func getDepSeqScratch() *depSeqScratch { return depSeqPool.Get().(*depSeqScratch) }
+
+// putDepSeqScratch zeroes the vectors, so pooled storage pins no
+// decoded values, and recycles them.
+func putDepSeqScratch(s *depSeqScratch) {
+	if cap(s.seq.Reqs) > maxPooledSeq || cap(s.resp.Resps) > maxPooledSeq {
+		return
+	}
+	clear(s.seq.Reqs)
+	clear(s.resp.Resps)
+	s.seq.Reqs = s.seq.Reqs[:0]
+	s.resp.Resps = s.resp.Resps[:0]
+	depSeqPool.Put(s)
 }

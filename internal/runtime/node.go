@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1360,11 +1361,14 @@ func (n *Node) handle(msg transport.Message) {
 		// order, one DepResponse each, stopping at the first failure (a
 		// short vector tells the caller exactly which entries never ran).
 		// Per-entry forwarding works unchanged — serveDependence stamps
-		// Moved/NewHome on the affected entry alone.
-		out := wire.DepSeqResponse{}
-		if seq, err := wire.DecodeDepSeq(msg.Payload); err != nil {
-			out.Resps = []wire.DepResponse{{Err: err.Error()}}
+		// Moved/NewHome on the affected entry alone. Both vectors live in
+		// pooled per-exchange storage.
+		sc := getDepSeqScratch()
+		seq, out := &sc.seq, &sc.resp
+		if err := wire.DecodeDepSeqInto(msg.Payload, seq); err != nil {
+			out.Resps = append(out.Resps, wire.DepResponse{Err: err.Error()})
 		} else {
+			out.Resps = slices.Grow(out.Resps, len(seq.Reqs))
 			for i := range seq.Reqs {
 				n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
 				r := n.serveDependence(lt, &seq.Reqs[i])
@@ -1378,11 +1382,13 @@ func (n *Node) handle(msg transport.Message) {
 		// Thread bookkeeping rides on the final executed entry, exactly
 		// where a plain DEPENDENCE reply would carry it.
 		if len(out.Resps) == 0 {
-			out.Resps = []wire.DepResponse{{}}
+			out.Resps = append(out.Resps, wire.DepResponse{})
 		}
 		last := &out.Resps[len(out.Resps)-1]
 		finish(&last.Err, &last.AsyncErr, &last.AsyncDests)
-		reply(out.Encode())
+		payload := out.Encode()
+		putDepSeqScratch(sc)
+		reply(payload)
 	case KindBarrier:
 		// The barrier drains the thread's buffers relayed through this
 		// node and surfaces its deferred errors — plus any residual

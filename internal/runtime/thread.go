@@ -74,12 +74,15 @@ type lthread struct {
 	journal   map[journalKey][]byte
 
 	// fuseBuf holds the enqueued entries of the fused run this thread is
-	// currently inside (fusion on only; see natives.go fusedAccess). No
-	// lock: only the thread's own interpreter touches it, strictly
-	// between a run's first FuseEnq site and its FuseLast site, and the
-	// whitelisted bytecode between fused sites cannot unwind. Cleared
-	// defensively at retire.
+	// currently inside (see fusion.go fusedAccess); between runs it is
+	// the zeroed buffer the next run reuses. No lock: only the thread's
+	// own interpreter touches it, strictly between a run's first FuseEnq
+	// site and its FuseLast site, and the whitelisted bytecode between
+	// fused sites cannot unwind. Cleared defensively at retire.
 	fuseBuf []fusedEntry
+	// fuseReqs is fuseEncode's reusable request vector, zeroed after
+	// every encode.
+	fuseReqs []wire.DepRequest
 
 	// callBuf and wireBuf are per-thread scratch slices for call
 	// argument assembly and wire-value conversion. Safe to reuse

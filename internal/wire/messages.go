@@ -12,6 +12,8 @@ package wire
 // buffer back with PutBuf. Callers outside that lifecycle may simply
 // drop the slice; the pool refills elsewhere.
 
+import "slices"
+
 // NewRequest asks an object's home node to instantiate Class with Args.
 type NewRequest struct {
 	Class string
@@ -498,35 +500,192 @@ func DecodeBatch(data []byte) (Batch, error) {
 // produces a response; the responder executes entries in order and
 // stops at the first failure, so Resps in the reply may be shorter
 // than Reqs.
+//
+// The vector's entries use a presence-flags layout, as the frame
+// envelope does: each entry opens with a head byte naming the optional
+// fields that follow, and absent fields cost nothing. A request entry
+// is
+//
+//	head · [ID varint] · Kind varint · Member · [Class] · [Args]
+//
+// where the ID is omitted when it equals the previous entry's (0 before
+// the first), and a response entry is
+//
+//	head · Value · [OutArrays] · [Err] · [AsyncErr] · [AsyncDests] · [NewHome]
+//
+// with NewHome present exactly when Moved is set. An undefined head bit
+// is a decode error. The scalar DEPENDENCE and DEPENDENCE_BATCH bodies
+// keep their fixed layouts.
 type DepSeq struct {
 	Reqs []DepRequest
+}
+
+// Request entry head bits.
+const (
+	seqReqStatic = 1 << iota
+	seqReqSameID
+	seqReqClass
+	seqReqArgs
+
+	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs
+)
+
+// Response entry head bits; seqRespMoved also carries NewHome.
+const (
+	seqRespOutArrays = 1 << iota
+	seqRespErr
+	seqRespAsyncErr
+	seqRespAsyncDests
+	seqRespMoved
+
+	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespAsyncDests | seqRespMoved
+)
+
+// appendSeq encodes one request entry of a DEPSEQ vector; prevID is
+// the previous entry's ID (0 for the first).
+func (m *DepRequest) appendSeq(b []byte, prevID int64) []byte {
+	var head byte
+	if m.Static {
+		head |= seqReqStatic
+	}
+	if m.ID == prevID {
+		head |= seqReqSameID
+	}
+	if m.Class != "" {
+		head |= seqReqClass
+	}
+	if len(m.Args) > 0 {
+		head |= seqReqArgs
+	}
+	b = append(b, head)
+	if head&seqReqSameID == 0 {
+		b = appendVarint(b, m.ID)
+	}
+	b = appendVarint(b, int64(m.Kind))
+	b = appendString(b, m.Member)
+	if head&seqReqClass != 0 {
+		b = appendString(b, m.Class)
+	}
+	if head&seqReqArgs != 0 {
+		b = appendValues(b, m.Args)
+	}
+	return b
+}
+
+func (r *Reader) seqRequest(m *DepRequest, prevID int64) {
+	head := r.Byte()
+	if head&^seqReqBits != 0 {
+		r.fail("undefined DEPSEQ request bits %#x", head&^seqReqBits)
+		return
+	}
+	*m = DepRequest{ID: prevID, Static: head&seqReqStatic != 0}
+	if head&seqReqSameID == 0 {
+		m.ID = r.Varint()
+	}
+	m.Kind = int(r.Varint())
+	m.Member = r.Sym()
+	if head&seqReqClass != 0 {
+		m.Class = r.Sym()
+	}
+	if head&seqReqArgs != 0 {
+		m.Args = r.Values()
+	}
+}
+
+// appendSeq encodes one response entry of a DEPSEQ vector.
+func (m *DepResponse) appendSeq(b []byte) []byte {
+	var head byte
+	if len(m.OutArrays) > 0 {
+		head |= seqRespOutArrays
+	}
+	if m.Err != "" {
+		head |= seqRespErr
+	}
+	if m.AsyncErr != "" {
+		head |= seqRespAsyncErr
+	}
+	if len(m.AsyncDests) > 0 {
+		head |= seqRespAsyncDests
+	}
+	if m.Moved {
+		head |= seqRespMoved
+	}
+	b = append(b, head)
+	b = m.Value.Append(b)
+	if head&seqRespOutArrays != 0 {
+		b = appendValues(b, m.OutArrays)
+	}
+	if head&seqRespErr != 0 {
+		b = appendString(b, m.Err)
+	}
+	if head&seqRespAsyncErr != 0 {
+		b = appendString(b, m.AsyncErr)
+	}
+	if head&seqRespAsyncDests != 0 {
+		b = appendInts(b, m.AsyncDests)
+	}
+	if head&seqRespMoved != 0 {
+		b = appendUvarint(b, uint64(m.NewHome))
+	}
+	return b
+}
+
+func (r *Reader) seqResponse(m *DepResponse) {
+	head := r.Byte()
+	if head&^seqRespBits != 0 {
+		r.fail("undefined DEPSEQ response bits %#x", head&^seqRespBits)
+		return
+	}
+	*m = DepResponse{Value: r.Value(), Moved: head&seqRespMoved != 0}
+	if head&seqRespOutArrays != 0 {
+		m.OutArrays = r.Values()
+	}
+	if head&seqRespErr != 0 {
+		m.Err = r.String()
+	}
+	if head&seqRespAsyncErr != 0 {
+		m.AsyncErr = r.String()
+	}
+	if head&seqRespAsyncDests != 0 {
+		m.AsyncDests = r.ints()
+	}
+	if m.Moved {
+		m.NewHome = int(r.Uvarint())
+	}
 }
 
 // Encode serialises the sequence.
 func (m *DepSeq) Encode() []byte {
 	b := appendUvarint(GetBuf(), uint64(len(m.Reqs)))
+	var prev int64
 	for i := range m.Reqs {
-		b = m.Reqs[i].append(b)
+		b = m.Reqs[i].appendSeq(b, prev)
+		prev = m.Reqs[i].ID
 	}
 	return b
 }
 
 // DecodeDepSeq parses a DepSeq body.
 func DecodeDepSeq(data []byte) (DepSeq, error) {
-	r := NewReader(data)
 	var m DepSeq
+	err := DecodeDepSeqInto(data, &m)
+	return m, err
+}
+
+// DecodeDepSeqInto parses a DepSeq body into m, reusing the capacity of
+// m.Reqs: a caller that recycles m decodes without allocating the
+// vector. Every entry is overwritten, so recycled contents are never
+// observable.
+func DecodeDepSeqInto(data []byte, m *DepSeq) error {
+	r := Reader{buf: data}
 	n := r.count()
-	if r.Err() != nil {
-		return m, r.Err()
+	m.Reqs = slices.Grow(m.Reqs[:0], n)[:n]
+	var prev int64
+	for i := 0; i < n && r.err == nil; i++ {
+		r.seqRequest(&m.Reqs[i], prev)
+		prev = m.Reqs[i].ID
 	}
-	m.Reqs = make([]DepRequest, n)
-	for i := 0; i < n; i++ {
-		m.Reqs[i] = r.depRequest()
-		if r.Err() != nil {
-			return m, r.Err()
-		}
-	}
-	return m, r.Err()
+	return r.err
 }
 
 // DepSeqResponse answers a DepSeq with one DepResponse per executed
@@ -542,25 +701,25 @@ type DepSeqResponse struct {
 func (m *DepSeqResponse) Encode() []byte {
 	b := appendUvarint(GetBuf(), uint64(len(m.Resps)))
 	for i := range m.Resps {
-		b = m.Resps[i].append(b)
+		b = m.Resps[i].appendSeq(b)
 	}
 	return b
 }
 
 // DecodeDepSeqResponse parses a DepSeqResponse body.
 func DecodeDepSeqResponse(data []byte) (DepSeqResponse, error) {
-	r := NewReader(data)
 	var m DepSeqResponse
+	err := DecodeDepSeqResponseInto(data, &m)
+	return m, err
+}
+
+// DecodeDepSeqResponseInto is DecodeDepSeqInto for the response vector.
+func DecodeDepSeqResponseInto(data []byte, m *DepSeqResponse) error {
+	r := Reader{buf: data}
 	n := r.count()
-	if r.Err() != nil {
-		return m, r.Err()
+	m.Resps = slices.Grow(m.Resps[:0], n)[:n]
+	for i := 0; i < n && r.err == nil; i++ {
+		r.seqResponse(&m.Resps[i])
 	}
-	m.Resps = make([]DepResponse, n)
-	for i := 0; i < n; i++ {
-		m.Resps[i] = r.depResponse()
-		if r.Err() != nil {
-			return m, r.Err()
-		}
-	}
-	return m, r.Err()
+	return r.err
 }
