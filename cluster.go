@@ -27,7 +27,7 @@ type Value = vm.Value
 // migrated objects, forwarding hints, write-once caches, read replicas
 // — persists across invocations, so placement and replicas learned
 // serving request N make request N+1 cheaper (see
-// InvokeResult.RetainedHits). Shutdown drains and stops the nodes.
+// InvokeResult's RetainedHits). Shutdown drains and stops the nodes.
 type Cluster struct {
 	rt       *runtime.Cluster
 	cfg      Config
@@ -272,37 +272,11 @@ type InvokeResult struct {
 	// Wall is the host-measured invocation time (including any wait
 	// for the logical thread).
 	Wall time.Duration
-	// Messages and BytesSent count the distribution traffic this
-	// invocation generated; the remaining counters mirror RunResult's
-	// (see there for semantics).
-	Messages       int64
-	BytesSent      int64
-	CacheHits      int64
-	AsyncCalls     int64
-	BatchFrames    int64
-	Migrations     int64
-	Forwards       int64
-	ReplicaHits    int64
-	ReplicaFetches int64
-	Invalidations  int64
-	// RetainedHits counts the hits this invocation served from cache
-	// or replica state learned during an earlier invocation — direct
-	// evidence that the resident cluster's coherence state is carrying
-	// work across requests.
-	RetainedHits int64
-	// RedrivenInvocations counts how many times this invocation was
-	// re-executed after a node death (0 on the failure-free path; see
-	// Config.FailureRecovery).
-	RedrivenInvocations int64
-	// CompiledMethods, TierUps, CompiledEntries and Deopts are this
-	// invocation's share of the tiered-execution activity:
-	// compilations its logical thread triggered, promotions it
-	// performed, compiled frames it entered, and deopt fallbacks it
-	// took (see Config.Compile).
-	CompiledMethods int64
-	TierUps         int64
-	CompiledEntries int64
-	Deopts          int64
+	// Counters are this invocation's share of the cluster's counters
+	// (see RunResult for each one): what its logical thread did on every
+	// node. Retransmits and Recoveries stay 0 — the reliability layer
+	// heals frames below the runtime, where no thread owns them.
+	Counters
 }
 
 // Invoke executes a named static entrypoint of the ExecutionStarter
@@ -331,28 +305,7 @@ func (c *Cluster) Invoke(entry string, args ...Value) (*InvokeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &InvokeResult{
-		Entry:          entry,
-		Value:          v,
-		Wall:           time.Since(start),
-		Messages:       delta.MessagesSent,
-		BytesSent:      delta.BytesSent,
-		CacheHits:      delta.CacheHits,
-		AsyncCalls:     delta.AsyncCalls,
-		BatchFrames:    delta.BatchFrames,
-		Migrations:     delta.Migrations,
-		Forwards:       delta.Forwards,
-		ReplicaHits:    delta.ReplicaHits,
-		ReplicaFetches: delta.ReplicaFetches,
-		Invalidations:  delta.Invalidations,
-		RetainedHits:   delta.RetainedHits,
-
-		RedrivenInvocations: delta.RedrivenInvocations,
-		CompiledMethods:     delta.CompiledMethods,
-		TierUps:             delta.TierUps,
-		CompiledEntries:     delta.CompiledEntries,
-		Deopts:              delta.Deopts,
-	}, nil
+	return &InvokeResult{Entry: entry, Value: v, Wall: time.Since(start), Counters: delta}, nil
 }
 
 // coerceValue maps common Go values onto the VM's value domain.

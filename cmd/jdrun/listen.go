@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -21,9 +20,10 @@ import (
 // invocation lines (the -serve syntax) and gets one reply line per
 // request, in order per connection. Connections run concurrently; the
 // cluster's MaxConcurrent admission governs how many invocations
-// execute at once. "!stats" returns a benchfmt.StatsSnapshot as JSON;
-// "!shutdown" drains the cluster and returns. The bound address is
-// announced on stderr so callers may listen on port 0.
+// execute at once. "!stats" returns the cluster's counters as JSON
+// (benchfmt.StatsReply); "!shutdown" drains the cluster and returns.
+// The bound address is announced on stderr so callers may listen on
+// port 0.
 func listenLoop(dist *autodist.Distribution, cfg autodist.Config, addr string) error {
 	cluster, err := dist.Deploy(cfg)
 	if err != nil {
@@ -65,7 +65,7 @@ func listenLoop(dist *autodist.Distribution, cfg autodist.Config, addr string) e
 	if err := cluster.Shutdown(context.Background()); err != nil {
 		return err
 	}
-	printSummary(cfg.K, cluster.Stats(), cfg.Adaptive, cfg.Replicate, cfg.FailureRecovery, len(cfg.CPUSpeeds) > 0, cfg.Compile, cfg.Elastic, served)
+	printSummary(cfg.K, cluster.Stats(), served)
 	return nil
 }
 
@@ -87,25 +87,8 @@ func serveConn(c net.Conn, cluster *autodist.Cluster, shutdown func()) {
 		}
 		switch {
 		case line == "!stats":
-			res := cluster.Stats()
-			snap := benchfmt.StatsSnapshot{
-				Invocations:     cluster.Invocations(),
-				Messages:        res.Messages,
-				Bytes:           res.BytesSent,
-				Retransmits:     res.Retransmits,
-				Recoveries:      res.Recoveries,
-				FusedBatches:    res.FusedBatches,
-				FusedAccesses:   res.FusedAccesses,
-				CompiledMethods: res.CompiledMethods,
-				TierUps:         res.TierUps,
-				CompiledEntries: res.CompiledEntries,
-				Deopts:          res.Deopts,
-				Joins:           res.Joins,
-				Drains:          res.Drains,
-				Migrations:      res.Migrations,
-			}
-			data, _ := json.Marshal(snap)
-			fmt.Fprintf(w, "!stats %s\n", data)
+			c := cluster.Stats().Counters()
+			fmt.Fprintln(w, benchfmt.StatsReply(cluster.Invocations(), &c))
 		case line == "!join":
 			t0 := time.Now()
 			rank, err := cluster.Join()

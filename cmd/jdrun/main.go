@@ -44,6 +44,16 @@
 // bound address is announced on stderr ("listening on ...") so
 // harnesses can pass port 0.
 //
+// The "!stats" object always carries every key: invocations, then each
+// counter of autodist.Counters in snake_case — new_requests,
+// dep_requests, bytes_sent, messages_sent, cache_hits, async_calls,
+// batch_frames, batched_requests, migrations, forwards, replica_hits,
+// replica_fetches, invalidations, retained_hits, retransmits,
+// recoveries, promoted_replicas, redriven_invocations,
+// compiled_methods, tier_ups, compiled_entries, deopts, fused_batches,
+// fused_accesses, joins, drains, stale_views. The run summary and the
+// per-invocation lines of -serve print the nonzero ones as key=value.
+//
 // -recover wraps every endpoint in the reliability layer
 // (sequence-numbered frames, NACK- and RTT-driven retransmission,
 // heartbeat failure detection) and arms the runtime's recovery protocol: when a
@@ -54,8 +64,8 @@
 // ceiling);
 // -chaos injects deterministic seeded faults (frame drop / duplicate /
 // reorder probabilities) under the reliability layer, which must heal
-// them — the summary's "fault tolerance" line reports how much healing
-// happened.
+// them — the summary's retransmits= and recoveries= counters report
+// how much healing happened.
 //
 // -elastic (requires -adaptive and a resident mode) deploys the
 // cluster with membership enabled: "!join" on a -listen connection —
@@ -87,7 +97,9 @@ import (
 	"sync"
 
 	"autodist"
+	"autodist/internal/benchfmt"
 	"autodist/internal/experiments"
+	"autodist/internal/metrics"
 )
 
 func main() {
@@ -218,9 +230,8 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		if *compileTier {
-			fmt.Fprintf(os.Stderr, "tiered execution: %d compiled methods, %d tier-ups, %d compiled entries, %d deopts\n",
-				res.CompiledMethods, res.TierUps, res.CompiledEntries, res.Deopts)
+		if list := counterList(res.Counters()); list != "" {
+			fmt.Fprintln(os.Stderr, "counters:", list)
 		}
 		if *sim {
 			fmt.Fprintf(os.Stderr, "simulated time: %.6fs (wall %v)\n", res.SimSeconds, res.Wall)
@@ -262,7 +273,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	printSummary(*k, res, *adaptive, *replicate, *recover, *sim, *compileTier, *elastic, -1)
+	printSummary(*k, res, -1)
 }
 
 // serveLoop deploys the distribution resident and invokes one
@@ -309,16 +320,14 @@ func serveLoop(dist *autodist.Distribution, cfg autodist.Config) error {
 			return
 		}
 		stats[w].invocations++
-		stats[w].messages += res.Messages
+		stats[w].messages += res.MessagesSent
 		stats[w].bytes += res.BytesSent
 		if res.Value != nil {
 			fmt.Printf("%s = %v\n", res.Entry, res.Value)
 		} else {
 			fmt.Printf("%s ok\n", res.Entry)
 		}
-		fmt.Fprintf(os.Stderr, "  [%d msgs, %d bytes, %d cache hits (%d retained), %d replica hits, %d migrations, %v]\n",
-			res.Messages, res.BytesSent, res.CacheHits, res.RetainedHits,
-			res.ReplicaHits, res.Migrations, res.Wall)
+		fmt.Fprintf(os.Stderr, "  [%s] %v\n", counterList(res.Counters), res.Wall)
 	}
 
 	lines := make(chan string)
@@ -367,7 +376,7 @@ func serveLoop(dist *autodist.Distribution, cfg autodist.Config) error {
 				w, stats[w].invocations, stats[w].messages, stats[w].bytes, stats[w].failures)
 		}
 	}
-	printSummary(cfg.K, cluster.Stats(), cfg.Adaptive, cfg.Replicate, cfg.FailureRecovery, len(cfg.CPUSpeeds) > 0, cfg.Compile, cfg.Elastic, served)
+	printSummary(cfg.K, cluster.Stats(), served)
 	return nil
 }
 
@@ -445,47 +454,28 @@ func parseArg(f string) autodist.Value {
 	return strings.Trim(f, `"`)
 }
 
-// printSummary writes the cumulative traffic counters to stderr.
+// printSummary writes the run's cumulative counters to stderr.
 // served < 0 means a one-shot batch run.
-func printSummary(k int, res *autodist.RunResult, adaptive, replicate, recovery, sim, compiled, elastic bool, served int64) {
+func printSummary(k int, res *autodist.RunResult, served int64) {
 	if served >= 0 {
-		fmt.Fprintf(os.Stderr, "served %d invocations over %d nodes: %d messages, %d payload bytes (wall %v)\n",
-			served, k, res.Messages, res.BytesSent, res.Wall)
+		fmt.Fprintf(os.Stderr, "served %d invocations over %d nodes (wall %v)\n", served, k, res.Wall)
 	} else {
-		fmt.Fprintf(os.Stderr, "distributed over %d nodes: %d messages, %d payload bytes (wall %v)\n",
-			k, res.Messages, res.BytesSent, res.Wall)
+		fmt.Fprintf(os.Stderr, "distributed over %d nodes (wall %v)\n", k, res.Wall)
 	}
-	fmt.Fprintf(os.Stderr, "optimisations: %d cache hits, %d async calls in %d batch frames\n",
-		res.CacheHits, res.AsyncCalls, res.BatchFrames)
-	if res.FusedBatches > 0 {
-		fmt.Fprintf(os.Stderr, "fusion: %d fused accesses in %d DEPSEQ batches (%d round trips saved)\n",
-			res.FusedAccesses, res.FusedBatches, res.FusedAccesses-res.FusedBatches)
-	}
-	if served > 0 {
-		fmt.Fprintf(os.Stderr, "retention: %d hits served from state learned in earlier invocations\n",
-			res.RetainedHits)
-	}
-	if adaptive {
-		fmt.Fprintf(os.Stderr, "adaptive: %d live migrations, %d forwarded requests\n",
-			res.Migrations, res.Forwards)
-	}
-	if replicate {
-		fmt.Fprintf(os.Stderr, "replication: %d replica hits, %d fetches, %d invalidations\n",
-			res.ReplicaHits, res.ReplicaFetches, res.Invalidations)
-	}
-	if recovery {
-		fmt.Fprintf(os.Stderr, "fault tolerance: %d retransmits, %d recovered frames, %d promoted replicas, %d re-driven invocations\n",
-			res.Retransmits, res.Recoveries, res.PromotedReplicas, res.RedrivenInvocations)
-	}
-	if compiled {
-		fmt.Fprintf(os.Stderr, "tiered execution: %d compiled methods, %d tier-ups, %d compiled entries, %d deopts\n",
-			res.CompiledMethods, res.TierUps, res.CompiledEntries, res.Deopts)
-	}
-	if elastic {
-		fmt.Fprintf(os.Stderr, "membership: %d joins, %d drains, %d stale-view refusals\n",
-			res.Joins, res.Drains, res.StaleViews)
-	}
-	if sim {
+	fmt.Fprintln(os.Stderr, "counters:", counterList(res.Counters()))
+	if res.SimSeconds > 0 {
 		fmt.Fprintf(os.Stderr, "simulated time: %.6fs\n", res.SimSeconds)
 	}
+}
+
+// counterList renders every nonzero counter as key=value, keyed like
+// the "!stats" reply.
+func counterList(c autodist.Counters) string {
+	var parts []string
+	metrics.Each(&c, func(name string, v int64) {
+		if v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", benchfmt.StatsKey(name), v))
+		}
+	})
+	return strings.Join(parts, " ")
 }

@@ -265,26 +265,23 @@ func drive(addr string, conns int, initLine, line string, warmup, duration time.
 	// delta attributes internode frames and payload bytes to the
 	// window's invocations (including warmup stragglers, which wash
 	// out over any reasonable window).
-	if di := after.Invocations - before.Invocations; di > 0 {
-		run.FramesPerInvoke = float64(after.Messages-before.Messages) / float64(di)
-		run.BytesPerInvoke = float64(after.Bytes-before.Bytes) / float64(di)
+	delta := func(key string) int64 { return after[key] - before[key] }
+	if di := delta("invocations"); di > 0 {
+		run.FramesPerInvoke = float64(delta("messages_sent")) / float64(di)
+		run.BytesPerInvoke = float64(delta("bytes_sent")) / float64(di)
 	}
-	// Healing counters: nonzero only against a -recover server, and
-	// only when chaos (or a real fault) actually made the reliability
-	// layer work.
-	run.Retransmits = after.Retransmits - before.Retransmits
-	run.Recoveries = after.Recoveries - before.Recoveries
-	// Access-fusion counters: zero against a -nofuse server, so the
-	// fused/nofuse A/B entries are self-describing.
-	run.FusedBatches = after.FusedBatches - before.FusedBatches
-	run.FusedAccesses = after.FusedAccesses - before.FusedAccesses
-	// Tiered-execution counters: nonzero only against a -compile
-	// server (compilations and promotions may all land in warmup;
-	// compiled-frame entries keep accumulating through the window).
-	run.CompiledMethods = after.CompiledMethods - before.CompiledMethods
-	run.TierUps = after.TierUps - before.TierUps
-	run.CompiledEntries = after.CompiledEntries - before.CompiledEntries
-	run.Deopts = after.Deopts - before.Deopts
+	// Healing counters are nonzero only against a -recover server, the
+	// fusion counters zero against a -nofuse one, and the tier counters
+	// nonzero only against a -compile one (compilations may all land in
+	// warmup; compiled-frame entries keep accumulating).
+	run.Retransmits = delta("retransmits")
+	run.Recoveries = delta("recoveries")
+	run.FusedBatches = delta("fused_batches")
+	run.FusedAccesses = delta("fused_accesses")
+	run.CompiledMethods = delta("compiled_methods")
+	run.TierUps = delta("tier_ups")
+	run.CompiledEntries = delta("compiled_entries")
+	run.Deopts = delta("deopts")
 	return run, nil
 }
 
@@ -398,9 +395,9 @@ func runScaleout(addr string, conns int, initLine, line string, warmup, duration
 		K:          k,
 		JoinedRank: joinedRank,
 		JoinMs:     joinMs,
-		Joins:      after.Joins,
-		Drains:     after.Drains,
-		Migrations: after.Migrations,
+		Joins:      after["joins"],
+		Drains:     after["drains"],
+		Migrations: after["migrations"],
 	}
 	for p := range labels {
 		var all []time.Duration
@@ -630,11 +627,11 @@ func (c *client) roundTrip(line string) (string, error) {
 	return strings.TrimSpace(reply), nil
 }
 
-// stats fetches a counter snapshot.
-func (c *client) stats() (benchfmt.StatsSnapshot, error) {
+// stats fetches a counter snapshot, keyed as in the "!stats" reply.
+func (c *client) stats() (map[string]int64, error) {
 	reply, err := c.roundTrip("!stats")
 	if err != nil {
-		return benchfmt.StatsSnapshot{}, err
+		return nil, err
 	}
 	return benchfmt.ParseStatsReply(reply)
 }

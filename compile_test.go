@@ -2,9 +2,9 @@ package autodist_test
 
 // Differential correctness suite for the tiered-execution engine: every
 // workload must behave observably identically with Compile on and off —
-// byte-identical output, identical distribution counters (messages,
-// bytes, cache/replica/retained hits, migrations) and an identical
-// virtual clock. Compiled frames call the runtime's access natives
+// byte-identical output, identical distribution counters (every counter
+// but the tier's own and the timer-driven reliability ones) and an
+// identical virtual clock. Compiled frames call the runtime's access natives
 // directly, exactly where the interpreter would, so the coherence,
 // replication and migration machinery sees the same request stream,
 // stamped with the same simulated times. The suite also composes the
@@ -19,6 +19,7 @@ import (
 
 	"autodist"
 	"autodist/internal/experiments"
+	"autodist/internal/metrics"
 )
 
 // compileOn returns cfg's Compile-enabled twin at the most aggressive
@@ -31,14 +32,14 @@ func compileOn(cfg autodist.Config) autodist.Config {
 
 // runDiffPair runs one distributed workload twice — Compile off, then
 // on — and requires identical observable behaviour plus evidence the
-// compiled tier actually ran.
-func runDiffPair(t *testing.T, build func() (*autodist.Distribution, error), cfg autodist.Config) {
+// compiled tier actually ran. It returns both runs.
+func runDiffPair(t *testing.T, build func() (*autodist.Distribution, error), cfg autodist.Config) (off, on *autodist.RunResult) {
 	t.Helper()
 	dist, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := dist.Run(cfg)
+	off, err = dist.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,33 +47,27 @@ func runDiffPair(t *testing.T, build func() (*autodist.Distribution, error), cfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := dist.Run(compileOn(cfg))
+	on, err = dist.Run(compileOn(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Output != on.Output {
 		t.Errorf("output diverged:\ncompile off: %q\ncompile on:  %q", off.Output, on.Output)
 	}
-	counters := []struct {
-		name    string
-		off, on int64
-	}{
-		{"Messages", off.Messages, on.Messages},
-		{"BytesSent", off.BytesSent, on.BytesSent},
-		{"CacheHits", off.CacheHits, on.CacheHits},
-		{"AsyncCalls", off.AsyncCalls, on.AsyncCalls},
-		{"Migrations", off.Migrations, on.Migrations},
-		{"Forwards", off.Forwards, on.Forwards},
-		{"ReplicaHits", off.ReplicaHits, on.ReplicaHits},
-		{"ReplicaFetches", off.ReplicaFetches, on.ReplicaFetches},
-		{"Invalidations", off.Invalidations, on.Invalidations},
-		{"RetainedHits", off.RetainedHits, on.RetainedHits},
-	}
-	for _, c := range counters {
-		if c.off != c.on {
-			t.Errorf("%s diverged: compile off %d, on %d", c.name, c.off, c.on)
+	offC, onC := off.Counters(), on.Counters()
+	onV := map[string]int64{}
+	metrics.Each(&onC, func(name string, v int64) { onV[name] = v })
+	metrics.Each(&offC, func(name string, v int64) {
+		switch name {
+		case "CompiledMethods", "TierUps", "CompiledEntries", "Deopts": // the tier's own
+			return
+		case "Retransmits", "Recoveries": // driven by timers, not the program
+			return
 		}
-	}
+		if v != onV[name] {
+			t.Errorf("%s diverged: compile off %d, on %d", name, v, onV[name])
+		}
+	})
 	if off.CompiledMethods != 0 || off.TierUps != 0 || off.Deopts != 0 {
 		t.Errorf("Compile off reported tier activity: %d compiled, %d tier-ups, %d deopts",
 			off.CompiledMethods, off.TierUps, off.Deopts)
@@ -81,6 +76,7 @@ func runDiffPair(t *testing.T, build func() (*autodist.Distribution, error), cfg
 		t.Errorf("Compile on never ran compiled code: %d compiled, %d tier-ups",
 			on.CompiledMethods, on.TierUps)
 	}
+	return off, on
 }
 
 // partitioned compiles src and partitions it k ways (seed 1) under the
@@ -144,6 +140,55 @@ func readMostlyDist() (*autodist.Distribution, error) {
 	return plan.RewriteWith(autodist.RewriteOptions{Replicate: true})
 }
 
+// fusedSweepSource's sweep reads four fields of a remote Sink per
+// iteration into locals consumed only after the last read, so each
+// iteration is one fused run: a single DEPSEQ round trip.
+const fusedSweepSource = `
+class Sink {
+	int p0; int p1; int p2; int p3;
+	Sink() { this.p0 = 1; this.p1 = 2; this.p2 = 3; this.p3 = 4; }
+	void stir(int v) { this.p0 = v; this.p1 = v + 1; this.p2 = v + 2; this.p3 = v + 3; }
+}
+class Main {
+	static Sink s;
+	static int sweep(int n) {
+		Sink t = Main.s;
+		int acc = 0;
+		for (int i = 0; i < n; i++) {
+			int a = t.p0;
+			int b = t.p1;
+			int c = t.p2;
+			int d = t.p3;
+			acc = acc + a + b + c + d;
+		}
+		return acc;
+	}
+	static void main() {
+		Main.s = new Sink();
+		Main.s.stir(5);
+		int total = 0;
+		for (int r = 0; r < 8; r++) { total = total + Main.sweep(16); }
+		System.println("total=" + total);
+	}
+}`
+
+// fusedSweepDist places the Sink on node 1, away from main.
+func fusedSweepDist() (*autodist.Distribution, error) {
+	an, plan, err := partitioned(fusedSweepSource, 2)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range an.Result.ODG.Graph.Vertices() {
+		v.Part = 0
+	}
+	for _, s := range an.Result.ODG.Sites {
+		if s.Allocated == "Sink" {
+			an.Result.ODG.Graph.Vertex(s.Node).Part = 1
+		}
+	}
+	return plan.Rewrite()
+}
+
 // TestCompileDifferentialQuickstart: the bank example.
 func TestCompileDifferentialQuickstart(t *testing.T) {
 	runDiffPair(t, bankDist, autodist.Config{})
@@ -160,6 +205,16 @@ func TestCompileDifferentialPhaseShift(t *testing.T) {
 // frames reach the replicas through the same access natives.
 func TestCompileDifferentialReadMostly(t *testing.T) {
 	runDiffPair(t, readMostlyDist, autodist.Config{Replicate: true})
+}
+
+// TestCompileDifferentialFusedRun: compiled frames call the access
+// natives, which must still fuse each run into one DEPSEQ exchange.
+func TestCompileDifferentialFusedRun(t *testing.T) {
+	_, on := runDiffPair(t, fusedSweepDist, autodist.Config{})
+	if on.FusedBatches != 8*16 || on.FusedAccesses != 4*8*16 {
+		t.Errorf("compiled sweep fused %d accesses in %d batches, want %d in %d",
+			on.FusedAccesses, on.FusedBatches, 4*8*16, 8*16)
+	}
 }
 
 // TestCompileVirtualClockParity: with CPUSpeeds set, natives stamp
@@ -222,7 +277,7 @@ func TestCompileDifferentialService(t *testing.T) {
 		invoke := func(entry string, args ...autodist.Value) {
 			v, res := invokeInt(t, cluster, entry, args...)
 			o.vals = append(o.vals, v)
-			o.messages += res.Messages
+			o.messages += res.MessagesSent
 			o.retained += res.RetainedHits
 			tierUps += res.TierUps
 		}

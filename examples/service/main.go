@@ -117,10 +117,10 @@ func main() {
 		fail(fmt.Errorf("label() = %v then %v, want 7", first.Value, second.Value))
 	}
 	fmt.Printf("label(): first invocation %d msgs, second %d msgs (%d hits retained across invocations)\n",
-		first.Messages, second.Messages, second.RetainedHits)
-	if second.Messages >= first.Messages {
+		first.MessagesSent, second.MessagesSent, second.RetainedHits)
+	if second.MessagesSent >= first.MessagesSent {
 		fail(fmt.Errorf("retention failed: second label() cost %d msgs, first cost %d",
-			second.Messages, first.Messages))
+			second.MessagesSent, first.MessagesSent))
 	}
 
 	// Concurrent request phase: distinct slots written from distinct

@@ -11,58 +11,50 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"unicode"
+
+	"autodist/internal/metrics"
 )
 
-// StatsSnapshot is the counter snapshot a jdrun -listen server returns
-// for the "!stats" meta command: cumulative since deployment, so a
-// harness differences two snapshots around its measurement window to
-// attribute traffic to it.
-type StatsSnapshot struct {
-	// Invocations counts entrypoint invocations served.
-	Invocations int64 `json:"invocations"`
-	// Messages counts frames sent between cluster nodes; Bytes counts
-	// their payload bytes.
-	Messages int64 `json:"messages"`
-	Bytes    int64 `json:"bytes"`
-	// Retransmits counts frames the reliability layer resent;
-	// Recoveries counts frames it healed on receive (late arrivals
-	// delivered, duplicates suppressed). Both are zero unless the
-	// server runs with -recover.
-	Retransmits int64 `json:"retransmits,omitempty"`
-	Recoveries  int64 `json:"recoveries,omitempty"`
-	// FusedBatches counts DEPSEQ frames access fusion sent (one per
-	// destination segment of a fused run); FusedAccesses counts the
-	// accesses those frames carried. Both zero when the server runs
-	// with -nofuse.
-	FusedBatches  int64 `json:"fused_batches,omitempty"`
-	FusedAccesses int64 `json:"fused_accesses,omitempty"`
-	// CompiledMethods/TierUps/CompiledEntries/Deopts are the
-	// tiered-execution counters (TierUps counts interpreter→compiled
-	// promotions, CompiledEntries how many times compiled code ran);
-	// all zero unless the server runs with -compile.
-	CompiledMethods int64 `json:"compiled_methods,omitempty"`
-	TierUps         int64 `json:"tier_ups,omitempty"`
-	CompiledEntries int64 `json:"compiled_entries,omitempty"`
-	Deopts          int64 `json:"deopts,omitempty"`
-	// Joins/Drains count membership transitions; Migrations counts live
-	// object moves (admission seeding plus adaptation). All zero unless
-	// the server runs with -elastic.
-	Joins      int64 `json:"joins,omitempty"`
-	Drains     int64 `json:"drains,omitempty"`
-	Migrations int64 `json:"migrations,omitempty"`
+// StatsReply renders the reply a jdrun -listen server sends for the
+// "!stats" meta command: "!stats " and a JSON object holding
+// "invocations" plus every counter of *c, keyed by StatsKey. The
+// counters are cumulative since deployment, so a harness differences
+// two replies around its measurement window.
+func StatsReply[T any](invocations int64, c *T) string {
+	m := map[string]int64{"invocations": invocations}
+	metrics.Each(c, func(name string, v int64) { m[StatsKey(name)] = v })
+	data, _ := json.Marshal(m) // a map[string]int64 always marshals
+	return "!stats " + string(data)
 }
 
-// ParseStatsReply parses the server's "!stats {json}" reply line.
-func ParseStatsReply(reply string) (StatsSnapshot, error) {
-	var snap StatsSnapshot
+// StatsKey names a counter outside Go: its field name in snake_case
+// ("MessagesSent" → "messages_sent").
+func StatsKey(field string) string {
+	var b strings.Builder
+	for i, r := range field {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// ParseStatsReply parses a StatsReply line into its keys and values.
+func ParseStatsReply(reply string) (map[string]int64, error) {
 	rest, ok := strings.CutPrefix(reply, "!stats ")
 	if !ok {
-		return snap, fmt.Errorf("benchfmt: malformed stats reply %q", reply)
+		return nil, fmt.Errorf("benchfmt: malformed stats reply %q", reply)
 	}
-	if err := json.Unmarshal([]byte(rest), &snap); err != nil {
-		return snap, fmt.Errorf("benchfmt: stats reply: %w", err)
+	var m map[string]int64
+	if err := json.Unmarshal([]byte(rest), &m); err != nil {
+		return nil, fmt.Errorf("benchfmt: stats reply: %w", err)
 	}
-	return snap, nil
+	return m, nil
 }
 
 // TransportRun is one measured loadgen configuration: a label (e.g.

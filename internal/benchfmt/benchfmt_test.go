@@ -70,12 +70,17 @@ func TestReportFileRoundTrip(t *testing.T) {
 }
 
 func TestParseStatsReply(t *testing.T) {
-	snap, err := ParseStatsReply(`!stats {"invocations":12,"messages":34,"bytes":56}`)
+	type counters struct{ MessagesSent, BytesSent int64 }
+	reply := StatsReply(12, &counters{34, 56})
+	if reply != `!stats {"bytes_sent":56,"invocations":12,"messages_sent":34}` {
+		t.Fatalf("StatsReply = %q", reply)
+	}
+	m, err := ParseStatsReply(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Invocations != 12 || snap.Messages != 34 || snap.Bytes != 56 {
-		t.Fatalf("bad snapshot %+v", snap)
+	if len(m) != 3 || m["invocations"] != 12 || m["messages_sent"] != 34 || m["bytes_sent"] != 56 {
+		t.Fatalf("bad snapshot %v", m)
 	}
 	if _, err := ParseStatsReply("nonsense"); err == nil {
 		t.Error("malformed reply accepted")

@@ -13,6 +13,7 @@ import (
 	"autodist/internal/bytecode"
 	"autodist/internal/jit"
 	"autodist/internal/membership"
+	"autodist/internal/metrics"
 	"autodist/internal/rewrite"
 	"autodist/internal/transport"
 	"autodist/internal/vm"
@@ -478,7 +479,7 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	nodes := c.nodesSnapshot()
 	for _, n := range nodes {
 		st, dests, aerr := n.retireThread(tid)
-		delta.add(st)
+		metrics.Add(&delta, st)
 		c.noteResidDests(dests)
 		if aerr != "" && err == nil {
 			err = fmt.Errorf("deferred async failure on node %d: %s", n.Rank, aerr)
@@ -809,7 +810,7 @@ func (c *Cluster) SimSecondsObserved() float64 {
 func (c *Cluster) TotalStats() NodeStats {
 	var s NodeStats
 	for _, n := range c.nodesSnapshot() {
-		s.add(n.Stats.snapshot())
+		metrics.Add(&s, metrics.Load(&n.Stats))
 		// Fold in the transport reliability layer's fault counters, so
 		// the one stats surface reports retransmissions and healed
 		// frames alongside the protocol counters.

@@ -13,6 +13,7 @@ import (
 
 	"autodist/internal/analysis"
 	"autodist/internal/compile"
+	"autodist/internal/metrics"
 	"autodist/internal/rewrite"
 	"autodist/internal/runtime"
 	"autodist/internal/transport"
@@ -116,15 +117,15 @@ func TestConcurrentThreadsMutualExclusion(t *testing.T) {
 
 // TestPerThreadStatsAttribution: with concurrent invocations in
 // flight, each invocation's delta counts its own thread's traffic —
-// nonzero for an entrypoint that crosses the wire, and the deltas plus
-// system traffic reconcile with the cluster totals.
+// nonzero for an entrypoint that crosses the wire — and, counter by
+// counter, the deltas sum to no more than the cluster totals.
 func TestPerThreadStatsAttribution(t *testing.T) {
 	c := buildConcurrentCluster(t, addServiceSource, "Counter", 4)
 	defer c.Shutdown(context.Background())
 
 	const goroutines, per = 4, 8
 	var mu sync.Mutex
-	var deltaSum int64
+	var deltaSum runtime.NodeStats
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -142,7 +143,7 @@ func TestPerThreadStatsAttribution(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				deltaSum += delta.MessagesSent
+				metrics.Add(&deltaSum, delta)
 				mu.Unlock()
 			}
 		}()
@@ -152,14 +153,19 @@ func TestPerThreadStatsAttribution(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	total := c.TotalStats().MessagesSent
-	if deltaSum > total {
-		t.Errorf("per-invocation deltas sum to %d messages, more than the cluster total %d", deltaSum, total)
-	}
+	total := c.TotalStats()
+	totals := map[string]int64{}
+	metrics.Each(&total, func(name string, v int64) { totals[name] = v })
+	metrics.Each(&deltaSum, func(name string, v int64) {
+		if v > totals[name] {
+			t.Errorf("per-invocation deltas sum to %d %s, more than the cluster total %d", v, name, totals[name])
+		}
+	})
 	// Every add is a request+response pair at least; the thread deltas
 	// must account for the overwhelming share of total traffic.
-	if deltaSum*2 < total {
-		t.Errorf("per-invocation deltas (%d msgs) account for under half the cluster total (%d)", deltaSum, total)
+	if deltaSum.MessagesSent*2 < total.MessagesSent {
+		t.Errorf("per-invocation deltas (%d msgs) account for under half the cluster total (%d)",
+			deltaSum.MessagesSent, total.MessagesSent)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autodist/internal/bytecode"
@@ -237,9 +236,14 @@ type batchJob struct {
 	done chan struct{}
 }
 
-// NodeStats counts messages for the evaluation harness. All fields are
-// updated atomically (request handlers run concurrently).
+// NodeStats counts messages for the evaluation harness. It is the one
+// declaration of the runtime's counters: every reader walks it with
+// internal/metrics, so every field must be an int64, updated atomically
+// through Node.count (request handlers run concurrently), and each needs
+// a twin of the same name in autodist.RunResult.
 type NodeStats struct {
+	// NewRequests and DepRequests count the remote NEW and DEPENDENCE
+	// requests this node served, batched and fused entries included.
 	NewRequests  int64
 	DepRequests  int64
 	BytesSent    int64
@@ -313,102 +317,6 @@ type NodeStats struct {
 	Joins      int64
 	Drains     int64
 	StaleViews int64
-}
-
-// add accumulates s2 into s.
-func (s *NodeStats) add(s2 NodeStats) {
-	s.NewRequests += s2.NewRequests
-	s.DepRequests += s2.DepRequests
-	s.BytesSent += s2.BytesSent
-	s.MessagesSent += s2.MessagesSent
-	s.CacheHits += s2.CacheHits
-	s.AsyncCalls += s2.AsyncCalls
-	s.BatchFrames += s2.BatchFrames
-	s.BatchedRequests += s2.BatchedRequests
-	s.Migrations += s2.Migrations
-	s.Forwards += s2.Forwards
-	s.ReplicaHits += s2.ReplicaHits
-	s.ReplicaFetches += s2.ReplicaFetches
-	s.Invalidations += s2.Invalidations
-	s.RetainedHits += s2.RetainedHits
-	s.Retransmits += s2.Retransmits
-	s.Recoveries += s2.Recoveries
-	s.PromotedReplicas += s2.PromotedReplicas
-	s.RedrivenInvocations += s2.RedrivenInvocations
-	s.CompiledMethods += s2.CompiledMethods
-	s.TierUps += s2.TierUps
-	s.CompiledEntries += s2.CompiledEntries
-	s.Deopts += s2.Deopts
-	s.FusedBatches += s2.FusedBatches
-	s.FusedAccesses += s2.FusedAccesses
-	s.Joins += s2.Joins
-	s.Drains += s2.Drains
-	s.StaleViews += s2.StaleViews
-}
-
-// sub subtracts s2 from s (for per-invocation deltas of snapshots).
-func (s *NodeStats) sub(s2 NodeStats) {
-	s.NewRequests -= s2.NewRequests
-	s.DepRequests -= s2.DepRequests
-	s.BytesSent -= s2.BytesSent
-	s.MessagesSent -= s2.MessagesSent
-	s.CacheHits -= s2.CacheHits
-	s.AsyncCalls -= s2.AsyncCalls
-	s.BatchFrames -= s2.BatchFrames
-	s.BatchedRequests -= s2.BatchedRequests
-	s.Migrations -= s2.Migrations
-	s.Forwards -= s2.Forwards
-	s.ReplicaHits -= s2.ReplicaHits
-	s.ReplicaFetches -= s2.ReplicaFetches
-	s.Invalidations -= s2.Invalidations
-	s.RetainedHits -= s2.RetainedHits
-	s.Retransmits -= s2.Retransmits
-	s.Recoveries -= s2.Recoveries
-	s.PromotedReplicas -= s2.PromotedReplicas
-	s.RedrivenInvocations -= s2.RedrivenInvocations
-	s.CompiledMethods -= s2.CompiledMethods
-	s.TierUps -= s2.TierUps
-	s.CompiledEntries -= s2.CompiledEntries
-	s.Deopts -= s2.Deopts
-	s.FusedBatches -= s2.FusedBatches
-	s.FusedAccesses -= s2.FusedAccesses
-	s.Joins -= s2.Joins
-	s.Drains -= s2.Drains
-	s.StaleViews -= s2.StaleViews
-}
-
-// snapshot returns an atomically loaded copy.
-func (s *NodeStats) snapshot() NodeStats {
-	return NodeStats{
-		NewRequests:     atomic.LoadInt64(&s.NewRequests),
-		DepRequests:     atomic.LoadInt64(&s.DepRequests),
-		BytesSent:       atomic.LoadInt64(&s.BytesSent),
-		MessagesSent:    atomic.LoadInt64(&s.MessagesSent),
-		CacheHits:       atomic.LoadInt64(&s.CacheHits),
-		AsyncCalls:      atomic.LoadInt64(&s.AsyncCalls),
-		BatchFrames:     atomic.LoadInt64(&s.BatchFrames),
-		BatchedRequests: atomic.LoadInt64(&s.BatchedRequests),
-		Migrations:      atomic.LoadInt64(&s.Migrations),
-		Forwards:        atomic.LoadInt64(&s.Forwards),
-		ReplicaHits:     atomic.LoadInt64(&s.ReplicaHits),
-		ReplicaFetches:  atomic.LoadInt64(&s.ReplicaFetches),
-		Invalidations:   atomic.LoadInt64(&s.Invalidations),
-		RetainedHits:    atomic.LoadInt64(&s.RetainedHits),
-
-		Retransmits:         atomic.LoadInt64(&s.Retransmits),
-		Recoveries:          atomic.LoadInt64(&s.Recoveries),
-		PromotedReplicas:    atomic.LoadInt64(&s.PromotedReplicas),
-		RedrivenInvocations: atomic.LoadInt64(&s.RedrivenInvocations),
-		CompiledMethods:     atomic.LoadInt64(&s.CompiledMethods),
-		TierUps:             atomic.LoadInt64(&s.TierUps),
-		CompiledEntries:     atomic.LoadInt64(&s.CompiledEntries),
-		Deopts:              atomic.LoadInt64(&s.Deopts),
-		FusedBatches:        atomic.LoadInt64(&s.FusedBatches),
-		FusedAccesses:       atomic.LoadInt64(&s.FusedAccesses),
-		Joins:               atomic.LoadInt64(&s.Joins),
-		Drains:              atomic.LoadInt64(&s.Drains),
-		StaleViews:          atomic.LoadInt64(&s.StaleViews),
-	}
 }
 
 // objGate is one object's access gate. Under the single-logical-thread

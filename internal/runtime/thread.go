@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"autodist/internal/metrics"
 	"autodist/internal/vm"
 	"autodist/internal/wire"
 )
@@ -203,7 +204,7 @@ func (n *Node) retireThread(tid uint64) (stats NodeStats, dests []int, asyncErr 
 	}
 	sort.Ints(dests)
 	lt.fuseBuf = nil
-	stats = lt.stats.snapshot()
+	stats = metrics.Load(&lt.stats)
 	// The interpreter thread has quiesced (its invocation completed and
 	// its context is unregistered), so its tiered-execution counters
 	// are stable: fold them into the per-invocation delta. They are

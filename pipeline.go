@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"time"
 
@@ -277,6 +278,11 @@ const DefaultCompileThreshold = 64
 // NetModel re-exports the runtime's communication cost model.
 type NetModel = runtime.NetModel
 
+// Counters re-exports the runtime's protocol counters, the one
+// declaration every stats reader walks. RunResult documents what each
+// counts; its Messages is MessagesSent here.
+type Counters = runtime.NodeStats
+
 const defaultMaxSteps = 2_000_000_000
 
 // RunResult reports an execution's outcome.
@@ -296,14 +302,20 @@ type RunResult struct {
 	Messages int64
 	// BytesSent counts payload bytes moved between nodes.
 	BytesSent int64
+	// NewRequests and DepRequests count the remote NEW and DEPENDENCE
+	// requests served, batched and fused entries included.
+	NewRequests int64
+	DepRequests int64
 	// CacheHits counts remote field reads served from the proxy-side
 	// cache (zero messages each).
 	CacheHits int64
 	// AsyncCalls counts void invocations executed as fire-and-forget
 	// asynchronous messages; BatchFrames counts the transport frames
-	// that carried them after aggregation.
-	AsyncCalls  int64
-	BatchFrames int64
+	// that carried them after aggregation, and BatchedRequests the
+	// messages inside those frames.
+	AsyncCalls      int64
+	BatchFrames     int64
+	BatchedRequests int64
 	// Migrations counts live object migrations executed by the
 	// adaptive-repartitioning subsystem; Forwards counts stale
 	// requests relayed to an object's new home during handoff. Both
@@ -364,31 +376,30 @@ type RunResult struct {
 }
 
 // fillStats copies the runtime's protocol counters into the result.
-func (r *RunResult) fillStats(s runtime.NodeStats) {
-	r.Messages = s.MessagesSent
-	r.BytesSent = s.BytesSent
-	r.CacheHits = s.CacheHits
-	r.AsyncCalls = s.AsyncCalls
-	r.BatchFrames = s.BatchFrames
-	r.Migrations = s.Migrations
-	r.Forwards = s.Forwards
-	r.ReplicaHits = s.ReplicaHits
-	r.ReplicaFetches = s.ReplicaFetches
-	r.Invalidations = s.Invalidations
-	r.RetainedHits = s.RetainedHits
-	r.FusedBatches = s.FusedBatches
-	r.FusedAccesses = s.FusedAccesses
-	r.Retransmits = s.Retransmits
-	r.Recoveries = s.Recoveries
-	r.PromotedReplicas = s.PromotedReplicas
-	r.RedrivenInvocations = s.RedrivenInvocations
-	r.CompiledMethods = s.CompiledMethods
-	r.TierUps = s.TierUps
-	r.CompiledEntries = s.CompiledEntries
-	r.Deopts = s.Deopts
-	r.Joins = s.Joins
-	r.Drains = s.Drains
-	r.StaleViews = s.StaleViews
+func (r *RunResult) fillStats(c Counters) {
+	r.counterTwins(&c, func(counter, twin reflect.Value) { twin.SetInt(counter.Int()) })
+}
+
+// Counters returns the result's counters as the runtime declares them,
+// to walk by name.
+func (r *RunResult) Counters() Counters {
+	var c Counters
+	r.counterTwins(&c, func(counter, twin reflect.Value) { counter.SetInt(twin.Int()) })
+	return c
+}
+
+// counterTwins calls fn with every counter of *c and its RunResult
+// twin: the field of the same name, except that RunResult calls
+// MessagesSent Messages. A counter without a twin panics.
+func (r *RunResult) counterTwins(c *Counters, fn func(counter, twin reflect.Value)) {
+	cv, rv := reflect.ValueOf(c).Elem(), reflect.ValueOf(r).Elem()
+	for i := range cv.NumField() {
+		name := cv.Type().Field(i).Name
+		if name == "MessagesSent" {
+			name = "Messages"
+		}
+		fn(cv.Field(i), rv.FieldByName(name))
+	}
 }
 
 // newVM is the shared VM-setup path of Program.Run and

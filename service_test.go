@@ -207,12 +207,12 @@ func TestClusterRetainsStateAcrossInvokes(t *testing.T) {
 	if first.Value != int64(7) || second.Value != int64(7) {
 		t.Fatalf("label() = %v then %v, want 7 both times", first.Value, second.Value)
 	}
-	if first.Messages == 0 {
+	if first.MessagesSent == 0 {
 		t.Fatalf("first label() sent no messages; the Table is not remote from the starter")
 	}
-	if second.Messages >= first.Messages {
+	if second.MessagesSent >= first.MessagesSent {
 		t.Errorf("second label() sent %d messages, want strictly fewer than the first's %d",
-			second.Messages, first.Messages)
+			second.MessagesSent, first.MessagesSent)
 	}
 	if second.RetainedHits == 0 {
 		t.Error("second label() reported no retained hits; cross-invocation cache retention broken")
