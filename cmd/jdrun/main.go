@@ -9,7 +9,7 @@
 //	jdrun -k 2 -tcp prog.mj            # distributed over local TCP
 //	jdrun -k 2 -sim prog.mj            # report simulated times (1.7GHz + 800MHz nodes)
 //	jdrun -k 2 -adaptive prog.mj       # adaptive repartitioning with live migration
-//	jdrun -k 3 -replicate prog.mj      # read-replication with invalidate-on-write
+//	jdrun -k 3 -replicate prog.mj      # read-replication with update-or-invalidate
 //	jdrun -k 2 -serve prog.mj          # deploy resident, read invocations from stdin
 //	jdrun -k 2 -serve -concurrency 8 prog.mj  # dispatch stdin invocations from 8 workers
 //	jdrun -k 2 -tcp -listen 127.0.0.1:0 -concurrency 8 prog.mj  # network invocation server
@@ -48,8 +48,8 @@
 // counter of autodist.Counters in snake_case — new_requests,
 // dep_requests, bytes_sent, messages_sent, cache_hits, async_calls,
 // batch_frames, batched_requests, migrations, forwards, replica_hits,
-// replica_fetches, invalidations, retained_hits, retransmits,
-// recoveries, promoted_replicas, redriven_invocations,
+// replica_fetches, invalidations, replica_updates, retained_hits,
+// retransmits, recoveries, promoted_replicas, redriven_invocations,
 // compiled_methods, tier_ups, compiled_entries, deopts, fused_batches,
 // fused_accesses, joins, drains, stale_views. The run summary and the
 // per-invocation lines of -serve print the nonzero ones as key=value.
@@ -111,7 +111,7 @@ func main() {
 	nofuse := flag.Bool("nofuse", false, "disable access fusion (one DEPENDENCE round trip per remote access; A/B lever)")
 	adaptive := flag.Bool("adaptive", false, "treat the partition as an initial placement: migrate objects to their observed communication affinity at run time")
 	adaptEvery := flag.Int("adapt-every", 0, "adaptation epoch in synchronous requests (0 = default)")
-	replicate := flag.Bool("replicate", false, "replicate read-mostly objects onto reader nodes (invalidate-on-write coherence)")
+	replicate := flag.Bool("replicate", false, "replicate read-mostly objects onto reader nodes (update-or-invalidate coherence)")
 	sim := flag.Bool("sim", false, "enable the virtual clock (paper's heterogeneous testbed)")
 	serve := flag.Bool("serve", false, "deploy the cluster resident and invoke entrypoints read from stdin")
 	listen := flag.String("listen", "", "deploy the cluster resident and serve invocations over TCP on this address")

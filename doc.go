@@ -60,9 +60,10 @@
 // Plan.RewriteWith composes the modes. RewriteOptions.Replicate stamps
 // read-replication access kinds for read-mostly classes; run with
 // Config.Replicate, proxies then serve those reads from local
-// replica snapshots kept coherent by an invalidate-on-write protocol
-// (see the ReplicaHits, ReplicaFetches and Invalidations counters on
-// RunResult).
+// replica snapshots kept coherent by an update-or-invalidate protocol:
+// a write of a scalar patches every replica, any other write drops
+// them (see the ReplicaHits, ReplicaFetches, Invalidations and
+// ReplicaUpdates counters on RunResult).
 //
 // Sequential execution (prog.Run), profiling (prog.Profile), quad-IR
 // listings and retargetable x86/StrongARM code generation

@@ -323,7 +323,7 @@ func (f *Facts) fail(mid MethodID) bool {
 // statics, no allocations, no calls on other objects, no escape of
 // `this`. Such a method executed on a field snapshot returns exactly
 // what the owner would return as long as the snapshot is valid, which
-// the invalidate-on-write protocol guarantees.
+// the update-or-invalidate protocol guarantees.
 func (f *Facts) ReplicaRead(cls, name, desc string) bool {
 	if f == nil {
 		return false

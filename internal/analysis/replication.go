@@ -24,8 +24,8 @@ import (
 // ReadWriteRatio is the intensity gate: a class qualifies only when
 // its inheritance chain's observed reads exceed ReadWriteRatio times
 // its writes (each write costs an INVALIDATE/REPLICA-ACK exchange per
-// reader plus an amortised re-fetch, so break-even sits well above
-// 1:1).
+// reader, plus a re-fetch when it stores a reference or an array, so
+// break-even sits above 1:1).
 const ReadWriteRatio = 2
 
 // ReplicaIntensity is the read/write-intensity pass result, exported

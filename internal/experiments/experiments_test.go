@@ -343,7 +343,7 @@ func TestReplicationTableColumns(t *testing.T) {
 		t.Fatalf("replication table too short: %+v", rows)
 	}
 	out := FormatTableReplication(rows)
-	for _, col := range []string{"workload", "msgs-rp", "hits", "inval", "readmostly", "bank"} {
+	for _, col := range []string{"workload", "msgs-rp", "hits", "inval", "patch", "readmostly", "bank"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("formatted table missing %q:\n%s", col, out)
 		}

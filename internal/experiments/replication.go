@@ -178,6 +178,7 @@ type ReplicationRow struct {
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
+	ReplicaUpdates int64
 }
 
 // TableReplication measures read-replication against the static plan
@@ -198,6 +199,7 @@ func TableReplication() ([]ReplicationRow, error) {
 			ReplicaHits:    repl.ReplicaHits,
 			ReplicaFetches: repl.ReplicaFetches,
 			Invalidations:  repl.Invalidations,
+			ReplicaUpdates: repl.ReplicaUpdates,
 		}, nil
 	}
 	var rows []ReplicationRow
@@ -218,9 +220,10 @@ func TableReplication() ([]ReplicationRow, error) {
 func FormatTableReplication(rows []ReplicationRow) string {
 	var b strings.Builder
 	b.WriteString("Read-replication: coherence layer vs static plan (in-process fabric)\n")
-	b.WriteString("(hits = replica-served reads; fetch = REPLICATE installs; inval = INVALIDATE frames)\n")
-	b.WriteString(fmt.Sprintf("%-10s %8s %8s %7s | %9s %9s %7s | %6s %5s %5s\n",
-		"workload", "msgs", "msgs-rp", "red", "bytes", "bytes-rp", "red", "hits", "fetch", "inval"))
+	b.WriteString("(hits = replica-served reads; fetch = REPLICATE installs; inval = INVALIDATE frames;\n")
+	b.WriteString(" patch = the INVALIDATEs that carried a scalar write into the replica instead of dropping it)\n")
+	b.WriteString(fmt.Sprintf("%-10s %8s %8s %7s | %9s %9s %7s | %6s %5s %5s %5s\n",
+		"workload", "msgs", "msgs-rp", "red", "bytes", "bytes-rp", "red", "hits", "fetch", "inval", "patch"))
 	red := func(base, opt int64) string {
 		if base == 0 {
 			return "-"
@@ -228,10 +231,10 @@ func FormatTableReplication(rows []ReplicationRow) string {
 		return fmt.Sprintf("%.0f%%", float64(base-opt)/float64(base)*100)
 	}
 	for _, r := range rows {
-		b.WriteString(fmt.Sprintf("%-10s %8d %8d %7s | %9d %9d %7s | %6d %5d %5d\n",
+		b.WriteString(fmt.Sprintf("%-10s %8d %8d %7s | %9d %9d %7s | %6d %5d %5d %5d\n",
 			r.Workload, r.StaticMsgs, r.ReplMsgs, red(r.StaticMsgs, r.ReplMsgs),
 			r.StaticBytes, r.ReplBytes, red(r.StaticBytes, r.ReplBytes),
-			r.ReplicaHits, r.ReplicaFetches, r.Invalidations))
+			r.ReplicaHits, r.ReplicaFetches, r.Invalidations, r.ReplicaUpdates))
 	}
 	return b.String()
 }

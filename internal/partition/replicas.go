@@ -18,9 +18,11 @@ import (
 //   - every write charges invalidation traffic (an INVALIDATE +
 //     REPLICA-ACK exchange per reader) plus an amortised re-fetch when
 //     the reader next reads, so replicas are only worth granting where
-//     reads clearly dominate.
+//     reads clearly dominate. A write of a scalar patches the replica
+//     and costs no re-fetch, so this overprices such writes; the price
+//     is kept because lowering it changes replication plans.
 
-// ReplicaCosts prices the invalidate-on-write protocol in messages.
+// ReplicaCosts prices the update-or-invalidate protocol in messages.
 type ReplicaCosts struct {
 	// InvalidatePerWrite is the message cost each write charges per
 	// reader (the INVALIDATE frame and its REPLICA-ACK).

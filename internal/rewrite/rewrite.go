@@ -25,7 +25,7 @@ import (
 // asynchronously and aggregate consecutive ones into one batched
 // frame), and GetFieldReplicated/InvokeReplicaRead mark accesses to
 // replication-candidate classes that a proxy may satisfy from a local
-// read replica under the invalidate-on-write protocol.
+// read replica under the update-or-invalidate protocol.
 const (
 	InvokeMethodHasReturn = 1
 	InvokeMethodVoid      = 2

@@ -1,7 +1,8 @@
 package runtime
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +22,8 @@ import (
 //     every locally-cached value of the object;
 //   - read replicas (this layer): cohEntry.replica is a full-field
 //     snapshot serving GetFieldReplicated/InvokeReplicaRead locally,
-//     dropped by the owner's INVALIDATE, and cohEntry.readers is the
-//     owner-side replica set the invalidate-on-write protocol walks.
+//     patched or dropped by the owner's INVALIDATE, and cohEntry.readers
+//     is the owner-side replica set the write barrier walks.
 //
 // Lock discipline: coherence.mu is a leaf lock. No method sends
 // messages, takes Node.mu, or calls back into the runtime while
@@ -66,10 +67,11 @@ type cohEntry struct {
 	onceEpoch map[string]int64
 
 	// replica is the installed field-snapshot shadow, nil when no
-	// valid replica is held. gen counts invalidation events
-	// (INVALIDATE frames and Moved notices); an install racing an
-	// invalidation is discarded by comparing gen. replicaEpoch records
-	// the invocation epoch the shadow was installed in.
+	// valid replica is held. It is never written in place: a patch
+	// installs a modified copy. gen counts invalidation events
+	// (INVALIDATE frames, patching or not, and Moved notices); an
+	// install racing one is discarded by comparing gen. replicaEpoch
+	// records the invocation epoch the shadow was installed in.
 	replica      *vm.Object
 	gen          uint64
 	replicaEpoch int64
@@ -78,10 +80,10 @@ type cohEntry struct {
 	// the reader stops asking and uses plain remote reads.
 	denied bool
 
-	// readers is the owner-side replica set: ranks that installed a
-	// replica and must be invalidated before any write completes. It
-	// travels with ownership on migration.
-	readers map[int]bool
+	// readers is the owner-side replica set, sorted: ranks that
+	// installed a replica and must be patched or invalidated before any
+	// write completes. It travels with ownership on migration.
+	readers []int
 }
 
 // ent returns (creating if needed) the entry for id. Callers hold mu.
@@ -152,13 +154,9 @@ func (c *coherence) becomeOwner(id int64, readers []int, self int) {
 	e.gen++
 	e.readers = nil
 	for _, r := range readers {
-		if r == self {
-			continue
+		if r != self {
+			e.addReader(r)
 		}
-		if e.readers == nil {
-			e.readers = map[int]bool{}
-		}
-		e.readers[r] = true
 	}
 	c.mu.Unlock()
 }
@@ -256,6 +254,34 @@ func (c *coherence) invalidate(id int64) {
 	c.mu.Unlock()
 }
 
+// update applies a patching INVALIDATE: the owner stored v in field
+// slot of object id. A held replica is replaced by a patched copy —
+// never written in place, because other threads may be serving reads
+// from the current shadow — and the generation is bumped either way,
+// so an in-flight install whose snapshot predates the write is
+// discarded. kept reports whether a replica was patched; false means
+// this node holds none, and the owner may drop it from the reader set.
+// A slot outside the shadow drops the replica and is reported.
+func (c *coherence) update(id int64, slot int, v vm.Value) (kept bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.ent(id)
+	e.gen++
+	old := e.replica
+	if old == nil {
+		return false, nil
+	}
+	if slot < 0 || slot >= len(old.Fields) {
+		e.replica = nil
+		return false, fmt.Errorf("patch of slot %d on a %d-field replica of %s", slot, len(old.Fields), old.Class.Name())
+	}
+	patched := *old
+	patched.Fields = slices.Clone(old.Fields)
+	patched.Fields[slot] = v
+	e.replica = &patched
+	return true, nil
+}
+
 // markDenied records that the owner refused replication of id.
 func (c *coherence) markDenied(id int64) {
 	c.mu.Lock()
@@ -271,47 +297,49 @@ func (c *coherence) replicaDenied(id int64) bool {
 	return e != nil && e.denied
 }
 
+// addReader inserts rank into the entry's sorted reader set. Callers
+// hold mu.
+func (e *cohEntry) addReader(rank int) {
+	if i, found := slices.BinarySearch(e.readers, rank); !found {
+		e.readers = slices.Insert(e.readers, i, rank)
+	}
+}
+
+// dropReader removes rank from the entry's reader set. Callers hold mu.
+func (e *cohEntry) dropReader(rank int) {
+	if i, found := slices.BinarySearch(e.readers, rank); found {
+		e.readers = slices.Delete(e.readers, i, i+1)
+	}
+}
+
 // addReader registers a node in the owner-side replica set.
 func (c *coherence) addReader(id int64, rank int) {
 	c.mu.Lock()
-	e := c.ent(id)
-	if e.readers == nil {
-		e.readers = map[int]bool{}
-	}
-	e.readers[rank] = true
+	c.ent(id).addReader(rank)
 	c.mu.Unlock()
 }
 
-// readerList returns the entry's registered readers, sorted. Callers
-// hold mu.
-func (e *cohEntry) readerList() []int {
-	if e == nil || len(e.readers) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(e.readers))
-	for r := range e.readers {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// readersOf snapshots the owner-side replica set, sorted.
-func (c *coherence) readersOf(id int64) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ents[id].readerList()
-}
-
-// clearReaders empties the replica set after an invalidation round:
-// every reader dropped its replica and will re-register on its next
-// fetch.
-func (c *coherence) clearReaders(id int64) {
+// dropReader removes a node from the owner-side replica set: it
+// answered a write barrier holding no replica, and re-registers on its
+// next fetch.
+func (c *coherence) dropReader(id int64, rank int) {
 	c.mu.Lock()
 	if e := c.ents[id]; e != nil {
-		e.readers = nil
+		e.dropReader(rank)
 	}
 	c.mu.Unlock()
+}
+
+// appendReaders appends the owner-side replica set, sorted, to dst: the
+// write barrier passes a stack buffer, so reading a small set does not
+// allocate.
+func (c *coherence) appendReaders(dst []int, id int64) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.ents[id]; e != nil {
+		dst = append(dst, e.readers...)
+	}
+	return dst
 }
 
 // takeReaders removes and returns the replica set for a migration
@@ -322,10 +350,11 @@ func (c *coherence) takeReaders(id int64) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.ents[id]
-	out := e.readerList()
-	if e != nil {
-		e.readers = nil
+	if e == nil {
+		return nil
 	}
+	out := e.readers
+	e.readers = nil
 	return out
 }
 
@@ -337,11 +366,8 @@ func (c *coherence) restoreReaders(id int64, readers []int) {
 	}
 	c.mu.Lock()
 	e := c.ent(id)
-	if e.readers == nil {
-		e.readers = map[int]bool{}
-	}
 	for _, r := range readers {
-		e.readers[r] = true
+		e.addReader(r)
 	}
 	c.mu.Unlock()
 }

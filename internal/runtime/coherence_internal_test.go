@@ -105,28 +105,33 @@ func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 }
 
 // TestCoherenceReaderSetLifecycle covers the owner-side replica set:
-// registration, the invalidation round's clear, and the atomic
-// take/restore pair migration uses.
+// registration, the write barrier's removal of readers that hold no
+// replica, and the atomic take/restore pair migration uses.
 func TestCoherenceReaderSetLifecycle(t *testing.T) {
 	var c coherence
 	c.addReader(5, 2)
 	c.addReader(5, 1)
 	c.addReader(5, 2)
-	if got := c.readersOf(5); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("readersOf = %v, want [1 2]", got)
+	if got := c.appendReaders(nil, 5); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("readers = %v, want [1 2]", got)
 	}
-	c.clearReaders(5)
-	if got := c.readersOf(5); got != nil {
-		t.Fatalf("readers survived clear: %v", got)
+	c.dropReader(5, 1)
+	c.dropReader(5, 7)
+	if got := c.appendReaders(nil, 5); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("readers after dropping 1 = %v, want [2]", got)
+	}
+	c.dropReader(5, 2)
+	if got := c.appendReaders(nil, 5); got != nil {
+		t.Fatalf("readers survived removal: %v", got)
 	}
 
 	c.addReader(5, 3)
 	taken := c.takeReaders(5)
-	if !reflect.DeepEqual(taken, []int{3}) || c.readersOf(5) != nil {
-		t.Fatalf("takeReaders = %v, residual %v", taken, c.readersOf(5))
+	if !reflect.DeepEqual(taken, []int{3}) || c.appendReaders(nil, 5) != nil {
+		t.Fatalf("takeReaders = %v, residual %v", taken, c.appendReaders(nil, 5))
 	}
 	c.restoreReaders(5, taken)
-	if got := c.readersOf(5); !reflect.DeepEqual(got, []int{3}) {
+	if got := c.appendReaders(nil, 5); !reflect.DeepEqual(got, []int{3}) {
 		t.Fatalf("restoreReaders lost the set: %v", got)
 	}
 }
@@ -151,7 +156,76 @@ func TestCoherenceBecomeOwner(t *testing.T) {
 	if _, ok := n.coh.replicaShadow(6); ok {
 		t.Fatal("replica survived ownership")
 	}
-	if got := n.coh.readersOf(6); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := n.coh.appendReaders(nil, 6); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("adopted readers = %v, want [1 2] (self excluded)", got)
+	}
+}
+
+// TestCoherenceUpdatePatchesCopy pins the patch transition: a held
+// replica is replaced by a patched copy — a reader still holding the
+// old shadow keeps a consistent snapshot — and the generation moves,
+// so an install fetched before the write is discarded.
+func TestCoherenceUpdatePatchesCopy(t *testing.T) {
+	n := testNode(t)
+	cls := n.VM.Class("Object")
+	old := &vm.Object{Class: cls, Fields: []vm.Value{int64(1), "a"}, ID: 9}
+	n.coh.installReplica(8, old, n.coh.replicaGen(8))
+	inFlight := n.coh.replicaGen(8)
+
+	kept, err := n.coh.update(8, 1, "b")
+	if err != nil || !kept {
+		t.Fatalf("update of a held replica = %v, %v; want kept", kept, err)
+	}
+	cur, ok := n.coh.replicaShadow(8)
+	if !ok || cur == old || !reflect.DeepEqual(cur.Fields, []vm.Value{int64(1), "b"}) || cur.ID != old.ID {
+		t.Fatalf("patched replica = %+v, want a copy holding [1 b]", cur)
+	}
+	if old.Fields[1] != "a" {
+		t.Fatalf("the old shadow was written in place: %v", old.Fields)
+	}
+	if n.coh.installReplica(8, shadowObj(t, n), inFlight) {
+		t.Fatal("an install fetched before the patch was kept")
+	}
+
+	if _, err := n.coh.update(8, 2, int64(0)); err == nil {
+		t.Fatal("out-of-range slot accepted")
+	}
+	if _, ok := n.coh.replicaShadow(8); ok {
+		t.Fatal("replica survived a patch it could not apply")
+	}
+}
+
+// TestCoherenceLearnDropsPatchedReplica: a home move drops a patched
+// replica exactly like a fetched one, and a patch arriving after the
+// drop finds nothing to keep.
+func TestCoherenceLearnDropsPatchedReplica(t *testing.T) {
+	n := testNode(t)
+	shadow := &vm.Object{Class: n.VM.Class("Object"), Fields: []vm.Value{int64(0)}}
+	n.coh.installReplica(3, shadow, n.coh.replicaGen(3))
+	if kept, err := n.coh.update(3, 0, int64(1)); !kept || err != nil {
+		t.Fatalf("update = %v, %v; want kept", kept, err)
+	}
+	n.coh.learn(3, 2, 9, false)
+	if _, ok := n.coh.replicaShadow(3); ok {
+		t.Fatal("patched replica survived a home move")
+	}
+	if kept, _ := n.coh.update(3, 0, int64(2)); kept {
+		t.Fatal("a patch after the move reported a kept replica")
+	}
+}
+
+// TestCoherenceUpdateWithoutReplica: a patch for an object this node
+// holds no replica of answers Kept=false and still moves the
+// generation, so a snapshot in flight from before the write is never
+// installed.
+func TestCoherenceUpdateWithoutReplica(t *testing.T) {
+	n := testNode(t)
+	gen := n.coh.replicaGen(4)
+	kept, err := n.coh.update(4, 0, int64(5))
+	if err != nil || kept {
+		t.Fatalf("update without a replica = %v, %v; want not kept", kept, err)
+	}
+	if n.coh.installReplica(4, shadowObj(t, n), gen) {
+		t.Fatal("stale install kept after a patch")
 	}
 }

@@ -381,7 +381,7 @@ func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte
 // funnel of the coherence layer: replicated classes are rewritten as
 // dependent everywhere, so every field store — remote-served or
 // owner-local, direct or from inside a method body — lands in the
-// PutField case, where the invalidate-on-write barrier runs before the
+// PutField case, where the update-or-invalidate barrier runs before the
 // write completes.
 func (n *Node) localAccess(lt *lthread, obj *vm.Object, kind int, member string, args []vm.Value) (vm.Value, error) {
 	switch kind {
@@ -415,7 +415,7 @@ func (n *Node) localAccess(lt *lthread, obj *vm.Object, kind int, member string,
 		obj.Fields[slot] = args[0]
 		// Write barrier: no reader may keep serving the old value once
 		// this write is observable.
-		if err := n.invalidateReaders(lt, obj.ID); err != nil {
+		if err := n.invalidateReaders(lt, obj.ID, slot, args[0]); err != nil {
 			return nil, err
 		}
 		return nil, nil

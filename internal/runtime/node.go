@@ -267,11 +267,14 @@ type NodeStats struct {
 	// ReplicaHits counts reads served from a local replica (zero
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
 	// delivered a snapshot (redirect hops and denials excluded);
-	// Invalidations counts INVALIDATE frames this node sent to
-	// replica holders on writes.
+	// Invalidations counts INVALIDATE frames this node sent to replica
+	// holders on writes, patching or not; ReplicaUpdates counts the
+	// patching ones among them — writes of a scalar, which the holder
+	// applies to its replica instead of dropping it.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
+	ReplicaUpdates int64
 	// RetainedHits counts cache and replica hits served from entries
 	// installed during an *earlier* entrypoint invocation of a resident
 	// cluster — the proof that coherence state (and the speedups it
@@ -1093,12 +1096,12 @@ func (n *Node) Serve() {
 				n.handlePeerDown(msg.From)
 			case KindInvalidate:
 				// Invalidations bypass the batch barrier on purpose:
-				// dropping a replica early is always safe (the next
-				// read re-fetches), and the writer's request must not
-				// wait behind batch work here. They never originate
-				// from batch workers (the rewriter keeps replicated
-				// classes out of asynchronous touch sets), so no
-				// ordering is lost.
+				// patching or dropping a replica early is always safe
+				// (the write already happened at the owner), and the
+				// writer's request must not wait behind batch work
+				// here. They never originate from batch workers (the
+				// rewriter keeps replicated classes out of asynchronous
+				// touch sets), so no ordering is lost.
 				n.wg.Add(1)
 				n.workers.run(srvTask{msg: msg})
 			case KindShutdown:

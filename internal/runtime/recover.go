@@ -361,9 +361,7 @@ func (c *coherence) replicasOf(dead int) []int64 {
 func (c *coherence) purgeRank(rank int) {
 	c.mu.Lock()
 	for _, e := range c.ents {
-		if e.readers != nil {
-			delete(e.readers, rank)
-		}
+		e.dropReader(rank)
 	}
 	c.mu.Unlock()
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // This file implements the runtime half of read-replication: the
-// pull-based replica install (REPLICATE), the invalidate-on-write
-// broadcast (INVALIDATE / REPLICA-ACK), and local replica serving for
-// the GetFieldReplicated / InvokeReplicaRead access kinds. The state
-// it manipulates lives in the coherence machine (coherence.go).
+// pull-based replica install (REPLICATE), the update-or-invalidate
+// write barrier (INVALIDATE / REPLICA-ACK), and local replica serving
+// for the GetFieldReplicated / InvokeReplicaRead access kinds. The
+// state it manipulates lives in the coherence machine (coherence.go).
 //
 // Correctness rests on three properties:
 //
@@ -26,14 +26,19 @@ import (
 //  2. Write barrier: every write funnels through localAccess on the
 //     owner (replicated classes are rewritten as dependent on every
 //     node, so even owner-local stores are mediated), and the write
-//     does not complete until every registered reader has dropped its
-//     replica and acknowledged. A read the program orders after a
-//     write therefore re-fetches; it can never see the old value.
-//  3. Install/invalidate race: a fetch records the coherence
-//     generation before requesting; an invalidation (or home move)
-//     that lands while the snapshot is in flight bumps the generation
-//     and the install is discarded — the fetched value may serve that
-//     one access (it was valid at snapshot time) but is never kept.
+//     does not complete until every registered reader has patched or
+//     dropped its replica and acknowledged. A read the program orders
+//     after a write therefore sees the written value, from the patched
+//     replica or from a refetch; it can never see the old one. The
+//     writer holds the object's gate throughout, so writes to one
+//     object — and their patches — reach each reader one at a time, in
+//     write order.
+//  3. Install/write race: a fetch records the coherence generation
+//     before requesting; an INVALIDATE, patching or not, (or a home
+//     move) that lands while the snapshot is in flight bumps the
+//     generation and the install is discarded — the fetched value may
+//     serve that one access (it was valid at snapshot time) but is
+//     never kept.
 
 // replicaServable reports whether an object's fields can be shipped as
 // a replica snapshot — the same condition as migratability: every
@@ -182,81 +187,146 @@ func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, kind int, member str
 		if !ok {
 			return nil, fmt.Errorf("runtime: bad member key %q", member)
 		}
-		callArgs := append([]vm.Value{shadow}, acc...)
-		return lt.vt.CallMethod(shadow.Class.Name(), name, desc, callArgs)
+		// The thread's scratch buffer, as in localAccess: the VM copies
+		// call arguments into frame locals on entry.
+		lt.callBuf = append(lt.callBuf[:0], shadow)
+		lt.callBuf = append(lt.callBuf, acc...)
+		return lt.vt.CallMethod(shadow.Class.Name(), name, desc, lt.callBuf)
 	}
 	return nil, fmt.Errorf("runtime: access kind %d cannot be replica-served", kind)
 }
 
-// invalidateReaders runs the write barrier: invalidate every
-// registered replica of id and await the acknowledgements, so the
-// write this call is part of completes only when no reader can serve
-// the old value. The frames go out concurrently (receivers process
-// them in independent goroutines), so the barrier costs roughly one
-// round trip regardless of fan-out. The drained replica set is
-// cleared — readers re-register on their next fetch.
-func (n *Node) invalidateReaders(lt *lthread, id int64) error {
-	readers := n.coh.readersOf(id)
+// invalidateReaders runs the write barrier for a store of v into field
+// slot of object id: every registered reader patches its replica —
+// when v is a scalar — or drops it, and acknowledges, so the write
+// this call is part of completes only when no reader can serve the old
+// value. With one remote reader the INVALIDATE goes out on the calling
+// goroutine; with more, every frame but the last goes out on its own
+// goroutine and the last on this one, so the barrier costs one round
+// trip regardless of fan-out. Readers that answered holding no replica
+// leave the set and re-register on their next fetch; patched readers
+// stay in it.
+func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) error {
+	var buf [4]int
+	readers := n.coh.appendReaders(buf[:0], id)
 	if len(readers) == 0 {
 		return nil
 	}
 	req := wire.InvalidateRequest{ID: id}
+	if w, ok := patchValue(v); ok {
+		req.Update, req.Slot, req.Value = true, slot, w
+	}
+	if len(readers) > 1 {
+		return n.invalidateFanOut(lt, req, readers)
+	}
+	kept, err := n.invalidateOne(lt, readers[0], &req)
+	if err == nil && !kept {
+		n.coh.dropReader(id, readers[0])
+	}
+	return err
+}
+
+// patchValue reports whether a stored value can travel in a patching
+// INVALIDATE — the scalars, which the reader installs as they are —
+// and converts it. References and arrays drop the replica instead.
+func patchValue(v vm.Value) (wire.Value, bool) {
+	switch x := v.(type) {
+	case nil:
+		return wire.Value{Kind: wire.KNull}, true
+	case int64:
+		return wire.Value{Kind: wire.KInt, Int: x}, true
+	case float64:
+		return wire.Value{Kind: wire.KFloat, Float: x}, true
+	case string:
+		return wire.Value{Kind: wire.KStr, Str: x}, true
+	}
+	return wire.Value{}, false
+}
+
+// invalidateFanOut is the write barrier for two or more readers. It
+// takes the request by value: the goroutines share this copy, and the
+// single-reader path's request stays on its caller's stack.
+func (n *Node) invalidateFanOut(lt *lthread, req wire.InvalidateRequest, readers []int) error {
+	kept := make([]bool, len(readers))
 	errs := make([]error, len(readers))
+	last := len(readers) - 1
 	var wg sync.WaitGroup
-	for i, r := range readers {
-		if r == n.Rank {
-			continue
-		}
-		n.count(lt, func(s *NodeStats) *int64 { return &s.Invalidations }, 1)
-		wg.Add(1)
+	wg.Add(last)
+	for i := 0; i < last; i++ {
 		go func(i, r int) {
 			defer wg.Done()
-			// Per-destination encode: send consumes the buffer, so the
-			// fan-out cannot share one encoded request.
-			resp, err := n.rawRequest(lt, r, KindInvalidate, req.Encode())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ack, err := wire.DecodeReplicaAck(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if ack.Err != "" {
-				errs[i] = fmt.Errorf("invalidate object %d on node %d: %s", id, r, ack.Err)
-			}
-		}(i, r)
+			kept[i], errs[i] = n.invalidateOne(lt, r, &req)
+		}(i, readers[i])
 	}
+	kept[last], errs[last] = n.invalidateOne(lt, readers[last], &req)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			// A reader that died counts as acknowledged: its replica
-			// perished with it, which is exactly what the invalidation
-			// was for. Any other failure still fails the write.
-			if transport.IsPeerDown(err) {
-				continue
-			}
 			return err
 		}
 	}
-	n.coh.clearReaders(id)
+	for i, r := range readers {
+		if !kept[i] {
+			n.coh.dropReader(req.ID, r)
+		}
+	}
 	return nil
 }
 
-// handleInvalidate drops this node's replica of the named object and
-// acknowledges with a REPLICA-ACK frame. It runs outside the serve
-// loop's batch barrier (see Serve): dropping early is always safe, and
-// the writer must not block behind unrelated batch work.
+// invalidateOne sends one reader its INVALIDATE and awaits the
+// acknowledgement, reporting whether the reader still holds a (patched)
+// replica. A reader that died counts as acknowledged without one: its
+// replica perished with it, which is exactly what the invalidation was
+// for. Any other failure fails the write.
+func (n *Node) invalidateOne(lt *lthread, r int, req *wire.InvalidateRequest) (kept bool, err error) {
+	if r == n.Rank {
+		return false, nil
+	}
+	n.count(lt, func(s *NodeStats) *int64 { return &s.Invalidations }, 1)
+	if req.Update {
+		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaUpdates }, 1)
+	}
+	// Per-destination encode: send consumes the buffer, so a fan-out
+	// cannot share one encoded request.
+	resp, err := n.rawRequest(lt, r, KindInvalidate, req.Encode())
+	if err != nil {
+		if transport.IsPeerDown(err) {
+			return false, nil
+		}
+		return false, err
+	}
+	ack, err := wire.DecodeReplicaAck(resp.Payload)
+	wire.PutBuf(resp.Payload)
+	if err != nil {
+		return false, err
+	}
+	if ack.Err != "" {
+		return false, fmt.Errorf("invalidate object %d on node %d: %s", req.ID, r, ack.Err)
+	}
+	return ack.Kept, nil
+}
+
+// handleInvalidate patches or drops this node's replica of the named
+// object and acknowledges with a REPLICA-ACK frame saying whether a
+// replica is still held. It runs outside the serve loop's batch barrier
+// (see Serve): the write has already happened at the owner, so applying
+// it early is as safe as dropping early, and the writer must not block
+// behind unrelated batch work.
 func (n *Node) handleInvalidate(msg transport.Message) {
 	lt := n.lthread(msg.TID)
 	n.advanceTo(msg.Time + n.Net.Cost(len(msg.Payload)))
 	var ack wire.ReplicaAck
-	if req, err := wire.DecodeInvalidateRequest(msg.Payload); err != nil {
-		ack.Err = err.Error()
-	} else {
+	req, err := wire.DecodeInvalidateRequest(msg.Payload)
+	if err == nil && req.Update {
+		var v vm.Value
+		if v, err = n.fromWire(req.Value); err == nil {
+			ack.Kept, err = n.coh.update(req.ID, req.Slot, v)
+		}
+	} else if err == nil {
 		n.coh.invalidate(req.ID)
+	}
+	if err != nil {
+		ack.Err = err.Error()
 	}
 	resp := transport.Message{
 		To: msg.From, Tag: msg.Tag, Kind: KindReplicaAck,

@@ -48,15 +48,18 @@ func TestCoherenceMessageRoundTrips(t *testing.T) {
 		}
 
 		ir := InvalidateRequest{ID: ids[r.Intn(len(ids))]}
+		if i%2 == 0 {
+			ir.Update, ir.Slot, ir.Value = true, r.Intn(300), randValue(r, 1)
+		}
 		gotIR, err := DecodeInvalidateRequest(ir.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotIR != ir {
+		if !sameInvalidate(gotIR, ir) {
 			t.Fatalf("InvalidateRequest mismatch: %+v vs %+v", gotIR, ir)
 		}
 
-		ack := ReplicaAck{Err: []string{"", "boom", "节点"}[r.Intn(3)]}
+		ack := ReplicaAck{Kept: i%3 == 0, Err: []string{"", "boom", "节点"}[r.Intn(3)]}
 		gotAck, err := DecodeReplicaAck(ack.Encode())
 		if err != nil {
 			t.Fatal(err)
@@ -106,6 +109,130 @@ func TestCoherenceTruncationFailsCleanly(t *testing.T) {
 			t.Fatalf("ReplicateResponse truncation at %d not detected", cut)
 		}
 	}
+	irs := []InvalidateRequest{{ID: 1 << 40}}
+	for _, v := range valueKinds {
+		irs = append(irs, InvalidateRequest{ID: 1 << 40, Update: true, Slot: 300, Value: v})
+	}
+	for _, ir := range irs {
+		enc := ir.Encode()
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodeInvalidateRequest(enc[:cut]); err == nil {
+				t.Fatalf("InvalidateRequest %+v truncation at %d of %d not detected", ir, cut, len(enc))
+			}
+		}
+	}
+	enc = (&ReplicaAck{Kept: true, Err: "boom"}).Encode()
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeReplicaAck(enc[:cut]); err == nil {
+			t.Fatalf("ReplicaAck truncation at %d not detected", cut)
+		}
+	}
+}
+
+// valueKinds holds one Value of every kind, each with a payload that
+// takes more than one byte to encode.
+var valueKinds = []Value{
+	{Kind: KNull},
+	{Kind: KInt, Int: -1 << 20},
+	{Kind: KFloat, Float: 2.5},
+	{Kind: KStr, Str: "héllo"},
+	{Kind: KObj, Node: 3, ID: 1 << 33, Class: "Table"},
+	{Kind: KArr, Elem: "I", Arr: []Value{{Kind: KInt, Int: 7}, {Kind: KNull}}},
+}
+
+// sameInvalidate compares two InvalidateRequests, values by their
+// encoded fields.
+func sameInvalidate(a, b InvalidateRequest) bool {
+	return a.ID == b.ID && a.Update == b.Update && a.Slot == b.Slot &&
+		reflect.DeepEqual(normalize(a.Value), normalize(b.Value))
+}
+
+// TestInvalidateHeadSubsetsRoundTrip covers every subset of the
+// INVALIDATE head bits — a plain drop and a patch — with every Value
+// kind in the patch.
+func TestInvalidateHeadSubsetsRoundTrip(t *testing.T) {
+	for head := 0; head <= invBits; head++ {
+		for _, v := range valueKinds {
+			ir := InvalidateRequest{ID: -(1 << 35)}
+			if head&invUpdate != 0 {
+				ir.Update, ir.Slot, ir.Value = true, 1<<20, v
+			}
+			enc := ir.Encode()
+			if enc[0] != byte(head) {
+				t.Fatalf("%+v: head %#x, want %#x", ir, enc[0], head)
+			}
+			got, err := DecodeInvalidateRequest(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameInvalidate(got, ir) {
+				t.Fatalf("InvalidateRequest mismatch: %+v vs %+v", got, ir)
+			}
+		}
+	}
+}
+
+// TestCoherenceUndefinedBitsRejected: a head bit neither side defines
+// is a clean decode error, never a silently ignored field.
+func TestCoherenceUndefinedBitsRejected(t *testing.T) {
+	ir := (&InvalidateRequest{ID: 1, Update: true, Slot: 1, Value: Value{Kind: KInt, Int: 1}}).Encode()
+	ack := (&ReplicaAck{Kept: true, Err: "x"}).Encode()
+	for bit := 0; bit < 8; bit++ {
+		if b := byte(1) << bit; b&invBits == 0 {
+			enc := append([]byte(nil), ir...)
+			enc[0] |= b
+			if _, err := DecodeInvalidateRequest(enc); err == nil {
+				t.Errorf("INVALIDATE head bit %#x accepted", b)
+			}
+		}
+		if b := byte(1) << bit; b&ackBits == 0 {
+			enc := append([]byte(nil), ack...)
+			enc[0] |= b
+			if _, err := DecodeReplicaAck(enc); err == nil {
+				t.Errorf("REPLICA-ACK head bit %#x accepted", b)
+			}
+		}
+	}
+}
+
+// TestReplicaAckKeptRoundTrip covers every Kept/Err combination.
+func TestReplicaAckKeptRoundTrip(t *testing.T) {
+	for _, kept := range []bool{false, true} {
+		for _, msg := range []string{"", "boom"} {
+			ack := ReplicaAck{Kept: kept, Err: msg}
+			got, err := DecodeReplicaAck(ack.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ack {
+				t.Fatalf("ReplicaAck mismatch: %+v vs %+v", got, ack)
+			}
+		}
+	}
+}
+
+// TestInvalidatePatchSize pins the bytes a kv_mix-shaped write costs:
+// an int in [1024, 2047] stored in field slot 1–4 of object 1 travels
+// as head, id, slot, kind and a two-byte varint — 6 bytes, against the
+// 2 of a plain drop and the full snapshot a drop's refetch returns. The
+// acknowledgement is its head byte alone.
+func TestInvalidatePatchSize(t *testing.T) {
+	for slot := 1; slot <= 4; slot++ {
+		for _, val := range []int64{1024, 2047} {
+			ir := InvalidateRequest{ID: 1, Update: true, Slot: slot, Value: Value{Kind: KInt, Int: val}}
+			if n := len(ir.Encode()); n != 6 {
+				t.Errorf("patch of slot %d to %d: %d bytes, want 6", slot, val, n)
+			}
+		}
+	}
+	if n := len((&InvalidateRequest{ID: 1}).Encode()); n != 2 {
+		t.Errorf("plain INVALIDATE: %d bytes, want 2", n)
+	}
+	for _, kept := range []bool{false, true} {
+		if n := len((&ReplicaAck{Kept: kept}).Encode()); n != 1 {
+			t.Errorf("ReplicaAck{Kept: %v}: %d bytes, want 1", kept, n)
+		}
+	}
 }
 
 func FuzzDecodeReplicateRequest(f *testing.F) {
@@ -144,13 +271,14 @@ func FuzzDecodeReplicateResponse(f *testing.F) {
 
 func FuzzDecodeInvalidateRequest(f *testing.F) {
 	f.Add((&InvalidateRequest{ID: -3}).Encode())
+	f.Add((&InvalidateRequest{ID: 1, Update: true, Slot: 2, Value: Value{Kind: KInt, Int: 1500}}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeInvalidateRequest(data)
 		if err != nil {
 			return
 		}
 		got, err := DecodeInvalidateRequest(m.Encode())
-		if err != nil || got != m {
+		if err != nil || !sameInvalidate(got, m) {
 			t.Fatalf("re-decode mismatch: %+v vs %+v (%v)", got, m, err)
 		}
 	})

@@ -348,12 +348,13 @@ func DecodeTransferResponse(data []byte) (TransferResponse, error) {
 }
 
 // Coherence frames. Read-replication runs a pull-based
-// invalidate-on-write protocol: a reader asks an object's owner for a
+// update-or-invalidate protocol: a reader asks an object's owner for a
 // replica (REPLICATE), the owner snapshots the object under its
 // quiescence gate and registers the reader, and every subsequent write
-// at the owner pushes an INVALIDATE to each registered reader, which
-// drops its replica and answers with a REPLICA-ACK before the write
-// completes.
+// at the owner pushes an INVALIDATE to each registered reader — carrying
+// the written slot and value when the write stored a scalar — which
+// patches or drops its replica and answers with a REPLICA-ACK before
+// the write completes.
 
 // ReplicateRequest asks the object's owner for a read replica of ID,
 // registering the requesting node for invalidation on writes.
@@ -416,41 +417,114 @@ func DecodeReplicateResponse(data []byte) (ReplicateResponse, error) {
 	return m, r.Err()
 }
 
-// InvalidateRequest tells a replica holder that object ID was written:
-// the replica must be dropped before the acknowledgement is sent.
+// InvalidateRequest tells a replica holder that object ID was written.
+// A plain request drops the replica before the acknowledgement is sent.
+// An Update carries the write itself — the scalar Value stored in field
+// slot Slot — and the holder patches its replica instead of dropping
+// it. The body uses the presence-flags layout of the DEPSEQ entries:
+//
+//	head · ID varint · [Slot uvarint · Value]
+//
+// where the slot and value are present exactly when the head's update
+// bit is set. An undefined head bit is a decode error.
 type InvalidateRequest struct {
-	ID int64
+	ID     int64
+	Update bool
+	Slot   int
+	Value  Value
 }
 
+// InvalidateRequest head bits.
+const (
+	invUpdate = 1 << iota
+
+	invBits = invUpdate
+)
+
 // Encode serialises the request.
-func (m *InvalidateRequest) Encode() []byte { return appendVarint(GetBuf(), m.ID) }
+func (m *InvalidateRequest) Encode() []byte {
+	var head byte
+	if m.Update {
+		head |= invUpdate
+	}
+	b := appendVarint(append(GetBuf(), head), m.ID)
+	if head&invUpdate != 0 {
+		b = appendUvarint(b, uint64(m.Slot))
+		b = m.Value.Append(b)
+	}
+	return b
+}
 
 // DecodeInvalidateRequest parses an InvalidateRequest body.
 func DecodeInvalidateRequest(data []byte) (InvalidateRequest, error) {
-	r := NewReader(data)
+	r := Reader{buf: data}
 	var m InvalidateRequest
+	head := r.Byte()
+	if head&^invBits != 0 {
+		r.fail("undefined INVALIDATE bits %#x", head&^invBits)
+		return m, r.err
+	}
 	m.ID = r.Varint()
-	return m, r.Err()
+	if head&invUpdate != 0 {
+		m.Update = true
+		m.Slot = int(r.Uvarint())
+		m.Value = r.Value()
+	}
+	return m, r.err
 }
 
-// ReplicaAck acknowledges an INVALIDATE: the sender no longer serves
-// reads of the object from a replica. The writing node's request does
-// not complete until every registered reader has acknowledged, which is
-// what makes a write observed by the program order a barrier against
-// stale replica reads.
+// ReplicaAck acknowledges an INVALIDATE once the sender has dropped or
+// patched its replica. Kept reports that a replica was patched and is
+// still served, so the owner keeps the sender in its reader set; a
+// sender that held no replica answers Kept=false and is dropped from
+// it. The writing node's request does not complete until every
+// registered reader has acknowledged, which is what makes a write
+// observed by the program order a barrier against stale replica reads.
+//
+//	head · [Err]
 type ReplicaAck struct {
-	Err string
+	Kept bool
+	Err  string
 }
+
+// ReplicaAck head bits.
+const (
+	ackKept = 1 << iota
+	ackErr
+
+	ackBits = ackKept | ackErr
+)
 
 // Encode serialises the acknowledgement.
-func (m *ReplicaAck) Encode() []byte { return appendString(GetBuf(), m.Err) }
+func (m *ReplicaAck) Encode() []byte {
+	var head byte
+	if m.Kept {
+		head |= ackKept
+	}
+	if m.Err != "" {
+		head |= ackErr
+	}
+	b := append(GetBuf(), head)
+	if head&ackErr != 0 {
+		b = appendString(b, m.Err)
+	}
+	return b
+}
 
 // DecodeReplicaAck parses a ReplicaAck body.
 func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
-	r := NewReader(data)
+	r := Reader{buf: data}
 	var m ReplicaAck
-	m.Err = r.String()
-	return m, r.Err()
+	head := r.Byte()
+	if head&^ackBits != 0 {
+		r.fail("undefined REPLICA-ACK bits %#x", head&^ackBits)
+		return m, r.err
+	}
+	m.Kept = head&ackKept != 0
+	if head&ackErr != 0 {
+		m.Err = r.String()
+	}
+	return m, r.err
 }
 
 // Batch aggregates consecutive asynchronous dependence messages bound

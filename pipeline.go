@@ -325,11 +325,14 @@ type RunResult struct {
 	// ReplicaHits counts reads served from a local replica (zero
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
 	// delivered a snapshot; Invalidations counts INVALIDATE frames
-	// writes pushed to replica holders. All are zero unless the run
-	// used Config.Replicate on a replicated distribution.
+	// writes pushed to replica holders, and ReplicaUpdates the ones
+	// among them that carried a scalar write for the holder to patch
+	// into its replica instead of dropping it. All are zero unless the
+	// run used Config.Replicate on a replicated distribution.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
+	ReplicaUpdates int64
 	// RetainedHits counts cache and replica hits served from state
 	// learned during an earlier Cluster.Invoke call — the
 	// cross-invocation retention of a resident deployment. Always zero

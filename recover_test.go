@@ -237,6 +237,49 @@ func TestKillNodeReplicaPromotion(t *testing.T) {
 	}
 }
 
+// TestKillNodeAfterPatchedWrites: writes of ints patch node 0's replica
+// of Ta in place of dropping it, so after its owner dies the promoted
+// copy is the patched replica — it must serve the last written values,
+// not the snapshot first fetched.
+func TestKillNodeAfterPatchedWrites(t *testing.T) {
+	cluster := deployFault(t, 3, autodist.RewriteOptions{Replicate: true}, autodist.Config{
+		K:                 3,
+		Replicate:         true,
+		FailureRecovery:   true,
+		HeartbeatInterval: 15 * time.Millisecond,
+	})
+	defer cluster.Shutdown(context.Background())
+
+	if v, _ := invokeInt(t, cluster, "suma"); v != 100 {
+		t.Fatalf("suma() warm-up = %d, want 100", v)
+	}
+	warm := cluster.Stats()
+	for i, w := range [][2]int64{{0, 11}, {1, 22}, {0, 13}} {
+		if v, _ := invokeInt(t, cluster, "puta", w[0], w[1]); v != w[1] {
+			t.Fatalf("write %d: puta(%d,%d) = %d", i, w[0], w[1], v)
+		}
+	}
+	if s := cluster.Stats(); s.ReplicaUpdates-warm.ReplicaUpdates != 3 || s.ReplicaFetches != warm.ReplicaFetches {
+		t.Fatalf("want three patches and no refetch after warm-up (before %+v, after %+v)", warm, s)
+	}
+	if err := cluster.FailNode(1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cluster.Stats().PromotedReplicas == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no replica promotion within 5s: stats %+v", cluster.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if v, _ := invokeInt(t, cluster, "suma"); v != 13+22+30+40 {
+		t.Fatalf("suma() on the promoted replica = %d, want %d", v, 13+22+30+40)
+	}
+	if v, _ := invokeInt(t, cluster, "geta", 1); v != 22 {
+		t.Fatalf("geta(1) on the promoted replica = %d, want 22", v)
+	}
+}
+
 // TestInvokeIdempotentAcrossRetry pins exactly-once effects under
 // re-drive: an invocation that already performed a side effect on a
 // surviving node before hitting the dead one is re-driven after
