@@ -71,34 +71,12 @@ func (n *Node) maybeAdapt(lt *lthread) {
 // epoch-local so the coordinator reacts to phase shifts, not history).
 func (n *Node) localAffinityReport() wire.AffinityReport {
 	var rep wire.AffinityReport
-	n.mu.Lock()
-	ids := make([]int64, 0, len(n.home))
-	for id := range n.home {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o := n.home[id]
+	for _, o := range n.objs.owned() {
 		if n.migratable(o) {
-			rep.Owned = append(rep.Owned, wire.OwnedObject{ID: id, Class: o.Class.Name()})
+			rep.Owned = append(rep.Owned, wire.OwnedObject{ID: o.ID, Class: o.Class.Name()})
 		}
 	}
-	n.mu.Unlock()
-	n.affMu.Lock()
-	eids := make([]int64, 0, len(n.aff))
-	for id := range n.aff {
-		eids = append(eids, id)
-	}
-	sort.Slice(eids, func(i, j int) bool { return eids[i] < eids[j] })
-	for _, id := range eids {
-		c := n.aff[id]
-		rep.Edges = append(rep.Edges, wire.AffinityEdge{
-			ID: id, Msgs: c.reads + c.writes, Bytes: c.bytes,
-			Reads: c.reads, Writes: c.writes + c.localWrites,
-		})
-	}
-	n.aff = map[int64]*affinityCell{}
-	n.affMu.Unlock()
+	rep.Edges = n.objs.takeAffinity()
 	return rep
 }
 

@@ -50,6 +50,7 @@ func adaptOutput(t *testing.T, src string, k int, method partition.Method, tcp b
 	if err := c.Run(); err != nil {
 		t.Fatalf("adaptive run (k=%d tcp=%v): %v\noutput:\n%s", k, tcp, err, out.String())
 	}
+	runtime.CheckQuiescent(t, c.Nodes)
 	return out.String(), c
 }
 
@@ -147,6 +148,7 @@ func hotCellCluster(t *testing.T, adaptive bool, tcp bool) (string, *runtime.Clu
 	if err := c.Run(); err != nil {
 		t.Fatalf("run (adaptive=%v): %v\noutput:\n%s", adaptive, err, out.String())
 	}
+	runtime.CheckQuiescent(t, c.Nodes)
 	return out.String(), c
 }
 
@@ -244,6 +246,7 @@ class Main {
 		if err := c.Run(); err != nil {
 			t.Fatalf("tcp=%v: %v\noutput:\n%s", tcp, err, out.String())
 		}
+		runtime.CheckQuiescent(t, c.Nodes)
 		if out.String() != want {
 			t.Errorf("tcp=%v: output %q != sequential %q (stats %+v)",
 				tcp, out.String(), want, c.TotalStats())
@@ -319,6 +322,7 @@ class Main {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
+	runtime.CheckQuiescent(t, c.Nodes)
 	if out.String() != want {
 		t.Errorf("output %q != sequential %q", out.String(), want)
 	}

@@ -267,7 +267,8 @@ func (c *Cluster) buildNode(prog *bytecode.Program, ep transport.Endpoint, plan 
 	n.adaptEvery = opts.AdaptEvery
 	n.adaptEps = opts.AdaptEpsilon
 	n.adaptMinGain = opts.AdaptMinGain
-	n.coh.epoch = &c.invokeEpoch
+	n.objs.epoch = &c.invokeEpoch
+	n.objs.moves = opts.AdaptEvery > 0 || opts.FailureRecovery
 	if opts.Out != nil {
 		n.VM.Out = opts.Out
 	}
@@ -971,7 +972,7 @@ func (c *Cluster) Drain(rank int) error {
 	// never converts the graceful leave into a PEERDOWN verdict.
 	w := wire.Welcome{
 		Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed,
-		Epoch: starter.coh.curEpoch(), IDs: out.IDs, Homes: out.Homes,
+		Epoch: starter.objs.curEpoch(), IDs: out.IDs, Homes: out.Homes,
 	}
 	for _, r := range next.Members() {
 		if r == starter.Rank || starter.isDead(r) {
@@ -992,7 +993,7 @@ func (c *Cluster) Drain(rank int) error {
 	nodes[rank].wg.Wait()
 	_ = nodes[rank].EP.Close()
 	transport.RetirePeer(starter.EP, rank)
-	starter.coh.purgeRank(rank)
+	starter.objs.purgeRank(rank)
 	return nil
 }
 

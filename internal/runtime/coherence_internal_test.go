@@ -16,43 +16,57 @@ func shadowObj(t *testing.T, n *Node) *vm.Object {
 	return n.VM.NewObject(cls)
 }
 
+// hintOf reads id's forwarding hint.
+func hintOf(n *Node, id int64) (int, bool) {
+	sh := n.objs.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil && s.hintValid {
+		return s.hint, true
+	}
+	return 0, false
+}
+
 // TestCoherenceHintOverwrite pins the forwarding-pointer freshness
 // rule: a newer Moved notice overwrites an older hint outright, so a
 // node that learns the final home of a twice-migrated object forwards
 // straight there — the hint chain collapses at every node a redirect
 // reaches.
 func TestCoherenceHintOverwrite(t *testing.T) {
-	var c coherence
-	c.seedHint(1, 0)
-	c.learn(1, 1, 9, false)
-	if h, ok := c.lookupHint(1); !ok || h != 1 {
+	n := testNode(t) // rank 0
+	n.objs.intern(shadowObj(t, n), 1, 3)
+	n.objs.learn(1, 1)
+	if h, ok := hintOf(n, 1); !ok || h != 1 {
 		t.Fatalf("hint after first move = %d,%v, want 1,true", h, ok)
 	}
-	c.learn(1, 2, 9, false)
-	if h, ok := c.lookupHint(1); !ok || h != 2 {
+	n.objs.learn(1, 2)
+	if h, ok := hintOf(n, 1); !ok || h != 2 {
 		t.Fatalf("hint after second move = %d,%v, want 2,true", h, ok)
 	}
-	// seedHint never clobbers fresher knowledge.
-	c.seedHint(1, 0)
-	if h, _ := c.lookupHint(1); h != 2 {
-		t.Fatalf("seedHint overwrote a learned hint: %d", h)
+	// Interning a proxy again never clobbers fresher knowledge.
+	n.objs.intern(shadowObj(t, n), 1, 3)
+	if h, _ := hintOf(n, 1); h != 2 {
+		t.Fatalf("intern overwrote a learned hint: %d", h)
 	}
 }
 
 // TestCoherenceSelfHintDropped guards against a notice naming this
 // node itself: storing it would make the node forward requests to
-// itself ("dangling home reference"); the ownership map, not the hint,
-// answers for locally-held objects.
+// itself ("dangling home reference"); the record's home, not the hint,
+// answers for locally-held objects — and an owner stores no hint.
 func TestCoherenceSelfHintDropped(t *testing.T) {
-	var c coherence
-	c.seedHint(4, 1)
-	c.learn(4, 2, 2, false) // newHome == self
-	if h, _ := c.lookupHint(4); h != 1 {
+	n := testNode(t) // rank 0
+	// An odd id: rank 0 of 2 allocates only even ones, so the exported
+	// object below cannot collide with it.
+	n.objs.intern(shadowObj(t, n), 41, 1)
+	n.objs.learn(41, 0) // newHome == self
+	if h, _ := hintOf(n, 41); h != 1 {
 		t.Fatalf("self-pointing hint stored: %d", h)
 	}
-	c.learn(4, 0, 2, true) // owned here: hint untouched
-	if h, _ := c.lookupHint(4); h != 1 {
-		t.Fatalf("owned-here learn changed hint: %d", h)
+	o := shadowObj(t, n)
+	n.objs.export(o)
+	n.objs.learn(o.ID, 1) // owned here: no hint
+	if h, ok := hintOf(n, o.ID); ok {
+		t.Fatalf("owner stored a hint: %d", h)
 	}
 }
 
@@ -62,20 +76,20 @@ func TestCoherenceSelfHintDropped(t *testing.T) {
 // value.
 func TestCoherenceInstallDiscardedAfterInvalidate(t *testing.T) {
 	n := testNode(t)
-	gen := n.coh.replicaGen(7)
-	n.coh.invalidate(7) // write raced the fetch
-	if n.coh.installReplica(7, shadowObj(t, n), gen) {
+	gen := n.objs.replicaGen(7)
+	n.objs.invalidate(7) // write raced the fetch
+	if n.objs.installReplica(7, shadowObj(t, n), gen) {
 		t.Fatal("stale replica installed after invalidation")
 	}
-	if _, ok := n.coh.replicaShadow(7); ok {
-		t.Fatal("replicaShadow returned a discarded install")
+	if _, _, ok := n.objs.replica(7); ok {
+		t.Fatal("replica returned a discarded install")
 	}
 	// A clean install at the current generation takes.
-	gen = n.coh.replicaGen(7)
-	if !n.coh.installReplica(7, shadowObj(t, n), gen) {
+	gen = n.objs.replicaGen(7)
+	if !n.objs.installReplica(7, shadowObj(t, n), gen) {
 		t.Fatal("fresh install rejected")
 	}
-	if _, ok := n.coh.replicaShadow(7); !ok {
+	if _, _, ok := n.objs.replica(7); !ok {
 		t.Fatal("installed replica not served")
 	}
 }
@@ -86,20 +100,20 @@ func TestCoherenceInstallDiscardedAfterInvalidate(t *testing.T) {
 // (learn) drops them.
 func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 	n := testNode(t)
-	n.coh.storeOnce(3, "size", int64(8))
-	gen := n.coh.replicaGen(3)
-	n.coh.installReplica(3, shadowObj(t, n), gen)
+	n.objs.storeOnce(3, "size", int64(8))
+	gen := n.objs.replicaGen(3)
+	n.objs.installReplica(3, shadowObj(t, n), gen)
 
-	n.coh.invalidate(3)
-	if _, ok := n.coh.replicaShadow(3); ok {
+	n.objs.invalidate(3)
+	if _, _, ok := n.objs.replica(3); ok {
 		t.Fatal("replica survived INVALIDATE")
 	}
-	if v, ok := n.coh.cachedOnce(3, "size"); !ok || v != int64(8) {
+	if v, _, ok := n.objs.cachedOnce(3, "size"); !ok || v != int64(8) {
 		t.Fatal("write-once entry dropped by INVALIDATE")
 	}
 
-	n.coh.learn(3, 1, 9, false)
-	if _, ok := n.coh.cachedOnce(3, "size"); ok {
+	n.objs.learn(3, 1)
+	if _, _, ok := n.objs.cachedOnce(3, "size"); ok {
 		t.Fatal("write-once entry survived a home move")
 	}
 }
@@ -108,7 +122,7 @@ func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 // registration, the write barrier's removal of readers that hold no
 // replica, and the atomic take/restore pair migration uses.
 func TestCoherenceReaderSetLifecycle(t *testing.T) {
-	var c coherence
+	c := &testNode(t).objs
 	c.addReader(5, 2)
 	c.addReader(5, 1)
 	c.addReader(5, 2)
@@ -140,23 +154,27 @@ func TestCoherenceReaderSetLifecycle(t *testing.T) {
 // gone, caches gone, shipped reader set adopted minus the new owner
 // itself.
 func TestCoherenceBecomeOwner(t *testing.T) {
-	n := testNode(t)
-	n.coh.seedHint(6, 2)
-	n.coh.storeOnce(6, "f", int64(1))
-	gen := n.coh.replicaGen(6)
-	n.coh.installReplica(6, shadowObj(t, n), gen)
+	n := testNode(t) // rank 0
+	n.objs.intern(shadowObj(t, n), 6, 1)
+	n.objs.storeOnce(6, "f", int64(1))
+	gen := n.objs.replicaGen(6)
+	n.objs.installReplica(6, shadowObj(t, n), gen)
 
-	n.coh.becomeOwner(6, []int{0, 1, 2}, 0)
-	if _, ok := n.coh.lookupHint(6); ok {
+	h := shadowObj(t, n)
+	n.objs.install(6, h, []int{0, 1, 2})
+	if _, ok := hintOf(n, 6); ok {
 		t.Fatal("forwarding pointer survived ownership")
 	}
-	if _, ok := n.coh.cachedOnce(6, "f"); ok {
+	if got := n.objs.holder(6); got != h {
+		t.Fatalf("holder after install = %v, want the installed instance", got)
+	}
+	if _, _, ok := n.objs.cachedOnce(6, "f"); ok {
 		t.Fatal("cached read survived ownership")
 	}
-	if _, ok := n.coh.replicaShadow(6); ok {
+	if _, _, ok := n.objs.replica(6); ok {
 		t.Fatal("replica survived ownership")
 	}
-	if got := n.coh.appendReaders(nil, 6); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := n.objs.appendReaders(nil, 6); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("adopted readers = %v, want [1 2] (self excluded)", got)
 	}
 }
@@ -169,28 +187,28 @@ func TestCoherenceUpdatePatchesCopy(t *testing.T) {
 	n := testNode(t)
 	cls := n.VM.Class("Object")
 	old := &vm.Object{Class: cls, Fields: []vm.Value{int64(1), "a"}, ID: 9}
-	n.coh.installReplica(8, old, n.coh.replicaGen(8))
-	inFlight := n.coh.replicaGen(8)
+	n.objs.installReplica(8, old, n.objs.replicaGen(8))
+	inFlight := n.objs.replicaGen(8)
 
-	kept, err := n.coh.update(8, 1, "b")
+	kept, err := n.objs.update(8, 1, "b")
 	if err != nil || !kept {
 		t.Fatalf("update of a held replica = %v, %v; want kept", kept, err)
 	}
-	cur, ok := n.coh.replicaShadow(8)
+	cur, _, ok := n.objs.replica(8)
 	if !ok || cur == old || !reflect.DeepEqual(cur.Fields, []vm.Value{int64(1), "b"}) || cur.ID != old.ID {
 		t.Fatalf("patched replica = %+v, want a copy holding [1 b]", cur)
 	}
 	if old.Fields[1] != "a" {
 		t.Fatalf("the old shadow was written in place: %v", old.Fields)
 	}
-	if n.coh.installReplica(8, shadowObj(t, n), inFlight) {
+	if n.objs.installReplica(8, shadowObj(t, n), inFlight) {
 		t.Fatal("an install fetched before the patch was kept")
 	}
 
-	if _, err := n.coh.update(8, 2, int64(0)); err == nil {
+	if _, err := n.objs.update(8, 2, int64(0)); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if _, ok := n.coh.replicaShadow(8); ok {
+	if _, _, ok := n.objs.replica(8); ok {
 		t.Fatal("replica survived a patch it could not apply")
 	}
 }
@@ -201,15 +219,15 @@ func TestCoherenceUpdatePatchesCopy(t *testing.T) {
 func TestCoherenceLearnDropsPatchedReplica(t *testing.T) {
 	n := testNode(t)
 	shadow := &vm.Object{Class: n.VM.Class("Object"), Fields: []vm.Value{int64(0)}}
-	n.coh.installReplica(3, shadow, n.coh.replicaGen(3))
-	if kept, err := n.coh.update(3, 0, int64(1)); !kept || err != nil {
+	n.objs.installReplica(3, shadow, n.objs.replicaGen(3))
+	if kept, err := n.objs.update(3, 0, int64(1)); !kept || err != nil {
 		t.Fatalf("update = %v, %v; want kept", kept, err)
 	}
-	n.coh.learn(3, 2, 9, false)
-	if _, ok := n.coh.replicaShadow(3); ok {
+	n.objs.learn(3, 1)
+	if _, _, ok := n.objs.replica(3); ok {
 		t.Fatal("patched replica survived a home move")
 	}
-	if kept, _ := n.coh.update(3, 0, int64(2)); kept {
+	if kept, _ := n.objs.update(3, 0, int64(2)); kept {
 		t.Fatal("a patch after the move reported a kept replica")
 	}
 }
@@ -220,12 +238,12 @@ func TestCoherenceLearnDropsPatchedReplica(t *testing.T) {
 // installed.
 func TestCoherenceUpdateWithoutReplica(t *testing.T) {
 	n := testNode(t)
-	gen := n.coh.replicaGen(4)
-	kept, err := n.coh.update(4, 0, int64(5))
+	gen := n.objs.replicaGen(4)
+	kept, err := n.objs.update(4, 0, int64(5))
 	if err != nil || kept {
 		t.Fatalf("update without a replica = %v, %v; want not kept", kept, err)
 	}
-	if n.coh.installReplica(4, shadowObj(t, n), gen) {
+	if n.objs.installReplica(4, shadowObj(t, n), gen) {
 		t.Fatal("stale install kept after a patch")
 	}
 }

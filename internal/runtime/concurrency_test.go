@@ -113,6 +113,7 @@ func TestConcurrentThreadsMutualExclusion(t *testing.T) {
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 // TestPerThreadStatsAttribution: with concurrent invocations in
@@ -167,6 +168,10 @@ func TestPerThreadStatsAttribution(t *testing.T) {
 		t.Errorf("per-invocation deltas (%d msgs) account for under half the cluster total (%d)",
 			deltaSum.MessagesSent, total.MessagesSent)
 	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 var errNoTraffic = &noTraffic{}
@@ -224,4 +229,5 @@ func TestConcurrentDeferredErrorsCorrelatePerThread(t *testing.T) {
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Errorf("Shutdown after the error was already consumed: %v", err)
 	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }

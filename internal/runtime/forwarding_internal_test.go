@@ -63,7 +63,7 @@ class Main {
 	n0, n1, n2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
 	obj := n1.VM.NewObject(n1.VM.Class("Cell"))
 	obj.Fields[0] = int64(42)
-	n1.export(obj)
+	n1.objs.export(obj)
 	id := obj.ID
 
 	// Migrate 1→2, then 2→0: node 1's hint now points at node 2, node
@@ -74,7 +74,7 @@ class Main {
 	if out := n2.handleMigrate(n2.lthread(0), &wire.MigrateRequest{ID: id, To: 0}); !out.Moved || out.Err != "" {
 		t.Fatalf("migration 2→0 failed: %+v", out)
 	}
-	if h, ok := n1.coh.lookupHint(id); !ok || h != 2 {
+	if h, ok := hintOf(n1, id); !ok || h != 2 {
 		t.Fatalf("node 1 hint = %d,%v before redirect, want stale 2", h, ok)
 	}
 
@@ -90,12 +90,13 @@ class Main {
 	if got := n2.Stats.Forwards; got != 1 {
 		t.Fatalf("node 2 forwarded %d times, want 1", got)
 	}
-	if h, ok := n1.coh.lookupHint(id); !ok || h != 0 {
+	if h, ok := hintOf(n1, id); !ok || h != 0 {
 		t.Fatalf("node 1 hint after redirect = %d,%v — chain did not collapse to final home 0", h, ok)
 	}
 
 	// Second access goes direct: no forwarding anywhere.
-	if _, err := n1.remoteAccess(n1.lthread(0), n1.hintFor(id, 1), id, rewrite.GetField, "v", nil); err != nil {
+	_, home, _ := n1.objs.route(nil, id, 1, nil)
+	if _, err := n1.remoteAccess(n1.lthread(0), home, id, rewrite.GetField, "v", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := n2.Stats.Forwards + n0.Stats.Forwards + n1.Stats.Forwards; got != 1 {

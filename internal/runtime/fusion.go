@@ -204,8 +204,8 @@ func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
 // cache/replica optimisation, a locally-owned receiver) or that isn't
 // synchronous (asynchronous void calls) is excluded and later executes
 // individually, where the ordinary dispatch path applies its
-// optimisation with fully up-to-date state. The resolution mirrors
-// dispatchAccess / dispatchStatic; a stale hint — including one that
+// optimisation with fully up-to-date state. The resolution is
+// dispatchAccess's (objTable.route); a stale hint — including one that
 // went stale while earlier entries of the run executed — is harmless:
 // the destination forwards and stamps Moved exactly as it would for a
 // plain DEPENDENCE.
@@ -224,46 +224,10 @@ func (n *Node) fuseRoute(e *fusedEntry) int {
 			return noHome
 		}
 	}
-	o := e.self
-	isProxy := o.Class.Name() == depObjectClassName
-	var home int
-	var id int64
-	if n.adaptEvery <= 0 {
-		if !isProxy {
-			return noHome // static plan: a real receiver is local
-		}
-		home, id, _ = n.proxyIdentity(o)
-		if n.recovery {
-			// Promotion may have rehomed the object (possibly to us).
-			if n.holder(id) != nil {
-				return noHome
-			}
-			home = n.hintFor(id, home)
-		}
-	} else {
-		birth := n.Rank
-		if isProxy {
-			birth, id, _ = n.proxyIdentity(o)
-		} else {
-			id = o.ID
-		}
-		if n.holder(id) != nil {
-			return noHome
-		}
-		if !isProxy {
-			// A real instance that was never exported is private to this
-			// node and trivially owned.
-			n.mu.Lock()
-			private := n.canon[id] == nil
-			n.mu.Unlock()
-			if private {
-				return noHome
-			}
-		}
-		home = n.hintFor(id, birth)
-	}
-	if home == n.Rank {
-		return noHome // dangling; individual dispatch surfaces the error
+	id, birth, real := n.reference(e.self)
+	h, home, _ := n.objs.route(nil, id, birth, real)
+	if h != nil || home == n.Rank {
+		return noHome // local, or dangling: individual dispatch surfaces the error
 	}
 	e.id = id
 	return home

@@ -142,7 +142,7 @@ func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Wel
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Joins }, 1)
 	w := wire.Welcome{
 		Accept: true, ViewID: next.ID, Size: next.Size,
-		Departed: next.Departed, Epoch: n.coh.curEpoch(),
+		Departed: next.Departed, Epoch: n.objs.curEpoch(),
 	}
 	// Members that miss the broadcast (dead, or racing their own
 	// failure) still converge: every later stamped frame carries the
@@ -269,7 +269,7 @@ func (n *Node) handleWelcome(req *wire.Welcome) string {
 			continue
 		}
 		transport.RetirePeer(n.EP, d)
-		n.coh.purgeRank(d)
+		n.objs.purgeRank(d)
 	}
 	return ""
 }
@@ -297,13 +297,10 @@ func (n *Node) handleLeave(lt *lthread) wire.LeaveResponse {
 	if len(targets) == 0 {
 		return wire.LeaveResponse{Err: fmt.Sprintf("node %d: no live member to drain to", n.Rank)}
 	}
-	n.mu.Lock()
-	ids := make([]int64, 0, len(n.home))
-	for id := range n.home {
-		ids = append(ids, id)
+	var ids []int64
+	for _, o := range n.objs.owned() {
+		ids = append(ids, o.ID)
 	}
-	n.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	out := wire.LeaveResponse{}
 	next := 0

@@ -7,6 +7,7 @@ package runtime_test
 // view id unless elasticity is both enabled and exercised.
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,10 @@ func TestElasticJoinThenDrain(t *testing.T) {
 	if s := c.TotalStats(); s.Joins != 2 {
 		t.Fatalf("Joins = %d, want 2", s.Joins)
 	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 func TestDrainRefusals(t *testing.T) {
@@ -398,6 +403,10 @@ func TestElasticOffWireUnchanged(t *testing.T) {
 			if s.Joins != 0 || s.Drains != 0 || s.StaleViews != 0 {
 				t.Errorf("membership counters moved without membership: %+v", s)
 			}
+			if err := c.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.CheckQuiescent(t, c.Nodes)
 			mu.Lock()
 			defer mu.Unlock()
 			if stamped != 0 {

@@ -16,10 +16,10 @@ import (
 // Safety rests on three properties:
 //
 //  1. Quiescence: an object is snapshotted only when its access gate
-//     shows no in-flight local access (freezeObject); busy objects are
+//     shows no in-flight local access (objTable.freeze); busy objects are
 //     skipped this epoch, never forced.
 //  2. Forwarding: after the handoff the previous owner keeps a
-//     forwarding pointer (the coherence layer's hint) and relays stale
+//     forwarding pointer (the object record's hint) and relays stale
 //     requests to the new home, stamping Moved notices so callers
 //     redirect and invalidate cached reads. Requests are therefore
 //     never lost or duplicated across a handoff — they take at most a
@@ -59,18 +59,16 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 		// A command built against an older view; the object stays put.
 		return wire.MigrateResponse{}
 	}
-	h := n.holder(req.ID)
-	if h == nil || !n.migratable(h) {
+	if h := n.objs.holder(req.ID); h == nil || !n.migratable(h) {
 		return wire.MigrateResponse{}
 	}
-	if !n.freezeObject(req.ID) {
+	// The holder as of the freeze: the earlier read raced with in-flight
+	// accesses, but ownership cannot change while frozen.
+	h, ok := n.objs.freeze(req.ID)
+	if !ok {
 		return wire.MigrateResponse{}
 	}
-	defer n.thawObject(req.ID)
-	// Re-read under the freeze: ownership cannot change while frozen
-	// (migrations are serialised by the coordinator), but the earlier
-	// read raced with in-flight accesses.
-	h = n.holder(req.ID)
+	defer n.objs.thaw(req.ID)
 	if h == nil || !n.migratable(h) {
 		return wire.MigrateResponse{}
 	}
@@ -82,10 +80,10 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 	// freeze (no reader can register while frozen) and shipping it in
 	// the TRANSFER keeps home and replica set atomic — the new owner's
 	// first write invalidates exactly the replicas that exist.
-	readers := n.coh.takeReaders(req.ID)
+	readers := n.objs.takeReaders(req.ID)
 	treq := wire.TransferRequest{ID: req.ID, Class: h.Class.Name(), Fields: fields, Readers: readers}
 	fail := func(err error) wire.MigrateResponse {
-		n.coh.restoreReaders(req.ID, readers)
+		n.objs.restoreReaders(req.ID, readers)
 		return wire.MigrateResponse{Err: err.Error()}
 	}
 	resp, err := n.rawRequest(lt, req.To, KindTransfer, treq.Encode())
@@ -100,17 +98,11 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 	if tout.Err != "" {
 		return fail(fmt.Errorf("%s", tout.Err))
 	}
-	// The new owner has installed the state: the coherence layer
-	// leaves the forwarding pointer and invalidates our own cached
-	// reads of the object in one transition, and only then is
-	// ownership dropped. The order matters — at every instant either
-	// home[] or the hint answers for the object, so a concurrent
-	// export (toWire of a reference) can never observe "no hint, no
-	// home" and wrongly reclaim ownership mid-handoff.
-	n.coh.learn(req.ID, req.To, n.Rank, false)
-	n.mu.Lock()
-	delete(n.home, req.ID)
-	n.mu.Unlock()
+	// The new owner has installed the state: drop ownership, leave the
+	// forwarding pointer and our own cached reads of the object in one
+	// transition, so a concurrent export never sees "no hint, no home"
+	// and reclaims the object mid-handoff.
+	n.objs.handoff(req.ID, req.To)
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Migrations }, 1)
 	// The object left this node: invalidate compiled methods so the
 	// tier re-profiles under the new ownership map.
@@ -134,12 +126,10 @@ func (n *Node) handleTransfer(req *wire.TransferRequest) wire.TransferResponse {
 	if err != nil {
 		return wire.TransferResponse{Err: err.Error()}
 	}
-	n.mu.Lock()
 	var h *vm.Object
-	if c := n.canon[req.ID]; c != nil && c.Class.Name() != depObjectClassName {
+	if c := n.objs.canonOf(req.ID); c != nil && c.Class.Name() != depObjectClassName {
 		h = c // born here, coming home: reuse the canonical instance
 	}
-	n.mu.Unlock()
 	if h == nil {
 		h = n.VM.NewObject(cls)
 		h.ID = req.ID
@@ -149,17 +139,7 @@ func (n *Node) handleTransfer(req *wire.TransferRequest) wire.TransferResponse {
 			n.Rank, req.Class, len(vals), len(h.Fields))}
 	}
 	copy(h.Fields, vals)
-	n.mu.Lock()
-	n.home[req.ID] = h
-	if n.canon[req.ID] == nil {
-		n.canon[req.ID] = h
-	}
-	n.mu.Unlock()
-	// One coherence transition: the forwarding pointer disappears
-	// (requests terminate here now), reads we cached while the object
-	// lived elsewhere yield to the live instance, and the shipped
-	// replica set becomes ours to invalidate.
-	n.coh.becomeOwner(req.ID, req.Readers, n.Rank)
+	n.objs.install(req.ID, h, req.Readers)
 	// Ownership arrived: re-profile under the new shape (matching the
 	// sender's invalidation in handleMigrate).
 	n.VM.InvalidateCompiled()

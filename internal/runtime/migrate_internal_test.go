@@ -26,23 +26,22 @@ func testNode(t *testing.T) *Node {
 // replicas alike — and update the ownership hint for future accesses.
 func TestLearnHomeInvalidatesCachedReads(t *testing.T) {
 	n := testNode(t) // rank 0 of 2
-	n.coh.storeOnce(7, "size", int64(1))
-	n.coh.storeOnce(7, "tag", "x")
-	n.coh.storeOnce(9, "size", int64(2))
-	n.coh.seedHint(7, 0)
+	n.objs.storeOnce(7, "size", int64(1))
+	n.objs.storeOnce(7, "tag", "x")
+	n.objs.storeOnce(9, "size", int64(2))
 
 	n.learnHome(7, 1)
 
-	if _, ok := n.coh.cachedOnce(7, "size"); ok {
+	if _, _, ok := n.objs.cachedOnce(7, "size"); ok {
 		t.Error("cached read of moved object 7 survived invalidation")
 	}
-	if _, ok := n.coh.cachedOnce(7, "tag"); ok {
+	if _, _, ok := n.objs.cachedOnce(7, "tag"); ok {
 		t.Error("cached read of moved object 7 survived invalidation")
 	}
-	if _, ok := n.coh.cachedOnce(9, "size"); !ok {
+	if _, _, ok := n.objs.cachedOnce(9, "size"); !ok {
 		t.Error("cached read of unmoved object 9 was dropped")
 	}
-	if got := n.hintFor(7, 0); got != 1 {
+	if got, _ := hintOf(n, 7); got != 1 {
 		t.Errorf("hint for moved object = %d, want 1", got)
 	}
 }
@@ -51,10 +50,10 @@ func TestLearnHomeInvalidatesCachedReads(t *testing.T) {
 // corrupted Moved notices.
 func TestLearnHomeIgnoresBogusRanks(t *testing.T) {
 	n := testNode(t)
-	n.coh.seedHint(7, 1)
+	n.objs.intern(shadowObj(t, n), 7, 1)
 	n.learnHome(7, -1)
 	n.learnHome(7, 99)
-	if got := n.hintFor(7, 1); got != 1 {
+	if got, _ := hintOf(n, 7); got != 1 {
 		t.Errorf("hint changed to %d on out-of-range Moved notice", got)
 	}
 }
@@ -65,28 +64,37 @@ func TestLearnHomeIgnoresBogusRanks(t *testing.T) {
 func TestFreezeGateBlocksAndDrains(t *testing.T) {
 	n := testNode(t)
 	lt := n.lthread(0)
-	if !n.enterObject(lt, 5) {
-		t.Fatal("enterObject failed on live node")
+	obj := shadowObj(t, n)
+	id := obj.ID
+	enter := func() bool {
+		h, _, ok := n.objs.route(lt, id, n.Rank, obj)
+		return ok && h == obj
 	}
-	if n.freezeObject(5) {
+	if !enter() {
+		t.Fatal("route did not enter a local object's gate on a live node")
+	}
+	if _, ok := n.objs.freeze(id); ok {
 		t.Fatal("freeze succeeded with an access in flight")
 	}
-	n.exitObject(lt, 5)
-	if !n.freezeObject(5) {
+	n.objs.exit(id)
+	if _, ok := n.objs.freeze(id); !ok {
 		t.Fatal("freeze failed on idle object")
 	}
 	entered := make(chan bool)
 	go func() {
-		entered <- n.enterObject(lt, 5)
+		entered <- enter()
 	}()
 	select {
 	case <-entered:
 		t.Fatal("access admitted while frozen")
 	case <-time.After(5 * time.Millisecond):
 	}
-	n.thawObject(5)
+	n.objs.thaw(id)
 	if ok := <-entered; !ok {
 		t.Fatal("access failed after thaw")
 	}
-	n.exitObject(lt, 5)
+	n.objs.exit(id)
+	if got := tableSize(n); got != 0 {
+		t.Fatalf("%d records left after the gate drained, want 0", got)
+	}
 }

@@ -14,9 +14,9 @@ import (
 // synthetic local-dispatch access method (see rewrite: every dependent
 // class gains a native access so rewritten call sites also work when
 // the receiver turns out to be local). Both entry points funnel into
-// dispatchAccess, which consults the dynamic ownership map — under
-// adaptive repartitioning an object may live anywhere, regardless of
-// the shape (proxy or real) the call site happens to hold.
+// dispatchAccess, which asks the object table where the object lives —
+// under adaptive repartitioning an object may live anywhere, regardless
+// of the shape (proxy or real) the call site happens to hold.
 func (n *Node) registerNatives() {
 	machine := n.VM
 
@@ -62,12 +62,7 @@ func (n *Node) registerNatives() {
 				return nil, err
 			}
 			n.proxy.set(self, home, out.ID, className)
-			n.mu.Lock()
-			if n.canon[out.ID] == nil {
-				n.canon[out.ID] = self
-			}
-			n.mu.Unlock()
-			n.coh.seedHint(out.ID, home)
+			n.objs.intern(self, out.ID, home)
 			return nil, nil
 		})
 
@@ -152,92 +147,45 @@ func (n *Node) accessFromArgs(lt *lthread, args []vm.Value) (vm.Value, error) {
 }
 
 // dispatchAccess routes one rewritten access: locally when this node
-// owns the object's state (whatever shape the reference has), remotely
-// — with the caching and asynchrony optimisations — otherwise. This is
-// the dynamic-ownership replacement for the static "proxy means remote,
-// real means local" rule, which dispatchStatic keeps as the fast path
-// when adaptation is off.
+// owns the object's state (whatever shape the reference has), under the
+// object's gate — the mutual exclusion between concurrent logical
+// threads — and remotely, with the caching and asynchrony
+// optimisations, otherwise. Under adaptation, references crossing the
+// access are canonicalised, since a backing instance may be serving a
+// migrated-in object.
 func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	if n.adaptEvery <= 0 {
-		return n.dispatchStatic(lt, o, kind, member, acc)
+	adaptive := n.adaptEvery > 0
+	if adaptive {
+		acc = n.canonicalizeSlice(acc)
 	}
-	acc = n.canonicalizeSlice(acc)
-	isProxy := o.Class.Name() == depObjectClassName
-	var id int64
-	var birth int
-	if isProxy {
-		birth, id, _ = n.proxyIdentity(o)
-	} else {
-		id = o.ID
-		birth = n.Rank
-	}
-
-	if !n.enterObject(lt, id) {
+	id, birth, real := n.reference(o)
+	h, home, ok := n.objs.route(lt, id, birth, real)
+	if !ok {
 		return nil, fmt.Errorf("runtime: node %d shut down", n.Rank)
-	}
-	h := n.holder(id)
-	if h == nil && !isProxy {
-		// A real instance that was never exported is private to this
-		// node and trivially owned (it cannot have migrated).
-		n.mu.Lock()
-		if n.canon[id] == nil {
-			h = o
-		}
-		n.mu.Unlock()
 	}
 	if h != nil {
 		v, err := n.localDispatch(lt, h, kind, member, acc)
-		n.exitObject(lt, id)
-		return n.canonicalize(v), err
+		n.objs.exit(id)
+		if adaptive {
+			v = n.canonicalize(v)
+		}
+		return v, err
 	}
-	n.exitObject(lt, id)
-
-	home := n.hintFor(id, birth)
 	if home == n.Rank {
 		return nil, fmt.Errorf("runtime: dangling home reference %d on node %d", id, n.Rank)
 	}
 	return n.remoteDispatch(lt, home, id, kind, member, acc)
 }
 
-// dispatchStatic is the non-adaptive fast path: objects never move, so
-// a real receiver is local by construction and a proxy's identity names
-// its permanent home — no ownership lookups or canonicalisation
-// needed. Local accesses still take the object's gate: it is the
-// mutual exclusion between concurrent logical threads (uncontended
-// under MaxConcurrent = 1, where behaviour is exactly the old
-// single-thread protocol's).
-func (n *Node) dispatchStatic(lt *lthread, o *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	if o.Class.Name() != depObjectClassName {
-		return n.localGated(lt, o, kind, member, acc)
+// reference reads the global identity behind a mediated reference: the
+// id, the rank the reference names, and the instance itself when it is
+// not a proxy.
+func (n *Node) reference(o *vm.Object) (id int64, birth int, real *vm.Object) {
+	if o.Class.Name() == depObjectClassName {
+		birth, id, _ = n.proxyIdentity(o)
+		return id, birth, nil
 	}
-	home, id, _ := n.proxyIdentity(o)
-	if n.recovery {
-		// Failure recovery breaks the "objects never move" premise: a
-		// replica promoted after its owner died rehomes the object even
-		// under a static plan. Consult live ownership and the repaired
-		// hints exactly like the adaptive path does.
-		if obj := n.holder(id); obj != nil {
-			return n.localGated(lt, obj, kind, member, acc)
-		}
-		home = n.hintFor(id, home)
-	}
-	if home == n.Rank {
-		obj := n.holder(id)
-		if obj == nil {
-			return nil, fmt.Errorf("runtime: dangling home reference %d on node %d", id, n.Rank)
-		}
-		return n.localGated(lt, obj, kind, member, acc)
-	}
-	return n.remoteDispatch(lt, home, id, kind, member, acc)
-}
-
-// localGated is localDispatch under the object's access gate.
-func (n *Node) localGated(lt *lthread, obj *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	if !n.enterObject(lt, obj.ID) {
-		return nil, fmt.Errorf("runtime: node %d shut down", n.Rank)
-	}
-	defer n.exitObject(lt, obj.ID)
-	return n.localDispatch(lt, obj, kind, member, acc)
+	return o.ID, n.Rank, o
 }
 
 // localDispatch is localAccess for accesses originating on this node
@@ -260,9 +208,9 @@ func (n *Node) localDispatch(lt *lthread, obj *vm.Object, kind int, member strin
 func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member string, acc []vm.Value) (vm.Value, error) {
 	switch {
 	case kind == rewrite.GetFieldCached && !n.Unoptimized:
-		// Write-once reads: the never-invalidated special case of the
-		// coherence layer — only a home move drops these entries.
-		if v, retained, ok := n.coh.cachedOnceHit(id, member); ok {
+		// Write-once reads: the never-invalidated special case of
+		// cached state — only a home move drops these entries.
+		if v, retained, ok := n.objs.cachedOnce(id, member); ok {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.CacheHits }, 1)
 			if retained {
 				n.count(lt, func(s *NodeStats) *int64 { return &s.RetainedHits }, 1)
@@ -273,23 +221,18 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 		if err != nil {
 			return nil, err
 		}
-		// Re-check ownership: the object may have moved to this node
-		// while the read was in flight; a cache entry would then
-		// shadow the live field.
-		if n.holder(id) == nil {
-			n.coh.storeOnce(id, member, v)
-		}
+		n.objs.storeOnce(id, member, v)
 		return v, nil
 	case (kind == rewrite.GetFieldReplicated || kind == rewrite.InvokeReplicaRead) &&
 		n.replicate && !n.Unoptimized:
-		if shadow, retained, ok := n.coh.replicaShadowHit(id); ok {
+		if shadow, retained, ok := n.objs.replica(id); ok {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaHits }, 1)
 			if retained {
 				n.count(lt, func(s *NodeStats) *int64 { return &s.RetainedHits }, 1)
 			}
 			return n.replicaServe(lt, shadow, kind, member, acc)
 		}
-		if !n.coh.replicaDenied(id) {
+		if !n.objs.denied(id) {
 			shadow, err := n.fetchReplica(lt, home, id)
 			if err != nil {
 				return nil, err
@@ -299,7 +242,7 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 			}
 			// The fetch may have followed Moved redirects and healed
 			// the hint; the fallback should use the fresh location.
-			home = n.hintFor(id, home)
+			_, home, _ = n.objs.route(nil, id, home, nil)
 		}
 		// Denied: plain synchronous access (the kinds degrade at the
 		// owner).
@@ -378,7 +321,7 @@ func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte
 // DEPENDENCE handling and the local fast path of proxy dispatch. The
 // optimisation kinds degrade to their synchronous equivalents here —
 // a local access already costs zero messages. This is also the write
-// funnel of the coherence layer: replicated classes are rewritten as
+// funnel of replication: replicated classes are rewritten as
 // dependent everywhere, so every field store — remote-served or
 // owner-local, direct or from inside a method body — lands in the
 // PutField case, where the update-or-invalidate barrier runs before the

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"autodist/internal/bytecode"
 	"autodist/internal/membership"
@@ -94,28 +93,9 @@ type Node struct {
 	// unstamped build.
 	fuse bool
 
-	// mu guards the dynamic ownership map, which replaces the static
-	// plan's compile-time placement as the authority on where an
-	// object's state lives:
-	//
-	//   canon[id] — the unique heap object representing global id on
-	//               this node (a real instance if the object was born
-	//               or currently lives here, a DependentObject proxy
-	//               otherwise). Interning through canon preserves
-	//               reference equality across migrations.
-	//   home[id]  — the authoritative state-holder when this node owns
-	//               id. For ids adopted through migration whose canon
-	//               is proxy-shaped, home is a hidden backing instance
-	//               (never leaked to the program heap; see
-	//               canonicalize).
-	//
-	// Everything else about an object's whereabouts — forwarding
-	// hints, cached write-once reads, read replicas, owner-side
-	// replica sets — lives in the coherence state machine (coh, see
-	// coherence.go).
+	// mu guards the outstanding-request table: pending maps a tag to the
+	// requester waiting on its response, nextTag numbers the next one.
 	mu      sync.Mutex
-	canon   map[int64]*vm.Object
-	home    map[int64]*vm.Object
 	pending map[uint64]pendingReq
 	nextTag uint64
 
@@ -143,26 +123,14 @@ type Node struct {
 	// the two can race.
 	downOnce sync.Once
 
-	// coh is the per-object coherence state machine: location hints,
-	// the write-once cache, read replicas and replica sets.
-	coh coherence
+	// objs is everything this node knows about each object — where it
+	// lives, its cached reads and replica, its reader set, its access
+	// gate and its affinity — one record per global id (objects.go).
+	objs objTable
 
 	// proxy is the DependentObject field layout, resolved once: every
 	// mediated access through a proxy reads its identity.
 	proxy proxyLayout
-
-	// gateMu guards the per-object access gates: every local access
-	// registers with its object's gate, and a migration freezes the
-	// gate only when no access is in flight, so an object is never
-	// snapshotted mid-method.
-	gateMu sync.Mutex
-	gates  map[int64]*objGate
-
-	// affMu guards the epoch-local affinity counters: per target
-	// object, the messages and payload bytes this node sent to it
-	// since the last coordinator poll.
-	affMu sync.Mutex
-	aff   map[int64]*affinityCell
 
 	// reqEpoch counts synchronous requests for the adaptation trigger.
 	reqEpoch int64
@@ -322,54 +290,6 @@ type NodeStats struct {
 	StaleViews int64
 }
 
-// objGate is one object's access gate. Under the single-logical-thread
-// protocol it only had to serialise accesses against migration
-// snapshots; with concurrent logical threads it is real mutual
-// exclusion: one logical thread holds the object at a time (reentrant
-// — the same thread may nest accesses, including through remote
-// call-backs, which carry its id), other threads queue, and a
-// migration or replica snapshot freezes the gate only when no thread
-// holds it. depth counts the owning thread's nested in-flight
-// accesses, frozen (when non-nil) blocks new accesses while a
-// snapshot is in progress, and idle is closed when depth drops to zero
-// so waiting threads and snapshots can proceed.
-type objGate struct {
-	owner  uint64 // logical thread holding the gate (valid when depth > 0)
-	depth  int
-	frozen chan struct{}
-	idle   chan struct{}
-}
-
-// gatePool recycles objGate cells. Gates live only while an object has
-// in-flight accesses (exit deletes the map entry when the last access
-// drains), so an uncontended access would otherwise allocate one gate
-// per call. Waiters never retain a gate across a wait — they capture
-// the channel, then re-look the id up after waking — so a deleted gate
-// is safe to recycle immediately. Recycled gates are always quiescent:
-// depth 0, no idle waiters, not frozen.
-var gatePool = sync.Pool{New: func() any { return new(objGate) }}
-
-func getGate() *objGate {
-	g := gatePool.Get().(*objGate)
-	g.owner, g.depth, g.frozen, g.idle = 0, 0, nil, nil
-	return g
-}
-
-// affinityCell accumulates one epoch's traffic towards one object,
-// split into read and write messages so the coordinator's
-// replication-aware refinement can price invalidations (msgs = reads +
-// writes). localWrites additionally counts this node's own mediated
-// stores to objects it owns — they send no messages (and so never
-// enter the migration traffic totals), but each one drives an
-// invalidation round, so the replication planner must see the true
-// write rate.
-type affinityCell struct {
-	reads       int64
-	writes      int64
-	bytes       int64
-	localWrites int64
-}
-
 // NewNode wires a node from its rewritten program, endpoint and plan.
 func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) (*Node, error) {
 	machine, err := vm.New(prog)
@@ -386,16 +306,13 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 		Plan:    plan,
 		causal:  transport.Causal(ep),
 		copies:  transport.CopiesPayload(ep),
-		canon:   map[int64]*vm.Object{},
-		home:    map[int64]*vm.Object{},
 		pending: map[uint64]pendingReq{},
 		dead:    map[int]bool{},
-		gates:   map[int64]*objGate{},
-		aff:     map[int64]*affinityCell{},
 		lts:     map[uint64]*lthread{},
 		done:    make(chan struct{}),
 		errs:    make(chan error, 16),
 	}
+	n.objs.self, n.objs.done = n.Rank, n.done
 	if cls := machine.Class(depObjectClassName); cls != nil {
 		n.proxy = proxyLayout{
 			cls:   cls,
@@ -408,57 +325,13 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 	return n, nil
 }
 
-// export publishes a locally-held real object so remote nodes can refer
-// to it by id. The object becomes (or stays) this node's canonical rep;
-// ownership is claimed only if the object has not migrated away (a
-// forwarding hint for a real object records exactly that). The whole
-// check-and-claim runs inside one n.mu section — coherence.mu is a
-// leaf lock, so the hint read nests safely — and the migration handoff
-// sets the hint before dropping home under n.mu, so this section can
-// never observe "no hint, no home" mid-handoff and wrongly re-claim an
-// object whose state just moved.
-func (n *Node) export(o *vm.Object) {
-	n.mu.Lock()
-	if n.canon[o.ID] == nil {
-		n.canon[o.ID] = o
-	}
-	if n.home[o.ID] == nil {
-		if _, away := n.coh.lookupHint(o.ID); !away {
-			n.home[o.ID] = o
-		}
-	}
-	n.mu.Unlock()
-}
-
-// holder returns the authoritative state-holder for id if this node
-// currently owns it.
-func (n *Node) holder(id int64) *vm.Object {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.home[id]
-}
-
-// hintFor returns the best-known owner for an id this node does not
-// hold, falling back to the proxy's birth home.
-func (n *Node) hintFor(id int64, birth int) int {
-	if h, ok := n.coh.lookupHint(id); ok {
-		return h
-	}
-	return birth
-}
-
-// learnHome records a Moved notice through the coherence layer: future
-// accesses to id go straight to newHome, and every locally cached
-// value of the object — write-once reads and replicas alike — is
-// invalidated, because its state now answers to a different owner.
+// learnHome records a Moved notice (objTable.learn) unless it names a
+// rank outside the cluster.
 func (n *Node) learnHome(id int64, newHome int) {
 	if newHome < 0 || newHome >= n.EP.Size() {
 		return
 	}
-	n.mu.Lock()
-	owned := n.home[id] != nil
-	n.mu.Unlock()
-	n.coh.learn(id, newHome, n.Rank, owned)
+	n.objs.learn(id, newHome)
 }
 
 // canonicalize maps a hidden backing object (the state-holder of a
@@ -471,10 +344,7 @@ func (n *Node) canonicalize(v vm.Value) vm.Value {
 	if !ok || o == nil || o.Class.Name() == depObjectClassName {
 		return v
 	}
-	n.mu.Lock()
-	c := n.canon[o.ID]
-	n.mu.Unlock()
-	if c != nil && c != o {
+	if c := n.objs.canonOf(o.ID); c != nil {
 		return c
 	}
 	return v
@@ -487,151 +357,22 @@ func (n *Node) canonicalizeSlice(vs []vm.Value) []vm.Value {
 	return vs
 }
 
-// enterObject acquires the object's gate for a logical thread,
-// blocking while another thread holds it or a migration snapshot is in
-// progress. Reentrant per thread: nested accesses by the holding
-// thread — local nesting or a remote call-back carrying its id — enter
-// immediately. Returns false only at shutdown.
-func (n *Node) enterObject(lt *lthread, id int64) bool {
-	for {
-		n.gateMu.Lock()
-		g := n.gates[id]
-		if g == nil {
-			g = getGate()
-			n.gates[id] = g
-		}
-		if g.depth > 0 && g.owner == lt.tid {
-			g.depth++
-			n.gateMu.Unlock()
-			return true
-		}
-		var ch chan struct{}
-		switch {
-		case g.frozen != nil:
-			ch = g.frozen
-		case g.depth > 0:
-			// Held by another logical thread: wait for it to drain.
-			if g.idle == nil {
-				g.idle = make(chan struct{})
-			}
-			ch = g.idle
-		default:
-			g.owner, g.depth = lt.tid, 1
-			n.gateMu.Unlock()
-			return true
-		}
-		n.gateMu.Unlock()
-		select {
-		case <-ch:
-		case <-n.done:
-			return false
-		}
-	}
-}
-
-// exitObject ends an in-flight access registered by enterObject.
-func (n *Node) exitObject(lt *lthread, id int64) {
-	n.gateMu.Lock()
-	if g := n.gates[id]; g != nil {
-		g.depth--
-		if g.depth == 0 {
-			if g.idle != nil {
-				close(g.idle)
-				g.idle = nil
-			}
-			if g.frozen == nil {
-				delete(n.gates, id)
-				gatePool.Put(g)
-			}
-		}
-	}
-	n.gateMu.Unlock()
-}
-
-// migrateFreezeTimeout bounds how long a migration waits for in-flight
-// accesses to drain before skipping the object this epoch.
-const migrateFreezeTimeout = 10 * time.Millisecond
-
-// freezeObject waits (bounded) for in-flight accesses to id to drain,
-// then blocks new ones until thawObject. Returns false if the object
-// stayed busy — the migration is skipped, never forced.
-func (n *Node) freezeObject(id int64) bool {
-	deadline := time.Now().Add(migrateFreezeTimeout)
-	for {
-		n.gateMu.Lock()
-		g := n.gates[id]
-		if g == nil {
-			g = getGate()
-			n.gates[id] = g
-		}
-		if g.frozen != nil {
-			// Another migration of the same id is in flight.
-			n.gateMu.Unlock()
-			return false
-		}
-		if g.depth == 0 {
-			g.frozen = make(chan struct{})
-			n.gateMu.Unlock()
-			return true
-		}
-		if g.idle == nil {
-			g.idle = make(chan struct{})
-		}
-		ch := g.idle
-		n.gateMu.Unlock()
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return false
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return false
-		case <-n.done:
-			t.Stop()
-			return false
-		}
-	}
-}
-
-// thawObject lifts a freeze installed by freezeObject.
-func (n *Node) thawObject(id int64) {
-	n.gateMu.Lock()
-	if g := n.gates[id]; g != nil && g.frozen != nil {
-		close(g.frozen)
-		g.frozen = nil
-		if g.depth == 0 && g.idle == nil {
-			delete(n.gates, id)
-			gatePool.Put(g)
-		}
-	}
-	n.gateMu.Unlock()
-}
-
 // recordAffinity charges one outgoing dependence message towards id to
-// the epoch-local affinity counters (no-op outside adaptive runs).
-// write marks messages that mutate the object; the split lets the
-// coordinator price replication. Replica hits are free and therefore
-// never charged; replica fetches are charged as reads by the caller.
+// the epoch's affinity counters (no-op outside adaptive runs). write
+// marks messages that mutate the object; the split lets the coordinator
+// price replication. Replica hits are free and therefore never charged;
+// replica fetches are charged as reads by the caller.
 func (n *Node) recordAffinity(id int64, bytes int, write bool) {
 	if n.adaptEvery <= 0 {
 		return
 	}
-	n.affMu.Lock()
-	c := n.aff[id]
-	if c == nil {
-		c = &affinityCell{}
-		n.aff[id] = c
-	}
+	c := affinityCell{bytes: int64(bytes)}
 	if write {
-		c.writes++
+		c.writes = 1
 	} else {
-		c.reads++
+		c.reads = 1
 	}
-	c.bytes += int64(bytes)
-	n.affMu.Unlock()
+	n.objs.charge(id, c)
 }
 
 // recordLocalWrite charges one owner-local mediated store towards the
@@ -642,41 +383,18 @@ func (n *Node) recordLocalWrite(id int64) {
 	if n.adaptEvery <= 0 || !n.replicate {
 		return
 	}
-	n.affMu.Lock()
-	c := n.aff[id]
-	if c == nil {
-		c = &affinityCell{}
-		n.aff[id] = c
-	}
-	c.localWrites++
-	n.affMu.Unlock()
+	n.objs.charge(id, affinityCell{localWrites: 1})
 }
 
 // proxyFor interns a DependentObject proxy for a remote object, so
 // reference equality holds across repeated transfers and migrations.
 func (n *Node) proxyFor(birth int, id int64, class string) (*vm.Object, error) {
-	n.mu.Lock()
-	if c := n.canon[id]; c != nil {
-		n.mu.Unlock()
-		return c, nil
-	}
-	n.mu.Unlock()
 	if n.proxy.cls == nil {
 		return nil, fmt.Errorf("runtime: %s not loaded on node %d", depObjectClassName, n.Rank)
 	}
 	p := n.VM.NewObject(n.proxy.cls)
 	n.proxy.set(p, birth, id, class)
-	n.mu.Lock()
-	if c := n.canon[id]; c != nil {
-		n.mu.Unlock()
-		return c, nil
-	}
-	n.canon[id] = p
-	if _, owned := n.home[id]; !owned {
-		n.coh.seedHint(id, birth)
-	}
-	n.mu.Unlock()
-	return p, nil
+	return n.objs.intern(p, id, birth), nil
 }
 
 // proxyLayout is the DependentObject class and its field slots.
@@ -693,7 +411,8 @@ func (l *proxyLayout) set(p *vm.Object, home int, id int64, class string) {
 }
 
 // proxyIdentity reads a proxy's birth identity (the home field is the
-// placement at proxy creation; hintFor supplies the current owner).
+// placement at proxy creation; objTable.route supplies the current
+// owner).
 func (n *Node) proxyIdentity(p *vm.Object) (home int, id int64, class string) {
 	l := &n.proxy
 	return int(p.Fields[l.home].(int64)), p.Fields[l.id].(int64), p.Fields[l.class].(string)
@@ -1351,7 +1070,7 @@ func (n *Node) handle(msg transport.Message) {
 		if req, err := wire.DecodeRecoverRequest(msg.Payload); err != nil {
 			out.Err = err.Error()
 		} else {
-			out.IDs = n.coh.replicasOf(req.Dead)
+			out.IDs = n.objs.replicasOf(req.Dead)
 		}
 		reply(out.Encode())
 	case KindPromote:
@@ -1447,7 +1166,7 @@ func (n *Node) handleNew(lt *lthread, req *wire.NewRequest) (int64, []wire.Value
 	if _, err := lt.vt.Invoke(cls, ctor, callArgs); err != nil {
 		return 0, nil, err
 	}
-	n.export(obj)
+	n.objs.export(obj)
 	outs, err := n.arrayOuts(req.Args, args)
 	if err != nil {
 		return 0, nil, err
@@ -1510,19 +1229,18 @@ func (n *Node) serveDependence(lt *lthread, req *wire.DepRequest) wire.DepRespon
 			return n.staticAccessLocal(lt, req.Class, req.Kind, req.Member, args)
 		})
 	}
-	if !n.enterObject(lt, req.ID) {
+	h, fwd, ok := n.objs.route(lt, req.ID, n.Rank, nil)
+	if !ok {
 		return fail(fmt.Errorf("node %d shut down", n.Rank))
 	}
-	if h := n.holder(req.ID); h != nil {
+	if h != nil {
 		resp := serve(func(args []vm.Value) (vm.Value, error) {
 			return n.localAccess(lt, h, req.Kind, req.Member, args)
 		})
-		n.exitObject(lt, req.ID)
+		n.objs.exit(req.ID)
 		return resp
 	}
-	n.exitObject(lt, req.ID)
-	fwd, ok := n.coh.lookupHint(req.ID)
-	if !ok || fwd == n.Rank {
+	if fwd == n.Rank {
 		return fail(fmt.Errorf("node %d: no object %d", n.Rank, req.ID))
 	}
 	return n.forwardDependence(lt, fwd, req)

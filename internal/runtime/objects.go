@@ -1,0 +1,721 @@
+package runtime
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"autodist/internal/vm"
+	"autodist/internal/wire"
+)
+
+// This file holds everything a node knows about an object, keyed by its
+// global id (each VM allocates ids congruent to its rank, see
+// vm.SetObjectIDSpace): one objState record per id, in a table of
+// 1<<objShardBits shards of one mutex and one map each. Every protocol
+// event that touches an object — export, proxy intern, a Moved notice,
+// the two halves of a migration, promotion, gate entry and exit, freeze
+// and thaw, a cached read, a replica install, patch or drop, a
+// reader-set change, an affinity charge — is one method below that takes
+// the object's shard lock once, does no I/O and takes no other lock. The
+// protocol code sends the messages around them.
+
+// objShardBits sets the table's shard count: well above the number of
+// logical threads a node runs at once, so accesses to different objects
+// rarely meet on a lock.
+const objShardBits = 6
+
+// objTable is one node's object records.
+type objTable struct {
+	self int
+	// moves is false under a static plan (neither adaptation nor failure
+	// recovery): objects never change owner, so a proxy names its
+	// permanent home and route answers for it without a lookup.
+	moves bool
+	// done is the node's shutdown channel; gate and freeze waits give up
+	// on it.
+	done <-chan struct{}
+	// epoch points at the cluster's invocation counter (nil outside a
+	// cluster). Cached reads and replicas are stamped with the epoch they
+	// were filled in, so a hit can tell whether it is served from state
+	// learned in an earlier entrypoint invocation — the cross-invocation
+	// retention the deployment lifecycle promises.
+	epoch  *int64
+	shards [1 << objShardBits]objShard
+}
+
+type objShard struct {
+	mu sync.Mutex
+	m  map[int64]*objState
+	// spare is the last record deleted, reused by the next one created:
+	// an object that never leaves this node has a record only while an
+	// access holds its gate, and that access then allocates nothing.
+	spare *objState
+}
+
+// objState is one object's record on this node.
+type objState struct {
+	// canon is the unique heap object representing the id here: a real
+	// instance if the object was born here (or migrated in with no proxy
+	// on the heap), a DependentObject proxy otherwise. Interning through
+	// canon preserves reference equality across migrations.
+	canon *vm.Object
+	// home is the authoritative state-holder while this node owns the
+	// object. Behind a proxy canon it is a hidden backing instance, never
+	// leaked to the program heap (see Node.canonicalize).
+	home *vm.Object
+
+	// hint is the best-known owner while this node does not hold the
+	// object: seeded from the birth placement when a proxy is interned,
+	// refreshed by Moved notices, and doubling as the forwarding pointer
+	// a previous owner relays stale requests through. An owner holds no
+	// valid hint.
+	hint      int
+	hintValid bool
+
+	// once caches write-once field reads. A write can never invalidate
+	// them (the facts pass proved there are no writes); only a home move
+	// discards them, conservatively, with everything else. onceEpoch
+	// records the invocation epoch each entry was filled in.
+	once      map[string]vm.Value
+	onceEpoch map[string]int64
+
+	// replica is the installed field-snapshot shadow, nil when no valid
+	// replica is held. It is never written in place — other threads may
+	// be serving reads from it — so a patch installs a modified copy.
+	// gen counts invalidation events (INVALIDATE frames, patching or not,
+	// and home moves); an install racing one is discarded by comparing
+	// gen. replicaEpoch records the invocation epoch of the install.
+	replica      *vm.Object
+	gen          uint64
+	replicaEpoch int64
+
+	// denied records an owner's refusal to replicate the object, so the
+	// reader stops asking and uses plain remote reads.
+	denied bool
+
+	// readers is the owner-side replica set, sorted: ranks that installed
+	// a replica and must be patched or invalidated before any write
+	// completes. It travels with ownership on migration.
+	readers []int
+
+	// The access gate. One logical thread holds the object at a time
+	// (reentrant: the holder may nest accesses, including through remote
+	// call-backs, which carry its id); others wait for idle, which is
+	// closed when depth drops to zero. frozen, when non-nil, blocks every
+	// access while a migration or replica snapshot is in progress; a
+	// freeze is installed only when depth is zero.
+	owner  uint64
+	depth  int
+	frozen chan struct{}
+	idle   chan struct{}
+
+	// aff is this epoch's traffic from this node towards the object.
+	aff affinityCell
+}
+
+// affinityCell accumulates one epoch's traffic towards one object,
+// split into read and write messages so the coordinator's
+// replication-aware refinement can price invalidations (msgs = reads +
+// writes). localWrites additionally counts this node's own mediated
+// stores to objects it owns — they send no messages (and so never enter
+// the migration traffic totals), but each one drives an invalidation
+// round, so the replication planner must see the true write rate.
+type affinityCell struct {
+	reads       int64
+	writes      int64
+	bytes       int64
+	localWrites int64
+}
+
+// lock locks and returns id's shard.
+func (t *objTable) lock(id int64) *objShard {
+	sh := &t.shards[uint64(id)*0x9E3779B97F4A7C15>>(64-objShardBits)]
+	sh.mu.Lock()
+	return sh
+}
+
+// ent returns id's record, creating it. Callers hold the shard lock.
+func (sh *objShard) ent(id int64) *objState {
+	s := sh.m[id]
+	if s == nil {
+		if s, sh.spare = sh.spare, nil; s == nil {
+			s = new(objState)
+		}
+		if sh.m == nil {
+			sh.m = map[int64]*objState{}
+		}
+		sh.m[id] = s
+	}
+	return s
+}
+
+// release deletes id's record if it holds nothing, keeping it as the
+// shard's spare. Callers hold the shard lock; no pointer to a record
+// outlives it, so a deleted record is safe to reuse at once.
+func (sh *objShard) release(id int64, s *objState) {
+	if s.vacant() {
+		delete(sh.m, id)
+		*s = objState{}
+		sh.spare = s
+	}
+}
+
+// vacant reports whether the record holds nothing but an idle gate.
+func (s *objState) vacant() bool {
+	return s.canon == nil && s.home == nil && !s.hintValid && s.once == nil && s.replica == nil &&
+		s.gen == 0 && !s.denied && len(s.readers) == 0 &&
+		s.depth == 0 && s.frozen == nil && s.idle == nil && s.aff == (affinityCell{})
+}
+
+// scan calls fn on every record, holding one shard lock at a time, so fn
+// must do no I/O and take no other lock. Records fn leaves vacant are
+// deleted.
+func (t *objTable) scan(fn func(id int64, s *objState)) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for id, s := range sh.m {
+			fn(id, s)
+			sh.release(id, s)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// curEpoch reads the cluster's current invocation epoch (0 when the node
+// is not part of an invocation-counting cluster).
+func (t *objTable) curEpoch() int64 {
+	if t.epoch == nil {
+		return 0
+	}
+	return atomic.LoadInt64(t.epoch)
+}
+
+// route is the node's one here-or-where decision for an object reached
+// through a reference: h is the local state-holder when this node holds
+// the object (home is then this node); otherwise home is the rank an
+// access should go to — the hint, else birth, the rank the reference
+// names. real is the referenced instance when the reference is not a
+// proxy: an instance this node never exported is private to it and
+// trivially owned. A dangling reference comes back as (nil, self).
+//
+// With a non-nil lt, an object found here also has its gate entered for
+// that logical thread in the same section, so no migration can move it
+// in between; route then blocks while another thread holds the gate or a
+// snapshot has it frozen, and decides again after every wait. ok is
+// false only when the node shut down during such a wait.
+func (t *objTable) route(lt *lthread, id int64, birth int, real *vm.Object) (h *vm.Object, home int, ok bool) {
+	if real == nil && !t.moves && birth != t.self {
+		return nil, birth, true
+	}
+	for {
+		sh := t.lock(id)
+		s := sh.m[id]
+		switch {
+		case s != nil && s.home != nil:
+			h, home = s.home, t.self
+		case real != nil && (s == nil || s.canon == nil):
+			h, home = real, t.self
+		case s != nil && s.hintValid:
+			h, home = nil, s.hint
+		default:
+			h, home = nil, birth
+		}
+		if h == nil || lt == nil {
+			sh.mu.Unlock()
+			return h, home, true
+		}
+		if s == nil {
+			s = sh.ent(id)
+		}
+		var wait chan struct{}
+		switch {
+		case s.depth > 0 && s.owner == lt.tid:
+			s.depth++
+		case s.frozen != nil:
+			wait = s.frozen
+		case s.depth > 0:
+			if s.idle == nil {
+				s.idle = make(chan struct{})
+			}
+			wait = s.idle
+		default:
+			s.owner, s.depth = lt.tid, 1
+		}
+		sh.mu.Unlock()
+		if wait == nil {
+			return h, home, true
+		}
+		select {
+		case <-wait:
+		case <-t.done:
+			return nil, home, false
+		}
+	}
+}
+
+// exit ends an access whose gate route entered.
+func (t *objTable) exit(id int64) {
+	sh := t.lock(id)
+	if s := sh.m[id]; s != nil && s.depth > 0 {
+		s.depth--
+		if s.depth == 0 {
+			if s.idle != nil {
+				close(s.idle)
+				s.idle = nil
+			}
+			sh.release(id, s)
+		}
+	}
+	sh.mu.Unlock()
+}
+
+// migrateFreezeTimeout bounds how long a snapshot waits for in-flight
+// accesses to drain before skipping the object.
+const migrateFreezeTimeout = 10 * time.Millisecond
+
+// freeze waits (bounded) for in-flight accesses to id to drain, then
+// blocks new ones until thaw, and returns the state-holder as of the
+// freeze — ownership cannot change while frozen. ok is false if the
+// object stayed busy or another snapshot holds it: the snapshot is
+// skipped, never forced.
+func (t *objTable) freeze(id int64) (h *vm.Object, ok bool) {
+	deadline := time.Now().Add(migrateFreezeTimeout)
+	for {
+		sh := t.lock(id)
+		s := sh.ent(id)
+		if s.frozen != nil {
+			sh.mu.Unlock()
+			return nil, false
+		}
+		if s.depth == 0 {
+			s.frozen = make(chan struct{})
+			h = s.home
+			sh.mu.Unlock()
+			return h, true
+		}
+		if s.idle == nil {
+			s.idle = make(chan struct{})
+		}
+		idle := s.idle
+		sh.mu.Unlock()
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return nil, false
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-idle:
+			timer.Stop()
+		case <-timer.C:
+			return nil, false
+		case <-t.done:
+			timer.Stop()
+			return nil, false
+		}
+	}
+}
+
+// thaw lifts a freeze installed by freeze.
+func (t *objTable) thaw(id int64) {
+	sh := t.lock(id)
+	if s := sh.m[id]; s != nil && s.frozen != nil {
+		close(s.frozen)
+		s.frozen = nil
+		sh.release(id, s)
+	}
+	sh.mu.Unlock()
+}
+
+// holder returns the state-holder of id if this node owns it.
+func (t *objTable) holder(id int64) *vm.Object {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil {
+		return s.home
+	}
+	return nil
+}
+
+// canonOf returns id's canonical heap object on this node, if any.
+func (t *objTable) canonOf(id int64) *vm.Object {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil {
+		return s.canon
+	}
+	return nil
+}
+
+// export publishes a real instance so other nodes can refer to it by
+// id. The instance becomes (or stays) the canonical rep, and ownership
+// is claimed unless the object migrated away — a hint on a real
+// instance records exactly that, and handoff sets it in the same step
+// that drops home, so export never sees "no hint, no home" mid-handoff.
+func (t *objTable) export(o *vm.Object) {
+	sh := t.lock(o.ID)
+	s := sh.ent(o.ID)
+	if s.canon == nil {
+		s.canon = o
+	}
+	if s.home == nil && !s.hintValid {
+		s.home = o
+	}
+	sh.mu.Unlock()
+}
+
+// intern makes proxy p the canonical rep of id unless one exists, seeds
+// the hint with the proxy's birth rank unless something fresher is
+// known, and returns the canonical rep.
+func (t *objTable) intern(p *vm.Object, id int64, birth int) *vm.Object {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.ent(id)
+	if s.canon == nil {
+		s.canon = p
+	}
+	if s.home == nil && !s.hintValid {
+		s.hint, s.hintValid = birth, true
+	}
+	return s.canon
+}
+
+// dropCopies discards every cached value of the object — write-once
+// reads and the replica — and moves the generation, so an install in
+// flight is discarded too.
+func (s *objState) dropCopies() {
+	s.once, s.onceEpoch, s.replica = nil, nil, nil
+	s.gen++
+}
+
+// learn processes a Moved notice: future accesses go to newHome, and
+// every cached value of the object is dropped, because its state now
+// answers to a different owner. An owner keeps no hint (the notice is
+// transiently stale there), and a notice naming this node is not
+// stored, so no node forwards to itself.
+func (t *objTable) learn(id int64, newHome int) {
+	sh := t.lock(id)
+	s := sh.ent(id)
+	s.dropCopies()
+	if s.home == nil && newHome != t.self {
+		s.hint, s.hintValid = newHome, true
+	}
+	sh.mu.Unlock()
+}
+
+// handoff completes a migration on the previous owner once the new
+// owner installed the state: ownership goes and the forwarding pointer
+// to the new owner appears in one step, and this node's cached values of
+// the object are dropped with it.
+func (t *objTable) handoff(id int64, to int) {
+	sh := t.lock(id)
+	s := sh.ent(id)
+	s.dropCopies()
+	s.home = nil
+	s.hint, s.hintValid = to, true
+	sh.mu.Unlock()
+}
+
+// install makes h the state-holder of id on its new owner (TRANSFER):
+// the forwarding pointer goes, cached copies yield to the live
+// instance, and the shipped reader set, minus this node, becomes the
+// record's.
+func (t *objTable) install(id int64, h *vm.Object, readers []int) {
+	sh := t.lock(id)
+	sh.ent(id).own(h, readers, t.self)
+	sh.mu.Unlock()
+}
+
+func (s *objState) own(h *vm.Object, readers []int, self int) {
+	s.home = h
+	if s.canon == nil {
+		s.canon = h
+	}
+	s.hintValid = false
+	s.dropCopies()
+	s.readers = nil
+	for _, r := range readers {
+		if r != self {
+			s.addReader(r)
+		}
+	}
+}
+
+// promote installs this node's replica of id as the authoritative copy
+// after its owner died. It takes only while a replica is held, the hint
+// names the dead rank and no home is here. The new home is a copy that
+// carries the global id: the shadow itself may be serving reads on
+// other threads, so it is never written, and the home — which writes
+// update in place — gets its own fields.
+func (t *objTable) promote(id int64, dead int) bool {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.m[id]
+	if s == nil || s.replica == nil || !s.hintValid || s.hint != dead || s.home != nil {
+		return false
+	}
+	h := *s.replica
+	h.Fields = slices.Clone(h.Fields)
+	h.ID = id
+	s.own(&h, nil, t.self)
+	return true
+}
+
+// replicasOf lists, in id order, the ids this node holds a replica of
+// whose last known owner is the dead rank — the promotion candidates a
+// RECOVER poll reports.
+func (t *objTable) replicasOf(dead int) []int64 {
+	var out []int64
+	t.scan(func(id int64, s *objState) {
+		if s.replica != nil && s.hintValid && s.hint == dead {
+			out = append(out, id)
+		}
+	})
+	slices.Sort(out)
+	return out
+}
+
+// purgeRank removes a dead or departed rank from every reader set, so no
+// later write barrier waits on it.
+func (t *objTable) purgeRank(rank int) {
+	t.scan(func(_ int64, s *objState) { s.dropReader(rank) })
+}
+
+// owned lists the state-holders of the objects this node owns, in id
+// order.
+func (t *objTable) owned() []*vm.Object {
+	var out []*vm.Object
+	t.scan(func(_ int64, s *objState) {
+		if s.home != nil {
+			out = append(out, s.home)
+		}
+	})
+	slices.SortFunc(out, func(a, b *vm.Object) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// charge adds traffic to id's affinity cell for this epoch.
+func (t *objTable) charge(id int64, c affinityCell) {
+	sh := t.lock(id)
+	a := &sh.ent(id).aff
+	a.reads += c.reads
+	a.writes += c.writes
+	a.bytes += c.bytes
+	a.localWrites += c.localWrites
+	sh.mu.Unlock()
+}
+
+// takeAffinity returns the epoch's affinity edges in id order and
+// resets every cell (affinity is epoch-local, so the coordinator reacts
+// to phase shifts, not history).
+func (t *objTable) takeAffinity() []wire.AffinityEdge {
+	var out []wire.AffinityEdge
+	t.scan(func(id int64, s *objState) {
+		if c := s.aff; c != (affinityCell{}) {
+			out = append(out, wire.AffinityEdge{
+				ID: id, Msgs: c.reads + c.writes, Bytes: c.bytes,
+				Reads: c.reads, Writes: c.writes + c.localWrites,
+			})
+			s.aff = affinityCell{}
+		}
+	})
+	slices.SortFunc(out, func(a, b wire.AffinityEdge) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// cachedOnce returns a write-once cache entry plus whether the hit is
+// retained — served from an entry filled during an earlier invocation
+// epoch.
+func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok bool) {
+	cur := t.curEpoch()
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil && s.once != nil {
+		v, ok = s.once[member]
+		return v, ok && cur > 0 && s.onceEpoch[member] < cur, ok
+	}
+	return nil, false, false
+}
+
+// storeOnce fills the write-once cache, stamped with the current
+// invocation epoch — unless the object moved here while the read was in
+// flight, where an entry would shadow the live field.
+func (t *objTable) storeOnce(id int64, member string, v vm.Value) {
+	cur := t.curEpoch()
+	sh := t.lock(id)
+	if s := sh.ent(id); s.home == nil {
+		if s.once == nil {
+			s.once = map[string]vm.Value{}
+			s.onceEpoch = map[string]int64{}
+		}
+		s.once[member] = v
+		s.onceEpoch[member] = cur
+	}
+	sh.mu.Unlock()
+}
+
+// replica returns the object's replica shadow plus whether the hit is
+// retained from an earlier invocation epoch.
+func (t *objTable) replica(id int64) (o *vm.Object, retained, ok bool) {
+	cur := t.curEpoch()
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil && s.replica != nil {
+		return s.replica, cur > 0 && s.replicaEpoch < cur, true
+	}
+	return nil, false, false
+}
+
+// replicaGen reads the invalidation generation a fetch must present to
+// installReplica.
+func (t *objTable) replicaGen(id int64) uint64 {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil {
+		return s.gen
+	}
+	return 0
+}
+
+// installReplica installs a fetched shadow unless an invalidation or
+// home move intervened since gen was read — the snapshot would then
+// predate a write and must not be served beyond the access that fetched
+// it. Reports whether the install took.
+func (t *objTable) installReplica(id int64, shadow *vm.Object, gen uint64) bool {
+	cur := t.curEpoch()
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.ent(id)
+	if s.gen != gen {
+		return false
+	}
+	s.replica, s.replicaEpoch = shadow, cur
+	return true
+}
+
+// invalidate drops the object's replica on an INVALIDATE frame and moves
+// the generation so in-flight installs are discarded. The write-once
+// cache survives: its fields provably have no writes.
+func (t *objTable) invalidate(id int64) {
+	sh := t.lock(id)
+	s := sh.ent(id)
+	s.replica = nil
+	s.gen++
+	sh.mu.Unlock()
+}
+
+// update applies a patching INVALIDATE: the owner stored v in field slot
+// of object id. A held replica is replaced by a patched copy, and the
+// generation moves either way, so an in-flight install whose snapshot
+// predates the write is discarded. kept reports whether a replica was
+// patched; false means this node holds none, and the owner may drop it
+// from the reader set. A slot outside the shadow drops the replica and
+// is reported.
+func (t *objTable) update(id int64, slot int, v vm.Value) (kept bool, err error) {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.ent(id)
+	s.gen++
+	old := s.replica
+	if old == nil {
+		return false, nil
+	}
+	if slot < 0 || slot >= len(old.Fields) {
+		s.replica = nil
+		return false, fmt.Errorf("patch of slot %d on a %d-field replica of %s", slot, len(old.Fields), old.Class.Name())
+	}
+	patched := *old
+	patched.Fields = slices.Clone(old.Fields)
+	patched.Fields[slot] = v
+	s.replica = &patched
+	return true, nil
+}
+
+// markDenied records that the owner refused replication of id.
+func (t *objTable) markDenied(id int64) {
+	sh := t.lock(id)
+	sh.ent(id).denied = true
+	sh.mu.Unlock()
+}
+
+// denied reports a recorded refusal.
+func (t *objTable) denied(id int64) bool {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.m[id]
+	return s != nil && s.denied
+}
+
+func (s *objState) addReader(rank int) {
+	if i, found := slices.BinarySearch(s.readers, rank); !found {
+		s.readers = slices.Insert(s.readers, i, rank)
+	}
+}
+
+func (s *objState) dropReader(rank int) {
+	if i, found := slices.BinarySearch(s.readers, rank); found {
+		s.readers = slices.Delete(s.readers, i, i+1)
+	}
+}
+
+// addReader registers a node in the owner-side replica set.
+func (t *objTable) addReader(id int64, rank int) {
+	sh := t.lock(id)
+	sh.ent(id).addReader(rank)
+	sh.mu.Unlock()
+}
+
+// dropReader removes a node from the owner-side replica set: it answered
+// a write barrier holding no replica, and re-registers on its next
+// fetch.
+func (t *objTable) dropReader(id int64, rank int) {
+	sh := t.lock(id)
+	if s := sh.m[id]; s != nil {
+		s.dropReader(rank)
+	}
+	sh.mu.Unlock()
+}
+
+// appendReaders appends the owner-side replica set, sorted, to dst: the
+// write barrier passes a stack buffer, so reading a small set does not
+// allocate.
+func (t *objTable) appendReaders(dst []int, id int64) []int {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil {
+		dst = append(dst, s.readers...)
+	}
+	return dst
+}
+
+// takeReaders removes and returns the replica set for a migration
+// handoff (called under the object's freeze, so no reader can register
+// concurrently); restoreReaders undoes it if the transfer fails.
+func (t *objTable) takeReaders(id int64) []int {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	s := sh.m[id]
+	if s == nil {
+		return nil
+	}
+	out := s.readers
+	s.readers = nil
+	return out
+}
+
+// restoreReaders reinstates a taken replica set after a failed handoff.
+func (t *objTable) restoreReaders(id int64, readers []int) {
+	if len(readers) == 0 {
+		return
+	}
+	sh := t.lock(id)
+	s := sh.ent(id)
+	for _, r := range readers {
+		s.addReader(r)
+	}
+	sh.mu.Unlock()
+}

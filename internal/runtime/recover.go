@@ -196,7 +196,7 @@ func (n *Node) runRecovery(dead int) {
 	// poll that fails is skipped — if that node is dying too, its own
 	// PeerDown follows and triggers another round.
 	holders := map[int64][]int{}
-	for _, id := range n.coh.replicasOf(dead) {
+	for _, id := range n.objs.replicasOf(dead) {
 		holders[id] = append(holders[id], n.Rank)
 	}
 	for rank := 0; rank < n.clusterSpan(); rank++ {
@@ -279,41 +279,17 @@ func (n *Node) runRecovery(dead int) {
 	}
 }
 
-// promoteReplicas installs this node's replica shadows of the listed
-// ids as authoritative copies (the hidden-backing idiom migration's
-// handleTransfer uses: the program-visible canon stays a proxy where
-// one exists; the shadow becomes home[id]). Returns the ids actually
-// promoted — a replica may have been invalidated or rehomed between
-// RECOVER and PROMOTE.
+// promoteReplicas installs this node's replicas of the listed ids as
+// authoritative copies (objTable.promote) and returns the ids promoted —
+// a replica may have been invalidated or rehomed between RECOVER and
+// PROMOTE.
 func (n *Node) promoteReplicas(lt *lthread, dead int, ids []int64) []int64 {
 	var out []int64
 	for _, id := range ids {
-		shadow, ok := n.coh.replicaShadow(id)
-		if !ok {
-			continue
-		}
-		if hint, valid := n.coh.lookupHint(id); !valid || hint != dead {
-			continue
-		}
-		// The shadow was allocated with its own fresh id; it now speaks
-		// for the global id (exports, gates and invalidations key on
-		// Object.ID).
-		shadow.ID = id
-		n.mu.Lock()
-		if n.home[id] != nil {
-			// Already authoritative here (a racing promotion round).
-			n.mu.Unlock()
+		if n.objs.promote(id, dead) {
+			n.count(lt, func(s *NodeStats) *int64 { return &s.PromotedReplicas }, 1)
 			out = append(out, id)
-			continue
 		}
-		n.home[id] = shadow
-		if n.canon[id] == nil {
-			n.canon[id] = shadow
-		}
-		n.mu.Unlock()
-		n.coh.becomeOwner(id, nil, n.Rank)
-		n.count(lt, func(s *NodeStats) *int64 { return &s.PromotedReplicas }, 1)
-		out = append(out, id)
 	}
 	return out
 }
@@ -332,36 +308,10 @@ func (n *Node) applyRehome(dead int, ids []int64, homes []int) {
 		}
 		n.learnHome(id, homes[i])
 	}
-	n.coh.purgeRank(dead)
+	n.objs.purgeRank(dead)
 	// Ownership just moved under the node: drop compiled methods so
 	// the tier re-profiles under the repaired topology (compiled code
 	// reaches objects only through the access natives, which consult
 	// live ownership; this is hygiene, not safety).
 	n.VM.InvalidateCompiled()
-}
-
-// replicasOf lists the ids this node holds a valid replica of whose
-// last known owner is the dead rank — the promotion candidates a
-// RECOVER poll reports.
-func (c *coherence) replicasOf(dead int) []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int64
-	for id, e := range c.ents {
-		if e.replica != nil && e.hintValid && e.hint == dead {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// purgeRank removes a dead rank from every owner-side reader set, so
-// no future write barrier waits on it.
-func (c *coherence) purgeRank(rank int) {
-	c.mu.Lock()
-	for _, e := range c.ents {
-		e.dropReader(rank)
-	}
-	c.mu.Unlock()
 }

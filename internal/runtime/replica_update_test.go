@@ -7,6 +7,7 @@ package runtime_test
 // reader nodes, the drop path, and the barrier's per-write allocations.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -165,6 +166,10 @@ func TestReplicaUpdatesConcurrentWriters(t *testing.T) {
 		t.Errorf("want patched replicas and at most one fetch per reader after warm-up (%d before, stats %+v)",
 			warm.ReplicaFetches, s)
 	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 // refSource is a replicated box with a scalar field and a reference
@@ -249,6 +254,10 @@ func TestReferenceWriteDropsReplica(t *testing.T) {
 	expect("read", nil, int64(7012), 1, 0, 0)
 	expect("unlink", nil, nil, 0, 1, 1) // null patches
 	expect("read", nil, int64(12), 0, 0, 0)
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 // TestReplicaUpdateAllocations pins the heap allocations of one remote

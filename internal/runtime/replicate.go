@@ -15,7 +15,7 @@ import (
 // pull-based replica install (REPLICATE), the update-or-invalidate
 // write barrier (INVALIDATE / REPLICA-ACK), and local replica serving
 // for the GetFieldReplicated / InvokeReplicaRead access kinds. The
-// state it manipulates lives in the coherence machine (coherence.go).
+// state it manipulates lives in the object records (objects.go).
 //
 // Correctness rests on three properties:
 //
@@ -33,20 +33,12 @@ import (
 //     writer holds the object's gate throughout, so writes to one
 //     object — and their patches — reach each reader one at a time, in
 //     write order.
-//  3. Install/write race: a fetch records the coherence generation
+//  3. Install/write race: a fetch records the record's generation
 //     before requesting; an INVALIDATE, patching or not, (or a home
 //     move) that lands while the snapshot is in flight bumps the
 //     generation and the install is discarded — the fetched value may
 //     serve that one access (it was valid at snapshot time) but is
 //     never kept.
-
-// replicaServable reports whether an object's fields can be shipped as
-// a replica snapshot — the same condition as migratability: every
-// field must survive the codec with sharing intact, which arrays (deep
-// copied) do not.
-func (n *Node) replicaServable(o *vm.Object) bool {
-	return n.migratable(o)
-}
 
 // handleReplicate serves a reader's REPLICATE request: freeze the
 // object's access gate, snapshot its fields (the same recipe as a
@@ -54,11 +46,11 @@ func (n *Node) replicaServable(o *vm.Object) bool {
 // Denied response is a benign refusal — busy gate or non-snapshotable
 // fields — that sends the reader down the plain synchronous path.
 func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.ReplicateResponse {
-	h := n.holder(req.ID)
+	h, fwd, _ := n.objs.route(nil, req.ID, n.Rank, nil)
 	if h == nil {
 		// Migrated away: redirect the reader along the forwarding
 		// pointer; it retries at the new home and heals its own hint.
-		if fwd, ok := n.coh.lookupHint(req.ID); ok && fwd != n.Rank {
+		if fwd != n.Rank {
 			return wire.ReplicateResponse{Moved: true, NewHome: fwd}
 		}
 		return wire.ReplicateResponse{Err: fmt.Sprintf("node %d: no object %d to replicate", n.Rank, req.ID)}
@@ -72,20 +64,21 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 	if n.Plan == nil || !n.Plan.Replicated[h.Class.Name()] || from == n.Rank {
 		return wire.ReplicateResponse{Denied: true}
 	}
-	if !n.freezeObject(req.ID) {
+	// Everything that reads the object's fields happens under the
+	// freeze: outside it a local access may be writing them. The holder
+	// is re-read there too (the object may have migrated meanwhile).
+	h, ok := n.objs.freeze(req.ID)
+	if !ok {
 		// Busy access gate: a transient condition — tell the reader
 		// not to cache the refusal.
 		return wire.ReplicateResponse{Denied: true, Busy: true}
 	}
-	defer n.thawObject(req.ID)
-	// Everything that reads the object's fields happens under the
-	// freeze: outside it a local access may be writing them. Re-read
-	// the holder too (the object may have migrated meanwhile).
-	h = n.holder(req.ID)
+	defer n.objs.thaw(req.ID)
 	if h == nil {
 		return wire.ReplicateResponse{Denied: true, Busy: true}
 	}
-	if !n.replicaServable(h) {
+	// A snapshot ships the same fields a migration does.
+	if !n.migratable(h) {
 		return wire.ReplicateResponse{Denied: true}
 	}
 	fields, err := n.toWireSlice(h.Fields)
@@ -94,7 +87,7 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 	}
 	// Register before thawing: any write that enters the gate after us
 	// will see the reader and invalidate it.
-	n.coh.addReader(req.ID, from)
+	n.objs.addReader(req.ID, from)
 	return wire.ReplicateResponse{Class: h.Class.Name(), Fields: fields}
 }
 
@@ -107,7 +100,7 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 func (n *Node) fetchReplica(lt *lthread, home int, id int64) (*vm.Object, error) {
 	req := wire.ReplicateRequest{ID: id}
 	for hops := 0; hops <= n.EP.Size(); hops++ {
-		gen := n.coh.replicaGen(id)
+		gen := n.objs.replicaGen(id)
 		// send consumes the payload buffer, so each redirect hop
 		// re-encodes the (tiny) request.
 		payload := req.Encode()
@@ -143,7 +136,7 @@ func (n *Node) fetchReplica(lt *lthread, home int, id int64) (*vm.Object, error)
 			// are permanent and cached; busy-gate refusals are
 			// transient and must not disable replication for good.
 			if !out.Busy {
-				n.coh.markDenied(id)
+				n.objs.markDenied(id)
 			}
 			return nil, nil
 		}
@@ -165,7 +158,7 @@ func (n *Node) fetchReplica(lt *lthread, home int, id int64) (*vm.Object, error)
 		// count as fetches (redirect hops, denials and malformed
 		// payloads do not).
 		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaFetches }, 1)
-		n.coh.installReplica(id, shadow, gen)
+		n.objs.installReplica(id, shadow, gen)
 		return shadow, nil
 	}
 	return nil, fmt.Errorf("runtime: node %d: replicate redirect chain for object %d too long", n.Rank, id)
@@ -208,7 +201,7 @@ func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, kind int, member str
 // stay in it.
 func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) error {
 	var buf [4]int
-	readers := n.coh.appendReaders(buf[:0], id)
+	readers := n.objs.appendReaders(buf[:0], id)
 	if len(readers) == 0 {
 		return nil
 	}
@@ -221,7 +214,7 @@ func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) er
 	}
 	kept, err := n.invalidateOne(lt, readers[0], &req)
 	if err == nil && !kept {
-		n.coh.dropReader(id, readers[0])
+		n.objs.dropReader(id, readers[0])
 	}
 	return err
 }
@@ -267,7 +260,7 @@ func (n *Node) invalidateFanOut(lt *lthread, req wire.InvalidateRequest, readers
 	}
 	for i, r := range readers {
 		if !kept[i] {
-			n.coh.dropReader(req.ID, r)
+			n.objs.dropReader(req.ID, r)
 		}
 	}
 	return nil
@@ -320,10 +313,10 @@ func (n *Node) handleInvalidate(msg transport.Message) {
 	if err == nil && req.Update {
 		var v vm.Value
 		if v, err = n.fromWire(req.Value); err == nil {
-			ack.Kept, err = n.coh.update(req.ID, req.Slot, v)
+			ack.Kept, err = n.objs.update(req.ID, req.Slot, v)
 		}
 	} else if err == nil {
-		n.coh.invalidate(req.ID)
+		n.objs.invalidate(req.ID)
 	}
 	if err != nil {
 		ack.Err = err.Error()

@@ -27,18 +27,17 @@
 // On top of the static protocol sits the adaptive-repartitioning
 // subsystem (adapt.go, migrate.go): under a rewrite.RewriteAdaptive
 // plan the compile-time partition is only an initial placement. Every
-// node maintains a dynamic ownership map (Node.canon/home) and
-// epoch-local per-object traffic counters; a coordinator periodically
+// node tracks where each object lives and its epoch-local traffic
+// counters (objects.go); a coordinator periodically
 // folds the observed affinity graph back through internal/partition's
 // refinement and executes the resulting delta as live object migration
 // — ownership-transfer frames and forwarding during handoff.
 // Options.AdaptEvery enables it; zero preserves the static behaviour
 // exactly (the -adaptive=off A/B baseline).
 //
-// Everything else about an object's whereabouts — forwarding hints,
-// the write-once read cache, read replicas and owner-side replica
-// sets — lives in one per-object coherence state machine
-// (coherence.go). Ownership is "home + replica set" rather than one
+// The same per-object record holds forwarding hints, the write-once
+// read cache, read replicas and owner-side replica sets. Ownership is
+// "home + replica set" rather than one
 // canonical location: under Options.Replicate (with a plan from
 // rewrite Options.Replicate) proxies satisfy reads of read-mostly
 // classes from local snapshots (replicate.go), and every write pushes
@@ -62,8 +61,8 @@ import (
 // adaptive-repartitioning frames: ADAPT asks the coordinator for an
 // adaptation round, AFFINITY polls a node's traffic counters, MIGRATE
 // commands an ownership transfer and TRANSFER ships the object state
-// to its new home. REPLICATE/INVALIDATE/REPLICA-ACK are the coherence
-// layer's read-replication frames: a reader pulls a registered replica
+// to its new home. REPLICATE/INVALIDATE/REPLICA-ACK are the
+// read-replication frames: a reader pulls a registered replica
 // snapshot, and a write pushes invalidations that must be acknowledged
 // before it completes. ARCHITECTURE.md documents every frame kind and
 // its payload format.
@@ -113,28 +112,16 @@ func (n *Node) toWire(v vm.Value) (wire.Value, error) {
 		return wire.Value{Kind: wire.KStr, Str: x}, nil
 	case *vm.Object:
 		if x.Class.Name() == depObjectClassName {
+			// Advertise the current owner: this node if the object
+			// migrated in behind the proxy.
 			birth, id, class := n.proxyIdentity(x)
-			node := birth
-			n.mu.Lock()
-			if n.home[id] != nil {
-				node = n.Rank // migrated in behind this proxy
-			} else if h, ok := n.coh.lookupHint(id); ok {
-				node = h
-			}
-			n.mu.Unlock()
+			_, node, _ := n.objs.route(nil, id, birth, nil)
 			return wire.Value{Kind: wire.KObj, Node: node, ID: id, Class: class}, nil
 		}
-		n.export(x)
-		node := n.Rank
-		n.mu.Lock()
-		if n.home[x.ID] == nil {
-			// Born here but migrated away: advertise the current
-			// owner, not ourselves.
-			if h, ok := n.coh.lookupHint(x.ID); ok {
-				node = h
-			}
-		}
-		n.mu.Unlock()
+		// Born here but possibly migrated away since: advertise the
+		// current owner, not ourselves.
+		n.objs.export(x)
+		_, node, _ := n.objs.route(nil, x.ID, n.Rank, x)
 		return wire.Value{Kind: wire.KObj, Node: node, ID: x.ID, Class: x.Class.Name()}, nil
 	case *vm.Array:
 		out := wire.Value{Kind: wire.KArr, Elem: x.Elem, Arr: make([]wire.Value, len(x.Data))}
@@ -164,10 +151,7 @@ func (n *Node) fromWire(w wire.Value) (vm.Value, error) {
 	case wire.KStr:
 		return w.Str, nil
 	case wire.KObj:
-		n.mu.Lock()
-		c := n.canon[w.ID]
-		n.mu.Unlock()
-		if c != nil {
+		if c := n.objs.canonOf(w.ID); c != nil {
 			return c, nil
 		}
 		if w.Node == n.Rank {
