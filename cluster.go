@@ -246,15 +246,19 @@ func (c *Cluster) Drain(rank int) error {
 // heartbeat deadline, survivors promote their replicas of the dead
 // node's objects, and in-flight invocations that hit it are re-driven
 // (see Config.FailureRecovery). Requires a deployment with
-// FailureRecovery; node 0 hosts the ExecutionStarter and the recovery
-// coordinator and cannot be failed. Idempotent per rank; there is no
-// way to revive a failed node.
+// FailureRecovery; any rank that exists now — joined ones included —
+// can be failed except node 0, which hosts the ExecutionStarter and the
+// recovery coordinator, and a drained rank, which is already gone.
+// Idempotent per rank; there is no way to revive a failed node.
 func (c *Cluster) FailNode(rank int) error {
 	if c.chaos == nil {
 		return fmt.Errorf("autodist: FailNode requires a deployment with Config.FailureRecovery")
 	}
-	if rank <= 0 || rank >= c.cfg.K {
-		return fmt.Errorf("autodist: cannot fail node %d of a %d-node deployment (node 0 hosts the starter and recovery coordinator)", rank, c.cfg.K)
+	if ranks := c.rt.Ranks(); rank <= 0 || rank >= ranks {
+		return fmt.Errorf("autodist: cannot fail node %d of a %d-node deployment (node 0 hosts the starter and recovery coordinator)", rank, ranks)
+	}
+	if c.rt.Departed(rank) {
+		return fmt.Errorf("autodist: cannot fail node %d: it was drained", rank)
 	}
 	c.chaos.Kill(rank)
 	return nil

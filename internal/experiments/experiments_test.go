@@ -260,6 +260,35 @@ func TestAdaptiveBeatsStaticOnPhaseShift(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRowsPinned pins the adaptive columns exactly: the
+// coordinator's AFFINITY/MIGRATE/TRANSFER traffic is deterministic on
+// the in-process fabric, so any change to how a round polls, decides
+// or moves shows up here frame for frame.
+func TestAdaptiveRowsPinned(t *testing.T) {
+	rows, err := TableAdaptive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]AdaptiveRow{
+		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 857, Migrations: 3, Forwards: 1},
+		"bank":       {AdaptMsgs: 622, AdaptBytes: 16122},
+	}
+	for _, r := range rows {
+		w, ok := want[r.Workload]
+		if !ok {
+			continue
+		}
+		delete(want, r.Workload)
+		got := AdaptiveRow{AdaptMsgs: r.AdaptMsgs, AdaptBytes: r.AdaptBytes, Migrations: r.Migrations, Forwards: r.Forwards}
+		if got != w {
+			t.Errorf("%s adaptive row: %+v, want %+v", r.Workload, got, w)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s row missing from adaptive table", name)
+	}
+}
+
 func TestAdaptiveOutputsMatchStatic(t *testing.T) {
 	// Both modes of every A/B workload must compute the same results
 	// (checked indirectly through run errors by TableAdaptive; here the

@@ -19,10 +19,12 @@ import (
 // polls every node's affinity report, folds the observed traffic into a
 // graph, re-partitions it incrementally with partition.Refine seeded by
 // the current placement, and executes the delta as live migrations
-// (migrate.go). Because the nudge is a synchronous exchange issued by
-// the single logical thread, the adaptation round runs at a quiescent
-// point — the only concurrent activity is the waiting thread's own
-// blocked call chain, whose objects the freeze protocol skips.
+// (migrate.go) — a coordinator round built from the steps in coord.go
+// that announces nothing: forwarding heals every stale hint. Because
+// the nudge is a synchronous exchange issued by the single logical
+// thread, the adaptation round runs at a quiescent point — the only
+// concurrent activity is the waiting thread's own blocked call chain,
+// whose objects the freeze protocol skips.
 
 // defaultAdaptEpsilon is the balance envelope for runtime refinement.
 // It is deliberately looser than the offline partitioner's default: at
@@ -100,26 +102,13 @@ func (n *Node) runAdapt(lt *lthread) {
 	reads := map[int64]map[int]int64{}
 	writes := map[int64]int64{}
 	var ids []int64
-	for r := 0; r < k; r++ {
-		if n.departed(r) || n.isDead(r) {
-			// Retired and failed ranks own nothing and report nothing;
-			// their anchor vertices below stay empty, so refinement
-			// naturally drains traffic off them.
-			continue
-		}
-		var rep wire.AffinityReport
-		if r == n.Rank {
-			rep = n.localAffinityReport()
-		} else {
-			resp, err := n.rawRequest(lt, r, KindAffinity, nil)
-			if err != nil {
-				return
-			}
-			rep, err = wire.DecodeAffinityReport(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if err != nil {
-				return
-			}
+	// Retired and failed ranks own nothing and report nothing; their
+	// anchor vertices below stay empty, so refinement naturally drains
+	// traffic off them.
+	for _, r := range n.members() {
+		rep, err := n.pollAffinity(lt, r)
+		if err != nil {
+			return
 		}
 		for _, o := range rep.Owned {
 			if _, seen := owner[o.ID]; !seen {
@@ -241,24 +230,8 @@ func (n *Node) runAdapt(lt *lthread) {
 		if traffic[id][to]-traffic[id][cur] < n.adaptMinGain {
 			continue
 		}
-		req := wire.MigrateRequest{ID: id, To: to}
-		var out wire.MigrateResponse
-		if cur == n.Rank {
-			out = n.handleMigrate(lt, &req)
-		} else {
-			resp, err := n.rawRequest(lt, cur, KindMigrate, req.Encode())
-			if err != nil {
-				return
-			}
-			out, err = wire.DecodeMigrateResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if err != nil {
-				return
-			}
-		}
-		if out.Moved {
-			// Keep the coordinator's own redirects and caches fresh.
-			n.learnHome(id, to)
+		if _, err := n.moveTo(lt, id, cur, to); err != nil {
+			return
 		}
 	}
 }

@@ -532,12 +532,7 @@ func (c *Cluster) drainThread(starter *Node, lt *lthread) error {
 				// through the request that hit it.
 				continue
 			}
-			resp, err := starter.rawRequest(lt, rank, KindBarrier, nil)
-			if err != nil {
-				return err
-			}
-			out, err := wire.DecodeDepResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
+			out, err := ask(starter, lt, rank, KindBarrier, nil, wire.DecodeDepResponse)
 			if err != nil {
 				return err
 			}
@@ -757,16 +752,11 @@ func (c *Cluster) finalBarrier(starter *Node) error {
 			if starter.isDead(rank) || starter.departed(rank) {
 				continue
 			}
-			resp, err := starter.rawRequest(sys, rank, KindBarrier, nil)
-			if err != nil {
-				if transport.IsPeerDown(err) {
-					// Died mid-shutdown: nothing left to drain there.
-					continue
-				}
-				return err
+			out, err := ask(starter, sys, rank, KindBarrier, nil, wire.DecodeDepResponse)
+			if transport.IsPeerDown(err) {
+				// Died mid-shutdown: nothing left to drain there.
+				continue
 			}
-			out, err := wire.DecodeDepResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
 			if err != nil {
 				return err
 			}
@@ -863,14 +853,8 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, er
 	// JOIN handshake on the system thread: block until the coordinator
 	// has admitted us, broadcast the view and seeded this node with
 	// objects (TRANSFERs arrive on the serve loop while we wait).
-	sys := n.lthread(0)
 	jreq := wire.JoinRequest{Digest: planDigest(n.Plan)}
-	resp, err := n.rawRequest(sys, 0, wire.KindJoin, jreq.Encode())
-	var w wire.Welcome
-	if err == nil {
-		w, err = wire.DecodeWelcome(resp.Payload)
-		wire.PutBuf(resp.Payload)
-	}
+	w, err := ask(n, n.lthread(0), 0, wire.KindJoin, jreq.Encode(), wire.DecodeWelcome)
 	if err == nil && !w.Accept {
 		err = fmt.Errorf("runtime: join refused: %s", w.Reason)
 	}
@@ -882,12 +866,7 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, er
 		_ = n.EP.Close()
 		return nil, err
 	}
-	n.view.Advance(membership.View{ID: w.ViewID, Size: w.Size, Departed: w.Departed})
-	for i, id := range w.IDs {
-		if i < len(w.Homes) {
-			n.learnHome(id, w.Homes[i])
-		}
-	}
+	n.applyWelcome(&w)
 	c.stateMu.Lock()
 	c.Nodes = append(c.Nodes, n)
 	c.stateMu.Unlock()
@@ -895,10 +874,11 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, er
 }
 
 // Drain retires a member gracefully: the rank migrates every object it
-// owns to the surviving members (LEAVE), the coordinator advances the
-// view and broadcasts it with the relocation table, and the leaver is
-// shut down and retired from the reliability layer — so its silence is
-// never mistaken for a crash and no recovery round runs. The rank's
+// owns to the surviving members (LEAVE), the coordinator announces the
+// shrunk view with the new homes (one WELCOME, on which every member
+// also retires the rank from its reliability layer, so its silence is
+// never mistaken for a crash and no recovery round runs), and the
+// leaver is stopped. The rank's
 // number is never reused. Fails — with the cluster unchanged — if the
 // rank hosts static classes, kept objects (busy or non-migratable), or
 // is the coordinator.
@@ -946,12 +926,7 @@ func (c *Cluster) Drain(rank int) error {
 	}
 	sys := starter.lthread(0)
 	lreq := wire.LeaveRequest{Reason: "drain"}
-	resp, err := starter.rawRequest(sys, rank, wire.KindLeave, lreq.Encode())
-	if err != nil {
-		return err
-	}
-	out, err := wire.DecodeLeaveResponse(resp.Payload)
-	wire.PutBuf(resp.Payload)
+	out, err := ask(starter, sys, rank, wire.KindLeave, lreq.Encode(), wire.DecodeLeaveResponse)
 	if err != nil {
 		return err
 	}
@@ -965,37 +940,33 @@ func (c *Cluster) Drain(rank int) error {
 	if err != nil {
 		return err
 	}
-	starter.view.Advance(next)
 	starter.count(sys, func(s *NodeStats) *int64 { return &s.Drains }, 1)
-	// Members retire the leaver from their reliability layers on this
-	// broadcast — before its endpoint closes, so the heartbeat deadline
-	// never converts the graceful leave into a PEERDOWN verdict.
-	w := wire.Welcome{
-		Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed,
-		Epoch: starter.objs.curEpoch(), IDs: out.IDs, Homes: out.Homes,
-	}
-	for _, r := range next.Members() {
-		if r == starter.Rank || starter.isDead(r) {
-			continue
-		}
-		if resp, err := starter.rawRequest(sys, r, wire.KindWelcome, w.Encode()); err == nil {
-			wire.PutBuf(resp.Payload)
-		}
-	}
-	for i, id := range out.IDs {
-		starter.learnHome(id, out.Homes[i])
-	}
-	// Stop the leaver, then clear its slot in our reliability ring: the
-	// retire cancels the retransmit state the final SHUTDOWN frame left
-	// behind, so nothing keeps probing the closed endpoint.
-	_ = starter.EP.Send(transport.Message{To: rank, Kind: KindShutdown})
-	_ = transport.Flush(starter.EP)
-	nodes[rank].wg.Wait()
+	// Every member — this node first — learns the new homes and retires
+	// the leaver from its reliability layer on this delta, before the
+	// leaver's endpoint closes, so the heartbeat deadline never converts
+	// the graceful leave into a PEERDOWN verdict.
+	starter.announce(sys, &wire.Welcome{
+		Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed, Homes: out.Homes,
+	}, -1)
+	// Stop the leaver: closing its endpoint ends its serve loop as a
+	// SHUTDOWN frame would.
 	_ = nodes[rank].EP.Close()
-	transport.RetirePeer(starter.EP, rank)
-	starter.objs.purgeRank(rank)
+	nodes[rank].wg.Wait()
 	return nil
 }
+
+// Ranks is the number of ranks the cluster has admitted, dead and
+// departed ones included.
+func (c *Cluster) Ranks() int { return len(c.nodesSnapshot()) }
+
+// Departed reports whether rank was drained out of the cluster.
+func (c *Cluster) Departed(rank int) bool { return c.starter.departed(rank) }
+
+// Quiescent checks the object-record invariants that hold on the
+// surviving nodes of a cluster with nothing in flight: one home per
+// object, no hint on an owner, no gate held, reader sets within the
+// live ranks.
+func (c *Cluster) Quiescent() error { return quiescent(c.nodesSnapshot()) }
 
 // RunDistributed is the one-call convenience used by the examples and
 // the evaluation harness: compile → analyze → partition (already done

@@ -5,21 +5,19 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"autodist/internal/membership"
 	"autodist/internal/rewrite"
-	"autodist/internal/transport"
 	"autodist/internal/wire"
 )
 
-// This file implements the node half of elastic membership: the
-// JOIN/WELCOME/LEAVE handshake through which ranks enter and leave a
-// running cluster without pausing invocations. The rank-0 coordinator
-// owns the view (membership.Tracker) and serialises transitions on
-// coordMu — the same lock adaptation rounds take, so a round never
-// interleaves with an admission or a drain. Coordination frames carry
-// the sender's view id (send() stamps it); a receiver on a newer view
-// refuses the command rather than act on a composition that no longer
-// exists.
+// This file implements the node half of elastic membership: the JOIN
+// and LEAVE handshakes through which ranks enter and leave a running
+// cluster without pausing invocations. The rank-0 coordinator owns the
+// view (membership.Tracker); an admission and a drain are coordinator
+// rounds like adaptation and recovery (coord.go), serialised on coordMu
+// and closed by the one ownership-delta WELCOME that carries the new
+// view. Coordination frames carry the sender's view id (send() stamps
+// it); a receiver on a newer view refuses the command rather than act
+// on a composition that no longer exists.
 
 // isViewStamped reports whether frames of this kind carry the sender's
 // membership view. Only placement-changing coordination traffic is
@@ -30,8 +28,7 @@ import (
 // to a static cluster until the first view transition.
 func isViewStamped(kind uint8) bool {
 	switch kind {
-	case KindMigrate, KindTransfer, KindRecover, KindPromote, KindRehome,
-		wire.KindJoin, wire.KindWelcome, wire.KindLeave:
+	case KindMigrate, KindTransfer, KindPromote, wire.KindJoin, wire.KindWelcome, wire.KindLeave:
 		return true
 	}
 	return false
@@ -45,12 +42,8 @@ func staleViewPayload(kind uint8, e string) []byte {
 		return (&wire.MigrateResponse{Err: e}).Encode()
 	case KindTransfer:
 		return (&wire.TransferResponse{Err: e}).Encode()
-	case KindRecover:
-		return (&wire.RecoverResponse{Err: e}).Encode()
 	case KindPromote:
 		return (&wire.PromoteResponse{Err: e}).Encode()
-	case KindRehome:
-		return (&wire.RehomeResponse{Err: e}).Encode()
 	case wire.KindJoin:
 		return (&wire.Welcome{Reason: e}).Encode()
 	case wire.KindLeave:
@@ -117,10 +110,10 @@ func planDigest(p *rewrite.Plan) uint64 {
 }
 
 // handleJoin admits a joiner on the coordinator: authenticate the
-// program digest, grow the view, broadcast WELCOME to the sitting
-// members, then seed the newcomer with a share of the migratable
-// objects so it serves traffic immediately instead of waiting for the
-// adaptation loop to notice it.
+// program digest, grow the view, announce it to the sitting members
+// (the joiner reads the same WELCOME as its reply), then seed the
+// newcomer with a share of the migratable objects so it serves traffic
+// immediately instead of waiting for the adaptation loop to notice it.
 func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Welcome {
 	if n.view == nil {
 		return wire.Welcome{Reason: fmt.Sprintf("node %d: not an elastic cluster", n.Rank)}
@@ -138,24 +131,9 @@ func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Wel
 		return wire.Welcome{Reason: fmt.Sprintf("joiner rank %d does not extend view %d (size %d)", from, cur.ID, cur.Size)}
 	}
 	next := cur.Grown()
-	n.view.Advance(next)
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Joins }, 1)
-	w := wire.Welcome{
-		Accept: true, ViewID: next.ID, Size: next.Size,
-		Departed: next.Departed, Epoch: n.objs.curEpoch(),
-	}
-	// Members that miss the broadcast (dead, or racing their own
-	// failure) still converge: every later stamped frame carries the
-	// new view id and frames are only refused when *older* than the
-	// receiver's view.
-	for _, r := range cur.Members() {
-		if r == n.Rank || n.isDead(r) {
-			continue
-		}
-		if resp, err := n.rawRequest(lt, r, wire.KindWelcome, w.Encode()); err == nil {
-			wire.PutBuf(resp.Payload)
-		}
-	}
+	w := wire.Welcome{Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed}
+	n.announce(lt, &w, from)
 	n.runRebalance(lt, from)
 	return w
 }
@@ -167,7 +145,6 @@ func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Wel
 // freeze, least disruptive to in-flight invocations); the adaptation
 // loop then reshapes the placement from observed traffic as usual.
 func (n *Node) runRebalance(lt *lthread, to int) {
-	view := n.view.Current()
 	type owned struct {
 		id      int64
 		owner   int
@@ -175,25 +152,14 @@ func (n *Node) runRebalance(lt *lthread, to int) {
 	}
 	var objs []owned
 	live := 0
-	for _, r := range view.Members() {
-		if r == to || n.isDead(r) {
+	for _, r := range n.members() {
+		if r == to {
 			continue
 		}
 		live++
-		var rep wire.AffinityReport
-		if r == n.Rank {
-			rep = n.localAffinityReport()
-		} else {
-			resp, err := n.rawRequest(lt, r, KindAffinity, nil)
-			if err != nil {
-				continue
-			}
-			var derr error
-			rep, derr = wire.DecodeAffinityReport(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if derr != nil {
-				continue
-			}
+		rep, err := n.pollAffinity(lt, r)
+		if err != nil {
+			continue
 		}
 		traffic := map[int64]int64{}
 		for _, e := range rep.Edges {
@@ -221,57 +187,10 @@ func (n *Node) runRebalance(lt *lthread, to int) {
 		if moved >= quota {
 			break
 		}
-		req := wire.MigrateRequest{ID: o.id, To: to}
-		var out wire.MigrateResponse
-		if o.owner == n.Rank {
-			out = n.handleMigrate(lt, &req)
-		} else {
-			resp, err := n.rawRequest(lt, o.owner, KindMigrate, req.Encode())
-			if err != nil {
-				continue
-			}
-			var derr error
-			out, derr = wire.DecodeMigrateResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if derr != nil {
-				continue
-			}
-		}
-		if out.Moved {
-			n.learnHome(o.id, to)
+		if ok, _ := n.moveTo(lt, o.id, o.owner, to); ok {
 			moved++
 		}
 	}
-}
-
-// handleWelcome installs a view broadcast on a sitting member: advance
-// the tracker, learn the homes a drain relocated, and retire newly
-// departed ranks from the reliability layer *before* their endpoints
-// close — so the heartbeat deadline never mistakes a graceful leave
-// for a crash. Stale broadcasts (racing a direct reply that carried a
-// later view) are ignored.
-func (n *Node) handleWelcome(req *wire.Welcome) string {
-	if n.view == nil {
-		return fmt.Sprintf("node %d: not an elastic cluster", n.Rank)
-	}
-	if len(req.IDs) != len(req.Homes) {
-		return fmt.Sprintf("node %d: welcome with %d ids, %d homes", n.Rank, len(req.IDs), len(req.Homes))
-	}
-	prev := n.view.Current()
-	if !n.view.Advance(membership.View{ID: req.ViewID, Size: req.Size, Departed: req.Departed}) {
-		return ""
-	}
-	for i, id := range req.IDs {
-		n.learnHome(id, req.Homes[i])
-	}
-	for _, d := range req.Departed {
-		if d == n.Rank || !prev.Live(d) {
-			continue
-		}
-		transport.RetirePeer(n.EP, d)
-		n.objs.purgeRank(d)
-	}
-	return ""
 }
 
 // handleLeave drains this node for a graceful departure: every owned
@@ -287,10 +206,9 @@ func (n *Node) handleLeave(lt *lthread) wire.LeaveResponse {
 	if n.Rank == 0 {
 		return wire.LeaveResponse{Err: "the coordinator cannot leave"}
 	}
-	view := n.view.Current()
 	var targets []int
-	for _, r := range view.Members() {
-		if r != n.Rank && !n.isDead(r) {
+	for _, r := range n.members() {
+		if r != n.Rank {
 			targets = append(targets, r)
 		}
 	}
@@ -313,8 +231,7 @@ func (n *Node) handleLeave(lt *lthread) wire.LeaveResponse {
 			next++
 			req := wire.MigrateRequest{ID: id, To: to}
 			if res := n.handleMigrate(lt, &req); res.Moved {
-				out.IDs = append(out.IDs, id)
-				out.Homes = append(out.Homes, to)
+				out.Homes = append(out.Homes, wire.Home{ID: id, Rank: to})
 			} else {
 				left = append(left, id)
 			}

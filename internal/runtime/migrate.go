@@ -86,12 +86,7 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 		n.objs.restoreReaders(req.ID, readers)
 		return wire.MigrateResponse{Err: err.Error()}
 	}
-	resp, err := n.rawRequest(lt, req.To, KindTransfer, treq.Encode())
-	if err != nil {
-		return fail(err)
-	}
-	tout, err := wire.DecodeTransferResponse(resp.Payload)
-	wire.PutBuf(resp.Payload)
+	tout, err := ask(n, lt, req.To, KindTransfer, treq.Encode(), wire.DecodeTransferResponse)
 	if err != nil {
 		return fail(err)
 	}

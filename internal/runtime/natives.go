@@ -44,7 +44,10 @@ func (n *Node) registerNatives() {
 			req := wire.NewRequest{Class: className, Args: wireArgs}
 			resp, err := n.request(lt, home, KindNew, req.Encode())
 			if err != nil {
-				return nil, err
+				// The site names its rank; if that rank is dead the
+				// allocation fails (ErrPeerDown stays in the chain) and
+				// is never re-placed elsewhere.
+				return nil, fmt.Errorf("runtime: NEW %s on node %d: %w", className, home, err)
 			}
 			out, err := wire.DecodeNewResponse(resp.Payload)
 			wire.PutBuf(resp.Payload)

@@ -111,12 +111,13 @@ type Node struct {
 	dead   map[int]bool
 
 	// recMu guards the recovery-round progress the re-drive path waits
-	// on: recActive counts in-progress rounds, recGen completed ones.
-	// recRoundMu serialises the rounds themselves on the coordinator.
-	recMu      sync.Mutex
-	recActive  int
-	recGen     uint64
-	recRoundMu sync.Mutex
+	// on: recActive counts rounds started and not finished, recGen
+	// finished ones, and recWake (nil until someone waits) is closed as
+	// each round finishes.
+	recMu     sync.Mutex
+	recActive int
+	recGen    uint64
+	recWake   chan struct{}
 
 	// downOnce makes the done-channel close idempotent: both a SHUTDOWN
 	// frame and an endpoint failure (the node was killed) close it, and
@@ -134,10 +135,9 @@ type Node struct {
 
 	// reqEpoch counts synchronous requests for the adaptation trigger.
 	reqEpoch int64
-	// coordMu serialises adaptation rounds on the coordinator. On
-	// elastic deployments it also serialises membership changes (join
-	// admissions, drains), so an adaptation round never interleaves
-	// with a view transition.
+	// coordMu serialises the coordinator's rounds (coord.go):
+	// adaptation, recovery, join admissions and drains, so no two ever
+	// interleave.
 	coordMu sync.Mutex
 
 	// view tracks the cluster's membership view on elastic deployments
@@ -699,19 +699,6 @@ func (n *Node) advanceTo(t float64) {
 	}
 }
 
-// Serve runs the Message Exchange service until shutdown. Each request
-// is handled in its own goroutine so nested remote calls (call-backs
-// into a node that is itself blocked on a request) cannot deadlock,
-// and a blocked logical thread never stalls the serve loop or other
-// threads. Batched asynchronous messages are keyed by thread id: each
-// batch processes on its own goroutine chained behind the same
-// thread's previous batch, so one thread's batches run strictly in
-// order while different threads' run in parallel — and a batch
-// blocked on an object gate held by another logical thread delays
-// only its own thread, never anyone else's queue. The batch barrier
-// is per logical thread too: a request or response for thread T waits
-// only for T's own queued batches, while system frames (thread 0)
-// conservatively wait for every thread's.
 // execTask runs one dispatched frame on a pool worker: honour the
 // kind's ordering barriers, hand off to the handler, recycle the
 // payload (decoders copy, so the frame buffer is dead once the handler
@@ -744,6 +731,19 @@ func (n *Node) execTask(t srvTask) {
 	}
 }
 
+// Serve runs the Message Exchange service until shutdown. Each request
+// is handled in its own goroutine so nested remote calls (call-backs
+// into a node that is itself blocked on a request) cannot deadlock,
+// and a blocked logical thread never stalls the serve loop or other
+// threads. Batched asynchronous messages are keyed by thread id: each
+// batch processes on its own goroutine chained behind the same
+// thread's previous batch, so one thread's batches run strictly in
+// order while different threads' run in parallel — and a batch
+// blocked on an object gate held by another logical thread delays
+// only its own thread, never anyone else's queue. The batch barrier
+// is per logical thread too: a request or response for thread T waits
+// only for T's own queued batches, while system frames (thread 0)
+// conservatively wait for every thread's.
 func (n *Node) Serve() {
 	n.workers.exec = n.execTask
 	n.wg.Add(1)
@@ -1065,30 +1065,12 @@ func (n *Node) handle(msg transport.Message) {
 			out = n.handleTransfer(&req)
 		}
 		reply(out.Encode())
-	case KindRecover:
-		out := wire.RecoverResponse{}
-		if req, err := wire.DecodeRecoverRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			out.IDs = n.objs.replicasOf(req.Dead)
-		}
-		reply(out.Encode())
 	case KindPromote:
 		out := wire.PromoteResponse{}
 		if req, err := wire.DecodePromoteRequest(msg.Payload); err != nil {
 			out.Err = err.Error()
 		} else {
-			out.Promoted = n.promoteReplicas(lt, req.Dead, req.IDs)
-		}
-		reply(out.Encode())
-	case KindRehome:
-		out := wire.RehomeResponse{}
-		if req, err := wire.DecodeRehomeRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else if len(req.IDs) != len(req.Homes) {
-			out.Err = fmt.Sprintf("node %d: rehome with %d ids, %d homes", n.Rank, len(req.IDs), len(req.Homes))
-		} else {
-			n.applyRehome(req.Dead, req.IDs, req.Homes)
+			out.Promoted = n.promoteReplicas(lt, req.Dead, req.Promoted)
 		}
 		reply(out.Encode())
 	case wire.KindJoin:
@@ -1101,10 +1083,10 @@ func (n *Node) handle(msg transport.Message) {
 		reply(out.Encode())
 	case wire.KindWelcome:
 		out := wire.DepResponse{}
-		if req, err := wire.DecodeWelcome(msg.Payload); err != nil {
+		if w, err := wire.DecodeWelcome(msg.Payload); err != nil {
 			out.Err = err.Error()
-		} else if e := n.handleWelcome(&req); e != "" {
-			out.Err = e
+		} else {
+			n.applyWelcome(&w)
 		}
 		reply(out.Encode())
 	case wire.KindLeave:
@@ -1251,12 +1233,7 @@ func (n *Node) serveDependence(lt *lthread, req *wire.DepRequest) wire.DepRespon
 // and stamps the Moved notice on the way back.
 func (n *Node) forwardDependence(lt *lthread, to int, req *wire.DepRequest) wire.DepResponse {
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Forwards }, 1)
-	resp, err := n.rawRequest(lt, to, KindDependence, req.Encode())
-	if err != nil {
-		return wire.DepResponse{Err: err.Error()}
-	}
-	out, err := wire.DecodeDepResponse(resp.Payload)
-	wire.PutBuf(resp.Payload)
+	out, err := ask(n, lt, to, KindDependence, req.Encode(), wire.DecodeDepResponse)
 	if err != nil {
 		return wire.DepResponse{Err: err.Error()}
 	}

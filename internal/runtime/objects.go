@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -445,35 +446,27 @@ func (s *objState) own(h *vm.Object, readers []int, self int) {
 	}
 }
 
-// promote installs this node's replica of id as the authoritative copy
-// after its owner died. It takes only while a replica is held, the hint
-// names the dead rank and no home is here. The new home is a copy that
-// carries the global id: the shadow itself may be serving reads on
-// other threads, so it is never written, and the home — which writes
-// update in place — gets its own fields.
-func (t *objTable) promote(id int64, dead int) bool {
-	sh := t.lock(id)
-	defer sh.mu.Unlock()
-	s := sh.m[id]
-	if s == nil || s.replica == nil || !s.hintValid || s.hint != dead || s.home != nil {
-		return false
-	}
-	h := *s.replica
-	h.Fields = slices.Clone(h.Fields)
-	h.ID = id
-	s.own(&h, nil, t.self)
-	return true
-}
-
-// replicasOf lists, in id order, the ids this node holds a replica of
-// whose last known owner is the dead rank — the promotion candidates a
-// RECOVER poll reports.
-func (t *objTable) replicasOf(dead int) []int64 {
+// promote installs this node's replicas of the dead rank's objects as
+// authoritative copies after the owner died — every record holding a
+// replica, a hint naming the dead rank and no home, except the ids in
+// taken (ascending) — and returns the ids promoted, ascending. Each new
+// home is a copy that carries the global id: the shadow itself may be
+// serving reads on other threads, so it is never written, and the home
+// — which writes update in place — gets its own fields.
+func (t *objTable) promote(dead int, taken []int64) []int64 {
 	var out []int64
 	t.scan(func(id int64, s *objState) {
-		if s.replica != nil && s.hintValid && s.hint == dead {
-			out = append(out, id)
+		if s.replica == nil || !s.hintValid || s.hint != dead || s.home != nil {
+			return
 		}
+		if _, dup := slices.BinarySearch(taken, id); dup {
+			return
+		}
+		h := *s.replica
+		h.Fields = slices.Clone(h.Fields)
+		h.ID = id
+		s.own(&h, nil, t.self)
+		out = append(out, id)
 	})
 	slices.Sort(out)
 	return out
@@ -718,4 +711,71 @@ func (t *objTable) restoreReaders(id int64, readers []int) {
 		s.addReader(r)
 	}
 	sh.mu.Unlock()
+}
+
+// quiescent checks the object-record invariants that hold across a
+// cluster with nothing in flight (after Shutdown, or between
+// invocations of a synchronous workload), joining every violation:
+//   - exactly one home per object across the live nodes — none only for
+//     an object lost with its dead owner, whose every live hint names a
+//     dead rank;
+//   - no valid hint on an object's owner;
+//   - no gate held or frozen;
+//   - every reader set within the live ranks, and no node in its own;
+//   - no record holding nothing but an idle gate.
+//
+// A rank is live unless the first node saw it die or depart.
+func quiescent(nodes []*Node) error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	live := func(r int) bool {
+		return r >= 0 && r < len(nodes) && !nodes[0].isDead(r) && !nodes[0].departed(r)
+	}
+	homes := map[int64][]int{}
+	deadHints := map[int64]bool{} // ids every live hint so far ties to a dead rank
+	for _, n := range nodes {
+		if !live(n.Rank) {
+			continue
+		}
+		for i := range n.objs.shards {
+			sh := &n.objs.shards[i]
+			sh.mu.Lock()
+			for id, s := range sh.m {
+				if s.vacant() {
+					bad("node %d: record of %d holds nothing but an idle gate", n.Rank, id)
+				}
+				if s.depth != 0 || s.frozen != nil || s.idle != nil {
+					bad("node %d: gate of %d still in use (depth %d, frozen %v)", n.Rank, id, s.depth, s.frozen != nil)
+				}
+				for _, r := range s.readers {
+					if r == n.Rank || !live(r) {
+						bad("node %d: reader set of %d is %v: holds this node or a rank that is not live", n.Rank, id, s.readers)
+					}
+				}
+				if s.home != nil {
+					homes[id] = append(homes[id], n.Rank)
+					if s.hintValid {
+						bad("node %d: owns %d but holds a hint to %d", n.Rank, id, s.hint)
+					}
+				} else if s.canon != nil || s.hintValid {
+					if _, seen := homes[id]; !seen {
+						homes[id] = nil
+					}
+					dead := s.hintValid && !live(s.hint)
+					if prev, seen := deadHints[id]; !seen || prev {
+						deadHints[id] = dead
+					} else if !dead {
+						deadHints[id] = false
+					}
+				}
+			}
+			sh.mu.Unlock()
+		}
+	}
+	for id, on := range homes {
+		if len(on) > 1 || len(on) == 0 && !deadHints[id] {
+			bad("object %d has %d homes among the live nodes (%v), want exactly one", id, len(on), on)
+		}
+	}
+	return errors.Join(errs...)
 }

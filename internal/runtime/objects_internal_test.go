@@ -9,71 +9,12 @@ import (
 	"autodist/internal/vm"
 )
 
-// CheckQuiescent exposes checkQuiescent to the external test package.
-var CheckQuiescent = checkQuiescent
-
-// checkQuiescent asserts the object-record invariants that hold across
-// a cluster with nothing in flight (after Shutdown, or between
-// invocations of a synchronous workload):
-//   - exactly one home per object across the live nodes — none only for
-//     an object lost with its dead owner, whose every live hint names a
-//     dead rank;
-//   - no valid hint on an object's owner;
-//   - no gate held or frozen;
-//   - every reader set within the live ranks, and no node in its own;
-//   - no record holding nothing but an idle gate.
-//
-// A rank is live unless the first node saw it die or depart.
-func checkQuiescent(t testing.TB, nodes []*Node) {
+// CheckQuiescent fails t unless the nodes' object records are
+// quiescent (see Quiescent).
+func CheckQuiescent(t testing.TB, nodes []*Node) {
 	t.Helper()
-	live := func(r int) bool {
-		return r >= 0 && r < len(nodes) && !nodes[0].isDead(r) && !nodes[0].departed(r)
-	}
-	homes := map[int64][]int{}
-	deadHints := map[int64]bool{} // ids every live hint so far ties to a dead rank
-	for _, n := range nodes {
-		if !live(n.Rank) {
-			continue
-		}
-		for i := range n.objs.shards {
-			sh := &n.objs.shards[i]
-			sh.mu.Lock()
-			for id, s := range sh.m {
-				if s.vacant() {
-					t.Errorf("node %d: record of %d holds nothing but an idle gate", n.Rank, id)
-				}
-				if s.depth != 0 || s.frozen != nil || s.idle != nil {
-					t.Errorf("node %d: gate of %d still in use (depth %d, frozen %v)", n.Rank, id, s.depth, s.frozen != nil)
-				}
-				for _, r := range s.readers {
-					if r == n.Rank || !live(r) {
-						t.Errorf("node %d: reader set of %d is %v: holds this node or a rank that is not live", n.Rank, id, s.readers)
-					}
-				}
-				if s.home != nil {
-					homes[id] = append(homes[id], n.Rank)
-					if s.hintValid {
-						t.Errorf("node %d: owns %d but holds a hint to %d", n.Rank, id, s.hint)
-					}
-				} else if s.canon != nil || s.hintValid {
-					if _, seen := homes[id]; !seen {
-						homes[id] = nil
-					}
-					dead := s.hintValid && !live(s.hint)
-					if prev, seen := deadHints[id]; !seen || prev {
-						deadHints[id] = dead
-					} else if !dead {
-						deadHints[id] = false
-					}
-				}
-			}
-			sh.mu.Unlock()
-		}
-	}
-	for id, on := range homes {
-		if len(on) > 1 || len(on) == 0 && !deadHints[id] {
-			t.Errorf("object %d has %d homes among the live nodes (%v), want exactly one", id, len(on), on)
-		}
+	if err := quiescent(nodes); err != nil {
+		t.Error(err)
 	}
 }
 

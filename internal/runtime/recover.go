@@ -2,7 +2,7 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"autodist/internal/transport"
@@ -19,11 +19,11 @@ import (
 //      requests waiting on it, and fast-fails later ones.
 //   2. The recovery coordinator — rank 0, which also hosts the
 //      ExecutionStarter and therefore cannot itself be survived — runs
-//      a RECOVER/PROMOTE/REHOME round: poll survivors for valid
-//      replicas of objects the dead rank owned, promote the
-//      lowest-ranked holder of each to authoritative owner, and
-//      broadcast the repaired ownership so every hint and reader set
-//      forgets the dead rank.
+//      one coordinator round (coord.go): PROMOTE to each survivor in
+//      rank order, so the lowest-ranked holder of a valid replica of
+//      each object the dead rank owned becomes its authoritative owner,
+//      then one WELCOME naming the new homes and the dead rank, so
+//      every hint and reader set forgets it.
 //   3. A failed entrypoint invocation is re-driven on the same logical
 //      thread (cluster.go): survivors answer the replayed request
 //      prefix from their per-thread dedup journals (exactly-once for
@@ -32,11 +32,12 @@ import (
 //
 // Accepted limits, by design: objects on the dead rank without a
 // replica anywhere are lost (accesses fail fast with a peer-down
-// error, they never hang); a NEW targeted at a dead rank is not
-// re-placed; and non-idempotent work at the exact failure frontier — a
-// request that executed partially before hitting the dead node — may
-// re-execute its local prefix on re-drive (the journal records only
-// completed responses).
+// error, they never hang); a NEW whose site names a dead rank fails
+// with a peer-down error naming the NEW — it is never re-placed; and
+// non-idempotent work at the exact failure frontier — a request that
+// executed partially before hitting the dead node — may re-execute its
+// local prefix on re-drive (the journal records only completed
+// responses).
 
 // peerDownMarker is the substring every dead-peer error carries (see
 // transport.IsPeerDown); responses containing it are never journaled.
@@ -131,24 +132,29 @@ func (n *Node) replayJournaled(lt *lthread, msg transport.Message) bool {
 	return true
 }
 
-// awaitRecovery blocks (bounded) until at least one recovery round has
-// completed and none is in progress — the point where re-driving an
-// invocation can see the promoted copies. Polling is fine here: the
-// re-drive path is already off the hot path by hundreds of
-// milliseconds of failure-detection deadline.
+// awaitRecovery blocks until at least one recovery round has completed
+// and none is in progress — the point where re-driving an invocation can
+// see the promoted copies — or until timeout.
 func (n *Node) awaitRecovery(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	expire := time.NewTimer(timeout)
+	defer expire.Stop()
+	for {
 		n.recMu.Lock()
-		gen, active := n.recGen, n.recActive
-		n.recMu.Unlock()
-		if gen > 0 && active == 0 {
+		if n.recGen > 0 && n.recActive == 0 {
+			n.recMu.Unlock()
 			return
 		}
+		if n.recWake == nil {
+			n.recWake = make(chan struct{})
+		}
+		wake := n.recWake
+		n.recMu.Unlock()
 		select {
+		case <-wake:
+		case <-expire.C:
+			return
 		case <-n.done:
 			return
-		case <-time.After(time.Millisecond):
 		}
 	}
 }
@@ -176,142 +182,52 @@ func (n *Node) redriveThread(tid uint64) *lthread {
 	return lt
 }
 
-// runRecovery is the coordinator's repair round for one dead rank.
-// Rounds serialise (a second death queues behind the first); progress
-// is published through recGen/recActive for awaitRecovery.
+// runRecovery is the coordinator's repair round for one dead rank: one
+// pass over the survivors in ascending rank order, this node first.
+// Each promotes every valid replica it holds of the dead rank's objects
+// that no lower rank promoted already, so the lowest-ranked valid holder
+// wins; one WELCOME then announces the new homes and the death. A
+// survivor that cannot be reached is skipped — if it is dying too, its
+// own PeerDown starts another round.
 func (n *Node) runRecovery(dead int) {
 	defer n.wg.Done()
-	defer func() {
-		n.recMu.Lock()
-		n.recGen++
-		n.recActive--
-		n.recMu.Unlock()
-	}()
-	n.recRoundMu.Lock()
-	defer n.recRoundMu.Unlock()
+	defer n.finishRecovery()
+	n.coordMu.Lock()
+	defer n.coordMu.Unlock()
 	sys := n.lthread(0)
-
-	// RECOVER: collect, from ourselves and every survivor, the ids they
-	// hold valid replicas of whose last known owner is the dead rank. A
-	// poll that fails is skipped — if that node is dying too, its own
-	// PeerDown follows and triggers another round.
-	holders := map[int64][]int{}
-	for _, id := range n.objs.replicasOf(dead) {
-		holders[id] = append(holders[id], n.Rank)
-	}
-	for rank := 0; rank < n.clusterSpan(); rank++ {
-		if rank == n.Rank || rank == dead || n.isDead(rank) || n.departed(rank) {
-			continue
-		}
-		req := wire.RecoverRequest{Dead: dead}
-		resp, err := n.rawRequest(sys, rank, KindRecover, req.Encode())
+	w := wire.Welcome{Dead: dead}
+	var taken []int64
+	for _, r := range n.members() {
+		ids, err := n.promoteOn(sys, r, dead, taken)
 		if err != nil {
 			continue
 		}
-		out, derr := wire.DecodeRecoverResponse(resp.Payload)
-		wire.PutBuf(resp.Payload)
-		if derr != nil || out.Err != "" {
-			continue
+		for _, id := range ids {
+			w.Homes = append(w.Homes, wire.Home{ID: id, Rank: r})
 		}
-		for _, id := range out.IDs {
-			holders[id] = append(holders[id], rank)
-		}
+		taken = append(taken, ids...)
+		slices.Sort(taken)
 	}
+	n.announce(sys, &w, -1)
+}
 
-	// PROMOTE: the lowest-ranked holder of each id installs its replica
-	// as the new authoritative copy, one frame per chosen node.
-	byRank := map[int][]int64{}
-	for id, ranks := range holders {
-		sort.Ints(ranks)
-		byRank[ranks[0]] = append(byRank[ranks[0]], id)
-	}
-	promoted := map[int64]int{}
-	promoters := make([]int, 0, len(byRank))
-	for r := range byRank {
-		promoters = append(promoters, r)
-	}
-	sort.Ints(promoters)
-	for _, rank := range promoters {
-		ids := byRank[rank]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if rank == n.Rank {
-			for _, id := range n.promoteReplicas(sys, dead, ids) {
-				promoted[id] = rank
-			}
-			continue
-		}
-		req := wire.PromoteRequest{Dead: dead, IDs: ids}
-		resp, err := n.rawRequest(sys, rank, KindPromote, req.Encode())
-		if err != nil {
-			continue
-		}
-		out, derr := wire.DecodePromoteResponse(resp.Payload)
-		wire.PutBuf(resp.Payload)
-		if derr != nil || out.Err != "" {
-			continue
-		}
-		for _, id := range out.Promoted {
-			promoted[id] = rank
-		}
-	}
-
-	// REHOME: broadcast the repaired ownership map. Every survivor
-	// redirects its hints at the promoted homes and forgets the dead
-	// rank in every reader set.
-	ids := make([]int64, 0, len(promoted))
-	for id := range promoted {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	homes := make([]int, len(ids))
-	for i, id := range ids {
-		homes[i] = promoted[id]
-	}
-	n.applyRehome(dead, ids, homes)
-	for rank := 0; rank < n.clusterSpan(); rank++ {
-		if rank == n.Rank || rank == dead || n.isDead(rank) || n.departed(rank) {
-			continue
-		}
-		req := wire.RehomeRequest{Dead: dead, IDs: ids, Homes: homes}
-		if resp, err := n.rawRequest(sys, rank, KindRehome, req.Encode()); err == nil {
-			wire.PutBuf(resp.Payload)
-		}
+// finishRecovery publishes a finished round to awaitRecovery.
+func (n *Node) finishRecovery() {
+	n.recMu.Lock()
+	defer n.recMu.Unlock()
+	n.recGen++
+	n.recActive--
+	if n.recWake != nil {
+		close(n.recWake)
+		n.recWake = nil
 	}
 }
 
-// promoteReplicas installs this node's replicas of the listed ids as
-// authoritative copies (objTable.promote) and returns the ids promoted —
-// a replica may have been invalidated or rehomed between RECOVER and
-// PROMOTE.
-func (n *Node) promoteReplicas(lt *lthread, dead int, ids []int64) []int64 {
-	var out []int64
-	for _, id := range ids {
-		if n.objs.promote(id, dead) {
-			n.count(lt, func(s *NodeStats) *int64 { return &s.PromotedReplicas }, 1)
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// applyRehome repairs local ownership metadata after a promotion
-// round: hints for promoted ids point at their new homes (which also
-// drops stale cached values of those objects), and the dead rank
-// disappears from every reader set so later writes never wait on it.
-// Hints still pointing at the dead rank for ids nobody could promote
-// are left in place: accesses fail fast with a peer-down error rather
-// than hang.
-func (n *Node) applyRehome(dead int, ids []int64, homes []int) {
-	for i, id := range ids {
-		if homes[i] == n.Rank {
-			continue
-		}
-		n.learnHome(id, homes[i])
-	}
-	n.objs.purgeRank(dead)
-	// Ownership just moved under the node: drop compiled methods so
-	// the tier re-profiles under the repaired topology (compiled code
-	// reaches objects only through the access natives, which consult
-	// live ownership; this is hygiene, not safety).
-	n.VM.InvalidateCompiled()
+// promoteReplicas installs this node's valid replicas of the dead rank's
+// objects, except the ids in taken, as authoritative copies
+// (objTable.promote) and returns the ids promoted.
+func (n *Node) promoteReplicas(lt *lthread, dead int, taken []int64) []int64 {
+	ids := n.objs.promote(dead, taken)
+	n.count(lt, func(s *NodeStats) *int64 { return &s.PromotedReplicas }, int64(len(ids)))
+	return ids
 }

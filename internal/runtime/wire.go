@@ -80,20 +80,21 @@ const (
 	KindReplicate
 	KindInvalidate
 	KindReplicaAck
-	// RECOVER/PROMOTE/REHOME are the failure-recovery round (recover.go):
-	// after the transport's failure detector declares a node dead, the
-	// recovery coordinator polls survivors for promotable replicas
-	// (RECOVER), instructs the chosen holder to install its replica as
-	// the new authoritative copy (PROMOTE), and broadcasts the repaired
-	// ownership map (REHOME).
-	KindRecover
-	KindPromote
-	KindRehome
+)
+
+const (
+	// PROMOTE is the failure-recovery command (recover.go): after the
+	// transport's failure detector declares a node dead, the coordinator
+	// asks each survivor in turn to install its replicas of the dead
+	// rank's objects as authoritative copies; the round closes with a
+	// WELCOME (wire.KindWelcome), the one ownership-delta frame. Numbers
+	// 14 and 16 are unassigned.
+	KindPromote uint8 = 15
 	// DEPSEQ carries a fused run of synchronous dependence messages
 	// (access fusion): one frame holds a vector of DepRequests and the
 	// response holds one DepResponse per executed entry, so a run of K
 	// accesses against one destination costs a single round trip.
-	KindDepSeq
+	KindDepSeq uint8 = 17
 )
 
 // toWire converts a local vm.Value for transmission from this node.

@@ -38,9 +38,9 @@ func reliableChaosPair(t *testing.T, rules ChaosRules) (a, b Endpoint, ctl *Chao
 }
 
 // protocolKinds spans the full frame-kind space the runtime sends
-// (NEW=1 … REHOME=16); the reliability guarantee is kind-agnostic and
+// (NEW=1 … DEPSEQ=17); the reliability guarantee is kind-agnostic and
 // must hold for every one of them.
-const protocolKinds = 16
+const protocolKinds = 17
 
 // streamFrames sends a sequenced stream of frames covering every
 // protocol kind from one endpoint and checks at the other that it

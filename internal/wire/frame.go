@@ -27,8 +27,8 @@ type Frame struct {
 	Ack   uint64
 	Dedup uint64
 	// View is the membership view id the sender held when it emitted
-	// the frame: coordination traffic (ADAPT, MIGRATE, RECOVER rounds
-	// and the membership handshake itself) is stamped with it so two
+	// the frame: coordination traffic (MIGRATE, TRANSFER, PROMOTE and
+	// the membership frames) is stamped with it so two
 	// nodes that disagree on the cluster's composition detect the skew
 	// instead of acting on it. Zero means "no membership in play".
 	View    uint64
@@ -79,10 +79,10 @@ const (
 	// coordinator and asks to be admitted. Unlike the two kinds above
 	// it does cross the wire and is handled by the runtime serve loop.
 	KindJoin uint8 = 0xF2
-	// KindWelcome carries the coordinator's admission verdict. As a
-	// reply to JOIN it grants the joiner its rank, the new view and the
-	// coherence epoch; as a broadcast it installs the new view on every
-	// existing member (and, on a leave, the rehomed ownership).
+	// KindWelcome carries the coordinator's ownership delta (Welcome):
+	// as a reply to JOIN it grants the joiner its rank and the new view;
+	// as a broadcast it moves every member to the state a join, drain or
+	// recovery round produced — view, dead rank, new homes.
 	KindWelcome uint8 = 0xF3
 	// KindLeave asks a member to drain: migrate every object it owns to
 	// the surviving ranks and report the new homes, after which the

@@ -1,18 +1,65 @@
 package wire
 
-// Membership handshake messages. A fresh node opens with JOIN to the
-// rank-0 coordinator: it presents the digest of the program it was
+// Coordinator messages. Every change of ownership the rank-0
+// coordinator makes outside a single migration — admitting a joiner,
+// draining a leaver, repairing after a death — ends in one WELCOME: an
+// ownership delta naming the new view (if membership moved), the rank
+// that died (if one did) and the objects that changed home. A fresh
+// node opens with JOIN, presenting the digest of the program it was
 // rewritten from (admission is refused on a mismatch — a joiner built
-// from a different program cannot share objects), its transport
-// address and its relative CPU speed. The coordinator answers with
-// WELCOME (accept or refuse) and broadcasts the same WELCOME to every
-// existing member so the whole cluster advances to the new view
-// atomically with respect to subsequent coordination rounds. Graceful
-// leave inverts the handshake: the coordinator sends LEAVE to the
-// departing node, which migrates every object it owns to the survivors
-// and reports the new homes; the closing WELCOME broadcast then
-// carries those rehomed ids alongside the shrunk view. All three ride
-// the ordinary tagged request/response machinery on the system thread.
+// from a different program cannot share objects); the reply is the
+// WELCOME every member also receives. LEAVE asks a member to drain and
+// reports where its objects went; PROMOTE asks a survivor to install
+// its replicas of a dead rank's objects as authoritative copies. All
+// ride the ordinary tagged request/response machinery on the system
+// thread.
+
+func appendIDs(b []byte, ids []int64) []byte {
+	b = appendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = appendVarint(b, id)
+	}
+	return b
+}
+
+func (r *Reader) ids() []int64 {
+	n := r.count()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = r.Varint()
+	}
+	return out
+}
+
+// Home places one object: ID now lives on Rank.
+type Home struct {
+	ID   int64
+	Rank int
+}
+
+func appendHomes(b []byte, hs []Home) []byte {
+	b = appendUvarint(b, uint64(len(hs)))
+	for _, h := range hs {
+		b = appendVarint(b, h.ID)
+		b = appendUvarint(b, uint64(h.Rank))
+	}
+	return b
+}
+
+func (r *Reader) homes() []Home {
+	n := r.count()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]Home, n)
+	for i := range out {
+		out[i] = Home{ID: r.Varint(), Rank: int(r.Uvarint())}
+	}
+	return out
+}
 
 // JoinRequest asks the coordinator to admit the sender into the
 // cluster.
@@ -41,72 +88,114 @@ func DecodeJoinRequest(data []byte) (JoinRequest, error) {
 	return m, r.Err()
 }
 
-// Welcome is the coordinator's membership verdict and view
-// installation. As a JOIN reply it tells the joiner whether it is in;
-// as a broadcast it advances every member to the view it names. On a
-// leave, IDs/Homes carry the ownership repaired by the drain so
-// members forget the departed rank in the same step that retires it.
+// Welcome is the coordinator's one ownership delta. As a JOIN reply it
+// tells the joiner whether it is in; as a broadcast it moves every
+// member to the same state. Body: head byte (Accept 0x01, view 0x02,
+// Dead 0x04) · Reason · [ViewID · Size · Departed] · [Dead] · Homes; an
+// undefined head bit is a decode error.
 type Welcome struct {
 	// Accept reports admission; Reason explains a refusal.
 	Accept bool
 	Reason string
 	// ViewID and Size describe the new view: Size is the total rank
 	// space (departed ranks keep their numbers), Departed lists ranks
-	// that have left gracefully.
+	// that have left gracefully. All three are absent (zero) when
+	// membership did not move — on a static cluster always.
 	ViewID   uint64
 	Size     int
 	Departed []int
-	// Epoch is the coordinator's coherence epoch at admission, so a
-	// joiner's replica timestamps start consistent with the cluster's.
-	Epoch int64
-	// IDs/Homes (parallel, possibly empty) rehome objects drained off a
-	// leaver.
-	IDs   []int64
-	Homes []int
+	// Dead is a rank that failed, for every member to forget; 0 is none
+	// (rank 0 coordinates and is never declared dead).
+	Dead int
+	// Homes are the objects that changed home: drained off a leaver or
+	// promoted from a dead rank's replicas.
+	Homes []Home
 }
+
+const (
+	welcomeAccept = 1 << iota
+	welcomeView
+	welcomeDead
+)
 
 // Encode serialises the message into a pooled buffer.
 func (m *Welcome) Encode() []byte {
-	b := appendBool(GetBuf(), m.Accept)
-	b = appendString(b, m.Reason)
-	b = appendUvarint(b, m.ViewID)
-	b = appendUvarint(b, uint64(m.Size))
-	b = appendUvarint(b, uint64(len(m.Departed)))
-	for _, d := range m.Departed {
-		b = appendUvarint(b, uint64(d))
+	var head byte
+	if m.Accept {
+		head |= welcomeAccept
 	}
-	b = appendVarint(b, m.Epoch)
-	b = appendIDs(b, m.IDs)
-	b = appendUvarint(b, uint64(len(m.Homes)))
-	for _, h := range m.Homes {
-		b = appendUvarint(b, uint64(h))
+	view := m.ViewID != 0 || m.Size != 0 || len(m.Departed) > 0
+	if view {
+		head |= welcomeView
 	}
-	return b
+	if m.Dead != 0 {
+		head |= welcomeDead
+	}
+	b := appendString(append(GetBuf(), head), m.Reason)
+	if view {
+		b = appendUvarint(b, m.ViewID)
+		b = appendUvarint(b, uint64(m.Size))
+		b = appendInts(b, m.Departed)
+	}
+	if m.Dead != 0 {
+		b = appendUvarint(b, uint64(m.Dead))
+	}
+	return appendHomes(b, m.Homes)
 }
 
 // DecodeWelcome parses a Welcome payload.
 func DecodeWelcome(data []byte) (Welcome, error) {
 	r := NewReader(data)
-	m := Welcome{
-		Accept: r.Bool(),
-		Reason: r.String(),
-		ViewID: r.Uvarint(),
-		Size:   int(r.Uvarint()),
+	head := r.Byte()
+	if head&^(welcomeAccept|welcomeView|welcomeDead) != 0 {
+		r.fail("welcome head %#x has undefined bits", head)
 	}
-	if n := r.count(); r.Err() == nil && n > 0 {
-		m.Departed = make([]int, n)
-		for i := range m.Departed {
-			m.Departed[i] = int(r.Uvarint())
-		}
+	m := Welcome{Accept: head&welcomeAccept != 0, Reason: r.String()}
+	if head&welcomeView != 0 {
+		m.ViewID, m.Size, m.Departed = r.Uvarint(), int(r.Uvarint()), r.ints()
 	}
-	m.Epoch = r.Varint()
-	m.IDs = r.ids()
-	if n := r.count(); r.Err() == nil && n > 0 {
-		m.Homes = make([]int, n)
-		for i := range m.Homes {
-			m.Homes[i] = int(r.Uvarint())
-		}
+	if head&welcomeDead != 0 {
+		m.Dead = int(r.Uvarint())
 	}
+	m.Homes = r.homes()
+	return m, r.Err()
+}
+
+// PromoteRequest asks a survivor to promote every valid replica it
+// holds of an object Dead owned, except the ids lower ranks have
+// promoted already (Promoted, ascending).
+type PromoteRequest struct {
+	Dead     int
+	Promoted []int64
+}
+
+// Encode serialises the request into a pooled buffer.
+func (m *PromoteRequest) Encode() []byte {
+	return appendIDs(appendUvarint(GetBuf(), uint64(m.Dead)), m.Promoted)
+}
+
+// DecodePromoteRequest parses a PromoteRequest payload.
+func DecodePromoteRequest(data []byte) (PromoteRequest, error) {
+	r := NewReader(data)
+	m := PromoteRequest{Dead: int(r.Uvarint()), Promoted: r.ids()}
+	return m, r.Err()
+}
+
+// PromoteResponse lists the ids the survivor promoted, ascending.
+type PromoteResponse struct {
+	Promoted []int64
+	Err      string
+}
+
+// Encode serialises the response into a pooled buffer.
+func (m *PromoteResponse) Encode() []byte {
+	return appendString(appendIDs(GetBuf(), m.Promoted), m.Err)
+}
+
+// DecodePromoteResponse parses a PromoteResponse payload.
+func DecodePromoteResponse(data []byte) (PromoteResponse, error) {
+	r := NewReader(data)
+	m := PromoteResponse{Promoted: r.ids(), Err: r.String()}
 	return m, r.Err()
 }
 
@@ -129,39 +218,24 @@ func DecodeLeaveRequest(data []byte) (LeaveRequest, error) {
 	return m, r.Err()
 }
 
-// LeaveResponse reports the drain's outcome: the ids the leaver
-// migrated away (with their new homes, parallel) and how many objects
-// it could not move. A nonzero Kept aborts the leave — the node stays
-// a member rather than strand state.
+// LeaveResponse reports the drain's outcome: where the leaver's
+// objects went and how many it could not move. A nonzero Kept aborts
+// the leave — the node stays a member rather than strand state.
 type LeaveResponse struct {
-	IDs   []int64
-	Homes []int
+	Homes []Home
 	Kept  int
 	Err   string
 }
 
 // Encode serialises the response into a pooled buffer.
 func (m *LeaveResponse) Encode() []byte {
-	b := appendIDs(GetBuf(), m.IDs)
-	b = appendUvarint(b, uint64(len(m.Homes)))
-	for _, h := range m.Homes {
-		b = appendUvarint(b, uint64(h))
-	}
-	b = appendUvarint(b, uint64(m.Kept))
+	b := appendUvarint(appendHomes(GetBuf(), m.Homes), uint64(m.Kept))
 	return appendString(b, m.Err)
 }
 
 // DecodeLeaveResponse parses a LeaveResponse payload.
 func DecodeLeaveResponse(data []byte) (LeaveResponse, error) {
 	r := NewReader(data)
-	m := LeaveResponse{IDs: r.ids()}
-	if n := r.count(); r.Err() == nil && n > 0 {
-		m.Homes = make([]int, n)
-		for i := range m.Homes {
-			m.Homes[i] = int(r.Uvarint())
-		}
-	}
-	m.Kept = int(r.Uvarint())
-	m.Err = r.String()
+	m := LeaveResponse{Homes: r.homes(), Kept: int(r.Uvarint()), Err: r.String()}
 	return m, r.Err()
 }

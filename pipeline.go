@@ -104,7 +104,12 @@ type Config struct {
 	// hit the dead node are re-driven with their completed prefix
 	// replayed from dedup journals (exactly-once effects). Node 0 hosts
 	// the ExecutionStarter and the recovery coordinator; its loss is
-	// not survivable. Requires K ≥ 2. Off (the default), the wire
+	// not survivable. What is lost stays lost, with a prompt error
+	// rather than a hang: an object with no replica on a survivor fails
+	// every later access, and an allocation whose site the plan placed
+	// on the dead node fails its NEW — the site is never re-placed —
+	// with an error that names the NEW and wraps the transport's
+	// peer-down error. Requires K ≥ 2. Off (the default), the wire
 	// stream is byte-identical to a non-recovering deployment.
 	FailureRecovery bool
 	// HeartbeatInterval is the reliability layer's liveness-probe

@@ -8,6 +8,7 @@ package autodist_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"autodist"
+	"autodist/internal/transport"
 )
 
 // faultSource is the fault-injection workload: two independent tables,
@@ -359,6 +361,126 @@ func TestKillNodeDuringAdaptiveRun(t *testing.T) {
 	defer cancel()
 	if err := cluster.Shutdown(ctx); err != nil && ctx.Err() != nil {
 		t.Fatalf("Shutdown hung after mid-migration node loss: %v", err)
+	}
+}
+
+// invokeBounded runs one invocation and fails the test if it does not
+// return within the bound — a hang is the one outcome node loss must
+// never produce.
+func invokeBounded(t *testing.T, c *autodist.Cluster, bound time.Duration, entry string, args ...autodist.Value) (*autodist.InvokeResult, error) {
+	t.Helper()
+	type result struct {
+		res *autodist.InvokeResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := c.Invoke(entry, args...)
+		done <- result{res, err}
+	}()
+	select {
+	case r := <-done:
+		return r.res, r.err
+	case <-time.After(bound):
+		t.Fatalf("Invoke(%s, %v) still running after %v", entry, args, bound)
+		return nil, nil
+	}
+}
+
+// TestKillNodeJoinedRank composes membership with recovery: a rank
+// admitted at run time, seeded by the join's rebalance, is a rank like
+// any other — FailNode accepts it, survivors promote their replicas of
+// what it owned, and every later invocation returns the sequential
+// result or fails fast with a peer-down error. A drained rank, by
+// contrast, cannot be failed: it is already gone.
+func TestKillNodeJoinedRank(t *testing.T) {
+	cluster := deployFault(t, 2, autodist.RewriteOptions{Adaptive: true, Replicate: true}, autodist.Config{
+		K:                 2,
+		Adaptive:          true,
+		AdaptEvery:        1 << 30, // only the join's rebalance moves objects
+		Elastic:           true,
+		Replicate:         true,
+		FailureRecovery:   true,
+		HeartbeatInterval: 10 * time.Millisecond,
+	})
+	rank, err := cluster.Join()
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if rank != 2 {
+		t.Fatalf("joined rank %d, want 2", rank)
+	}
+	if s := cluster.Stats(); s.Migrations == 0 {
+		t.Fatalf("the join seeded nothing onto rank 2: %+v", s)
+	}
+	want := map[string]int64{"suma": 100, "sumb": 100}
+	// Warm replicas on node 0 of whatever the rebalance moved.
+	for i := 0; i < 2; i++ {
+		for entry, v := range want {
+			if got, _ := invokeInt(t, cluster, entry); got != v {
+				t.Fatalf("%s() warm-up = %d, want %d", entry, got, v)
+			}
+		}
+	}
+	if err := cluster.FailNode(rank); err != nil {
+		t.Fatalf("FailNode(%d) of a joined rank: %v", rank, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cluster.Stats().PromotedReplicas == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no replica promotion within 5s: stats %+v", cluster.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		for entry, v := range want {
+			res, err := invokeBounded(t, cluster, 5*time.Second, entry)
+			switch {
+			case err == nil && res.Value != v:
+				t.Fatalf("%s() after rank %d died = %v, want %d", entry, rank, res.Value, v)
+			case err != nil && !errors.Is(err, transport.ErrPeerDown):
+				t.Fatalf("%s() after rank %d died: %v, want the sequential result or a peer-down error", entry, rank, err)
+			}
+		}
+	}
+	if err := cluster.Drain(1); err != nil {
+		t.Fatalf("Drain(1) after rank %d died: %v", rank, err)
+	}
+	if err := cluster.FailNode(1); err == nil {
+		t.Error("FailNode of a drained rank succeeded, want an error")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := cluster.Shutdown(ctx); err != nil && ctx.Err() != nil {
+		t.Fatalf("Shutdown hung after a joined rank died: %v", err)
+	}
+	if err := cluster.Quiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestKillNodeNewOnDeadRank: a NEW whose site the plan placed on a dead
+// rank is not re-placed. The invocation fails with an error naming the
+// NEW and wrapping the transport's peer-down error, well inside the
+// re-drive budget (three re-drives, each waiting at most 2s).
+func TestKillNodeNewOnDeadRank(t *testing.T) {
+	cluster := deployFault(t, 3, autodist.RewriteOptions{}, autodist.Config{
+		K:                 3,
+		FailureRecovery:   true,
+		HeartbeatInterval: 10 * time.Millisecond,
+	})
+	if err := cluster.FailNode(2); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// main allocates a Tb, whose site lives on rank 2.
+	_, err := invokeBounded(t, cluster, 6*time.Second, "main")
+	took := time.Since(start)
+	if !errors.Is(err, transport.ErrPeerDown) || !strings.Contains(err.Error(), "NEW Tb") {
+		t.Fatalf("main() with Tb's site dead: %v, want a peer-down error naming the NEW of Tb", err)
+	}
+	if took > 3*time.Second {
+		t.Errorf("main() took %v to fail, want well under the 6s re-drive budget", took)
 	}
 }
 
