@@ -230,6 +230,60 @@ func TestMessageOptimizationReducesTraffic(t *testing.T) {
 	}
 }
 
+// TestMessageRowsPinned pins the protocol counts of the message and
+// replication tables exactly: messages, cache hits, async calls and
+// batch frames under each protocol, and the coherence layer's hits,
+// fetches, invalidations and patches. They are deterministic on the
+// in-process fabric, so a codec or serve-path change that moves a
+// single frame shows up here; bytes are free to move with the codec.
+func TestMessageRowsPinned(t *testing.T) {
+	type msgCounts struct{ msgs0, msgs, hit, async, batch int64 }
+	wantMsgs := map[string]msgCounts{
+		"create":   {16, 15, 0, 1, 1},
+		"method":   {10, 5, 0, 3, 1},
+		"crypt":    {16, 5, 0, 6, 1},
+		"heapsort": {10, 5, 0, 3, 1},
+		"moldyn":   {10, 5, 0, 3, 1},
+		"search":   {10, 5, 0, 3, 1},
+		"compress": {10, 5, 0, 3, 1},
+		"db":       {16, 5, 0, 6, 1},
+	}
+	rows, err := TableMessages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		got := msgCounts{r.BaseMsgs, r.OptMsgs, r.CacheHits, r.AsyncCalls, r.BatchFrames}
+		if w, ok := wantMsgs[r.Benchmark]; !ok || got != w {
+			t.Errorf("%s message row: %+v, want %+v", r.Benchmark, got, w)
+		}
+		delete(wantMsgs, r.Benchmark)
+	}
+	for name := range wantMsgs {
+		t.Errorf("%s row missing from message table", name)
+	}
+
+	type replCounts struct{ msgs, hits, fetch, inval, patch int64 }
+	wantRepl := map[string]replCounts{
+		"readmostly": {48, 598, 2, 10, 10},
+		"bank":       {402, 102, 99, 1, 1},
+	}
+	repl, err := TableReplication()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range repl {
+		got := replCounts{r.ReplMsgs, r.ReplicaHits, r.ReplicaFetches, r.Invalidations, r.ReplicaUpdates}
+		if w, ok := wantRepl[r.Workload]; !ok || got != w {
+			t.Errorf("%s replication row: %+v, want %+v", r.Workload, got, w)
+		}
+		delete(wantRepl, r.Workload)
+	}
+	for name := range wantRepl {
+		t.Errorf("%s row missing from replication table", name)
+	}
+}
+
 func TestAdaptiveBeatsStaticOnPhaseShift(t *testing.T) {
 	// The acceptance criterion of the adaptive subsystem: on the
 	// phase-shifting workload (whose hot object set moves mid-run),
@@ -270,8 +324,8 @@ func TestAdaptiveRowsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]AdaptiveRow{
-		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 857, Migrations: 3, Forwards: 1},
-		"bank":       {AdaptMsgs: 622, AdaptBytes: 16122},
+		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 735, Migrations: 3, Forwards: 1},
+		"bank":       {AdaptMsgs: 622, AdaptBytes: 15013},
 	}
 	for _, r := range rows {
 		w, ok := want[r.Workload]

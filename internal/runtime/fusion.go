@@ -260,10 +260,11 @@ func (n *Node) fuseExchange(lt *lthread, home int, buf []fusedEntry, payload []b
 
 // fuseEncode builds the DEPSEQ payload of the entries of buf routed to
 // home, in program order, and records per-entry affinity (the frame's
-// bytes are split evenly across its entries, so the totals the
-// migration planner sees match the wire). The request vector and the
-// converted arguments live in the thread's scratch, which is free
-// again once the payload is encoded.
+// bytes are split evenly across its entries, the remainder going one
+// byte each to the first entries, so the totals the migration planner
+// sees match the wire). The request vector and the converted arguments
+// live in the thread's scratch, which is free again once the payload
+// is encoded.
 func (n *Node) fuseEncode(lt *lthread, buf []fusedEntry, home int) ([]byte, error) {
 	nargs := 0
 	for i := range buf {
@@ -296,9 +297,13 @@ func (n *Node) fuseEncode(lt *lthread, buf []fusedEntry, home int) ([]byte, erro
 	if err == nil {
 		seq := wire.DepSeq{Reqs: reqs}
 		payload = seq.Encode()
-		per := len(payload) / len(reqs)
+		per, extra := len(payload)/len(reqs), len(payload)%len(reqs)
 		for i := range reqs {
-			n.recordAffinity(reqs[i].ID, per, accessWrites(reqs[i].Kind))
+			b := per
+			if i < extra {
+				b++
+			}
+			n.recordAffinity(reqs[i].ID, b, accessWrites(reqs[i].Kind))
 		}
 		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedBatches }, 1)
 		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedAccesses }, int64(len(reqs)))
@@ -341,25 +346,10 @@ func (n *Node) fuseFinish(lt *lthread, home int, buf []fusedEntry, payload []byt
 			// returned below — defensive against a malformed short vector.
 			return fmt.Errorf("runtime: fused run stopped after %d of %d entries on node %d", k, sent, home)
 		}
-		r := &out.Resps[k]
+		if e.result, err = n.applyDepResponse(lt, home, e.id, &out.Resps[k], e.args, "fused access", e.member); err != nil {
+			return err
+		}
 		k++
-		n.noteAsyncDests(lt, r.AsyncDests)
-		if r.Moved && e.id != 0 {
-			n.learnHome(e.id, r.NewHome)
-		}
-		if r.Err != "" {
-			return fmt.Errorf("remote fused access %s: %s", e.member, r.Err)
-		}
-		if r.AsyncErr != "" {
-			return fmt.Errorf("deferred async failure on node %d: %s", home, r.AsyncErr)
-		}
-		if err := n.restoreArrays(e.args, r.OutArrays); err != nil {
-			return err
-		}
-		wire.PutValues(r.OutArrays)
-		if e.result, err = n.fromWire(r.Value); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"autodist/internal/bytecode"
+	"autodist/internal/rewrite"
 	"autodist/internal/transport"
+	"autodist/internal/vm"
 )
 
 func testNode(t *testing.T) *Node {
@@ -18,6 +20,46 @@ func testNode(t *testing.T) *Node {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestFusedAffinityBytesMatchWire: a fused run charges its frame's
+// payload bytes to its entries in full — the division remainder goes
+// one byte each to the first entries — so the affinity totals the
+// migration planner sees add up to the wire.
+func TestFusedAffinityBytesMatchWire(t *testing.T) {
+	n := testNode(t) // rank 0 of 2
+	n.adaptEvery = 32
+	buf := []fusedEntry{
+		{kind: rewrite.GetField, member: "p0", id: 7, home: 1},
+		{kind: rewrite.GetField, member: "p1", id: 8, home: 1},
+		{kind: rewrite.PutField, member: "p2", id: 9, home: 1, args: []vm.Value{int64(5)}},
+	}
+	payload, err := n.fuseEncode(n.lthread(0), buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := len(payload) % len(buf)
+	if extra == 0 {
+		t.Fatalf("payload of %d B divides evenly; the run no longer exercises the remainder", len(payload))
+	}
+	edges := n.objs.takeAffinity()
+	if len(edges) != len(buf) {
+		t.Fatalf("%d affinity edges, want %d: %+v", len(edges), len(buf), edges)
+	}
+	var sum int64
+	for i, e := range edges {
+		want := int64(len(payload) / len(buf))
+		if i < extra {
+			want++
+		}
+		if e.ID != buf[i].id || e.Bytes != want || e.Msgs != 1 {
+			t.Errorf("edge %d: %+v, want id %d charged %d B in 1 msg", i, e, buf[i].id, want)
+		}
+		sum += e.Bytes
+	}
+	if sum != int64(len(payload)) {
+		t.Errorf("charged %d B in all, payload is %d B", sum, len(payload))
+	}
 }
 
 // TestLearnHomeInvalidatesCachedReads pins the Moved-notice contract:

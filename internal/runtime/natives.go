@@ -49,23 +49,17 @@ func (n *Node) registerNatives() {
 				// is never re-placed elsewhere.
 				return nil, fmt.Errorf("runtime: NEW %s on node %d: %w", className, home, err)
 			}
-			out, err := wire.DecodeNewResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
+			// The reply is a DEPENDENCE reply whose value is the new id.
+			v, err := n.finishDepResponse(lt, home, 0, resp.Payload, ctorArgs, "new", className)
 			if err != nil {
 				return nil, err
 			}
-			n.noteAsyncDests(lt, out.AsyncDests)
-			if out.Err != "" {
-				return nil, fmt.Errorf("remote new %s on node %d: %s", className, home, out.Err)
+			id, ok := v.(int64)
+			if !ok {
+				return nil, fmt.Errorf("runtime: NEW %s on node %d answered %T, not an id", className, home, v)
 			}
-			if out.AsyncErr != "" {
-				return nil, fmt.Errorf("deferred async failure on node %d: %s", home, out.AsyncErr)
-			}
-			if err := n.restoreArrays(ctorArgs, out.OutArrays); err != nil {
-				return nil, err
-			}
-			n.proxy.set(self, home, out.ID, className)
-			n.objs.intern(self, out.ID, home)
+			n.proxy.set(self, home, id, className)
+			n.objs.intern(self, id, home)
 			return nil, nil
 		})
 
@@ -291,33 +285,39 @@ func accessWrites(kind int) bool {
 	return true
 }
 
-// finishDepResponse applies the common DEPENDENCE-response epilogue:
-// decode, inherit outstanding-batch bookkeeping, absorb Moved redirect
-// notices, surface direct and deferred errors, copy-restore array
-// arguments, convert the value.
+// finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW) and
+// applies applyDepResponse to it.
 func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
 	out, err := wire.DecodeDepResponse(payload)
 	wire.PutBuf(payload)
 	if err != nil {
 		return nil, err
 	}
-	n.noteAsyncDests(lt, out.AsyncDests)
-	if out.Moved && id != 0 {
-		n.learnHome(id, out.NewHome)
+	return n.applyDepResponse(lt, home, id, &out, acc, whatKind, whatMember)
+}
+
+// applyDepResponse is the epilogue of one response entry, shared by
+// every access reply: inherit outstanding-batch bookkeeping, absorb a
+// Moved redirect notice for id, surface direct and deferred errors,
+// copy-restore array arguments, convert the value.
+func (n *Node) applyDepResponse(lt *lthread, home int, id int64, r *wire.DepResponse, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
+	n.noteAsyncDests(lt, r.AsyncDests)
+	if r.Moved && id != 0 {
+		n.learnHome(id, r.NewHome)
 	}
-	if out.Err != "" {
+	if r.Err != "" {
 		// The label is split so the happy path never concatenates it.
-		return nil, fmt.Errorf("remote %s %s: %s", whatKind, whatMember, out.Err)
+		return nil, fmt.Errorf("remote %s %s: %s", whatKind, whatMember, r.Err)
 	}
-	if out.AsyncErr != "" {
-		return nil, fmt.Errorf("deferred async failure on node %d: %s", home, out.AsyncErr)
+	if r.AsyncErr != "" {
+		return nil, fmt.Errorf("deferred async failure on node %d: %s", home, r.AsyncErr)
 	}
-	err = n.restoreArrays(acc, out.OutArrays)
-	wire.PutValues(out.OutArrays)
+	err := n.restoreArrays(acc, r.OutArrays)
+	wire.PutValues(r.OutArrays)
 	if err != nil {
 		return nil, err
 	}
-	return n.fromWire(out.Value)
+	return n.fromWire(r.Value)
 }
 
 // localAccess performs an access on a local object: the server side of

@@ -589,11 +589,10 @@ func (n *Node) flushAsync(lt *lthread) error {
 		if len(reqs) == 0 {
 			continue
 		}
-		batch := wire.Batch{Ack: !n.causal, Reqs: reqs}
-		payload := batch.Encode()
+		payload := (&wire.DepSeq{Reqs: reqs}).Encode()
 		n.count(lt, func(s *NodeStats) *int64 { return &s.BatchFrames }, 1)
 		n.count(lt, func(s *NodeStats) *int64 { return &s.BatchedRequests }, int64(len(reqs)))
-		if batch.Ack {
+		if !n.causal {
 			resp, err := n.rawRequest(lt, to, KindDependenceBatch, payload)
 			if err != nil {
 				return err
@@ -856,14 +855,15 @@ func (n *Node) handleBatch(job batchJob) {
 	if msg.Dedup != 0 && n.replayJournaled(lt, msg) {
 		return
 	}
-	batch, err := wire.DecodeBatch(msg.Payload)
-	if err != nil {
+	sc := getDepSeqScratch()
+	defer putDepSeqScratch(sc)
+	if err := wire.DecodeDepSeqInto(msg.Payload, &sc.seq); err != nil {
 		stashAsyncErr(lt, err)
 	} else {
-		for i := range batch.Reqs {
+		for i := range sc.seq.Reqs {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
-			out := n.serveDependence(lt, &batch.Reqs[i])
-			wire.PutValues(batch.Reqs[i].Args)
+			out := n.serveDependence(lt, &sc.seq.Reqs[i])
+			wire.PutValues(sc.seq.Reqs[i].Args)
 			if out.Err != "" {
 				stashAsyncErr(lt, fmt.Errorf("%s", out.Err))
 				break
@@ -874,9 +874,8 @@ func (n *Node) handleBatch(job batchJob) {
 			}
 		}
 	}
-	// A tagged batch expects a completion acknowledgement (judged by
-	// the tag, not the decoded Ack flag, so a sender never hangs on a
-	// batch that failed to decode).
+	// A tagged batch (sent where delivery is not causal) expects a
+	// completion acknowledgement.
 	if msg.Tag != 0 {
 		out := wire.DepResponse{AsyncErr: takeAsyncErr(lt)}
 		payload := out.Encode()
@@ -896,8 +895,8 @@ func (n *Node) handleBatch(job batchJob) {
 	}
 }
 
-// handle processes one NEW, DEPENDENCE or BARRIER request and replies
-// on the logical thread the request belongs to.
+// handle processes one NEW, DEPENDENCE, DEPSEQ or BARRIER request and
+// replies on the logical thread the request belongs to.
 func (n *Node) handle(msg transport.Message) {
 	lt := n.lthread(msg.TID)
 	// Virtual time: receiving the request pulls our clock to the
@@ -964,35 +963,25 @@ func (n *Node) handle(msg transport.Message) {
 	switch msg.Kind {
 	case KindNew:
 		n.count(lt, func(s *NodeStats) *int64 { return &s.NewRequests }, 1)
-		out := wire.NewResponse{}
+		out := wire.DepResponse{}
 		if req, err := wire.DecodeNewRequest(msg.Payload); err != nil {
 			out.Err = err.Error()
 		} else if id, outs, err := n.handleNew(lt, &req); err != nil {
 			out.Err = err.Error()
 		} else {
-			out.ID = id
+			out.Value = wire.Value{Kind: wire.KInt, Int: id}
 			out.OutArrays = outs
 		}
 		finish(&out.Err, &out.AsyncErr, &out.AsyncDests)
 		reply(out.Encode())
-	case KindDependence:
-		n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
-		out := wire.DepResponse{}
-		if req, err := wire.DecodeDepRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			out = n.serveDependence(lt, &req)
-			wire.PutValues(req.Args)
-		}
-		finish(&out.Err, &out.AsyncErr, &out.AsyncDests)
-		reply(out.Encode())
-	case KindDepSeq:
-		// A fused run of synchronous dependences: execute the entries in
-		// order, one DepResponse each, stopping at the first failure (a
-		// short vector tells the caller exactly which entries never ran).
-		// Per-entry forwarding works unchanged — serveDependence stamps
-		// Moved/NewHome on the affected entry alone. Both vectors live in
-		// pooled per-exchange storage.
+	case KindDependence, KindDepSeq:
+		// An access vector — one entry for a DEPENDENCE, a fused run for
+		// a DEPSEQ: execute the entries in order, one DepResponse each,
+		// stopping at the first failure (a short vector tells the caller
+		// exactly which entries never ran). Per-entry forwarding works
+		// unchanged — serveDependence stamps Moved/NewHome on the
+		// affected entry alone. Both vectors live in pooled per-exchange
+		// storage.
 		sc := getDepSeqScratch()
 		seq, out := &sc.seq, &sc.resp
 		if err := wire.DecodeDepSeqInto(msg.Payload, seq); err != nil {
@@ -1009,8 +998,7 @@ func (n *Node) handle(msg transport.Message) {
 				}
 			}
 		}
-		// Thread bookkeeping rides on the final executed entry, exactly
-		// where a plain DEPENDENCE reply would carry it.
+		// Thread bookkeeping rides on the final executed entry.
 		if len(out.Resps) == 0 {
 			out.Resps = append(out.Resps, wire.DepResponse{})
 		}

@@ -57,11 +57,15 @@ import (
 // Message kinds (paper §5 names NEW and DEPENDENCE; RESPONSE, BARRIER
 // and SHUTDOWN are the control frames any real MPI runtime also needs;
 // DEPENDENCE_BATCH carries aggregated asynchronous dependence
-// messages). ADAPT/AFFINITY/MIGRATE/TRANSFER are the
-// adaptive-repartitioning frames: ADAPT asks the coordinator for an
-// adaptation round, AFFINITY polls a node's traffic counters, MIGRATE
-// commands an ownership transfer and TRANSFER ships the object state
-// to its new home. REPLICATE/INVALIDATE/REPLICA-ACK are the
+// messages). DEPENDENCE, DEPENDENCE_BATCH and DEPSEQ bodies are all one
+// access vector (wire.DepSeq) — one entry, a thread's buffered async
+// calls, a fused run — and the NEW, DEPENDENCE, DEPSEQ and BARRIER
+// replies are response vectors (wire.DepSeqResponse); the kinds differ
+// in how the receiver serves the vector, not in its layout.
+// ADAPT/AFFINITY/MIGRATE/TRANSFER are the adaptive-repartitioning
+// frames: ADAPT asks the coordinator for an adaptation round, AFFINITY
+// polls a node's traffic counters, MIGRATE commands an ownership
+// transfer and TRANSFER ships the object state to its new home. REPLICATE/INVALIDATE/REPLICA-ACK are the
 // read-replication frames: a reader pulls a registered replica
 // snapshot, and a write pushes invalidations that must be acknowledged
 // before it completes. ARCHITECTURE.md documents every frame kind and
@@ -91,8 +95,8 @@ const (
 	// 14 and 16 are unassigned.
 	KindPromote uint8 = 15
 	// DEPSEQ carries a fused run of synchronous dependence messages
-	// (access fusion): one frame holds a vector of DepRequests and the
-	// response holds one DepResponse per executed entry, so a run of K
+	// (access fusion): the access vector holds the run's entries and
+	// the response one DepResponse per executed entry, so a run of K
 	// accesses against one destination costs a single round trip.
 	KindDepSeq uint8 = 17
 )

@@ -309,11 +309,11 @@ func TestFramingAgreesWithWireCodec(t *testing.T) {
 		if !bytes.Equal(msg.Payload, payload) {
 			t.Fatalf("%s: payload corrupted in transit", name)
 		}
-		got, err := wire.DecodeDepRequest(msg.Payload)
-		if err != nil {
-			t.Fatalf("%s decode: %v", name, err)
+		var seq wire.DepSeq
+		if err := wire.DecodeDepSeqInto(msg.Payload, &seq); err != nil || len(seq.Reqs) != 1 {
+			t.Fatalf("%s decode: %d entries (%v)", name, len(seq.Reqs), err)
 		}
-		if got.ID != req.ID || got.Member != req.Member || len(got.Args) != 3 || got.Args[2].Class != "Account" {
+		if got := seq.Reqs[0]; got.ID != req.ID || got.Member != req.Member || len(got.Args) != 3 || got.Args[2].Class != "Account" {
 			t.Fatalf("%s: decoded %+v != sent %+v", name, got, req)
 		}
 		for _, ep := range eps {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,13 +92,35 @@ func seqResponseWithHead(r *rand.Rand, head byte) DepResponse {
 	return m
 }
 
-// legacyDepSeq and legacyDepSeqResponse are the retired fixed layout of
-// the DEPSEQ vector — every entry a complete scalar DEPENDENCE body —
-// kept as the bound the presence-flags layout must never exceed.
+// The retired fixed layouts, kept as the bounds the access vector must
+// never exceed. legacyDepRequest and legacyDepResponse are the old
+// scalar DEPENDENCE request and reply bodies; legacyDepSeq and
+// legacyDepSeqResponse the old DEPSEQ vector (every entry a complete
+// scalar body); legacyBatch the old DEPENDENCE_BATCH body (an Ack byte
+// before the vector); legacyNewResponse the old NEW reply.
+func legacyDepRequest(b []byte, m *DepRequest) []byte {
+	b = appendVarint(b, m.ID)
+	b = appendBool(b, m.Static)
+	b = appendString(b, m.Class)
+	b = appendVarint(b, int64(m.Kind))
+	b = appendString(b, m.Member)
+	return appendValues(b, m.Args)
+}
+
+func legacyDepResponse(b []byte, m *DepResponse) []byte {
+	b = m.Value.Append(b)
+	b = appendValues(b, m.OutArrays)
+	b = appendString(b, m.Err)
+	b = appendString(b, m.AsyncErr)
+	b = appendInts(b, m.AsyncDests)
+	b = appendBool(b, m.Moved)
+	return appendUvarint(b, uint64(m.NewHome))
+}
+
 func legacyDepSeq(reqs []DepRequest) []byte {
 	b := appendUvarint(nil, uint64(len(reqs)))
 	for i := range reqs {
-		b = reqs[i].append(b)
+		b = legacyDepRequest(b, &reqs[i])
 	}
 	return b
 }
@@ -105,9 +128,28 @@ func legacyDepSeq(reqs []DepRequest) []byte {
 func legacyDepSeqResponse(resps []DepResponse) []byte {
 	b := appendUvarint(nil, uint64(len(resps)))
 	for i := range resps {
-		b = resps[i].append(b)
+		b = legacyDepResponse(b, &resps[i])
 	}
 	return b
+}
+
+func legacyBatch(reqs []DepRequest) []byte {
+	return append(appendBool(nil, true), legacyDepSeq(reqs)...)
+}
+
+func legacyNewResponse(m *DepResponse) []byte {
+	b := appendVarint(nil, m.Value.Int)
+	b = appendValues(b, m.OutArrays)
+	b = appendString(b, m.Err)
+	b = appendString(b, m.AsyncErr)
+	return appendInts(b, m.AsyncDests)
+}
+
+// decodeDepSeqResponse is DecodeDepSeqResponseInto into a fresh vector.
+func decodeDepSeqResponse(data []byte) (DepSeqResponse, error) {
+	var m DepSeqResponse
+	err := DecodeDepSeqResponseInto(data, &m)
+	return m, err
 }
 
 // valueEqBits compares decoded values structurally, treating floats by
@@ -194,7 +236,7 @@ func checkDepSeqResponse(t *testing.T, m DepSeqResponse) []byte {
 	if legacy := legacyDepSeqResponse(m.Resps); len(enc) > len(legacy) {
 		t.Fatalf("%+v encodes in %d bytes, legacy layout took %d", m.Resps, len(enc), len(legacy))
 	}
-	got, err := DecodeDepSeqResponse(enc)
+	got, err := decodeDepSeqResponse(enc)
 	if err != nil {
 		t.Fatalf("%+v: %v", m.Resps, err)
 	}
@@ -355,6 +397,170 @@ func TestDepSeqEnvelopeVersionSelection(t *testing.T) {
 	}
 }
 
+// pingExchange is one round trip of the rpc_storm ping: a DEPENDENCE
+// calling ping(I)I (access kind 1) with one int argument, and its int
+// result. Both ints sit in [2^20, 2^26), where a zig-zag varint is four
+// bytes.
+func pingExchange() (DepRequest, DepResponse) {
+	req := DepRequest{ID: 2, Kind: 1, Member: "ping:(I)I", Args: []Value{{Kind: KInt, Int: 1<<20 + 7}}}
+	return req, DepResponse{Value: Value{Kind: KInt, Int: 1<<20 + 8}}
+}
+
+// TestAccessVectorGoldens pins the one-entry and batch bodies byte for
+// byte. The ping exchange is 20 B out and 7 B back (the retired fixed
+// layouts took 20 and 11); a batch of three same-object async calls
+// names the object once (47 B against 53); a NEW reply is the created
+// id as a KInt value (5 B against 6).
+func TestAccessVectorGoldens(t *testing.T) {
+	req, resp := pingExchange()
+	member := []byte{9, 'p', 'i', 'n', 'g', ':', '(', 'I', ')', 'I'}
+	wantReq := append(append([]byte{1, seqReqArgs, 4, 2}, member...), 1, KInt, 0x8e, 0x80, 0x80, 0x01)
+	wantResp := []byte{1, 0x00, KInt, 0x90, 0x80, 0x80, 0x01}
+	golden := func(name string, got, want []byte, legacy int) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s encodes as % x (%d B), want % x (%d B)", name, got, len(got), want, len(want))
+		}
+		if len(want) > legacy {
+			t.Errorf("%s: %d B, longer than the legacy %d B", name, len(want), legacy)
+		}
+	}
+	golden("ping request", req.Encode(), wantReq, len(legacyDepRequest(nil, &req)))
+	golden("ping reply", resp.Encode(), wantResp, len(legacyDepResponse(nil, &resp)))
+	if len(wantReq) != 20 || len(wantResp) != 7 || len(legacyDepResponse(nil, &resp)) != 11 {
+		t.Errorf("ping exchange is %d+%d B (legacy reply %d B), want 20+7 (11)",
+			len(wantReq), len(wantResp), len(legacyDepResponse(nil, &resp)))
+	}
+	if got, err := DecodeDepResponse(wantResp); err != nil || !depResponseEq(got, resp) {
+		t.Errorf("ping reply decodes as %+v (%v)", got, err)
+	}
+
+	var batch DepSeq
+	for i := int64(1); i <= 3; i++ {
+		batch.Reqs = append(batch.Reqs, DepRequest{ID: 5, Kind: 8, Member: "tick:(I)V", Args: []Value{{Kind: KInt, Int: i}}})
+	}
+	tick := []byte{9, 't', 'i', 'c', 'k', ':', '(', 'I', ')', 'V'}
+	wantBatch := []byte{3, seqReqArgs, 10, 16}
+	wantBatch = append(append(wantBatch, tick...), 1, KInt, 2)
+	wantBatch = append(append(append(wantBatch, seqReqSameID|seqReqArgs, 16), tick...), 1, KInt, 4)
+	wantBatch = append(append(append(wantBatch, seqReqSameID|seqReqArgs, 16), tick...), 1, KInt, 6)
+	golden("batch", batch.Encode(), wantBatch, len(legacyBatch(batch.Reqs)))
+	if len(wantBatch) != 47 || len(legacyBatch(batch.Reqs)) != 53 {
+		t.Errorf("batch is %d B (legacy %d B), want 47 (53)", len(wantBatch), len(legacyBatch(batch.Reqs)))
+	}
+
+	created := DepResponse{Value: Value{Kind: KInt, Int: 129}}
+	golden("NEW reply", created.Encode(), []byte{1, 0x00, KInt, 0x82, 0x02}, len(legacyNewResponse(&created)))
+	if n := len(legacyNewResponse(&created)); n != 6 {
+		t.Errorf("legacy NEW reply is %d B, want 6", n)
+	}
+	if got, err := DecodeDepResponse(created.Encode()); err != nil || got.Value.Int != 129 {
+		t.Errorf("NEW reply decodes as %+v (%v)", got, err)
+	}
+}
+
+// optionalParts counts the reply parts a response entry carries only
+// when present: OutArrays, Err, AsyncErr and AsyncDests.
+func optionalParts(m *DepResponse) int {
+	n := 0
+	for _, present := range []bool{len(m.OutArrays) > 0, m.Err != "", m.AsyncErr != "", len(m.AsyncDests) > 0} {
+		if present {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneEntryBodiesNeverLonger compares the one-entry and batch bodies
+// with their retired fixed layouts. A DEPENDENCE request of either shape
+// the runtime sends (an instance access, or a static access naming its
+// class) and a DEPENDENCE_BATCH body are never longer. A reply pays one
+// count byte and one head byte and saves one byte per absent optional
+// part, plus the Moved flag and, when not Moved, the NewHome byte: a
+// DEPENDENCE reply is longer only when Moved with every optional part
+// present (by one byte), and a NEW reply, whose id replaces the Value,
+// is never longer while it carries at most one optional part. Every
+// body round-trips.
+func TestOneEntryBodiesNeverLonger(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 2000; i++ {
+		// The runtime names the class of static accesses only, and
+		// those address ID 0.
+		req := randDepRequest(r)
+		if req.Static {
+			req.ID, req.Class = 0, "Main"
+		} else {
+			req.Class = ""
+		}
+		enc := req.Encode()
+		if legacy := legacyDepRequest(nil, &req); len(enc) > len(legacy) {
+			t.Fatalf("%+v: DEPENDENCE body %d B, legacy %d B", req, len(enc), len(legacy))
+		}
+		if got, err := DecodeDepSeq(enc); err != nil || len(got.Reqs) != 1 || !depRequestEq(got.Reqs[0], req) {
+			t.Fatalf("%+v decoded as %+v (%v)", req, got, err)
+		}
+
+		resp := randDepResponse(r)
+		enc = resp.Encode()
+		want := len(legacyDepResponse(nil, &resp)) + 1 - (4 - optionalParts(&resp))
+		if !resp.Moved {
+			want--
+		}
+		if len(enc) != want {
+			t.Fatalf("%+v: DEPENDENCE reply %d B, want %d", resp, len(enc), want)
+		}
+		if got, err := DecodeDepResponse(enc); err != nil || !depResponseEq(got, resp) {
+			t.Fatalf("%+v decoded as %+v (%v)", resp, got, err)
+		}
+
+		created := DepResponse{Value: Value{Kind: KInt, Int: r.Int63n(1 << 40)}, Err: resp.Err,
+			AsyncErr: resp.AsyncErr, AsyncDests: resp.AsyncDests, OutArrays: resp.OutArrays}
+		if n, legacy := len(created.Encode()), len(legacyNewResponse(&created)); n != legacy+optionalParts(&created)-1 {
+			t.Fatalf("%+v: NEW reply %d B, legacy %d B", created, n, legacy)
+		}
+
+		batch := DepSeq{Reqs: make([]DepRequest, 1+r.Intn(6))}
+		for j := range batch.Reqs {
+			batch.Reqs[j] = randDepRequest(r)
+			batch.Reqs[j].Class, batch.Reqs[j].Static = "", false
+			if j > 0 && r.Intn(2) == 0 {
+				batch.Reqs[j].ID = batch.Reqs[j-1].ID
+			}
+		}
+		if n, legacy := len(checkDepSeq(t, batch)), len(legacyBatch(batch.Reqs)); n >= legacy {
+			t.Fatalf("%+v: batch %d B, legacy %d B", batch.Reqs, n, legacy)
+		}
+	}
+}
+
+// TestOneEntryTruncated: a one-entry request or reply cut at any byte
+// fails cleanly, and DecodeDepResponse refuses a reply vector of any
+// length but one.
+func TestOneEntryTruncated(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 200; i++ {
+		req, resp := randDepRequest(r), randDepResponse(r)
+		enc, encR := req.Encode(), resp.Encode()
+		for n := 0; n < len(enc); n++ {
+			if _, err := DecodeDepSeq(enc[:n]); err == nil {
+				t.Fatalf("%+v: cut at %d of %d bytes decoded", req, n, len(enc))
+			}
+		}
+		for n := 0; n < len(encR); n++ {
+			if _, err := DecodeDepResponse(encR[:n]); err == nil {
+				t.Fatalf("%+v: cut at %d of %d bytes decoded", resp, n, len(encR))
+			}
+		}
+	}
+	_, resp := pingExchange()
+	for _, n := range []int{0, 2} {
+		enc := (&DepSeqResponse{Resps: slices.Repeat([]DepResponse{resp}, n)}).Encode()
+		if _, err := DecodeDepResponse(enc); err == nil || !strings.Contains(err.Error(), "want 1") {
+			t.Errorf("%d-entry reply vector: err %v", n, err)
+		}
+	}
+}
+
 // TestDepSeqTruncated: both DEPSEQ bodies cut anywhere fail cleanly —
 // a fused frame never misparses into a shorter valid vector — and an
 // entry head with any undefined bit set is rejected.
@@ -378,7 +584,7 @@ func TestDepSeqTruncated(t *testing.T) {
 	}
 	encR := resp.Encode()
 	for n := 0; n < len(encR); n++ {
-		if _, err := DecodeDepSeqResponse(encR[:n]); err == nil {
+		if _, err := decodeDepSeqResponse(encR[:n]); err == nil {
 			t.Fatalf("response truncation at %d of %d bytes decoded successfully", n, len(encR))
 		}
 	}
@@ -397,7 +603,7 @@ func TestDepSeqTruncated(t *testing.T) {
 		if seqRespBits&(1<<bit) == 0 {
 			bad := append([]byte(nil), resp1...)
 			bad[1] |= 1 << bit
-			if _, err := DecodeDepSeqResponse(bad); err == nil || !strings.Contains(err.Error(), "undefined DEPSEQ response bits") {
+			if _, err := decodeDepSeqResponse(bad); err == nil || !strings.Contains(err.Error(), "undefined DEPSEQ response bits") {
 				t.Fatalf("response head bit %d: err %v", bit, err)
 			}
 		}
@@ -451,6 +657,10 @@ func FuzzDecodeDepSeq(f *testing.F) {
 	f.Add((&DepSeq{}).Encode())
 	f.Add([]byte{})
 	f.Add([]byte{3, 0})
+	ping, _ := pingExchange()
+	f.Add(ping.Encode())
+	batch := DepRequest{ID: 5, Kind: 8, Member: "tick:(I)V", Args: []Value{{Kind: KInt, Int: 1}}}
+	f.Add((&DepSeq{Reqs: []DepRequest{batch, batch, batch}}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeDepSeq(data)
 		if err != nil {
@@ -477,12 +687,15 @@ func FuzzDecodeDepSeqResponse(f *testing.F) {
 	f.Add((&DepSeqResponse{Resps: []DepResponse{randDepResponse(r)}}).Encode())
 	f.Add((&DepSeqResponse{}).Encode())
 	f.Add([]byte{1})
+	_, pong := pingExchange()
+	f.Add(pong.Encode())
+	f.Add((&DepResponse{Value: Value{Kind: KInt, Int: 129}}).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeDepSeqResponse(data)
+		m, err := decodeDepSeqResponse(data)
 		if err != nil {
 			return
 		}
-		got, err := DecodeDepSeqResponse(m.Encode())
+		got, err := decodeDepSeqResponse(m.Encode())
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

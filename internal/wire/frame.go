@@ -172,28 +172,11 @@ func appendOpt(b []byte, v uint64) []byte {
 	return appendUvarint(b, v)
 }
 
-// WriteFrame encodes and writes the frame in a single Write call, so
-// concurrent writers that serialise per connection emit whole frames.
-// The encode buffer is pooled; steady-state callers allocate nothing.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf := AppendFrame(GetBuf(), f)
-	_, err := w.Write(buf)
-	PutBuf(buf)
-	return err
-}
-
 // ByteScanner is the reader a frame decoder needs (bufio.Reader
 // satisfies it).
 type ByteScanner interface {
 	io.Reader
 	io.ByteReader
-}
-
-// ReadFrame reads one length-prefixed frame. It returns io.EOF
-// unchanged on a clean end-of-stream before the length prefix.
-func ReadFrame(r ByteScanner) (Frame, error) {
-	f, _, err := ReadFrameScratch(r, nil)
-	return f, err
 }
 
 // ReadFrameScratch reads one frame using (and returning) a reusable
@@ -229,7 +212,7 @@ func ReadFrameScratch(r ByteScanner, scratch []byte) (Frame, []byte, error) {
 
 // DecodeFrameBuf decodes one length-prefixed frame from the front of
 // buf, returning the remainder. The frame's Payload aliases buf. It is
-// the in-memory counterpart of ReadFrame, used to walk coalesced
+// the in-memory counterpart of ReadFrameScratch, used to walk coalesced
 // multi-frame buffers (a write batch, a captured stream).
 // io.EOF is returned on an empty buffer.
 func DecodeFrameBuf(buf []byte) (Frame, []byte, error) {

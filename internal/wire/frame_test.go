@@ -28,8 +28,10 @@ func sameFrame(a, b *Frame) bool {
 		bytes.Equal(a.Payload, b.Payload)
 }
 
+// readFrameBytes reads one frame from b through the stream decoder.
 func readFrameBytes(b []byte) (Frame, error) {
-	return ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+	f, _, err := ReadFrameScratch(bufio.NewReader(bytes.NewReader(b)), nil)
+	return f, err
 }
 
 // versionedLen is the encoded length the retired versioned envelope
@@ -163,11 +165,7 @@ func TestFrameThreadIDRoundTrip(t *testing.T) {
 				Payload: make([]byte, rng.Intn(64)),
 			}
 			rng.Read(f.Payload)
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, &f); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadFrame(bufio.NewReader(&buf))
+			got, err := readFrameBytes(AppendFrame(nil, &f))
 			if err != nil {
 				t.Fatalf("kind %d tid %d: %v", kind, tid, err)
 			}

@@ -1,8 +1,11 @@
 package wire
 
-// Protocol payload bodies. These are the paper's NEW and DEPENDENCE
-// messages (§5) plus their responses and the batched form that carries
-// aggregated asynchronous dependence messages in one transport frame.
+// Protocol payload bodies. The paper's NEW and DEPENDENCE messages (§5)
+// and every access frame built on them share one body layout, the
+// access vector (DepSeq, and DepSeqResponse for replies): a DEPENDENCE
+// is a one-entry vector, DEPENDENCE_BATCH and DEPSEQ carry several
+// entries, and the NEW, DEPENDENCE, BARRIER and batch replies are
+// one-entry response vectors.
 //
 // Every Encode starts from a pooled buffer (GetBuf), so steady-state
 // encoding allocates only when a message outgrows the pooled capacity.
@@ -35,42 +38,6 @@ func DecodeNewRequest(data []byte) (NewRequest, error) {
 	return m, r.Err()
 }
 
-// NewResponse returns the created object's identity. OutArrays carries
-// the post-constructor contents of array arguments (copy-restore
-// semantics). AsyncErr surfaces a deferred asynchronous-call failure
-// stashed on the responding node (see runtime).
-type NewResponse struct {
-	ID        int64
-	OutArrays []Value
-	Err       string
-	AsyncErr  string
-	// AsyncDests lists nodes the responder flushed fire-and-forget
-	// batches to while serving this request; the caller inherits
-	// responsibility for barriering them (see runtime).
-	AsyncDests []int
-}
-
-// Encode serialises the response.
-func (m *NewResponse) Encode() []byte {
-	b := appendVarint(GetBuf(), m.ID)
-	b = appendValues(b, m.OutArrays)
-	b = appendString(b, m.Err)
-	b = appendString(b, m.AsyncErr)
-	return appendInts(b, m.AsyncDests)
-}
-
-// DecodeNewResponse parses a NewResponse body.
-func DecodeNewResponse(data []byte) (NewResponse, error) {
-	r := NewReader(data)
-	var m NewResponse
-	m.ID = r.Varint()
-	m.OutArrays = r.Values()
-	m.Err = r.String()
-	m.AsyncErr = r.String()
-	m.AsyncDests = r.ints()
-	return m, r.Err()
-}
-
 // DepRequest is the paper's DEPENDENCE message: an access to object ID
 // on its home node (or to a class's static part when Static is set).
 // Kind is a rewrite access kind (rewrite.InvokeMethodHasReturn etc.).
@@ -83,44 +50,23 @@ type DepRequest struct {
 	Args   []Value
 }
 
-func (m *DepRequest) append(b []byte) []byte {
-	b = appendVarint(b, m.ID)
-	b = appendBool(b, m.Static)
-	b = appendString(b, m.Class)
-	b = appendVarint(b, int64(m.Kind))
-	b = appendString(b, m.Member)
-	return appendValues(b, m.Args)
-}
-
-// Encode serialises the request.
-func (m *DepRequest) Encode() []byte { return m.append(GetBuf()) }
-
-func (r *Reader) depRequest() DepRequest {
-	var m DepRequest
-	m.ID = r.Varint()
-	m.Static = r.Bool()
-	m.Class = r.Sym()
-	m.Kind = int(r.Varint())
-	m.Member = r.Sym()
-	m.Args = r.Values()
-	return m
-}
-
-// DecodeDepRequest parses a DepRequest body.
-func DecodeDepRequest(data []byte) (DepRequest, error) {
-	r := NewReader(data)
-	m := r.depRequest()
-	return m, r.Err()
-}
+// Encode serialises the request as a DEPENDENCE body: a one-entry
+// DepSeq vector.
+func (m *DepRequest) Encode() []byte { return m.appendEntry(append(GetBuf(), 1), 0) }
 
 // DepResponse carries an access result back, plus copy-restore contents
-// for array arguments and any deferred asynchronous-call failure.
+// for array arguments and any deferred asynchronous-call failure. It is
+// also the NEW reply, with the created object's id as a KInt Value, and
+// the bare acknowledgement of BARRIER, ADAPT, WELCOME and acknowledged
+// DEPENDENCE_BATCH frames.
 type DepResponse struct {
 	Value     Value
 	OutArrays []Value
 	Err       string
 	AsyncErr  string
-	// AsyncDests: see NewResponse.AsyncDests.
+	// AsyncDests lists nodes the responder flushed fire-and-forget
+	// batches to while serving this request; the caller inherits
+	// responsibility for barriering them (see runtime).
 	AsyncDests []int
 	// Moved reports that the target object no longer lives on the node
 	// the request was addressed to: the request was forwarded and
@@ -131,36 +77,19 @@ type DepResponse struct {
 	NewHome int
 }
 
-func (m *DepResponse) append(b []byte) []byte {
-	b = m.Value.Append(b)
-	b = appendValues(b, m.OutArrays)
-	b = appendString(b, m.Err)
-	b = appendString(b, m.AsyncErr)
-	b = appendInts(b, m.AsyncDests)
-	b = appendBool(b, m.Moved)
-	return appendUvarint(b, uint64(m.NewHome))
-}
+// Encode serialises the response as a one-entry DepSeqResponse vector.
+func (m *DepResponse) Encode() []byte { return m.appendEntry(append(GetBuf(), 1)) }
 
-// Encode serialises the response.
-func (m *DepResponse) Encode() []byte { return m.append(GetBuf()) }
-
-func (r *Reader) depResponse() DepResponse {
-	var m DepResponse
-	m.Value = r.Value()
-	m.OutArrays = r.Values()
-	m.Err = r.String()
-	m.AsyncErr = r.String()
-	m.AsyncDests = r.ints()
-	m.Moved = r.Bool()
-	m.NewHome = int(r.Uvarint())
-	return m
-}
-
-// DecodeDepResponse parses a DepResponse body.
+// DecodeDepResponse parses a one-entry DepSeqResponse body; a vector of
+// any other length is a decode error.
 func DecodeDepResponse(data []byte) (DepResponse, error) {
-	r := NewReader(data)
-	m := r.depResponse()
-	return m, r.Err()
+	r := Reader{buf: data}
+	var m DepResponse
+	if n := r.count(); r.err == nil && n != 1 {
+		r.fail("reply vector of %d entries, want 1", n)
+	}
+	r.responseEntry(&m)
+	return m, r.err
 }
 
 func appendInts(b []byte, vs []int) []byte {
@@ -527,53 +456,15 @@ func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
 	return m, r.err
 }
 
-// Batch aggregates consecutive asynchronous dependence messages bound
-// for one destination into a single transport frame. Ack requests a
-// completion response (used on transports without causal delivery,
-// where the sender must await processing before its next synchronous
-// exchange).
-type Batch struct {
-	Ack  bool
-	Reqs []DepRequest
-}
-
-// Encode serialises the batch.
-func (m *Batch) Encode() []byte {
-	b := appendBool(GetBuf(), m.Ack)
-	b = appendUvarint(b, uint64(len(m.Reqs)))
-	for i := range m.Reqs {
-		b = m.Reqs[i].append(b)
-	}
-	return b
-}
-
-// DecodeBatch parses a Batch body.
-func DecodeBatch(data []byte) (Batch, error) {
-	r := NewReader(data)
-	var m Batch
-	m.Ack = r.Bool()
-	n := r.count()
-	if r.Err() != nil {
-		return m, r.Err()
-	}
-	m.Reqs = make([]DepRequest, n)
-	for i := 0; i < n; i++ {
-		m.Reqs[i] = r.depRequest()
-		if r.Err() != nil {
-			return m, r.Err()
-		}
-	}
-	return m, r.Err()
-}
-
-// DepSeq is the fused form of consecutive *synchronous* dependence
-// messages bound for one destination: the compiler proves the run's
-// intermediate results are not consumed between accesses, so the whole
-// run travels as one DEPSEQ exchange instead of len(Reqs) DEPENDENCE
-// round trips. Unlike Batch (fire-and-forget void calls), every entry
-// produces a response; the responder executes entries in order and
-// stops at the first failure, so Resps in the reply may be shorter
-// than Reqs.
+// DepSeq is the one access vector. A DEPENDENCE body is a one-entry
+// DepSeq, a DEPENDENCE_BATCH body carries a thread's buffered
+// fire-and-forget void calls, and a DEPSEQ body carries a fused run of
+// consecutive *synchronous* dependences bound for one destination: the
+// compiler proves the run's intermediate results are not consumed
+// between accesses, so the whole run travels as one exchange instead of
+// len(Reqs) DEPENDENCE round trips. Every synchronous entry produces a
+// response; the responder executes entries in order and stops at the
+// first failure, so Resps in the reply may be shorter than Reqs.
 //
 // The vector's entries use a presence-flags layout, as the frame
 // envelope does: each entry opens with a head byte naming the optional
@@ -588,8 +479,7 @@ func DecodeBatch(data []byte) (Batch, error) {
 //	head · Value · [OutArrays] · [Err] · [AsyncErr] · [AsyncDests] · [NewHome]
 //
 // with NewHome present exactly when Moved is set. An undefined head bit
-// is a decode error. The scalar DEPENDENCE and DEPENDENCE_BATCH bodies
-// keep their fixed layouts.
+// is a decode error.
 type DepSeq struct {
 	Reqs []DepRequest
 }
@@ -615,9 +505,9 @@ const (
 	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespAsyncDests | seqRespMoved
 )
 
-// appendSeq encodes one request entry of a DEPSEQ vector; prevID is
+// appendEntry encodes one request entry of an access vector; prevID is
 // the previous entry's ID (0 for the first).
-func (m *DepRequest) appendSeq(b []byte, prevID int64) []byte {
+func (m *DepRequest) appendEntry(b []byte, prevID int64) []byte {
 	var head byte
 	if m.Static {
 		head |= seqReqStatic
@@ -646,7 +536,7 @@ func (m *DepRequest) appendSeq(b []byte, prevID int64) []byte {
 	return b
 }
 
-func (r *Reader) seqRequest(m *DepRequest, prevID int64) {
+func (r *Reader) requestEntry(m *DepRequest, prevID int64) {
 	head := r.Byte()
 	if head&^seqReqBits != 0 {
 		r.fail("undefined DEPSEQ request bits %#x", head&^seqReqBits)
@@ -666,8 +556,8 @@ func (r *Reader) seqRequest(m *DepRequest, prevID int64) {
 	}
 }
 
-// appendSeq encodes one response entry of a DEPSEQ vector.
-func (m *DepResponse) appendSeq(b []byte) []byte {
+// appendEntry encodes one response entry of a reply vector.
+func (m *DepResponse) appendEntry(b []byte) []byte {
 	var head byte
 	if len(m.OutArrays) > 0 {
 		head |= seqRespOutArrays
@@ -704,7 +594,7 @@ func (m *DepResponse) appendSeq(b []byte) []byte {
 	return b
 }
 
-func (r *Reader) seqResponse(m *DepResponse) {
+func (r *Reader) responseEntry(m *DepResponse) {
 	head := r.Byte()
 	if head&^seqRespBits != 0 {
 		r.fail("undefined DEPSEQ response bits %#x", head&^seqRespBits)
@@ -733,7 +623,7 @@ func (m *DepSeq) Encode() []byte {
 	b := appendUvarint(GetBuf(), uint64(len(m.Reqs)))
 	var prev int64
 	for i := range m.Reqs {
-		b = m.Reqs[i].appendSeq(b, prev)
+		b = m.Reqs[i].appendEntry(b, prev)
 		prev = m.Reqs[i].ID
 	}
 	return b
@@ -756,7 +646,7 @@ func DecodeDepSeqInto(data []byte, m *DepSeq) error {
 	m.Reqs = slices.Grow(m.Reqs[:0], n)[:n]
 	var prev int64
 	for i := 0; i < n && r.err == nil; i++ {
-		r.seqRequest(&m.Reqs[i], prev)
+		r.requestEntry(&m.Reqs[i], prev)
 		prev = m.Reqs[i].ID
 	}
 	return r.err
@@ -775,25 +665,19 @@ type DepSeqResponse struct {
 func (m *DepSeqResponse) Encode() []byte {
 	b := appendUvarint(GetBuf(), uint64(len(m.Resps)))
 	for i := range m.Resps {
-		b = m.Resps[i].appendSeq(b)
+		b = m.Resps[i].appendEntry(b)
 	}
 	return b
 }
 
-// DecodeDepSeqResponse parses a DepSeqResponse body.
-func DecodeDepSeqResponse(data []byte) (DepSeqResponse, error) {
-	var m DepSeqResponse
-	err := DecodeDepSeqResponseInto(data, &m)
-	return m, err
-}
-
-// DecodeDepSeqResponseInto is DecodeDepSeqInto for the response vector.
+// DecodeDepSeqResponseInto parses a DepSeqResponse body into m, reusing
+// the capacity of m.Resps as DecodeDepSeqInto does.
 func DecodeDepSeqResponseInto(data []byte, m *DepSeqResponse) error {
 	r := Reader{buf: data}
 	n := r.count()
 	m.Resps = slices.Grow(m.Resps[:0], n)[:n]
 	for i := 0; i < n && r.err == nil; i++ {
-		r.seqResponse(&m.Resps[i])
+		r.responseEntry(&m.Resps[i])
 	}
 	return r.err
 }

@@ -102,7 +102,7 @@ func TestCoalescedStreamChunkedDecode(t *testing.T) {
 			}
 			framesEqual(t, i, &got, &frames[i])
 		}
-		if _, err := ReadFrame(r); err != io.EOF {
+		if _, _, err := ReadFrameScratch(r, scratch); err != io.EOF {
 			t.Fatalf("round %d: want clean EOF after %d frames, got %v", round, n, err)
 		}
 	}
@@ -134,21 +134,25 @@ func TestDecodeFrameBufWalksBatch(t *testing.T) {
 	}
 }
 
-// TestFrameEncodersByteIdentical pins AppendFrame against the
-// io.Writer-based encoder: the TCP write combiner batches AppendFrame
-// output, so both paths must emit exactly the same bytes.
+// TestFrameEncodersByteIdentical pins AppendFrame's batch contract:
+// the TCP write combiner appends frame after frame into one pooled
+// write buffer, so appending onto a non-empty buffer must emit exactly
+// the bytes of the frame encoded alone, leaving the prefix untouched.
 func TestFrameEncodersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	batch := GetBuf()
 	for i := 0; i < 500; i++ {
 		f := randFrame(rng)
-		appended := AppendFrame(nil, &f)
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &f); err != nil {
-			t.Fatal(err)
+		alone := AppendFrame(nil, &f)
+		prefix := append([]byte(nil), batch...)
+		batch = AppendFrame(batch, &f)
+		if !bytes.Equal(batch[:len(prefix)], prefix) || !bytes.Equal(batch[len(prefix):], alone) {
+			t.Fatalf("frame %d: appended encoding differs from the standalone one:\n%x\n%x",
+				i, batch[len(prefix):], alone)
 		}
-		if !bytes.Equal(appended, buf.Bytes()) {
-			t.Fatalf("frame %d: AppendFrame and WriteFrame disagree:\n%x\n%x",
-				i, appended, buf.Bytes())
+		if i%20 == 19 {
+			batch = batch[:0]
 		}
 	}
+	PutBuf(batch)
 }

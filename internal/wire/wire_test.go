@@ -118,21 +118,21 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("NewRequest mismatch: %+v vs %+v", got, nr)
 		}
 
-		nresp := NewResponse{ID: r.Int63(), OutArrays: args(), Err: "", AsyncErr: "boom"}
-		gotR, err := DecodeNewResponse(nresp.Encode())
+		nresp := DepResponse{Value: Value{Kind: KInt, Int: r.Int63()}, OutArrays: args(), AsyncErr: "boom"}
+		gotR, err := DecodeDepResponse(nresp.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotR.ID != nresp.ID || gotR.AsyncErr != "boom" || len(gotR.OutArrays) != len(nresp.OutArrays) {
-			t.Fatalf("NewResponse mismatch: %+v vs %+v", gotR, nresp)
+		if gotR.Value.Int != nresp.Value.Int || gotR.AsyncErr != "boom" || len(gotR.OutArrays) != len(nresp.OutArrays) {
+			t.Fatalf("NEW reply mismatch: %+v vs %+v", gotR, nresp)
 		}
 
 		dr := DepRequest{ID: r.Int63(), Static: i%2 == 0, Class: "C", Kind: 1 + r.Intn(8), Member: "m:(I)V", Args: args()}
-		gotD, err := DecodeDepRequest(dr.Encode())
+		gotD, err := DecodeDepSeq(dr.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotD.ID != dr.ID || gotD.Static != dr.Static || gotD.Kind != dr.Kind || gotD.Member != dr.Member {
+		if len(gotD.Reqs) != 1 || !depRequestEq(gotD.Reqs[0], dr) {
 			t.Fatalf("DepRequest mismatch: %+v vs %+v", gotD, dr)
 		}
 
@@ -145,13 +145,13 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("DepResponse mismatch: %+v vs %+v", gotDR, dresp)
 		}
 
-		batch := Batch{Ack: i%2 == 0, Reqs: []DepRequest{dr, dr, {Member: "n"}}}
-		gotB, err := DecodeBatch(batch.Encode())
+		batch := DepSeq{Reqs: []DepRequest{dr, dr, {Member: "n"}}}
+		gotB, err := DecodeDepSeq(batch.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotB.Ack != batch.Ack || len(gotB.Reqs) != 3 || gotB.Reqs[1].Member != dr.Member {
-			t.Fatalf("Batch mismatch: %+v vs %+v", gotB, batch)
+		if len(gotB.Reqs) != 3 || gotB.Reqs[1].Member != dr.Member || gotB.Reqs[2].ID != 0 {
+			t.Fatalf("batch mismatch: %+v vs %+v", gotB, batch)
 		}
 	}
 }
@@ -162,15 +162,15 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 		{From: 3, To: 0, Tag: 1 << 40, Kind: 0, Time: 0},
 		{From: 1, To: 2, Tag: 0, Kind: 255, Time: -3.5, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
-	var buf bytes.Buffer
+	var stream []byte
 	for i := range frames {
-		if err := WriteFrame(&buf, &frames[i]); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendFrame(stream, &frames[i])
 	}
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var scratch []byte
 	for i := range frames {
-		got, err := ReadFrame(r)
+		got, s, err := ReadFrameScratch(r, scratch)
+		scratch = s
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -180,7 +180,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := ReadFrameScratch(r, scratch); err != io.EOF {
 		t.Fatalf("expected clean EOF, got %v", err)
 	}
 }
@@ -195,14 +195,10 @@ func TestTruncatedInputsFailCleanly(t *testing.T) {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
-	var buf bytes.Buffer
 	f := Frame{From: 1, To: 0, Tag: 9, Payload: []byte("payload")}
-	if err := WriteFrame(&buf, &f); err != nil {
-		t.Fatal(err)
-	}
-	enc = buf.Bytes()
+	enc = AppendFrame(nil, &f)
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc[:cut]))); err == nil {
+		if _, err := readFrameBytes(enc[:cut]); err == nil {
 			t.Fatalf("frame truncation at %d not detected", cut)
 		}
 	}
@@ -226,9 +222,8 @@ func TestHugeCollectionCountRejectedWithoutAllocation(t *testing.T) {
 	if vs := r.Values(); r.Err() == nil || vs != nil {
 		t.Fatalf("huge Values count not rejected: err=%v", r.Err())
 	}
-	batch := append(appendBool(nil, false), appendUvarint(nil, 1<<27)...)
-	if _, err := DecodeBatch(batch); err == nil {
-		t.Fatal("huge Batch count not rejected")
+	if _, err := DecodeDepSeq(appendUvarint(nil, 1<<27)); err == nil {
+		t.Fatal("huge access vector count not rejected")
 	}
 }
 
