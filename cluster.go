@@ -360,16 +360,16 @@ func (c *Cluster) Stats() *RunResult {
 }
 
 // Shutdown drains the deployment and stops it: in-flight invocations
-// finish (new ones are rejected), outstanding asynchronous batches are
-// flushed through the final barrier — surfacing any deferred
-// asynchronous failure as the returned error — and every node winds
-// down. A cancelled or expired context skips the drain and stops the
-// nodes immediately. Idempotent.
+// finish (new ones are rejected) and every node winds down. Each
+// invocation has already finished its own asynchronous work and
+// returned its own deferred failure, so Shutdown reports only a failure
+// of the shutdown itself. A cancelled or expired context skips the
+// drain and stops the nodes immediately. Idempotent.
 func (c *Cluster) Shutdown(ctx context.Context) error {
 	return c.rt.Shutdown(ctx)
 }
 
-// Kill stops the cluster immediately: no drain, no final barrier.
+// Kill stops the cluster immediately: no drain.
 // Batch Run uses it after a failed main(); long-lived services should
 // prefer Shutdown.
 func (c *Cluster) Kill() { c.rt.Kill() }

@@ -17,8 +17,9 @@
 // compiled distribution is served through a deployment lifecycle:
 // Deploy brings the nodes up and keeps them resident, Invoke runs any
 // static entrypoint of the main (ExecutionStarter) class — as many
-// times as needed, from any goroutine — and Shutdown drains
-// outstanding work through the final barrier before stopping:
+// times as needed, from any goroutine; each invocation finishes its own
+// asynchronous work before it returns — and Shutdown waits for
+// in-flight invocations before stopping:
 //
 //	src := `... MJ source with a static main() ...`
 //	prog, err := autodist.CompileString(src)        // front-end
@@ -29,7 +30,7 @@
 //	_, err = cluster.Invoke("main")                 // provision once
 //	res, err := cluster.Invoke("lookup", 42)        // serve requests...
 //	live := cluster.Stats()                         // live counters, any time
-//	err = cluster.Shutdown(ctx)                     // drain + final barrier
+//	err = cluster.Shutdown(ctx)                     // drain + stop
 //
 // Config.MaxConcurrent sets how many invocations run at once: the
 // default of 1 serialises them (the paper's single-logical-thread

@@ -74,7 +74,7 @@ func (n *Node) maybeAdapt(lt *lthread) {
 func (n *Node) localAffinityReport() wire.AffinityReport {
 	var rep wire.AffinityReport
 	for _, o := range n.objs.owned() {
-		if n.migratable(o) {
+		if migratable(o) {
 			rep.Owned = append(rep.Owned, wire.OwnedObject{ID: o.ID, Class: o.Class.Name()})
 		}
 	}

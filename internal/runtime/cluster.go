@@ -132,9 +132,9 @@ const defaultMaxRanks = 64
 // Start brings up every node's Message Exchange service and keeps it
 // serving; InvokeEntry executes a named static entrypoint of the
 // ExecutionStarter class (as many times as the caller likes, from any
-// goroutine); Shutdown drains in-flight invocations, flushes
-// asynchronous batches through the final barrier, and stops the nodes.
-// Run wraps the three for the classic batch semantics.
+// goroutine), and each invocation finishes its own fire-and-forget work
+// before it returns; Shutdown waits for in-flight invocations and stops
+// the nodes. Run wraps the three for the classic batch semantics.
 //
 // Coherence state — the dynamic ownership map, forwarding hints, the
 // write-once cache, read replicas, affinity counters — persists across
@@ -161,27 +161,17 @@ type Cluster struct {
 	// between invocations either way.
 	sem chan struct{}
 
-	// stateMu guards the lifecycle flags, in-flight registration and
-	// the active-thread table.
+	// stateMu guards the lifecycle flags and in-flight registration.
 	stateMu  sync.Mutex
 	started  bool
 	closed   bool
 	inflight sync.WaitGroup
 	stopOnce sync.Once
-	// active is the set of thread ids currently executing; retiring an
-	// invocation sweeps every node's contexts below the oldest active
-	// id so straggler-recreated contexts cannot accumulate.
-	active map[uint64]bool
 
 	// invokeEpoch counts entrypoint invocations; it doubles as the
 	// thread-id source (invocation N runs as logical thread N) and the
 	// coherence retention stamp.
 	invokeEpoch int64
-
-	// residMu guards the outstanding-batch destinations inherited from
-	// retired threads; the shutdown barrier drains them.
-	residMu    sync.Mutex
-	residDests map[int]bool
 
 	// baseK is the cluster size at construction — the seed view every
 	// node's membership tracker starts from on elastic deployments.
@@ -233,11 +223,9 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 		return nil, fmt.Errorf("runtime: MaxRanks without Elastic")
 	}
 	c := &Cluster{
-		opts:       opts,
-		baseK:      len(progs),
-		sem:        make(chan struct{}, max(1, opts.MaxConcurrent)),
-		active:     map[uint64]bool{},
-		residDests: map[int]bool{},
+		opts:  opts,
+		baseK: len(progs),
+		sem:   make(chan struct{}, max(1, opts.MaxConcurrent)),
 	}
 	for i := range progs {
 		n, err := c.buildNode(progs[i], eps[i], plan)
@@ -425,29 +413,18 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 
 	// This invocation IS logical thread tid, cluster-wide: every frame
 	// it causes carries the id, and every node accounts its work on
-	// the thread's context. Allocation and registration share one
-	// critical section — a concurrently-completing invocation computes
-	// its stale-sweep bound from invokeEpoch and the active table
-	// under the same lock, so it can never observe this tid allocated
-	// but unregistered and reap its live contexts.
-	c.stateMu.Lock()
+	// the thread's context.
 	tid := uint64(atomic.AddInt64(&c.invokeEpoch, 1))
-	c.active[tid] = true
-	c.stateMu.Unlock()
-
 	starter := c.starter
 	lt := starter.lthread(tid)
 	run := func() (vm.Value, error) {
 		v, err := lt.vt.CallMethod(class, name, desc, args)
-		// Invocation-end ordering point: batches this thread already
-		// sent must be processed before the result returns, so any
-		// invocation started afterwards observes this one's effects
-		// (the guarantee the old global serve-loop barrier gave).
-		// Buffered-but-unsent work deliberately stays lazy — it moves
-		// to the starter's carry buffer at retire, exactly like the
-		// shared per-node buffer used to behave, and the next flush (or
-		// the shutdown barrier) sends it.
-		if derr := c.drainThread(starter, lt); derr != nil && err == nil {
+		// Invocation-end ordering point: the thread's asynchronous work
+		// is sent and processed before the result returns, so any
+		// invocation started afterwards observes this one's effects and
+		// a deferred failure surfaces here, on the invocation that
+		// caused it.
+		if derr := c.drainThread(starter, lt, false); derr != nil && err == nil {
 			err = derr
 		}
 		return v, err
@@ -470,33 +447,10 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	c.advanceSimSnapshot(starter.VM.SimSeconds())
 
 	// Retire the thread on every node, rolling its per-thread counters
-	// into the invocation delta and inheriting leftover bookkeeping:
-	// outstanding batch destinations feed the shutdown barrier, and an
-	// unconsumed deferred asynchronous failure becomes this
-	// invocation's error. The tid stays in the active table until its
-	// own retire completes — a concurrently-completing invocation's
-	// stale sweep must never reap this thread's contexts first.
+	// into the invocation delta.
 	var delta NodeStats
-	nodes := c.nodesSnapshot()
-	for _, n := range nodes {
-		st, dests, aerr := n.retireThread(tid)
-		metrics.Add(&delta, st)
-		c.noteResidDests(dests)
-		if aerr != "" && err == nil {
-			err = fmt.Errorf("deferred async failure on node %d: %s", n.Rank, aerr)
-		}
-	}
-	c.stateMu.Lock()
-	delete(c.active, tid)
-	minActive := uint64(atomic.LoadInt64(&c.invokeEpoch)) + 1
-	for a := range c.active {
-		if a < minActive {
-			minActive = a
-		}
-	}
-	c.stateMu.Unlock()
-	for _, n := range nodes {
-		c.noteResidDests(n.retireStaleBelow(minActive))
+	for _, n := range c.nodesSnapshot() {
+		metrics.Add(&delta, n.retireThread(tid))
 	}
 	if err != nil {
 		return nil, delta, err
@@ -504,26 +458,27 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	return starter.canonicalize(v), delta, nil
 }
 
-// noteResidDests merges outstanding-batch destinations inherited from
-// retired threads into the set the shutdown barrier drains.
-func (c *Cluster) noteResidDests(dests []int) {
-	if len(dests) == 0 {
-		return
+// drainThread finishes a logical thread's asynchronous work: it sends
+// the thread's buffered fire-and-forget calls, then barriers every
+// destination holding its batches until none are left (a barrier reply
+// can name further destinations — a barriered node flushing relayed
+// buffers), and finally surfaces the thread's own deferred failure.
+// Each barrier is thread-id-correlated, so the receiving node orders it
+// behind the thread's own queued batches only (another thread's slow
+// batch cannot delay it, and the reentrant gates make it
+// deadlock-free). Each round strictly consumes buffered work, so the
+// loop terminates. A failure does not stop the drain — every batch
+// already sent is still barriered — and the first one is returned.
+// Shutdown drains the system thread and skips a rank that dies under
+// it; an invocation reports that death instead, so recovery can
+// re-drive it.
+func (c *Cluster) drainThread(starter *Node, lt *lthread, shutdown bool) error {
+	first := starter.flushAsync(lt)
+	fail := func(err error) {
+		if first == nil {
+			first = err
+		}
 	}
-	c.residMu.Lock()
-	for _, d := range dests {
-		c.residDests[d] = true
-	}
-	c.residMu.Unlock()
-}
-
-// drainThread barriers a completing invocation's outstanding
-// fire-and-forget destinations: each barrier is thread-id-correlated,
-// so the receiving node orders it behind the thread's own queued
-// batches (and only those — another thread's slow batch cannot delay
-// it, and the reentrant gates make it deadlock-free). A deferred
-// failure discovered here surfaces on this invocation.
-func (c *Cluster) drainThread(starter *Node, lt *lthread) error {
 	for dests := starter.takeAsyncDests(lt); len(dests) > 0; dests = starter.takeAsyncDests(lt) {
 		for _, rank := range dests {
 			if starter.isDead(rank) || starter.departed(rank) {
@@ -534,18 +489,24 @@ func (c *Cluster) drainThread(starter *Node, lt *lthread) error {
 			}
 			out, err := ask(starter, lt, rank, KindBarrier, nil, wire.DecodeDepResponse)
 			if err != nil {
-				return err
+				if !shutdown || !transport.IsPeerDown(err) {
+					fail(err)
+				}
+				continue
 			}
 			starter.noteAsyncDests(lt, out.AsyncDests)
 			if out.Err != "" {
-				return fmt.Errorf("barrier on node %d: %s", rank, out.Err)
+				fail(fmt.Errorf("barrier on node %d: %s", rank, out.Err))
 			}
 			if out.AsyncErr != "" {
-				return fmt.Errorf("deferred async failure on node %d: %s", rank, out.AsyncErr)
+				fail(fmt.Errorf("deferred async failure on node %d: %s", rank, out.AsyncErr))
 			}
 		}
 	}
-	return nil
+	if e := takeAsyncErr(lt); e != "" {
+		fail(fmt.Errorf("deferred async failure on node %d: %s", starter.Rank, e))
+	}
+	return first
 }
 
 // advanceSimSnapshot moves the published virtual-clock snapshot
@@ -561,23 +522,6 @@ func (c *Cluster) advanceSimSnapshot(t float64) {
 			return
 		}
 	}
-}
-
-// takeResidDests consumes the outstanding-batch destinations inherited
-// from retired threads.
-func (c *Cluster) takeResidDests() []int {
-	c.residMu.Lock()
-	defer c.residMu.Unlock()
-	if len(c.residDests) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(c.residDests))
-	for d := range c.residDests {
-		out = append(out, d)
-	}
-	c.residDests = map[int]bool{}
-	sort.Ints(out)
-	return out
 }
 
 // checkArgType rejects an invocation argument whose dynamic type does
@@ -614,12 +558,12 @@ func (c *Cluster) Invocations() int64 {
 }
 
 // Shutdown drains the cluster and stops it: it waits for in-flight
-// invocations (no new ones are admitted), flushes outstanding
-// asynchronous batches and runs the final barrier — so fire-and-forget
-// work finishes and any deferred asynchronous failure surfaces as the
+// invocations (no new ones are admitted), runs the invocation drain on
+// the system thread — which sends no frame unless system work buffered
+// fire-and-forget calls, and whose deferred failure becomes the
 // returned error — then broadcasts shutdown and waits for every serve
-// loop. A cancelled context skips the drain and barrier and stops the
-// nodes immediately. Idempotent: later calls return nil.
+// loop. A cancelled context skips the drain and stops the nodes
+// immediately. Idempotent: later calls return nil.
 func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.stateMu.Lock()
 	if c.closed {
@@ -644,7 +588,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	}
 	var err error
 	if drained {
-		err = c.finalBarrier(c.starter)
+		err = c.drainThread(c.starter, c.starter.lthread(0), true)
 	}
 	c.advanceSimSnapshot(c.starter.VM.SimSeconds())
 	c.stop()
@@ -654,12 +598,12 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Kill stops the cluster immediately: no drain, no final barrier, no
-// SHUTDOWN exchange — every endpoint is closed under its serve loop,
-// which ends the loop exactly as a SHUTDOWN frame would. It shares
-// nothing with Shutdown's path, so it also ends a Shutdown that hangs
-// or timed out. The batch Run path uses it after a failed main();
-// services should prefer Shutdown.
+// Kill stops the cluster immediately: no drain, no SHUTDOWN exchange —
+// every endpoint is closed under its serve loop, which ends the loop
+// exactly as a SHUTDOWN frame would. It shares nothing with Shutdown's
+// path, so it also ends a Shutdown that hangs or timed out. The batch
+// Run path uses it after a failed main(); services should prefer
+// Shutdown.
 func (c *Cluster) Kill() {
 	c.stateMu.Lock()
 	c.closed = true
@@ -713,70 +657,17 @@ func (c *Cluster) stop() {
 
 // Run executes the classic batch lifecycle: start every node's Message
 // Exchange service, let the ExecutionStarter on node 0 invoke main()
-// once (paper §5), run the final barrier so outstanding asynchronous
-// work completes (and its deferred errors surface), then shut the
-// cluster down. It returns the error from main, if any.
+// once (paper §5), then shut the cluster down. It returns the error
+// from main — a deferred asynchronous failure included — if any.
 func (c *Cluster) Run() error {
 	c.Start()
 	if _, _, err := c.InvokeEntry("main", nil); err != nil {
-		// Match the one-shot contract: a failed main skips the final
-		// barrier but still stops every node.
+		// Match the one-shot contract: a failed main skips the
+		// shutdown drain but still stops every node.
 		c.Kill()
 		return err
 	}
 	return c.Shutdown(context.Background())
-}
-
-// finalBarrier drains the outstanding-batch destinations inherited
-// from every retired logical thread (plus anything on the system
-// thread) by barriering them, so fire-and-forget work finishes before
-// shutdown and any deferred asynchronous failure — per-thread or
-// residual — becomes the shutdown error. Unoptimized runs never buffer
-// asynchronous work, so they skip it (keeping A/B message counts
-// directly comparable to the seed protocol).
-func (c *Cluster) finalBarrier(starter *Node) error {
-	if starter.Unoptimized {
-		return nil
-	}
-	sys := starter.lthread(0)
-	if err := starter.flushAsync(sys); err != nil {
-		return err
-	}
-	// Barrier exactly the nodes with possibly-outstanding batches; a
-	// barrier response can surface new destinations (a barriered node
-	// flushing relayed buffers), so iterate until the set drains. Each
-	// round strictly consumes buffered work, so this terminates.
-	dests := mergeDests(c.takeResidDests(), starter.takeAsyncDests(sys))
-	for len(dests) > 0 {
-		for _, rank := range dests {
-			if starter.isDead(rank) || starter.departed(rank) {
-				continue
-			}
-			out, err := ask(starter, sys, rank, KindBarrier, nil, wire.DecodeDepResponse)
-			if transport.IsPeerDown(err) {
-				// Died mid-shutdown: nothing left to drain there.
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			starter.noteAsyncDests(sys, out.AsyncDests)
-			if out.Err != "" {
-				return fmt.Errorf("barrier on node %d: %s", rank, out.Err)
-			}
-			if out.AsyncErr != "" {
-				return fmt.Errorf("deferred async failure on node %d: %s", rank, out.AsyncErr)
-			}
-		}
-		dests = mergeDests(c.takeResidDests(), starter.takeAsyncDests(sys))
-	}
-	if e := takeAsyncErr(sys); e != "" {
-		return fmt.Errorf("deferred async failure on node 0: %s", e)
-	}
-	if e := starter.takeResidErr(); e != "" {
-		return fmt.Errorf("deferred async failure on node 0: %s", e)
-	}
-	return nil
 }
 
 // SimSeconds returns node 0's virtual completion time (the distributed
@@ -788,7 +679,7 @@ func (c *Cluster) SimSeconds() float64 {
 }
 
 // SimSecondsObserved returns node 0's virtual clock as of the last
-// completed invocation (and, after Shutdown, the final barrier). Safe
+// completed invocation (and, after Shutdown, the shutdown drain). Safe
 // to call on a live cluster: the interpreter advances the raw cycle
 // counter without synchronisation mid-invocation, so live readers get
 // this invocation-boundary snapshot instead.
@@ -962,10 +853,10 @@ func (c *Cluster) Ranks() int { return len(c.nodesSnapshot()) }
 // Departed reports whether rank was drained out of the cluster.
 func (c *Cluster) Departed(rank int) bool { return c.starter.departed(rank) }
 
-// Quiescent checks the object-record invariants that hold on the
-// surviving nodes of a cluster with nothing in flight: one home per
-// object, no hint on an owner, no gate held, reader sets within the
-// live ranks.
+// Quiescent checks the invariants that hold on the surviving nodes of a
+// cluster with nothing in flight: one home per object, no hint on an
+// owner, no gate held, reader sets within the live ranks, and no
+// logical-thread context left behind by a finished invocation.
 func (c *Cluster) Quiescent() error { return quiescent(c.nodesSnapshot()) }
 
 // RunDistributed is the one-call convenience used by the examples and

@@ -182,52 +182,59 @@ func (*noTraffic) Error() string {
 	return "invocation delta shows zero messages for a wire-crossing entrypoint"
 }
 
-// TestConcurrentDeferredErrorsCorrelatePerThread: the poisonget
-// entrypoint enqueues a failing asynchronous call and then performs a
-// synchronous read, so its own flush pushes the batch and the deferred
-// division-by-zero surfaces on the poisoned thread's own exchange —
-// while concurrently-running innocent threads stay clean.
+// TestConcurrentDeferredErrorsCorrelatePerThread: a poisoned
+// entrypoint enqueues a failing asynchronous call — poisonget then
+// performs a synchronous read, so its own flush pushes the batch;
+// poison ends with the call still buffered, so its invocation's drain
+// does — and the deferred division-by-zero surfaces on the poisoned
+// thread's own invocation, while concurrently-running innocent threads
+// stay clean.
 func TestConcurrentDeferredErrorsCorrelatePerThread(t *testing.T) {
-	c := buildConcurrentCluster(t, counterServiceSource, "Counter", 4)
-	const per = 12
-	var wg sync.WaitGroup
-	innocentErrs := make(chan error, per)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < per; i++ {
-			// bump then get: the thread's own batches flush inside the
-			// get; it must never inherit the poisoned thread's error.
-			if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(1)}); err != nil {
-				innocentErrs <- err
-				return
+	for _, entry := range []string{"poisonget", "poison"} {
+		t.Run(entry, func(t *testing.T) {
+			c := buildConcurrentCluster(t, counterServiceSource, "Counter", 4)
+			const per = 12
+			var wg sync.WaitGroup
+			innocentErrs := make(chan error, per)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					// bump then get: the thread's own batches flush
+					// before bump returns; it must never inherit the
+					// poisoned thread's error.
+					if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(1)}); err != nil {
+						innocentErrs <- err
+						return
+					}
+					if _, _, err := c.InvokeEntry("get", nil); err != nil {
+						innocentErrs <- err
+						return
+					}
+				}
+			}()
+			poisoned := make(chan error, 1)
+			go func() {
+				defer wg.Done()
+				_, _, err := c.InvokeEntry(entry, []vm.Value{int64(0)})
+				poisoned <- err
+			}()
+			wg.Wait()
+			close(innocentErrs)
+			for err := range innocentErrs {
+				if strings.Contains(err.Error(), "division by zero") {
+					t.Fatalf("innocent thread inherited the poisoned thread's deferred error: %v", err)
+				}
+				t.Fatal(err)
 			}
-			if _, _, err := c.InvokeEntry("get", nil); err != nil {
-				innocentErrs <- err
-				return
+			perr := <-poisoned
+			if perr == nil || !strings.Contains(perr.Error(), "division by zero") {
+				t.Errorf("poisoned thread's own invocation reported %v, want its deferred division-by-zero", perr)
 			}
-		}
-	}()
-	poisoned := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		_, _, err := c.InvokeEntry("poisonget", []vm.Value{int64(0)})
-		poisoned <- err
-	}()
-	wg.Wait()
-	close(innocentErrs)
-	for err := range innocentErrs {
-		if strings.Contains(err.Error(), "division by zero") {
-			t.Fatalf("innocent thread inherited the poisoned thread's deferred error: %v", err)
-		}
-		t.Fatal(err)
+			if err := c.Shutdown(context.Background()); err != nil {
+				t.Errorf("Shutdown after the error was already consumed: %v", err)
+			}
+			runtime.CheckQuiescent(t, c.Nodes)
+		})
 	}
-	perr := <-poisoned
-	if perr == nil || !strings.Contains(perr.Error(), "division by zero") {
-		t.Errorf("poisoned thread's own exchange reported %v, want its deferred division-by-zero", perr)
-	}
-	if err := c.Shutdown(context.Background()); err != nil {
-		t.Errorf("Shutdown after the error was already consumed: %v", err)
-	}
-	runtime.CheckQuiescent(t, c.Nodes)
 }

@@ -33,16 +33,11 @@ import (
 // migratable reports whether an object's state can be shipped: every
 // field must survive toWire/fromWire round-trips with its sharing
 // intact. Arrays are deep-copied by the codec (the paper's copy-restore
-// dependence-data semantics), so objects holding arrays — including the
-// prelude's Vector — stay put.
-func (n *Node) migratable(o *vm.Object) bool {
-	for _, f := range o.Fields {
-		if _, bad := f.(*vm.Array); bad {
-			return false
-		}
-	}
-	return true
-}
+// dependence-data semantics), so objects of a class whose fields can
+// hold an array — including the prelude's Vector — stay put. The answer
+// comes from the class's declarations, not the field values, so callers
+// need not hold the object's gate.
+func migratable(o *vm.Object) bool { return !o.Class.MayHoldArray() }
 
 // handleMigrate executes a coordinator's ownership-transfer command for
 // one object this node owns, accounted on the logical thread whose
@@ -59,17 +54,17 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 		// A command built against an older view; the object stays put.
 		return wire.MigrateResponse{}
 	}
-	if h := n.objs.holder(req.ID); h == nil || !n.migratable(h) {
+	if h := n.objs.holder(req.ID); h == nil || !migratable(h) {
 		return wire.MigrateResponse{}
 	}
-	// The holder as of the freeze: the earlier read raced with in-flight
-	// accesses, but ownership cannot change while frozen.
+	// The holder as of the freeze: the object may have moved since the
+	// earlier read, but ownership cannot change while frozen.
 	h, ok := n.objs.freeze(req.ID)
 	if !ok {
 		return wire.MigrateResponse{}
 	}
 	defer n.objs.thaw(req.ID)
-	if h == nil || !n.migratable(h) {
+	if h == nil {
 		return wire.MigrateResponse{}
 	}
 	fields, err := n.toWireSlice(h.Fields)

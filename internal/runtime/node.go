@@ -154,17 +154,6 @@ type Node struct {
 	ltMu sync.Mutex
 	lts  map[uint64]*lthread
 
-	// residMu guards the residual deferred error left behind by
-	// already-retired threads; the shutdown barrier surfaces it.
-	residMu  sync.Mutex
-	residErr string
-
-	// carryMu guards the carry buffer: fire-and-forget work that a
-	// retired thread buffered but never sent, adopted by the next
-	// thread that flushes on this node (or by the shutdown barrier).
-	carryMu sync.Mutex
-	carry   map[int][]wire.DepRequest
-
 	// Stats counts protocol activity.
 	Stats NodeStats
 
@@ -567,9 +556,6 @@ func (n *Node) asyncEnqueue(lt *lthread, to int, req wire.DepRequest) error {
 // exchanges (possibly through third nodes) cannot observe pre-batch
 // state.
 func (n *Node) flushAsync(lt *lthread) error {
-	// Leftovers from retired threads flush ahead of this thread's own
-	// work, merged into the same frames.
-	n.adoptCarry(lt)
 	lt.mu.Lock()
 	if len(lt.asyncBuf) == 0 {
 		lt.mu.Unlock()
@@ -1009,15 +995,10 @@ func (n *Node) handle(msg transport.Message) {
 		reply(payload)
 	case KindBarrier:
 		// The barrier drains the thread's buffers relayed through this
-		// node and surfaces its deferred errors — plus any residual
-		// failure left by threads retired in the meantime; destinations
-		// it flushed to come back to the caller, which barriers them in
-		// turn.
+		// node and surfaces its deferred errors; destinations it flushed
+		// to come back to the caller, which barriers them in turn.
 		out := wire.DepResponse{}
 		finish(&out.Err, &out.AsyncErr, &out.AsyncDests)
-		if e := n.takeResidErr(); e != "" && out.AsyncErr == "" {
-			out.AsyncErr = e
-		}
 		reply(out.Encode())
 	case KindAdapt:
 		// A non-coordinator node crossed an adaptation epoch and asked

@@ -722,7 +722,10 @@ func (t *objTable) restoreReaders(id int64, readers []int) {
 //   - no valid hint on an object's owner;
 //   - no gate held or frozen;
 //   - every reader set within the live ranks, and no node in its own;
-//   - no record holding nothing but an idle gate.
+//   - no record holding nothing but an idle gate;
+//   - no logical-thread context but the system thread's: an
+//     invocation's drain finishes its asynchronous work, so no frame of
+//     a retired thread arrives to recreate its context.
 //
 // A rank is live unless the first node saw it die or depart.
 func quiescent(nodes []*Node) error {
@@ -737,6 +740,13 @@ func quiescent(nodes []*Node) error {
 		if !live(n.Rank) {
 			continue
 		}
+		n.ltMu.Lock()
+		for tid := range n.lts {
+			if tid != 0 {
+				bad("node %d: context of logical thread %d outlived its invocation", n.Rank, tid)
+			}
+		}
+		n.ltMu.Unlock()
 		for i := range n.objs.shards {
 			sh := &n.objs.shards[i]
 			sh.mu.Lock()

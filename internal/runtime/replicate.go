@@ -78,7 +78,7 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 		return wire.ReplicateResponse{Denied: true, Busy: true}
 	}
 	// A snapshot ships the same fields a migration does.
-	if !n.migratable(h) {
+	if !migratable(h) {
 		return wire.ReplicateResponse{Denied: true}
 	}
 	fields, err := n.toWireSlice(h.Fields)

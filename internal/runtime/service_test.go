@@ -2,8 +2,8 @@ package runtime_test
 
 // Tests for the cluster deployment lifecycle at the runtime layer:
 // Start / InvokeEntry / Shutdown, concurrent invocation safety, and
-// the drain semantics of Shutdown (outstanding asynchronous batches
-// are flushed through the final barrier before the nodes stop).
+// the drain semantics of an invocation (its asynchronous batches are
+// sent and processed, and their failures reported, before it returns).
 
 import (
 	"context"
@@ -118,11 +118,11 @@ func TestInvokeEntryConcurrent(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsAsyncBatches leaves fire-and-forget batches
-// buffered at the starter (the bump entrypoints end without a flushing
-// synchronous request) and checks Shutdown pushes every one through
-// the final barrier: enqueued asynchronous calls all travel in batch
-// frames and are all executed remotely before the nodes stop.
+// TestShutdownDrainsAsyncBatches: the bump entrypoint ends without a
+// flushing synchronous request, so its fire-and-forget call is still
+// buffered when the method returns. The invocation's own drain sends
+// it: after every bump each enqueued asynchronous call has travelled in
+// a batch frame, and Shutdown then has no batch left to send.
 func TestShutdownDrainsAsyncBatches(t *testing.T) {
 	c, _ := buildServiceCluster(t, counterServiceSource, "Counter", false)
 	const bumps = 6
@@ -130,41 +130,56 @@ func TestShutdownDrainsAsyncBatches(t *testing.T) {
 		if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(2)}); err != nil {
 			t.Fatal(err)
 		}
+		s := c.TotalStats()
+		if s.AsyncCalls != int64(i+1) {
+			t.Fatalf("after bump %d: %d async calls enqueued, want %d", i+1, s.AsyncCalls, i+1)
+		}
+		if s.BatchedRequests != s.AsyncCalls {
+			t.Fatalf("after bump %d: %d of %d asynchronous calls sent; the invocation left work behind",
+				i+1, s.BatchedRequests, s.AsyncCalls)
+		}
+		if s.BatchFrames == 0 {
+			t.Fatal("no batch frames sent; async path not exercised")
+		}
 	}
 	mid := c.TotalStats()
-	if mid.AsyncCalls != bumps {
-		t.Fatalf("%d async calls enqueued, want %d", mid.AsyncCalls, bumps)
-	}
-	if mid.BatchedRequests == mid.AsyncCalls {
-		t.Fatalf("no asynchronous work left outstanding before Shutdown; the drain has nothing to prove")
-	}
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	final := c.TotalStats()
-	if final.BatchedRequests != final.AsyncCalls {
-		t.Errorf("Shutdown flushed %d of %d asynchronous calls", final.BatchedRequests, final.AsyncCalls)
+	if final := c.TotalStats(); final.BatchFrames != mid.BatchFrames {
+		t.Errorf("Shutdown sent %d batch frames; every invocation had already sent its own",
+			final.BatchFrames-mid.BatchFrames)
 	}
-	if final.BatchFrames == 0 {
-		t.Error("no batch frames sent; async path not exercised")
-	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
-// TestShutdownSurfacesDeferredAsyncError: an asynchronous failure that
-// is still buffered when the service stops must surface as Shutdown's
-// error (the invocation that caused it already returned success).
+// TestShutdownSurfacesDeferredAsyncError: an asynchronous failure
+// surfaces on the invocation that caused it, not on Shutdown or on a
+// later invocation, and cannot cost a later invocation its update.
+// Were poison's failing call left buffered past its invocation, it
+// would share a batch with bump's call, the batch would stop at the
+// failing entry, and bump's update would be lost while bump reported
+// success.
 func TestShutdownSurfacesDeferredAsyncError(t *testing.T) {
 	c, _ := buildServiceCluster(t, counterServiceSource, "Counter", false)
-	if _, _, err := c.InvokeEntry("poison", []vm.Value{int64(0)}); err != nil {
-		t.Fatalf("poison invocation should defer its failure, got immediate %v", err)
+	_, _, err := c.InvokeEntry("poison", []vm.Value{int64(0)})
+	if err == nil || !strings.Contains(err.Error(), "async") {
+		t.Fatalf("poison(0) = %v, want its own deferred async failure", err)
 	}
-	err := c.Shutdown(context.Background())
-	if err == nil {
-		t.Fatal("Shutdown dropped the deferred asynchronous division-by-zero")
+	if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(1)}); err != nil {
+		t.Fatalf("bump(1) inherited a failure: %v", err)
 	}
-	if !strings.Contains(err.Error(), "async") {
-		t.Errorf("error %v does not identify itself as a deferred async failure", err)
+	v, _, err := c.InvokeEntry("get", nil)
+	if err != nil {
+		t.Fatalf("get() inherited a failure: %v", err)
 	}
+	if v != int64(1) {
+		t.Errorf("get() = %v after bump(1), want 1: bump's update was lost", v)
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown after the error was already reported: %v", err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 // TestInvokeEntryResolution pins the entrypoint-table error paths.

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -169,42 +168,20 @@ func (n *Node) ltOf(t *vm.Thread) *lthread {
 }
 
 // retireThread removes a completed thread's context and returns its
-// counters plus leftover bookkeeping. Buffered-but-unsent
-// fire-and-forget work moves to the node's carry buffer — exactly the
-// lazy-flush semantics the single-thread protocol had, where leftovers
-// waited for the next synchronous exchange (now: the next thread's
-// flush, or the shutdown barrier). An unconsumed deferred error and
-// outstanding destinations are handed back so the invocation (and
-// ultimately the shutdown barrier) can surface and drain them.
-func (n *Node) retireThread(tid uint64) (stats NodeStats, dests []int, asyncErr string) {
+// counters. The invocation's drain (Cluster.drainThread) has already
+// sent the thread's buffered fire-and-forget work, barriered every
+// destination it went to and consumed its deferred errors, so nothing
+// else of the thread's outlives it.
+func (n *Node) retireThread(tid uint64) NodeStats {
 	n.ltMu.Lock()
 	lt := n.lts[tid]
 	delete(n.lts, tid)
 	n.ltMu.Unlock()
 	if lt == nil {
-		return NodeStats{}, nil, ""
+		return NodeStats{}
 	}
-	lt.mu.Lock()
-	for d := range lt.asyncDests {
-		dests = append(dests, d)
-	}
-	asyncErr = lt.asyncErr
-	buf := lt.asyncBuf
-	lt.asyncBuf = map[int][]wire.DepRequest{}
-	lt.mu.Unlock()
-	if len(buf) > 0 {
-		n.carryMu.Lock()
-		if n.carry == nil {
-			n.carry = map[int][]wire.DepRequest{}
-		}
-		for to, reqs := range buf {
-			n.carry[to] = append(n.carry[to], reqs...)
-		}
-		n.carryMu.Unlock()
-	}
-	sort.Ints(dests)
 	lt.fuseBuf = nil
-	stats = metrics.Load(&lt.stats)
+	stats := metrics.Load(&lt.stats)
 	// The interpreter thread has quiesced (its invocation completed and
 	// its context is unregistered), so its tiered-execution counters
 	// are stable: fold them into the per-invocation delta. They are
@@ -215,67 +192,7 @@ func (n *Node) retireThread(tid uint64) (stats NodeStats, dests []int, asyncErr 
 	stats.TierUps += int64(tu)
 	stats.CompiledEntries += int64(en)
 	stats.Deopts += int64(d)
-	return stats, dests, asyncErr
-}
-
-// adoptCarry moves the node's carried fire-and-forget leftovers (from
-// retired threads) into a thread's own buffer, ahead of its newer
-// work, so the next flush sends them in one frame per destination —
-// the same aggregation the shared per-node buffer used to produce.
-func (n *Node) adoptCarry(lt *lthread) {
-	n.carryMu.Lock()
-	if len(n.carry) == 0 {
-		n.carryMu.Unlock()
-		return
-	}
-	carry := n.carry
-	n.carry = map[int][]wire.DepRequest{}
-	n.carryMu.Unlock()
-	lt.mu.Lock()
-	for to, reqs := range carry {
-		lt.asyncBuf[to] = append(reqs, lt.asyncBuf[to]...)
-	}
-	lt.mu.Unlock()
-}
-
-// retireStaleBelow drops contexts of threads that finished before
-// minActive (recreated by stragglers such as a late fire-and-forget
-// batch), preserving their leftovers exactly like retireThread does:
-// buffered-but-unsent work moves to the carry buffer, outstanding
-// destinations are returned for the cluster's shutdown barrier, and a
-// deferred error folds into the node's residual slot. Bounds context
-// growth on long-lived deployments.
-func (n *Node) retireStaleBelow(minActive uint64) (dests []int) {
-	n.ltMu.Lock()
-	var stale []uint64
-	for tid := range n.lts {
-		if tid != 0 && tid < minActive {
-			stale = append(stale, tid)
-		}
-	}
-	n.ltMu.Unlock()
-	for _, tid := range stale {
-		_, d, err := n.retireThread(tid)
-		dests = mergeDests(dests, d)
-		if err != "" {
-			n.residMu.Lock()
-			if n.residErr == "" {
-				n.residErr = err
-			}
-			n.residMu.Unlock()
-		}
-	}
-	return dests
-}
-
-// takeResidErr consumes the node's residual deferred error (failures
-// from threads already retired).
-func (n *Node) takeResidErr() string {
-	n.residMu.Lock()
-	defer n.residMu.Unlock()
-	e := n.residErr
-	n.residErr = ""
-	return e
+	return stats
 }
 
 // count bumps a global protocol counter and, when the activity belongs

@@ -55,6 +55,10 @@ type Class struct {
 	// fieldDesc maps a field name to its descriptor (for zeroing).
 	fieldDesc map[string]string
 	numFields int
+	// mayHoldArray records whether some instance field's declared type
+	// admits an array: an array type, or Object (MJ lets an Object
+	// variable hold an array).
+	mayHoldArray bool
 
 	// statics holds this class's own static fields (guarded by the
 	// VM's staticMu — concurrent logical threads share them).
@@ -91,6 +95,12 @@ func (c *Class) Name() string { return c.File.Name }
 
 // NumFields returns the instance field count including inherited fields.
 func (c *Class) NumFields() int { return c.numFields }
+
+// MayHoldArray reports whether an instance field of the class is
+// declared with a type that can hold an array. It depends only on the
+// declarations, so it is safe to ask while other threads write the
+// fields.
+func (c *Class) MayHoldArray() bool { return c.mayHoldArray }
 
 // FieldSlot returns the field slot for name, or -1.
 func (c *Class) FieldSlot(name string) int {

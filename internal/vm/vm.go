@@ -307,6 +307,12 @@ func (vm *VM) loadClass(name string) (*Class, error) {
 		}
 		c.fieldDesc[f.Name] = f.Desc
 	}
+	objectDesc := bytecode.ClassDesc("Object")
+	for _, d := range c.fieldDesc {
+		if bytecode.DescKind(d) == bytecode.DescArray || d == objectDesc {
+			c.mayHoldArray = true
+		}
+	}
 	return c, nil
 }
 

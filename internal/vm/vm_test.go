@@ -534,3 +534,32 @@ class Main {
 		t.Errorf("output = %q, want 2 (nearest override)", out)
 	}
 }
+
+// TestMayHoldArray: a class may hold an array when a field, its own or
+// inherited, is array-typed or Object-typed (MJ lets an Object hold an
+// array); scalar, string and other class-typed fields cannot.
+func TestMayHoldArray(t *testing.T) {
+	bp, _, err := compile.CompileSource(`
+class Plain { int a; float f; string s; Plain next; }
+class Arr { int[] xs; }
+class Obj { Object o; }
+class Sub extends Arr { int b; }
+class Main { static void main() { } }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{"Plain": false, "Arr": true, "Obj": true, "Sub": true} {
+		c := m.Class(name)
+		if c == nil {
+			t.Fatalf("class %s not loaded", name)
+		}
+		if got := c.MayHoldArray(); got != want {
+			t.Errorf("%s.MayHoldArray() = %v, want %v", name, got, want)
+		}
+	}
+}
