@@ -13,8 +13,9 @@
 //     identical read costs strictly fewer messages than the first,
 //     because the write-once cache filled serving request N still
 //     holds when request N+1 arrives (the RetainedHits counter);
-//   - Shutdown drains outstanding asynchronous work through the final
-//     barrier before the nodes stop;
+//   - every invocation's asynchronous calls are acknowledged before it
+//     returns, so Shutdown finds no outstanding work before the nodes
+//     stop;
 //   - concurrent clients: the cluster is deployed with
 //     Config.MaxConcurrent = 8, so invocations from concurrent
 //     goroutines run as parallel logical threads across the cluster —

@@ -231,29 +231,29 @@ func TestMessageOptimizationReducesTraffic(t *testing.T) {
 }
 
 // TestMessageRowsPinned pins the protocol counts of the message and
-// replication tables exactly: messages, cache hits, async calls and
-// batch frames under each protocol, and the coherence layer's hits,
-// fetches, invalidations and patches. They are deterministic on the
-// in-process fabric, so a codec or serve-path change that moves a
-// single frame shows up here; bytes are free to move with the codec.
+// replication tables exactly: messages, payload bytes, cache hits,
+// async calls and batch frames under each protocol, and the coherence
+// layer's hits, fetches, invalidations and patches. They are
+// deterministic on the in-process fabric, so a codec or serve-path
+// change that moves a single frame or byte shows up here.
 func TestMessageRowsPinned(t *testing.T) {
-	type msgCounts struct{ msgs0, msgs, hit, async, batch int64 }
+	type msgCounts struct{ msgs0, msgs, bytes0, bytes, hit, async, batch int64 }
 	wantMsgs := map[string]msgCounts{
-		"create":   {16, 15, 0, 1, 1},
-		"method":   {10, 5, 0, 3, 1},
-		"crypt":    {16, 5, 0, 6, 1},
-		"heapsort": {10, 5, 0, 3, 1},
-		"moldyn":   {10, 5, 0, 3, 1},
-		"search":   {10, 5, 0, 3, 1},
-		"compress": {10, 5, 0, 3, 1},
-		"db":       {16, 5, 0, 6, 1},
+		"create":   {16, 14, 145, 141, 0, 1, 1},
+		"method":   {10, 4, 116, 102, 0, 3, 1},
+		"crypt":    {16, 4, 185, 156, 0, 6, 1},
+		"heapsort": {10, 4, 118, 104, 0, 3, 1},
+		"moldyn":   {10, 4, 114, 100, 0, 3, 1},
+		"search":   {10, 4, 114, 100, 0, 3, 1},
+		"compress": {10, 4, 118, 104, 0, 3, 1},
+		"db":       {16, 4, 181, 152, 0, 6, 1},
 	}
 	rows, err := TableMessages()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		got := msgCounts{r.BaseMsgs, r.OptMsgs, r.CacheHits, r.AsyncCalls, r.BatchFrames}
+		got := msgCounts{r.BaseMsgs, r.OptMsgs, r.BaseBytes, r.OptBytes, r.CacheHits, r.AsyncCalls, r.BatchFrames}
 		if w, ok := wantMsgs[r.Benchmark]; !ok || got != w {
 			t.Errorf("%s message row: %+v, want %+v", r.Benchmark, got, w)
 		}

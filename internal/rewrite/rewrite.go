@@ -342,8 +342,8 @@ func (p *Plan) markReplicated(prog *bytecode.Program, ri *analysis.ReplicaIntens
 // touchesReplicated reports whether a confined call's touch set
 // intersects the replicated classes. Such calls must stay synchronous:
 // a buffered asynchronous write would let a later replica-served read
-// run ahead of its invalidation, and a batched replica fetch could
-// stall the batch worker behind remote exchanges.
+// run ahead of its invalidation, and a replica fetch inside a buffered
+// call could stall the access vector it rides behind remote exchanges.
 func (p *Plan) touchesReplicated(touch []string) bool {
 	for _, cls := range touch {
 		if p.Replicated[cls] {

@@ -26,17 +26,17 @@ import (
 // concurrent activity is the waiting thread's own blocked call chain,
 // whose objects the freeze protocol skips.
 
-// defaultAdaptEpsilon is the balance envelope for runtime refinement.
+// adaptEpsilon is the balance envelope for runtime refinement.
 // It is deliberately looser than the offline partitioner's default: at
 // run time the goal is cutting observed traffic, and the anchor
 // vertices keep statics pinned, so mild imbalance is the price of
 // locality.
-const defaultAdaptEpsilon = 1.0
+const adaptEpsilon = 1.0
 
-// defaultAdaptMinGain is the hysteresis threshold: an object migrates
+// adaptMinGain is the hysteresis threshold: an object migrates
 // only when the epoch's traffic towards its refined home exceeds the
 // traffic towards its current home by at least this many messages.
-const defaultAdaptMinGain = 4
+const adaptMinGain = 4
 
 // maybeAdapt runs the adaptation trigger: every adaptEvery synchronous
 // requests a logical thread pauses to drive (or request) one
@@ -195,9 +195,9 @@ func (n *Node) runAdapt(lt *lthread) {
 			vwrites[v] = writes[id]
 		}
 		res, _, err = partition.RefineReplicated(g, pinned, repl, vreads, vwrites,
-			partition.DefaultReplicaCosts, partition.Options{K: k, Epsilon: n.adaptEps})
+			partition.DefaultReplicaCosts, partition.Options{K: k, Epsilon: adaptEpsilon})
 	} else {
-		res, err = partition.Refine(g, pinned, partition.Options{K: k, Epsilon: n.adaptEps})
+		res, err = partition.Refine(g, pinned, partition.Options{K: k, Epsilon: adaptEpsilon})
 	}
 	if err != nil {
 		return
@@ -227,7 +227,7 @@ func (n *Node) runAdapt(lt *lthread) {
 		// Hysteresis: only move when this epoch's traffic imbalance
 		// clearly favours the new home, so boundary noise does not
 		// bounce objects between nodes.
-		if traffic[id][to]-traffic[id][cur] < n.adaptMinGain {
+		if traffic[id][to]-traffic[id][cur] < adaptMinGain {
 			continue
 		}
 		if _, err := n.moveTo(lt, id, cur, to); err != nil {

@@ -55,12 +55,6 @@ type Options struct {
 	// plan built by rewrite.RewriteAdaptive, whose access mediation
 	// makes ownership a runtime decision.
 	AdaptEvery int
-	// AdaptEpsilon is the balance envelope for runtime refinement
-	// (default 1.0 — see partition.Refine).
-	AdaptEpsilon float64
-	// AdaptMinGain is the migration hysteresis threshold in messages
-	// per epoch (default 4).
-	AdaptMinGain int64
 	// Replicate enables the read-replication protocol for the access
 	// kinds a replicated plan stamped (rewrite Options.Replicate):
 	// proxies satisfy replicated reads from local snapshots and writes
@@ -156,7 +150,7 @@ type Cluster struct {
 	// minimum 1). With one slot invocations serialise exactly like the
 	// old single-logical-thread protocol; with N slots up to N
 	// invocations run as concurrent logical threads. Everything below
-	// the starter — the serve loops, batch workers, the adaptive
+	// the starter — the serve loops, handler workers, the adaptive
 	// coordinator, the replication protocol — keeps running across and
 	// between invocations either way.
 	sem chan struct{}
@@ -203,12 +197,6 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 	if opts.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("runtime: negative MaxConcurrent %d", opts.MaxConcurrent)
 	}
-	if opts.AdaptEpsilon <= 0 {
-		opts.AdaptEpsilon = defaultAdaptEpsilon
-	}
-	if opts.AdaptMinGain <= 0 {
-		opts.AdaptMinGain = defaultAdaptMinGain
-	}
 	if opts.Elastic {
 		if plan == nil || !plan.Adaptive {
 			return nil, fmt.Errorf("runtime: elastic membership needs an adaptive plan (rewrite.RewriteAdaptive)")
@@ -253,8 +241,6 @@ func (c *Cluster) buildNode(prog *bytecode.Program, ep transport.Endpoint, plan 
 	n.replicate = opts.Replicate
 	n.fuse = opts.Fuse
 	n.adaptEvery = opts.AdaptEvery
-	n.adaptEps = opts.AdaptEpsilon
-	n.adaptMinGain = opts.AdaptMinGain
 	n.objs.epoch = &c.invokeEpoch
 	n.objs.moves = opts.AdaptEvery > 0 || opts.FailureRecovery
 	if opts.Out != nil {
@@ -419,13 +405,12 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	lt := starter.lthread(tid)
 	run := func() (vm.Value, error) {
 		v, err := lt.vt.CallMethod(class, name, desc, args)
-		// Invocation-end ordering point: the thread's asynchronous work
-		// is sent and processed before the result returns, so any
+		// Invocation-end ordering point: the thread's asynchronous calls
+		// are sent and acknowledged before the result returns, so any
 		// invocation started afterwards observes this one's effects and
-		// a deferred failure surfaces here, on the invocation that
-		// caused it.
-		if derr := c.drainThread(starter, lt, false); derr != nil && err == nil {
-			err = derr
+		// a failure surfaces here, on the invocation that caused it.
+		if ferr := starter.flushAsync(lt); ferr != nil && err == nil {
+			err = ferr
 		}
 		return v, err
 	}
@@ -456,57 +441,6 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 		return nil, delta, err
 	}
 	return starter.canonicalize(v), delta, nil
-}
-
-// drainThread finishes a logical thread's asynchronous work: it sends
-// the thread's buffered fire-and-forget calls, then barriers every
-// destination holding its batches until none are left (a barrier reply
-// can name further destinations — a barriered node flushing relayed
-// buffers), and finally surfaces the thread's own deferred failure.
-// Each barrier is thread-id-correlated, so the receiving node orders it
-// behind the thread's own queued batches only (another thread's slow
-// batch cannot delay it, and the reentrant gates make it
-// deadlock-free). Each round strictly consumes buffered work, so the
-// loop terminates. A failure does not stop the drain — every batch
-// already sent is still barriered — and the first one is returned.
-// Shutdown drains the system thread and skips a rank that dies under
-// it; an invocation reports that death instead, so recovery can
-// re-drive it.
-func (c *Cluster) drainThread(starter *Node, lt *lthread, shutdown bool) error {
-	first := starter.flushAsync(lt)
-	fail := func(err error) {
-		if first == nil {
-			first = err
-		}
-	}
-	for dests := starter.takeAsyncDests(lt); len(dests) > 0; dests = starter.takeAsyncDests(lt) {
-		for _, rank := range dests {
-			if starter.isDead(rank) || starter.departed(rank) {
-				// Whatever the dead node owed this thread died with it;
-				// the invocation-level error (if any) already surfaced
-				// through the request that hit it.
-				continue
-			}
-			out, err := ask(starter, lt, rank, KindBarrier, nil, wire.DecodeDepResponse)
-			if err != nil {
-				if !shutdown || !transport.IsPeerDown(err) {
-					fail(err)
-				}
-				continue
-			}
-			starter.noteAsyncDests(lt, out.AsyncDests)
-			if out.Err != "" {
-				fail(fmt.Errorf("barrier on node %d: %s", rank, out.Err))
-			}
-			if out.AsyncErr != "" {
-				fail(fmt.Errorf("deferred async failure on node %d: %s", rank, out.AsyncErr))
-			}
-		}
-	}
-	if e := takeAsyncErr(lt); e != "" {
-		fail(fmt.Errorf("deferred async failure on node %d: %s", starter.Rank, e))
-	}
-	return first
 }
 
 // advanceSimSnapshot moves the published virtual-clock snapshot
@@ -558,11 +492,10 @@ func (c *Cluster) Invocations() int64 {
 }
 
 // Shutdown drains the cluster and stops it: it waits for in-flight
-// invocations (no new ones are admitted), runs the invocation drain on
-// the system thread — which sends no frame unless system work buffered
-// fire-and-forget calls, and whose deferred failure becomes the
-// returned error — then broadcasts shutdown and waits for every serve
-// loop. A cancelled context skips the drain and stops the nodes
+// invocations (no new ones are admitted), flushes the system thread's
+// fire-and-forget calls — no frame unless system work buffered some,
+// and their failure becomes the returned error — then broadcasts
+// shutdown and waits for every serve loop. A cancelled context skips the drain and stops the nodes
 // immediately. Idempotent: later calls return nil.
 func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.stateMu.Lock()
@@ -588,7 +521,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	}
 	var err error
 	if drained {
-		err = c.drainThread(c.starter, c.starter.lthread(0), true)
+		err = c.starter.flushAsync(c.starter.lthread(0))
 	}
 	c.advanceSimSnapshot(c.starter.VM.SimSeconds())
 	c.stop()
@@ -858,20 +791,3 @@ func (c *Cluster) Departed(rank int) bool { return c.starter.departed(rank) }
 // owner, no gate held, reader sets within the live ranks, and no
 // logical-thread context left behind by a finished invocation.
 func (c *Cluster) Quiescent() error { return quiescent(c.nodesSnapshot()) }
-
-// RunDistributed is the one-call convenience used by the examples and
-// the evaluation harness: compile → analyze → partition (already done
-// by the caller via the plan) → rewrite per node → execute on an
-// in-process fabric. It returns node 0's output-producing error and
-// the cluster for inspection.
-func RunDistributed(progs []*bytecode.Program, plan *rewrite.Plan, opts Options) (*Cluster, error) {
-	eps := transport.NewInProc(len(progs))
-	c, err := NewCluster(progs, plan, eps, opts)
-	if err != nil {
-		return c, err
-	}
-	if err := c.Run(); err != nil {
-		return c, err
-	}
-	return c, nil
-}

@@ -11,12 +11,8 @@ import (
 	"sync"
 	"testing"
 
-	"autodist/internal/analysis"
-	"autodist/internal/compile"
 	"autodist/internal/metrics"
-	"autodist/internal/rewrite"
 	"autodist/internal/runtime"
-	"autodist/internal/transport"
 	"autodist/internal/vm"
 )
 
@@ -25,36 +21,7 @@ import (
 // concurrent logical threads.
 func buildConcurrentCluster(t *testing.T, src, remoteClass string, maxConcurrent int) *runtime.Cluster {
 	t.Helper()
-	bp, _, err := compile.CompileSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := analysis.Analyze(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.ODG.Graph.Vertices() {
-		v.Part = 0
-	}
-	for _, s := range res.ODG.Sites {
-		if s.Allocated == remoteClass {
-			res.ODG.Graph.Vertex(s.Node).Part = 1
-		}
-	}
-	rw, err := rewrite.Rewrite(bp, res, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2),
-		runtime.Options{Out: &out, MaxSteps: 50_000_000, MaxConcurrent: maxConcurrent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	if _, _, err := c.InvokeEntry("main", nil); err != nil {
-		t.Fatalf("main: %v", err)
-	}
+	c, _ := deployService(t, src, remoteClass, "inproc", runtime.Options{MaxConcurrent: maxConcurrent})
 	return c
 }
 
@@ -184,57 +151,61 @@ func (*noTraffic) Error() string {
 
 // TestConcurrentDeferredErrorsCorrelatePerThread: a poisoned
 // entrypoint enqueues a failing asynchronous call — poisonget then
-// performs a synchronous read, so its own flush pushes the batch;
-// poison ends with the call still buffered, so its invocation's drain
-// does — and the deferred division-by-zero surfaces on the poisoned
-// thread's own invocation, while concurrently-running innocent threads
-// stay clean.
+// performs a synchronous read, which the call leads; poison ends with
+// the call still buffered, so its invocation's closing flush sends it —
+// and the deferred division-by-zero surfaces on the poisoned thread's
+// own invocation, while concurrently-running innocent threads stay
+// clean, on either fabric.
 func TestConcurrentDeferredErrorsCorrelatePerThread(t *testing.T) {
 	for _, entry := range []string{"poisonget", "poison"} {
 		t.Run(entry, func(t *testing.T) {
-			c := buildConcurrentCluster(t, counterServiceSource, "Counter", 4)
-			const per = 12
-			var wg sync.WaitGroup
-			innocentErrs := make(chan error, per)
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					// bump then get: the thread's own batches flush
-					// before bump returns; it must never inherit the
-					// poisoned thread's error.
-					if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(1)}); err != nil {
-						innocentErrs <- err
-						return
+			for _, fabric := range fabrics {
+				t.Run(fabric, func(t *testing.T) {
+					c, _ := deployService(t, counterServiceSource, "Counter", fabric, runtime.Options{MaxConcurrent: 4})
+					const per = 12
+					var wg sync.WaitGroup
+					innocentErrs := make(chan error, per)
+					wg.Add(2)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < per; i++ {
+							// bump then get: the thread's own batches flush
+							// before bump returns; it must never inherit the
+							// poisoned thread's error.
+							if _, _, err := c.InvokeEntry("bump", []vm.Value{int64(1)}); err != nil {
+								innocentErrs <- err
+								return
+							}
+							if _, _, err := c.InvokeEntry("get", nil); err != nil {
+								innocentErrs <- err
+								return
+							}
+						}
+					}()
+					poisoned := make(chan error, 1)
+					go func() {
+						defer wg.Done()
+						_, _, err := c.InvokeEntry(entry, []vm.Value{int64(0)})
+						poisoned <- err
+					}()
+					wg.Wait()
+					close(innocentErrs)
+					for err := range innocentErrs {
+						if strings.Contains(err.Error(), "division by zero") {
+							t.Fatalf("innocent thread inherited the poisoned thread's deferred error: %v", err)
+						}
+						t.Fatal(err)
 					}
-					if _, _, err := c.InvokeEntry("get", nil); err != nil {
-						innocentErrs <- err
-						return
+					perr := <-poisoned
+					if perr == nil || !strings.Contains(perr.Error(), "division by zero") {
+						t.Errorf("poisoned thread's own invocation reported %v, want its deferred division-by-zero", perr)
 					}
-				}
-			}()
-			poisoned := make(chan error, 1)
-			go func() {
-				defer wg.Done()
-				_, _, err := c.InvokeEntry(entry, []vm.Value{int64(0)})
-				poisoned <- err
-			}()
-			wg.Wait()
-			close(innocentErrs)
-			for err := range innocentErrs {
-				if strings.Contains(err.Error(), "division by zero") {
-					t.Fatalf("innocent thread inherited the poisoned thread's deferred error: %v", err)
-				}
-				t.Fatal(err)
+					if err := c.Shutdown(context.Background()); err != nil {
+						t.Errorf("Shutdown after the error was already consumed: %v", err)
+					}
+					runtime.CheckQuiescent(t, c.Nodes)
+				})
 			}
-			perr := <-poisoned
-			if perr == nil || !strings.Contains(perr.Error(), "division by zero") {
-				t.Errorf("poisoned thread's own invocation reported %v, want its deferred division-by-zero", perr)
-			}
-			if err := c.Shutdown(context.Background()); err != nil {
-				t.Errorf("Shutdown after the error was already consumed: %v", err)
-			}
-			runtime.CheckQuiescent(t, c.Nodes)
 		})
 	}
 }

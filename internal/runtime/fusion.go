@@ -234,8 +234,8 @@ func (n *Node) fuseRoute(e *fusedEntry) int {
 }
 
 // fuseSendSlice executes one contiguous same-destination slice of a
-// fused run as a single DEPSEQ exchange behind the thread's ordinary
-// request barrier.
+// fused run as a single DEPSEQ exchange through the thread's ordinary
+// request path, so the thread's buffered calls for home lead the run.
 func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry) error {
 	payload, err := n.fuseEncode(lt, seg, home)
 	if err != nil {
@@ -249,7 +249,7 @@ func (n *Node) fuseSendSlice(lt *lthread, home int, seg []fusedEntry) error {
 }
 
 // fuseExchange is one scatter group's DEPSEQ exchange; the caller has
-// already run the flush and adaptation barrier for the whole gather.
+// already run the flush and adaptation check for the whole gather.
 func (n *Node) fuseExchange(lt *lthread, home int, buf []fusedEntry, payload []byte) error {
 	resp, err := n.rawRequest(lt, home, KindDepSeq, payload)
 	if err != nil {
@@ -346,7 +346,7 @@ func (n *Node) fuseFinish(lt *lthread, home int, buf []fusedEntry, payload []byt
 			// returned below — defensive against a malformed short vector.
 			return fmt.Errorf("runtime: fused run stopped after %d of %d entries on node %d", k, sent, home)
 		}
-		if e.result, err = n.applyDepResponse(lt, home, e.id, &out.Resps[k], e.args, "fused access", e.member); err != nil {
+		if e.result, err = n.applyDepResponse(home, e.id, &out.Resps[k], e.args, "fused access", e.member); err != nil {
 			return err
 		}
 		k++
@@ -378,7 +378,7 @@ func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry) error {
 		return nil
 	}
 	// One flush and one adaptation check for the whole gather — the
-	// per-request barrier request() would otherwise run concurrently.
+	// per-request ones request() would otherwise run concurrently.
 	if err := n.flushAsync(lt); err != nil {
 		return err
 	}

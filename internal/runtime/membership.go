@@ -22,7 +22,7 @@ import (
 // isViewStamped reports whether frames of this kind carry the sender's
 // membership view. Only placement-changing coordination traffic is
 // stamped: acting on a stale view there would move state onto ranks
-// that have left. The invocation fast path (NEW/DEP/BARRIER and
+// that have left. The invocation fast path (NEW/DEPENDENCE/DEPSEQ and
 // responses) is never stamped — staleness on that path is already
 // healed by forwarding — which also keeps those frames byte-identical
 // to a static cluster until the first view transition.

@@ -24,11 +24,11 @@ import (
 //     redirect and invalidate cached reads. Requests are therefore
 //     never lost or duplicated across a handoff — they take at most a
 //     longer route.
-//  3. Batch ordering: migration commands travel as ordinary requests,
-//     so the serve loop's batch barrier makes them wait for every
-//     asynchronous batch that causally preceded them, and the
-//     adaptation trigger runs behind the logical thread's own flush
-//     barrier (see Node.request).
+//  3. Asynchronous calls: every fire-and-forget call a logical thread
+//     issued elsewhere has run and been acknowledged before its
+//     adaptation trigger fires, and the calls bound for the request's
+//     own destination ride that request, reaching a moved object
+//     through forwarding like any other entry (see Node.request).
 
 // migratable reports whether an object's state can be shipped: every
 // field must survive toWire/fromWire round-trips with its sharing

@@ -50,7 +50,7 @@ func (n *Node) registerNatives() {
 				return nil, fmt.Errorf("runtime: NEW %s on node %d: %w", className, home, err)
 			}
 			// The reply is a DEPENDENCE reply whose value is the new id.
-			v, err := n.finishDepResponse(lt, home, 0, resp.Payload, ctorArgs, "new", className)
+			v, err := n.finishDepResponse(home, 0, resp.Payload, ctorArgs, "new", className)
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +97,7 @@ func (n *Node) registerNatives() {
 			if err != nil {
 				return nil, err
 			}
-			return n.finishDepResponse(lt, home, 0, resp.Payload, acc, "static access", class+"."+member)
+			return n.finishDepResponse(home, 0, resp.Payload, acc, "static access", class+"."+member)
 		})
 
 	// Synthetic Class.access on every user class: the receiver's static
@@ -270,7 +270,7 @@ func (n *Node) remoteAccess(lt *lthread, home int, id int64, kind int, member st
 	if err != nil {
 		return nil, err
 	}
-	return n.finishDepResponse(lt, home, id, resp.Payload, acc, "access", member)
+	return n.finishDepResponse(home, id, resp.Payload, acc, "access", member)
 }
 
 // accessWrites classifies an access kind for the affinity read/write
@@ -287,21 +287,20 @@ func accessWrites(kind int) bool {
 
 // finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW) and
 // applies applyDepResponse to it.
-func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
+func (n *Node) finishDepResponse(home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
 	out, err := wire.DecodeDepResponse(payload)
 	wire.PutBuf(payload)
 	if err != nil {
 		return nil, err
 	}
-	return n.applyDepResponse(lt, home, id, &out, acc, whatKind, whatMember)
+	return n.applyDepResponse(home, id, &out, acc, whatKind, whatMember)
 }
 
 // applyDepResponse is the epilogue of one response entry, shared by
-// every access reply: inherit outstanding-batch bookkeeping, absorb a
-// Moved redirect notice for id, surface direct and deferred errors,
-// copy-restore array arguments, convert the value.
-func (n *Node) applyDepResponse(lt *lthread, home int, id int64, r *wire.DepResponse, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
-	n.noteAsyncDests(lt, r.AsyncDests)
+// every access reply: absorb a Moved redirect notice for id, surface
+// direct errors and the failure of a fire-and-forget call that led the
+// request, copy-restore array arguments, convert the value.
+func (n *Node) applyDepResponse(home int, id int64, r *wire.DepResponse, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
 	if r.Moved && id != 0 {
 		n.learnHome(id, r.NewHome)
 	}

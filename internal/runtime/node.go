@@ -2,9 +2,10 @@ package runtime
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"autodist/internal/bytecode"
@@ -58,11 +59,6 @@ type Node struct {
 	// measurement; the protocol and codec are unchanged.
 	Unoptimized bool
 
-	// causal records whether the transport guarantees causally
-	// ordered delivery; without it, asynchronous batches request
-	// completion acknowledgements.
-	causal bool
-
 	// copies records whether the transport's Send consumes the payload
 	// before returning (TCP encodes it into the connection batch). If
 	// so, send recycles the encode buffer to the wire pool as soon as
@@ -72,12 +68,10 @@ type Node struct {
 	// requester after decoding a response.
 	copies bool
 
-	// Adaptive repartitioning configuration (see adapt.go); adaptEvery
-	// of zero disables the subsystem, preserving the static-plan
-	// behaviour exactly.
-	adaptEvery   int
-	adaptEps     float64
-	adaptMinGain int64
+	// adaptEvery is the adaptive-repartitioning epoch (see adapt.go);
+	// zero disables the subsystem, preserving the static-plan behaviour
+	// exactly.
+	adaptEvery int
 
 	// replicate enables the read-replication protocol (REPLICATE /
 	// INVALIDATE / REPLICA-ACK) for access kinds the rewriter stamped
@@ -147,10 +141,9 @@ type Node struct {
 	view *membership.Tracker
 
 	// ltMu guards the per-logical-thread context table (see
-	// thread.go). All thread-scoped state — asynchronous batch
-	// buffers, outstanding-batch destination sets, deferred errors,
-	// per-thread counters, the interpreter context — lives in the
-	// lthread, keyed by the thread id every frame carries.
+	// thread.go). All thread-scoped state — asynchronous call buffers,
+	// dedup journals, per-thread counters, the interpreter context —
+	// lives in the lthread, keyed by the thread id every frame carries.
 	ltMu sync.Mutex
 	lts  map[uint64]*lthread
 
@@ -167,16 +160,12 @@ type Node struct {
 	workers workerPool
 }
 
-// srvResp is a matched response plus the drain barriers it must
-// honour: the receiver may not resume until asynchronous batches of
-// its own logical thread that arrived before the response have been
-// processed (preserving each logical thread's observable order). err
-// is set instead of msg when the failure detector swept the request —
-// its destination died with the response outstanding.
+// srvResp is a matched response, or the error that replaces it when
+// the failure detector swept the request — its destination died with
+// the response outstanding.
 type srvResp struct {
-	msg   transport.Message
-	drain []chan struct{}
-	err   error
+	msg transport.Message
+	err error
 }
 
 // pendingReq is one outstanding tagged request: the channel its
@@ -185,12 +174,6 @@ type srvResp struct {
 type pendingReq struct {
 	ch   chan srvResp
 	dest int
-}
-
-// batchJob is one received batch frame awaiting the worker.
-type batchJob struct {
-	msg  transport.Message
-	done chan struct{}
 }
 
 // NodeStats counts messages for the evaluation harness. It is the one
@@ -293,7 +276,6 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 		VM:      machine,
 		EP:      ep,
 		Plan:    plan,
-		causal:  transport.Causal(ep),
 		copies:  transport.CopiesPayload(ep),
 		pending: map[uint64]pendingReq{},
 		dead:    map[int]bool{},
@@ -428,28 +410,41 @@ func (n *Node) send(lt *lthread, msg transport.Message) error {
 	return nil
 }
 
-// request flushes the thread's pending asynchronous messages (each
-// logical thread's ordering barrier), runs the adaptation trigger if
-// an epoch boundary was crossed, then sends a tagged message and
-// blocks for the matching response, advancing the virtual clock across
-// the exchange.
+// request sends a tagged message and blocks for the matching response,
+// advancing the virtual clock across the exchange. The thread's
+// buffered fire-and-forget calls go first, so the exchange observes
+// their effects: those bound for `to` ride at the head of an access
+// vector (DEPENDENCE or DEPSEQ), which the server runs before the
+// access, and every other buffer — all of them, if this is not an
+// access — is flushed and acknowledged before the request leaves.
 //
-// The trigger runs after the flush on purpose: at this point every
-// asynchronous batch this thread issued is on the wire ahead of any
-// adaptation message (causally-ordered fabrics) or already processed
-// (acknowledged batches). Other threads' in-flight work is safe by
-// construction — migrations freeze per-object gates and skip busy
-// objects, and stale requests are forwarded.
+// The adaptation trigger runs after the flush on purpose: every
+// asynchronous call this thread issued is then processed or rides this
+// request, which reaches its objects through forwarding if the round
+// moves them. Other threads' in-flight work is safe by construction —
+// migrations freeze per-object gates and skip busy objects, and stale
+// requests are forwarded.
 func (n *Node) request(lt *lthread, to int, kind uint8, payload []byte) (transport.Message, error) {
+	var lead []wire.DepRequest
+	if kind == KindDependence || kind == KindDepSeq {
+		lt.mu.Lock()
+		lead = lt.asyncBuf[to]
+		delete(lt.asyncBuf, to)
+		lt.mu.Unlock()
+	}
 	if err := n.flushAsync(lt); err != nil {
 		return transport.Message{}, err
 	}
 	n.maybeAdapt(lt)
+	if len(lead) > 0 {
+		n.countBatch(lt, len(lead))
+		payload = wire.Lead(lead, payload)
+	}
 	return n.rawRequest(lt, to, kind, payload)
 }
 
-// rawRequest is request without the asynchronous flush barrier (used
-// by the flush itself to await batch acknowledgements).
+// rawRequest is request without the asynchronous flush (used by the
+// flush itself to await its acknowledgements).
 func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (transport.Message, error) {
 	// Response channels are recycled: each carries exactly one value
 	// per registration (Serve unregisters the tag before sending), so
@@ -479,7 +474,7 @@ func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (tran
 		// invocation's replayed prefix is answered from the receiver's
 		// journal instead of re-executing (exactly-once effects).
 		switch kind {
-		case KindNew, KindDependence, KindDependenceBatch, KindDepSeq:
+		case KindNew, KindDependence, KindDepSeq:
 			msg.Dedup = lt.nextDedup()
 		}
 	}
@@ -507,20 +502,9 @@ func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (tran
 			// this request outstanding.
 			return transport.Message{}, resp.err
 		}
-		// A response may causally follow asynchronous batches of this
-		// thread that are still queued for its batch worker; wait for
-		// those before resuming so local reads observe their effects.
-		for _, d := range resp.drain {
-			select {
-			case <-d:
-			case <-n.done:
-				return transport.Message{}, fmt.Errorf("runtime: node %d shut down during drain", n.Rank)
-			}
-		}
 		// Virtual time: the response carries the remote clock after
 		// handling; add the return-path cost.
 		n.advanceTo(resp.msg.Time + n.Net.Cost(len(resp.msg.Payload)))
-		n.clearAsyncDest(lt, to)
 		return resp.msg, nil
 	case <-n.done:
 		// The response may still be in flight; the channel cannot be
@@ -534,11 +518,12 @@ func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (tran
 // channel returns to the pool empty.
 var respChPool sync.Pool
 
-// asyncEnqueue buffers one fire-and-forget dependence message for its
+// asyncEnqueue buffers one fire-and-forget void call for its
 // destination on the issuing thread, flushing early when the buffer
 // fills.
 func (n *Node) asyncEnqueue(lt *lthread, to int, req wire.DepRequest) error {
 	n.count(lt, func(s *NodeStats) *int64 { return &s.AsyncCalls }, 1)
+	req.Async = true
 	lt.mu.Lock()
 	lt.asyncBuf[to] = append(lt.asyncBuf[to], req)
 	full := len(lt.asyncBuf[to]) >= asyncBatchMax
@@ -549,12 +534,10 @@ func (n *Node) asyncEnqueue(lt *lthread, to int, req wire.DepRequest) error {
 	return nil
 }
 
-// flushAsync aggregates each destination's buffered asynchronous
-// messages of one logical thread into one batched frame and sends
-// them. On transports without causal delivery the batch requests an
-// acknowledgement and the flush awaits it, so later synchronous
-// exchanges (possibly through third nodes) cannot observe pre-batch
-// state.
+// flushAsync sends each of the thread's buffers, in destination order,
+// as its own all-async DEPENDENCE vector and awaits the one-entry
+// reply: the acknowledgement that every call ran, or the failure that
+// stopped them. The first failure ends the flush.
 func (n *Node) flushAsync(lt *lthread) error {
 	lt.mu.Lock()
 	if len(lt.asyncBuf) == 0 {
@@ -565,111 +548,28 @@ func (n *Node) flushAsync(lt *lthread) error {
 	lt.asyncBuf = map[int][]wire.DepRequest{}
 	lt.mu.Unlock()
 
-	dests := make([]int, 0, len(bufs))
-	for to := range bufs {
-		dests = append(dests, to)
-	}
-	sort.Ints(dests)
-	for _, to := range dests {
+	for _, to := range slices.Sorted(maps.Keys(bufs)) {
 		reqs := bufs[to]
-		if len(reqs) == 0 {
-			continue
-		}
-		payload := (&wire.DepSeq{Reqs: reqs}).Encode()
-		n.count(lt, func(s *NodeStats) *int64 { return &s.BatchFrames }, 1)
-		n.count(lt, func(s *NodeStats) *int64 { return &s.BatchedRequests }, int64(len(reqs)))
-		if !n.causal {
-			resp, err := n.rawRequest(lt, to, KindDependenceBatch, payload)
-			if err != nil {
-				return err
-			}
-			out, err := wire.DecodeDepResponse(resp.Payload)
-			wire.PutBuf(resp.Payload)
-			if err != nil {
-				return err
-			}
-			if out.Err != "" {
-				return fmt.Errorf("async batch on node %d: %s", to, out.Err)
-			}
-			if out.AsyncErr != "" {
-				return fmt.Errorf("deferred async failure on node %d: %s", to, out.AsyncErr)
-			}
-			continue
-		}
-		msg := transport.Message{To: to, Kind: KindDependenceBatch, Payload: payload, Time: n.VM.SimSeconds()}
-		if err := n.send(lt, msg); err != nil {
+		n.countBatch(lt, len(reqs))
+		out, err := ask(n, lt, to, KindDependence, (&wire.DepSeq{Reqs: reqs}).Encode(), wire.DecodeDepResponse)
+		if err != nil {
 			return err
 		}
-		// Fire-and-forget: the destination now holds unprocessed work
-		// of this thread until something barriers it.
-		lt.mu.Lock()
-		lt.asyncDests[to] = true
-		lt.mu.Unlock()
+		if out.Err != "" {
+			return fmt.Errorf("async batch on node %d: %s", to, out.Err)
+		}
+		if out.AsyncErr != "" {
+			return fmt.Errorf("deferred async failure on node %d: %s", to, out.AsyncErr)
+		}
 	}
 	return nil
 }
 
-// clearAsyncDest drops a destination from the thread's
-// outstanding-batch set: a response from it proves it drained every
-// batch of this thread that causally preceded the request (its serve
-// loop orders the thread's batches before its later requests, and
-// request handlers wait for the thread's batch worker).
-func (n *Node) clearAsyncDest(lt *lthread, d int) {
-	lt.mu.Lock()
-	delete(lt.asyncDests, d)
-	lt.mu.Unlock()
-}
-
-// noteAsyncDests merges destinations inherited from a response into
-// the thread's outstanding-batch set.
-func (n *Node) noteAsyncDests(lt *lthread, dests []int) {
-	if len(dests) == 0 {
-		return
-	}
-	lt.mu.Lock()
-	for _, d := range dests {
-		if d != n.Rank {
-			lt.asyncDests[d] = true
-		}
-	}
-	lt.mu.Unlock()
-}
-
-// takeAsyncDests consumes the thread's outstanding-batch destination
-// set.
-func (n *Node) takeAsyncDests(lt *lthread) []int {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if len(lt.asyncDests) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(lt.asyncDests))
-	for d := range lt.asyncDests {
-		out = append(out, d)
-	}
-	lt.asyncDests = map[int]bool{}
-	sort.Ints(out)
-	return out
-}
-
-// stashAsyncErr records a thread's first deferred asynchronous
-// failure; it surfaces on the thread's next response from this node,
-// or on its invocation result.
-func stashAsyncErr(lt *lthread, err error) {
-	lt.mu.Lock()
-	if lt.asyncErr == "" {
-		lt.asyncErr = err.Error()
-	}
-	lt.mu.Unlock()
-}
-
-// takeAsyncErr consumes the thread's stashed deferred failure.
-func takeAsyncErr(lt *lthread) string {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	e := lt.asyncErr
-	lt.asyncErr = ""
-	return e
+// countBatch counts one frame carrying reqs buffered asynchronous
+// calls.
+func (n *Node) countBatch(lt *lthread, reqs int) {
+	n.count(lt, func(s *NodeStats) *int64 { return &s.BatchFrames }, 1)
+	n.count(lt, func(s *NodeStats) *int64 { return &s.BatchedRequests }, int64(reqs))
 }
 
 // advanceTo moves this node's virtual clock forward to at least t
@@ -684,92 +584,32 @@ func (n *Node) advanceTo(t float64) {
 	}
 }
 
-// execTask runs one dispatched frame on a pool worker: honour the
-// kind's ordering barriers, hand off to the handler, recycle the
+// execTask runs one dispatched frame on a pool worker and recycles its
 // payload (decoders copy, so the frame buffer is dead once the handler
-// returns — or the node shuts down).
-func (n *Node) execTask(t srvTask) {
+// returns).
+func (n *Node) execTask(msg transport.Message) {
 	defer n.wg.Done()
-	defer wire.PutBuf(t.msg.Payload)
-	switch t.msg.Kind {
-	case KindInvalidate:
-		n.handleInvalidate(t.msg)
-	case KindDependenceBatch:
-		if t.prev != nil {
-			select {
-			case <-t.prev:
-			case <-n.done:
-				close(t.done)
-				return
-			}
-		}
-		n.handleBatch(batchJob{msg: t.msg, done: t.done})
-	default:
-		for _, w := range t.wait {
-			select {
-			case <-w:
-			case <-n.done:
-				return
-			}
-		}
-		n.handle(t.msg)
+	defer wire.PutBuf(msg.Payload)
+	if msg.Kind == KindInvalidate {
+		n.handleInvalidate(msg)
+		return
 	}
+	n.handle(msg)
 }
 
 // Serve runs the Message Exchange service until shutdown. Each request
 // is handled in its own goroutine so nested remote calls (call-backs
 // into a node that is itself blocked on a request) cannot deadlock,
 // and a blocked logical thread never stalls the serve loop or other
-// threads. Batched asynchronous messages are keyed by thread id: each
-// batch processes on its own goroutine chained behind the same
-// thread's previous batch, so one thread's batches run strictly in
-// order while different threads' run in parallel — and a batch
-// blocked on an object gate held by another logical thread delays
-// only its own thread, never anyone else's queue. The batch barrier
-// is per logical thread too: a request or response for thread T waits
-// only for T's own queued batches, while system frames (thread 0)
-// conservatively wait for every thread's.
+// threads. Nothing orders one request behind another here: a thread's
+// fire-and-forget calls reach this node inside an access vector or as
+// an acknowledged vector of their own, so each is done before the
+// thread's next frame is sent.
 func (n *Node) Serve() {
 	n.workers.exec = n.execTask
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		// lastBatch maps a thread id to the done channel of its most
-		// recently enqueued batch; the thread's later messages must
-		// wait for it (and transitively, through the per-thread batch
-		// chain, for all of its earlier batches).
-		lastBatch := map[uint64]chan struct{}{}
-		// barriers returns the drain set a message must honour.
-		barriers := func(tid uint64) []chan struct{} {
-			if tid != 0 {
-				if ch := lastBatch[tid]; ch != nil {
-					return []chan struct{}{ch}
-				}
-				return nil
-			}
-			// System frames order behind every thread's batches:
-			// migration and shutdown commands must observe all
-			// causally-preceding application work.
-			var out []chan struct{}
-			for _, ch := range lastBatch {
-				out = append(out, ch)
-			}
-			return out
-		}
-		// sweep drops drained entries so the map stays bounded by the
-		// number of threads with genuinely outstanding batches.
-		sweep := func() {
-			if len(lastBatch) < 64 {
-				return
-			}
-			for tid, ch := range lastBatch {
-				select {
-				case <-ch:
-					delete(lastBatch, tid)
-				default:
-				}
-			}
-		}
 		for {
 			msg, err := n.EP.Recv()
 			if err != nil {
@@ -790,7 +630,7 @@ func (n *Node) Serve() {
 				if ok {
 					// The requester recycles the payload after
 					// decoding it.
-					pr.ch <- srvResp{msg: msg, drain: barriers(msg.TID)}
+					pr.ch <- srvResp{msg: msg}
 				} else {
 					wire.PutBuf(msg.Payload)
 				}
@@ -798,91 +638,20 @@ func (n *Node) Serve() {
 				// Synthesised locally by the reliability layer (never on
 				// the wire): msg.From is the dead rank.
 				n.handlePeerDown(msg.From)
-			case KindInvalidate:
-				// Invalidations bypass the batch barrier on purpose:
-				// patching or dropping a replica early is always safe
-				// (the write already happened at the owner), and the
-				// writer's request must not wait behind batch work
-				// here. They never originate from batch workers (the
-				// rewriter keeps replicated classes out of asynchronous
-				// touch sets), so no ordering is lost.
-				n.wg.Add(1)
-				n.workers.run(srvTask{msg: msg})
 			case KindShutdown:
 				n.closeDone()
 				_ = n.EP.Close()
 				return
-			case KindDependenceBatch:
-				prev := lastBatch[msg.TID]
-				done := make(chan struct{})
-				lastBatch[msg.TID] = done
-				sweep()
-				n.wg.Add(1)
-				n.workers.run(srvTask{msg: msg, done: done, prev: prev})
 			default:
 				n.wg.Add(1)
-				n.workers.run(srvTask{msg: msg, wait: barriers(msg.TID)})
+				n.workers.run(msg)
 			}
 		}
 	}()
 }
 
-// handleBatch processes one aggregated asynchronous dependence frame
-// on the logical thread it belongs to. Confined methods (the only
-// ones the rewriter marks async) never leave this node, but their
-// object gates can block behind another logical thread's in-flight
-// access — which is why each batch runs on its own goroutine, chained
-// behind the same thread's previous batch only (see Serve).
-func (n *Node) handleBatch(job batchJob) {
-	defer close(job.done)
-	msg := job.msg
-	lt := n.lthread(msg.TID)
-	n.advanceTo(msg.Time + n.Net.Cost(len(msg.Payload)))
-	if msg.Dedup != 0 && n.replayJournaled(lt, msg) {
-		return
-	}
-	sc := getDepSeqScratch()
-	defer putDepSeqScratch(sc)
-	if err := wire.DecodeDepSeqInto(msg.Payload, &sc.seq); err != nil {
-		stashAsyncErr(lt, err)
-	} else {
-		for i := range sc.seq.Reqs {
-			n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
-			out := n.serveDependence(lt, &sc.seq.Reqs[i])
-			wire.PutValues(sc.seq.Reqs[i].Args)
-			if out.Err != "" {
-				stashAsyncErr(lt, fmt.Errorf("%s", out.Err))
-				break
-			}
-			if out.AsyncErr != "" {
-				stashAsyncErr(lt, fmt.Errorf("%s", out.AsyncErr))
-				break
-			}
-		}
-	}
-	// A tagged batch (sent where delivery is not causal) expects a
-	// completion acknowledgement.
-	if msg.Tag != 0 {
-		out := wire.DepResponse{AsyncErr: takeAsyncErr(lt)}
-		payload := out.Encode()
-		if msg.Dedup != 0 && !bytes.Contains(payload, peerDownMarker) {
-			lt.journalPut(msg.From, msg.Dedup, payload)
-		}
-		resp := transport.Message{
-			To: msg.From, Tag: msg.Tag, Kind: KindResponse,
-			Payload: payload, Time: n.VM.SimSeconds(),
-		}
-		if err := n.send(lt, resp); err != nil {
-			select {
-			case n.errs <- err:
-			default:
-			}
-		}
-	}
-}
-
-// handle processes one NEW, DEPENDENCE, DEPSEQ or BARRIER request and
-// replies on the logical thread the request belongs to.
+// handle processes one request and replies on the logical thread the
+// request belongs to.
 func (n *Node) handle(msg transport.Message) {
 	lt := n.lthread(msg.TID)
 	// Virtual time: receiving the request pulls our clock to the
@@ -914,22 +683,14 @@ func (n *Node) handle(msg transport.Message) {
 		}
 	}
 
-	// finish flushes asynchronous messages the thread buffered while
-	// this node served its request (the reply hands the logical thread
-	// back to the caller, who may immediately observe their target
-	// state through a third node), then stamps the thread's
-	// deferred-failure and outstanding-batch bookkeeping the caller
-	// inherits. Bookkeeping already present in the response (inherited
-	// from a forwarded downstream exchange) is merged, not
-	// overwritten.
-	finish := func(errSlot, asyncErr *string, dests *[]int) {
+	// finish flushes the fire-and-forget calls the thread buffered
+	// while this node served its request, before the reply hands the
+	// logical thread back to a caller who may observe their targets
+	// through a third node; a failed flush fails the reply.
+	finish := func(errSlot *string) {
 		if err := n.flushAsync(lt); err != nil && *errSlot == "" {
 			*errSlot = err.Error()
 		}
-		if e := takeAsyncErr(lt); e != "" && *asyncErr == "" {
-			*asyncErr = e
-		}
-		*dests = mergeDests(*dests, n.takeAsyncDests(lt))
 	}
 
 	// Coordination traffic on elastic clusters carries the sender's
@@ -958,14 +719,18 @@ func (n *Node) handle(msg transport.Message) {
 			out.Value = wire.Value{Kind: wire.KInt, Int: id}
 			out.OutArrays = outs
 		}
-		finish(&out.Err, &out.AsyncErr, &out.AsyncDests)
+		finish(&out.Err)
 		reply(out.Encode())
 	case KindDependence, KindDepSeq:
 		// An access vector — one entry for a DEPENDENCE, a fused run for
-		// a DEPSEQ: execute the entries in order, one DepResponse each,
-		// stopping at the first failure (a short vector tells the caller
-		// exactly which entries never ran). Per-entry forwarding works
-		// unchanged — serveDependence stamps Moved/NewHome on the
+		// a DEPSEQ, either possibly led by the caller's fire-and-forget
+		// calls, or those calls alone: execute the entries in order, one
+		// DepResponse per synchronous entry, stopping at the first
+		// failure (a short vector tells the caller exactly which entries
+		// never ran). An async entry is answered only if it fails, with
+		// its failure as AsyncErr; a vector that leaves nothing to answer
+		// gets one empty entry, its acknowledgement. Per-entry forwarding
+		// works unchanged — serveDependence stamps Moved/NewHome on the
 		// affected entry alone. Both vectors live in pooled per-exchange
 		// storage.
 		sc := getDepSeqScratch()
@@ -975,31 +740,29 @@ func (n *Node) handle(msg transport.Message) {
 		} else {
 			out.Resps = slices.Grow(out.Resps, len(seq.Reqs))
 			for i := range seq.Reqs {
+				req := &seq.Reqs[i]
 				n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
-				r := n.serveDependence(lt, &seq.Reqs[i])
-				wire.PutValues(seq.Reqs[i].Args)
+				r := n.serveDependence(lt, req)
+				wire.PutValues(req.Args)
+				if req.Async {
+					if r.Err == "" && r.AsyncErr == "" {
+						continue
+					}
+					r = wire.DepResponse{AsyncErr: cmp.Or(r.Err, r.AsyncErr)}
+				}
 				out.Resps = append(out.Resps, r)
-				if r.Err != "" {
+				if r.Err != "" || r.AsyncErr != "" {
 					break
 				}
 			}
 		}
-		// Thread bookkeeping rides on the final executed entry.
 		if len(out.Resps) == 0 {
 			out.Resps = append(out.Resps, wire.DepResponse{})
 		}
-		last := &out.Resps[len(out.Resps)-1]
-		finish(&last.Err, &last.AsyncErr, &last.AsyncDests)
+		finish(&out.Resps[len(out.Resps)-1].Err)
 		payload := out.Encode()
 		putDepSeqScratch(sc)
 		reply(payload)
-	case KindBarrier:
-		// The barrier drains the thread's buffers relayed through this
-		// node and surfaces its deferred errors; destinations it flushed
-		// to come back to the caller, which barriers them in turn.
-		out := wire.DepResponse{}
-		finish(&out.Err, &out.AsyncErr, &out.AsyncDests)
-		reply(out.Encode())
 	case KindAdapt:
 		// A non-coordinator node crossed an adaptation epoch and asked
 		// us (the coordinator) to run a round while its logical thread
@@ -1067,32 +830,6 @@ func (n *Node) handle(msg transport.Message) {
 		}
 		reply(out.Encode())
 	}
-}
-
-// mergeDests unions two outstanding-batch destination lists.
-func mergeDests(a, b []int) []int {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, d := range a {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	for _, d := range b {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // handleNew creates the real object for a remote NEW message: it finds

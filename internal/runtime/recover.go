@@ -173,8 +173,6 @@ func (n *Node) redriveThread(tid uint64) *lthread {
 	}
 	lt.mu.Lock()
 	lt.asyncBuf = map[int][]wire.DepRequest{}
-	lt.asyncDests = map[int]bool{}
-	lt.asyncErr = ""
 	lt.dedupNext = 0
 	lt.mu.Unlock()
 	lt.vt = n.VM.NewThread()

@@ -301,10 +301,7 @@ func (n *Node) invalidateOne(lt *lthread, r int, req *wire.InvalidateRequest) (k
 
 // handleInvalidate patches or drops this node's replica of the named
 // object and acknowledges with a REPLICA-ACK frame saying whether a
-// replica is still held. It runs outside the serve loop's batch barrier
-// (see Serve): the write has already happened at the owner, so applying
-// it early is as safe as dropping early, and the writer must not block
-// behind unrelated batch work.
+// replica is still held.
 func (n *Node) handleInvalidate(msg transport.Message) {
 	lt := n.lthread(msg.TID)
 	n.advanceTo(msg.Time + n.Net.Cost(len(msg.Payload)))

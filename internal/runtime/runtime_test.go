@@ -506,7 +506,7 @@ func TestUnoptimizedModeMatchesAndDisablesOptimizations(t *testing.T) {
 	if s.AsyncCalls != 0 || s.CacheHits != 0 || s.BatchFrames != 0 {
 		t.Errorf("unoptimized run still optimised: %+v", s)
 	}
-	// Isolated async calls (each flushed alone by the next barrier)
+	// Isolated async calls (each sent alone ahead of the next request)
 	// cannot beat the sync protocol — but must not cost extra
 	// messages either. The strict reduction is asserted where
 	// aggregation applies (TestAsyncBatchAggregation).

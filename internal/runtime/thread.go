@@ -16,24 +16,19 @@ import (
 // used to be per-node thread state per-*logical-thread* instead:
 //
 //   - every frame carries the thread id it belongs to (wire.Frame.TID,
-//     stamped in rawRequest/flushAsync, echoed by every reply), so
-//     responses, asynchronous batches and deferred errors correlate
-//     per thread;
+//     stamped in send, echoed by every reply), so responses and
+//     failures correlate per thread;
 //   - each node keeps one lthread context per thread id it has seen:
-//     the thread's interpreter context (vm.Thread), its asynchronous
-//     batch buffers, its outstanding-batch destination set, its
-//     deferred asynchronous error, and its per-thread protocol
-//     counters;
-//   - received batches process per thread: each batch runs on its own
-//     goroutine chained behind the same thread's previous batch, so
-//     one thread's batches process in order, different threads' in
-//     parallel, and a batch blocked on an object gate held by another
-//     thread delays only its own thread — never the serve loop or
-//     anyone else;
-//   - the serve loop's batch barrier is per thread: a response or
-//     request for thread T waits only for T's own queued batches, not
-//     for other threads' (system frames, thread id 0, conservatively
-//     wait for everything).
+//     the thread's interpreter context (vm.Thread), its buffered
+//     fire-and-forget calls, its dedup journal and its per-thread
+//     protocol counters;
+//   - a thread's fire-and-forget calls are always answered: they ride
+//     the head of its next access vector to the same node, or go as an
+//     acknowledged vector of their own (Node.request, flushAsync), so
+//     every call a thread issued has run before its next frame leaves
+//     and the serve loop orders nothing — each request runs on its own
+//     goroutine, and one blocked on an object gate held by another
+//     thread delays only its own thread.
 //
 // Thread id 0 is the system thread: migration, adaptation, shutdown
 // and any execution that predates the deployment lifecycle (tests
@@ -47,20 +42,12 @@ type lthread struct {
 
 	// mu guards the asynchronous bookkeeping below. A logical thread
 	// executes as a single chain of control, but its replica
-	// invalidation fan-out and late batch acknowledgements can touch
-	// the context from short-lived goroutines.
+	// invalidation fan-out and a fused run's scatter can touch the
+	// context from short-lived goroutines.
 	mu sync.Mutex
-	// asyncBuf holds per-destination not-yet-flushed fire-and-forget
-	// dependence messages.
+	// asyncBuf holds per-destination not-yet-sent fire-and-forget
+	// calls.
 	asyncBuf map[int][]wire.DepRequest
-	// asyncDests is the set of nodes holding possibly-unprocessed
-	// batches from this thread. It travels with the thread: a reply
-	// transfers it to the caller, and the invocation-final barrier
-	// visits exactly the nodes in it.
-	asyncDests map[int]bool
-	// asyncErr is the thread's deferred asynchronous failure, surfaced
-	// on the thread's next response (or its invocation result).
-	asyncErr string
 
 	// dedupNext numbers this thread's outgoing effectful requests when
 	// failure recovery is on (rawRequest stamps it into the frame's
@@ -145,10 +132,9 @@ func (n *Node) lthread(tid uint64) *lthread {
 	lt := n.lts[tid]
 	if lt == nil {
 		lt = &lthread{
-			tid:        tid,
-			vt:         n.VM.NewThread(),
-			asyncBuf:   map[int][]wire.DepRequest{},
-			asyncDests: map[int]bool{},
+			tid:      tid,
+			vt:       n.VM.NewThread(),
+			asyncBuf: map[int][]wire.DepRequest{},
 		}
 		lt.vt.Data = lt
 		n.lts[tid] = lt
@@ -168,10 +154,9 @@ func (n *Node) ltOf(t *vm.Thread) *lthread {
 }
 
 // retireThread removes a completed thread's context and returns its
-// counters. The invocation's drain (Cluster.drainThread) has already
-// sent the thread's buffered fire-and-forget work, barriered every
-// destination it went to and consumed its deferred errors, so nothing
-// else of the thread's outlives it.
+// counters. The invocation has already flushed the thread's buffered
+// fire-and-forget calls and had each acknowledged, so nothing else of
+// the thread's outlives it.
 func (n *Node) retireThread(tid uint64) NodeStats {
 	n.ltMu.Lock()
 	lt := n.lts[tid]

@@ -54,14 +54,15 @@ import (
 	"autodist/internal/wire"
 )
 
-// Message kinds (paper §5 names NEW and DEPENDENCE; RESPONSE, BARRIER
-// and SHUTDOWN are the control frames any real MPI runtime also needs;
-// DEPENDENCE_BATCH carries aggregated asynchronous dependence
-// messages). DEPENDENCE, DEPENDENCE_BATCH and DEPSEQ bodies are all one
-// access vector (wire.DepSeq) — one entry, a thread's buffered async
-// calls, a fused run — and the NEW, DEPENDENCE, DEPSEQ and BARRIER
-// replies are response vectors (wire.DepSeqResponse); the kinds differ
-// in how the receiver serves the vector, not in its layout.
+// Message kinds (paper §5 names NEW and DEPENDENCE; RESPONSE and
+// SHUTDOWN are the control frames any real MPI runtime also needs).
+// DEPENDENCE and DEPSEQ bodies are both one access vector (wire.DepSeq)
+// — one entry or a fused run, either led by the thread's buffered
+// asynchronous calls, or those calls alone in a DEPENDENCE — and the
+// NEW, DEPENDENCE and DEPSEQ replies are response vectors
+// (wire.DepSeqResponse). Numbers 5 (the retired BARRIER) and 6
+// (DEPENDENCE_BATCH) are never sent; KindDependenceBatch keeps its name
+// for trace tools that classify recorded frames.
 // ADAPT/AFFINITY/MIGRATE/TRANSFER are the adaptive-repartitioning
 // frames: ADAPT asks the coordinator for an adaptation round, AFFINITY
 // polls a node's traffic counters, MIGRATE commands an ownership
@@ -75,7 +76,7 @@ const (
 	KindDependence
 	KindResponse
 	KindShutdown
-	KindBarrier
+	_
 	KindDependenceBatch
 	KindAdapt
 	KindAffinity

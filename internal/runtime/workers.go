@@ -13,21 +13,6 @@ import (
 // clusters (and finished tests) release them promptly.
 const workerIdle = time.Second
 
-// srvTask is one dispatched message: the frame plus the ordering
-// barriers its kind requires (see Serve). Passing a value struct
-// through the worker channel keeps the per-message dispatch
-// allocation-free — a closure would put its capture block on the heap
-// for every frame.
-type srvTask struct {
-	msg transport.Message
-	// done is this batch's completion barrier (KindDependenceBatch).
-	done chan struct{}
-	// prev chains the batch behind the same thread's previous one.
-	prev chan struct{}
-	// wait holds barriers a synchronous request must honour.
-	wait []chan struct{}
-}
-
 // workerPool recycles handler goroutines. The Serve loop dispatches
 // every request to a goroutine; spawning a fresh one per message makes
 // each handler re-grow its stack on the way into the VM call chain —
@@ -37,7 +22,7 @@ type srvTask struct {
 // is reused), and spawns a new one only when none is free. It never
 // queues: a task always gets a goroutine immediately, preserving the
 // spawn-per-message semantics — unbounded concurrency, no deadlock
-// risk from handlers that block on object gates or batch barriers.
+// risk from handlers that block on object gates.
 //
 // A parked worker blocks on a plain channel receive — no timer, no
 // select (an earlier timer-per-worker variant put selectgo and timer
@@ -48,7 +33,7 @@ type srvTask struct {
 // list always has a janitor and nothing leaks.
 type workerPool struct {
 	// exec runs one task; set once before the pool dispatches.
-	exec func(srvTask)
+	exec func(transport.Message)
 
 	mu   sync.Mutex
 	free []poolWorker // parked workers, LIFO
@@ -61,31 +46,34 @@ type workerPool struct {
 // poolWorker is one parked goroutine: its task channel and the sweep
 // generation it parked in.
 type poolWorker struct {
-	ch  chan srvTask
+	ch  chan transport.Message
 	gen uint64
 }
 
-// run executes t on a parked goroutine, or a new one if none is free.
-func (p *workerPool) run(t srvTask) {
+// run executes msg on a parked goroutine, or a new one if none is
+// free. Handing the frame itself through the worker channel keeps the
+// per-message dispatch allocation-free — a closure would put its
+// capture block on the heap for every frame.
+func (p *workerPool) run(msg transport.Message) {
 	p.mu.Lock()
-	var ch chan srvTask
+	var ch chan transport.Message
 	if k := len(p.free); k > 0 {
 		ch = p.free[k-1].ch
 		p.free = p.free[:k-1]
 	}
 	p.mu.Unlock()
 	if ch == nil {
-		ch = make(chan srvTask, 1)
+		ch = make(chan transport.Message, 1)
 		go p.loop(ch)
 	}
-	ch <- t
+	ch <- msg
 }
 
 // loop is one pooled worker: run a task, park, wait for the next. The
 // janitor retires a long-parked worker by closing its channel.
-func (p *workerPool) loop(ch chan srvTask) {
-	for t := range ch {
-		p.exec(t)
+func (p *workerPool) loop(ch chan transport.Message) {
+	for msg := range ch {
+		p.exec(msg)
 		p.park(ch)
 	}
 }
@@ -93,7 +81,7 @@ func (p *workerPool) loop(ch chan srvTask) {
 // park returns a worker to the free list, reviving the janitor if it
 // has exited (an empty free list is the only state it exits in, so a
 // parked worker is always under watch).
-func (p *workerPool) park(ch chan srvTask) {
+func (p *workerPool) park(ch chan transport.Message) {
 	p.mu.Lock()
 	p.free = append(p.free, poolWorker{ch: ch, gen: p.gen})
 	if !p.janitorOn {

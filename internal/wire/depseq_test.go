@@ -18,6 +18,7 @@ func randDepRequest(r *rand.Rand) DepRequest {
 	return DepRequest{
 		ID:     r.Int63(),
 		Static: r.Intn(2) == 0,
+		Async:  r.Intn(4) == 0,
 		Class:  []string{"", "Sink", "Main"}[r.Intn(3)],
 		Kind:   1 + r.Intn(10),
 		Member: []string{"ping:(I)I", "acc", "total:()I"}[r.Intn(3)],
@@ -33,12 +34,11 @@ func randDepResponse(r *rand.Rand) DepResponse {
 		outs[i] = randValue(r, 2)
 	}
 	m := DepResponse{
-		Value:      randValue(r, 2),
-		OutArrays:  outs,
-		Err:        []string{"", "boom"}[r.Intn(2)],
-		AsyncErr:   []string{"", "late"}[r.Intn(2)],
-		AsyncDests: [][]int{nil, {1}, {0, 3}}[r.Intn(3)],
-		Moved:      r.Intn(4) == 0,
+		Value:     randValue(r, 2),
+		OutArrays: outs,
+		Err:       []string{"", "boom"}[r.Intn(2)],
+		AsyncErr:  []string{"", "late"}[r.Intn(2)],
+		Moved:     r.Intn(4) == 0,
 	}
 	if m.Moved {
 		m.NewHome = r.Intn(8)
@@ -52,6 +52,7 @@ func seqRequestWithHead(r *rand.Rand, head byte, prevID int64) DepRequest {
 	m := DepRequest{
 		ID:     prevID,
 		Static: head&seqReqStatic != 0,
+		Async:  head&seqReqAsync != 0,
 		Kind:   1 + r.Intn(300),
 		Member: []string{"p0", "ping:(I)I", "total:()I"}[r.Intn(3)],
 	}
@@ -71,7 +72,7 @@ func seqRequestWithHead(r *rand.Rand, head byte, prevID int64) DepRequest {
 }
 
 // seqResponseWithHead draws a response entry whose encoding opens with
-// exactly head.
+// exactly head, which must set no undefined bit.
 func seqResponseWithHead(r *rand.Rand, head byte) DepResponse {
 	m := DepResponse{Value: randValue(r, 2), Moved: head&seqRespMoved != 0}
 	if head&seqRespOutArrays != 0 {
@@ -82,9 +83,6 @@ func seqResponseWithHead(r *rand.Rand, head byte) DepResponse {
 	}
 	if head&seqRespAsyncErr != 0 {
 		m.AsyncErr = "late"
-	}
-	if head&seqRespAsyncDests != 0 {
-		m.AsyncDests = [][]int{{1}, {0, 3}}[r.Intn(2)]
 	}
 	if m.Moved {
 		m.NewHome = r.Intn(300)
@@ -112,7 +110,7 @@ func legacyDepResponse(b []byte, m *DepResponse) []byte {
 	b = appendValues(b, m.OutArrays)
 	b = appendString(b, m.Err)
 	b = appendString(b, m.AsyncErr)
-	b = appendInts(b, m.AsyncDests)
+	b = appendInts(b, nil) // the retired outstanding-destination list
 	b = appendBool(b, m.Moved)
 	return appendUvarint(b, uint64(m.NewHome))
 }
@@ -142,7 +140,7 @@ func legacyNewResponse(m *DepResponse) []byte {
 	b = appendValues(b, m.OutArrays)
 	b = appendString(b, m.Err)
 	b = appendString(b, m.AsyncErr)
-	return appendInts(b, m.AsyncDests)
+	return appendInts(b, nil)
 }
 
 // decodeDepSeqResponse is DecodeDepSeqResponseInto into a fresh vector.
@@ -189,22 +187,14 @@ func valuesEqBits(a, b []Value) bool {
 }
 
 func depRequestEq(a, b DepRequest) bool {
-	return a.ID == b.ID && a.Static == b.Static && a.Class == b.Class &&
+	return a.ID == b.ID && a.Static == b.Static && a.Async == b.Async && a.Class == b.Class &&
 		a.Kind == b.Kind && a.Member == b.Member && valuesEqBits(a.Args, b.Args)
 }
 
 func depResponseEq(a, b DepResponse) bool {
 	return valueEqBits(a.Value, b.Value) && valuesEqBits(a.OutArrays, b.OutArrays) &&
 		a.Err == b.Err && a.AsyncErr == b.AsyncErr &&
-		reflect.DeepEqual(normInts(a.AsyncDests), normInts(b.AsyncDests)) &&
 		a.Moved == b.Moved && a.NewHome == b.NewHome
-}
-
-func normInts(v []int) []int {
-	if len(v) == 0 {
-		return nil
-	}
-	return v
 }
 
 // checkDepSeq asserts that m round-trips and encodes no longer than the
@@ -293,6 +283,9 @@ func TestDepSeqResponseRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	checkDepSeqResponse(t, DepSeqResponse{})
 	for head := byte(0); head <= seqRespBits; head++ {
+		if head&^seqRespBits != 0 {
+			continue
+		}
 		for i := 0; i < 20; i++ {
 			m := DepSeqResponse{Resps: []DepResponse{seqResponseWithHead(r, head)}}
 			if enc := checkDepSeqResponse(t, m); enc[1] != head {
@@ -459,11 +452,68 @@ func TestAccessVectorGoldens(t *testing.T) {
 	}
 }
 
+// TestLeadSplice: Lead puts a lead of async entries ahead of an encoded
+// vector's entries, and the joined vector decodes to both, in order. A
+// lead ending on a nonzero ID ahead of a first entry that elided ID 0 (a
+// static access) spells the 0 out, and the joined vector cut at any byte
+// fails to decode.
+func TestLeadSplice(t *testing.T) {
+	tick := DepRequest{ID: 5, Async: true, Kind: 8, Member: "tick:(I)V", Args: []Value{{Kind: KInt, Int: 1}}}
+	static := DepRequest{Static: true, Class: "Main", Kind: 4, Member: "total"}
+	body := static.Encode()
+	if body[1]&seqReqSameID == 0 {
+		t.Fatalf("a lone static access names ID 0: % x", body)
+	}
+	enc := Lead([]DepRequest{tick, tick}, body)
+	if want := (&DepSeq{Reqs: []DepRequest{tick, tick, static}}).Encode(); !bytes.Equal(enc, want) {
+		t.Fatalf("led static access encodes as % x, want % x", enc, want)
+	}
+	got, err := DecodeDepSeq(enc)
+	if err != nil || len(got.Reqs) != 3 || !depRequestEq(got.Reqs[2], static) || !depRequestEq(got.Reqs[0], tick) {
+		t.Fatalf("led static access decodes as %+v (%v)", got.Reqs, err)
+	}
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeDepSeq(enc[:n]); err == nil {
+			t.Fatalf("cut at %d of %d bytes decoded", n, len(enc))
+		}
+	}
+
+	r := rand.New(rand.NewSource(14))
+	for i := 0; i < 500; i++ {
+		lead := make([]DepRequest, 1+r.Intn(4))
+		for j := range lead {
+			lead[j] = randDepRequest(r)
+			lead[j].Async = true
+			if j > 0 && r.Intn(2) == 0 {
+				lead[j].ID = lead[j-1].ID
+			}
+		}
+		var body DepSeq
+		var prev int64
+		for j := r.Intn(4); j >= 0; j-- {
+			body.Reqs = append(body.Reqs, seqRequestWithHead(r, byte(r.Intn(seqReqBits+1)), prev))
+			prev = body.Reqs[len(body.Reqs)-1].ID
+		}
+		got, err := DecodeDepSeq(Lead(lead, body.Encode()))
+		want := append(lead, body.Reqs...)
+		if err != nil || len(got.Reqs) != len(want) {
+			t.Fatalf("lead %+v, body %+v: %d entries (%v)", lead, body.Reqs, len(got.Reqs), err)
+		}
+		for j := range want {
+			if !depRequestEq(got.Reqs[j], want[j]) {
+				t.Fatalf("entry %d: %+v, want %+v", j, got.Reqs[j], want[j])
+			}
+		}
+	}
+}
+
 // optionalParts counts the reply parts a response entry carries only
-// when present: OutArrays, Err, AsyncErr and AsyncDests.
+// when present: OutArrays, Err and AsyncErr. The legacy layouts had a
+// fourth, the retired outstanding-destination list, which the access
+// vector never carries.
 func optionalParts(m *DepResponse) int {
 	n := 0
-	for _, present := range []bool{len(m.OutArrays) > 0, m.Err != "", m.AsyncErr != "", len(m.AsyncDests) > 0} {
+	for _, present := range []bool{len(m.OutArrays) > 0, m.Err != "", m.AsyncErr != ""} {
 		if present {
 			n++
 		}
@@ -474,7 +524,7 @@ func optionalParts(m *DepResponse) int {
 // TestOneEntryBodiesNeverLonger compares the one-entry and batch bodies
 // with their retired fixed layouts. A DEPENDENCE request of either shape
 // the runtime sends (an instance access, or a static access naming its
-// class) and a DEPENDENCE_BATCH body are never longer. A reply pays one
+// class) and an all-async batch body are never longer. A reply pays one
 // count byte and one head byte and saves one byte per absent optional
 // part, plus the Moved flag and, when not Moved, the NewHome byte: a
 // DEPENDENCE reply is longer only when Moved with every optional part
@@ -514,7 +564,7 @@ func TestOneEntryBodiesNeverLonger(t *testing.T) {
 		}
 
 		created := DepResponse{Value: Value{Kind: KInt, Int: r.Int63n(1 << 40)}, Err: resp.Err,
-			AsyncErr: resp.AsyncErr, AsyncDests: resp.AsyncDests, OutArrays: resp.OutArrays}
+			AsyncErr: resp.AsyncErr, OutArrays: resp.OutArrays}
 		if n, legacy := len(created.Encode()), len(legacyNewResponse(&created)); n != legacy+optionalParts(&created)-1 {
 			t.Fatalf("%+v: NEW reply %d B, legacy %d B", created, n, legacy)
 		}
@@ -580,7 +630,9 @@ func TestDepSeqTruncated(t *testing.T) {
 	}
 	var resp DepSeqResponse
 	for head := byte(0); head <= seqRespBits; head++ {
-		resp.Resps = append(resp.Resps, seqResponseWithHead(r, head))
+		if head&^seqRespBits == 0 {
+			resp.Resps = append(resp.Resps, seqResponseWithHead(r, head))
+		}
 	}
 	encR := resp.Encode()
 	for n := 0; n < len(encR); n++ {
@@ -615,7 +667,7 @@ func TestDepSeqTruncated(t *testing.T) {
 // field of a recycled entry.
 func TestDepSeqDecodeIntoReusesStorage(t *testing.T) {
 	seq, resp := sweepSeq()
-	dirty := DepRequest{ID: 99, Static: true, Class: "Stale", Kind: 7, Member: "old", Args: []Value{{Kind: KInt, Int: 1}}}
+	dirty := DepRequest{ID: 99, Static: true, Async: true, Class: "Stale", Kind: 7, Member: "old", Args: []Value{{Kind: KInt, Int: 1}}}
 	m := DepSeq{Reqs: []DepRequest{dirty, dirty, dirty, dirty, dirty}}
 	backing := &m.Reqs[0]
 	if err := DecodeDepSeqInto(seq.Encode(), &m); err != nil {
@@ -629,7 +681,7 @@ func TestDepSeqDecodeIntoReusesStorage(t *testing.T) {
 			t.Fatalf("entry %d: %+v, want %+v", i, m.Reqs[i], seq.Reqs[i])
 		}
 	}
-	dirtyResp := DepResponse{Err: "stale", Moved: true, NewHome: 3, AsyncDests: []int{2}}
+	dirtyResp := DepResponse{Err: "stale", AsyncErr: "late", Moved: true, NewHome: 3}
 	mr := DepSeqResponse{Resps: []DepResponse{dirtyResp, dirtyResp, dirtyResp, dirtyResp}}
 	backingR := &mr.Resps[0]
 	if err := DecodeDepSeqResponseInto(resp.Encode(), &mr); err != nil {
@@ -661,6 +713,9 @@ func FuzzDecodeDepSeq(f *testing.F) {
 	f.Add(ping.Encode())
 	batch := DepRequest{ID: 5, Kind: 8, Member: "tick:(I)V", Args: []Value{{Kind: KInt, Int: 1}}}
 	f.Add((&DepSeq{Reqs: []DepRequest{batch, batch, batch}}).Encode())
+	batch.Async = true
+	f.Add((&DepSeq{Reqs: []DepRequest{batch, batch}}).Encode())
+	f.Add(Lead([]DepRequest{batch, batch}, ping.Encode()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeDepSeq(data)
 		if err != nil {

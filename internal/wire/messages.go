@@ -3,9 +3,9 @@ package wire
 // Protocol payload bodies. The paper's NEW and DEPENDENCE messages (§5)
 // and every access frame built on them share one body layout, the
 // access vector (DepSeq, and DepSeqResponse for replies): a DEPENDENCE
-// is a one-entry vector, DEPENDENCE_BATCH and DEPSEQ carry several
-// entries, and the NEW, DEPENDENCE, BARRIER and batch replies are
-// one-entry response vectors.
+// carries one entry, or a thread's buffered fire-and-forget calls (on
+// their own or leading a synchronous entry), a DEPSEQ carries a fused
+// run, and the NEW and DEPENDENCE replies are response vectors.
 //
 // Every Encode starts from a pooled buffer (GetBuf), so steady-state
 // encoding allocates only when a message outgrows the pooled capacity.
@@ -41,9 +41,12 @@ func DecodeNewRequest(data []byte) (NewRequest, error) {
 // DepRequest is the paper's DEPENDENCE message: an access to object ID
 // on its home node (or to a class's static part when Static is set).
 // Kind is a rewrite access kind (rewrite.InvokeMethodHasReturn etc.).
+// Async marks a fire-and-forget void call: the responder answers it
+// only if it fails.
 type DepRequest struct {
 	ID     int64
 	Static bool
+	Async  bool
 	Class  string
 	Kind   int
 	Member string
@@ -55,19 +58,15 @@ type DepRequest struct {
 func (m *DepRequest) Encode() []byte { return m.appendEntry(append(GetBuf(), 1), 0) }
 
 // DepResponse carries an access result back, plus copy-restore contents
-// for array arguments and any deferred asynchronous-call failure. It is
-// also the NEW reply, with the created object's id as a KInt Value, and
-// the bare acknowledgement of BARRIER, ADAPT, WELCOME and acknowledged
-// DEPENDENCE_BATCH frames.
+// for array arguments. AsyncErr answers a fire-and-forget entry that
+// failed; it ends the reply vector. It is also the NEW reply, with the
+// created object's id as a KInt Value, and the bare acknowledgement of
+// ADAPT, WELCOME and all-async DEPENDENCE frames.
 type DepResponse struct {
 	Value     Value
 	OutArrays []Value
 	Err       string
 	AsyncErr  string
-	// AsyncDests lists nodes the responder flushed fire-and-forget
-	// batches to while serving this request; the caller inherits
-	// responsibility for barriering them (see runtime).
-	AsyncDests []int
 	// Moved reports that the target object no longer lives on the node
 	// the request was addressed to: the request was forwarded and
 	// NewHome is the responder's best knowledge of the current owner.
@@ -457,14 +456,15 @@ func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
 }
 
 // DepSeq is the one access vector. A DEPENDENCE body is a one-entry
-// DepSeq, a DEPENDENCE_BATCH body carries a thread's buffered
-// fire-and-forget void calls, and a DEPSEQ body carries a fused run of
-// consecutive *synchronous* dependences bound for one destination: the
-// compiler proves the run's intermediate results are not consumed
-// between accesses, so the whole run travels as one exchange instead of
-// len(Reqs) DEPENDENCE round trips. Every synchronous entry produces a
-// response; the responder executes entries in order and stops at the
-// first failure, so Resps in the reply may be shorter than Reqs.
+// DepSeq, and a DEPSEQ body carries a fused run of consecutive
+// *synchronous* dependences bound for one destination: the compiler
+// proves the run's intermediate results are not consumed between
+// accesses, so the whole run travels as one exchange instead of
+// len(Reqs) DEPENDENCE round trips. Either may open with a thread's
+// buffered fire-and-forget calls (Async entries, see Lead), and a
+// DEPENDENCE may carry nothing else. The responder executes entries in
+// order, answers each synchronous entry and any Async entry that fails,
+// and stops at the first failure, so Resps may be shorter than Reqs.
 //
 // The vector's entries use a presence-flags layout, as the frame
 // envelope does: each entry opens with a head byte naming the optional
@@ -476,7 +476,7 @@ func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
 // where the ID is omitted when it equals the previous entry's (0 before
 // the first), and a response entry is
 //
-//	head · Value · [OutArrays] · [Err] · [AsyncErr] · [AsyncDests] · [NewHome]
+//	head · Value · [OutArrays] · [Err] · [AsyncErr] · [NewHome]
 //
 // with NewHome present exactly when Moved is set. An undefined head bit
 // is a decode error.
@@ -490,19 +490,21 @@ const (
 	seqReqSameID
 	seqReqClass
 	seqReqArgs
+	seqReqAsync
 
-	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs
+	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs | seqReqAsync
 )
 
-// Response entry head bits; seqRespMoved also carries NewHome.
+// Response entry head bits; seqRespMoved also carries NewHome. Bit 0x08
+// (a retired destination list) stays undefined, so Moved keeps its value.
 const (
 	seqRespOutArrays = 1 << iota
 	seqRespErr
 	seqRespAsyncErr
-	seqRespAsyncDests
+	_
 	seqRespMoved
 
-	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespAsyncDests | seqRespMoved
+	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespMoved
 )
 
 // appendEntry encodes one request entry of an access vector; prevID is
@@ -520,6 +522,9 @@ func (m *DepRequest) appendEntry(b []byte, prevID int64) []byte {
 	}
 	if len(m.Args) > 0 {
 		head |= seqReqArgs
+	}
+	if m.Async {
+		head |= seqReqAsync
 	}
 	b = append(b, head)
 	if head&seqReqSameID == 0 {
@@ -542,7 +547,7 @@ func (r *Reader) requestEntry(m *DepRequest, prevID int64) {
 		r.fail("undefined DEPSEQ request bits %#x", head&^seqReqBits)
 		return
 	}
-	*m = DepRequest{ID: prevID, Static: head&seqReqStatic != 0}
+	*m = DepRequest{ID: prevID, Static: head&seqReqStatic != 0, Async: head&seqReqAsync != 0}
 	if head&seqReqSameID == 0 {
 		m.ID = r.Varint()
 	}
@@ -568,9 +573,6 @@ func (m *DepResponse) appendEntry(b []byte) []byte {
 	if m.AsyncErr != "" {
 		head |= seqRespAsyncErr
 	}
-	if len(m.AsyncDests) > 0 {
-		head |= seqRespAsyncDests
-	}
 	if m.Moved {
 		head |= seqRespMoved
 	}
@@ -584,9 +586,6 @@ func (m *DepResponse) appendEntry(b []byte) []byte {
 	}
 	if head&seqRespAsyncErr != 0 {
 		b = appendString(b, m.AsyncErr)
-	}
-	if head&seqRespAsyncDests != 0 {
-		b = appendInts(b, m.AsyncDests)
 	}
 	if head&seqRespMoved != 0 {
 		b = appendUvarint(b, uint64(m.NewHome))
@@ -610,9 +609,6 @@ func (r *Reader) responseEntry(m *DepResponse) {
 	if head&seqRespAsyncErr != 0 {
 		m.AsyncErr = r.String()
 	}
-	if head&seqRespAsyncDests != 0 {
-		m.AsyncDests = r.ints()
-	}
 	if m.Moved {
 		m.NewHome = int(r.Uvarint())
 	}
@@ -626,6 +622,30 @@ func (m *DepSeq) Encode() []byte {
 		b = m.Reqs[i].appendEntry(b, prev)
 		prev = m.Reqs[i].ID
 	}
+	return b
+}
+
+// Lead splices lead's entries in ahead of body, an encoded access
+// vector, and returns the joined vector in a fresh pooled buffer; body
+// goes back to the pool. Only body's first entry can change: one that
+// elided ID 0 (as a static access or a first entry does) spells it out
+// once the lead ends on a nonzero ID.
+func Lead(lead []DepRequest, body []byte) []byte {
+	r := Reader{buf: body}
+	n := r.count()
+	b := appendUvarint(GetBuf(), uint64(len(lead)+n))
+	var prev int64
+	for i := range lead {
+		b = lead[i].appendEntry(b, prev)
+		prev = lead[i].ID
+	}
+	rest := body[r.off:]
+	if n > 0 && prev != 0 && rest[0]&seqReqSameID != 0 {
+		b = appendVarint(append(b, rest[0]&^seqReqSameID), 0)
+		rest = rest[1:]
+	}
+	b = append(b, rest...)
+	PutBuf(body)
 	return b
 }
 
