@@ -157,7 +157,7 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 		Unoptimized: cfg.Unoptimized, Fuse: !cfg.NoFuse, AdaptEvery: cfg.AdaptEvery, Replicate: cfg.Replicate,
 		MaxConcurrent: cfg.MaxConcurrent, FailureRecovery: cfg.FailureRecovery,
 		Compile: cfg.Compile, CompileThreshold: compileThreshold(cfg),
-		Elastic: cfg.Elastic, MaxRanks: maxRanks(cfg),
+		MaxRanks: maxRanks(cfg),
 	})
 	if err != nil {
 		return nil, err
@@ -170,8 +170,8 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 }
 
 // maxRanks resolves Config.MaxRanks' zero default for elastic
-// deployments (0 stays 0 otherwise — the runtime rejects MaxRanks
-// without Elastic).
+// deployments; it stays 0 otherwise, which keeps the runtime cluster
+// static.
 func maxRanks(cfg Config) int {
 	if cfg.Elastic && cfg.MaxRanks == 0 {
 		return DefaultMaxRanks

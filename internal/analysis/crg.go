@@ -45,14 +45,6 @@ type CRG struct {
 	nodeIdx map[ClassNode]int
 }
 
-// NodeID returns the graph vertex for a class node, or -1.
-func (c *CRG) NodeID(n ClassNode) int {
-	if i, ok := c.nodeIdx[n]; ok {
-		return i
-	}
-	return -1
-}
-
 // exportsOf lists export relations from class node f.
 func (c *CRG) exportsOf(f ClassNode) []Relation {
 	var out []Relation

@@ -419,20 +419,6 @@ func (p *Program) NumMethods() int {
 	return n
 }
 
-// EncodedSize returns the total encoded byte size of all classes —
-// the "KB" column of Table 1.
-func (p *Program) EncodedSize() (int, error) {
-	total := 0
-	for _, name := range p.Names() {
-		b, err := p.classes[name].Encode()
-		if err != nil {
-			return 0, err
-		}
-		total += len(b)
-	}
-	return total, nil
-}
-
 // Clone deep-copies the program (classes, pools and code), so a rewriter
 // can transform one partition without disturbing the original.
 func (p *Program) Clone() *Program {

@@ -81,17 +81,6 @@ func ClassOf(d string) string {
 // ClassDesc builds the descriptor for a class name.
 func ClassDesc(name string) string { return "L" + name + ";" }
 
-// ElemOf returns the element descriptor of an array descriptor.
-func ElemOf(d string) string {
-	if len(d) < 2 || d[0] != '[' {
-		panic(fmt.Sprintf("bytecode: %q is not an array descriptor", d))
-	}
-	return d[1:]
-}
-
-// ArrayDesc builds an array descriptor over elem.
-func ArrayDesc(elem string) string { return "[" + elem }
-
 // descCache memoizes ParseMethodDesc results. Descriptors come from
 // constant pools, so the working set is the program's method set —
 // small and immutable — while the interpreter parses one per invoke
@@ -157,16 +146,4 @@ func ParseMethodDesc(d string) (params []string, ret string, err error) {
 		return nil, "", fmt.Errorf("bytecode: missing return type in %q", d)
 	}
 	return params, ret, nil
-}
-
-// MethodDesc assembles a method descriptor.
-func MethodDesc(params []string, ret string) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for _, p := range params {
-		b.WriteString(p)
-	}
-	b.WriteByte(')')
-	b.WriteString(ret)
-	return b.String()
 }

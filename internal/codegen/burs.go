@@ -192,15 +192,3 @@ func generate(rs *ruleSet, blocks []BlockTrees) (string, error) {
 	}
 	return strings.Join(e.lines, "\n") + "\n", nil
 }
-
-// CostOf exposes the labeled minimum cost of covering a tree as a
-// statement (used by tests and the ablation bench to verify the DP).
-func CostOf(rsName string, n *Node) (int, bool) {
-	rs := targets[rsName]
-	if rs == nil {
-		return 0, false
-	}
-	rs.label(n)
-	c, ok := n.costs[ntStmt]
-	return c, ok
-}

@@ -135,11 +135,12 @@ class Main {
 	for _, target := range Targets() {
 		for _, cls := range []string{"Point", "Main", "Vector"} {
 			cf := bp.Class(cls)
-			fns, err := quad.TranslateClass(cf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for key, fn := range fns {
+			for i := range cf.Methods {
+				key := cf.Methods[i].Key()
+				fn, err := quad.Translate(cf, &cf.Methods[i])
+				if err != nil {
+					t.Fatal(err)
+				}
 				asm, err := Generate(fn, target)
 				if err != nil {
 					t.Errorf("%s %s.%s: %v", target, cls, key, err)
@@ -161,7 +162,8 @@ func TestBURSPicksCheaperCover(t *testing.T) {
 		{Label: leafReg, Reg: quad.Reg{N: 1, Kind: quad.KindI}},
 		{Label: leafIConst, IVal: 1},
 	}}
-	cost, ok := CostOf(TargetX86, direct)
+	targets[TargetX86].label(direct)
+	cost, ok := direct.costs[ntStmt]
 	if !ok {
 		t.Fatal("no cover for ADD_I")
 	}

@@ -324,7 +324,7 @@ func TestAdaptiveRowsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]AdaptiveRow{
-		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 735, Migrations: 3, Forwards: 1},
+		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 732, Migrations: 3, Forwards: 1},
 		"bank":       {AdaptMsgs: 622, AdaptBytes: 15013},
 	}
 	for _, r := range rows {

@@ -12,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // EdgeKind labels the semantic relation an edge represents.
@@ -120,16 +119,6 @@ func (g *Graph) Vertex(id int) *Vertex { return g.vertices[id] }
 // Vertices returns the underlying vertex slice. Callers must not reorder it.
 func (g *Graph) Vertices() []*Vertex { return g.vertices }
 
-// FindVertex returns the first vertex with the given label, or nil.
-func (g *Graph) FindVertex(label string) *Vertex {
-	for _, v := range g.vertices {
-		if v.Label == label {
-			return v
-		}
-	}
-	return nil
-}
-
 // AddEdge appends a directed edge and returns its index.
 func (g *Graph) AddEdge(from, to int, weight int64, kind EdgeKind) int {
 	return g.AddLabeledEdge(from, to, weight, kind, "")
@@ -149,44 +138,11 @@ func (g *Graph) AddLabeledEdge(from, to int, weight int64, kind EdgeKind, label 
 	return idx
 }
 
-// HasEdge reports whether a directed edge from → to with the given kind exists.
-func (g *Graph) HasEdge(from, to int, kind EdgeKind) bool {
-	for _, ei := range g.adj[from] {
-		e := &g.edges[ei]
-		if e.From == from && e.To == to && e.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // Edge returns the edge at index i.
 func (g *Graph) Edge(i int) *Edge { return &g.edges[i] }
 
 // Edges returns the underlying edge slice.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// Incident returns the indices of edges touching vertex v.
-func (g *Graph) Incident(v int) []int { return g.adj[v] }
-
-// Neighbors returns the distinct vertices adjacent to v (either direction).
-func (g *Graph) Neighbors(v int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, ei := range g.adj[v] {
-		e := &g.edges[ei]
-		u := e.From
-		if u == v {
-			u = e.To
-		}
-		if u != v && !seen[u] {
-			seen[u] = true
-			out = append(out, u)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
 
 // TotalVertexWeight returns the per-dimension sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() []int64 {

@@ -54,21 +54,6 @@ func TestEdgeCutAndCutEdges(t *testing.T) {
 	}
 }
 
-func TestNeighborsDistinctSorted(t *testing.T) {
-	g := New("t")
-	a := g.AddVertex("a", 1)
-	b := g.AddVertex("b", 1)
-	c := g.AddVertex("c", 1)
-	g.AddEdge(a, b, 1, KindUse)
-	g.AddEdge(b, a, 1, KindUse) // parallel reverse edge
-	g.AddEdge(a, c, 1, KindUse)
-	g.AddEdge(a, a, 1, KindUse) // self loop ignored in neighbors
-	nb := g.Neighbors(a)
-	if len(nb) != 2 || nb[0] != b || nb[1] != c {
-		t.Fatalf("Neighbors(a) = %v, want [%d %d]", nb, b, c)
-	}
-}
-
 func TestPartWeights(t *testing.T) {
 	g := New("t")
 	g.AddVertex("a", 2, 10)
@@ -81,22 +66,6 @@ func TestPartWeights(t *testing.T) {
 	}
 	if pw[1][0] != 8 || pw[1][1] != 50 {
 		t.Errorf("part 1 weights = %v, want [8 50]", pw[1])
-	}
-}
-
-func TestHasEdgeRespectsDirectionAndKind(t *testing.T) {
-	g := New("t")
-	a := g.AddVertex("a", 1)
-	b := g.AddVertex("b", 1)
-	g.AddEdge(a, b, 1, KindExport)
-	if !g.HasEdge(a, b, KindExport) {
-		t.Error("expected edge a->b export")
-	}
-	if g.HasEdge(b, a, KindExport) {
-		t.Error("unexpected reverse edge")
-	}
-	if g.HasEdge(a, b, KindImport) {
-		t.Error("unexpected kind match")
 	}
 }
 

@@ -53,12 +53,6 @@ var BuiltinClasses = map[string][]BuiltinMethod{
 	},
 }
 
-// IsBuiltinClass reports whether name is a builtin native class.
-func IsBuiltinClass(name string) bool {
-	_, ok := BuiltinClasses[name]
-	return ok
-}
-
 // Descriptor returns the bytecode method descriptor of the builtin.
 func (b *BuiltinMethod) Descriptor() string {
 	d := "("

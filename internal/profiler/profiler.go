@@ -96,7 +96,6 @@ type Profiler struct {
 	hotCounts  map[string]int64
 	pathCounts map[string]int64
 	callEdges  map[CallEdge]int64
-	samples    int64
 }
 
 // Attach installs the metric's hooks on the VM and returns the
@@ -134,7 +133,6 @@ func Attach(machine *vm.VM, metric Metric) *Profiler {
 	case HotMethods:
 		machine.Hooks.Quantum = p.Quantum
 		machine.Hooks.OnQuantum = func(stack []vm.StackEntry) {
-			p.samples++
 			if len(stack) > 0 {
 				top := stack[len(stack)-1]
 				p.hotCounts[key(top.Class, top.Method)]++
@@ -143,7 +141,6 @@ func Attach(machine *vm.VM, metric Metric) *Profiler {
 	case HotPaths:
 		machine.Hooks.Quantum = p.Quantum
 		machine.Hooks.OnQuantum = func(stack []vm.StackEntry) {
-			p.samples++
 			var b strings.Builder
 			for i, f := range stack {
 				if i > 0 {
@@ -158,7 +155,6 @@ func Attach(machine *vm.VM, metric Metric) *Profiler {
 	case DynamicCallGraph:
 		machine.Hooks.Quantum = p.Quantum
 		machine.Hooks.OnQuantum = func(stack []vm.StackEntry) {
-			p.samples++
 			for i := 1; i < len(stack); i++ {
 				e := CallEdge{
 					Caller: key(stack[i-1].Class, stack[i-1].Method),
@@ -203,21 +199,11 @@ func Attach(machine *vm.VM, metric Metric) *Profiler {
 	return p
 }
 
-// Samples returns the number of sampling events observed.
-func (p *Profiler) Samples() int64 { return p.samples }
-
 // Frequency returns the invocation count for Class.method.
 func (p *Profiler) Frequency(key string) int64 { return p.frequency[key] }
 
 // Duration returns the cumulative (inclusive) time for Class.method.
 func (p *Profiler) Duration(key string) time.Duration { return p.durTotal[key] }
-
-// AllocationsOf returns the allocation count for a class or "[desc"
-// array key.
-func (p *Profiler) AllocationsOf(class string) int64 { return p.allocCount[class] }
-
-// CallEdgeCount returns the sampled weight of a caller→callee edge.
-func (p *Profiler) CallEdgeCount(e CallEdge) int64 { return p.callEdges[e] }
 
 // FieldAccessCounts returns the per-class field read and write counts
 // observed under the FieldAccess metric, in the shape
@@ -254,28 +240,6 @@ func topOf(m map[string]int64, n int) []kv {
 		out = out[:n]
 	}
 	return out
-}
-
-// HotMethodsTop returns the n most-sampled methods with their counts.
-func (p *Profiler) HotMethodsTop(n int) ([]string, []int64) {
-	top := topOf(p.hotCounts, n)
-	ks := make([]string, len(top))
-	vs := make([]int64, len(top))
-	for i, e := range top {
-		ks[i], vs[i] = e.k, e.v
-	}
-	return ks, vs
-}
-
-// HotPathsTop returns the n most-sampled call paths.
-func (p *Profiler) HotPathsTop(n int) ([]string, []int64) {
-	top := topOf(p.pathCounts, n)
-	ks := make([]string, len(top))
-	vs := make([]int64, len(top))
-	for i, e := range top {
-		ks[i], vs[i] = e.k, e.v
-	}
-	return ks, vs
 }
 
 // Report renders a human-readable summary of whichever metric ran.

@@ -76,52 +76,66 @@ func TestMethodDurationAccumulates(t *testing.T) {
 	}
 }
 
+// reportRows splits a profiler report into the whitespace-separated
+// fields of each row, header excluded.
+func reportRows(p *profiler.Profiler) [][]string {
+	lines := strings.Split(strings.TrimSpace(p.Report()), "\n")
+	rows := make([][]string, 0, len(lines))
+	for _, l := range lines[1:] {
+		rows = append(rows, strings.Fields(l))
+	}
+	return rows
+}
+
 func TestHotMethodsFindsHotFunction(t *testing.T) {
 	p, _ := runWith(t, profiler.HotMethods)
-	if p.Samples() == 0 {
-		t.Fatal("no samples collected")
-	}
-	names, counts := p.HotMethodsTop(3)
-	if len(names) == 0 {
+	rows := reportRows(p)
+	if len(rows) == 0 {
 		t.Fatal("no hot methods recorded")
 	}
-	if names[0] != "Worker.hot" {
-		t.Errorf("hottest = %s (count %d), want Worker.hot", names[0], counts[0])
+	if rows[0][0] != "Worker.hot" {
+		t.Errorf("hottest = %v, want Worker.hot", rows[0])
 	}
 }
 
 func TestHotPathsIncludeMainPrefix(t *testing.T) {
 	p, _ := runWith(t, profiler.HotPaths)
-	paths, _ := p.HotPathsTop(5)
-	if len(paths) == 0 {
+	rows := reportRows(p)
+	if len(rows) == 0 {
 		t.Fatal("no paths recorded")
 	}
 	found := false
-	for _, path := range paths {
-		if strings.HasPrefix(path, "Main.main>") && strings.Contains(path, "Worker.hot") {
+	for _, row := range rows {
+		if strings.HasPrefix(row[0], "Main.main>") && strings.Contains(row[0], "Worker.hot") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no main>…>hot path in %v", paths)
+		t.Errorf("no main>…>hot path in %v", rows)
 	}
 }
 
 func TestDynamicCallGraphEdges(t *testing.T) {
 	p, _ := runWith(t, profiler.DynamicCallGraph)
-	e := profiler.CallEdge{Caller: "Main.main", Callee: "Worker.hot"}
-	if p.CallEdgeCount(e) == 0 {
-		t.Errorf("edge %v not sampled", e)
+	for _, row := range reportRows(p) {
+		if len(row) == 4 && row[0] == "Main.main" && row[2] == "Worker.hot" && row[3] != "0" {
+			return
+		}
 	}
+	t.Errorf("edge Main.main -> Worker.hot not sampled:\n%s", p.Report())
 }
 
 func TestMemoryAllocationCounts(t *testing.T) {
 	p, _ := runWith(t, profiler.MemoryAllocation)
-	if got := p.AllocationsOf("Worker"); got != 1 {
-		t.Errorf("Worker allocations = %d, want 1", got)
+	allocs := map[string]string{}
+	for _, row := range reportRows(p) {
+		allocs[row[0]] = row[1]
 	}
-	if got := p.AllocationsOf("[I"); got != 1 {
-		t.Errorf("int[] allocations = %d, want 1", got)
+	if got := allocs["Worker"]; got != "1" {
+		t.Errorf("Worker allocations = %s, want 1", got)
+	}
+	if got := allocs["[I"]; got != "1" {
+		t.Errorf("int[] allocations = %s, want 1", got)
 	}
 }
 

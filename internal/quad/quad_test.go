@@ -118,11 +118,12 @@ class Main {
 	}
 	total := 0
 	for _, cf := range bp.Classes() {
-		fns, err := TranslateClass(cf)
-		if err != nil {
-			t.Fatalf("%s: %v", cf.Name, err)
+		for i := range cf.Methods {
+			if _, err := Translate(cf, &cf.Methods[i]); err != nil {
+				t.Fatalf("%s: %v", cf.Name, err)
+			}
+			total++
 		}
-		total += len(fns)
 	}
 	if total == 0 {
 		t.Fatal("no functions translated")

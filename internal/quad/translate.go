@@ -26,20 +26,6 @@ func Translate(cf *bytecode.ClassFile, m *bytecode.Method) (*Func, error) {
 	return f, nil
 }
 
-// TranslateClass translates every non-native method of a class.
-func TranslateClass(cf *bytecode.ClassFile) (map[string]*Func, error) {
-	out := make(map[string]*Func)
-	for i := range cf.Methods {
-		m := &cf.Methods[i]
-		fn, err := Translate(cf, m)
-		if err != nil {
-			return nil, err
-		}
-		out[m.Key()] = fn
-	}
-	return out, nil
-}
-
 type translator struct {
 	cf *bytecode.ClassFile
 	m  *bytecode.Method

@@ -56,14 +56,10 @@ func (n *Node) maybeAdapt(lt *lthread) {
 		n.runAdapt(lt)
 		return
 	}
-	// Ask the coordinator to adapt while we wait: adaptation errors are
-	// best-effort and must not fail the program.
-	if resp, err := n.rawRequest(lt, 0, KindAdapt, nil); err != nil {
-		select {
-		case n.errs <- err:
-		default:
-		}
-	} else {
+	// Ask the coordinator to adapt while we wait. Adaptation is
+	// best-effort — the program is correct under any placement — so a
+	// failed request is dropped rather than fail the program.
+	if resp, err := n.rawRequest(lt, 0, KindAdapt, nil); err == nil {
 		wire.PutBuf(resp.Payload)
 	}
 }
@@ -88,7 +84,7 @@ func (n *Node) localAffinityReport() wire.AffinityReport {
 func (n *Node) runAdapt(lt *lthread) {
 	n.coordMu.Lock()
 	defer n.coordMu.Unlock()
-	k := n.clusterSpan()
+	k := n.roster.span()
 	if k < 2 {
 		return
 	}
@@ -105,7 +101,7 @@ func (n *Node) runAdapt(lt *lthread) {
 	// Retired and failed ranks own nothing and report nothing; their
 	// anchor vertices below stay empty, so refinement naturally drains
 	// traffic off them.
-	for _, r := range n.members() {
+	for _, r := range n.roster.members() {
 		rep, err := n.pollAffinity(lt, r)
 		if err != nil {
 			return
@@ -212,7 +208,7 @@ func (n *Node) runAdapt(lt *lthread) {
 		// Balance constraints can park an object on a departed or dead
 		// anchor (the part exists in the graph even when the rank is
 		// gone); those placements are never executed.
-		if n.departed(to) || n.isDead(to) {
+		if !n.roster.live(to) {
 			continue
 		}
 		// A migration whose target is a part the *current* home would

@@ -12,7 +12,6 @@ import (
 
 	"autodist/internal/bytecode"
 	"autodist/internal/jit"
-	"autodist/internal/membership"
 	"autodist/internal/metrics"
 	"autodist/internal/rewrite"
 	"autodist/internal/transport"
@@ -101,24 +100,18 @@ type Options struct {
 	// CompileThreshold is the hotness count that triggers compilation
 	// (values below 1 clamp to 1). Ignored unless Compile is set.
 	CompileThreshold int
-	// Elastic enables cluster membership: Join admits new ranks into
-	// the running cluster and Drain retires members gracefully, with
-	// coordination frames stamped by membership view id. Requires an
-	// adaptive plan (live migration is the admission mechanism). Off —
-	// the default — no frame carries a view id and the wire stream is
-	// byte-identical to a static cluster.
-	Elastic bool
-	// MaxRanks reserves the object-id namespace for growth: every
-	// node allocates ids with this stride, so a rank admitted later
-	// can never collide with ids minted before it existed. Defaults to
-	// 64 when Elastic; must be at least the starting cluster size.
-	// Only meaningful with Elastic.
+	// MaxRanks, nonzero, makes the cluster elastic: Join admits new
+	// ranks into the running cluster and Drain retires members
+	// gracefully, with coordination frames stamped by membership view
+	// id. It reserves the object-id namespace for growth — every node
+	// allocates ids with this stride, so a rank admitted later can
+	// never collide with ids minted before it existed — and must be at
+	// least the starting cluster size. Requires an adaptive plan (live
+	// migration is the admission mechanism). Until a rank joins or
+	// drains, no frame carries a view id and the wire stream is
+	// byte-identical to a static cluster's.
 	MaxRanks int
 }
-
-// defaultMaxRanks is the rank-space reservation when Elastic is set
-// without an explicit MaxRanks.
-const defaultMaxRanks = 64
 
 // Cluster is a set of nodes executing one distributed program.
 //
@@ -167,10 +160,6 @@ type Cluster struct {
 	// coherence retention stamp.
 	invokeEpoch int64
 
-	// baseK is the cluster size at construction — the seed view every
-	// node's membership tracker starts from on elastic deployments.
-	baseK int
-
 	// simSnapshot is node 0's virtual clock as of the last completed
 	// invocation (math.Float64bits, monotonically advanced, read
 	// atomically). Live Stats readers use it instead of the VM's raw
@@ -185,10 +174,13 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 	if len(progs) != len(eps) {
 		return nil, fmt.Errorf("runtime: %d programs for %d endpoints", len(progs), len(eps))
 	}
-	if opts.AdaptEvery > 0 && (plan == nil || !plan.Adaptive) {
+	if plan == nil {
+		return nil, fmt.Errorf("runtime: no plan (rewrite.RewriteWith builds one)")
+	}
+	if opts.AdaptEvery > 0 && !plan.Adaptive {
 		return nil, fmt.Errorf("runtime: adaptive repartitioning needs a plan from rewrite.RewriteAdaptive")
 	}
-	if opts.Replicate && (plan == nil || plan.Replicated == nil) {
+	if opts.Replicate && plan.Replicated == nil {
 		return nil, fmt.Errorf("runtime: replication needs a plan from rewrite.RewriteWith(Options{Replicate: true})")
 	}
 	if opts.Replicate && opts.Unoptimized {
@@ -197,23 +189,17 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 	if opts.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("runtime: negative MaxConcurrent %d", opts.MaxConcurrent)
 	}
-	if opts.Elastic {
-		if plan == nil || !plan.Adaptive {
+	if opts.MaxRanks != 0 {
+		if !plan.Adaptive {
 			return nil, fmt.Errorf("runtime: elastic membership needs an adaptive plan (rewrite.RewriteAdaptive)")
-		}
-		if opts.MaxRanks == 0 {
-			opts.MaxRanks = defaultMaxRanks
 		}
 		if opts.MaxRanks < len(progs) {
 			return nil, fmt.Errorf("runtime: MaxRanks %d below cluster size %d", opts.MaxRanks, len(progs))
 		}
-	} else if opts.MaxRanks != 0 {
-		return nil, fmt.Errorf("runtime: MaxRanks without Elastic")
 	}
 	c := &Cluster{
-		opts:  opts,
-		baseK: len(progs),
-		sem:   make(chan struct{}, max(1, opts.MaxConcurrent)),
+		opts: opts,
+		sem:  make(chan struct{}, max(1, opts.MaxConcurrent)),
 	}
 	for i := range progs {
 		n, err := c.buildNode(progs[i], eps[i], plan)
@@ -260,8 +246,7 @@ func (c *Cluster) buildNode(prog *bytecode.Program, ep transport.Endpoint, plan 
 	if opts.Compile {
 		n.VM.EnableJIT(opts.CompileThreshold, jit.Backend(n.VM))
 	}
-	if opts.Elastic {
-		n.view = membership.NewTracker(c.baseK)
+	if opts.MaxRanks != 0 {
 		// Re-key the id namespace before any allocation: with stride
 		// MaxRanks instead of the current size, ids minted now can
 		// never collide with those of a rank admitted later.
@@ -294,54 +279,17 @@ func (c *Cluster) Start() {
 
 // Entrypoints returns the names of the starter entrypoints this
 // cluster can invoke, sorted.
-func (c *Cluster) Entrypoints() []string {
-	starter := c.starter
-	if starter.Plan != nil && starter.Plan.Entrypoints != nil {
-		return starter.Plan.EntrypointNames()
-	}
-	prog := starter.VM.Program()
-	cf := prog.Class(prog.MainClass)
-	if cf == nil {
-		return nil
-	}
-	var out []string
-	for i := range cf.Methods {
-		m := &cf.Methods[i]
-		if m.IsEntrypoint() {
-			out = append(out, m.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (c *Cluster) Entrypoints() []string { return c.starter.Plan.EntrypointNames() }
 
 // resolveEntry maps an entrypoint name to the starter class and method
-// descriptor, consulting the plan's entrypoint table first and falling
-// back to scanning the starter program (plans predating the table).
+// descriptor through the plan's entrypoint table.
 func (c *Cluster) resolveEntry(name string) (class, desc string, err error) {
-	starter := c.starter
-	prog := starter.VM.Program()
-	if prog.MainClass == "" {
-		return "", "", fmt.Errorf("runtime: program has no main class")
+	p := c.starter.Plan
+	if d, ok := p.Entrypoints[name]; ok {
+		return p.MainClass, d, nil
 	}
-	if p := starter.Plan; p != nil && p.Entrypoints != nil {
-		if d, ok := p.Entrypoints[name]; ok {
-			return p.MainClass, d, nil
-		}
-		return "", "", fmt.Errorf("runtime: %s has no static entrypoint %q (have %v)",
-			p.MainClass, name, p.EntrypointNames())
-	}
-	cf := prog.Class(prog.MainClass)
-	if cf == nil {
-		return "", "", fmt.Errorf("runtime: main class %s not loaded", prog.MainClass)
-	}
-	for i := range cf.Methods {
-		m := &cf.Methods[i]
-		if m.Name == name && m.IsEntrypoint() {
-			return cf.Name, m.Desc, nil
-		}
-	}
-	return "", "", fmt.Errorf("runtime: %s has no static entrypoint %q", prog.MainClass, name)
+	return "", "", fmt.Errorf("runtime: %s has no static entrypoint %q (have %v)",
+		p.MainClass, name, p.EntrypointNames())
 }
 
 // InvokeEntry executes one named static entrypoint of the
@@ -568,7 +516,7 @@ func (c *Cluster) stop() {
 		nodes := c.nodesSnapshot()
 		starter := nodes[0]
 		for rank := len(nodes) - 1; rank > 0; rank-- {
-			if starter.departed(rank) {
+			if starter.roster.isDeparted(rank) {
 				// Already retired by a drain; its endpoint is closed.
 				continue
 			}
@@ -653,8 +601,8 @@ func (c *Cluster) TotalStats() NodeStats {
 // view advancement, WELCOME broadcast, object seeding — and starts
 // serving; invocations never pause. Returns the admitted node.
 func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, error) {
-	if !c.opts.Elastic {
-		return nil, fmt.Errorf("runtime: Join on a non-elastic cluster (set Options.Elastic)")
+	if c.opts.MaxRanks == 0 {
+		return nil, fmt.Errorf("runtime: Join on a non-elastic cluster (set Options.MaxRanks)")
 	}
 	c.stateMu.Lock()
 	if !c.started || c.closed {
@@ -707,8 +655,8 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, er
 // rank hosts static classes, kept objects (busy or non-migratable), or
 // is the coordinator.
 func (c *Cluster) Drain(rank int) error {
-	if !c.opts.Elastic {
-		return fmt.Errorf("runtime: Drain on a non-elastic cluster (set Options.Elastic)")
+	if c.opts.MaxRanks == 0 {
+		return fmt.Errorf("runtime: Drain on a non-elastic cluster (set Options.MaxRanks)")
 	}
 	c.stateMu.Lock()
 	if !c.started || c.closed {
@@ -724,33 +672,28 @@ func (c *Cluster) Drain(rank int) error {
 		return fmt.Errorf("runtime: drain rank %d out of range [0,%d)", rank, len(nodes))
 	}
 	starter := nodes[0]
-	if starter.isDead(rank) {
-		return fmt.Errorf("runtime: rank %d is dead; recovery, not drain, handles it", rank)
+	var statics []string
+	for cls, r := range starter.Plan.StaticPart {
+		if r == rank {
+			statics = append(statics, cls)
+		}
 	}
-	if p := starter.Plan; p != nil {
-		var statics []string
-		for cls, r := range p.StaticPart {
-			if r == rank {
-				statics = append(statics, cls)
-			}
-		}
-		if len(statics) > 0 {
-			sort.Strings(statics)
-			return fmt.Errorf("runtime: rank %d hosts static class(es) %v and cannot drain", rank, statics)
-		}
+	if len(statics) > 0 {
+		sort.Strings(statics)
+		return fmt.Errorf("runtime: rank %d hosts static class(es) %v and cannot drain", rank, statics)
 	}
 
 	// Serialise against adaptation rounds and joins: no migration
 	// command built against the old view can be issued after this.
 	starter.coordMu.Lock()
 	defer starter.coordMu.Unlock()
-	cur := starter.view.Current()
-	if !cur.Live(rank) {
-		return fmt.Errorf("runtime: rank %d is not a live member of view %d", rank, cur.ID)
+	w, err := starter.roster.shrink(rank)
+	if err != nil {
+		return fmt.Errorf("runtime: %w", err)
 	}
 	sys := starter.lthread(0)
 	lreq := wire.LeaveRequest{Reason: "drain"}
-	out, err := ask(starter, sys, rank, wire.KindLeave, lreq.Encode(), wire.DecodeLeaveResponse)
+	out, err := ask(starter, sys, rank, wire.KindLeave, lreq.Encode(), wire.DecodeReply)
 	if err != nil {
 		return err
 	}
@@ -760,18 +703,13 @@ func (c *Cluster) Drain(rank int) error {
 	if out.Kept > 0 {
 		return fmt.Errorf("runtime: rank %d kept %d object(s) (busy or non-migratable); drain aborted", rank, out.Kept)
 	}
-	next, err := cur.Shrunk(rank)
-	if err != nil {
-		return err
-	}
 	starter.count(sys, func(s *NodeStats) *int64 { return &s.Drains }, 1)
 	// Every member — this node first — learns the new homes and retires
 	// the leaver from its reliability layer on this delta, before the
 	// leaver's endpoint closes, so the heartbeat deadline never converts
 	// the graceful leave into a PEERDOWN verdict.
-	starter.announce(sys, &wire.Welcome{
-		Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed, Homes: out.Homes,
-	}, -1)
+	w.Homes = out.Homes
+	starter.announce(sys, &w, -1)
 	// Stop the leaver: closing its endpoint ends its serve loop as a
 	// SHUTDOWN frame would.
 	_ = nodes[rank].EP.Close()
@@ -784,7 +722,7 @@ func (c *Cluster) Drain(rank int) error {
 func (c *Cluster) Ranks() int { return len(c.nodesSnapshot()) }
 
 // Departed reports whether rank was drained out of the cluster.
-func (c *Cluster) Departed(rank int) bool { return c.starter.departed(rank) }
+func (c *Cluster) Departed(rank int) bool { return c.starter.roster.isDeparted(rank) }
 
 // Quiescent checks the invariants that hold on the surviving nodes of a
 // cluster with nothing in flight: one home per object, no hint on an

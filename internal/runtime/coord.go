@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 
-	"autodist/internal/membership"
 	"autodist/internal/transport"
 	"autodist/internal/wire"
 )
@@ -30,18 +29,6 @@ func ask[T any](n *Node, lt *lthread, r int, kind uint8, payload []byte, dec fun
 	return dec(resp.Payload)
 }
 
-// members lists, ascending, the ranks a round may address: every rank
-// of the coordination span that has neither departed nor died.
-func (n *Node) members() []int {
-	var out []int
-	for r := 0; r < n.clusterSpan(); r++ {
-		if !n.departed(r) && !n.isDead(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // pollAffinity returns rank r's affinity report: this node's own
 // without a frame, any other's through an AFFINITY exchange.
 func (n *Node) pollAffinity(lt *lthread, r int) (wire.AffinityReport, error) {
@@ -57,34 +44,35 @@ func (n *Node) pollAffinity(lt *lthread, r int) (wire.AffinityReport, error) {
 // non-migratable object, stale command).
 func (n *Node) moveTo(lt *lthread, id int64, owner, to int) (bool, error) {
 	req := wire.MigrateRequest{ID: id, To: to}
-	var out wire.MigrateResponse
+	var out wire.Reply
 	if owner == n.Rank {
 		out = n.handleMigrate(lt, &req)
 	} else {
 		var err error
-		if out, err = ask(n, lt, owner, KindMigrate, req.Encode(), wire.DecodeMigrateResponse); err != nil {
+		if out, err = ask(n, lt, owner, KindMigrate, req.Encode(), wire.DecodeReply); err != nil {
 			return false, err
 		}
 	}
-	if out.Moved {
+	moved := out.Kept == 0 && out.Err == ""
+	if moved {
 		n.learnHome(id, to)
 	}
-	return out.Moved, nil
+	return moved, nil
 }
 
 // promoteOn has survivor r (this node, or a PROMOTE to it) promote its
 // valid replicas of the dead rank's objects, except the ids in taken,
-// and returns the ids it promoted.
-func (n *Node) promoteOn(lt *lthread, r, dead int, taken []int64) ([]int64, error) {
+// and returns the objects it promoted, homed at r.
+func (n *Node) promoteOn(lt *lthread, r, dead int, taken []int64) ([]wire.Home, error) {
 	if r == n.Rank {
 		return n.promoteReplicas(lt, dead, taken), nil
 	}
 	req := wire.PromoteRequest{Dead: dead, Promoted: taken}
-	out, err := ask(n, lt, r, KindPromote, req.Encode(), wire.DecodePromoteResponse)
+	out, err := ask(n, lt, r, KindPromote, req.Encode(), wire.DecodeReply)
 	if err == nil && out.Err != "" {
 		err = errors.New(out.Err)
 	}
-	return out.Promoted, err
+	return out.Homes, err
 }
 
 // announce applies an ownership delta here, then sends it as a WELCOME
@@ -95,9 +83,9 @@ func (n *Node) promoteOn(lt *lthread, r, dead int, taken []int64) ([]int64, erro
 // when older than the receiver's view.
 func (n *Node) announce(lt *lthread, w *wire.Welcome, skip int) {
 	n.applyWelcome(w)
-	for _, r := range n.members() {
+	for _, r := range n.roster.members() {
 		if r != n.Rank && r != skip {
-			_, _ = ask(n, lt, r, wire.KindWelcome, w.Encode(), wire.DecodeDepResponse)
+			_, _ = ask(n, lt, r, wire.KindWelcome, w.Encode(), wire.DecodeReply)
 		}
 	}
 }
@@ -114,20 +102,17 @@ func (n *Node) announce(lt *lthread, w *wire.Welcome, skip int) {
 // fail fast with a peer-down error rather than hang. A delta whose view
 // is older than the installed one raced a later delta and is ignored.
 func (n *Node) applyWelcome(w *wire.Welcome) {
-	var prev membership.View
-	if w.ViewID != 0 && n.view != nil {
-		prev = n.view.Current()
-		if !n.view.Advance(membership.View{ID: w.ViewID, Size: w.Size, Departed: w.Departed}) {
-			return
-		}
+	gone, ok := n.roster.install(w)
+	if !ok {
+		return
 	}
 	for _, h := range w.Homes {
 		if h.Rank != n.Rank {
 			n.learnHome(h.ID, h.Rank)
 		}
 	}
-	for _, d := range w.Departed {
-		if d != n.Rank && prev.Live(d) {
+	for _, d := range gone {
+		if d != n.Rank {
 			transport.RetirePeer(n.EP, d)
 			n.objs.purgeRank(d)
 		}

@@ -68,10 +68,10 @@ class Main {
 
 	// Migrate 1→2, then 2→0: node 1's hint now points at node 2, node
 	// 2's at node 0 — a two-hop chain behind node 1.
-	if out := n1.handleMigrate(n1.lthread(0), &wire.MigrateRequest{ID: id, To: 2}); !out.Moved || out.Err != "" {
+	if out := n1.handleMigrate(n1.lthread(0), &wire.MigrateRequest{ID: id, To: 2}); out.Kept != 0 || out.Err != "" {
 		t.Fatalf("migration 1→2 failed: %+v", out)
 	}
-	if out := n2.handleMigrate(n2.lthread(0), &wire.MigrateRequest{ID: id, To: 0}); !out.Moved || out.Err != "" {
+	if out := n2.handleMigrate(n2.lthread(0), &wire.MigrateRequest{ID: id, To: 0}); out.Kept != 0 || out.Err != "" {
 		t.Fatalf("migration 2→0 failed: %+v", out)
 	}
 	if h, ok := hintOf(n1, id); !ok || h != 2 {

@@ -11,13 +11,13 @@ import (
 
 // This file implements the node half of elastic membership: the JOIN
 // and LEAVE handshakes through which ranks enter and leave a running
-// cluster without pausing invocations. The rank-0 coordinator owns the
-// view (membership.Tracker); an admission and a drain are coordinator
-// rounds like adaptation and recovery (coord.go), serialised on coordMu
-// and closed by the one ownership-delta WELCOME that carries the new
-// view. Coordination frames carry the sender's view id (send() stamps
-// it); a receiver on a newer view refuses the command rather than act
-// on a composition that no longer exists.
+// cluster without pausing invocations. The rank-0 coordinator builds
+// each next view from its roster (roster.go); an admission and a drain
+// are coordinator rounds like adaptation and recovery (coord.go),
+// serialised on coordMu and closed by the one ownership-delta WELCOME
+// that carries the new view. Coordination frames carry the sender's
+// view id (send() stamps it); a receiver on a newer view refuses the
+// command rather than act on a composition that no longer exists.
 
 // isViewStamped reports whether frames of this kind carry the sender's
 // membership view. Only placement-changing coordination traffic is
@@ -32,57 +32,6 @@ func isViewStamped(kind uint8) bool {
 		return true
 	}
 	return false
-}
-
-// staleViewPayload encodes a view-skew refusal in the response type the
-// requester's decoder expects for the given request kind.
-func staleViewPayload(kind uint8, e string) []byte {
-	switch kind {
-	case KindMigrate:
-		return (&wire.MigrateResponse{Err: e}).Encode()
-	case KindTransfer:
-		return (&wire.TransferResponse{Err: e}).Encode()
-	case KindPromote:
-		return (&wire.PromoteResponse{Err: e}).Encode()
-	case wire.KindJoin:
-		return (&wire.Welcome{Reason: e}).Encode()
-	case wire.KindLeave:
-		return (&wire.LeaveResponse{Err: e}).Encode()
-	default:
-		return (&wire.DepResponse{Err: e}).Encode()
-	}
-}
-
-// departed reports whether rank has gracefully left the cluster under
-// the installed view. Distinct from isDead (the failure detector's
-// verdict) and from "unknown": a rank beyond the view's size is a
-// joiner this node has not heard of yet, not a departure.
-func (n *Node) departed(rank int) bool {
-	if n.view == nil {
-		return false
-	}
-	for _, d := range n.view.Current().Departed {
-		if d == rank {
-			return true
-		}
-	}
-	return false
-}
-
-// clusterSpan is the number of ranks cluster-wide coordination loops
-// may address: the installed view's size when membership is on, the
-// fabric size otherwise. The two can disagree — growing the fabric
-// reserves a rank before the coordinator admits it — and polling a
-// reserved-but-unadmitted rank would wait on an endpoint nobody
-// serves yet.
-func (n *Node) clusterSpan() int {
-	k := n.EP.Size()
-	if n.view != nil {
-		if vs := n.view.Current().Size; vs < k {
-			k = vs
-		}
-	}
-	return k
 }
 
 // planDigest fingerprints the distribution contract a joiner must
@@ -115,9 +64,6 @@ func planDigest(p *rewrite.Plan) uint64 {
 // newcomer with a share of the migratable objects so it serves traffic
 // immediately instead of waiting for the adaptation loop to notice it.
 func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Welcome {
-	if n.view == nil {
-		return wire.Welcome{Reason: fmt.Sprintf("node %d: not an elastic cluster", n.Rank)}
-	}
 	if n.Rank != 0 {
 		return wire.Welcome{Reason: fmt.Sprintf("node %d: only the coordinator admits joiners", n.Rank)}
 	}
@@ -126,13 +72,11 @@ func (n *Node) handleJoin(lt *lthread, req *wire.JoinRequest, from int) wire.Wel
 	}
 	n.coordMu.Lock()
 	defer n.coordMu.Unlock()
-	cur := n.view.Current()
-	if from != cur.Size {
-		return wire.Welcome{Reason: fmt.Sprintf("joiner rank %d does not extend view %d (size %d)", from, cur.ID, cur.Size)}
+	w, err := n.roster.grow(from)
+	if err != nil {
+		return wire.Welcome{Reason: err.Error()}
 	}
-	next := cur.Grown()
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Joins }, 1)
-	w := wire.Welcome{Accept: true, ViewID: next.ID, Size: next.Size, Departed: next.Departed}
 	n.announce(lt, &w, from)
 	n.runRebalance(lt, from)
 	return w
@@ -152,7 +96,7 @@ func (n *Node) runRebalance(lt *lthread, to int) {
 	}
 	var objs []owned
 	live := 0
-	for _, r := range n.members() {
+	for _, r := range n.roster.members() {
 		if r == to {
 			continue
 		}
@@ -199,28 +143,25 @@ func (n *Node) runRebalance(lt *lthread, to int) {
 // finish against the old home and later ones forward. Objects still
 // busy after two passes are reported as kept — the coordinator aborts
 // the drain rather than strand them.
-func (n *Node) handleLeave(lt *lthread) wire.LeaveResponse {
-	if n.view == nil {
-		return wire.LeaveResponse{Err: fmt.Sprintf("node %d: not an elastic cluster", n.Rank)}
-	}
+func (n *Node) handleLeave(lt *lthread) wire.Reply {
 	if n.Rank == 0 {
-		return wire.LeaveResponse{Err: "the coordinator cannot leave"}
+		return wire.Reply{Err: "the coordinator cannot leave"}
 	}
 	var targets []int
-	for _, r := range n.members() {
+	for _, r := range n.roster.members() {
 		if r != n.Rank {
 			targets = append(targets, r)
 		}
 	}
 	if len(targets) == 0 {
-		return wire.LeaveResponse{Err: fmt.Sprintf("node %d: no live member to drain to", n.Rank)}
+		return wire.Reply{Err: fmt.Sprintf("node %d: no live member to drain to", n.Rank)}
 	}
 	var ids []int64
 	for _, o := range n.objs.owned() {
 		ids = append(ids, o.ID)
 	}
 
-	out := wire.LeaveResponse{}
+	out := wire.Reply{}
 	next := 0
 	// Two passes: an object whose gate was busy on the first pass is
 	// usually quiescent by the second.
@@ -230,7 +171,7 @@ func (n *Node) handleLeave(lt *lthread) wire.LeaveResponse {
 			to := targets[next%len(targets)]
 			next++
 			req := wire.MigrateRequest{ID: id, To: to}
-			if res := n.handleMigrate(lt, &req); res.Moved {
+			if res := n.handleMigrate(lt, &req); res.Kept == 0 && res.Err == "" {
 				out.Homes = append(out.Homes, wire.Home{ID: id, Rank: to})
 			} else {
 				left = append(left, id)

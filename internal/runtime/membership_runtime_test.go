@@ -122,7 +122,7 @@ func joinerProgram(t *testing.T, rw *rewrite.Result, eps []transport.Endpoint) (
 }
 
 func TestElasticJoinThenDrain(t *testing.T) {
-	c, rw, eps := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, Elastic: true, MaxRanks: 8})
+	c, rw, eps := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, MaxRanks: 8})
 	defer c.Kill()
 
 	invoke := func(name string, args ...int64) int64 {
@@ -221,7 +221,7 @@ func TestElasticJoinThenDrain(t *testing.T) {
 }
 
 func TestDrainRefusals(t *testing.T) {
-	c, _, _ := buildElastic(t, 3, runtime.Options{AdaptEvery: 4, Elastic: true, MaxRanks: 8})
+	c, _, _ := buildElastic(t, 3, runtime.Options{AdaptEvery: 4, MaxRanks: 8})
 	defer c.Kill()
 	if err := c.Drain(0); err == nil {
 		t.Error("draining the coordinator succeeded")
@@ -270,7 +270,7 @@ func TestDrainRefusesStaticHost(t *testing.T) {
 	}
 	var out strings.Builder
 	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2), runtime.Options{
-		Out: &out, MaxSteps: 50_000_000, AdaptEvery: 4, Elastic: true, MaxRanks: 4,
+		Out: &out, MaxSteps: 50_000_000, AdaptEvery: 4, MaxRanks: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestDrainRefusesStaticHost(t *testing.T) {
 }
 
 func TestJoinDigestMismatchRefused(t *testing.T) {
-	c, _, eps := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, Elastic: true, MaxRanks: 8})
+	c, _, eps := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, MaxRanks: 8})
 	defer c.Kill()
 	// Speak the handshake directly with a wrong digest: the
 	// coordinator must refuse without advancing the view.
@@ -349,7 +349,7 @@ func TestElasticOffWireUnchanged(t *testing.T) {
 		opts runtime.Options
 	}{
 		{"elastic-off", runtime.Options{AdaptEvery: 4}},
-		{"elastic-unused", runtime.Options{AdaptEvery: 4, Elastic: true, MaxRanks: 8}},
+		{"elastic-unused", runtime.Options{AdaptEvery: 4, MaxRanks: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bp, _, err := compile.CompileSource(cellsSource)

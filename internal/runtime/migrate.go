@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"autodist/internal/vm"
@@ -41,35 +42,31 @@ func migratable(o *vm.Object) bool { return !o.Class.MayHoldArray() }
 
 // handleMigrate executes a coordinator's ownership-transfer command for
 // one object this node owns, accounted on the logical thread whose
-// epoch crossing triggered the round. A false Moved result is a skip
+// epoch crossing triggered the round. A reply with Kept 1 is a skip
 // (busy or non-migratable object, stale command), not a failure.
-func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.MigrateResponse {
-	if req.To == n.Rank {
-		return wire.MigrateResponse{}
-	}
-	if req.To < 0 || req.To >= n.EP.Size() {
-		return wire.MigrateResponse{Err: fmt.Sprintf("migrate target %d out of range", req.To)}
-	}
-	if n.departed(req.To) || n.isDead(req.To) {
-		// A command built against an older view; the object stays put.
-		return wire.MigrateResponse{}
+func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Reply {
+	skip := wire.Reply{Kept: 1}
+	if req.To == n.Rank || !n.roster.live(req.To) {
+		// A no-op, or a command built against an older view: the
+		// object stays put.
+		return skip
 	}
 	if h := n.objs.holder(req.ID); h == nil || !migratable(h) {
-		return wire.MigrateResponse{}
+		return skip
 	}
 	// The holder as of the freeze: the object may have moved since the
 	// earlier read, but ownership cannot change while frozen.
 	h, ok := n.objs.freeze(req.ID)
 	if !ok {
-		return wire.MigrateResponse{}
+		return skip
 	}
 	defer n.objs.thaw(req.ID)
 	if h == nil {
-		return wire.MigrateResponse{}
+		return skip
 	}
 	fields, err := n.toWireSlice(h.Fields)
 	if err != nil {
-		return wire.MigrateResponse{Err: err.Error()}
+		return wire.Reply{Err: err.Error()}
 	}
 	// The replica set travels with ownership: taking it under the
 	// freeze (no reader can register while frozen) and shipping it in
@@ -77,16 +74,13 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 	// first write invalidates exactly the replicas that exist.
 	readers := n.objs.takeReaders(req.ID)
 	treq := wire.TransferRequest{ID: req.ID, Class: h.Class.Name(), Fields: fields, Readers: readers}
-	fail := func(err error) wire.MigrateResponse {
-		n.objs.restoreReaders(req.ID, readers)
-		return wire.MigrateResponse{Err: err.Error()}
+	tout, err := ask(n, lt, req.To, KindTransfer, treq.Encode(), wire.DecodeReply)
+	if err == nil && tout.Err != "" {
+		err = errors.New(tout.Err)
 	}
-	tout, err := ask(n, lt, req.To, KindTransfer, treq.Encode(), wire.DecodeTransferResponse)
 	if err != nil {
-		return fail(err)
-	}
-	if tout.Err != "" {
-		return fail(fmt.Errorf("%s", tout.Err))
+		n.objs.restoreReaders(req.ID, readers)
+		return wire.Reply{Err: err.Error()}
 	}
 	// The new owner has installed the state: drop ownership, leave the
 	// forwarding pointer and our own cached reads of the object in one
@@ -97,7 +91,7 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 	// The object left this node: invalidate compiled methods so the
 	// tier re-profiles under the new ownership map.
 	n.VM.InvalidateCompiled()
-	return wire.MigrateResponse{Moved: true}
+	return wire.Reply{}
 }
 
 // handleTransfer installs a migrating object's state on this node. If
@@ -107,14 +101,14 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Migrate
 // canonical rep is a proxy, a hidden backing instance holds the state
 // and the proxy keeps representing the object on the heap
 // (canonicalize maps escapes of the backing `this` back to it).
-func (n *Node) handleTransfer(req *wire.TransferRequest) wire.TransferResponse {
+func (n *Node) handleTransfer(req *wire.TransferRequest) error {
 	cls := n.VM.Class(req.Class)
 	if cls == nil {
-		return wire.TransferResponse{Err: fmt.Sprintf("node %d: unknown class %s", n.Rank, req.Class)}
+		return fmt.Errorf("node %d: unknown class %s", n.Rank, req.Class)
 	}
 	vals, err := n.fromWireSlice(req.Fields)
 	if err != nil {
-		return wire.TransferResponse{Err: err.Error()}
+		return err
 	}
 	var h *vm.Object
 	if c := n.objs.canonOf(req.ID); c != nil && c.Class.Name() != depObjectClassName {
@@ -125,13 +119,13 @@ func (n *Node) handleTransfer(req *wire.TransferRequest) wire.TransferResponse {
 		h.ID = req.ID
 	}
 	if len(vals) != len(h.Fields) {
-		return wire.TransferResponse{Err: fmt.Sprintf("node %d: %s transfer carries %d fields, class has %d",
-			n.Rank, req.Class, len(vals), len(h.Fields))}
+		return fmt.Errorf("node %d: %s transfer carries %d fields, class has %d",
+			n.Rank, req.Class, len(vals), len(h.Fields))
 	}
 	copy(h.Fields, vals)
 	n.objs.install(req.ID, h, req.Readers)
 	// Ownership arrived: re-profile under the new shape (matching the
 	// sender's invalidation in handleMigrate).
 	n.VM.InvalidateCompiled()
-	return wire.TransferResponse{}
+	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"autodist/internal/bytecode"
-	"autodist/internal/membership"
 	"autodist/internal/rewrite"
 	"autodist/internal/transport"
 	"autodist/internal/vm"
@@ -74,7 +73,7 @@ type Node struct {
 	adaptEvery int
 
 	// replicate enables the read-replication protocol (REPLICATE /
-	// INVALIDATE / REPLICA-ACK) for access kinds the rewriter stamped
+	// INVALIDATE) for access kinds the rewriter stamped
 	// against a replicated plan; off, those kinds degrade to plain
 	// synchronous accesses.
 	replicate bool
@@ -98,11 +97,6 @@ type Node struct {
 	// the coordinator (rank 0), and re-driven invocations replay from
 	// the journal. Off (the default), none of it touches the wire.
 	recovery bool
-
-	// deadMu guards the set of ranks the failure detector declared
-	// dead. Sticky: a dead rank never comes back.
-	deadMu sync.Mutex
-	dead   map[int]bool
 
 	// recMu guards the recovery-round progress the re-drive path waits
 	// on: recActive counts rounds started and not finished, recGen
@@ -134,11 +128,10 @@ type Node struct {
 	// interleave.
 	coordMu sync.Mutex
 
-	// view tracks the cluster's membership view on elastic deployments
-	// (membership.go). Nil — the default — disables the subsystem
-	// entirely: no frame carries a view id and the wire stream is
-	// byte-identical to a static cluster.
-	view *membership.Tracker
+	// roster is who this node knows to be in the cluster: the
+	// installed membership view and the ranks declared dead
+	// (roster.go).
+	roster roster
 
 	// ltMu guards the per-logical-thread context table (see
 	// thread.go). All thread-scoped state — asynchronous call buffers,
@@ -152,7 +145,6 @@ type Node struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
-	errs chan error
 
 	// workers recycles the handler goroutines Serve dispatches onto,
 	// so steady-state requests reuse warm (already-grown) stacks
@@ -256,7 +248,7 @@ type NodeStats struct {
 	// coordinator); Drains counts members retired gracefully;
 	// StaleViews counts coordination frames rejected because they
 	// carried an outdated membership view. All are zero unless the
-	// deployment is elastic (Options.Elastic).
+	// deployment is elastic (Options.MaxRanks).
 	Joins      int64
 	Drains     int64
 	StaleViews int64
@@ -278,10 +270,9 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 		Plan:    plan,
 		copies:  transport.CopiesPayload(ep),
 		pending: map[uint64]pendingReq{},
-		dead:    map[int]bool{},
+		roster:  roster{size: ep.Size()},
 		lts:     map[uint64]*lthread{},
 		done:    make(chan struct{}),
-		errs:    make(chan error, 16),
 	}
 	n.objs.self, n.objs.done = n.Rank, n.done
 	if cls := machine.Class(depObjectClassName); cls != nil {
@@ -396,8 +387,8 @@ func (n *Node) proxyIdentity(p *vm.Object) (home int, id int64, class string) {
 // (see fetchReplica's redirect loop).
 func (n *Node) send(lt *lthread, msg transport.Message) error {
 	msg.TID = lt.tid
-	if n.view != nil && isViewStamped(msg.Kind) {
-		msg.View = n.view.ID()
+	if isViewStamped(msg.Kind) {
+		msg.View = n.roster.viewID()
 	}
 	n.count(lt, func(s *NodeStats) *int64 { return &s.MessagesSent }, 1)
 	n.count(lt, func(s *NodeStats) *int64 { return &s.BytesSent }, int64(len(msg.Payload)))
@@ -451,7 +442,7 @@ func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (tran
 	// a channel received from is empty and safe to reuse for the next
 	// request. Channels abandoned on the shutdown path are simply not
 	// returned to the pool.
-	if n.isDead(to) {
+	if n.roster.isDead(to) {
 		// Fail fast instead of registering a request no response can
 		// ever answer: the destination was declared dead.
 		wire.PutBuf(payload)
@@ -590,10 +581,6 @@ func (n *Node) advanceTo(t float64) {
 func (n *Node) execTask(msg transport.Message) {
 	defer n.wg.Done()
 	defer wire.PutBuf(msg.Payload)
-	if msg.Kind == KindInvalidate {
-		n.handleInvalidate(msg)
-		return
-	}
 	n.handle(msg)
 }
 
@@ -622,7 +609,7 @@ func (n *Node) Serve() {
 				return
 			}
 			switch msg.Kind {
-			case KindResponse, KindReplicaAck:
+			case KindResponse:
 				n.mu.Lock()
 				pr, ok := n.pending[msg.Tag]
 				delete(n.pending, msg.Tag)
@@ -671,16 +658,12 @@ func (n *Node) handle(msg transport.Message) {
 			// replay the failure.
 			lt.journalPut(msg.From, msg.Dedup, payload)
 		}
-		resp := transport.Message{
+		// A reply that cannot be sent is dropped: its requester is gone
+		// or this node is shutting down.
+		_ = n.send(lt, transport.Message{
 			To: msg.From, Tag: msg.Tag, Kind: KindResponse,
 			Payload: payload, Time: n.VM.SimSeconds(),
-		}
-		if err := n.send(lt, resp); err != nil {
-			select {
-			case n.errs <- err:
-			default:
-			}
-		}
+		})
 	}
 
 	// finish flushes the fire-and-forget calls the thread buffered
@@ -698,11 +681,15 @@ func (n *Node) handle(msg transport.Message) {
 	// built against a composition that no longer exists (e.g. a
 	// migration targeting a rank drained since), so it is refused and
 	// the sender retries after installing the current view.
-	if n.view != nil && msg.View != 0 && isViewStamped(msg.Kind) {
-		if cur := n.view.ID(); msg.View < cur {
+	if msg.View != 0 && isViewStamped(msg.Kind) {
+		if cur := n.roster.viewID(); msg.View < cur {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.StaleViews }, 1)
 			e := fmt.Sprintf("node %d: stale view %d (current %d)", n.Rank, msg.View, cur)
-			reply(staleViewPayload(msg.Kind, e))
+			if msg.Kind == wire.KindJoin {
+				reply((&wire.Welcome{Reason: e}).Encode())
+			} else {
+				reply((&wire.Reply{Err: e}).Encode())
+			}
 			return
 		}
 	}
@@ -763,24 +750,9 @@ func (n *Node) handle(msg transport.Message) {
 		payload := out.Encode()
 		putDepSeqScratch(sc)
 		reply(payload)
-	case KindAdapt:
-		// A non-coordinator node crossed an adaptation epoch and asked
-		// us (the coordinator) to run a round while its logical thread
-		// waits; the round is accounted on that thread.
-		n.runAdapt(lt)
-		out := wire.DepResponse{}
-		reply(out.Encode())
 	case KindAffinity:
 		rep := n.localAffinityReport()
 		reply(rep.Encode())
-	case KindMigrate:
-		out := wire.MigrateResponse{}
-		if req, err := wire.DecodeMigrateRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			out = n.handleMigrate(lt, &req)
-		}
-		reply(out.Encode())
 	case KindReplicate:
 		out := wire.ReplicateResponse{}
 		if req, err := wire.DecodeReplicateRequest(msg.Payload); err != nil {
@@ -789,21 +761,8 @@ func (n *Node) handle(msg transport.Message) {
 			out = n.handleReplicate(&req, msg.From)
 		}
 		reply(out.Encode())
-	case KindTransfer:
-		out := wire.TransferResponse{}
-		if req, err := wire.DecodeTransferRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			out = n.handleTransfer(&req)
-		}
-		reply(out.Encode())
-	case KindPromote:
-		out := wire.PromoteResponse{}
-		if req, err := wire.DecodePromoteRequest(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			out.Promoted = n.promoteReplicas(lt, req.Dead, req.Promoted)
-		}
+	case KindInvalidate:
+		out := n.handleInvalidate(msg.Payload)
 		reply(out.Encode())
 	case wire.KindJoin:
 		out := wire.Welcome{}
@@ -813,23 +772,51 @@ func (n *Node) handle(msg transport.Message) {
 			out = n.handleJoin(lt, &req, msg.From)
 		}
 		reply(out.Encode())
-	case wire.KindWelcome:
-		out := wire.DepResponse{}
-		if w, err := wire.DecodeWelcome(msg.Payload); err != nil {
-			out.Err = err.Error()
-		} else {
-			n.applyWelcome(&w)
-		}
-		reply(out.Encode())
-	case wire.KindLeave:
-		out := wire.LeaveResponse{}
-		if _, err := wire.DecodeLeaveRequest(msg.Payload); err != nil {
-			out = wire.LeaveResponse{Err: err.Error()}
-		} else {
-			out = n.handleLeave(lt)
-		}
+	case KindAdapt, KindMigrate, KindTransfer, KindPromote, wire.KindWelcome, wire.KindLeave:
+		out := n.command(lt, msg)
 		reply(out.Encode())
 	}
+}
+
+// command runs one coordination command — ADAPT, MIGRATE, TRANSFER,
+// PROMOTE, WELCOME or LEAVE — and returns its reply.
+func (n *Node) command(lt *lthread, msg transport.Message) wire.Reply {
+	var err error
+	switch msg.Kind {
+	case KindAdapt:
+		// A non-coordinator node crossed an adaptation epoch and asked
+		// us (the coordinator) to run a round while its logical thread
+		// waits; the round is accounted on that thread.
+		n.runAdapt(lt)
+	case KindMigrate:
+		var req wire.MigrateRequest
+		if req, err = wire.DecodeMigrateRequest(msg.Payload); err == nil {
+			return n.handleMigrate(lt, &req)
+		}
+	case KindTransfer:
+		var req wire.TransferRequest
+		if req, err = wire.DecodeTransferRequest(msg.Payload); err == nil {
+			err = n.handleTransfer(&req)
+		}
+	case KindPromote:
+		var req wire.PromoteRequest
+		if req, err = wire.DecodePromoteRequest(msg.Payload); err == nil {
+			return wire.Reply{Homes: n.promoteReplicas(lt, req.Dead, req.Promoted)}
+		}
+	case wire.KindWelcome:
+		var w wire.Welcome
+		if w, err = wire.DecodeWelcome(msg.Payload); err == nil {
+			n.applyWelcome(&w)
+		}
+	case wire.KindLeave:
+		if _, err = wire.DecodeLeaveRequest(msg.Payload); err == nil {
+			return n.handleLeave(lt)
+		}
+	}
+	if err != nil {
+		return wire.Reply{Err: err.Error()}
+	}
+	return wire.Reply{}
 }
 
 // handleNew creates the real object for a remote NEW message: it finds

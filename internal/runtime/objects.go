@@ -731,9 +731,7 @@ func (t *objTable) restoreReaders(id int64, readers []int) {
 func quiescent(nodes []*Node) error {
 	var errs []error
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
-	live := func(r int) bool {
-		return r >= 0 && r < len(nodes) && !nodes[0].isDead(r) && !nodes[0].departed(r)
-	}
+	live := nodes[0].roster.live
 	homes := map[int64][]int{}
 	deadHints := map[int64]bool{} // ids every live hint so far ties to a dead rank
 	for _, n := range nodes {

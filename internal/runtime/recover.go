@@ -50,31 +50,13 @@ func (n *Node) closeDone() {
 	n.downOnce.Do(func() { close(n.done) })
 }
 
-// isDead reports whether the failure detector declared rank dead.
-func (n *Node) isDead(rank int) bool {
-	n.deadMu.Lock()
-	defer n.deadMu.Unlock()
-	return n.dead[rank]
-}
-
-// markDead records a dead rank; reports whether it was newly dead.
-func (n *Node) markDead(rank int) bool {
-	n.deadMu.Lock()
-	defer n.deadMu.Unlock()
-	if n.dead[rank] {
-		return false
-	}
-	n.dead[rank] = true
-	return true
-}
-
 // handlePeerDown processes the reliability layer's verdict on the
 // serve loop: mark the rank dead, start a recovery round if this node
 // is the coordinator, then sweep the in-flight requests waiting on the
 // dead rank. The round starts before the sweep so a swept requester
 // that immediately awaits recovery observes it in progress.
 func (n *Node) handlePeerDown(dead int) {
-	if dead < 0 || dead >= n.EP.Size() || dead == n.Rank || n.departed(dead) || !n.markDead(dead) {
+	if dead == n.Rank || !n.roster.markDead(dead) {
 		return
 	}
 	if n.recovery && n.Rank == 0 {
@@ -119,16 +101,11 @@ func (n *Node) replayJournaled(lt *lthread, msg transport.Message) bool {
 	if !ok {
 		return false
 	}
-	resp := transport.Message{
+	// A resend that cannot be sent is dropped, as handle drops a reply.
+	_ = n.send(lt, transport.Message{
 		To: msg.From, Tag: msg.Tag, Kind: KindResponse,
 		Payload: append(wire.GetBuf(), p...), Time: n.VM.SimSeconds(),
-	}
-	if err := n.send(lt, resp); err != nil {
-		select {
-		case n.errs <- err:
-		default:
-		}
-	}
+	})
 	return true
 }
 
@@ -195,15 +172,15 @@ func (n *Node) runRecovery(dead int) {
 	sys := n.lthread(0)
 	w := wire.Welcome{Dead: dead}
 	var taken []int64
-	for _, r := range n.members() {
-		ids, err := n.promoteOn(sys, r, dead, taken)
+	for _, r := range n.roster.members() {
+		homes, err := n.promoteOn(sys, r, dead, taken)
 		if err != nil {
 			continue
 		}
-		for _, id := range ids {
-			w.Homes = append(w.Homes, wire.Home{ID: id, Rank: r})
+		w.Homes = append(w.Homes, homes...)
+		for _, h := range homes {
+			taken = append(taken, h.ID)
 		}
-		taken = append(taken, ids...)
 		slices.Sort(taken)
 	}
 	n.announce(sys, &w, -1)
@@ -223,9 +200,13 @@ func (n *Node) finishRecovery() {
 
 // promoteReplicas installs this node's valid replicas of the dead rank's
 // objects, except the ids in taken, as authoritative copies
-// (objTable.promote) and returns the ids promoted.
-func (n *Node) promoteReplicas(lt *lthread, dead int, taken []int64) []int64 {
+// (objTable.promote) and returns them, homed here.
+func (n *Node) promoteReplicas(lt *lthread, dead int, taken []int64) []wire.Home {
 	ids := n.objs.promote(dead, taken)
 	n.count(lt, func(s *NodeStats) *int64 { return &s.PromotedReplicas }, int64(len(ids)))
-	return ids
+	homes := make([]wire.Home, len(ids))
+	for i, id := range ids {
+		homes[i] = wire.Home{ID: id, Rank: n.Rank}
+	}
+	return homes
 }

@@ -13,7 +13,7 @@ import (
 
 // This file implements the runtime half of read-replication: the
 // pull-based replica install (REPLICATE), the update-or-invalidate
-// write barrier (INVALIDATE / REPLICA-ACK), and local replica serving
+// write barrier (INVALIDATE, acknowledged with a ReplicaAck), and local replica serving
 // for the GetFieldReplicated / InvokeReplicaRead access kinds. The
 // state it manipulates lives in the object records (objects.go).
 //
@@ -300,13 +300,10 @@ func (n *Node) invalidateOne(lt *lthread, r int, req *wire.InvalidateRequest) (k
 }
 
 // handleInvalidate patches or drops this node's replica of the named
-// object and acknowledges with a REPLICA-ACK frame saying whether a
-// replica is still held.
-func (n *Node) handleInvalidate(msg transport.Message) {
-	lt := n.lthread(msg.TID)
-	n.advanceTo(msg.Time + n.Net.Cost(len(msg.Payload)))
+// object and acknowledges, saying whether a replica is still held.
+func (n *Node) handleInvalidate(payload []byte) wire.ReplicaAck {
 	var ack wire.ReplicaAck
-	req, err := wire.DecodeInvalidateRequest(msg.Payload)
+	req, err := wire.DecodeInvalidateRequest(payload)
 	if err == nil && req.Update {
 		var v vm.Value
 		if v, err = n.fromWire(req.Value); err == nil {
@@ -318,14 +315,5 @@ func (n *Node) handleInvalidate(msg transport.Message) {
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	resp := transport.Message{
-		To: msg.From, Tag: msg.Tag, Kind: KindReplicaAck,
-		Payload: ack.Encode(), Time: n.VM.SimSeconds(),
-	}
-	if err := n.send(lt, resp); err != nil {
-		select {
-		case n.errs <- err:
-		default:
-		}
-	}
+	return ack
 }

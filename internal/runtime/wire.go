@@ -61,16 +61,19 @@ import (
 // asynchronous calls, or those calls alone in a DEPENDENCE — and the
 // NEW, DEPENDENCE and DEPSEQ replies are response vectors
 // (wire.DepSeqResponse). Numbers 5 (the retired BARRIER) and 6
-// (DEPENDENCE_BATCH) are never sent; KindDependenceBatch keeps its name
-// for trace tools that classify recorded frames.
+// (DEPENDENCE_BATCH) are never sent, nor is 13 (REPLICA-ACK: an
+// INVALIDATE is answered with a RESPONSE); KindDependenceBatch and
+// KindReplicaAck keep their names for trace tools that classify
+// recorded frames.
 // ADAPT/AFFINITY/MIGRATE/TRANSFER are the adaptive-repartitioning
 // frames: ADAPT asks the coordinator for an adaptation round, AFFINITY
 // polls a node's traffic counters, MIGRATE commands an ownership
-// transfer and TRANSFER ships the object state to its new home. REPLICATE/INVALIDATE/REPLICA-ACK are the
-// read-replication frames: a reader pulls a registered replica
-// snapshot, and a write pushes invalidations that must be acknowledged
-// before it completes. ARCHITECTURE.md documents every frame kind and
-// its payload format.
+// transfer and TRANSFER ships the object state to its new home; every
+// coordination command but JOIN is answered with one wire.Reply.
+// REPLICATE/INVALIDATE are the read-replication frames: a reader pulls
+// a registered replica snapshot, and a write pushes invalidations that
+// must be acknowledged before it completes. ARCHITECTURE.md documents
+// every frame kind and its payload format.
 const (
 	KindNew uint8 = iota + 1
 	KindDependence

@@ -93,9 +93,6 @@ type boundMethod struct {
 // Name returns the class name.
 func (c *Class) Name() string { return c.File.Name }
 
-// NumFields returns the instance field count including inherited fields.
-func (c *Class) NumFields() int { return c.numFields }
-
 // MayHoldArray reports whether an instance field of the class is
 // declared with a type that can hold an array. It depends only on the
 // declarations, so it is safe to ask while other threads write the

@@ -204,29 +204,6 @@ func DecodeMigrateRequest(data []byte) (MigrateRequest, error) {
 	return m, r.Err()
 }
 
-// MigrateResponse reports the outcome of a migration command. Moved is
-// false when the owner declined (object busy, non-migratable, or
-// already gone) — a skip, not an error.
-type MigrateResponse struct {
-	Moved bool
-	Err   string
-}
-
-// Encode serialises the response.
-func (m *MigrateResponse) Encode() []byte {
-	b := appendBool(GetBuf(), m.Moved)
-	return appendString(b, m.Err)
-}
-
-// DecodeMigrateResponse parses a MigrateResponse body.
-func DecodeMigrateResponse(data []byte) (MigrateResponse, error) {
-	r := NewReader(data)
-	var m MigrateResponse
-	m.Moved = r.Bool()
-	m.Err = r.String()
-	return m, r.Err()
-}
-
 // TransferRequest carries a migrating object's state to its new owner:
 // the global id, the class, and the field values in slot order (object
 // references travel as global refs, exactly as in dependence messages).
@@ -256,22 +233,6 @@ func DecodeTransferRequest(data []byte) (TransferRequest, error) {
 	m.Class = r.String()
 	m.Fields = r.Values()
 	m.Readers = r.ints()
-	return m, r.Err()
-}
-
-// TransferResponse acknowledges an installed transfer.
-type TransferResponse struct {
-	Err string
-}
-
-// Encode serialises the response.
-func (m *TransferResponse) Encode() []byte { return appendString(GetBuf(), m.Err) }
-
-// DecodeTransferResponse parses a TransferResponse body.
-func DecodeTransferResponse(data []byte) (TransferResponse, error) {
-	r := NewReader(data)
-	var m TransferResponse
-	m.Err = r.String()
 	return m, r.Err()
 }
 

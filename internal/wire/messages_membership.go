@@ -8,11 +8,11 @@ package wire
 // node opens with JOIN, presenting the digest of the program it was
 // rewritten from (admission is refused on a mismatch — a joiner built
 // from a different program cannot share objects); the reply is the
-// WELCOME every member also receives. LEAVE asks a member to drain and
-// reports where its objects went; PROMOTE asks a survivor to install
-// its replicas of a dead rank's objects as authoritative copies. All
-// ride the ordinary tagged request/response machinery on the system
-// thread.
+// WELCOME every member also receives. LEAVE asks a member to drain;
+// PROMOTE asks a survivor to install its replicas of a dead rank's
+// objects as authoritative copies. Every coordination command but JOIN
+// is answered with one Reply. All ride the ordinary tagged
+// request/response machinery on the system thread.
 
 func appendIDs(b []byte, ids []int64) []byte {
 	b = appendUvarint(b, uint64(len(ids)))
@@ -181,24 +181,6 @@ func DecodePromoteRequest(data []byte) (PromoteRequest, error) {
 	return m, r.Err()
 }
 
-// PromoteResponse lists the ids the survivor promoted, ascending.
-type PromoteResponse struct {
-	Promoted []int64
-	Err      string
-}
-
-// Encode serialises the response into a pooled buffer.
-func (m *PromoteResponse) Encode() []byte {
-	return appendString(appendIDs(GetBuf(), m.Promoted), m.Err)
-}
-
-// DecodePromoteResponse parses a PromoteResponse payload.
-func DecodePromoteResponse(data []byte) (PromoteResponse, error) {
-	r := NewReader(data)
-	m := PromoteResponse{Promoted: r.ids(), Err: r.String()}
-	return m, r.Err()
-}
-
 // LeaveRequest instructs the receiver to drain: migrate every object
 // it owns to live ranks and report the new homes.
 type LeaveRequest struct {
@@ -218,24 +200,70 @@ func DecodeLeaveRequest(data []byte) (LeaveRequest, error) {
 	return m, r.Err()
 }
 
-// LeaveResponse reports the drain's outcome: where the leaver's
-// objects went and how many it could not move. A nonzero Kept aborts
-// the leave — the node stays a member rather than strand state.
-type LeaveResponse struct {
+// Reply answers every coordination command but JOIN: MIGRATE,
+// TRANSFER, PROMOTE, LEAVE, WELCOME and ADAPT, and a refusal of any of
+// them for a stale view. Body: head byte (Homes 0x01, Kept 0x02, Err
+// 0x04), then only the fields present, in that order; an undefined head
+// bit is a decode error. An empty reply — the plain acknowledgement —
+// is the head byte alone.
+type Reply struct {
+	// Homes are the objects the command placed: promoted on the replier
+	// (PROMOTE) or drained off it (LEAVE).
 	Homes []Home
-	Kept  int
-	Err   string
+	// Kept counts the objects the command left where they were: a
+	// skipped migration, or a leaver's objects it could not move (a
+	// nonzero Kept aborts the leave rather than strand state).
+	Kept int
+	Err  string
 }
 
-// Encode serialises the response into a pooled buffer.
-func (m *LeaveResponse) Encode() []byte {
-	b := appendUvarint(appendHomes(GetBuf(), m.Homes), uint64(m.Kept))
-	return appendString(b, m.Err)
+const (
+	replyHomes = 1 << iota
+	replyKept
+	replyErr
+)
+
+// Encode serialises the reply into a pooled buffer.
+func (m *Reply) Encode() []byte {
+	var head byte
+	if len(m.Homes) > 0 {
+		head |= replyHomes
+	}
+	if m.Kept != 0 {
+		head |= replyKept
+	}
+	if m.Err != "" {
+		head |= replyErr
+	}
+	b := append(GetBuf(), head)
+	if len(m.Homes) > 0 {
+		b = appendHomes(b, m.Homes)
+	}
+	if m.Kept != 0 {
+		b = appendUvarint(b, uint64(m.Kept))
+	}
+	if m.Err != "" {
+		b = appendString(b, m.Err)
+	}
+	return b
 }
 
-// DecodeLeaveResponse parses a LeaveResponse payload.
-func DecodeLeaveResponse(data []byte) (LeaveResponse, error) {
+// DecodeReply parses a Reply payload.
+func DecodeReply(data []byte) (Reply, error) {
 	r := NewReader(data)
-	m := LeaveResponse{Homes: r.homes(), Kept: int(r.Uvarint()), Err: r.String()}
+	head := r.Byte()
+	if head&^(replyHomes|replyKept|replyErr) != 0 {
+		r.fail("reply head %#x has undefined bits", head)
+	}
+	var m Reply
+	if head&replyHomes != 0 {
+		m.Homes = r.homes()
+	}
+	if head&replyKept != 0 {
+		m.Kept = int(r.Uvarint())
+	}
+	if head&replyErr != 0 {
+		m.Err = r.String()
+	}
 	return m, r.Err()
 }

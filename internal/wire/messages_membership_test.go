@@ -18,6 +18,18 @@ var coordWelcomes = []Welcome{
 	{Accept: true, Reason: "r", ViewID: 1 << 50, Size: 64, Departed: []int{1}, Dead: 5, Homes: []Home{{4, 2}}},
 }
 
+// coordReplies covers every shape of the coordination reply: the plain
+// acknowledgement, a skipped migration, promoted homes, a drain that
+// moved some objects and kept others, a refusal, and all three at once.
+var coordReplies = []Reply{
+	{},
+	{Kept: 1},
+	{Homes: []Home{{4, 1}, {9, 1}}},
+	{Homes: []Home{{7, 1}, {8, 2}}, Kept: 3},
+	{Err: "stale view"},
+	{Homes: []Home{{-7, 0}, {1 << 40, 3}}, Kept: 1 << 20, Err: "objects hold arrays"},
+}
+
 // TestMembershipMessageRoundTrip: encode→decode is the identity for
 // every coordinator payload, including empty and multi-entry slices,
 // and every strict prefix of an encoding is a decode error.
@@ -43,18 +55,11 @@ func TestMembershipMessageRoundTrip(t *testing.T) {
 	for _, m := range []LeaveRequest{{}, {Reason: "drain"}} {
 		check("leave", m.Encode(), func(b []byte) (any, error) { return DecodeLeaveRequest(b) }, m)
 	}
-	for _, m := range []LeaveResponse{
-		{},
-		{Homes: []Home{{7, 1}, {8, 2}}},
-		{Kept: 3, Err: "objects hold arrays"},
-	} {
-		check("leave response", m.Encode(), func(b []byte) (any, error) { return DecodeLeaveResponse(b) }, m)
-	}
 	for _, m := range []PromoteRequest{{Dead: 1}, {Dead: 3, Promoted: []int64{-2, 5, 1 << 33}}} {
 		check("promote", m.Encode(), func(b []byte) (any, error) { return DecodePromoteRequest(b) }, m)
 	}
-	for _, m := range []PromoteResponse{{}, {Promoted: []int64{4, 9}}, {Err: "stale view"}} {
-		check("promote response", m.Encode(), func(b []byte) (any, error) { return DecodePromoteResponse(b) }, m)
+	for _, m := range coordReplies {
+		check("reply", m.Encode(), func(b []byte) (any, error) { return DecodeReply(b) }, m)
 	}
 }
 
@@ -67,6 +72,23 @@ func TestWelcomeOmitsAbsentParts(t *testing.T) {
 	}
 	if _, err := DecodeWelcome([]byte{0x08, 0, 0}); err == nil {
 		t.Error("undefined welcome head bit decoded without error")
+	}
+}
+
+// TestReplyOmitsAbsentFields pins the reply's size discipline: the
+// plain acknowledgement is the head byte alone, a skipped migration
+// adds one byte, and an undefined head bit is a decode error.
+func TestReplyOmitsAbsentFields(t *testing.T) {
+	if got := (&Reply{}).Encode(); len(got) != 1 {
+		t.Errorf("empty reply is %d bytes (%x), want 1", len(got), got)
+	}
+	if got := (&Reply{Kept: 1}).Encode(); len(got) != 2 {
+		t.Errorf("{Kept: 1} is %d bytes (%x), want 2", len(got), got)
+	}
+	for _, head := range []byte{0x08, 0x80} {
+		if _, err := DecodeReply([]byte{head}); err == nil {
+			t.Errorf("undefined reply head bit %#x decoded without error", head)
+		}
 	}
 }
 
@@ -103,16 +125,19 @@ func FuzzDecodeWelcome(f *testing.F) {
 	})
 }
 
-func FuzzDecodeLeaveResponse(f *testing.F) {
-	f.Add((&LeaveResponse{Homes: []Home{{1, 1}, {2, 0}}, Kept: 1, Err: "x"}).Encode())
+func FuzzDecodeReply(f *testing.F) {
+	f.Add((&Reply{Homes: []Home{{1, 1}, {2, 0}}, Kept: 1, Err: "x"}).Encode())
 	f.Add([]byte{})
 	f.Add((&PromoteRequest{Dead: 2, Promoted: []int64{3, 4}}).Encode())
+	for _, m := range coordReplies {
+		f.Add(m.Encode())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeLeaveResponse(data)
+		m, err := DecodeReply(data)
 		if err != nil {
 			return
 		}
-		got, err := DecodeLeaveResponse(m.Encode())
+		got, err := DecodeReply(m.Encode())
 		if err != nil || !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip after decode: %+v vs %+v (%v)", got, m, err)
 		}
