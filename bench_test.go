@@ -498,9 +498,9 @@ func BenchmarkConcurrentInvoke(b *testing.B) {
 // BenchmarkCompiledKernels times the tiered-execution kernels on both
 // tiers — sub-benchmark Interp runs the pure interpreter, Compiled the
 // quad→Go compiled tier — and reports the resulting speedup as a
-// metric, so `go test -bench=CompiledKernels` regenerates the numbers
-// committed to BENCH_compile.json. Output equality against each
-// kernel's golden checksum is enforced on every iteration.
+// metric, so `go test -bench=CompiledKernels` regenerates the kernel
+// table in EXPERIMENTS.md. Output equality against each kernel's golden
+// checksum is enforced on every iteration, on both tiers.
 func BenchmarkCompiledKernels(b *testing.B) {
 	for _, name := range bench.CompileKernelNames() {
 		p, err := bench.Get(name)

@@ -35,7 +35,7 @@ type Cluster struct {
 	chaos    *transport.Chaos // non-nil iff Config.FailureRecovery
 	deployed time.Time
 
-	// Elastic-membership state (Config.Elastic): the distribution to
+	// Elastic-membership state (Config.MaxRanks): the distribution to
 	// rewrite joiner programs from, one pre-wrap fabric endpoint to
 	// grow new ranks out of, and the wrapper options a joiner's
 	// endpoint must be dressed with to match the sitting members.
@@ -157,7 +157,7 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 		Unoptimized: cfg.Unoptimized, Fuse: !cfg.NoFuse, AdaptEvery: cfg.AdaptEvery, Replicate: cfg.Replicate,
 		MaxConcurrent: cfg.MaxConcurrent, FailureRecovery: cfg.FailureRecovery,
 		Compile: cfg.Compile, CompileThreshold: compileThreshold(cfg),
-		MaxRanks: maxRanks(cfg),
+		MaxRanks: cfg.MaxRanks,
 	})
 	if err != nil {
 		return nil, err
@@ -169,16 +169,6 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 	}, nil
 }
 
-// maxRanks resolves Config.MaxRanks' zero default for elastic
-// deployments; it stays 0 otherwise, which keeps the runtime cluster
-// static.
-func maxRanks(cfg Config) int {
-	if cfg.Elastic && cfg.MaxRanks == 0 {
-		return DefaultMaxRanks
-	}
-	return cfg.MaxRanks
-}
-
 // Join admits one fresh node into the running elastic deployment and
 // returns its rank. The program is rewritten for the new rank from the
 // deployed distribution, the fabric is grown (a new in-process channel
@@ -187,13 +177,17 @@ func maxRanks(cfg Config) int {
 // the coordinator: program-digest authentication, view advancement, a
 // WELCOME broadcast to every member, and object migration onto the new
 // capacity — all while invocations keep flowing. Requires
-// Config.Elastic; fails once MaxRanks ranks exist.
+// Config.MaxRanks; fails once MaxRanks ranks exist, before the fabric
+// grows.
 func (c *Cluster) Join() (int, error) {
-	if !c.cfg.Elastic {
-		return 0, fmt.Errorf("autodist: Join requires a deployment with Config.Elastic")
+	if c.cfg.MaxRanks == 0 {
+		return 0, fmt.Errorf("autodist: Join requires a deployment with Config.MaxRanks")
 	}
 	c.joinMu.Lock()
 	defer c.joinMu.Unlock()
+	if c.rt.Ranks() >= c.cfg.MaxRanks {
+		return 0, fmt.Errorf("autodist: rank space exhausted (MaxRanks %d)", c.cfg.MaxRanks)
+	}
 	grown, err := transport.Grow(c.base)
 	if err != nil {
 		return 0, err
@@ -220,6 +214,7 @@ func (c *Cluster) Join() (int, error) {
 		_ = ep.Close()
 		return 0, err
 	}
+	// The runtime closes ep on every refusal.
 	if _, err := c.rt.Join(prog, ep); err != nil {
 		return 0, err
 	}
@@ -230,10 +225,10 @@ func (c *Cluster) Join() (int, error) {
 // rank migrates every object it owns to the surviving members, the
 // membership view advances and is broadcast, and the node shuts down —
 // retired from the reliability layer so its silence is never mistaken
-// for a crash. Its rank is never reused. Requires Config.Elastic.
+// for a crash. Its rank is never reused. Requires Config.MaxRanks.
 func (c *Cluster) Drain(rank int) error {
-	if !c.cfg.Elastic {
-		return fmt.Errorf("autodist: Drain requires a deployment with Config.Elastic")
+	if c.cfg.MaxRanks == 0 {
+		return fmt.Errorf("autodist: Drain requires a deployment with Config.MaxRanks")
 	}
 	c.joinMu.Lock()
 	defer c.joinMu.Unlock()

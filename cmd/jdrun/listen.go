@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -10,9 +11,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"autodist"
-	"autodist/internal/benchfmt"
+	"autodist/internal/metrics"
 )
 
 // listenLoop deploys the distribution resident and serves invocations
@@ -21,7 +23,7 @@ import (
 // request, in order per connection. Connections run concurrently; the
 // cluster's MaxConcurrent admission governs how many invocations
 // execute at once. "!stats" returns the cluster's counters as JSON
-// (benchfmt.StatsReply); "!shutdown" drains the cluster and returns.
+// (statsReply); "!shutdown" drains the cluster and returns.
 // The bound address is announced on stderr so callers may listen on
 // port 0.
 func listenLoop(dist *autodist.Distribution, cfg autodist.Config, addr string) error {
@@ -88,7 +90,7 @@ func serveConn(c net.Conn, cluster *autodist.Cluster, shutdown func()) {
 		switch {
 		case line == "!stats":
 			c := cluster.Stats().Counters()
-			fmt.Fprintln(w, benchfmt.StatsReply(cluster.Invocations(), &c))
+			fmt.Fprintln(w, statsReply(cluster.Invocations(), &c))
 		case line == "!join":
 			t0 := time.Now()
 			rank, err := cluster.Join()
@@ -138,4 +140,31 @@ func serveConn(c net.Conn, cluster *autodist.Cluster, shutdown func()) {
 			return
 		}
 	}
+}
+
+// statsReply renders the reply to "!stats": "!stats " and a JSON
+// object holding "invocations" plus every counter of *c, keyed by
+// statsKey. The counters are cumulative since deployment, so a client
+// differences two replies around its measurement window.
+func statsReply(invocations int64, c *autodist.Counters) string {
+	m := map[string]int64{"invocations": invocations}
+	metrics.Each(c, func(name string, v int64) { m[statsKey(name)] = v })
+	data, _ := json.Marshal(m) // a map[string]int64 always marshals
+	return "!stats " + string(data)
+}
+
+// statsKey names a counter outside Go: its field name in snake_case
+// ("MessagesSent" → "messages_sent").
+func statsKey(field string) string {
+	var b strings.Builder
+	for i, r := range field {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }

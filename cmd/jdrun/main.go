@@ -38,11 +38,11 @@
 // one reply line per request ("sum = 100", "put ok", "err: ..."), in
 // order per connection. Connections are served concurrently; the
 // cluster admits up to -concurrency invocations at once. Two meta
-// commands serve load-generation harnesses (cmd/loadgen): "!stats"
-// returns a JSON snapshot of the cluster's cumulative counters, and
-// "!shutdown" drains the cluster, prints the summary and exits. The
-// bound address is announced on stderr ("listening on ...") so
-// harnesses can pass port 0.
+// commands serve clients that measure the server: "!stats" returns a
+// JSON snapshot of the cluster's cumulative counters, and "!shutdown"
+// drains the cluster, prints the summary and exits. The bound address
+// is announced on stderr ("listening on ...") so clients can pass
+// port 0.
 //
 // The "!stats" object always carries every key: invocations, then each
 // counter of autodist.Counters in snake_case — new_requests,
@@ -87,6 +87,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -97,7 +98,6 @@ import (
 	"sync"
 
 	"autodist"
-	"autodist/internal/benchfmt"
 	"autodist/internal/experiments"
 	"autodist/internal/metrics"
 )
@@ -177,7 +177,11 @@ func main() {
 		MaxConcurrent:   *concurrency,
 		FailureRecovery: *recover, HeartbeatInterval: *heartbeat, RetransmitTimeout: *retransmit,
 		Compile: *compileTier, CompileThreshold: *compileThreshold,
-		Elastic: *elastic, MaxRanks: *maxRanks,
+	}
+	if *elastic {
+		cfg.MaxRanks = cmp.Or(*maxRanks, autodist.DefaultMaxRanks)
+	} else if *maxRanks != 0 {
+		usageErr("-max-ranks requires -elastic")
 	}
 	if *chaos != "" {
 		if err := parseChaos(*chaos, &cfg); err != nil {
@@ -474,7 +478,7 @@ func counterList(c autodist.Counters) string {
 	var parts []string
 	metrics.Each(&c, func(name string, v int64) {
 		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", benchfmt.StatsKey(name), v))
+			parts = append(parts, fmt.Sprintf("%s=%d", statsKey(name), v))
 		}
 	})
 	return strings.Join(parts, " ")

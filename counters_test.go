@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"autodist"
-	"autodist/internal/benchfmt"
 	"autodist/internal/metrics"
 )
 
@@ -61,22 +60,6 @@ func TestCounterLockstep(t *testing.T) {
 	}
 	if back := r.Counters(); back != c {
 		t.Errorf("Counters() = %+v, want %+v", back, c)
-	}
-
-	// The "!stats" reply carries exactly one key per counter, plus
-	// invocations.
-	m, err := benchfmt.ParseStatsReply(benchfmt.StatsReply(0, &c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != ct.NumField()+1 {
-		t.Errorf("!stats has %d keys, want %d counters + invocations: %v", len(m), ct.NumField(), m)
-	}
-	for i := range ct.NumField() {
-		key := benchfmt.StatsKey(ct.Field(i).Name)
-		if m[key] != int64(i+1) {
-			t.Errorf("!stats %q = %d, want %d", key, m[key], i+1)
-		}
 	}
 }
 

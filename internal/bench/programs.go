@@ -786,7 +786,7 @@ class MonteCarlo {
 // CompileKernelNames returns the tiered-execution benchmark kernels:
 // compute-bound loops with no native calls on the hot path, so the
 // compiled tier's speedup is measured on pure interpretation overhead
-// (the BENCH_compile.json workloads).
+// (BenchmarkCompiledKernels).
 func CompileKernelNames() []string {
 	return []string{"kernel_int", "kernel_float", "kernel_array", "kernel_rec"}
 }

@@ -599,8 +599,14 @@ func (c *Cluster) TotalStats() NodeStats {
 // rewrapped to match the sitting members). The node is brought up,
 // performs the JOIN handshake with the coordinator — digest check,
 // view advancement, WELCOME broadcast, object seeding — and starts
-// serving; invocations never pause. Returns the admitted node.
-func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, error) {
+// serving; invocations never pause. Returns the admitted node. On any
+// error ep is closed: a refused joiner holds no listener or goroutine.
+func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, err error) {
+	defer func() {
+		if err != nil {
+			_ = ep.Close()
+		}
+	}()
 	if c.opts.MaxRanks == 0 {
 		return nil, fmt.Errorf("runtime: Join on a non-elastic cluster (set Options.MaxRanks)")
 	}
@@ -635,7 +641,6 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (*Node, er
 		_ = n.EP.Send(transport.Message{To: n.Rank, Kind: KindShutdown})
 		_ = transport.Flush(n.EP)
 		n.wg.Wait()
-		_ = n.EP.Close()
 		return nil, err
 	}
 	n.applyWelcome(&w)

@@ -63,8 +63,8 @@ import (
 // (wire.DepSeqResponse). Numbers 5 (the retired BARRIER) and 6
 // (DEPENDENCE_BATCH) are never sent, nor is 13 (REPLICA-ACK: an
 // INVALIDATE is answered with a RESPONSE); KindDependenceBatch and
-// KindReplicaAck keep their names for trace tools that classify
-// recorded frames.
+// KindReplicaAck keep their names only because benchmark/trace.go
+// classifies recorded frames by them.
 // ADAPT/AFFINITY/MIGRATE/TRANSFER are the adaptive-repartitioning
 // frames: ADAPT asks the coordinator for an adaptation round, AFFINITY
 // polls a node's traffic counters, MIGRATE commands an ownership

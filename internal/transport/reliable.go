@@ -322,9 +322,7 @@ func (e *relEndpoint) SendCopiesPayload() bool { return true }
 // CausalDelivery: retransmission can reorder frames across peers (a
 // delayed frame to B may be retried after a fresh frame to C that
 // causally follows it), so the wrapper never claims causal delivery
-// even over a causal inner fabric. The runtime responds by
-// acknowledging all asynchronous batches — which also makes every
-// effectful frame a tagged request the dedup journal can intercept.
+// even over a causal inner fabric (see Causal for who asks).
 func (e *relEndpoint) CausalDelivery() bool { return false }
 
 // Flush is an ack barrier: it returns once every frame sent so far to

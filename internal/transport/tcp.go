@@ -14,8 +14,7 @@ import (
 // TCPOptions configures the TCP fabric. It has no fields: the fabric
 // has one byte path (every connection runs the write combiner, see
 // tcpConn), so there is nothing left to choose. The type and
-// NewTCPClusterOpts remain so callers written against the options form
-// keep compiling.
+// NewTCPClusterOpts remain for their one caller, benchmark/run.go.
 type TCPOptions struct{}
 
 // DefaultTCPOptions returns the fabric's (only) configuration.

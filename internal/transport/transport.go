@@ -156,8 +156,8 @@ func RetirePeer(ep Endpoint, rank int) {
 // happens-before chain, A is received before B at a shared receiver.
 // The in-process fabric has this property (channel sends are globally
 // ordered per inbox); independent TCP connections do not. The runtime
-// uses it to decide whether fire-and-forget asynchronous batches need
-// completion acknowledgements.
+// no longer asks (every asynchronous call is answered); the one caller
+// is benchmark/trace.go, whose recording wrapper forwards the property.
 func Causal(ep Endpoint) bool {
 	c, ok := ep.(interface{ CausalDelivery() bool })
 	return ok && c.CausalDelivery()

@@ -7,6 +7,7 @@ package autodist_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -75,18 +76,29 @@ func buildElasticDist(k int) (*autodist.Distribution, error) {
 	return plan.RewriteWith(autodist.RewriteOptions{Adaptive: true})
 }
 
-// TestElasticJoinUnderLiveTraffic is the tentpole scenario: deploy two
-// nodes, keep invocations flowing, admit a third node mid-stream, and
-// require (a) the join completes inside a second, (b) no invocation
-// fails or returns a wrong value across the transition, and (c) the
-// joiner actually received objects. Then drain the joiner back out
-// under the same rules.
+// TestElasticJoinUnderLiveTraffic is the tentpole scenario, on the
+// in-process fabric and over TCP: deploy two nodes, keep invocations
+// flowing, admit a third node mid-stream, and require (a) the join
+// completes inside a second, (b) no invocation fails or returns a wrong
+// value across the transition, and (c) the joiner actually received
+// objects. Then drain the joiner back out under the same rules.
 func TestElasticJoinUnderLiveTraffic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"inproc", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) { testJoinUnderLiveTraffic(t, tc.tcp) })
+	}
+}
+
+func testJoinUnderLiveTraffic(t *testing.T, tcp bool) {
 	dist, err := buildElasticDist(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := dist.Deploy(autodist.Config{Adaptive: true, AdaptEvery: 8, Elastic: true})
+	cluster, err := dist.Deploy(autodist.Config{
+		Adaptive: true, AdaptEvery: 8, TCP: tcp, MaxRanks: autodist.DefaultMaxRanks,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +207,7 @@ func TestElasticJoinUnderLiveTraffic(t *testing.T) {
 }
 
 // TestJoinRequiresElastic pins the opt-in: a deployment without
-// Config.Elastic refuses Join and Drain outright.
+// Config.MaxRanks refuses Join and Drain outright.
 func TestJoinRequiresElastic(t *testing.T) {
 	dist, err := buildElasticDist(2)
 	if err != nil {
@@ -209,29 +221,65 @@ func TestJoinRequiresElastic(t *testing.T) {
 	if _, err := cluster.Invoke("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Join(); err == nil || !strings.Contains(err.Error(), "Elastic") {
-		t.Errorf("Join without Elastic: %v, want refusal", err)
+	if _, err := cluster.Join(); err == nil || !strings.Contains(err.Error(), "MaxRanks") {
+		t.Errorf("Join without MaxRanks: %v, want refusal", err)
 	}
-	if err := cluster.Drain(1); err == nil || !strings.Contains(err.Error(), "Elastic") {
-		t.Errorf("Drain without Elastic: %v, want refusal", err)
+	if err := cluster.Drain(1); err == nil || !strings.Contains(err.Error(), "MaxRanks") {
+		t.Errorf("Drain without MaxRanks: %v, want refusal", err)
 	}
 }
 
-// TestElasticConfigValidation pins the config surface: elasticity
-// needs a distributed adaptive deployment, and MaxRanks only means
-// something when elasticity is on and leaves room to grow.
+// TestRefusedJoinReleasesEndpoint: once the rank space is full, every
+// further Join is refused for that reason — not for a fabric that a
+// previous refusal grew — and leaves no listener or goroutine behind.
+func TestRefusedJoinReleasesEndpoint(t *testing.T) {
+	dist, err := buildElasticDist(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := dist.Deploy(autodist.Config{
+		Adaptive: true, AdaptEvery: 8, TCP: true, FailureRecovery: true, MaxRanks: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Kill)
+	if _, err := cluster.Invoke("main"); err != nil {
+		t.Fatal(err)
+	}
+	if rank, err := cluster.Join(); err != nil || rank != 2 {
+		t.Fatalf("Join = %d, %v; want rank 2", rank, err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := cluster.Join(); err == nil || !strings.Contains(err.Error(), "rank space exhausted") {
+			t.Fatalf("refusal %d: %v, want rank space exhausted", i+1, err)
+		}
+	}
+	// Heartbeats and flushers come and go; a leak stays.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after five refused joins, %d before", after, before)
+	}
+}
+
+// TestElasticConfigValidation pins the config surface: elasticity (a
+// nonzero MaxRanks) needs a distributed adaptive deployment and room
+// to grow.
 func TestElasticConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  autodist.Config
 		ok   bool
 	}{
-		{"elastic adaptive", autodist.Config{K: 2, Adaptive: true, Elastic: true}, true},
-		{"elastic with max ranks", autodist.Config{K: 2, Adaptive: true, Elastic: true, MaxRanks: 8}, true},
-		{"elastic static", autodist.Config{K: 2, Elastic: true}, false},
-		{"elastic sequential", autodist.Config{K: 1, Adaptive: true, Elastic: true}, false},
-		{"max ranks without elastic", autodist.Config{K: 2, MaxRanks: 8}, false},
-		{"max ranks below k", autodist.Config{K: 4, Adaptive: true, Elastic: true, MaxRanks: 2}, false},
+		{"elastic adaptive", autodist.Config{K: 2, Adaptive: true, MaxRanks: autodist.DefaultMaxRanks}, true},
+		{"elastic with max ranks", autodist.Config{K: 2, Adaptive: true, MaxRanks: 8}, true},
+		{"elastic static", autodist.Config{K: 2, MaxRanks: 8}, false},
+		{"elastic sequential", autodist.Config{K: 1, Adaptive: true, MaxRanks: 8}, false},
+		{"max ranks below k", autodist.Config{K: 4, Adaptive: true, MaxRanks: 2}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,8 +287,8 @@ func TestElasticConfigValidation(t *testing.T) {
 			if tc.ok && err != nil {
 				t.Errorf("Validate() = %v, want nil", err)
 			}
-			if !tc.ok && err == nil {
-				t.Error("Validate() = nil, want error")
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "MaxRanks")) {
+				t.Errorf("Validate() = %v, want an error naming MaxRanks", err)
 			}
 		})
 	}
@@ -262,7 +310,7 @@ func TestElasticConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.Deploy(autodist.Config{Elastic: true}); err == nil {
-		t.Error("Deploy accepted Elastic on a static distribution")
+	if _, err := dist.Deploy(autodist.Config{MaxRanks: 8}); err == nil || !strings.Contains(err.Error(), "MaxRanks") {
+		t.Errorf("Deploy of MaxRanks on a static distribution: %v, want an error naming MaxRanks", err)
 	}
 }

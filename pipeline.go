@@ -168,24 +168,24 @@ type Config struct {
 	// CompileThreshold is the hotness count that promotes a method
 	// (0 = DefaultCompileThreshold). Requires Compile.
 	CompileThreshold int
-	// Elastic enables cluster membership on a deployment: Cluster.Join
-	// admits fresh nodes into the running cluster (rewriting the
-	// program for the new rank, growing the fabric and migrating
-	// objects onto the new capacity) and Cluster.Drain retires members
-	// gracefully, all without pausing invocations. Requires an adaptive
-	// distribution (live migration is the admission mechanism) and
-	// K ≥ 2. Off — the default — the wire stream is byte-identical to a
-	// static deployment.
-	Elastic bool
-	// MaxRanks caps how many ranks the deployment can ever hold
-	// (initial nodes plus joiners); it reserves the object-id namespace
-	// so ids minted before a join can never collide with the joiner's.
-	// 0 = DefaultMaxRanks. Requires Elastic; must be at least K.
+	// MaxRanks, nonzero, enables cluster membership on a deployment:
+	// Cluster.Join admits fresh nodes into the running cluster
+	// (rewriting the program for the new rank, growing the fabric and
+	// migrating objects onto the new capacity) and Cluster.Drain retires
+	// members gracefully, all without pausing invocations. It caps how
+	// many ranks the deployment can ever hold (initial nodes plus
+	// joiners) and reserves the object-id namespace so ids minted before
+	// a join can never collide with the joiner's; DefaultMaxRanks is the
+	// usual choice. Requires an adaptive distribution (live migration is
+	// the admission mechanism) and K ≥ 2; must be at least K. Zero — the
+	// default — keeps the deployment static, and its wire stream is
+	// byte-identical to one that never had membership.
 	MaxRanks int
 }
 
-// DefaultMaxRanks is the rank-space reservation applied to elastic
-// deployments when Config.MaxRanks is zero.
+// DefaultMaxRanks is a rank-space reservation for Config.MaxRanks that
+// leaves room for many joins; jdrun -elastic uses it unless -max-ranks
+// is given.
 const DefaultMaxRanks = 64
 
 // Validate rejects incoherent option combinations. It is the one
@@ -211,6 +211,8 @@ func (c *Config) Validate() error {
 	}
 	if c.K <= 1 {
 		switch {
+		case c.MaxRanks != 0:
+			return fmt.Errorf("autodist: MaxRanks requires a distributed deployment (K ≥ 2)")
 		case c.Adaptive:
 			return fmt.Errorf("autodist: Adaptive requires a distributed run (K ≥ 2)")
 		case c.Replicate:
@@ -225,16 +227,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("autodist: MaxConcurrent requires a distributed deployment (K ≥ 2)")
 		case c.FailureRecovery:
 			return fmt.Errorf("autodist: FailureRecovery requires a distributed deployment (K ≥ 2)")
-		case c.Elastic:
-			return fmt.Errorf("autodist: Elastic requires a distributed deployment (K ≥ 2)")
 		}
 	}
-	if c.Elastic && !c.Adaptive {
-		return fmt.Errorf("autodist: Elastic requires an adaptive distribution (Plan.RewriteAdaptive / -adaptive)")
-	}
 	if c.MaxRanks != 0 {
-		if !c.Elastic {
-			return fmt.Errorf("autodist: MaxRanks requires Elastic")
+		if !c.Adaptive {
+			return fmt.Errorf("autodist: MaxRanks requires an adaptive distribution (Plan.RewriteAdaptive / -adaptive)")
 		}
 		if c.MaxRanks < c.K {
 			return fmt.Errorf("autodist: MaxRanks %d below node count %d", c.MaxRanks, c.K)
@@ -377,7 +374,7 @@ type RunResult struct {
 	// Joins counts nodes admitted into the cluster after deployment,
 	// Drains counts members retired gracefully, and StaleViews counts
 	// coordination frames refused for carrying an outdated membership
-	// view. All are zero unless the deployment used Config.Elastic.
+	// view. All are zero unless the deployment set Config.MaxRanks.
 	Joins      int64
 	Drains     int64
 	StaleViews int64

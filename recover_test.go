@@ -398,7 +398,7 @@ func TestKillNodeJoinedRank(t *testing.T) {
 		K:                 2,
 		Adaptive:          true,
 		AdaptEvery:        1 << 30, // only the join's rebalance moves objects
-		Elastic:           true,
+		MaxRanks:          autodist.DefaultMaxRanks,
 		Replicate:         true,
 		FailureRecovery:   true,
 		HeartbeatInterval: 10 * time.Millisecond,
