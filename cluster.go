@@ -178,24 +178,21 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 // WELCOME broadcast to every member, and object migration onto the new
 // capacity — all while invocations keep flowing. Requires
 // Config.MaxRanks; fails once MaxRanks ranks exist, before the fabric
-// grows.
+// grows. A joiner the runtime refuses after the fabric grew still uses
+// up its rank (ranks are never reused): the next Join gets the one
+// after it.
 func (c *Cluster) Join() (int, error) {
 	if c.cfg.MaxRanks == 0 {
 		return 0, fmt.Errorf("autodist: Join requires a deployment with Config.MaxRanks")
 	}
 	c.joinMu.Lock()
 	defer c.joinMu.Unlock()
-	if c.rt.Ranks() >= c.cfg.MaxRanks {
+	// Under joinMu the next rank is the runtime's rank count (a burned
+	// rank keeps its slot), so the program is rewritten before the
+	// fabric grows, and a rewrite error leaves the fabric as it was.
+	rank := c.rt.Ranks()
+	if rank >= c.cfg.MaxRanks {
 		return 0, fmt.Errorf("autodist: rank space exhausted (MaxRanks %d)", c.cfg.MaxRanks)
-	}
-	grown, err := transport.Grow(c.base)
-	if err != nil {
-		return 0, err
-	}
-	rank := grown.Rank()
-	ep := grown
-	if c.chaos != nil {
-		ep = transport.NewReliable(c.chaos.Extend(ep, c.rules), c.ropts)
 	}
 	plan := c.d.Result.Plan
 	// The joiner treats every class the way rank 0 does (adaptive
@@ -211,10 +208,16 @@ func (c *Cluster) Join() (int, error) {
 	}
 	prog, err := rewrite.RewriteForNode(c.d.Plan.Analysis.Program.Bytecode, plan, rank)
 	if err != nil {
-		_ = ep.Close()
 		return 0, err
 	}
-	// The runtime closes ep on every refusal.
+	ep, err := transport.Grow(c.base)
+	if err != nil {
+		return 0, err
+	}
+	if c.chaos != nil {
+		ep = transport.NewReliable(c.chaos.Extend(ep, c.rules), c.ropts)
+	}
+	// The runtime closes ep on every refusal and burns the rank.
 	if _, err := c.rt.Join(prog, ep); err != nil {
 		return 0, err
 	}

@@ -96,10 +96,12 @@ func main() {
 		if *tier != "" {
 			// The tier view pairs the quad IR with what the compiled
 			// tier makes of it: one Go closure per quad, and a note on
-			// each call site — a direct call, a native call (the
-			// builtins, and in a rewritten program the access-mediated
-			// sites), an inline-cached virtual call, or a deopt back to
-			// the interpreter where a site does not resolve.
+			// each call site — a typed call (int/float arguments and
+			// result passed unboxed to compiled code), a direct call, a
+			// native call (the builtins, and in a rewritten program the
+			// access-mediated sites), an inline-cached virtual call, or
+			// a deopt back to the interpreter where a site does not
+			// resolve.
 			machine, err := vm.New(prog.Clone())
 			if err != nil {
 				die(err)

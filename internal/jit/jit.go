@@ -20,7 +20,13 @@
 // themselves, on live runtime state, and read no interpreter frame, so
 // they behave the same whichever tier calls them. Each site resolves
 // its callee once (vm.Callee); a virtual site keeps a monomorphic
-// inline cache keyed by receiver class. A site the compiler cannot run
+// inline cache keyed by receiver class. A static site whose signature
+// has only int and float parameters and an int, float or void result
+// is typed: while its callee has compiled code and the VM fires no
+// per-call hooks, the call loads the caller's unboxed registers straight
+// into the callee's frame and takes the result back unboxed (typedSite);
+// otherwise, and at every other site, arguments and result go boxed
+// through vm.Thread.Call. A site the compiler cannot run
 // — an unresolvable method, or a virtual call on null or a non-object
 // — is a deopt point: the compiled frame charges the partial block it
 // executed, materializes interpreter state (locals plus the operand
@@ -124,8 +130,22 @@ type mach struct {
 	flts []float64
 	refs []vm.Value
 	args []vm.Value
+	// The frame's result, by the kind exec reports: reti and retf carry
+	// unboxed returns, ret a boxed one (closure terminators and deopts).
 	ret  vm.Value
+	reti int64
+	retf float64
 }
+
+// retKind says where exec left the frame's result.
+type retKind uint8
+
+const (
+	retNone  retKind = iota // void return, or an error
+	retInt                  // mach.reti
+	retFloat                // mach.retf
+	retBoxed                // mach.ret
+)
 
 // errFrameDone is the internal sentinel an op returns when it completed
 // the whole frame itself (a deopt that ran the rest of the method in
@@ -245,6 +265,12 @@ type Compiled struct {
 	entry   int
 	loadArg []func(ma *mach, v vm.Value)
 
+	// Which register slices a run writes below nregs, and so must be
+	// cleared between runs: ints and flts only when the method has
+	// registers of that class, refs when it has boxed registers or an
+	// argument slot loaded boxed.
+	clearI, clearF, clearR bool
+
 	frames sync.Pool
 
 	// notes annotates quad IDs for the inspection listing (call kinds,
@@ -295,8 +321,20 @@ func Compile(v *vm.VM, c *vm.Class, m *bytecode.Method) (*Compiled, error) {
 		return nil, err
 	}
 	cm.mergeChains()
+	for i, c := range cm.cls {
+		switch c {
+		case regInt:
+			cm.clearI = true
+		case regFloat:
+			cm.clearF = true
+		case regBoxed:
+			cm.clearR = true
+		default:
+			cm.clearR = cm.clearR || i < len(cm.loadArg)
+		}
+	}
 	// The pool template carries the constant slots beyond the register
-	// prefix; Run clears only the prefix, so constants survive reuse.
+	// prefix; open clears only the prefix, so constants survive reuse.
 	nregs, ic, fc := cm.nregs, cm.intConsts, cm.fltConsts
 	cm.frames.New = func() any {
 		ma := &mach{
@@ -374,6 +412,10 @@ func (cm *Compiled) mergeChains() {
 // disappears. Accounting is untouched (block step/cycle totals are
 // bytecode-range based) and deopt state is untouched (operand-stack
 // snapshots count as uses, so any temp a snapshot needs is never fused).
+// A MOVE that changes the register kind stays: it is where a boxed
+// value meets an unboxed register, with moveOp's tolerance for a value
+// of the other kind (a fused run's placeholder result); retargeting the
+// producer would replace that with storeV's assertion.
 func fuseMoves(fn *quad.Func, maxLocals int) {
 	use := make([]int, fn.NumRegs)
 	count := func(o quad.Operand) {
@@ -398,7 +440,7 @@ func fuseMoves(fn *quad.Func, maxLocals int) {
 			q := qs[i]
 			if q.HasDst && q.Dst.N >= maxLocals && use[q.Dst.N] == 1 && i+1 < len(qs) {
 				nx := qs[i+1]
-				if nx.Op == quad.MOVE && nx.HasDst {
+				if nx.Op == quad.MOVE && nx.HasDst && nx.Dst.Kind == q.Dst.Kind {
 					if sr, ok := nx.Args[0].(quad.Reg); ok && sr.N == q.Dst.N {
 						q.Dst = nx.Dst
 						out = append(out, q)
@@ -413,27 +455,70 @@ func fuseMoves(fn *quad.Func, maxLocals int) {
 	}
 }
 
-// Run executes the compiled method. The caller (Thread.run via Invoke)
-// has already pushed the stack entry and fired MethodEnter. The hot
-// path is a single dispatch switch over each block's micro-ops working
-// directly on the unboxed register slices; closure micro-ops (uCall)
-// carry everything the switch can't express inline.
+// Run executes the compiled method with boxed arguments and result —
+// the entry Thread.run uses, after Invoke has pushed the stack entry
+// and fired MethodEnter. Compiled callers at a typed site skip it and
+// hand their registers over directly (typedSite.call).
 func (cm *Compiled) Run(t *vm.Thread, args []vm.Value) (vm.Value, error) {
 	ma := cm.frames.Get().(*mach)
-	ma.t = t
-	// Const slots beyond nregs survive reuse; refs and args come back
-	// from the pool already cleared.
-	clear(ma.ints[:cm.nregs])
-	clear(ma.flts[:cm.nregs])
-	ma.ret = nil
+	cm.open(ma, t)
 	for i, ld := range cm.loadArg {
 		if i < len(args) {
 			ld(ma, args[i])
 		}
 	}
-	ints, flts, refs := ma.ints, ma.flts, ma.refs
 	var ret vm.Value
-	var err error
+	rk, err := cm.exec(ma)
+	switch rk {
+	case retInt:
+		ret = ma.reti
+	case retFloat:
+		ret = ma.retf
+	case retBoxed:
+		ret = ma.ret
+	}
+	cm.close(ma)
+	cm.frames.Put(ma)
+	return ret, err
+}
+
+// open readies one of the method's frames for a run on thread t: the
+// register prefix zeroed, the constant slots beyond it intact. refs and
+// args are already clear (close).
+func (cm *Compiled) open(ma *mach, t *vm.Thread) {
+	ma.t = t
+	if cm.clearI {
+		clear(ma.ints[:cm.nregs])
+	}
+	if cm.clearF {
+		clear(ma.flts[:cm.nregs])
+	}
+}
+
+// close ends a run, leaving the frame holding no heap reference, so
+// the pool retains none. Call sites leave their arguments in the args
+// buffer (each call overwrites the previous one's), so it is cleared to
+// capacity here, once per run.
+func (cm *Compiled) close(ma *mach) {
+	ma.ret = nil
+	ma.t = nil
+	if cm.clearR {
+		clear(ma.refs)
+	}
+	if cap(ma.args) > 0 {
+		clear(ma.args[:cap(ma.args)])
+		ma.args = ma.args[:0]
+	}
+}
+
+// exec runs the method body over a loaded frame and reports where it
+// left the result. The hot path is a single dispatch switch over each
+// block's micro-ops working directly on the unboxed register slices;
+// closure micro-ops (uCall) carry everything the switch can't express
+// inline.
+func (cm *Compiled) exec(ma *mach) (rk retKind, err error) {
+	t := ma.t
+	ints, flts, refs := ma.ints, ma.flts, ma.refs
 	bid := cm.entry
 loop:
 	for bid >= 2 {
@@ -562,7 +647,7 @@ loop:
 			default: // uCall
 				if e := u.fn(ma); e != nil {
 					if e == errFrameDone {
-						ret = ma.ret
+						rk = retBoxed
 					} else {
 						err = e
 					}
@@ -623,38 +708,31 @@ loop:
 		case tRetVoid:
 			break loop
 		case tRetI:
-			ret = ints[blk.ta]
+			ma.reti = ints[blk.ta]
+			rk = retInt
 			break loop
 		case tRetF:
-			ret = flts[blk.ta]
+			ma.retf = flts[blk.ta]
+			rk = retFloat
 			break loop
 		default: // tClosure
 			nb, e := blk.term(ma)
 			if e != nil {
 				if e == errFrameDone {
-					ret = ma.ret
+					rk = retBoxed
 				} else {
 					err = e
 				}
 				break loop
 			}
 			if nb < 0 {
-				ret = ma.ret
+				rk = retBoxed
 				break loop
 			}
 			bid = nb
 		}
 	}
-	ma.ret = nil
-	ma.t = nil
-	// No heap retention from the pool. Call sites leave their arguments
-	// in the args buffer (each call overwrites the previous one's), so it
-	// is cleared to capacity here, once per frame.
-	clear(ma.refs)
-	clear(ma.args[:cap(ma.args)])
-	ma.args = ma.args[:0]
-	cm.frames.Put(ma)
-	return ret, err
+	return rk, err
 }
 
 type compiler struct {
@@ -1869,16 +1947,15 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 	// callee must see the clock advanced through the INVOKE itself.
 	steps, cycles := cp.cost(from, q.PC+1)
 
-	call := func(ma *mach, ce *vm.Callee) error {
-		t := ma.t
-		if err := t.ChargeBlock(steps, cycles); err != nil {
-			return err
-		}
+	// boxed is the call through Thread.Call, with the block already
+	// charged: natives, callees not compiled (yet), VMs with per-call
+	// hooks, and every site the typed convention does not cover.
+	boxed := func(ma *mach, ce *vm.Callee) error {
 		buf := ma.args[:0]
 		for _, ld := range argLd {
 			buf = append(buf, ld(ma))
 		}
-		rv, err := t.Call(ce, buf)
+		rv, err := ma.t.Call(ce, buf)
 		ma.args = buf[:0]
 		if err != nil {
 			return err
@@ -1888,6 +1965,12 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 		}
 		return nil
 	}
+	call := func(ma *mach, ce *vm.Callee) error {
+		if err := ma.t.ChargeBlock(steps, cycles); err != nil {
+			return err
+		}
+		return boxed(ma, ce)
+	}
 
 	switch q.Invoke {
 	case bytecode.INVOKESTATIC, bytecode.INVOKESPECIAL:
@@ -1896,12 +1979,30 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 			cp.note(q, fmt.Sprintf("deopt @pc%d: unresolved %s.%s", q.PC, q.Class, name))
 			return deopt, nil
 		}
-		kind := "direct call"
 		if ce.Native() {
-			kind = "native call"
+			cp.note(q, fmt.Sprintf("native call %s", ce))
+			return func(ma *mach) error { return call(ma, ce) }, nil
 		}
-		cp.note(q, fmt.Sprintf("%s %s", kind, ce))
-		return func(ma *mach) error { return call(ma, ce) }, nil
+		ts := cp.typedSite(q, argLd, retSt)
+		if ts == nil {
+			cp.note(q, fmt.Sprintf("direct call %s", ce))
+			return func(ma *mach) error { return call(ma, ce) }, nil
+		}
+		cp.note(q, fmt.Sprintf("typed call %s", ce))
+		return func(ma *mach) error {
+			t := ma.t
+			if err := t.ChargeBlock(steps, cycles); err != nil {
+				return err
+			}
+			code := t.EnterCompiled(ce)
+			if code == nil {
+				return boxed(ma, ce)
+			}
+			// A VM has one backend: the caller's, so code is a *Compiled.
+			err := ts.call(ma, code.(*Compiled))
+			t.LeaveCompiled()
+			return err
+		}, nil
 
 	case bytecode.INVOKEVIRTUAL:
 		cp.note(q, fmt.Sprintf("virtual call %s:%s, inline-cached (deopt @pc%d on null receiver)", name, desc, q.PC))
@@ -1932,10 +2033,117 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 	return nil, fmt.Errorf("jit: unknown invoke kind %v", q.Invoke)
 }
 
+// typedSite is a static call site whose signature has only int and
+// float parameters and an int, float or void result. When its callee
+// runs compiled, the caller's unboxed registers load straight into the
+// callee's pooled frame and the result comes back unboxed: no boxed
+// argument vector, no boxed return, no trip through Thread.Call.
+type typedSite struct {
+	// args are the caller's argument operands: a slot in the caller's
+	// ints, flts or refs (constants live in the const slots).
+	args []typedArg
+	// argLd and retSt are the site's boxed loaders and result store,
+	// for argument moves the callee's register classes do not match and
+	// for results of another kind than the destination register.
+	argLd []func(*mach) vm.Value
+	retSt func(ma *mach, v vm.Value)
+	dst   int32
+	dstCl regClass // regUnused when the result is not kept
+}
+
+type typedArg struct {
+	cls  regClass
+	slot int32
+}
+
+// typedSite builds the typed form of a static call site, or returns
+// nil when the signature or an operand does not fit the convention.
+func (cp *compiler) typedSite(q *quad.Quad, argLd []func(*mach) vm.Value, retSt func(*mach, vm.Value)) *typedSite {
+	if q.Invoke != bytecode.INVOKESTATIC {
+		return nil
+	}
+	params, ret, err := bytecode.ParseMethodDesc(q.Desc)
+	if err != nil || len(params) != len(q.Args) || (ret != "I" && ret != "F" && ret != "V") {
+		return nil
+	}
+	ts := &typedSite{argLd: argLd, retSt: retSt}
+	for i, p := range params {
+		var slot int32
+		var ok bool
+		cls := regBoxed
+		switch p {
+		case "I":
+			if slot, ok = cp.intSlot(q.Args[i]); ok {
+				cls = regInt
+			}
+		case "F":
+			if slot, ok = cp.fltSlot(q.Args[i]); ok {
+				cls = regFloat
+			}
+		default:
+			return nil
+		}
+		if !ok {
+			if slot, ok = cp.refSlot(q.Args[i]); !ok {
+				return nil
+			}
+		}
+		ts.args = append(ts.args, typedArg{cls: cls, slot: slot})
+	}
+	if q.HasDst {
+		ts.dst, ts.dstCl = int32(q.Dst.N), cp.cm.cls[q.Dst.N]
+	}
+	return ts
+}
+
+// call runs callee — compiled code Thread.EnterCompiled entered — with
+// the caller's registers as arguments, in a frame from the callee's
+// pool, and stores the result into the caller's destination register.
+func (ts *typedSite) call(ma *mach, callee *Compiled) error {
+	fr := callee.frames.Get().(*mach)
+	callee.open(fr, ma.t)
+	// The callee's parameters are its first registers. Where the two
+	// sides' register classes differ, the value goes boxed through the
+	// callee's own argument loader, exactly as Run would load it.
+	for i, a := range ts.args {
+		switch c := callee.cls[i]; {
+		case c == regInt && a.cls == regInt:
+			fr.ints[i] = ma.ints[a.slot]
+		case c == regFloat && a.cls == regFloat:
+			fr.flts[i] = ma.flts[a.slot]
+		default:
+			callee.loadArg[i](fr, ts.argLd[i](ma))
+		}
+	}
+	rk, err := callee.exec(fr)
+	if err == nil {
+		switch {
+		case rk == retInt && ts.dstCl == regInt:
+			ma.ints[ts.dst] = fr.reti
+		case rk == retFloat && ts.dstCl == regFloat:
+			ma.flts[ts.dst] = fr.retf
+		case ts.retSt != nil:
+			var v vm.Value
+			switch rk {
+			case retInt:
+				v = fr.reti
+			case retFloat:
+				v = fr.retf
+			case retBoxed:
+				v = fr.ret
+			}
+			ts.retSt(ma, v)
+		}
+	}
+	callee.close(fr)
+	callee.frames.Put(fr)
+	return err
+}
+
 // Listing renders the compiled form for inspection (jdist -tier): each
 // block with its bytecode range and block-end accounting totals, each
-// INVOKE with its compilation note (direct, native or inline-cached
-// virtual call, deopt point).
+// INVOKE with its compilation note (typed, direct, native or
+// inline-cached virtual call, deopt point).
 func (cm *Compiled) Listing() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "compiled %s.%s:%s  (%d regs:", cm.c.Name(), cm.m.Name, cm.m.Desc, cm.fn.NumRegs)

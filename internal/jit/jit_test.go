@@ -340,12 +340,13 @@ class Main {
 func TestListing(t *testing.T) {
 	src := `
 class Main {
+	static int inc(int x) { return x + 1; }
 	static int work(int n) {
 		int s = 0;
 		int i = 0;
 		while (i < n) {
 			s = s + Math.abs(0 - i);
-			i = i + 1;
+			i = Main.inc(i);
 		}
 		return s;
 	}
@@ -371,5 +372,8 @@ class Main {
 	}
 	if !strings.Contains(ls, "native call Math.abs") {
 		t.Errorf("listing does not note Math.abs as a native call:\n%s", ls)
+	}
+	if !strings.Contains(ls, "typed call Main.inc") {
+		t.Errorf("listing does not note Main.inc as a typed call:\n%s", ls)
 	}
 }

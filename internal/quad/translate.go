@@ -354,7 +354,16 @@ func (tr *translator) translateBlock(start, end int, inVals map[int]Operand, emi
 			}
 		case bytecode.ISTORE, bytecode.FSTORE, bytecode.ASTORE:
 			v := pop()
+			// The opcode is the local's exact kind, as for the loads; the
+			// value's stamp can be wider — an access call's Object-typed
+			// result stored into an int local.
 			kind := KindOf(v)
+			switch in.Op {
+			case bytecode.ISTORE:
+				kind = KindI
+			case bytecode.FSTORE:
+				kind = KindF
+			}
 			dst := localReg(int(in.A), kind)
 			emit(&Quad{Op: MOVE, Dst: dst, HasDst: true, Args: []Operand{v}})
 			switch v.(type) {

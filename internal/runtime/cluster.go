@@ -129,6 +129,8 @@ type Options struct {
 // speed up the next (NodeStats.RetainedHits counts exactly those
 // cross-invocation hits).
 type Cluster struct {
+	// Nodes is indexed by rank. The entry of a burned rank — grown on
+	// the fabric for a joiner that was refused — is nil.
 	Nodes []*Node
 	opts  Options
 
@@ -383,7 +385,9 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	// into the invocation delta.
 	var delta NodeStats
 	for _, n := range c.nodesSnapshot() {
-		metrics.Add(&delta, n.retireThread(tid))
+		if n != nil {
+			metrics.Add(&delta, n.retireThread(tid))
+		}
 	}
 	if err != nil {
 		return nil, delta, err
@@ -496,13 +500,17 @@ func (c *Cluster) Kill() {
 		return
 	}
 	for _, n := range nodes {
-		n.wg.Wait()
+		if n != nil {
+			n.wg.Wait()
+		}
 	}
 }
 
 func closeEndpoints(nodes []*Node) {
 	for _, n := range nodes {
-		_ = n.EP.Close()
+		if n != nil {
+			_ = n.EP.Close()
+		}
 	}
 }
 
@@ -531,7 +539,9 @@ func (c *Cluster) stop() {
 			closeEndpoints(nodes)
 		}
 		for _, n := range nodes {
-			n.wg.Wait()
+			if n != nil {
+				n.wg.Wait()
+			}
 		}
 	})
 }
@@ -573,6 +583,9 @@ func (c *Cluster) SimSecondsObserved() float64 {
 func (c *Cluster) TotalStats() NodeStats {
 	var s NodeStats
 	for _, n := range c.nodesSnapshot() {
+		if n == nil {
+			continue
+		}
 		metrics.Add(&s, metrics.Load(&n.Stats))
 		// Fold in the transport reliability layer's fault counters, so
 		// the one stats surface reports retransmissions and healed
@@ -601,6 +614,10 @@ func (c *Cluster) TotalStats() NodeStats {
 // view advancement, WELCOME broadcast, object seeding — and starts
 // serving; invocations never pause. Returns the admitted node. On any
 // error ep is closed: a refused joiner holds no listener or goroutine.
+// A joiner refused after its rank checked out — it could not be built,
+// its JOIN failed or the coordinator said no — burns the rank (burn),
+// so the fabric and the node table stay in step and the next Join
+// takes the rank after it.
 func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, err error) {
 	defer func() {
 		if err != nil {
@@ -620,6 +637,11 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, 
 	if ep.Rank() != want {
 		return nil, fmt.Errorf("runtime: joiner has rank %d, next rank is %d", ep.Rank(), want)
 	}
+	defer func() {
+		if err != nil {
+			c.burn(ep.Rank())
+		}
+	}()
 	if ep.Rank() >= c.opts.MaxRanks {
 		return nil, fmt.Errorf("runtime: rank space exhausted (MaxRanks %d)", c.opts.MaxRanks)
 	}
@@ -648,6 +670,34 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, 
 	c.Nodes = append(c.Nodes, n)
 	c.stateMu.Unlock()
 	return n, nil
+}
+
+// burn retires a refused joiner's rank the way a drain retires a
+// member's: the coordinator's roster records it as departed, so the
+// view that admits the next joiner extends past it; the coordinator's
+// reliability layer forgets it (a refused JOIN is the only traffic it
+// ever saw); and the node table gets a nil entry, so that rank-indexed
+// table stays aligned with the fabric. A joiner the coordinator
+// admitted before its JOIN reply was lost is a member already: it is
+// retired with an announced shrink, as Drain would, minus the
+// migration — its node is gone.
+func (c *Cluster) burn(rank int) {
+	starter := c.starter
+	starter.coordMu.Lock()
+	if rank < starter.roster.span() {
+		if w, err := starter.roster.shrink(rank); err == nil {
+			starter.announce(starter.lthread(0), &w, rank)
+		}
+	} else {
+		starter.roster.burn(rank)
+		transport.RetirePeer(starter.EP, rank)
+	}
+	starter.coordMu.Unlock()
+	c.stateMu.Lock()
+	if len(c.Nodes) == rank {
+		c.Nodes = append(c.Nodes, nil)
+	}
+	c.stateMu.Unlock()
 }
 
 // Drain retires a member gracefully: the rank migrates every object it
@@ -722,8 +772,8 @@ func (c *Cluster) Drain(rank int) error {
 	return nil
 }
 
-// Ranks is the number of ranks the cluster has admitted, dead and
-// departed ones included.
+// Ranks is the number of ranks the cluster has admitted, dead,
+// departed and burned ones included.
 func (c *Cluster) Ranks() int { return len(c.nodesSnapshot()) }
 
 // Departed reports whether rank was drained out of the cluster.

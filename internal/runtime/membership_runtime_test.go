@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"autodist/internal/analysis"
+	"autodist/internal/bytecode"
 	"autodist/internal/compile"
 	"autodist/internal/rewrite"
 	"autodist/internal/runtime"
@@ -317,6 +318,75 @@ func TestJoinDigestMismatchRefused(t *testing.T) {
 	if v, _, err := c.InvokeEntry("sum", nil); err != nil || v.(int64) != 108 {
 		t.Fatalf("sum after refused join: %v (%v)", v, err)
 	}
+}
+
+// digestForger is a joiner's endpoint that forges the program digest
+// of its JOIN, so the coordinator refuses a joiner Cluster.Join built
+// and started like any other.
+type digestForger struct{ transport.Endpoint }
+
+func (f digestForger) Send(m transport.Message) error {
+	if m.Kind == wire.KindJoin {
+		req := wire.JoinRequest{Digest: 0xdecafbad}
+		m.Payload = req.Encode()
+	}
+	return f.Endpoint.Send(m)
+}
+
+// TestRefusedJoinBurnsRank: a joiner refused after the fabric grew for
+// it — the coordinator refusing its JOIN — uses its rank up, as a drain
+// does. The next Join extends the view past it, serves traffic, and the
+// cluster stays quiescent.
+func TestRefusedJoinBurnsRank(t *testing.T) {
+	c, rw, eps := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, MaxRanks: 8})
+	defer c.Kill()
+	bp, _, err := compile.CompileSource(cellsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := func(rank int) *bytecode.Program {
+		t.Helper()
+		prog, err := rewrite.RewriteForNode(bp, rw.Plan, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+
+	ep, _ := joinerProgram(t, rw, eps)
+	if _, err := c.Join(program(ep.Rank()), digestForger{ep}); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("join with a forged digest: %v, want a digest refusal", err)
+	}
+	ep, _ = joinerProgram(t, rw, eps)
+	n, err := c.Join(program(ep.Rank()), ep)
+	if err != nil {
+		t.Fatalf("join after the refusal: %v", err)
+	}
+	if n.Rank != 3 || c.Ranks() != 4 {
+		t.Fatalf("joined rank %d of %d ranks, want 3 of 4", n.Rank, c.Ranks())
+	}
+	if !c.Departed(2) {
+		t.Error("burned rank 2 is not departed")
+	}
+	for i := int64(0); i < 8; i++ {
+		v, _, err := c.InvokeEntry("add", []vm.Value{i, int64(100)})
+		if err != nil || v.(int64) != 110+i {
+			t.Fatalf("add(%d) after the join = %v (%v), want %d", i, v, err, 110+i)
+		}
+	}
+	if v, _, err := c.InvokeEntry("sum", nil); err != nil || v.(int64) != 908 {
+		t.Fatalf("sum after the join = %v (%v), want 908", v, err)
+	}
+	if s := c.TotalStats(); s.Joins != 1 || s.Migrations == 0 {
+		t.Errorf("Joins = %d, Migrations = %d; want 1 join that seeded the new rank", s.Joins, s.Migrations)
+	}
+	if err := c.Drain(2); err == nil {
+		t.Error("draining a burned rank succeeded")
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
 }
 
 // viewSpy counts frames sent with a non-zero membership view — each

@@ -156,6 +156,17 @@ func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string
 		acc = n.canonicalizeSlice(acc)
 	}
 	id, birth, real := n.reference(o)
+	if kind == rewrite.GetFieldCached && !n.Unoptimized {
+		// Write-once reads: the never-invalidated special case of
+		// cached state. A hit needs no route: an entry exists only
+		// while this node does not hold the object, and a home move
+		// drops the entries in the step that installs or hands off the
+		// home.
+		if v, retained, ok := n.objs.cachedOnce(id, member); ok {
+			n.countOnceHit(lt, retained)
+			return v, nil
+		}
+	}
 	h, home, ok := n.objs.route(lt, id, birth, real)
 	if !ok {
 		return nil, fmt.Errorf("runtime: node %d shut down", n.Rank)
@@ -205,15 +216,8 @@ func (n *Node) localDispatch(lt *lthread, obj *vm.Object, kind int, member strin
 func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member string, acc []vm.Value) (vm.Value, error) {
 	switch {
 	case kind == rewrite.GetFieldCached && !n.Unoptimized:
-		// Write-once reads: the never-invalidated special case of
-		// cached state — only a home move drops these entries.
-		if v, retained, ok := n.objs.cachedOnce(id, member); ok {
-			n.count(lt, func(s *NodeStats) *int64 { return &s.CacheHits }, 1)
-			if retained {
-				n.count(lt, func(s *NodeStats) *int64 { return &s.RetainedHits }, 1)
-			}
-			return v, nil
-		}
+		// A write-once miss (dispatchAccess served the hits): fetch
+		// and fill.
 		v, err := n.remoteAccess(lt, home, id, kind, member, acc)
 		if err != nil {
 			return nil, err

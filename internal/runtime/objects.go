@@ -55,6 +55,46 @@ type objShard struct {
 	// an object that never leaves this node has a record only while an
 	// access holds its gate, and that access then allocates nothing.
 	spare *objState
+	// once caches write-once field reads, id → *onceSet. A write can
+	// never invalidate them (the facts pass proved there are no
+	// writes); only a home move discards them, conservatively, with
+	// everything else (dropCopies). cachedOnce reads it without mu;
+	// storeOnce and dropCopies change it under mu, one key at a time,
+	// and never write a set once stored.
+	once sync.Map
+}
+
+// onceSet is one object's write-once cache entries, immutable once
+// published: a few members at most, so a linear scan beats a map.
+type onceSet []onceEntry
+
+// onceEntry is one cached field value and the invocation epoch it was
+// filled in.
+type onceEntry struct {
+	member string
+	v      vm.Value
+	epoch  int64
+}
+
+// lookup returns the entry for member.
+func (o onceSet) lookup(member string) (onceEntry, bool) {
+	for _, e := range o {
+		if e.member == member {
+			return e, true
+		}
+	}
+	return onceEntry{}, false
+}
+
+// with returns a copy of o with member's entry set.
+func (o onceSet) with(e onceEntry) onceSet {
+	out := make(onceSet, 0, len(o)+1)
+	for _, x := range o {
+		if x.member != e.member {
+			out = append(out, x)
+		}
+	}
+	return append(out, e)
 }
 
 // objState is one object's record on this node.
@@ -76,13 +116,6 @@ type objState struct {
 	// valid hint.
 	hint      int
 	hintValid bool
-
-	// once caches write-once field reads. A write can never invalidate
-	// them (the facts pass proved there are no writes); only a home move
-	// discards them, conservatively, with everything else. onceEpoch
-	// records the invocation epoch each entry was filled in.
-	once      map[string]vm.Value
-	onceEpoch map[string]int64
 
 	// replica is the installed field-snapshot shadow, nil when no valid
 	// replica is held. It is never written in place — other threads may
@@ -132,9 +165,14 @@ type affinityCell struct {
 	localWrites int64
 }
 
+// shard returns id's shard, unlocked.
+func (t *objTable) shard(id int64) *objShard {
+	return &t.shards[uint64(id)*0x9E3779B97F4A7C15>>(64-objShardBits)]
+}
+
 // lock locks and returns id's shard.
 func (t *objTable) lock(id int64) *objShard {
-	sh := &t.shards[uint64(id)*0x9E3779B97F4A7C15>>(64-objShardBits)]
+	sh := t.shard(id)
 	sh.mu.Lock()
 	return sh
 }
@@ -167,7 +205,7 @@ func (sh *objShard) release(id int64, s *objState) {
 
 // vacant reports whether the record holds nothing but an idle gate.
 func (s *objState) vacant() bool {
-	return s.canon == nil && s.home == nil && !s.hintValid && s.once == nil && s.replica == nil &&
+	return s.canon == nil && s.home == nil && !s.hintValid && s.replica == nil &&
 		s.gen == 0 && !s.denied && len(s.readers) == 0 &&
 		s.depth == 0 && s.frozen == nil && s.idle == nil && s.aff == (affinityCell{})
 }
@@ -385,11 +423,12 @@ func (t *objTable) intern(p *vm.Object, id int64, birth int) *vm.Object {
 	return s.canon
 }
 
-// dropCopies discards every cached value of the object — write-once
-// reads and the replica — and moves the generation, so an install in
-// flight is discarded too.
-func (s *objState) dropCopies() {
-	s.once, s.onceEpoch, s.replica = nil, nil, nil
+// dropCopies discards every cached value of id — write-once reads and
+// the replica — and moves the generation, so an install in flight is
+// discarded too. Callers hold the shard lock.
+func (sh *objShard) dropCopies(id int64, s *objState) {
+	sh.once.Delete(id)
+	s.replica = nil
 	s.gen++
 }
 
@@ -401,7 +440,7 @@ func (s *objState) dropCopies() {
 func (t *objTable) learn(id int64, newHome int) {
 	sh := t.lock(id)
 	s := sh.ent(id)
-	s.dropCopies()
+	sh.dropCopies(id, s)
 	if s.home == nil && newHome != t.self {
 		s.hint, s.hintValid = newHome, true
 	}
@@ -415,7 +454,7 @@ func (t *objTable) learn(id int64, newHome int) {
 func (t *objTable) handoff(id int64, to int) {
 	sh := t.lock(id)
 	s := sh.ent(id)
-	s.dropCopies()
+	sh.dropCopies(id, s)
 	s.home = nil
 	s.hint, s.hintValid = to, true
 	sh.mu.Unlock()
@@ -427,17 +466,17 @@ func (t *objTable) handoff(id int64, to int) {
 // record's.
 func (t *objTable) install(id int64, h *vm.Object, readers []int) {
 	sh := t.lock(id)
-	sh.ent(id).own(h, readers, t.self)
+	sh.own(id, sh.ent(id), h, readers, t.self)
 	sh.mu.Unlock()
 }
 
-func (s *objState) own(h *vm.Object, readers []int, self int) {
+func (sh *objShard) own(id int64, s *objState, h *vm.Object, readers []int, self int) {
 	s.home = h
 	if s.canon == nil {
 		s.canon = h
 	}
 	s.hintValid = false
-	s.dropCopies()
+	sh.dropCopies(id, s)
 	s.readers = nil
 	for _, r := range readers {
 		if r != self {
@@ -465,7 +504,8 @@ func (t *objTable) promote(dead int, taken []int64) []int64 {
 		h := *s.replica
 		h.Fields = slices.Clone(h.Fields)
 		h.ID = id
-		s.own(&h, nil, t.self)
+		// scan holds id's shard lock.
+		t.shard(id).own(id, s, &h, nil, t.self)
 		out = append(out, id)
 	})
 	slices.Sort(out)
@@ -523,15 +563,21 @@ func (t *objTable) takeAffinity() []wire.AffinityEdge {
 // cachedOnce returns a write-once cache entry plus whether the hit is
 // retained — served from an entry filled during an earlier invocation
 // epoch.
+//
+// It takes no lock, so threads hitting the same object do not contend.
+// An entry visible here was stored by storeOnce under the shard lock and
+// is withdrawn the same way, in the step that moves the object's home.
 func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok bool) {
-	cur := t.curEpoch()
-	sh := t.lock(id)
-	defer sh.mu.Unlock()
-	if s := sh.m[id]; s != nil && s.once != nil {
-		v, ok = s.once[member]
-		return v, ok && cur > 0 && s.onceEpoch[member] < cur, ok
+	set, ok := t.shard(id).once.Load(id)
+	if !ok {
+		return nil, false, false
 	}
-	return nil, false, false
+	e, ok := set.(*onceSet).lookup(member)
+	if !ok {
+		return nil, false, false
+	}
+	cur := t.curEpoch()
+	return e.v, cur > 0 && e.epoch < cur, true
 }
 
 // storeOnce fills the write-once cache, stamped with the current
@@ -540,13 +586,13 @@ func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok
 func (t *objTable) storeOnce(id int64, member string, v vm.Value) {
 	cur := t.curEpoch()
 	sh := t.lock(id)
-	if s := sh.ent(id); s.home == nil {
-		if s.once == nil {
-			s.once = map[string]vm.Value{}
-			s.onceEpoch = map[string]int64{}
+	if s := sh.m[id]; s == nil || s.home == nil {
+		var set onceSet
+		if old, ok := sh.once.Load(id); ok {
+			set = *old.(*onceSet)
 		}
-		s.once[member] = v
-		s.onceEpoch[member] = cur
+		set = set.with(onceEntry{member: member, v: v, epoch: cur})
+		sh.once.Store(id, &set)
 	}
 	sh.mu.Unlock()
 }
@@ -723,6 +769,7 @@ func (t *objTable) restoreReaders(id int64, readers []int) {
 //   - no gate held or frozen;
 //   - every reader set within the live ranks, and no node in its own;
 //   - no record holding nothing but an idle gate;
+//   - no write-once entry on an object's owner;
 //   - no logical-thread context but the system thread's: an
 //     invocation's drain finishes its asynchronous work, so no frame of
 //     a retired thread arrives to recreate its context.
@@ -735,7 +782,7 @@ func quiescent(nodes []*Node) error {
 	homes := map[int64][]int{}
 	deadHints := map[int64]bool{} // ids every live hint so far ties to a dead rank
 	for _, n := range nodes {
-		if !live(n.Rank) {
+		if n == nil || !live(n.Rank) {
 			continue
 		}
 		n.ltMu.Lock()
@@ -761,6 +808,9 @@ func quiescent(nodes []*Node) error {
 					}
 				}
 				if s.home != nil {
+					if _, ok := sh.once.Load(id); ok {
+						bad("node %d: owner of %d holds write-once entries", n.Rank, id)
+					}
 					homes[id] = append(homes[id], n.Rank)
 					if s.hintValid {
 						bad("node %d: owns %d but holds a hint to %d", n.Rank, id, s.hint)

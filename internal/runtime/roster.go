@@ -19,14 +19,16 @@ import (
 // Every node starts at view 0 over the starting ranks. The coordinator
 // builds the next view when it admits a joiner (grow) or retires a
 // leaver (shrink), and every member installs it from the WELCOME that
-// closes the round. A cluster nobody joins or drains stays at view 0,
+// closes the round. A fabric rank grown for a joiner the cluster then
+// refused is burned on the coordinator (burn): it joins the departed
+// set, and the next admission extends the view past it. A cluster nobody joins or drains stays at view 0,
 // which the frame envelope does not encode, so its coordination frames
 // carry no view id at all.
 type roster struct {
 	mu       sync.Mutex
 	view     uint64
 	size     int
-	departed []int // ascending
+	departed []int // ascending; burned ranks may lie beyond size
 	dead     []int // sticky: a dead rank never comes back
 }
 
@@ -100,14 +102,33 @@ func (r *roster) markDead(rank int) bool {
 }
 
 // grow builds the WELCOME that admits joiner, which must be the next
-// rank of the space.
+// rank of the space that is not burned.
 func (r *roster) grow(joiner int) (wire.Welcome, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if joiner != r.size {
-		return wire.Welcome{}, fmt.Errorf("joiner rank %d does not extend view %d (size %d)", joiner, r.view, r.size)
+	next := r.size
+	for slices.Contains(r.departed, next) {
+		next++
 	}
-	return wire.Welcome{Accept: true, ViewID: r.view + 1, Size: r.size + 1, Departed: r.departed}, nil
+	if joiner != next {
+		return wire.Welcome{}, fmt.Errorf("joiner rank %d does not extend view %d (size %d, next rank %d)", joiner, r.view, r.size, next)
+	}
+	return wire.Welcome{Accept: true, ViewID: r.view + 1, Size: joiner + 1, Departed: r.departed}, nil
+}
+
+// burn gives up a rank the fabric grew for a joiner that was refused
+// before the coordinator admitted it: the rank goes into the departed
+// set beyond the view, so the next grow skips it and the view that
+// admits the next joiner carries it as departed. Ranks are never
+// reused, so a burned rank never comes back.
+func (r *roster) burn(rank int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rank < r.size || slices.Contains(r.departed, rank) {
+		return
+	}
+	r.departed = append(slices.Clone(r.departed), rank)
+	slices.Sort(r.departed)
 }
 
 // shrink builds the WELCOME that retires rank, which must be live.

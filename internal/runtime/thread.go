@@ -84,6 +84,13 @@ type lthread struct {
 	// per-thread shadow of Node.Stats that per-invocation deltas are
 	// built from. Updated atomically alongside the global counters.
 	stats NodeStats
+	// onceFresh and onceRetained count the thread's write-once cache
+	// hits apart from stats — the RetainedHits among them, and the rest
+	// — so a hit touches one counter, which no other thread writes.
+	// retireThread adds them to the node's and the thread's CacheHits
+	// and RetainedHits.
+	onceFresh    atomic.Int64
+	onceRetained atomic.Int64
 }
 
 // journalKey names one effectful request in a thread's dedup journal.
@@ -166,6 +173,12 @@ func (n *Node) retireThread(tid uint64) NodeStats {
 		return NodeStats{}
 	}
 	lt.fuseBuf = nil
+	if f, r := lt.onceFresh.Load(), lt.onceRetained.Load(); f != 0 || r != 0 {
+		atomic.AddInt64(&n.Stats.CacheHits, f+r)
+		atomic.AddInt64(&n.Stats.RetainedHits, r)
+		atomic.AddInt64(&lt.stats.CacheHits, f+r)
+		atomic.AddInt64(&lt.stats.RetainedHits, r)
+	}
 	stats := metrics.Load(&lt.stats)
 	// The interpreter thread has quiesced (its invocation completed and
 	// its context is unregistered), so its tiered-execution counters
@@ -188,5 +201,24 @@ func (n *Node) count(lt *lthread, sel func(*NodeStats) *int64, d int64) {
 	atomic.AddInt64(sel(&n.Stats), d)
 	if lt != nil && lt.tid != 0 {
 		atomic.AddInt64(sel(&lt.stats), d)
+	}
+}
+
+// countOnceHit counts one write-once cache hit, and a retained one
+// also as a retained hit. An application thread's hits stay on the
+// thread until retireThread; the system thread's go straight to the
+// node's counters.
+func (n *Node) countOnceHit(lt *lthread, retained bool) {
+	if lt == nil || lt.tid == 0 {
+		n.count(lt, func(s *NodeStats) *int64 { return &s.CacheHits }, 1)
+		if retained {
+			n.count(lt, func(s *NodeStats) *int64 { return &s.RetainedHits }, 1)
+		}
+		return
+	}
+	if retained {
+		lt.onceRetained.Add(1)
+	} else {
+		lt.onceFresh.Add(1)
 	}
 }

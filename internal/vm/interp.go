@@ -79,6 +79,9 @@ func (t *Thread) enter(c *Class, m *bytecode.Method, prof *methodProfile, args [
 	t.stack = append(t.stack, StackEntry{Class: c.Name(), Method: m.Name})
 	ret, err := t.run(c, m, prof, args)
 	t.stack = t.stack[:len(t.stack)-1]
+	if len(t.stack) == 0 {
+		t.foldEntries()
+	}
 	if vm.Hooks.MethodExit != nil {
 		vm.Hooks.MethodExit(c.Name(), m.Name)
 	}
@@ -115,13 +118,11 @@ func (t *Thread) run(c *Class, m *bytecode.Method, prof *methodProfile, args []V
 	if prof != nil {
 		if cm := prof.compiled(); cm != nil {
 			t.entryC++
-			js.entries.Add(1)
 			return cm.Run(t, args)
 		}
 		if !prof.bad.Load() && prof.count.Add(1) >= js.threshold {
 			if cm := js.promote(t, c, m, prof); cm != nil {
 				t.entryC++
-				js.entries.Add(1)
 				return cm.Run(t, args)
 			}
 		}

@@ -38,7 +38,7 @@ type jitState struct {
 
 	compiledN atomic.Uint64 // compilation events (recompiles after invalidation included)
 	tierUps   atomic.Uint64 // interpreter→compiled promotions
-	entries   atomic.Uint64 // compiled-frame entries
+	entries   atomic.Uint64 // compiled-frame entries, folded in per thread (foldEntries)
 	deopts    atomic.Uint64 // mid-method fallbacks to the interpreter
 }
 
@@ -137,7 +137,9 @@ func (vm *VM) InvalidateCompiled() {
 // deopt fallbacks. TierUps counts promotion events (a hot method
 // crossing the threshold and entering the compiled tier), not how many
 // times compiled code ran — that is entries, which grows with the
-// workload rather than with the number of hot methods.
+// workload rather than with the number of hot methods. Entries are
+// added when a thread's outermost frame returns, so they are exact
+// whenever no thread is running a method, and lag a running one.
 func (vm *VM) JITStats() (compiled, tierUps, entries, deopts uint64) {
 	js := vm.jit
 	if js == nil {
@@ -274,6 +276,50 @@ func (t *Thread) Call(ce *Callee, args []Value) (Value, error) {
 		return t.Invoke(ce.class, ce.method, args)
 	}
 	return t.enter(ce.class, ce.method, ce.prof, args)
+}
+
+// EnterCompiled opens a frame for the compiled tier's typed calling
+// convention, which passes arguments and the result unboxed and so
+// cannot go through Call. When ce is a bytecode method that currently
+// has compiled code and the VM fires no per-call hooks (MethodEnter,
+// MethodExit, OnQuantum), it does what enter and run do before a
+// compiled body runs — the stack entry and the entry counters — and
+// returns the code; the caller runs it and closes the frame with
+// LeaveCompiled, error or not. Otherwise it returns nil and changes
+// nothing: the caller uses Call. The compiled code is re-read on every
+// call, so InvalidateCompiled takes effect at the next one.
+func (t *Thread) EnterCompiled(ce *Callee) CompiledMethod {
+	vm := t.vm
+	if ce.prof == nil || vm.jit == nil || vm.Hooks.MethodEnter != nil || vm.Hooks.MethodExit != nil || vm.Hooks.OnQuantum != nil {
+		return nil
+	}
+	cp := ce.prof.code.Load()
+	if cp == nil {
+		return nil
+	}
+	t.stack = append(t.stack, StackEntry{Class: ce.class.Name(), Method: ce.method.Name})
+	t.entryC++
+	return *cp
+}
+
+// LeaveCompiled closes a frame EnterCompiled opened. The caller's own
+// frame stays on the stack, so this never ends the thread's outermost
+// frame and has no entries to fold.
+func (t *Thread) LeaveCompiled() { t.stack = t.stack[:len(t.stack)-1] }
+
+// foldEntries adds the compiled entries this thread made since the last
+// fold to the VM-wide counter. enter calls it when the thread's
+// outermost frame returns, so the shared counter takes one atomic add
+// per invocation instead of one per compiled frame — two threads
+// running compiled code on one VM no longer contend on it per call —
+// and is exact whenever no frame of the thread is running.
+func (t *Thread) foldEntries() {
+	if d := t.entryC - t.entryFolded; d != 0 {
+		t.entryFolded = t.entryC
+		if js := t.vm.jit; js != nil {
+			js.entries.Add(d)
+		}
+	}
 }
 
 // RuntimeError builds a VMError carrying this thread's call stack, for

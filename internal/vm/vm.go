@@ -153,11 +153,13 @@ type Thread struct {
 	cycles uint64
 	// Tiered-execution counters (plain, same contract as cycles):
 	// compilations this thread triggered, promotions it performed,
-	// compiled frames it entered, deopts it took.
-	compileC uint64
-	tierUpC  uint64
-	entryC   uint64
-	deoptC   uint64
+	// compiled frames it entered, deopts it took. entryFolded is the
+	// part of entryC already added to the VM-wide counter (foldEntries).
+	compileC    uint64
+	tierUpC     uint64
+	entryC      uint64
+	entryFolded uint64
+	deoptC      uint64
 	// larena backs frame locals. Calls nest LIFO within a thread, so
 	// each frame carves its locals from the tail and releases back to
 	// its base on return — steady-state interpretation allocates no
