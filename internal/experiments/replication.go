@@ -220,8 +220,8 @@ func TableReplication() ([]ReplicationRow, error) {
 func FormatTableReplication(rows []ReplicationRow) string {
 	var b strings.Builder
 	b.WriteString("Read-replication: coherence layer vs static plan (in-process fabric)\n")
-	b.WriteString("(hits = replica-served reads; fetch = REPLICATE installs; inval = INVALIDATE frames;\n")
-	b.WriteString(" patch = the INVALIDATEs that carried a scalar write into the replica instead of dropping it)\n")
+	b.WriteString("(hits = replica-served reads; fetch = REPLICATE installs; inval = write-barrier deliveries,\n")
+	b.WriteString(" by INVALIDATE or on the writer's reply; patch = those that carried a scalar write into the replica)\n")
 	b.WriteString(fmt.Sprintf("%-10s %8s %8s %7s | %9s %9s %7s | %6s %5s %5s %5s\n",
 		"workload", "msgs", "msgs-rp", "red", "bytes", "bytes-rp", "red", "hits", "fetch", "inval", "patch"))
 	red := func(base, opt int64) string {

@@ -7,10 +7,14 @@
 //
 // Contract with the VM (vm.CompiledMethod): compiled code must be
 // observably identical to interpretation — same results, same error
-// messages, same hook firings, and the same step/cycle accounting in
-// the same order relative to every call (Thread.ChargeBlock: each call
-// site first charges its block up to and including the INVOKE, and the
-// block end charges the rest).
+// messages, same hook firings, and, on a run that completes, the same
+// step/cycle accounting in the same order relative to every call
+// (Thread.ChargeBlock: each call site first charges its block up to and
+// including the INVOKE, and the block end charges the rest). After a
+// failure the totals depend on the tier: a block that fails mid-way has
+// not charged its unexecuted part, so the compiled total is at most the
+// interpreter's, and a step limit trips at the end of the block that
+// crossed it rather than at the crossing instruction.
 //
 // Every INVOKE that resolves is an ordinary call from the compiled
 // frame, natives included. That covers the rewriter's access mediation

@@ -48,10 +48,8 @@ func listing(t *testing.T, v *vm.VM, name string) string {
 }
 
 // sameFailure runs main on the interpreter and on the tiered VM (set
-// up by tune on both) and requires the same error, stack included.
-// Step totals are not compared: a compiled block charges its steps at
-// its end, so a run cut short inside a block has charged less (or, at
-// a step limit, trips at the block's end), by design of the tier.
+// up by tune on both) and requires the same error, stack included, and
+// step totals as sameSteps orders them.
 func sameFailure(t *testing.T, src string, tune func(*vm.VM), want string) (mi, mj *vm.VM) {
 	t.Helper()
 	mi, mj = newVM(t, src, false), newVM(t, src, true)
@@ -70,7 +68,31 @@ func sameFailure(t *testing.T, src string, tune func(*vm.VM), want string) (mi, 
 	if !strings.Contains(errJ.Error(), want) {
 		t.Errorf("error %q does not mention %q", errJ, want)
 	}
+	sameSteps(t, mi, mj, errJ)
 	return mi, mj
+}
+
+// sameSteps holds the tiers' step totals to the package contract. A
+// run that completed (err nil) charged the same steps on both. A failed
+// one charged at most the interpreter's on the compiled tier, whose
+// failing block never charged its unexecuted part — except at the step
+// limit, where both stopped past the limit and the compiled tier only
+// at the end of the block that crossed it.
+func sameSteps(t *testing.T, mi, mj *vm.VM, err error) {
+	t.Helper()
+	si, sj := mi.Steps(), mj.Steps()
+	switch {
+	case err == nil:
+		if si != sj {
+			t.Errorf("steps diverged on a completed run: interp %d, tiered %d", si, sj)
+		}
+	case strings.Contains(err.Error(), "step limit"):
+		if si <= mi.MaxSteps || sj < si {
+			t.Errorf("step limit %d: interp stopped at %d, tiered at %d; want both past it, tiered no earlier", mi.MaxSteps, si, sj)
+		}
+	case sj > si:
+		t.Errorf("failed run charged more steps compiled (%d) than interpreted (%d)", sj, si)
+	}
 }
 
 func TestTypedCallDivisionByZero(t *testing.T) {
@@ -121,7 +143,7 @@ class Main {
 		System.println("" + s + " " + f);
 	}
 }`
-	trace := func(jitOn bool) string {
+	trace := func(jitOn bool) (*vm.VM, string) {
 		v := newVM(t, src, jitOn)
 		var b strings.Builder
 		v.Hooks.MethodEnter = func(c, m string) { fmt.Fprintf(&b, "> %s.%s\n", c, m) }
@@ -129,11 +151,14 @@ class Main {
 		if _, err := v.CallMethod("Main", "main", "()V", nil); err != nil {
 			t.Fatal(err)
 		}
-		return b.String() + v.Out.(*strings.Builder).String()
+		return v, b.String() + v.Out.(*strings.Builder).String()
 	}
-	if i, j := trace(false), trace(true); i != j {
+	mi, i := trace(false)
+	mj, j := trace(true)
+	if i != j {
 		t.Errorf("hook sequences diverged:\ninterp:\n%s\ntiered:\n%s", i, j)
 	}
+	sameSteps(t, mi, mj, nil)
 }
 
 func TestTypedCallCalleeDeopts(t *testing.T) {

@@ -191,6 +191,12 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 	if opts.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("runtime: negative MaxConcurrent %d", opts.MaxConcurrent)
 	}
+	if opts.Replicate && opts.MaxConcurrent >= maxReplicatedThreads {
+		// Each thread has at most one reply, and so one batch of carried
+		// patches, in flight: the write counters' two-byte serial order
+		// (replicate.go) needs their spread well under 2¹⁵.
+		return nil, fmt.Errorf("runtime: MaxConcurrent %d with Replicate, want below %d", opts.MaxConcurrent, maxReplicatedThreads)
+	}
 	if opts.MaxRanks != 0 {
 		if !plan.Adaptive {
 			return nil, fmt.Errorf("runtime: elastic membership needs an adaptive plan (rewrite.RewriteAdaptive)")

@@ -16,6 +16,20 @@ func shadowObj(t *testing.T, n *Node) *vm.Object {
 	return n.VM.NewObject(cls)
 }
 
+// invalidate delivers a drop of slot 0 of id at write counter 1, newer
+// than the counter 0 the tests install replicas at.
+func invalidate(n *Node, id int64) { n.objs.patch(id, 0, 1, false, nil) }
+
+// appendReaders appends id's owner-side replica set, sorted, to dst.
+func (t *objTable) appendReaders(dst []int, id int64) []int {
+	sh := t.lock(id)
+	defer sh.mu.Unlock()
+	if s := sh.m[id]; s != nil {
+		dst = append(dst, s.readers...)
+	}
+	return dst
+}
+
 // hintOf reads id's forwarding hint.
 func hintOf(n *Node, id int64) (int, bool) {
 	sh := n.objs.lock(id)
@@ -77,8 +91,8 @@ func TestCoherenceSelfHintDropped(t *testing.T) {
 func TestCoherenceInstallDiscardedAfterInvalidate(t *testing.T) {
 	n := testNode(t)
 	gen := n.objs.replicaGen(7)
-	n.objs.invalidate(7) // write raced the fetch
-	if n.objs.installReplica(7, shadowObj(t, n), gen) {
+	invalidate(n, 7) // write raced the fetch
+	if n.objs.installReplica(7, shadowObj(t, n), gen, 0) {
 		t.Fatal("stale replica installed after invalidation")
 	}
 	if _, _, ok := n.objs.replica(7); ok {
@@ -86,7 +100,7 @@ func TestCoherenceInstallDiscardedAfterInvalidate(t *testing.T) {
 	}
 	// A clean install at the current generation takes.
 	gen = n.objs.replicaGen(7)
-	if !n.objs.installReplica(7, shadowObj(t, n), gen) {
+	if !n.objs.installReplica(7, shadowObj(t, n), gen, 0) {
 		t.Fatal("fresh install rejected")
 	}
 	if _, _, ok := n.objs.replica(7); !ok {
@@ -102,9 +116,9 @@ func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 	n := testNode(t)
 	n.objs.storeOnce(3, "size", int64(8))
 	gen := n.objs.replicaGen(3)
-	n.objs.installReplica(3, shadowObj(t, n), gen)
+	n.objs.installReplica(3, shadowObj(t, n), gen, 0)
 
-	n.objs.invalidate(3)
+	invalidate(n, 3)
 	if _, _, ok := n.objs.replica(3); ok {
 		t.Fatal("replica survived INVALIDATE")
 	}
@@ -140,11 +154,11 @@ func TestCoherenceReaderSetLifecycle(t *testing.T) {
 	}
 
 	c.addReader(5, 3)
-	taken := c.takeReaders(5)
+	taken, ver := c.takeReaders(5)
 	if !reflect.DeepEqual(taken, []int{3}) || c.appendReaders(nil, 5) != nil {
 		t.Fatalf("takeReaders = %v, residual %v", taken, c.appendReaders(nil, 5))
 	}
-	c.restoreReaders(5, taken)
+	c.restoreReaders(5, taken, ver)
 	if got := c.appendReaders(nil, 5); !reflect.DeepEqual(got, []int{3}) {
 		t.Fatalf("restoreReaders lost the set: %v", got)
 	}
@@ -158,10 +172,10 @@ func TestCoherenceBecomeOwner(t *testing.T) {
 	n.objs.intern(shadowObj(t, n), 6, 1)
 	n.objs.storeOnce(6, "f", int64(1))
 	gen := n.objs.replicaGen(6)
-	n.objs.installReplica(6, shadowObj(t, n), gen)
+	n.objs.installReplica(6, shadowObj(t, n), gen, 0)
 
 	h := shadowObj(t, n)
-	n.objs.install(6, h, []int{0, 1, 2})
+	n.objs.install(6, h, []int{0, 1, 2}, 0)
 	if _, ok := hintOf(n, 6); ok {
 		t.Fatal("forwarding pointer survived ownership")
 	}
@@ -187,10 +201,10 @@ func TestCoherenceUpdatePatchesCopy(t *testing.T) {
 	n := testNode(t)
 	cls := n.VM.Class("Object")
 	old := &vm.Object{Class: cls, Fields: []vm.Value{int64(1), "a"}, ID: 9}
-	n.objs.installReplica(8, old, n.objs.replicaGen(8))
+	n.objs.installReplica(8, old, n.objs.replicaGen(8), 0)
 	inFlight := n.objs.replicaGen(8)
 
-	kept, err := n.objs.update(8, 1, "b")
+	kept, err := n.objs.patch(8, 1, 1, true, "b")
 	if err != nil || !kept {
 		t.Fatalf("update of a held replica = %v, %v; want kept", kept, err)
 	}
@@ -201,11 +215,11 @@ func TestCoherenceUpdatePatchesCopy(t *testing.T) {
 	if old.Fields[1] != "a" {
 		t.Fatalf("the old shadow was written in place: %v", old.Fields)
 	}
-	if n.objs.installReplica(8, shadowObj(t, n), inFlight) {
+	if n.objs.installReplica(8, shadowObj(t, n), inFlight, 0) {
 		t.Fatal("an install fetched before the patch was kept")
 	}
 
-	if _, err := n.objs.update(8, 2, int64(0)); err == nil {
+	if _, err := n.objs.patch(8, 2, 2, true, int64(0)); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
 	if _, _, ok := n.objs.replica(8); ok {
@@ -219,15 +233,15 @@ func TestCoherenceUpdatePatchesCopy(t *testing.T) {
 func TestCoherenceLearnDropsPatchedReplica(t *testing.T) {
 	n := testNode(t)
 	shadow := &vm.Object{Class: n.VM.Class("Object"), Fields: []vm.Value{int64(0)}}
-	n.objs.installReplica(3, shadow, n.objs.replicaGen(3))
-	if kept, err := n.objs.update(3, 0, int64(1)); !kept || err != nil {
+	n.objs.installReplica(3, shadow, n.objs.replicaGen(3), 0)
+	if kept, err := n.objs.patch(3, 0, 1, true, int64(1)); !kept || err != nil {
 		t.Fatalf("update = %v, %v; want kept", kept, err)
 	}
 	n.objs.learn(3, 1)
 	if _, _, ok := n.objs.replica(3); ok {
 		t.Fatal("patched replica survived a home move")
 	}
-	if kept, _ := n.objs.update(3, 0, int64(2)); kept {
+	if kept, _ := n.objs.patch(3, 0, 2, true, int64(2)); kept {
 		t.Fatal("a patch after the move reported a kept replica")
 	}
 }
@@ -239,11 +253,93 @@ func TestCoherenceLearnDropsPatchedReplica(t *testing.T) {
 func TestCoherenceUpdateWithoutReplica(t *testing.T) {
 	n := testNode(t)
 	gen := n.objs.replicaGen(4)
-	kept, err := n.objs.update(4, 0, int64(5))
+	kept, err := n.objs.patch(4, 0, 1, true, int64(5))
 	if err != nil || kept {
 		t.Fatalf("update without a replica = %v, %v; want not kept", kept, err)
 	}
-	if n.objs.installReplica(4, shadowObj(t, n), gen) {
+	if n.objs.installReplica(4, shadowObj(t, n), gen, 0) {
 		t.Fatal("stale install kept after a patch")
+	}
+}
+
+// TestCoherencePatchOrder pins the replica side of the write counter:
+// patches apply per slot only when newer than what the slot holds, so
+// an older patch arriving late — a reply overtaken by a later write's
+// INVALIDATE, or by another thread's reply — never rolls a slot back,
+// and writes to different slots commute. The order is serial-number
+// order mod 2¹⁶, so it holds across the counter's wrap.
+func TestCoherencePatchOrder(t *testing.T) {
+	n := testNode(t)
+	cls := n.VM.Class("Object")
+	n.objs.installReplica(5, &vm.Object{Class: cls, Fields: []vm.Value{int64(0), int64(0)}}, n.objs.replicaGen(5), 0xfffe)
+	fields := func() []vm.Value {
+		t.Helper()
+		r, _, ok := n.objs.replica(5)
+		if !ok {
+			t.Fatal("replica dropped")
+		}
+		return r.Fields
+	}
+	steps := []struct {
+		slot int
+		ver  uint16
+		v    int64
+		want []vm.Value
+	}{
+		{0, 0x0001, 1, []vm.Value{int64(1), int64(0)}}, // across the wrap: newer
+		{0, 0xffff, 2, []vm.Value{int64(1), int64(0)}}, // older than the slot holds
+		{1, 0xffff, 3, []vm.Value{int64(1), int64(3)}}, // newer for its own slot
+		{0, 0x0001, 4, []vm.Value{int64(1), int64(3)}}, // a duplicate is not newer
+		{0, 0x0002, 5, []vm.Value{int64(5), int64(3)}},
+	}
+	for _, st := range steps {
+		if kept, err := n.objs.patch(5, st.slot, st.ver, true, st.v); !kept || err != nil {
+			t.Fatalf("patch %+v = %v, %v; want kept", st, kept, err)
+		}
+		if got := fields(); !reflect.DeepEqual(got, st.want) {
+			t.Fatalf("after patch %+v: fields %v, want %v", st, got, st.want)
+		}
+	}
+	// A drop older than the slot's value keeps the replica; a newer one
+	// drops it.
+	if kept, _ := n.objs.patch(5, 1, 0xffff, false, nil); !kept {
+		t.Fatal("a stale drop discarded the replica")
+	}
+	if kept, _ := n.objs.patch(5, 1, 0x0003, false, nil); kept {
+		t.Fatal("a newer drop kept the replica")
+	}
+}
+
+// TestCoherenceColdSlotBesideHotOne: a slot's version moves only when
+// that slot is written, while the owner's counter moves on every write
+// to the object. After 40000 writes to slot 1 — more than half the
+// two-byte counter's range — slot 0's version lags by that much, and
+// the next write to slot 0 must still count as newer.
+func TestCoherenceColdSlotBesideHotOne(t *testing.T) {
+	n := testNode(t)
+	cls := n.VM.Class("Object")
+	n.objs.installReplica(9, &vm.Object{Class: cls, Fields: []vm.Value{int64(0), int64(0)}}, n.objs.replicaGen(9), 0)
+	const hot = 40000
+	for ver := 1; ver <= hot; ver++ {
+		if kept, err := n.objs.patch(9, 1, uint16(ver), true, int64(ver)); !kept || err != nil {
+			t.Fatalf("patch %d of slot 1 = %v, %v; want kept", ver, kept, err)
+		}
+	}
+	if kept, err := n.objs.patch(9, 0, hot+1, true, int64(7)); !kept || err != nil {
+		t.Fatalf("patch of slot 0 = %v, %v; want kept", kept, err)
+	}
+	r, _, ok := n.objs.replica(9)
+	if !ok {
+		t.Fatal("replica dropped")
+	}
+	if want := []vm.Value{int64(7), int64(hot)}; !reflect.DeepEqual(r.Fields, want) {
+		t.Fatalf("fields %v, want %v: the write to the cold slot was taken for an old one", r.Fields, want)
+	}
+	// A late patch of slot 0, older than the write it holds, stays old.
+	if kept, _ := n.objs.patch(9, 0, hot-1, true, int64(8)); !kept {
+		t.Fatal("a stale patch dropped the replica")
+	}
+	if r, _, _ := n.objs.replica(9); r.Fields[0] != int64(7) {
+		t.Fatalf("slot 0 = %v after a stale patch, want 7", r.Fields[0])
 	}
 }

@@ -314,15 +314,19 @@ func (n *Node) fuseEncode(lt *lthread, buf []fusedEntry, home int) ([]byte, erro
 	return payload, err
 }
 
-// fuseFinish decodes a DEPSEQ response and applies the standard
-// dependence-response epilogue, in order, to the entries of buf routed
-// to home.
+// fuseFinish decodes a DEPSEQ response, applies the patches its last
+// entry carried — first, so that no failed entry can leave them
+// unapplied — and then the standard dependence-response epilogue, in
+// order, to the entries of buf routed to home.
 func (n *Node) fuseFinish(lt *lthread, home int, buf []fusedEntry, payload []byte) error {
 	sc := getDepSeqScratch()
 	defer putDepSeqScratch(sc)
 	out := &sc.resp
 	err := wire.DecodeDepSeqResponseInto(payload, out)
 	wire.PutBuf(payload)
+	if err == nil && len(out.Resps) > 0 {
+		err = n.applyCarried(out.Resps[len(out.Resps)-1].Patches)
+	}
 	if err != nil {
 		return err
 	}
@@ -377,8 +381,13 @@ func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry) error {
 	if len(homes) == 0 {
 		return nil
 	}
-	// One flush and one adaptation check for the whole gather — the
-	// per-request ones request() would otherwise run concurrently.
+	// One delivery of carried patches, one flush and one adaptation
+	// check for the whole gather — the per-request ones request() and
+	// rawRequest would otherwise run concurrently, and a group could
+	// leave before another delivered the patches.
+	if err := n.deliverCarried(lt); err != nil {
+		return err
+	}
 	if err := n.flushAsync(lt); err != nil {
 		return err
 	}
@@ -428,6 +437,8 @@ func (n *Node) fuseScatter(lt *lthread, buf []fusedEntry) error {
 type depSeqScratch struct {
 	seq  wire.DepSeq
 	resp wire.DepSeqResponse
+	// patches backs the server's carried patch list.
+	patches []wire.InvalidateRequest
 }
 
 var depSeqPool = sync.Pool{New: func() any { return new(depSeqScratch) }}
@@ -445,7 +456,9 @@ func putDepSeqScratch(s *depSeqScratch) {
 	}
 	clear(s.seq.Reqs)
 	clear(s.resp.Resps)
+	clear(s.patches)
 	s.seq.Reqs = s.seq.Reqs[:0]
 	s.resp.Resps = s.resp.Resps[:0]
+	s.patches = s.patches[:0]
 	depSeqPool.Put(s)
 }

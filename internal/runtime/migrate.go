@@ -68,18 +68,19 @@ func (n *Node) handleMigrate(lt *lthread, req *wire.MigrateRequest) wire.Reply {
 	if err != nil {
 		return wire.Reply{Err: err.Error()}
 	}
-	// The replica set travels with ownership: taking it under the
-	// freeze (no reader can register while frozen) and shipping it in
-	// the TRANSFER keeps home and replica set atomic — the new owner's
-	// first write invalidates exactly the replicas that exist.
-	readers := n.objs.takeReaders(req.ID)
-	treq := wire.TransferRequest{ID: req.ID, Class: h.Class.Name(), Fields: fields, Readers: readers}
+	// The replica set and write counter travel with ownership: taking
+	// them under the freeze (no reader can register and no write run
+	// while frozen) and shipping them in the TRANSFER keeps home and
+	// replica set atomic — the new owner's first write patches exactly
+	// the replicas that exist, newer than any patch the old owner sent.
+	readers, ver := n.objs.takeReaders(req.ID)
+	treq := wire.TransferRequest{ID: req.ID, Class: h.Class.Name(), Fields: fields, Readers: readers, Ver: ver}
 	tout, err := ask(n, lt, req.To, KindTransfer, treq.Encode(), wire.DecodeReply)
 	if err == nil && tout.Err != "" {
 		err = errors.New(tout.Err)
 	}
 	if err != nil {
-		n.objs.restoreReaders(req.ID, readers)
+		n.objs.restoreReaders(req.ID, readers, ver)
 		return wire.Reply{Err: err.Error()}
 	}
 	// The new owner has installed the state: drop ownership, leave the
@@ -123,7 +124,7 @@ func (n *Node) handleTransfer(req *wire.TransferRequest) error {
 			n.Rank, req.Class, len(vals), len(h.Fields))
 	}
 	copy(h.Fields, vals)
-	n.objs.install(req.ID, h, req.Readers)
+	n.objs.install(req.ID, h, req.Readers, req.Ver)
 	// Ownership arrived: re-profile under the new shape (matching the
 	// sender's invalidation in handleMigrate).
 	n.VM.InvalidateCompiled()

@@ -289,11 +289,15 @@ func accessWrites(kind int) bool {
 	return true
 }
 
-// finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW) and
-// applies applyDepResponse to it.
+// finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW),
+// applies the patches it carried to this node's replicas, and applies
+// applyDepResponse to it.
 func (n *Node) finishDepResponse(home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
 	out, err := wire.DecodeDepResponse(payload)
 	wire.PutBuf(payload)
+	if err == nil {
+		err = n.applyCarried(out.Patches)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +307,8 @@ func (n *Node) finishDepResponse(home int, id int64, payload []byte, acc []vm.Va
 // applyDepResponse is the epilogue of one response entry, shared by
 // every access reply: absorb a Moved redirect notice for id, surface
 // direct errors and the failure of a fire-and-forget call that led the
-// request, copy-restore array arguments, convert the value.
+// request, copy-restore array arguments, convert the value. The reply's
+// carried patches are applied before it, by the decoder.
 func (n *Node) applyDepResponse(home int, id int64, r *wire.DepResponse, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
 	if r.Moved && id != 0 {
 		n.learnHome(id, r.NewHome)

@@ -199,10 +199,12 @@ type NodeStats struct {
 	// ReplicaHits counts reads served from a local replica (zero
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
 	// delivered a snapshot (redirect hops and denials excluded);
-	// Invalidations counts INVALIDATE frames this node sent to replica
-	// holders on writes, patching or not; ReplicaUpdates counts the
-	// patching ones among them — writes of a scalar, which the holder
-	// applies to its replica instead of dropping it.
+	// Invalidations counts the write-barrier deliveries this node made
+	// to replica holders on writes, patching or not — one per write and
+	// reader, whether by INVALIDATE frame or carried on the reply to the
+	// reader's own request; ReplicaUpdates counts the patching ones among
+	// them — writes of a scalar, which the holder applies to its replica
+	// instead of dropping it.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
@@ -435,8 +437,17 @@ func (n *Node) request(lt *lthread, to int, kind uint8, payload []byte) (transpo
 }
 
 // rawRequest is request without the asynchronous flush (used by the
-// flush itself to await its acknowledgements).
+// flush itself to await its acknowledgements). Any request but an
+// INVALIDATE first delivers the patches the thread holds for the
+// requester of the frame it is serving: the request may lead to code
+// that reads those replicas.
 func (n *Node) rawRequest(lt *lthread, to int, kind uint8, payload []byte) (transport.Message, error) {
+	if kind != KindInvalidate {
+		if err := n.deliverCarried(lt); err != nil {
+			wire.PutBuf(payload)
+			return transport.Message{}, err
+		}
+	}
 	// Response channels are recycled: each carries exactly one value
 	// per registration (Serve unregisters the tag before sending), so
 	// a channel received from is empty and safe to reuse for the next
@@ -543,6 +554,9 @@ func (n *Node) flushAsync(lt *lthread) error {
 		reqs := bufs[to]
 		n.countBatch(lt, len(reqs))
 		out, err := ask(n, lt, to, KindDependence, (&wire.DepSeq{Reqs: reqs}).Encode(), wire.DecodeDepResponse)
+		if err == nil {
+			err = n.applyCarried(out.Patches)
+		}
 		if err != nil {
 			return err
 		}
@@ -697,6 +711,7 @@ func (n *Node) handle(msg transport.Message) {
 	switch msg.Kind {
 	case KindNew:
 		n.count(lt, func(s *NodeStats) *int64 { return &s.NewRequests }, 1)
+		prev := lt.serveFrom(msg.From)
 		out := wire.DepResponse{}
 		if req, err := wire.DecodeNewRequest(msg.Payload); err != nil {
 			out.Err = err.Error()
@@ -707,6 +722,7 @@ func (n *Node) handle(msg transport.Message) {
 			out.OutArrays = outs
 		}
 		finish(&out.Err)
+		out.Patches = lt.endServe(prev, nil)
 		reply(out.Encode())
 	case KindDependence, KindDepSeq:
 		// An access vector — one entry for a DEPENDENCE, a fused run for
@@ -718,10 +734,12 @@ func (n *Node) handle(msg transport.Message) {
 		// its failure as AsyncErr; a vector that leaves nothing to answer
 		// gets one empty entry, its acknowledgement. Per-entry forwarding
 		// works unchanged — serveDependence stamps Moved/NewHome on the
-		// affected entry alone. Both vectors live in pooled per-exchange
-		// storage.
+		// affected entry alone. The patches owed the requester for the
+		// writes of every entry ride the last response entry. Both
+		// vectors live in pooled per-exchange storage.
 		sc := getDepSeqScratch()
 		seq, out := &sc.seq, &sc.resp
+		prev := lt.serveFrom(msg.From)
 		if err := wire.DecodeDepSeqInto(msg.Payload, seq); err != nil {
 			out.Resps = append(out.Resps, wire.DepResponse{Err: err.Error()})
 		} else {
@@ -746,7 +764,10 @@ func (n *Node) handle(msg transport.Message) {
 		if len(out.Resps) == 0 {
 			out.Resps = append(out.Resps, wire.DepResponse{})
 		}
-		finish(&out.Resps[len(out.Resps)-1].Err)
+		last := &out.Resps[len(out.Resps)-1]
+		finish(&last.Err)
+		sc.patches = lt.endServe(prev, sc.patches)
+		last.Patches = sc.patches
 		payload := out.Encode()
 		putDepSeqScratch(sc)
 		reply(payload)
@@ -923,10 +944,16 @@ func (n *Node) serveDependence(lt *lthread, req *wire.DepRequest) wire.DepRespon
 
 // forwardDependence relays a stale request to the object's new home
 // (the handoff window of a live migration) on the same logical thread
-// and stamps the Moved notice on the way back.
+// and stamps the Moved notice on the way back. The new home served this
+// node's frame, so the patches its reply carries are this node's: they
+// are applied here and not relayed.
 func (n *Node) forwardDependence(lt *lthread, to int, req *wire.DepRequest) wire.DepResponse {
 	n.count(lt, func(s *NodeStats) *int64 { return &s.Forwards }, 1)
 	out, err := ask(n, lt, to, KindDependence, req.Encode(), wire.DecodeDepResponse)
+	if err == nil {
+		err = n.applyCarried(out.Patches)
+		out.Patches = nil
+	}
 	if err != nil {
 		return wire.DepResponse{Err: err.Error()}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -120,10 +121,18 @@ type objState struct {
 	// replica is the installed field-snapshot shadow, nil when no valid
 	// replica is held. It is never written in place — other threads may
 	// be serving reads from it — so a patch installs a modified copy.
-	// gen counts invalidation events (INVALIDATE frames, patching or not,
-	// and home moves); an install racing one is discarded by comparing
-	// gen. replicaEpoch records the invocation epoch of the install.
+	// vers holds, per field slot, the owner's write counter as of the
+	// value the replica holds there, and mark the newest counter the
+	// replica has seen, both widened to 64 bits (see widen; nil and 0
+	// with the replica): a patch applies only if it is newer than its
+	// slot's version, so patches that arrive out of order leave the
+	// newest write in every slot. gen counts invalidation events
+	// (patches, applied or not, and home moves); an install racing one
+	// is discarded by comparing gen. replicaEpoch records the invocation
+	// epoch of the install.
 	replica      *vm.Object
+	vers         []uint64
+	mark         uint64
 	gen          uint64
 	replicaEpoch int64
 
@@ -133,8 +142,11 @@ type objState struct {
 
 	// readers is the owner-side replica set, sorted: ranks that installed
 	// a replica and must be patched or invalidated before any write
-	// completes. It travels with ownership on migration.
+	// completes. ver is the owner's write counter: every write with a
+	// reader to tell advances it, and every patch and snapshot carries
+	// it. Both travel with ownership on migration.
 	readers []int
+	ver     uint16
 
 	// The access gate. One logical thread holds the object at a time
 	// (reentrant: the holder may nest accesses, including through remote
@@ -206,7 +218,7 @@ func (sh *objShard) release(id int64, s *objState) {
 // vacant reports whether the record holds nothing but an idle gate.
 func (s *objState) vacant() bool {
 	return s.canon == nil && s.home == nil && !s.hintValid && s.replica == nil &&
-		s.gen == 0 && !s.denied && len(s.readers) == 0 &&
+		s.gen == 0 && !s.denied && len(s.readers) == 0 && s.ver == 0 &&
 		s.depth == 0 && s.frozen == nil && s.idle == nil && s.aff == (affinityCell{})
 }
 
@@ -428,9 +440,12 @@ func (t *objTable) intern(p *vm.Object, id int64, birth int) *vm.Object {
 // discarded too. Callers hold the shard lock.
 func (sh *objShard) dropCopies(id int64, s *objState) {
 	sh.once.Delete(id)
-	s.replica = nil
+	s.dropReplica()
 	s.gen++
 }
+
+// dropReplica discards the replica and its slot versions.
+func (s *objState) dropReplica() { s.replica, s.vers, s.mark = nil, nil, 0 }
 
 // learn processes a Moved notice: future accesses go to newHome, and
 // every cached value of the object is dropped, because its state now
@@ -462,22 +477,22 @@ func (t *objTable) handoff(id int64, to int) {
 
 // install makes h the state-holder of id on its new owner (TRANSFER):
 // the forwarding pointer goes, cached copies yield to the live
-// instance, and the shipped reader set, minus this node, becomes the
-// record's.
-func (t *objTable) install(id int64, h *vm.Object, readers []int) {
+// instance, and the shipped reader set, minus this node, and write
+// counter become the record's.
+func (t *objTable) install(id int64, h *vm.Object, readers []int, ver uint16) {
 	sh := t.lock(id)
-	sh.own(id, sh.ent(id), h, readers, t.self)
+	sh.own(id, sh.ent(id), h, readers, ver, t.self)
 	sh.mu.Unlock()
 }
 
-func (sh *objShard) own(id int64, s *objState, h *vm.Object, readers []int, self int) {
+func (sh *objShard) own(id int64, s *objState, h *vm.Object, readers []int, ver uint16, self int) {
 	s.home = h
 	if s.canon == nil {
 		s.canon = h
 	}
 	s.hintValid = false
 	sh.dropCopies(id, s)
-	s.readers = nil
+	s.readers, s.ver = nil, ver
 	for _, r := range readers {
 		if r != self {
 			s.addReader(r)
@@ -491,7 +506,8 @@ func (sh *objShard) own(id int64, s *objState, h *vm.Object, readers []int, self
 // taken (ascending) — and returns the ids promoted, ascending. Each new
 // home is a copy that carries the global id: the shadow itself may be
 // serving reads on other threads, so it is never written, and the home
-// — which writes update in place — gets its own fields.
+// — which writes update in place — gets its own fields. Its write
+// counter continues from the newest one the replica saw.
 func (t *objTable) promote(dead int, taken []int64) []int64 {
 	var out []int64
 	t.scan(func(id int64, s *objState) {
@@ -505,7 +521,7 @@ func (t *objTable) promote(dead int, taken []int64) []int64 {
 		h.Fields = slices.Clone(h.Fields)
 		h.ID = id
 		// scan holds id's shard lock.
-		t.shard(id).own(id, s, &h, nil, t.self)
+		t.shard(id).own(id, s, &h, nil, uint16(s.mark), t.self)
 		out = append(out, id)
 	})
 	slices.Sort(out)
@@ -620,11 +636,11 @@ func (t *objTable) replicaGen(id int64) uint64 {
 	return 0
 }
 
-// installReplica installs a fetched shadow unless an invalidation or
-// home move intervened since gen was read — the snapshot would then
-// predate a write and must not be served beyond the access that fetched
-// it. Reports whether the install took.
-func (t *objTable) installReplica(id int64, shadow *vm.Object, gen uint64) bool {
+// installReplica installs a fetched shadow, cut at the owner's write
+// counter ver, unless a patch or home move intervened since gen was
+// read — the snapshot could then predate a write and must not be served
+// beyond the access that fetched it. Reports whether the install took.
+func (t *objTable) installReplica(id int64, shadow *vm.Object, gen uint64, ver uint16) bool {
 	cur := t.curEpoch()
 	sh := t.lock(id)
 	defer sh.mu.Unlock()
@@ -633,44 +649,70 @@ func (t *objTable) installReplica(id int64, shadow *vm.Object, gen uint64) bool 
 		return false
 	}
 	s.replica, s.replicaEpoch = shadow, cur
+	// A new replica starts a new 64-bit frame for its versions: every
+	// patch in flight to it is within the window around ver.
+	s.mark = serialBase + uint64(ver)
+	s.vers = make([]uint64, len(shadow.Fields))
+	for i := range s.vers {
+		s.vers[i] = s.mark
+	}
 	return true
 }
 
-// invalidate drops the object's replica on an INVALIDATE frame and moves
-// the generation so in-flight installs are discarded. The write-once
-// cache survives: its fields provably have no writes.
-func (t *objTable) invalidate(id int64) {
-	sh := t.lock(id)
-	s := sh.ent(id)
-	s.replica = nil
-	s.gen++
-	sh.mu.Unlock()
+// serialBase offsets a replica's first widened version, so that counters
+// up to 2¹⁵ older than it stay positive.
+const serialBase = 1 << 16
+
+// widen maps a two-byte write counter onto the replica's 64-bit version
+// line: the value congruent to ver mod 2¹⁶ nearest to mark, the newest
+// counter the replica has seen (serial-number order, RFC 1982). That is
+// exact while every patch in flight lies within 2¹⁵ of mark: the
+// replica's reader is in the reader set from its install on, so every
+// write since mark sent it a patch still in flight, and those number at
+// most the live logical threads plus one. The version a slot holds can
+// lag mark by any amount — a slot written rarely beside a hot one — so
+// versions are compared widened, never as two-byte counters.
+func widen(ver uint16, mark uint64) uint64 {
+	return mark + uint64(int64(int16(ver-uint16(mark))))
 }
 
-// update applies a patching INVALIDATE: the owner stored v in field slot
-// of object id. A held replica is replaced by a patched copy, and the
-// generation moves either way, so an in-flight install whose snapshot
-// predates the write is discarded. kept reports whether a replica was
-// patched; false means this node holds none, and the owner may drop it
-// from the reader set. A slot outside the shadow drops the replica and
-// is reported.
-func (t *objTable) update(id int64, slot int, v vm.Value) (kept bool, err error) {
+// patch applies one write-barrier delivery (an INVALIDATE, or a patch a
+// reply carried): the owner wrote field slot of object id at write
+// counter ver, storing v if update, else a value the replica cannot hold.
+// The generation moves either way, so an in-flight install whose
+// snapshot predates the write is discarded. A held replica whose slot
+// already holds ver or a newer write keeps it; otherwise an update
+// replaces the replica with a patched copy and a drop discards it. The
+// write-once cache survives: its fields provably have no writes. kept
+// reports whether a replica is still held; false means this node holds
+// none, and the owner may drop it from the reader set. A slot outside
+// the shadow drops the replica and is reported.
+func (t *objTable) patch(id int64, slot int, ver uint16, update bool, v vm.Value) (kept bool, err error) {
 	sh := t.lock(id)
 	defer sh.mu.Unlock()
 	s := sh.ent(id)
 	s.gen++
 	old := s.replica
-	if old == nil {
+	switch {
+	case old == nil:
 		return false, nil
-	}
-	if slot < 0 || slot >= len(old.Fields) {
-		s.replica = nil
+	case slot < 0 || slot >= len(old.Fields):
+		s.dropReplica()
 		return false, fmt.Errorf("patch of slot %d on a %d-field replica of %s", slot, len(old.Fields), old.Class.Name())
+	}
+	w := widen(ver, s.mark)
+	switch {
+	case w <= s.vers[slot]:
+		return true, nil
+	case !update:
+		s.dropReplica()
+		return false, nil
 	}
 	patched := *old
 	patched.Fields = slices.Clone(old.Fields)
 	patched.Fields[slot] = v
 	s.replica = &patched
+	s.vers[slot], s.mark = w, max(s.mark, w)
 	return true, nil
 }
 
@@ -701,11 +743,14 @@ func (s *objState) dropReader(rank int) {
 	}
 }
 
-// addReader registers a node in the owner-side replica set.
-func (t *objTable) addReader(id int64, rank int) {
+// addReader registers a node in the owner-side replica set and returns
+// the write counter its snapshot is cut at.
+func (t *objTable) addReader(id int64, rank int) uint16 {
 	sh := t.lock(id)
-	sh.ent(id).addReader(rank)
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	s := sh.ent(id)
+	s.addReader(rank)
+	return s.ver
 }
 
 // dropReader removes a node from the owner-side replica set: it answered
@@ -719,43 +764,47 @@ func (t *objTable) dropReader(id int64, rank int) {
 	sh.mu.Unlock()
 }
 
-// appendReaders appends the owner-side replica set, sorted, to dst: the
-// write barrier passes a stack buffer, so reading a small set does not
-// allocate.
-func (t *objTable) appendReaders(dst []int, id int64) []int {
+// write starts the write barrier of one store to id: when the
+// owner-side replica set is not empty, it advances the write counter
+// and appends the set, sorted, to dst, returning the counter the
+// store's patches carry. The barrier passes a stack buffer, so reading
+// a small set does not allocate.
+func (t *objTable) write(dst []int, id int64) ([]int, uint16) {
 	sh := t.lock(id)
 	defer sh.mu.Unlock()
-	if s := sh.m[id]; s != nil {
-		dst = append(dst, s.readers...)
+	s := sh.m[id]
+	if s == nil || len(s.readers) == 0 {
+		return dst, 0
 	}
-	return dst
+	s.ver++
+	return append(dst, s.readers...), s.ver
 }
 
-// takeReaders removes and returns the replica set for a migration
-// handoff (called under the object's freeze, so no reader can register
-// concurrently); restoreReaders undoes it if the transfer fails.
-func (t *objTable) takeReaders(id int64) []int {
+// takeReaders removes and returns the replica set and write counter for
+// a migration handoff (called under the object's freeze, so no reader
+// can register and no write run concurrently); restoreReaders undoes it
+// if the transfer fails.
+func (t *objTable) takeReaders(id int64) ([]int, uint16) {
 	sh := t.lock(id)
 	defer sh.mu.Unlock()
 	s := sh.m[id]
 	if s == nil {
-		return nil
+		return nil, 0
 	}
-	out := s.readers
-	s.readers = nil
-	return out
+	out, ver := s.readers, s.ver
+	s.readers, s.ver = nil, 0
+	return out, ver
 }
 
-// restoreReaders reinstates a taken replica set after a failed handoff.
-func (t *objTable) restoreReaders(id int64, readers []int) {
-	if len(readers) == 0 {
-		return
-	}
+// restoreReaders reinstates a taken replica set and write counter after
+// a failed handoff.
+func (t *objTable) restoreReaders(id int64, readers []int, ver uint16) {
 	sh := t.lock(id)
 	s := sh.ent(id)
 	for _, r := range readers {
 		s.addReader(r)
 	}
+	s.ver = ver
 	sh.mu.Unlock()
 }
 
@@ -772,7 +821,10 @@ func (t *objTable) restoreReaders(id int64, readers []int) {
 //   - no write-once entry on an object's owner;
 //   - no logical-thread context but the system thread's: an
 //     invocation's drain finishes its asynchronous work, so no frame of
-//     a retired thread arrives to recreate its context.
+//     a retired thread arrives to recreate its context;
+//   - coherence: every replica a live node holds of an object homed on
+//     a live node is registered in the home's reader set, and equals the
+//     home's fields slot by slot, references compared by global id.
 //
 // A rank is live unless the first node saw it die or depart.
 func quiescent(nodes []*Node) error {
@@ -781,6 +833,19 @@ func quiescent(nodes []*Node) error {
 	live := nodes[0].roster.live
 	homes := map[int64][]int{}
 	deadHints := map[int64]bool{} // ids every live hint so far ties to a dead rank
+	// The coherence check runs once every record has been seen: the
+	// home's state, and each replica with the node holding it.
+	type held struct {
+		n *Node
+		o *vm.Object
+	}
+	type owned struct {
+		n       *Node
+		o       *vm.Object
+		readers []int
+	}
+	owners := map[int64]owned{}
+	replicas := map[int64][]held{}
 	for _, n := range nodes {
 		if n == nil || !live(n.Rank) {
 			continue
@@ -807,11 +872,15 @@ func quiescent(nodes []*Node) error {
 						bad("node %d: reader set of %d is %v: holds this node or a rank that is not live", n.Rank, id, s.readers)
 					}
 				}
+				if s.replica != nil {
+					replicas[id] = append(replicas[id], held{n, s.replica})
+				}
 				if s.home != nil {
 					if _, ok := sh.once.Load(id); ok {
 						bad("node %d: owner of %d holds write-once entries", n.Rank, id)
 					}
 					homes[id] = append(homes[id], n.Rank)
+					owners[id] = owned{n, s.home, slices.Clone(s.readers)}
 					if s.hintValid {
 						bad("node %d: owns %d but holds a hint to %d", n.Rank, id, s.hint)
 					}
@@ -835,5 +904,46 @@ func quiescent(nodes []*Node) error {
 			bad("object %d has %d homes among the live nodes (%v), want exactly one", id, len(on), on)
 		}
 	}
+	for id, rs := range replicas {
+		h, ok := owners[id]
+		if !ok {
+			continue // lost with its dead owner: nothing to compare against
+		}
+		for _, r := range rs {
+			if _, in := slices.BinarySearch(h.readers, r.n.Rank); !in {
+				bad("node %d: holds a replica of %d but is not in its reader set %v on node %d", r.n.Rank, id, h.readers, h.n.Rank)
+			}
+			if len(r.o.Fields) != len(h.o.Fields) {
+				bad("node %d: replica of %d has %d fields, home has %d", r.n.Rank, id, len(r.o.Fields), len(h.o.Fields))
+				continue
+			}
+			for slot, v := range r.o.Fields {
+				if got, want := r.n.globalValue(v), h.n.globalValue(h.o.Fields[slot]); got != want {
+					bad("node %d: replica of %d holds %v in slot %d, home node %d holds %v", r.n.Rank, id, got, slot, h.n.Rank, want)
+				}
+			}
+		}
+	}
 	return errors.Join(errs...)
+}
+
+// globalRef names an object reference by its global id, the same on
+// every node whichever shape (proxy, real or backing instance) holds it.
+type globalRef struct{ id int64 }
+
+// globalValue maps a field value to a form comparable across nodes:
+// references become their global id, floats their bits (so NaN equals
+// itself), and every other scalar stays as it is.
+func (n *Node) globalValue(v vm.Value) any {
+	switch x := v.(type) {
+	case *vm.Object:
+		if x == nil {
+			return nil
+		}
+		id, _, _ := n.reference(x)
+		return globalRef{id}
+	case float64:
+		return math.Float64bits(x)
+	}
+	return v
 }

@@ -18,6 +18,30 @@ func CheckQuiescent(t testing.TB, nodes []*Node) {
 	}
 }
 
+// MoveStatic migrates the object the starter's static field
+// class.field refers to onto rank to, through the coordinator's own
+// path as an adaptation round would, and fails t unless it moved. The
+// cluster must run an adaptive plan.
+func MoveStatic(t testing.TB, c *Cluster, class, field string, to int) {
+	t.Helper()
+	n := c.starter
+	v, err := n.VM.GetStatic(class, field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, ok := v.(*vm.Object)
+	if !ok || o == nil {
+		t.Fatalf("%s.%s holds %v, not an object", class, field, v)
+	}
+	id, birth, real := n.reference(o)
+	n.coordMu.Lock()
+	defer n.coordMu.Unlock()
+	_, owner, _ := n.objs.route(nil, id, birth, real)
+	if moved, err := n.moveTo(n.lthread(0), id, owner, to); err != nil || !moved {
+		t.Fatalf("moving %s.%s (object %d) from node %d to node %d: moved %v, %v", class, field, id, owner, to, moved, err)
+	}
+}
+
 // tableSize counts a node's object records.
 func tableSize(n *Node) int {
 	size := 0

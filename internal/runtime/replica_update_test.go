@@ -1,10 +1,19 @@
 package runtime_test
 
 // Write-update for replicated objects: a write that stores a scalar
-// patches every reader's replica inside its INVALIDATE, so readers keep
-// serving locally; a write of a reference or an array still drops the
-// replica. The tests pin correctness under concurrent writers with two
-// reader nodes, the drop path, and the barrier's per-write allocations.
+// patches every reader's replica, so readers keep serving locally; a
+// write of a reference or an array still drops the replica. The reader
+// whose request the write serves gets its patch on that request's reply;
+// every other reader gets it in an INVALIDATE before the write
+// completes. The tests pin correctness under concurrent writers — with
+// two reader nodes, and on one slot from one node, where replies race
+// and the write counter must keep the newest value — a cold slot
+// written after more than 2¹⁵ writes to a hot one, a read on another
+// thread of the requester's node after the put returned, a write whose
+// method calls back to the requester, a migration between a put and the
+// next get, the drop path, and the barrier's frames and per-write
+// allocations on both delivery paths. Each ends on the quiescence
+// oracle, which holds every replica equal to its home.
 
 import (
 	"context"
@@ -69,6 +78,8 @@ class Main {
 	}
 	static int sum() { return Main.t.sum() * 100000 + Main.p.total(); }
 	static int peek() { return Main.t.max(); }
+	static void put(int slot, int x) { Main.t.put(slot, x); }
+	static int get(int slot) { return Main.t.get(slot) * 100000 + Main.p.read(slot); }
 	static int steps(int n) {
 		int s = 0;
 		for (int i = 0; i < n; i++) {
@@ -84,8 +95,16 @@ class Main {
 // main, and kills the cluster at cleanup.
 func deployTable(tb testing.TB, k, table, probe int, opts runtime.Options) *runtime.Cluster {
 	tb.Helper()
-	rw := fusionRewrite(tb, tableSource, k, map[string]int{"Table": table, "Probe": probe},
-		rewrite.Options{Replicate: true})
+	return deployReplicated(tb, tableSource, k, map[string]int{"Table": table, "Probe": probe}, opts)
+}
+
+// deployReplicated brings src up resident on an in-process fabric of k
+// nodes with the classes in homes pinned there — rewritten for
+// replication, and for adaptation when opts adapts — runs main, and
+// kills the cluster at cleanup. The source's Table must be replicated.
+func deployReplicated(tb testing.TB, src string, k int, homes map[string]int, opts runtime.Options) *runtime.Cluster {
+	tb.Helper()
+	rw := fusionRewrite(tb, src, k, homes, rewrite.Options{Replicate: true, Adaptive: opts.AdaptEvery > 0})
 	if !rw.Plan.Replicated["Table"] {
 		tb.Fatal("Table is not replicated: the read/write gate changed")
 	}
@@ -204,10 +223,13 @@ class Main {
 }`
 
 // TestReferenceWriteDropsReplica: a store of an object reference is
-// not a patch — the reader drops its replica, leaves the reader set,
-// and the next read refetches. A null store that follows before any
-// read finds no reader to tell. Null is a scalar, so once the replica
-// is back a null store patches it like an int store does.
+// not a patch — the reader drops its replica, and the next read
+// refetches. The reader is the requester of every write here, so each
+// delivery rides the write's reply and the reader, sending no
+// acknowledgement, stays in the reader set: a null store that follows
+// before any read still tells it, and patches nothing. Null is a
+// scalar, so once the replica is back a null store patches it like an
+// int store does.
 func TestReferenceWriteDropsReplica(t *testing.T) {
 	rw := fusionRewrite(t, refSource, 2, map[string]int{"Box": 1}, rewrite.Options{Replicate: true})
 	if !rw.Plan.Replicated["Box"] {
@@ -247,8 +269,8 @@ func TestReferenceWriteDropsReplica(t *testing.T) {
 	expect("read", nil, int64(0), 1, 0, 0)
 	expect("setn", []vm.Value{int64(4)}, nil, 0, 1, 1)
 	expect("read", nil, int64(12), 0, 0, 0)
-	expect("link", nil, nil, 0, 1, 0)   // drop: the reader leaves the set
-	expect("unlink", nil, nil, 0, 0, 0) // no reader left to tell
+	expect("link", nil, nil, 0, 1, 0)   // drop, carried on the reply
+	expect("unlink", nil, nil, 0, 1, 1) // the reader stayed in the set; no replica to patch
 	expect("read", nil, int64(12), 1, 0, 0)
 	expect("link", nil, nil, 0, 1, 0)
 	expect("read", nil, int64(7012), 1, 0, 0)
@@ -260,28 +282,311 @@ func TestReferenceWriteDropsReplica(t *testing.T) {
 	runtime.CheckQuiescent(t, c.Nodes)
 }
 
-// TestReplicaUpdateAllocations pins the heap allocations of one remote
-// put whose owner patches one reader's replica, process-wide (both
-// in-process nodes), with the read that follows served from the
-// patched replica. The figures are per put of steps(64).
-func TestReplicaUpdateAllocations(t *testing.T) {
+// invokeOK runs entry on c and returns its result, failing t on error.
+func invokeOK(t *testing.T, c *runtime.Cluster, entry string, args ...vm.Value) vm.Value {
+	t.Helper()
+	v, _, err := c.InvokeEntry(entry, args)
+	if err != nil {
+		t.Fatalf("%s%v: %v", entry, args, err)
+	}
+	return v
+}
+
+// shutdownQuiescent shuts c down and holds it to the quiescence oracle.
+func shutdownQuiescent(t *testing.T, c *runtime.Cluster) {
+	t.Helper()
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
+}
+
+// TestCarriedPatchesSameSlot: two threads on node 0 write the same slot
+// of a table on node 1, once each per round and at once, 200 rounds,
+// while node 0 holds a replica. Both are requesters of their own
+// writes, so every patch rides its put's reply and no INVALIDATE frame
+// is sent: a put costs its own round trip and nothing more. The two
+// replies of a round race, and when the older patch lands last it must
+// leave the newer value: after every round the oracle finds the replica
+// equal to the home, and at the end node 0's two read paths agree.
+func TestCarriedPatchesSameSlot(t *testing.T) {
+	const writers, rounds = 2, 200
+	c := deployTable(t, 2, 1, 0, runtime.Options{Replicate: true, MaxConcurrent: writers})
+	invokeOK(t, c, "sum") // node 0 fetches its replica
+	before := c.TotalStats()
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if _, _, err := c.InvokeEntry("put", []vm.Value{int64(0), int64(1000*(w+1) + i)}); err != nil {
+					errs <- err
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if runtime.CheckQuiescent(t, c.Nodes); t.Failed() {
+			t.Fatalf("round %d left node 0's replica behind its home", i)
+		}
+	}
+	s := c.TotalStats()
+	got := [4]int64{s.MessagesSent - before.MessagesSent, s.Invalidations - before.Invalidations,
+		s.ReplicaUpdates - before.ReplicaUpdates, s.ReplicaFetches - before.ReplicaFetches}
+	if want := [4]int64{2 * writers * rounds, writers * rounds, writers * rounds, 0}; got != want {
+		t.Errorf("frames, invalidations, updates, fetches = %v, want %v", got, want)
+	}
+	v := invokeOK(t, c, "sum").(int64)
+	if direct, probe := v/100000, v%100000; direct != probe || direct != 1000+rounds-1 && direct != 2000+rounds-1 {
+		t.Errorf("sum() reads %d directly and %d through the probe; want one writer's last value from both", direct, probe)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// TestThirdPartyReaderKeepsBarrier: with the table on node 2 and
+// replicas on nodes 0 and 1, a put from node 0 patches node 0's replica
+// on its reply and sends node 1 an INVALIDATE that is acknowledged
+// before the put returns. So each step — a put, and reads back through
+// both replicas — costs three round trips (the put, the INVALIDATE and
+// the call to the probe on node 1) and no refetch, and node 1 never
+// serves the old value.
+func TestThirdPartyReaderKeepsBarrier(t *testing.T) {
+	const steps = 40
+	c := deployTable(t, 3, 2, 1, runtime.Options{Replicate: true})
+	invokeOK(t, c, "sum") // both readers fetch their replica
+	before := c.TotalStats()
+	for i := int64(0); i < steps; i++ {
+		x := 500 + i
+		if v := invokeOK(t, c, "step", int64(i%4), x); v != x*100000+x {
+			t.Fatalf("step %d read back %v, want %d from both replicas", i, v, x*100000+x)
+		}
+	}
+	s := c.TotalStats()
+	got := [3]int64{s.MessagesSent - before.MessagesSent, s.Invalidations - before.Invalidations,
+		s.ReplicaFetches - before.ReplicaFetches}
+	if want := [3]int64{6 * steps, 2 * steps, 0}; got != want {
+		t.Errorf("frames, invalidations, fetches = %v, want %v", got, want)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// callbackSource is a replicated table whose put method calls back to a
+// probe on the requester's node, which reads the written field through
+// that node's replica. The write's patch for the requester is owed on
+// the put's reply, but the call-back leaves first: the thread must
+// deliver the patch before it, or the probe reads the old value.
+const callbackSource = `
+class Table {
+	int v; int w;
+	int get() { return this.v; }
+	int getw() { return this.w; }
+	int both() { return this.v + this.w; }
+	int twice() { return this.v + this.v + this.w + this.w; }
+	int put(int x, Probe p) {
+		this.v = x;
+		return p.look();
+	}
+}
+class Probe {
+	Table t;
+	Probe(Table t) { this.t = t; }
+	int look() { return this.t.get(); }
+}
+class Main {
+	static Table t;
+	static Probe p;
+	static void main() {
+		Main.t = new Table();
+		Main.p = new Probe(Main.t);
+	}
+	static int put(int x) { return Main.t.put(x, Main.p); }
+	static int get() { return Main.t.get() + Main.t.both() - Main.t.getw() + Main.t.twice(); }
+}`
+
+// TestCallbackReadsOwnWrite: the put runs on node 1 and calls back to
+// node 0 after writing, so the patch it owes node 0 goes out as an
+// INVALIDATE round trip before the call-back: the probe, reading node
+// 0's replica, sees the value just written. After the put returns, node
+// 0's own reads see it too, all from the replica.
+func TestCallbackReadsOwnWrite(t *testing.T) {
+	c := deployReplicated(t, callbackSource, 2, map[string]int{"Table": 1, "Probe": 0},
+		runtime.Options{Replicate: true})
+	invokeOK(t, c, "get") // node 0 fetches its replica
+	before := c.TotalStats()
+	const puts = 20
+	for i := int64(1); i <= puts; i++ {
+		x := 100 * i
+		if v := invokeOK(t, c, "put", x); v != x {
+			t.Fatalf("put(%d): the call-back read %v through the requester's replica", x, v)
+		}
+		if v := invokeOK(t, c, "get"); v != 4*x {
+			t.Fatalf("get() after put(%d) = %v, want %d", x, v, 4*x)
+		}
+	}
+	s := c.TotalStats()
+	// A put: its own round trip, the INVALIDATE's and the call-back's.
+	got := [3]int64{s.MessagesSent - before.MessagesSent, s.Invalidations - before.Invalidations,
+		s.ReplicaFetches - before.ReplicaFetches}
+	if want := [3]int64{6 * puts, puts, 0}; got != want {
+		t.Errorf("frames, invalidations, fetches = %v, want %v", got, want)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// TestReplicaPatchesAcrossMigration moves the table between a put and
+// the next get: first onto the writer's node 0, whose writes then reach
+// the probe's replica on node 2 as INVALIDATEs, then back to node 1,
+// whose writes patch node 0's refetched replica on their replies. The
+// write counter travels with the table, so the new owner's patches are
+// newer than every version the replicas hold; an owner that restarted
+// the counter would send patches node 2 must ignore, and it would go on
+// serving the old value.
+func TestReplicaPatchesAcrossMigration(t *testing.T) {
+	c := deployTable(t, 3, 1, 2, runtime.Options{Replicate: true, AdaptEvery: 1 << 30})
+	x := int64(0)
+	cycle := func(slot int64) {
+		t.Helper()
+		x++
+		invokeOK(t, c, "put", slot, x)
+		if v := invokeOK(t, c, "get", slot); v != x*100000+x {
+			t.Fatalf("get(%d) after put(%d, %d) = %v, want %d from both readers", slot, slot, x, v, x*100000+x)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cycle(0)
+	}
+	for _, to := range []int{0, 1} {
+		invokeOK(t, c, "put", int64(0), x+100)
+		runtime.MoveStatic(t, c, "Main", "t", to)
+		if v := invokeOK(t, c, "get", int64(0)); v != (x+100)*100000+x+100 {
+			t.Fatalf("get(0) after the move to node %d = %v, want %d from both readers", to, v, (x+100)*100000+x+100)
+		}
+		for i := 0; i < 5; i++ {
+			cycle(int64(i % 2))
+		}
+	}
+	if s := c.TotalStats(); s.Migrations != 2 {
+		t.Errorf("%d migrations, want the 2 moves", s.Migrations)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// hotColdSource is a replicated table with a hot field, which churn
+// writes n times in one call, and a cold one, which set writes once.
+// both and twice keep Table's static reads above twice its writes.
+const hotColdSource = `
+class Table {
+	int hot; int cold;
+	int get() { return this.cold; }
+	int both() { return this.hot + this.cold; }
+	int twice() { return this.hot + this.hot + this.cold + this.cold; }
+	void churn(int n) {
+		for (int i = 0; i < n; i++) { this.hot = i; }
+	}
+	void set(int x) { this.cold = x; }
+}
+class Main {
+	static Table t;
+	static void main() { Main.t = new Table(); }
+	static void churn(int n) { Main.t.churn(n); }
+	static void set(int x) { Main.t.set(x); }
+	static int get() { return Main.t.get(); }
+	static int peek() { return Main.t.both() + Main.t.twice(); }
+}`
+
+// TestColdSlotPatchAfterHotChurn: node 0 holds a replica of a table on
+// node 1 and drives 40000 writes to its hot field — more than half the
+// two-byte write counter's range — and then one to its cold field. The
+// cold slot's version still dates from the snapshot; the write must
+// count as newer, and node 0's next read, served from its replica,
+// must see it.
+func TestColdSlotPatchAfterHotChurn(t *testing.T) {
+	c := deployReplicated(t, hotColdSource, 2, map[string]int{"Table": 1}, runtime.Options{Replicate: true})
+	invokeOK(t, c, "peek") // node 0 fetches its replica
+	for i := 0; i < 40; i++ {
+		invokeOK(t, c, "churn", int64(1000))
+	}
+	before := c.TotalStats()
+	invokeOK(t, c, "set", int64(7))
+	if v := invokeOK(t, c, "get"); v != int64(7) {
+		t.Fatalf("get() after set(7) = %v: node 0's replica kept the old cold field", v)
+	}
+	if s := c.TotalStats(); s.ReplicaFetches != before.ReplicaFetches || s.ReplicaHits == before.ReplicaHits {
+		t.Fatalf("want the read served from the patched replica (before %+v, after %+v)", before, s)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// TestRequesterNodeSeesWriteAfterReturn pins the weakest read the write
+// barrier guarantees on the requester's node: a read on another thread
+// of that node, ordered after the writing thread's access returned. A
+// put runs on one goroutine's invocation, and once it has returned a
+// get runs on another's: both read the slot through node 0's replica,
+// patched only by the put's reply, and must see the value. Each round
+// costs the put's round trip alone.
+func TestRequesterNodeSeesWriteAfterReturn(t *testing.T) {
+	const rounds = 50
+	c := deployTable(t, 2, 1, 0, runtime.Options{Replicate: true, MaxConcurrent: 2})
+	invokeOK(t, c, "sum") // node 0 fetches its replica
+	before := c.TotalStats()
+	// Each invocation runs on a goroutine of its own, and so on a
+	// logical thread of its own; the channel orders the get after the
+	// put returned.
+	for i := int64(1); i <= rounds; i++ {
+		slot, x := i%4, 10*i
+		done := make(chan error)
+		go func() {
+			_, _, err := c.InvokeEntry("put", []vm.Value{slot, x})
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan vm.Value)
+		go func() {
+			v, _, err := c.InvokeEntry("get", []vm.Value{slot})
+			if err != nil {
+				t.Error(err)
+			}
+			got <- v
+		}()
+		if v := <-got; v != x*100000+x {
+			t.Fatalf("round %d: get read %v after the put of %d returned, want %d from both paths", i, v, x, x*100000+x)
+		}
+	}
+	s := c.TotalStats()
+	got := [3]int64{s.MessagesSent - before.MessagesSent, s.Invalidations - before.Invalidations,
+		s.ReplicaFetches - before.ReplicaFetches}
+	if want := [3]int64{2 * rounds, rounds, 0}; got != want {
+		t.Errorf("frames, invalidations, fetches = %v, want %v", got, want)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// putAllocations measures the heap allocations of one remote put of
+// steps(64) from node 0 to the table on node table, process-wide (every
+// in-process node), with the read behind each put served from node 0's
+// patched replica. warm runs first, to fetch the replicas the
+// measurement needs.
+func putAllocations(t *testing.T, k, table, probe int, warm string) (allocs float64, before, after runtime.NodeStats) {
+	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	probe := func() {
+	pooled := func() {
 		for i := 0; i < 16; i++ {
 			wire.PutBuf(wire.GetBuf())
 		}
 	}
-	if testing.AllocsPerRun(100, probe) != 0 {
+	if testing.AllocsPerRun(100, pooled) != 0 {
 		t.Skip("sync.Pool drops buffers at random in this build (race detector): the pools themselves allocate")
 	}
-	// Measured: 19.0 when every put dropped the replica and the read
-	// behind it refetched a snapshot, behind a barrier that spawned a
-	// goroutine per reader and sorted a fresh copy of the reader set;
-	// 3.0 with the patch, the barrier on the caller's goroutine and the
-	// reader set read into a stack buffer — two of the three are the
-	// patched copy of the replica. The bound leaves a 2× margin.
-	const puts, maxAllocs = 64, 6
-	c := deployTable(t, 2, 1, 0, runtime.Options{Replicate: true})
+	const puts = 64
+	c := deployTable(t, k, table, probe, runtime.Options{Replicate: true})
+	invokeOK(t, c, warm)
 	args := []vm.Value{int64(puts)}
 	invoke := func() {
 		if _, _, err := c.InvokeEntry("steps", args); err != nil {
@@ -291,12 +596,43 @@ func TestReplicaUpdateAllocations(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		invoke()
 	}
-	before := c.TotalStats()
-	got := testing.AllocsPerRun(20, invoke) / puts
-	s := c.TotalStats()
+	before = c.TotalStats()
+	allocs = testing.AllocsPerRun(20, invoke) / puts
+	return allocs, before, c.TotalStats()
+}
+
+// TestReplicaUpdateAllocations pins the allocations of a put whose
+// patch rides its reply: node 0 is the table's only reader and the
+// requester of every put. Measured: 19.0 when every put dropped the
+// replica and the read behind it refetched a snapshot; 3.0 with the
+// patch in an INVALIDATE round trip; 3.9 with the patch carried — two
+// are the patched copy of the replica, one the patch list the reply
+// decodes into. No INVALIDATE is sent. The bound leaves a 1.5× margin.
+func TestReplicaUpdateAllocations(t *testing.T) {
+	const maxAllocs = 6
+	got, before, s := putAllocations(t, 2, 1, 0, "peek")
 	t.Logf("%.1f allocations per remote put", got)
-	if s.ReplicaUpdates-before.ReplicaUpdates == 0 || s.ReplicaFetches != before.ReplicaFetches {
-		t.Fatalf("want every put to patch the replica and no refetch (before %+v, after %+v)", before, s)
+	if s.ReplicaUpdates == before.ReplicaUpdates || s.ReplicaFetches != before.ReplicaFetches ||
+		s.MessagesSent-before.MessagesSent != 2*(s.ReplicaUpdates-before.ReplicaUpdates) {
+		t.Fatalf("want every put to patch the replica on its reply, with no INVALIDATE and no refetch (before %+v, after %+v)", before, s)
+	}
+	if got > maxAllocs {
+		t.Errorf("%.1f allocations per remote put, want ≤ %d", got, maxAllocs)
+	}
+}
+
+// TestThirdPartyInvalidateAllocations is the twin with a third-party
+// reader: the probe on node 1 also holds a replica of the table on node
+// 2, so each put patches node 0 on its reply and node 1 in an
+// INVALIDATE round trip. Measured: 6.0 — the carried path's 3.9, plus
+// the patched copy of node 1's replica. The bound leaves a 1.5× margin.
+func TestThirdPartyInvalidateAllocations(t *testing.T) {
+	const maxAllocs = 9
+	got, before, s := putAllocations(t, 3, 2, 1, "sum")
+	t.Logf("%.1f allocations per remote put", got)
+	if updates := s.ReplicaUpdates - before.ReplicaUpdates; updates == 0 || s.ReplicaFetches != before.ReplicaFetches ||
+		s.MessagesSent-before.MessagesSent != 2*updates {
+		t.Fatalf("want every put to patch both replicas, one on its reply and one by INVALIDATE, with no refetch (before %+v, after %+v)", before, s)
 	}
 	if got > maxAllocs {
 		t.Errorf("%.1f allocations per remote put, want ≤ %d", got, maxAllocs)

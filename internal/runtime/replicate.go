@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,11 +14,18 @@ import (
 
 // This file implements the runtime half of read-replication: the
 // pull-based replica install (REPLICATE), the update-or-invalidate
-// write barrier (INVALIDATE, acknowledged with a ReplicaAck), and local replica serving
-// for the GetFieldReplicated / InvokeReplicaRead access kinds. The
-// state it manipulates lives in the object records (objects.go).
+// write barrier, and local replica serving for the GetFieldReplicated /
+// InvokeReplicaRead access kinds. The state it manipulates lives in the
+// object records (objects.go).
 //
-// Correctness rests on three properties:
+// Every write to an object with readers advances the owner's per-object
+// write counter and delivers one patch — the slot, the counter and, for
+// a scalar, the value — to every registered reader. A reader whose
+// access frame the writing thread is serving gets its patch on that
+// frame's reply (carried); every other reader gets it as an INVALIDATE,
+// acknowledged with a ReplicaAck, before the write completes.
+//
+// Correctness rests on five properties:
 //
 //  1. Snapshot quiescence: a replica is cut under the same per-object
 //     freeze gate migration uses, so it never captures a mid-write
@@ -25,20 +33,42 @@ import (
 //     to a plain remote read.
 //  2. Write barrier: every write funnels through localAccess on the
 //     owner (replicated classes are rewritten as dependent on every
-//     node, so even owner-local stores are mediated), and the write
-//     does not complete until every registered reader has patched or
-//     dropped its replica and acknowledged. A read the program orders
-//     after a write therefore sees the written value, from the patched
-//     replica or from a refetch; it can never see the old one. The
-//     writer holds the object's gate throughout, so writes to one
-//     object — and their patches — reach each reader one at a time, in
-//     write order.
-//  3. Install/write race: a fetch records the record's generation
-//     before requesting; an INVALIDATE, patching or not, (or a home
-//     move) that lands while the snapshot is in flight bumps the
-//     generation and the install is discarded — the fetched value may
-//     serve that one access (it was valid at snapshot time) but is
-//     never kept.
+//     node, so even owner-local stores are mediated). A write completes
+//     only once every registered reader but the requester of the frame
+//     it is serving has patched or dropped its replica and acknowledged;
+//     the requester applies its patch before the access that carried it
+//     returns. So a read the program orders after a write — on the
+//     writing thread, or on any thread of a node other than the
+//     requester's — sees the written value; a read on another thread of
+//     the requester's node sees it once the writing thread's access has
+//     returned there. A read there ordered after the write only through
+//     a third object, while the reply is still in flight, may not.
+//  3. Own writes: a serving thread delivers its deferred patches as
+//     INVALIDATE round trips before it sends any request (a call-back,
+//     a nested access, an async flush, a REPLICATE), so a thread always
+//     reads its own writes. Otherwise they wait for the reply, whatever
+//     else the thread does on the owner first — every entry of an
+//     access vector adds its patches to the same reply.
+//  4. Ordering: patches to one replica can arrive out of order (two
+//     writer threads' replies, or an INVALIDATE overtaking an older
+//     carried patch), so each carries the write counter and the replica
+//     applies it only if it is newer than the version it holds for that
+//     slot: for one slot the newest write wins, and writes to different
+//     slots commute. The counter is two bytes; the replica widens it to
+//     64 bits against the newest counter it has seen (objects.go widen),
+//     which is exact because the patches in flight to one replica
+//     number at most the live logical threads plus one, and NewCluster
+//     keeps those far below 2¹⁵.
+//  5. Install/write race: a fetch records the record's generation
+//     before requesting; a patch, applied or not, (or a home move) that
+//     lands while the snapshot is in flight bumps the generation and the
+//     install is discarded — the fetched value may serve that one access
+//     (it was valid at snapshot time) but is never kept.
+
+// maxReplicatedThreads bounds Options.MaxConcurrent under replication:
+// with fewer logical threads, the patches in flight to one replica span
+// less than a quarter of the write counter's range.
+const maxReplicatedThreads = 1 << 14
 
 // handleReplicate serves a reader's REPLICATE request: freeze the
 // object's access gate, snapshot its fields (the same recipe as a
@@ -86,9 +116,10 @@ func (n *Node) handleReplicate(req *wire.ReplicateRequest, from int) wire.Replic
 		return wire.ReplicateResponse{Err: err.Error()}
 	}
 	// Register before thawing: any write that enters the gate after us
-	// will see the reader and invalidate it.
-	n.objs.addReader(req.ID, from)
-	return wire.ReplicateResponse{Class: h.Class.Name(), Fields: fields}
+	// will see the reader and patch it, with a newer counter than the
+	// snapshot's.
+	ver := n.objs.addReader(req.ID, from)
+	return wire.ReplicateResponse{Class: h.Class.Name(), Fields: fields, Ver: ver}
 }
 
 // fetchReplica performs the REPLICATE exchange, following Moved
@@ -158,7 +189,7 @@ func (n *Node) fetchReplica(lt *lthread, home int, id int64) (*vm.Object, error)
 		// count as fetches (redirect hops, denials and malformed
 		// payloads do not).
 		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaFetches }, 1)
-		n.objs.installReplica(id, shadow, gen)
+		n.objs.installReplica(id, shadow, gen, out.Ver)
 		return shadow, nil
 	}
 	return nil, fmt.Errorf("runtime: node %d: replicate redirect chain for object %d too long", n.Rank, id)
@@ -190,38 +221,49 @@ func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, kind int, member str
 }
 
 // invalidateReaders runs the write barrier for a store of v into field
-// slot of object id: every registered reader patches its replica —
-// when v is a scalar — or drops it, and acknowledges, so the write
-// this call is part of completes only when no reader can serve the old
-// value. With one remote reader the INVALIDATE goes out on the calling
-// goroutine; with more, every frame but the last goes out on its own
-// goroutine and the last on this one, so the barrier costs one round
-// trip regardless of fan-out. Readers that answered holding no replica
-// leave the set and re-register on their next fetch; patched readers
-// stay in it.
+// slot of object id: it advances the object's write counter and delivers
+// a patch to every registered reader — an update when v is a scalar, a
+// drop otherwise. The reader whose access frame this thread is serving
+// gets its patch deferred to that frame's reply (lthread.carry); every
+// other reader gets an INVALIDATE and acknowledges, so the write this
+// call is part of completes only when no reader but the requester can
+// serve the old value. With one remote reader the INVALIDATE goes out on
+// the calling goroutine; with more, every frame but the last goes out on
+// its own goroutine and the last on this one, so the barrier costs one
+// round trip regardless of fan-out. Readers that answered holding no
+// replica leave the set and re-register on their next fetch; patched
+// readers, and the requester, stay in it.
 func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) error {
 	var buf [4]int
-	readers := n.objs.appendReaders(buf[:0], id)
+	readers, ver := n.objs.write(buf[:0], id)
 	if len(readers) == 0 {
 		return nil
 	}
-	req := wire.InvalidateRequest{ID: id}
+	p := wire.InvalidateRequest{ID: id, Ver: ver, Slot: slot}
 	if w, ok := patchValue(v); ok {
-		req.Update, req.Slot, req.Value = true, slot, w
+		p.Update, p.Value = true, w
 	}
-	if len(readers) > 1 {
-		return n.invalidateFanOut(lt, req, readers)
+	n.count(lt, func(s *NodeStats) *int64 { return &s.Invalidations }, int64(len(readers)))
+	if p.Update {
+		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaUpdates }, int64(len(readers)))
 	}
-	kept, err := n.invalidateOne(lt, readers[0], &req)
-	if err == nil && !kept {
-		n.objs.dropReader(id, readers[0])
+	readers = lt.carry(readers, &p)
+	switch len(readers) {
+	case 0:
+		return nil
+	case 1:
+		kept, err := n.invalidateOne(lt, readers[0], &p)
+		if err == nil && !kept {
+			n.objs.dropReader(id, readers[0])
+		}
+		return err
 	}
-	return err
+	return n.invalidateFanOut(lt, p, readers)
 }
 
-// patchValue reports whether a stored value can travel in a patching
-// INVALIDATE — the scalars, which the reader installs as they are —
-// and converts it. References and arrays drop the replica instead.
+// patchValue reports whether a stored value can travel in a patch — the
+// scalars, which the reader installs as they are — and converts it.
+// References and arrays drop the replica instead.
 func patchValue(v vm.Value) (wire.Value, bool) {
 	switch x := v.(type) {
 	case nil:
@@ -275,10 +317,6 @@ func (n *Node) invalidateOne(lt *lthread, r int, req *wire.InvalidateRequest) (k
 	if r == n.Rank {
 		return false, nil
 	}
-	n.count(lt, func(s *NodeStats) *int64 { return &s.Invalidations }, 1)
-	if req.Update {
-		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaUpdates }, 1)
-	}
 	// Per-destination encode: send consumes the buffer, so a fan-out
 	// cannot share one encoded request.
 	resp, err := n.rawRequest(lt, r, KindInvalidate, req.Encode())
@@ -299,18 +337,59 @@ func (n *Node) invalidateOne(lt *lthread, r int, req *wire.InvalidateRequest) (k
 	return ack.Kept, nil
 }
 
+// deliverCarried sends the patches this thread deferred for the
+// requester of the frame it is serving as INVALIDATE round trips, one
+// per patch, and drops the requester from the reader set of each object
+// it answered holding no replica of. A thread calls it before every
+// request it sends while serving a frame (rawRequest, fuseScatter), so
+// it reads its own writes wherever it goes; it is a no-op when nothing
+// is deferred.
+func (n *Node) deliverCarried(lt *lthread) error {
+	to, ps := lt.takeCarried()
+	for i := range ps {
+		kept, err := n.invalidateOne(lt, to, &ps[i])
+		if err != nil {
+			return err
+		}
+		if !kept {
+			n.objs.dropReader(ps[i].ID, to)
+		}
+	}
+	return nil
+}
+
+// applyPatch applies one patch to this node's replica of its object —
+// an INVALIDATE's, or one a reply carried — and reports whether a
+// replica is still held.
+func (n *Node) applyPatch(p *wire.InvalidateRequest) (kept bool, err error) {
+	var v vm.Value
+	if p.Update {
+		if v, err = n.fromWire(p.Value); err != nil {
+			return false, err
+		}
+	}
+	return n.objs.patch(p.ID, p.Slot, p.Ver, p.Update, v)
+}
+
+// applyCarried applies the patches a reply carried, before the access
+// that received it returns. One that fails does not stop the rest.
+func (n *Node) applyCarried(ps []wire.InvalidateRequest) error {
+	var errs []error
+	for i := range ps {
+		if _, err := n.applyPatch(&ps[i]); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // handleInvalidate patches or drops this node's replica of the named
 // object and acknowledges, saying whether a replica is still held.
 func (n *Node) handleInvalidate(payload []byte) wire.ReplicaAck {
 	var ack wire.ReplicaAck
 	req, err := wire.DecodeInvalidateRequest(payload)
-	if err == nil && req.Update {
-		var v vm.Value
-		if v, err = n.fromWire(req.Value); err == nil {
-			ack.Kept, err = n.objs.update(req.ID, req.Slot, v)
-		}
-	} else if err == nil {
-		n.objs.invalidate(req.ID)
+	if err == nil {
+		ack.Kept, err = n.applyPatch(&req)
 	}
 	if err != nil {
 		ack.Err = err.Error()

@@ -204,6 +204,12 @@ func TestReplicateOptionValidation(t *testing.T) {
 		runtime.Options{Replicate: true, Unoptimized: true}); err == nil {
 		t.Error("Replicate+Unoptimized accepted")
 	}
+	// The write counters are two bytes wide: the threads whose patches
+	// can be in flight at once must stay far below 2¹⁵.
+	if _, err := runtime.NewCluster(repl.Nodes, repl.Plan, transport.NewInProc(2),
+		runtime.Options{Replicate: true, MaxConcurrent: 1 << 14}); err == nil {
+		t.Error("Replicate with MaxConcurrent 1<<14 accepted")
+	}
 }
 
 // replRaceSource is a replicated register on node 1 driven from the

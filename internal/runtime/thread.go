@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,6 +49,17 @@ type lthread struct {
 	// asyncBuf holds per-destination not-yet-sent fire-and-forget
 	// calls.
 	asyncBuf map[int][]wire.DepRequest
+
+	// replyTo is the rank whose access frame (NEW, DEPENDENCE or
+	// DEPSEQ) the thread is serving on this node, -1 when none. carried,
+	// guarded by mu, holds the patches it owes that rank for writes made
+	// while serving the frame: they ride the frame's reply instead of an
+	// INVALIDATE round trip each (see carry). ncarried mirrors
+	// len(carried), so the paths that must deliver them first check
+	// without locking.
+	replyTo  atomic.Int32
+	carried  []wire.InvalidateRequest
+	ncarried atomic.Int32
 
 	// dedupNext numbers this thread's outgoing effectful requests when
 	// failure recovery is on (rawRequest stamps it into the frame's
@@ -129,6 +141,61 @@ func (lt *lthread) journalPut(from int, dedup uint64, payload []byte) {
 	lt.mu.Unlock()
 }
 
+// serveFrom marks the start of serving an access frame from rank and
+// returns the mark it replaces, for endServe. The frames a thread
+// serves on one node nest: another arrives only while the thread waits
+// on a request, and it delivered its carried patches before sending it.
+func (lt *lthread) serveFrom(rank int) (prev int) {
+	return int(lt.replyTo.Swap(int32(rank)))
+}
+
+// endServe ends the frame serveFrom began: it appends the patches the
+// frame's reply carries to dst and restores the enclosing frame's mark.
+func (lt *lthread) endServe(prev int, dst []wire.InvalidateRequest) []wire.InvalidateRequest {
+	if lt.ncarried.Load() != 0 {
+		lt.mu.Lock()
+		dst = append(dst, lt.carried...)
+		clear(lt.carried)
+		lt.carried = lt.carried[:0]
+		lt.ncarried.Store(0)
+		lt.mu.Unlock()
+	}
+	lt.replyTo.Store(int32(prev))
+	return dst
+}
+
+// carry defers p for the requester of the frame the thread is serving,
+// if that rank is among the readers a write must tell, and returns the
+// readers that still need an INVALIDATE. The requester stays in the
+// reader set: it applies the patch from the reply and sends no
+// acknowledgement.
+func (lt *lthread) carry(readers []int, p *wire.InvalidateRequest) []int {
+	i := slices.Index(readers, int(lt.replyTo.Load()))
+	if i < 0 {
+		return readers
+	}
+	lt.mu.Lock()
+	lt.carried = append(lt.carried, *p)
+	lt.ncarried.Store(int32(len(lt.carried)))
+	lt.mu.Unlock()
+	return slices.Delete(readers, i, i+1)
+}
+
+// takeCarried removes and returns the thread's carried patches and the
+// rank they are owed to, for delivery by INVALIDATE (Node.deliverCarried).
+func (lt *lthread) takeCarried() (to int, ps []wire.InvalidateRequest) {
+	if lt.ncarried.Load() == 0 {
+		return -1, nil
+	}
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	ps = slices.Clone(lt.carried)
+	clear(lt.carried)
+	lt.carried = lt.carried[:0]
+	lt.ncarried.Store(0)
+	return int(lt.replyTo.Load()), ps
+}
+
 // lthread returns (creating if needed) the context for a thread id on
 // this node. Contexts are created lazily — a node learns about a
 // thread the first time one of its frames arrives — and retired by the
@@ -143,6 +210,7 @@ func (n *Node) lthread(tid uint64) *lthread {
 			vt:       n.VM.NewThread(),
 			asyncBuf: map[int][]wire.DepRequest{},
 		}
+		lt.replyTo.Store(-1)
 		lt.vt.Data = lt
 		n.lts[tid] = lt
 	}

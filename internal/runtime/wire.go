@@ -40,8 +40,10 @@
 // "home + replica set" rather than one
 // canonical location: under Options.Replicate (with a plan from
 // rewrite Options.Replicate) proxies satisfy reads of read-mostly
-// classes from local snapshots (replicate.go), and every write pushes
-// INVALIDATE frames that must be acknowledged before it completes.
+// classes from local snapshots (replicate.go), and every write patches
+// each replica: on the reply to the requester whose frame the write
+// serves, and by INVALIDATE frames that must be acknowledged before it
+// completes for every other reader.
 // ARCHITECTURE.md documents the protocol, every frame kind, and the
 // safety argument.
 package runtime

@@ -27,14 +27,14 @@ func TestCoherenceMessageRoundTrips(t *testing.T) {
 			fields[j] = randValue(r, 2)
 		}
 		resp := ReplicateResponse{
-			Class: "Directory", Fields: fields,
+			Class: "Directory", Fields: fields, Ver: uint16(r.Intn(1 << 16)),
 			Denied: i%3 == 0, Busy: i%5 == 0, Err: "", Moved: i%2 == 0, NewHome: r.Intn(16),
 		}
 		gotResp, err := DecodeReplicateResponse(resp.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotResp.Class != resp.Class || gotResp.Denied != resp.Denied ||
+		if gotResp.Class != resp.Class || gotResp.Ver != resp.Ver || gotResp.Denied != resp.Denied ||
 			gotResp.Busy != resp.Busy ||
 			gotResp.Moved != resp.Moved || gotResp.NewHome != resp.NewHome ||
 			len(gotResp.Fields) != len(resp.Fields) {
@@ -47,7 +47,7 @@ func TestCoherenceMessageRoundTrips(t *testing.T) {
 			}
 		}
 
-		ir := InvalidateRequest{ID: ids[r.Intn(len(ids))]}
+		ir := InvalidateRequest{ID: ids[r.Intn(len(ids))], Ver: uint16(r.Intn(1 << 16)), Slot: r.Intn(300)}
 		if i%2 == 0 {
 			ir.Update, ir.Slot, ir.Value = true, r.Intn(300), randValue(r, 1)
 		}
@@ -87,14 +87,20 @@ func TestAffinityEdgeReadWriteSplitRoundTrips(t *testing.T) {
 }
 
 // TestTransferRequestCarriesReaders pins the atomic replica-set handoff
-// on migration.
+// on migration: the reader set and the write counter travel together.
 func TestTransferRequestCarriesReaders(t *testing.T) {
-	tr := TransferRequest{ID: 9, Class: "Dir", Fields: []Value{{Kind: KInt, Int: 3}}, Readers: []int{1, 3}}
-	got, err := DecodeTransferRequest(tr.Encode())
+	tr := TransferRequest{ID: 9, Class: "Dir", Fields: []Value{{Kind: KInt, Int: 3}}, Readers: []int{1, 3}, Ver: 0xfffe}
+	enc := tr.Encode()
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeTransferRequest(enc[:cut]); err == nil {
+			t.Fatalf("TransferRequest truncation at %d not detected", cut)
+		}
+	}
+	got, err := DecodeTransferRequest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != tr.ID || got.Class != tr.Class || !reflect.DeepEqual(got.Readers, tr.Readers) {
+	if got.ID != tr.ID || got.Class != tr.Class || got.Ver != tr.Ver || !reflect.DeepEqual(got.Readers, tr.Readers) {
 		t.Fatalf("TransferRequest readers lost: %+v vs %+v", got, tr)
 	}
 }
@@ -102,16 +108,16 @@ func TestTransferRequestCarriesReaders(t *testing.T) {
 // TestCoherenceTruncationFailsCleanly mirrors the codec-wide truncation
 // property for the new frames.
 func TestCoherenceTruncationFailsCleanly(t *testing.T) {
-	resp := ReplicateResponse{Class: "C", Fields: []Value{{Kind: KStr, Str: "abc"}}, Moved: true, NewHome: 2}
+	resp := ReplicateResponse{Class: "C", Fields: []Value{{Kind: KStr, Str: "abc"}}, Ver: 9, Moved: true, NewHome: 2}
 	enc := resp.Encode()
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeReplicateResponse(enc[:cut]); err == nil {
 			t.Fatalf("ReplicateResponse truncation at %d not detected", cut)
 		}
 	}
-	irs := []InvalidateRequest{{ID: 1 << 40}}
+	irs := []InvalidateRequest{{ID: 1 << 40, Ver: 7, Slot: 300}}
 	for _, v := range valueKinds {
-		irs = append(irs, InvalidateRequest{ID: 1 << 40, Update: true, Slot: 300, Value: v})
+		irs = append(irs, InvalidateRequest{ID: 1 << 40, Ver: 7, Update: true, Slot: 300, Value: v})
 	}
 	for _, ir := range irs {
 		enc := ir.Encode()
@@ -143,23 +149,23 @@ var valueKinds = []Value{
 // sameInvalidate compares two InvalidateRequests, values by their
 // encoded fields.
 func sameInvalidate(a, b InvalidateRequest) bool {
-	return a.ID == b.ID && a.Update == b.Update && a.Slot == b.Slot &&
+	return a.ID == b.ID && a.Ver == b.Ver && a.Update == b.Update && a.Slot == b.Slot &&
 		reflect.DeepEqual(normalize(a.Value), normalize(b.Value))
 }
 
-// TestInvalidateHeadSubsetsRoundTrip covers every subset of the
-// INVALIDATE head bits — a plain drop and a patch — with every Value
-// kind in the patch.
+// TestInvalidateHeadSubsetsRoundTrip covers every subset of the flag
+// bits an INVALIDATE's tag defines — a drop and an update — with every
+// Value kind in the update and a slot that takes three bytes.
 func TestInvalidateHeadSubsetsRoundTrip(t *testing.T) {
 	for head := 0; head <= invBits; head++ {
 		for _, v := range valueKinds {
-			ir := InvalidateRequest{ID: -(1 << 35)}
+			ir := InvalidateRequest{ID: -(1 << 35), Ver: 0x8001, Slot: 1 << 20}
 			if head&invUpdate != 0 {
-				ir.Update, ir.Slot, ir.Value = true, 1<<20, v
+				ir.Update, ir.Value = true, v
 			}
 			enc := ir.Encode()
-			if enc[0] != byte(head) {
-				t.Fatalf("%+v: head %#x, want %#x", ir, enc[0], head)
+			if got := enc[0] & (1<<patchBits - 1); got != byte(head) {
+				t.Fatalf("%+v: flags %#x, want %#x", ir, got, head)
 			}
 			got, err := DecodeInvalidateRequest(enc)
 			if err != nil {
@@ -172,13 +178,15 @@ func TestInvalidateHeadSubsetsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoherenceUndefinedBitsRejected: a head bit neither side defines
-// is a clean decode error, never a silently ignored field.
+// TestCoherenceUndefinedBitsRejected: a flag bit neither side defines
+// is a clean decode error, never a silently ignored field. In an
+// INVALIDATE that is the more bit of its tag: the frame carries one
+// patch. (The tag's bits above the flags are the slot.)
 func TestCoherenceUndefinedBitsRejected(t *testing.T) {
 	ir := (&InvalidateRequest{ID: 1, Update: true, Slot: 1, Value: Value{Kind: KInt, Int: 1}}).Encode()
 	ack := (&ReplicaAck{Kept: true, Err: "x"}).Encode()
 	for bit := 0; bit < 8; bit++ {
-		if b := byte(1) << bit; b&invBits == 0 {
+		if b := byte(1) << bit; bit < patchBits && b&invBits == 0 {
 			enc := append([]byte(nil), ir...)
 			enc[0] |= b
 			if _, err := DecodeInvalidateRequest(enc); err == nil {
@@ -213,20 +221,26 @@ func TestReplicaAckKeptRoundTrip(t *testing.T) {
 
 // TestInvalidatePatchSize pins the bytes a kv_mix-shaped write costs:
 // an int in [1024, 2047] stored in field slot 1–4 of object 1 travels
-// as head, id, slot, kind and a two-byte varint — 6 bytes, against the
-// 2 of a plain drop and the full snapshot a drop's refetch returns. The
-// acknowledgement is its head byte alone.
+// as tag, id, the two-byte write counter, kind and a two-byte varint —
+// 7 bytes, against the 4 of a drop and the full snapshot a drop's
+// refetch returns. The acknowledgement is its head byte alone. Carried
+// on a reply the same patch costs the same 7 bytes, and the reply entry
+// nothing more: its head byte has room for the flag.
 func TestInvalidatePatchSize(t *testing.T) {
 	for slot := 1; slot <= 4; slot++ {
 		for _, val := range []int64{1024, 2047} {
-			ir := InvalidateRequest{ID: 1, Update: true, Slot: slot, Value: Value{Kind: KInt, Int: val}}
-			if n := len(ir.Encode()); n != 6 {
-				t.Errorf("patch of slot %d to %d: %d bytes, want 6", slot, val, n)
+			ir := InvalidateRequest{ID: 1, Ver: 0xffff, Update: true, Slot: slot, Value: Value{Kind: KInt, Int: val}}
+			if n := len(ir.Encode()); n != 7 {
+				t.Errorf("patch of slot %d to %d: %d bytes, want 7", slot, val, n)
+			}
+			bare, carried := DepResponse{}, DepResponse{Patches: []InvalidateRequest{ir}}
+			if n := len(carried.Encode()) - len(bare.Encode()); n != 7 {
+				t.Errorf("patch of slot %d to %d carried on a reply: %d bytes more, want 7", slot, val, n)
 			}
 		}
 	}
-	if n := len((&InvalidateRequest{ID: 1}).Encode()); n != 2 {
-		t.Errorf("plain INVALIDATE: %d bytes, want 2", n)
+	if n := len((&InvalidateRequest{ID: 1, Slot: 4}).Encode()); n != 4 {
+		t.Errorf("dropping INVALIDATE: %d bytes, want 4", n)
 	}
 	for _, kept := range []bool{false, true} {
 		if n := len((&ReplicaAck{Kept: kept}).Encode()); n != 1 {

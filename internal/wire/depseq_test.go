@@ -43,7 +43,23 @@ func randDepResponse(r *rand.Rand) DepResponse {
 	if m.Moved {
 		m.NewHome = r.Intn(8)
 	}
+	if r.Intn(4) == 0 {
+		m.Patches = randPatches(r)
+	}
 	return m
+}
+
+// randPatches draws a carried patch list of one to three patches, drops
+// and updates mixed.
+func randPatches(r *rand.Rand) []InvalidateRequest {
+	ps := make([]InvalidateRequest, 1+r.Intn(3))
+	for i := range ps {
+		ps[i] = InvalidateRequest{ID: r.Int63n(1<<40) - 1<<39, Ver: uint16(r.Intn(1 << 16)), Slot: r.Intn(300)}
+		if r.Intn(2) == 0 {
+			ps[i].Update, ps[i].Value = true, randValue(r, 0)
+		}
+	}
+	return ps
 }
 
 // seqRequestWithHead draws a request entry whose encoding after an
@@ -87,6 +103,9 @@ func seqResponseWithHead(r *rand.Rand, head byte) DepResponse {
 	if m.Moved {
 		m.NewHome = r.Intn(300)
 	}
+	if head&seqRespPatches != 0 {
+		m.Patches = randPatches(r)
+	}
 	return m
 }
 
@@ -112,7 +131,13 @@ func legacyDepResponse(b []byte, m *DepResponse) []byte {
 	b = appendString(b, m.AsyncErr)
 	b = appendInts(b, nil) // the retired outstanding-destination list
 	b = appendBool(b, m.Moved)
-	return appendUvarint(b, uint64(m.NewHome))
+	b = appendUvarint(b, uint64(m.NewHome))
+	// The legacy layout had no patch list: a patch went in an INVALIDATE
+	// of its own. The bound prices carried patches at their own bytes.
+	for i := range m.Patches {
+		b = m.Patches[i].appendPatch(b, i < len(m.Patches)-1)
+	}
+	return b
 }
 
 func legacyDepSeq(reqs []DepRequest) []byte {
@@ -194,7 +219,8 @@ func depRequestEq(a, b DepRequest) bool {
 func depResponseEq(a, b DepResponse) bool {
 	return valueEqBits(a.Value, b.Value) && valuesEqBits(a.OutArrays, b.OutArrays) &&
 		a.Err == b.Err && a.AsyncErr == b.AsyncErr &&
-		a.Moved == b.Moved && a.NewHome == b.NewHome
+		a.Moved == b.Moved && a.NewHome == b.NewHome &&
+		slices.EqualFunc(a.Patches, b.Patches, sameInvalidate)
 }
 
 // checkDepSeq asserts that m round-trips and encodes no longer than the

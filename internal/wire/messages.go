@@ -61,7 +61,7 @@ func (m *DepRequest) Encode() []byte { return m.appendEntry(append(GetBuf(), 1),
 // for array arguments. AsyncErr answers a fire-and-forget entry that
 // failed; it ends the reply vector. It is also the NEW reply, with the
 // created object's id as a KInt Value, and the bare acknowledgement of
-// ADAPT, WELCOME and all-async DEPENDENCE frames.
+// all-async DEPENDENCE frames.
 type DepResponse struct {
 	Value     Value
 	OutArrays []Value
@@ -74,6 +74,12 @@ type DepResponse struct {
 	// proxy-side caches for the object.
 	Moved   bool
 	NewHome int
+	// Patches are the write-barrier deliveries the responder owed the
+	// requesting node for writes it made while serving the request: the
+	// INVALIDATE requests it would otherwise have sent back, carried on
+	// the reply's last entry instead. The requester applies them before
+	// its access returns.
+	Patches []InvalidateRequest
 }
 
 // Encode serialises the response as a one-entry DepSeqResponse vector.
@@ -208,13 +214,17 @@ func DecodeMigrateRequest(data []byte) (MigrateRequest, error) {
 // the global id, the class, and the field values in slot order (object
 // references travel as global refs, exactly as in dependence messages).
 // Readers is the object's replica set — the ranks holding read replicas
-// the new owner must invalidate on future writes; shipping it with the
-// state keeps home and replica set atomic across the handoff.
+// the new owner must invalidate on future writes — and Ver its write
+// counter (a fixed two bytes), which the new owner continues from so
+// that its patches order after every patch the old owner sent.
+// Shipping both with the state keeps home and replica set atomic
+// across the handoff.
 type TransferRequest struct {
 	ID      int64
 	Class   string
 	Fields  []Value
 	Readers []int
+	Ver     uint16
 }
 
 // Encode serialises the request.
@@ -222,7 +232,8 @@ func (m *TransferRequest) Encode() []byte {
 	b := appendVarint(GetBuf(), m.ID)
 	b = appendString(b, m.Class)
 	b = appendValues(b, m.Fields)
-	return appendInts(b, m.Readers)
+	b = appendInts(b, m.Readers)
+	return appendUint16(b, m.Ver)
 }
 
 // DecodeTransferRequest parses a TransferRequest body.
@@ -233,6 +244,7 @@ func DecodeTransferRequest(data []byte) (TransferRequest, error) {
 	m.Class = r.String()
 	m.Fields = r.Values()
 	m.Readers = r.ints()
+	m.Ver = r.Uint16()
 	return m, r.Err()
 }
 
@@ -240,10 +252,14 @@ func DecodeTransferRequest(data []byte) (TransferRequest, error) {
 // update-or-invalidate protocol: a reader asks an object's owner for a
 // replica (REPLICATE), the owner snapshots the object under its
 // quiescence gate and registers the reader, and every subsequent write
-// at the owner pushes an INVALIDATE to each registered reader — carrying
+// at the owner delivers a patch to each registered reader — carrying
 // the written slot and value when the write stored a scalar — which
-// patches or drops its replica and answers with a REPLICA-ACK before
-// the write completes.
+// patches or drops its replica. A reader whose request the write is
+// serving gets the patch on that request's reply; every other reader
+// gets it as an INVALIDATE, answered with a REPLICA-ACK before the
+// write completes. Every patch and snapshot carries the owner's
+// per-object write counter, so a replica can order patches that arrive
+// out of order.
 
 // ReplicateRequest asks the object's owner for a read replica of ID,
 // registering the requesting node for invalidation on writes.
@@ -262,9 +278,10 @@ func DecodeReplicateRequest(data []byte) (ReplicateRequest, error) {
 	return m, r.Err()
 }
 
-// ReplicateResponse carries the replica: the object's concrete class
-// and a field snapshot in slot order (object references as global refs,
-// exactly as in TRANSFER). Denied reports that the owner declined,
+// ReplicateResponse carries the replica: the object's concrete class, a
+// field snapshot in slot order (object references as global refs,
+// exactly as in TRANSFER) and the write counter it was cut at, Ver, as
+// a fixed two bytes. Denied reports that the owner declined,
 // telling the reader to fall back to plain remote reads; Busy marks
 // the refusal as transient (a busy access gate), so the reader must
 // not cache it — structural refusals (non-replicated class, fields
@@ -274,6 +291,7 @@ func DecodeReplicateRequest(data []byte) (ReplicateRequest, error) {
 type ReplicateResponse struct {
 	Class   string
 	Fields  []Value
+	Ver     uint16
 	Denied  bool
 	Busy    bool
 	Err     string
@@ -285,6 +303,7 @@ type ReplicateResponse struct {
 func (m *ReplicateResponse) Encode() []byte {
 	b := appendString(GetBuf(), m.Class)
 	b = appendValues(b, m.Fields)
+	b = appendUint16(b, m.Ver)
 	b = appendBool(b, m.Denied)
 	b = appendBool(b, m.Busy)
 	b = appendString(b, m.Err)
@@ -298,6 +317,7 @@ func DecodeReplicateResponse(data []byte) (ReplicateResponse, error) {
 	var m ReplicateResponse
 	m.Class = r.String()
 	m.Fields = r.Values()
+	m.Ver = r.Uint16()
 	m.Denied = r.Bool()
 	m.Busy = r.Bool()
 	m.Err = r.String()
@@ -306,58 +326,81 @@ func DecodeReplicateResponse(data []byte) (ReplicateResponse, error) {
 	return m, r.Err()
 }
 
-// InvalidateRequest tells a replica holder that object ID was written.
-// A plain request drops the replica before the acknowledgement is sent.
-// An Update carries the write itself — the scalar Value stored in field
-// slot Slot — and the holder patches its replica instead of dropping
-// it. The body uses the presence-flags layout of the DEPSEQ entries:
+// InvalidateRequest is one patch: it tells a replica holder that field
+// Slot of object ID was written when the owner's write counter reached
+// Ver. An Update carries the write itself — the scalar Value stored —
+// and the holder patches its replica; without it the holder drops the
+// replica. Either applies only if Ver is newer than the version the
+// replica holds for that slot, once the replica has widened it against
+// the newest counter it has seen (serial-number order, RFC 1982). An
+// INVALIDATE body is one patch, and a reply entry carries a list of
+// them (DepResponse.Patches), each laid out as
 //
-//	head · ID varint · [Slot uvarint · Value]
+//	tag uvarint · ID varint · Ver 2 bytes · [Value]
 //
-// where the slot and value are present exactly when the head's update
-// bit is set. An undefined head bit is a decode error.
+// with tag = Slot<<2 | more<<1 | update: the value is present exactly
+// when the update bit is set, and the more bit says another patch
+// follows. An INVALIDATE carries one patch, so its more bit is
+// undefined there and a decode error.
 type InvalidateRequest struct {
 	ID     int64
-	Update bool
+	Ver    uint16
 	Slot   int
+	Update bool
 	Value  Value
 }
 
-// InvalidateRequest head bits.
+// Patch tag bits below the slot; invBits are those an INVALIDATE
+// defines.
 const (
 	invUpdate = 1 << iota
+	invMore
 
-	invBits = invUpdate
+	invBits   = invUpdate
+	patchBits = 2
 )
 
 // Encode serialises the request.
-func (m *InvalidateRequest) Encode() []byte {
-	var head byte
+func (m *InvalidateRequest) Encode() []byte { return m.appendPatch(GetBuf(), false) }
+
+// appendPatch encodes one patch; more marks it as not the last of a
+// list.
+func (m *InvalidateRequest) appendPatch(b []byte, more bool) []byte {
+	tag := uint64(m.Slot) << patchBits
 	if m.Update {
-		head |= invUpdate
+		tag |= invUpdate
 	}
-	b := appendVarint(append(GetBuf(), head), m.ID)
-	if head&invUpdate != 0 {
-		b = appendUvarint(b, uint64(m.Slot))
+	if more {
+		tag |= invMore
+	}
+	b = appendUvarint(b, tag)
+	b = appendVarint(b, m.ID)
+	b = appendUint16(b, m.Ver)
+	if m.Update {
 		b = m.Value.Append(b)
 	}
 	return b
+}
+
+// patch decodes one patch into m and reports whether another follows.
+func (r *Reader) patch(m *InvalidateRequest) (more bool) {
+	tag := r.Uvarint()
+	m.Slot = int(tag >> patchBits)
+	m.Update = tag&invUpdate != 0
+	m.ID = r.Varint()
+	m.Ver = r.Uint16()
+	if m.Update {
+		m.Value = r.Value()
+	}
+	return tag&invMore != 0
 }
 
 // DecodeInvalidateRequest parses an InvalidateRequest body.
 func DecodeInvalidateRequest(data []byte) (InvalidateRequest, error) {
 	r := Reader{buf: data}
 	var m InvalidateRequest
-	head := r.Byte()
-	if head&^invBits != 0 {
-		r.fail("undefined INVALIDATE bits %#x", head&^invBits)
-		return m, r.err
-	}
-	m.ID = r.Varint()
-	if head&invUpdate != 0 {
-		m.Update = true
-		m.Slot = int(r.Uvarint())
-		m.Value = r.Value()
+	if r.patch(&m) && r.err == nil {
+		r.fail("undefined INVALIDATE bit %#x: an INVALIDATE carries one patch", invMore)
 	}
 	return m, r.err
 }
@@ -437,10 +480,11 @@ func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
 // where the ID is omitted when it equals the previous entry's (0 before
 // the first), and a response entry is
 //
-//	head · Value · [OutArrays] · [Err] · [AsyncErr] · [NewHome]
+//	head · Value · [OutArrays] · [Err] · [AsyncErr] · [NewHome] · [Patches]
 //
-// with NewHome present exactly when Moved is set. An undefined head bit
-// is a decode error.
+// with NewHome present exactly when Moved is set, and Patches one or
+// more InvalidateRequest patches chained by their more bits. An
+// undefined head bit is a decode error.
 type DepSeq struct {
 	Reqs []DepRequest
 }
@@ -456,16 +500,16 @@ const (
 	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs | seqReqAsync
 )
 
-// Response entry head bits; seqRespMoved also carries NewHome. Bit 0x08
-// (a retired destination list) stays undefined, so Moved keeps its value.
+// Response entry head bits; seqRespMoved also carries NewHome, and
+// seqRespPatches a patch list.
 const (
 	seqRespOutArrays = 1 << iota
 	seqRespErr
 	seqRespAsyncErr
-	_
+	seqRespPatches
 	seqRespMoved
 
-	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespMoved
+	seqRespBits = seqRespOutArrays | seqRespErr | seqRespAsyncErr | seqRespPatches | seqRespMoved
 )
 
 // appendEntry encodes one request entry of an access vector; prevID is
@@ -537,6 +581,9 @@ func (m *DepResponse) appendEntry(b []byte) []byte {
 	if m.Moved {
 		head |= seqRespMoved
 	}
+	if len(m.Patches) > 0 {
+		head |= seqRespPatches
+	}
 	b = append(b, head)
 	b = m.Value.Append(b)
 	if head&seqRespOutArrays != 0 {
@@ -550,6 +597,9 @@ func (m *DepResponse) appendEntry(b []byte) []byte {
 	}
 	if head&seqRespMoved != 0 {
 		b = appendUvarint(b, uint64(m.NewHome))
+	}
+	for i := range m.Patches {
+		b = m.Patches[i].appendPatch(b, i < len(m.Patches)-1)
 	}
 	return b
 }
@@ -572,6 +622,10 @@ func (r *Reader) responseEntry(m *DepResponse) {
 	}
 	if m.Moved {
 		m.NewHome = int(r.Uvarint())
+	}
+	for more := head&seqRespPatches != 0; more && r.err == nil; {
+		m.Patches = append(m.Patches, InvalidateRequest{})
+		more = r.patch(&m.Patches[len(m.Patches)-1])
 	}
 }
 

@@ -64,6 +64,8 @@ func appendFloat(b []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
 }
 
+func appendUint16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
+
 func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -139,6 +141,20 @@ func (r *Reader) Byte() byte {
 	b := r.buf[r.off]
 	r.off++
 	return b
+}
+
+// Uint16 decodes a fixed two-byte big-endian integer.
+func (r *Reader) Uint16() uint16 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf)-r.off < 2 {
+		r.fail("truncated uint16 at %d", r.off)
+		return 0
+	}
+	v := binary.BigEndian.Uint16(r.buf[r.off:])
+	r.off += 2
+	return v
 }
 
 // Bool decodes a one-byte boolean.

@@ -326,11 +326,13 @@ type RunResult struct {
 	Forwards   int64
 	// ReplicaHits counts reads served from a local replica (zero
 	// messages each); ReplicaFetches counts REPLICATE exchanges that
-	// delivered a snapshot; Invalidations counts INVALIDATE frames
-	// writes pushed to replica holders, and ReplicaUpdates the ones
-	// among them that carried a scalar write for the holder to patch
-	// into its replica instead of dropping it. All are zero unless the
-	// run used Config.Replicate on a replicated distribution.
+	// delivered a snapshot; Invalidations counts the write-barrier
+	// deliveries writes made to replica holders — one per write and
+	// holder, by INVALIDATE frame or carried on the reply to the
+	// holder's own request — and ReplicaUpdates the ones among them
+	// that carried a scalar write for the holder to patch into its
+	// replica instead of dropping it. All are zero unless the run used
+	// Config.Replicate on a replicated distribution.
 	ReplicaHits    int64
 	ReplicaFetches int64
 	Invalidations  int64
