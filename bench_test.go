@@ -125,11 +125,11 @@ func BenchmarkFigure11DistributedExecution(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dist, err := plan.Rewrite()
+				dist, err := plan.RewriteWith(autodist.RewriteOptions{Unoptimized: cfg.unoptimized})
 				if err != nil {
 					b.Fatal(err)
 				}
-				last, err = dist.Run(autodist.Config{Unoptimized: cfg.unoptimized})
+				last, err = dist.Run(autodist.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

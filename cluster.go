@@ -92,9 +92,9 @@ func (o *clusterOut) String() (string, int64) {
 // creates the fabric (in-process channels or local TCP), builds one VM
 // per node, starts every Message Exchange service, and returns the
 // live Cluster without invoking anything. The configuration is
-// normalized against the plan (K, Adaptive, the adaptation-epoch
-// default) and then validated — Config.Validate is the single
-// authority on incoherent combinations.
+// normalized against the plan (K, Adaptive, Replicate, the
+// adaptation-epoch default) and then validated — Config.Validate is
+// the single authority on incoherent combinations.
 func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 	// Normalize against the plan: zero values are filled in, but an
 	// explicit setting that contradicts the distribution is an error —
@@ -107,6 +107,10 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("autodist: Config.Adaptive set but the distribution is static (build it with Plan.RewriteAdaptive or RewriteOptions.Adaptive)")
 	}
 	cfg.Adaptive = d.Result.Plan.Adaptive
+	if cfg.Replicate && d.Result.Plan.Replicated == nil {
+		return nil, fmt.Errorf("autodist: Config.Replicate set but the distribution has no replicated classes (build it with RewriteOptions.Replicate)")
+	}
+	cfg.Replicate = d.Result.Plan.Replicated != nil
 	if cfg.Adaptive && cfg.AdaptEvery == 0 {
 		cfg.AdaptEvery = DefaultAdaptEvery
 	}
@@ -154,8 +158,7 @@ func (d *Distribution) Deploy(cfg Config) (*Cluster, error) {
 	copy(progs, d.Result.Nodes)
 	rt, err := runtime.NewCluster(progs, d.Result.Plan, eps, runtime.Options{
 		Out: out, CPUSpeeds: cfg.CPUSpeeds, Net: cfg.Net, MaxSteps: maxSteps,
-		Unoptimized: cfg.Unoptimized, Fuse: !cfg.NoFuse, AdaptEvery: cfg.AdaptEvery, Replicate: cfg.Replicate,
-		MaxConcurrent: cfg.MaxConcurrent, FailureRecovery: cfg.FailureRecovery,
+		AdaptEvery: cfg.AdaptEvery, MaxConcurrent: cfg.MaxConcurrent, FailureRecovery: cfg.FailureRecovery,
 		Compile: cfg.Compile, CompileThreshold: compileThreshold(cfg),
 		MaxRanks: cfg.MaxRanks,
 	})

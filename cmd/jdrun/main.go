@@ -76,19 +76,25 @@
 // -max-ranks bounds how far the rank space can grow.
 //
 // -adaptive=off and -replicate=off (the defaults) keep today's static
-// behaviour exactly — the partition is a compile-time contract and
-// every access pays its remote round-trip — which is what A/B runs
-// compare against. -replicate composes with -adaptive. Incoherent flag
+// behaviour exactly — the partition is a compile-time contract.
+// -replicate composes with -adaptive. -nofuse and -unoptimized are the
+// A/B ablations: each is a rewrite option (RewriteOptions.NoFuse,
+// RewriteOptions.Unoptimized), so the rewritten program carries no
+// fused runs, or no cached reads and asynchronous calls, and the
+// runtime executes exactly what it is given. Incoherent flag
 // combinations (e.g. -unoptimized with -replicate, or distribution
-// flags without -k ≥ 2) fail fast with an error: the checks live in
-// autodist's Config.Validate, the single source of truth shared with
-// the library API.
+// flags without -k ≥ 2) fail with a usage error: the run configuration
+// is checked by autodist's Config.Validate and the rewrite options by
+// RewriteWith, the checks the library API runs too. -nofuse and
+// -unoptimized on a sequential run (-k 1), which rewrites nothing, are
+// refused like -serve there.
 package main
 
 import (
 	"bufio"
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -100,6 +106,7 @@ import (
 	"autodist"
 	"autodist/internal/experiments"
 	"autodist/internal/metrics"
+	"autodist/internal/rewrite"
 )
 
 func main() {
@@ -107,8 +114,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "partitioner seed")
 	eps := flag.Float64("eps", 0.6, "partitioner imbalance tolerance")
 	tcp := flag.Bool("tcp", false, "use local TCP transport instead of in-process channels")
-	unopt := flag.Bool("unoptimized", false, "disable message-exchange optimisations (caching/async/batching) for A/B runs")
-	nofuse := flag.Bool("nofuse", false, "disable access fusion (one DEPENDENCE round trip per remote access; A/B lever)")
+	unopt := flag.Bool("unoptimized", false, "rewrite without the message-exchange optimisations (write-once caching, async calls and their batching) for A/B runs")
+	nofuse := flag.Bool("nofuse", false, "rewrite without access fusion (one DEPENDENCE round trip per remote access) for A/B runs")
 	adaptive := flag.Bool("adaptive", false, "treat the partition as an initial placement: migrate objects to their observed communication affinity at run time")
 	adaptEvery := flag.Int("adapt-every", 0, "adaptation epoch in synchronous requests (0 = default)")
 	replicate := flag.Bool("replicate", false, "replicate read-mostly objects onto reader nodes (update-or-invalidate coherence)")
@@ -169,10 +176,12 @@ func main() {
 
 	// One validated configuration instead of hand-rolled pairwise
 	// checks: Config.Validate rejects every incoherent combination
-	// (-adapt-every without -adaptive, -unoptimized with -replicate,
-	// distribution flags with k = 1, …).
+	// (-adapt-every without -adaptive, distribution flags with k = 1,
+	// …), and RewriteWith the rewrite options (-unoptimized with
+	// -replicate).
+	ropts := autodist.RewriteOptions{Adaptive: *adaptive, Replicate: *replicate, NoFuse: *nofuse, Unoptimized: *unopt}
 	cfg := autodist.Config{
-		K: *k, Out: os.Stdout, TCP: *tcp, Unoptimized: *unopt, NoFuse: *nofuse,
+		K: *k, Out: os.Stdout, TCP: *tcp,
 		Adaptive: *adaptive, AdaptEvery: *adaptEvery, Replicate: *replicate,
 		MaxConcurrent:   *concurrency,
 		FailureRecovery: *recover, HeartbeatInterval: *heartbeat, RetransmitTimeout: *retransmit,
@@ -202,6 +211,9 @@ func main() {
 	}
 	if err := cfg.Validate(); err != nil {
 		usageErr(strings.TrimPrefix(err.Error(), "autodist: "))
+	}
+	if (*unopt || *nofuse) && *k <= 1 {
+		usageErr("-unoptimized/-nofuse require a distributed run (-k ≥ 2)")
 	}
 	if *serve && *listen != "" {
 		usageErr("-serve and -listen are mutually exclusive")
@@ -250,13 +262,10 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	var dist *autodist.Distribution
-	if *adaptive || *replicate {
-		dist, err = plan.RewriteWith(autodist.RewriteOptions{Adaptive: *adaptive, Replicate: *replicate})
-	} else {
-		dist, err = plan.Rewrite()
-	}
-	if err != nil {
+	dist, err := plan.RewriteWith(ropts)
+	if errors.Is(err, rewrite.ErrOptions) {
+		usageErr(strings.TrimPrefix(err.Error(), "rewrite: "))
+	} else if err != nil {
 		die(err)
 	}
 

@@ -59,12 +59,18 @@
 // and Forwards counters on RunResult).
 //
 // Plan.RewriteWith composes the modes. RewriteOptions.Replicate stamps
-// read-replication access kinds for read-mostly classes; run with
-// Config.Replicate, proxies then serve those reads from local
-// replica snapshots kept coherent by an update-or-invalidate protocol:
-// a write of a scalar patches every replica, any other write drops
-// them (see the ReplicaHits, ReplicaFetches, Invalidations and
-// ReplicaUpdates counters on RunResult).
+// read-replication access kinds for read-mostly classes; proxies then
+// serve those reads from local replica snapshots kept coherent by an
+// update-or-invalidate protocol: a write of a scalar patches every
+// replica, any other write drops them (see the ReplicaHits,
+// ReplicaFetches, Invalidations and ReplicaUpdates counters on
+// RunResult). The A/B ablations are rewrite options too:
+// RewriteOptions.NoFuse leaves out access fusion and
+// RewriteOptions.Unoptimized leaves out write-once caching and
+// asynchronous calls; RewriteWith refuses Unoptimized with Replicate.
+// The runtime executes exactly the access kinds the rewrite stamped,
+// so Deploy fills Config.Replicate from the distribution, as it fills
+// Config.Adaptive.
 //
 // Sequential execution (prog.Run), profiling (prog.Profile), quad-IR
 // listings and retargetable x86/StrongARM code generation

@@ -88,12 +88,7 @@ func RunAdaptiveAB(src string, k int) (static, adaptive runtime.NodeStats, err e
 		if _, err := partition.Partition(res.ODG.Graph, partition.Options{K: k, Seed: 1, Epsilon: BalanceEps}); err != nil {
 			return runtime.NodeStats{}, err
 		}
-		var rw *rewrite.Result
-		if adapt {
-			rw, err = rewrite.RewriteAdaptive(bp, res, k)
-		} else {
-			rw, err = rewrite.Rewrite(bp, res, k)
-		}
+		rw, err := rewrite.RewriteWith(bp, res, k, rewrite.Options{Adaptive: adapt, NoFuse: true})
 		if err != nil {
 			return runtime.NodeStats{}, err
 		}

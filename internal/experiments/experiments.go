@@ -246,7 +246,7 @@ func Figure11() ([]Fig11Row, error) {
 		if _, err := partition.Partition(res.ODG.Graph, partition.Options{K: 2, Seed: 1, Epsilon: BalanceEps}); err != nil {
 			return nil, err
 		}
-		rw, err := rewrite.Rewrite(bp, res, 2)
+		rw, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{NoFuse: true})
 		if err != nil {
 			return nil, err
 		}
@@ -445,45 +445,39 @@ func TableMessages() ([]MessageRow, error) {
 		if _, err := partition.Partition(res.ODG.Graph, partition.Options{K: 2, Seed: 1, Epsilon: BalanceEps}); err != nil {
 			return nil, err
 		}
-		rw, err := rewrite.Rewrite(bp, res, 2)
-		if err != nil {
-			return nil, err
-		}
-		rwAdapt, err := rewrite.RewriteAdaptive(bp, res, 2)
-		if err != nil {
-			return nil, err
-		}
-		rwRepl, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Replicate: true})
-		if err != nil {
-			return nil, err
-		}
-		run := func(r *rewrite.Result, opts runtime.Options) (runtime.NodeStats, error) {
+		// Each column is one rewrite of the program, fusion omitted: the
+		// table compares the message-exchange optimisations, not frames.
+		run := func(ropts rewrite.Options, adaptEvery int) (runtime.NodeStats, error) {
+			ropts.NoFuse = true
+			r, err := rewrite.RewriteWith(bp, res, 2, ropts)
+			if err != nil {
+				return runtime.NodeStats{}, err
+			}
 			var out strings.Builder
-			opts.Out = &out
-			opts.MaxSteps = 2_000_000_000
-			cluster, err := runtime.NewCluster(r.Nodes, r.Plan, transport.NewInProc(2), opts)
+			cluster, err := runtime.NewCluster(r.Nodes, r.Plan, transport.NewInProc(2), runtime.Options{
+				Out: &out, MaxSteps: 2_000_000_000, AdaptEvery: adaptEvery,
+			})
 			if err != nil {
 				return runtime.NodeStats{}, err
 			}
 			if err := cluster.Run(); err != nil {
-				return runtime.NodeStats{}, fmt.Errorf("%s (unoptimized=%v adaptive=%v replicate=%v): %w",
-					name, opts.Unoptimized, opts.AdaptEvery > 0, opts.Replicate, err)
+				return runtime.NodeStats{}, fmt.Errorf("%s (%+v): %w", name, ropts, err)
 			}
 			return cluster.TotalStats(), nil
 		}
-		base, err := run(rw, runtime.Options{Unoptimized: true})
+		base, err := run(rewrite.Options{Unoptimized: true}, 0)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := run(rw, runtime.Options{})
+		opt, err := run(rewrite.Options{}, 0)
 		if err != nil {
 			return nil, err
 		}
-		adapt, err := run(rwAdapt, runtime.Options{AdaptEvery: 32})
+		adapt, err := run(rewrite.Options{Adaptive: true}, 32)
 		if err != nil {
 			return nil, err
 		}
-		repl, err := run(rwRepl, runtime.Options{Replicate: true})
+		repl, err := run(rewrite.Options{Replicate: true}, 0)
 		if err != nil {
 			return nil, err
 		}

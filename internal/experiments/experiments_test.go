@@ -325,7 +325,7 @@ func TestAdaptiveRowsPinned(t *testing.T) {
 	}
 	want := map[string]AdaptiveRow{
 		"phaseshift": {AdaptMsgs: 80, AdaptBytes: 738, Migrations: 3, Forwards: 1},
-		"bank":       {AdaptMsgs: 622, AdaptBytes: 15013},
+		"bank":       {AdaptMsgs: 622, AdaptBytes: 15001},
 	}
 	for _, r := range rows {
 		w, ok := want[r.Workload]

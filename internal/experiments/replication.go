@@ -115,13 +115,13 @@ func RunReplicationAB(src string, k int, place func(*analysis.Result, int)) (sta
 		} else if _, err := partition.Partition(res.ODG.Graph, partition.Options{K: k, Seed: 1, Epsilon: BalanceEps}); err != nil {
 			return runtime.NodeStats{}, err
 		}
-		rw, err := rewrite.RewriteWith(bp, res, k, rewrite.Options{Replicate: replicate})
+		rw, err := rewrite.RewriteWith(bp, res, k, rewrite.Options{Replicate: replicate, NoFuse: true})
 		if err != nil {
 			return runtime.NodeStats{}, err
 		}
 		var out strings.Builder
 		cluster, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(k), runtime.Options{
-			Out: &out, MaxSteps: 2_000_000_000, Replicate: replicate,
+			Out: &out, MaxSteps: 2_000_000_000,
 		})
 		if err != nil {
 			return runtime.NodeStats{}, err

@@ -8,6 +8,7 @@
 package rewrite
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -100,8 +101,8 @@ type Plan struct {
 	ClassParts map[string]map[int]bool
 	// Facts carries the static facts the optimisation kinds rest on.
 	Facts *analysis.Facts
-	// Fusion is the access-fusion run table from analysis (nil when
-	// the plan predates the pass): per method, the runs of consecutive
+	// Fusion is the access-fusion run table from analysis (nil under
+	// Options.NoFuse): per method, the runs of consecutive
 	// accesses the rewriter stamps with Fuse* kind bits. Carried in
 	// the plan so elastic joiners stamp their programs identically.
 	Fusion *analysis.Fusion
@@ -121,6 +122,10 @@ type Plan struct {
 	// replica invalidation. The set is closed under the inheritance
 	// chains the rewriter's type precision works at.
 	Replicated map[string]bool
+	// Unoptimized records Options.Unoptimized: no site is stamped
+	// GetFieldCached or InvokeMethodVoidAsync, so every node — elastic
+	// joiners included — runs the unoptimised protocol.
+	Unoptimized bool
 	// replicatedChain is the precomputed set of class names whose
 	// inheritance chain contains a Replicated member — the use-site
 	// types whose accesses may be replica-served.
@@ -354,24 +359,32 @@ func (p *Plan) touchesReplicated(touch []string) bool {
 }
 
 // Options selects the rewriting mode. The zero value is the static
-// plan-as-contract rewrite; Adaptive and Replicate compose.
+// plan-as-contract rewrite with every optimisation stamped; each other
+// field is an ablation or a mode, and the runtime executes exactly the
+// kinds the rewrite stamped.
 type Options struct {
 	// Adaptive treats the partition as an initial placement with live
 	// migration (see Plan.Adaptive).
 	Adaptive bool
 	// Replicate stamps replication access kinds for the analysis
-	// pass's read-mostly candidate classes (see Plan.Replicated). The
-	// runtime protocol is enabled separately (runtime
-	// Options.Replicate / autodist Config.Replicate); without it
-	// the stamped kinds degrade to plain synchronous accesses.
+	// pass's read-mostly candidate classes (see Plan.Replicated); a
+	// runtime built on the plan runs the replication protocol for
+	// them.
 	Replicate bool
 	// NoFuse omits the fusion stamps entirely, producing the
-	// pre-fusion bytecode. Stamped sites already execute identically
-	// when the runtime's fusion switch is off, so this is not needed
-	// for A/B runs — it exists as the baseline for tests that pin the
-	// fusion-off wire stream byte-for-byte against an unstamped build.
+	// pre-fusion bytecode: every access is its own round trip. It is
+	// the fusion-off side of an A/B run.
 	NoFuse bool
+	// Unoptimized stamps neither write-once cached reads nor
+	// asynchronous void calls (and so no batching of them): the
+	// message-exchange baseline of an A/B run. It excludes Replicate,
+	// which is an optimisation too.
+	Unoptimized bool
 }
+
+// ErrOptions marks RewriteWith's refusal of an incoherent Options set.
+// The one rule: stripping the optimisations strips replication too.
+var ErrOptions = errors.New("rewrite: incoherent options")
 
 // Rewrite produces the per-node programs. The input program is not
 // modified.
@@ -388,9 +401,14 @@ func RewriteAdaptive(p *bytecode.Program, res *analysis.Result, k int) (*Result,
 }
 
 // RewriteWith produces the per-node programs under the given mode
-// options. The input program is not modified.
+// options, refusing an incoherent set with an error wrapping
+// ErrOptions. The input program is not modified.
 func RewriteWith(p *bytecode.Program, res *analysis.Result, k int, opts Options) (*Result, error) {
+	if opts.Replicate && opts.Unoptimized {
+		return nil, fmt.Errorf("%w: Unoptimized strips the optimisations Replicate stamps; pick one", ErrOptions)
+	}
 	plan := BuildPlan(res, k)
+	plan.Unoptimized = opts.Unoptimized
 	plan.collectEntrypoints(p)
 	if !opts.NoFuse {
 		plan.Fusion = res.Fusion
@@ -742,8 +760,9 @@ func (rw *methodRewriter) rewrite() error {
 				// — so the call stays synchronous. A touch set reaching
 				// a replicated class also stays synchronous, so its
 				// writes run the invalidation protocol inside the
-				// caller's request (see Plan.touchesReplicated).
-				if !rw.plan.Adaptive {
+				// caller's request (see Plan.touchesReplicated). An
+				// unoptimised plan stamps no asynchronous call.
+				if !rw.plan.Adaptive && !rw.plan.Unoptimized {
 					if touch, ok := rw.plan.Facts.AsyncConfined(cls, name, desc); ok &&
 						rw.plan.CoLocated(touch) && !rw.plan.touchesReplicated(touch) {
 						kind = InvokeMethodVoidAsync
@@ -777,8 +796,9 @@ func (rw *methodRewriter) rewrite() error {
 			// Write-once fields never change after construction, so
 			// the proxy may serve repeat reads from its cache; mutable
 			// fields of replication candidates are served from a
-			// replica kept fresh by invalidation instead.
-			if rw.plan.Facts.FieldImmutable(cls, name, desc) {
+			// replica kept fresh by invalidation instead. An
+			// unoptimised plan caches nothing.
+			if !rw.plan.Unoptimized && rw.plan.Facts.FieldImmutable(cls, name, desc) {
 				fieldKind = GetFieldCached
 			} else if rw.isReplicated(cls) {
 				fieldKind = GetFieldReplicated

@@ -304,23 +304,35 @@ class Main {
 	if plan.Facts == nil {
 		t.Fatal("BuildPlan did not adopt analysis facts")
 	}
-	np, err := RewriteForNode(bp, plan, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[int64]bool{}
-	cf := np.Class("Main")
-	m := cf.Method("main", "()V")
-	for _, in := range m.Code {
-		if in.Op == bytecode.LDC && cf.Pool.Entry(uint16(in.A)).Tag == bytecode.TagInt {
-			kinds[cf.Pool.Entry(uint16(in.A)).Int] = true
+	// mainKinds rewrites main for node 0 and returns the integer
+	// constants it loads, the access kinds among them.
+	mainKinds := func() map[int64]bool {
+		np, err := RewriteForNode(bp, plan, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		kinds := map[int64]bool{}
+		cf := np.Class("Main")
+		for _, in := range cf.Method("main", "()V").Code {
+			if in.Op == bytecode.LDC && cf.Pool.Entry(uint16(in.A)).Tag == bytecode.TagInt {
+				kinds[cf.Pool.Entry(uint16(in.A)).Int] = true
+			}
+		}
+		return kinds
 	}
+	kinds := mainKinds()
 	if !kinds[GetFieldCached] {
 		t.Errorf("no GetFieldCached access stamped in rewritten main (constants seen: %v)", kinds)
 	}
 	if !kinds[InvokeMethodVoidAsync] {
 		t.Errorf("no InvokeMethodVoidAsync access stamped in rewritten main (constants seen: %v)", kinds)
+	}
+
+	// An unoptimised plan stamps the base kinds in their place.
+	plan.Unoptimized = true
+	kinds = mainKinds()
+	if kinds[GetFieldCached] || kinds[InvokeMethodVoidAsync] || !kinds[GetField] || !kinds[InvokeMethodVoid] {
+		t.Errorf("unoptimised plan stamped constants %v, want GetField and InvokeMethodVoid only", kinds)
 	}
 
 	// Split the touch set across nodes: the async stamp must vanish.

@@ -177,13 +177,13 @@ func (n *Node) runAdapt(lt *lthread) {
 	var res *partition.Result
 	var err error
 	replicable := map[int64]bool{}
-	if n.replicate {
+	if n.Plan.Replicated != nil {
 		repl := make([]bool, g.NumVertices())
 		vreads := map[int]map[int]int64{}
 		vwrites := map[int]int64{}
 		for _, id := range ids {
 			v := vidx[id]
-			replicable[id] = n.Plan != nil && n.Plan.Replicated[class[id]]
+			replicable[id] = n.Plan.Replicated[class[id]]
 			repl[v] = replicable[id]
 			if rt := reads[id]; len(rt) > 0 {
 				vreads[v] = rt

@@ -42,10 +42,6 @@ type Options struct {
 	Net *NetModel
 	// MaxSteps bounds each node's interpreter (0 = unlimited).
 	MaxSteps uint64
-	// Unoptimized disables the message-exchange optimisations
-	// (proxy-side caching, asynchronous void calls, batching) so runs
-	// can A/B-measure their effect. The protocol itself is unchanged.
-	Unoptimized bool
 	// AdaptEvery enables adaptive repartitioning: every AdaptEvery
 	// synchronous requests the logical thread triggers an adaptation
 	// round (affinity poll → incremental re-partition → live object
@@ -54,23 +50,13 @@ type Options struct {
 	// plan built by rewrite.RewriteAdaptive, whose access mediation
 	// makes ownership a runtime decision.
 	AdaptEvery int
-	// Replicate enables the read-replication protocol for the access
-	// kinds a replicated plan stamped (rewrite Options.Replicate):
-	// proxies satisfy replicated reads from local snapshots and writes
-	// invalidate them before completing. Off, those kinds degrade to
-	// plain synchronous accesses — the A/B baseline on identical
-	// bytecode. Requires a replicated plan, and conflicts with
-	// Unoptimized (replication is an optimisation).
+	// Replicate and Fuse record that the plan stamped replicated
+	// (rewrite Options.Replicate) and fused (no rewrite
+	// Options.NoFuse) access kinds. The runtime executes exactly the
+	// kinds it is given, so NewCluster fills both from the plan; an
+	// explicit true that the plan contradicts is an error.
 	Replicate bool
-	// Fuse enables access fusion: runs of consecutive remote accesses
-	// the rewriter stamped with fusion bits execute as one DEPSEQ round
-	// trip per destination (all-pure runs scatter-gather across
-	// destinations concurrently). Off, every stamped site degrades to
-	// the plain synchronous access of its base kind in original program
-	// order, so the wire stream is byte-identical to an unstamped
-	// build. Independent of Unoptimized: fusion changes how many frames
-	// carry the accesses, not which accesses go remote.
-	Fuse bool
+	Fuse      bool
 	// FailureRecovery enables the node-loss recovery protocol: dead
 	// peers (reported by the transport's reliability layer) trigger a
 	// replica-promotion round on the coordinator, effectful requests
@@ -185,9 +171,10 @@ func NewCluster(progs []*bytecode.Program, plan *rewrite.Plan, eps []transport.E
 	if opts.Replicate && plan.Replicated == nil {
 		return nil, fmt.Errorf("runtime: replication needs a plan from rewrite.RewriteWith(Options{Replicate: true})")
 	}
-	if opts.Replicate && opts.Unoptimized {
-		return nil, fmt.Errorf("runtime: Replicate and Unoptimized are incoherent (replication is an optimisation)")
+	if opts.Fuse && plan.Fusion == nil {
+		return nil, fmt.Errorf("runtime: fusion needs a plan rewritten without Options.NoFuse")
 	}
+	opts.Replicate, opts.Fuse = plan.Replicated != nil, plan.Fusion != nil
 	if opts.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("runtime: negative MaxConcurrent %d", opts.MaxConcurrent)
 	}
@@ -230,10 +217,7 @@ func (c *Cluster) buildNode(prog *bytecode.Program, ep transport.Endpoint, plan 
 	}
 	opts := c.opts
 	n.Net = opts.Net
-	n.Unoptimized = opts.Unoptimized
 	n.recovery = opts.FailureRecovery
-	n.replicate = opts.Replicate
-	n.fuse = opts.Fuse
 	n.adaptEvery = opts.AdaptEvery
 	n.objs.epoch = &c.invokeEpoch
 	n.objs.moves = opts.AdaptEvery > 0 || opts.FailureRecovery
@@ -392,7 +376,7 @@ func (c *Cluster) InvokeEntry(name string, args []vm.Value) (vm.Value, NodeStats
 	var delta NodeStats
 	for _, n := range c.nodesSnapshot() {
 		if n != nil {
-			metrics.Add(&delta, n.retireThread(tid))
+			metrics.Add(&delta, n.retireThread(tid, err == nil))
 		}
 	}
 	if err != nil {

@@ -168,7 +168,7 @@ func TestCachedOnceHitAllocations(t *testing.T) {
 		t.Errorf("%.2f allocations per retained write-once hit, want 0", got)
 	}
 	const hits = 1 + 1001 // AllocsPerRun adds one warm-up run
-	delta := n.retireThread(tid)
+	delta := n.retireThread(tid, true)
 	if delta.CacheHits != hits || delta.RetainedHits != hits {
 		t.Errorf("thread delta: %d cache hits, %d retained; want %d of each", delta.CacheHits, delta.RetainedHits, hits)
 	}

@@ -6,17 +6,13 @@ package runtime
 //
 // The rewriter stamps every site of a validated run with fusion bits
 // on top of its base access kind (rewrite.FuseEnq / FuseLast /
-// FusePure). With fusion ON, an enqueue site buffers its access on the
-// logical thread and returns a nil placeholder; the run's last site
-// routes every entry once, executes the whole buffer — one DEPSEQ
-// request per destination segment, in program order — and returns an
-// Object[] holding every entry's result, which the rewritten epilogue
-// stores back into the local slots that held placeholders. With fusion
-// OFF, every site executes immediately through the ordinary dispatch
-// path with its base kind, so the wire stream is byte-identical to an
-// unstamped build; the results are buffered only to satisfy the
-// epilogue's Object[] contract (its stores are then idempotent
-// re-stores).
+// FusePure). An enqueue site buffers its access on the logical thread
+// and returns a nil placeholder; the run's last site routes every entry
+// once, executes the whole buffer — one DEPSEQ request per destination
+// segment, in program order — and returns an Object[] holding every
+// entry's result, which the rewritten epilogue stores back into the
+// local slots that held placeholders. Fusion off is a rewrite option
+// (rewrite.Options.NoFuse) that stamps no fusion bits at all.
 //
 // Safety rests on the analysis invariants: between a run's sites only
 // whitelisted register-to-register bytecode executes (no calls, no
@@ -50,9 +46,9 @@ type fusedEntry struct {
 	kind   int // base access kind, fusion bits stripped
 	pure   bool
 	member string
-	// args is an owned copy (fusion on): the rewriter-emitted argument
-	// array is recycled when the site's native returns, long before the
-	// run executes. The backing array stays with the buffer slot.
+	// args is an owned copy: the rewriter-emitted argument array is
+	// recycled when the site's native returns, long before the run
+	// executes. The backing array stays with the buffer slot.
 	args []vm.Value
 	// id and home are filled in by fuseRoute; home is noHome for an
 	// entry that executes individually.
@@ -97,33 +93,8 @@ func (lt *lthread) recycleFuseBuf(buf []fusedEntry) {
 func (n *Node) fusedAccess(lt *lthread, self *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
 	base := kind &^ rewrite.FuseMask
 
-	if !n.fuse {
-		// Fusion off: execute right now with the base kind — the exact
-		// frames, order and payloads of an unstamped build. The buffer
-		// is isolated around the dispatch because an invoke entry can
-		// run local methods containing their own (complete) fused runs.
-		saved := lt.fuseBuf
-		lt.fuseBuf = nil
-		v, err := n.dispatchAccess(lt, self, base, member, acc)
-		lt.fuseBuf = saved
-		if err != nil {
-			lt.recycleFuseBuf(saved)
-			return nil, err
-		}
-		lt.fuseEntry().result = v
-		if kind&rewrite.FuseLast == 0 {
-			// The site's original consumer gets the real value; the
-			// epilogue will redundantly re-store it from the array.
-			return v, nil
-		}
-		buf := lt.fuseBuf
-		arr, err := n.fuseResultArray(buf)
-		lt.recycleFuseBuf(buf)
-		return arr, err
-	}
-
-	// Fusion on: buffer the access (copying the dying argument slice)
-	// and defer execution to the run's last site.
+	// Buffer the access (copying the dying argument slice) and defer
+	// execution to the run's last site.
 	e := lt.fuseEntry()
 	e.self, e.kind, e.pure, e.member = self, base, kind&rewrite.FusePure != 0, member
 	e.args = append(e.args, acc...)
@@ -201,7 +172,7 @@ func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
 // synchronous remote access — the only shape a DEPSEQ segment may
 // carry — and if so returns its destination (noHome otherwise).
 // Anything that might be served without a round trip (an active
-// cache/replica optimisation, a locally-owned receiver) or that isn't
+// cache/replica kind, a locally-owned receiver) or that isn't
 // synchronous (asynchronous void calls) is excluded and later executes
 // individually, where the ordinary dispatch path applies its
 // optimisation with fully up-to-date state. The resolution is
@@ -211,18 +182,9 @@ func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
 // plain DEPENDENCE.
 func (n *Node) fuseRoute(e *fusedEntry) int {
 	switch e.kind {
-	case rewrite.GetFieldCached:
-		if !n.Unoptimized {
-			return noHome
-		}
-	case rewrite.GetFieldReplicated, rewrite.InvokeReplicaRead:
-		if n.replicate && !n.Unoptimized {
-			return noHome
-		}
-	case rewrite.InvokeMethodVoidAsync:
-		if !n.Unoptimized {
-			return noHome
-		}
+	case rewrite.GetFieldCached, rewrite.GetFieldReplicated, rewrite.InvokeReplicaRead,
+		rewrite.InvokeMethodVoidAsync:
+		return noHome
 	}
 	id, birth, real := n.reference(e.self)
 	h, home, _ := n.objs.route(nil, id, birth, real)

@@ -6,7 +6,6 @@ package runtime_test
 // off the wire stream is byte-identical to an unstamped build.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -197,7 +196,7 @@ func fusionRewrite(tb testing.TB, src string, k int, homes map[string]int, rwOpt
 func fusionDeploy(tb testing.TB, k int, homes map[string]int, opts runtime.Options) *runtime.Cluster {
 	tb.Helper()
 	rw := fusionRewrite(tb, fusionEntrySource, k, homes, rewrite.Options{})
-	opts.Out, opts.Fuse, opts.MaxSteps = io.Discard, true, 1<<62
+	opts.Out, opts.MaxSteps = io.Discard, 1<<62
 	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(k), opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -359,7 +358,7 @@ func TestFusionMatchesSequentialAndBatchesAccesses(t *testing.T) {
 	requireFusedRuns(t, sweepSource, "Main", "fill", "(LGrid;I)V")
 	want := seqOutput(t, sweepSource)
 	grid1 := map[string]int{"Grid": 1}
-	got, s, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{Fuse: true})
+	got, s, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{})
 	if got != want {
 		t.Errorf("fused output %q != sequential %q", got, want)
 	}
@@ -374,8 +373,8 @@ func TestFusionMatchesSequentialAndBatchesAccesses(t *testing.T) {
 
 func TestFusionReducesRoundTrips(t *testing.T) {
 	grid1 := map[string]int{"Grid": 1}
-	fused, fs, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{Fuse: true})
-	plain, ps, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{})
+	fused, fs, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{})
+	plain, ps, _ := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{NoFuse: true}, runtime.Options{})
 	if fused != plain {
 		t.Errorf("fused output %q != unfused %q", fused, plain)
 	}
@@ -398,42 +397,11 @@ func TestFusionReducesRoundTrips(t *testing.T) {
 	}
 }
 
-// TestFusionOffWireByteIdentical is the compatibility pin: a build
-// whose sites carry fusion stamps, run with the runtime switch off,
-// must produce the very same frames — order, kinds, payload bytes — as
-// a build rewritten with no stamps at all.
-func TestFusionOffWireByteIdentical(t *testing.T) {
-	grid1 := map[string]int{"Grid": 1}
-	stampedOut, ss, stamped := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{}, runtime.Options{})
-	plainOut, ps, plain := fusionRun(t, sweepSource, 2, grid1, rewrite.Options{NoFuse: true}, runtime.Options{})
-	if stampedOut != plainOut {
-		t.Fatalf("outputs differ: stamped %q, unstamped %q", stampedOut, plainOut)
-	}
-	if ss.MessagesSent != ps.MessagesSent || ss.BytesSent != ps.BytesSent {
-		t.Errorf("traffic differs: stamped %d msgs/%d bytes, unstamped %d msgs/%d bytes",
-			ss.MessagesSent, ss.BytesSent, ps.MessagesSent, ps.BytesSent)
-	}
-	for n := range stamped {
-		a, b := stamped[n], plain[n]
-		if len(a) != len(b) {
-			t.Fatalf("node %d sent %d frames stamped, %d unstamped", n, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].from != b[i].from || a[i].to != b[i].to || a[i].kind != b[i].kind ||
-				!bytes.Equal(a[i].payload, b[i].payload) {
-				t.Fatalf("node %d frame %d diverges:\nstamped:   %d→%d kind %d % x\nunstamped: %d→%d kind %d % x",
-					n, i, a[i].from, a[i].to, a[i].kind, a[i].payload,
-					b[i].from, b[i].to, b[i].kind, b[i].payload)
-			}
-		}
-	}
-}
-
 func TestFusionScatterGather(t *testing.T) {
 	requireFusedRuns(t, gatherSource, "Main", "both", "(LGrid;LMesh;)I")
 	want := seqOutput(t, gatherSource)
 	homes := map[string]int{"Grid": 1, "Mesh": 2}
-	got, s, streams := fusionRun(t, gatherSource, 3, homes, rewrite.Options{}, runtime.Options{Fuse: true})
+	got, s, streams := fusionRun(t, gatherSource, 3, homes, rewrite.Options{}, runtime.Options{})
 	if got != want {
 		t.Errorf("scatter-gather output %q != sequential %q", got, want)
 	}
@@ -456,7 +424,7 @@ func TestFusionComposesWithAdaptive(t *testing.T) {
 	want := seqOutput(t, sweepSource)
 	grid1 := map[string]int{"Grid": 1}
 	got, s, _ := fusionRun(t, sweepSource, 2, grid1,
-		rewrite.Options{Adaptive: true}, runtime.Options{Fuse: true, AdaptEvery: 4})
+		rewrite.Options{Adaptive: true}, runtime.Options{AdaptEvery: 4})
 	if got != want {
 		t.Errorf("adaptive fused output %q != sequential %q", got, want)
 	}
@@ -469,7 +437,7 @@ func TestFusionComposesWithReplication(t *testing.T) {
 	want := seqOutput(t, sweepSource)
 	grid1 := map[string]int{"Grid": 1}
 	got, _, _ := fusionRun(t, sweepSource, 2, grid1,
-		rewrite.Options{Replicate: true}, runtime.Options{Fuse: true, Replicate: true})
+		rewrite.Options{Replicate: true}, runtime.Options{})
 	if got != want {
 		t.Errorf("replicated fused output %q != sequential %q", got, want)
 	}

@@ -156,7 +156,7 @@ func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string
 		acc = n.canonicalizeSlice(acc)
 	}
 	id, birth, real := n.reference(o)
-	if kind == rewrite.GetFieldCached && !n.Unoptimized {
+	if kind == rewrite.GetFieldCached {
 		// Write-once reads: the never-invalidated special case of
 		// cached state. A hit needs no route: an entry exists only
 		// while this node does not hold the object, and a home move
@@ -215,7 +215,7 @@ func (n *Node) localDispatch(lt *lthread, obj *vm.Object, kind int, member strin
 // batches).
 func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member string, acc []vm.Value) (vm.Value, error) {
 	switch {
-	case kind == rewrite.GetFieldCached && !n.Unoptimized:
+	case kind == rewrite.GetFieldCached:
 		// A write-once miss (dispatchAccess served the hits): fetch
 		// and fill.
 		v, err := n.remoteAccess(lt, home, id, kind, member, acc)
@@ -224,8 +224,7 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 		}
 		n.objs.storeOnce(id, member, v)
 		return v, nil
-	case (kind == rewrite.GetFieldReplicated || kind == rewrite.InvokeReplicaRead) &&
-		n.replicate && !n.Unoptimized:
+	case kind == rewrite.GetFieldReplicated || kind == rewrite.InvokeReplicaRead:
 		if shadow, retained, ok := n.objs.replica(id); ok {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaHits }, 1)
 			if retained {
@@ -248,7 +247,7 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 		// Denied: plain synchronous access (the kinds degrade at the
 		// owner).
 		return n.remoteAccess(lt, home, id, kind, member, acc)
-	case kind == rewrite.InvokeMethodVoidAsync && !n.Unoptimized:
+	case kind == rewrite.InvokeMethodVoidAsync:
 		wireArgs, err := n.toWireSlice(acc)
 		if err != nil {
 			return nil, err

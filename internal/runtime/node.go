@@ -53,11 +53,6 @@ type Node struct {
 	Plan *rewrite.Plan
 	Net  *NetModel
 
-	// Unoptimized disables the message-exchange optimisations
-	// (proxy-side caching, asynchronous void calls, batching) for A/B
-	// measurement; the protocol and codec are unchanged.
-	Unoptimized bool
-
 	// copies records whether the transport's Send consumes the payload
 	// before returning (TCP encodes it into the connection batch). If
 	// so, send recycles the encode buffer to the wire pool as soon as
@@ -71,20 +66,6 @@ type Node struct {
 	// zero disables the subsystem, preserving the static-plan behaviour
 	// exactly.
 	adaptEvery int
-
-	// replicate enables the read-replication protocol (REPLICATE /
-	// INVALIDATE) for access kinds the rewriter stamped
-	// against a replicated plan; off, those kinds degrade to plain
-	// synchronous accesses.
-	replicate bool
-
-	// fuse enables access fusion for the sites the rewriter stamped
-	// with fusion bits: a fused run executes as one DEPSEQ round trip
-	// per destination instead of one DEPENDENCE per access. Off, every
-	// stamped site degrades to the plain access of its base kind in
-	// original program order — the wire stream is byte-identical to an
-	// unstamped build.
-	fuse bool
 
 	// mu guards the outstanding-request table: pending maps a tag to the
 	// requester waiting on its response, nextTag numbers the next one.
@@ -344,7 +325,7 @@ func (n *Node) recordAffinity(id int64, bytes int, write bool) {
 // adaptive+replicated runs; local writes cost no messages, so they
 // stay out of the migration traffic totals).
 func (n *Node) recordLocalWrite(id int64) {
-	if n.adaptEvery <= 0 || !n.replicate {
+	if n.adaptEvery <= 0 || n.Plan.Replicated == nil {
 		return
 	}
 	n.objs.charge(id, affinityCell{localWrites: 1})

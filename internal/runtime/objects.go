@@ -147,6 +147,12 @@ type objState struct {
 	// it. Both travel with ownership on migration.
 	readers []int
 	ver     uint16
+	// dropTid, when not 0, marks reader dropRank dropping: a reply of
+	// thread dropTid carried it the drop of its replica. Other threads'
+	// writes still tell it (and clear the mark), dropTid's own skip it,
+	// and dropTid's retire takes it out of the set (settleDrop).
+	dropTid  uint64
+	dropRank int
 
 	// The access gate. One logical thread holds the object at a time
 	// (reentrant: the holder may nest accesses, including through remote
@@ -492,7 +498,7 @@ func (sh *objShard) own(id int64, s *objState, h *vm.Object, readers []int, ver 
 	}
 	s.hintValid = false
 	sh.dropCopies(id, s)
-	s.readers, s.ver = nil, ver
+	s.readers, s.ver, s.dropTid = nil, ver, 0
 	for _, r := range readers {
 		if r != self {
 			s.addReader(r)
@@ -735,11 +741,19 @@ func (s *objState) addReader(rank int) {
 	if i, found := slices.BinarySearch(s.readers, rank); !found {
 		s.readers = slices.Insert(s.readers, i, rank)
 	}
+	s.unmark(rank)
 }
 
 func (s *objState) dropReader(rank int) {
 	if i, found := slices.BinarySearch(s.readers, rank); found {
 		s.readers = slices.Delete(s.readers, i, i+1)
+	}
+	s.unmark(rank)
+}
+
+func (s *objState) unmark(rank int) {
+	if rank == s.dropRank {
+		s.dropTid = 0
 	}
 }
 
@@ -764,12 +778,13 @@ func (t *objTable) dropReader(id int64, rank int) {
 	sh.mu.Unlock()
 }
 
-// write starts the write barrier of one store to id: when the
-// owner-side replica set is not empty, it advances the write counter
-// and appends the set, sorted, to dst, returning the counter the
-// store's patches carry. The barrier passes a stack buffer, so reading
-// a small set does not allocate.
-func (t *objTable) write(dst []int, id int64) ([]int, uint16) {
+// write starts the write barrier of one store to id by thread tid:
+// when the owner-side replica set is not empty, it advances the write
+// counter and appends the readers to tell, sorted, to dst — all but
+// one tid marked dropping; another thread's mark is cleared — and
+// returns the counter the store's patches carry. The barrier passes a
+// stack buffer, so reading a small set does not allocate.
+func (t *objTable) write(dst []int, id int64, tid uint64) ([]int, uint16) {
 	sh := t.lock(id)
 	defer sh.mu.Unlock()
 	s := sh.m[id]
@@ -777,7 +792,16 @@ func (t *objTable) write(dst []int, id int64) ([]int, uint16) {
 		return dst, 0
 	}
 	s.ver++
-	return append(dst, s.readers...), s.ver
+	if s.dropTid == 0 || s.dropTid != tid {
+		s.dropTid = 0
+		return append(dst, s.readers...), s.ver
+	}
+	for _, r := range s.readers {
+		if r != s.dropRank {
+			dst = append(dst, r)
+		}
+	}
+	return dst, s.ver
 }
 
 // takeReaders removes and returns the replica set and write counter for
@@ -792,8 +816,33 @@ func (t *objTable) takeReaders(id int64) ([]int, uint16) {
 		return nil, 0
 	}
 	out, ver := s.readers, s.ver
-	s.readers, s.ver = nil, 0
+	s.readers, s.ver, s.dropTid = nil, 0, 0
 	return out, ver
+}
+
+// markDrop marks reader rank of id dropping for thread tid, whose
+// reply carries rank the drop of its replica (see objState.dropTid).
+func (t *objTable) markDrop(id int64, rank int, tid uint64) {
+	sh := t.lock(id)
+	if s := sh.m[id]; s != nil && slices.Contains(s.readers, rank) {
+		s.dropTid, s.dropRank = tid, rank
+	}
+	sh.mu.Unlock()
+}
+
+// settleDrop clears thread tid's drop mark on id; with leave, the
+// marked reader also leaves the set. tid's invocation completed, so the
+// reader applied its replies, dropping its replica, and no write has
+// reached it since, or it would have cleared the mark.
+func (t *objTable) settleDrop(id int64, tid uint64, leave bool) {
+	sh := t.lock(id)
+	if s := sh.m[id]; s != nil && s.dropTid == tid {
+		s.dropTid = 0
+		if leave {
+			s.dropReader(s.dropRank)
+		}
+	}
+	sh.mu.Unlock()
 }
 
 // restoreReaders reinstates a taken replica set and write counter after
@@ -871,6 +920,9 @@ func quiescent(nodes []*Node) error {
 					if r == n.Rank || !live(r) {
 						bad("node %d: reader set of %d is %v: holds this node or a rank that is not live", n.Rank, id, s.readers)
 					}
+				}
+				if s.dropTid != 0 {
+					bad("node %d: reader set of %d holds a drop mark of retired thread %d", n.Rank, id, s.dropTid)
 				}
 				if s.replica != nil {
 					replicas[id] = append(replicas[id], held{n, s.replica})

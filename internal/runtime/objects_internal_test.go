@@ -7,7 +7,11 @@ import (
 	"autodist/internal/rewrite"
 	"autodist/internal/transport"
 	"autodist/internal/vm"
+	"autodist/internal/wire"
 )
+
+// RaceEnabled reports whether the race detector is compiled in.
+const RaceEnabled = raceEnabled
 
 // CheckQuiescent fails t unless the nodes' object records are
 // quiescent (see Quiescent).
@@ -94,5 +98,41 @@ class Main { static void main() { Cell c = new Cell(); } }`)
 	o := n.VM.NewObject(cls)
 	if got := testing.AllocsPerRun(1000, func() { access(o) }); got != 0 {
 		t.Errorf("%.1f allocations per gated local read+write, want 0", got)
+	}
+}
+
+// TestCarryReopensAfterSpan: a frame writes a slot once, then the other
+// slot of the object 70000 times, then the first slot again. The
+// two-byte counters of the first slot's two writes lie one apart mod
+// 2¹⁶, but the second write comes many carries later, so it opens an
+// entry of its own after the other slot's instead of replacing the
+// first: the requester then applies every entry at most carrySpan
+// counter steps past the one before.
+func TestCarryReopensAfterSpan(t *testing.T) {
+	const hot = 70000
+	lt := &lthread{}
+	lt.replyTo.Store(0)
+	var ver uint16
+	write := func(slot int) {
+		ver++
+		lt.carry([]int{0}, &wire.InvalidateRequest{ID: 1, Slot: slot, Ver: ver, Update: true})
+	}
+	write(1)
+	for i := 0; i < hot; i++ {
+		write(0)
+	}
+	write(1)
+	_, ps := lt.takeCarried()
+	if want := 2 + (hot+carrySpan-1)/carrySpan; len(ps) != want {
+		t.Fatalf("%d carried patches, want %d", len(ps), want)
+	}
+	last := ps[len(ps)-1]
+	if last.Slot != 1 || last.Ver != ver || ps[0].Slot != 1 || ps[0].Ver != 1 {
+		t.Fatalf("first carried %+v and last %+v, want slot 1 at 1 and slot 1 at %d", ps[0], last, ver)
+	}
+	for i := 1; i < len(ps); i++ {
+		if step := ps[i].Ver - ps[i-1].Ver; step > carrySpan {
+			t.Errorf("carried patch %d steps %d counters past the one before, want ≤ %d", i, step, carrySpan)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"autodist/internal/rewrite"
 	"autodist/internal/runtime"
@@ -215,6 +216,7 @@ class Main {
 	static void setn(int x) { Main.b.setn(x); }
 	static void link() { Main.b.setref(Main.c); }
 	static void unlink() { Main.b.setref(null); }
+	static void relink() { Main.b.setref(Main.c); Main.b.setref(null); }
 	static int read() {
 		int s = Main.b.getn() + Main.b.twice();
 		if (Main.b.empty()) { return s; }
@@ -225,11 +227,12 @@ class Main {
 // TestReferenceWriteDropsReplica: a store of an object reference is
 // not a patch — the reader drops its replica, and the next read
 // refetches. The reader is the requester of every write here, so each
-// delivery rides the write's reply and the reader, sending no
-// acknowledgement, stays in the reader set: a null store that follows
-// before any read still tells it, and patches nothing. Null is a
-// scalar, so once the replica is back a null store patches it like an
-// int store does.
+// delivery rides the write's reply. A carried drop takes the reader out
+// of the reader set when the writing invocation retires, so a null
+// store that follows before any read tells it nothing; within the
+// writing invocation, too, the drop's mark spares the reader the null
+// store that follows. Null is a scalar, so once the replica is back a
+// null store patches it like an int store does.
 func TestReferenceWriteDropsReplica(t *testing.T) {
 	rw := fusionRewrite(t, refSource, 2, map[string]int{"Box": 1}, rewrite.Options{Replicate: true})
 	if !rw.Plan.Replicated["Box"] {
@@ -270,16 +273,150 @@ func TestReferenceWriteDropsReplica(t *testing.T) {
 	expect("setn", []vm.Value{int64(4)}, nil, 0, 1, 1)
 	expect("read", nil, int64(12), 0, 0, 0)
 	expect("link", nil, nil, 0, 1, 0)   // drop, carried on the reply
-	expect("unlink", nil, nil, 0, 1, 1) // the reader stayed in the set; no replica to patch
+	expect("unlink", nil, nil, 0, 0, 0) // the drop took the reader out of the set
 	expect("read", nil, int64(12), 1, 0, 0)
 	expect("link", nil, nil, 0, 1, 0)
 	expect("read", nil, int64(7012), 1, 0, 0)
 	expect("unlink", nil, nil, 0, 1, 1) // null patches
 	expect("read", nil, int64(12), 0, 0, 0)
+	expect("relink", nil, nil, 0, 1, 0) // the drop only: its mark skips node 0
+	expect("read", nil, int64(12), 1, 0, 0)
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	runtime.CheckQuiescent(t, c.Nodes)
+}
+
+const heldDropSource = `
+class Cell {
+	int v;
+	Cell(int v) { this.v = v; }
+}
+class Box {
+	int n; Cell ref;
+	int getn() { return this.n; }
+	int twice() { return this.n + this.n; }
+	int thrice() { return this.n + this.n + this.n; }
+	void setn(int x) { this.n = x; }
+	void setref(Cell c) { this.ref = c; }
+}
+class Writer {
+	int last;
+	void put(Box b, int x) { this.last = x; b.setn(x); b.setref(null); }
+}
+class Main {
+	static Box b;
+	static Cell c;
+	static Writer w;
+	static void main() { Main.b = new Box(); Main.c = new Cell(7); Main.w = new Writer(); }
+	static int read() { return Main.b.getn() + Main.b.twice() + Main.b.thrice(); }
+	static void link() { Main.b.setref(Main.c); }
+	static int putread(int x) { Main.w.put(Main.b, x); return Main.b.getn(); }
+}`
+
+// replyHold holds back the first response its node sends to node 0
+// once armed, until release sends it on.
+type replyHold struct {
+	transport.Endpoint
+	mu     sync.Mutex
+	armed  bool
+	held   *transport.Message
+	caught chan struct{}
+}
+
+func (h *replyHold) Send(m transport.Message) error {
+	h.mu.Lock()
+	if h.armed && m.To == 0 && m.Kind == runtime.KindResponse {
+		h.armed = false
+		m.Payload = append([]byte(nil), m.Payload...)
+		h.held = &m
+		h.mu.Unlock()
+		close(h.caught)
+		return nil
+	}
+	h.mu.Unlock()
+	return h.Endpoint.Send(m)
+}
+
+func (h *replyHold) arm() {
+	h.mu.Lock()
+	h.armed = true
+	h.mu.Unlock()
+}
+
+func (h *replyHold) release() error {
+	h.mu.Lock()
+	m := h.held
+	h.held = nil
+	h.mu.Unlock()
+	return h.Endpoint.Send(*m)
+}
+
+// TestCarriedDropHeldBackThirdPartyWrite: Box lives on node 1 and node
+// 0 holds a replica. A link from node 0 stores a reference, so the drop
+// of node 0's replica rides the reply, and the reply is held back. A
+// put from node 2 — a third party — must still reach node 0's replica
+// before it completes, so a read on node 0 ordered after it sees the
+// written value, though node 0 has not applied the drop. The put also
+// stores null over the reference, a patch newer than the drop, so when
+// the drop lands node 0 keeps its replica: node 0 must stay a reader,
+// and the next put must patch it again.
+func TestCarriedDropHeldBackThirdPartyWrite(t *testing.T) {
+	rw := fusionRewrite(t, heldDropSource, 3, map[string]int{"Box": 1, "Writer": 2}, rewrite.Options{Replicate: true})
+	if !rw.Plan.Replicated["Box"] || rw.Plan.Replicated["Writer"] {
+		t.Fatalf("replicated classes %v, want Box and not Writer: the read/write gate changed", rw.Plan.Replicated)
+	}
+	eps := transport.NewInProc(3)
+	hold := &replyHold{Endpoint: eps[1], caught: make(chan struct{})}
+	eps[1] = hold
+	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, eps,
+		runtime.Options{Out: io.Discard, MaxSteps: 1 << 62, MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Kill()
+	invokeOK(t, c, "main")
+	invokeOK(t, c, "read") // node 0 fetches its replica
+	hold.arm()
+	linked := make(chan error, 1)
+	go func() {
+		_, _, err := c.InvokeEntry("link", nil)
+		linked <- err
+	}()
+	select {
+	case <-hold.caught:
+	case err := <-linked:
+		t.Fatalf("link returned (%v) before its reply was held", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("link's reply never reached node 0")
+	}
+	before := c.TotalStats()
+	if v := invokeOK(t, c, "putread", int64(9)); v != int64(9) {
+		t.Errorf("putread(9) = %v on node 0 with the drop in flight, want 9", v)
+	}
+	s := c.TotalStats()
+	if s.ReplicaFetches != before.ReplicaFetches || s.ReplicaHits == before.ReplicaHits ||
+		s.Invalidations-before.Invalidations != 2 {
+		t.Errorf("want node 0's read served from its replica, patched by the put's two INVALIDATEs (before %+v, after %+v)", before, s)
+	}
+	if err := hold.release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-linked; err != nil {
+		t.Fatal(err)
+	}
+	before = c.TotalStats()
+	if v := invokeOK(t, c, "putread", int64(11)); v != int64(11) {
+		t.Errorf("putread(11) = %v after the overtaken drop landed, want 11", v)
+	}
+	if v := invokeOK(t, c, "read"); v != int64(66) {
+		t.Errorf("read() = %v, want 66", v)
+	}
+	if s := c.TotalStats(); s.ReplicaFetches != before.ReplicaFetches {
+		t.Errorf("node 0 refetched its replica: the overtaken drop should have left it in place (before %+v, after %+v)", before, s)
+	}
+	shutdownQuiescent(t, c)
 }
 
 // invokeOK runs entry on c and returns its result, failing t on error.
@@ -518,6 +655,42 @@ func TestColdSlotPatchAfterHotChurn(t *testing.T) {
 	}
 	if s := c.TotalStats(); s.ReplicaFetches != before.ReplicaFetches || s.ReplicaHits == before.ReplicaHits {
 		t.Fatalf("want the read served from the patched replica (before %+v, after %+v)", before, s)
+	}
+	shutdownQuiescent(t, c)
+}
+
+// TestCarriedPatchOnePerSlot: only the newest write to a slot can
+// apply, so a frame carries one patch per written slot. churn(1000)'s
+// round trip then costs what churn(1)'s does, give or take the wider
+// varints of its argument and value; it cost 6958 B against 27 B when
+// every write's patch rode the reply. A slot written more than 2¹⁵
+// times in one frame — past half the two-byte counter's range — still
+// leaves node 0's replica right: its next reads, served from the
+// replica, see the last value.
+func TestCarriedPatchOnePerSlot(t *testing.T) {
+	c := deployReplicated(t, hotColdSource, 2, map[string]int{"Table": 1}, runtime.Options{})
+	invokeOK(t, c, "peek") // node 0 fetches its replica
+	// churn returns the frames and bytes churn(n) sent.
+	churn := func(n int64) (msgs, bytes int64) {
+		before := c.TotalStats()
+		invokeOK(t, c, "churn", n)
+		s := c.TotalStats()
+		return s.MessagesSent - before.MessagesSent, s.BytesSent - before.BytesSent
+	}
+	oneMsgs, oneBytes := churn(1)
+	manyMsgs, manyBytes := churn(1000)
+	t.Logf("churn(1): %d frames, %d B; churn(1000): %d frames, %d B", oneMsgs, oneBytes, manyMsgs, manyBytes)
+	if manyMsgs != oneMsgs || manyBytes > oneBytes+2 {
+		t.Errorf("churn(1000) sent %d frames and %d B, churn(1) %d and %d B: want one carried patch per slot",
+			manyMsgs, manyBytes, oneMsgs, oneBytes)
+	}
+	churn(40000)
+	before := c.TotalStats()
+	if v := invokeOK(t, c, "peek"); v != int64(3*39999) {
+		t.Errorf("peek() after churn(40000) = %v, want %d: node 0's replica missed the last write", v, 3*39999)
+	}
+	if s := c.TotalStats(); s.ReplicaFetches != before.ReplicaFetches || s.ReplicaHits == before.ReplicaHits {
+		t.Errorf("want peek served from the patched replica (before %+v, after %+v)", before, s)
 	}
 	shutdownQuiescent(t, c)
 }

@@ -25,45 +25,11 @@ import (
 // frame's reply (carried); every other reader gets it as an INVALIDATE,
 // acknowledged with a ReplicaAck, before the write completes.
 //
-// Correctness rests on five properties:
-//
-//  1. Snapshot quiescence: a replica is cut under the same per-object
-//     freeze gate migration uses, so it never captures a mid-write
-//     state; a busy object denies the fetch and the reader falls back
-//     to a plain remote read.
-//  2. Write barrier: every write funnels through localAccess on the
-//     owner (replicated classes are rewritten as dependent on every
-//     node, so even owner-local stores are mediated). A write completes
-//     only once every registered reader but the requester of the frame
-//     it is serving has patched or dropped its replica and acknowledged;
-//     the requester applies its patch before the access that carried it
-//     returns. So a read the program orders after a write — on the
-//     writing thread, or on any thread of a node other than the
-//     requester's — sees the written value; a read on another thread of
-//     the requester's node sees it once the writing thread's access has
-//     returned there. A read there ordered after the write only through
-//     a third object, while the reply is still in flight, may not.
-//  3. Own writes: a serving thread delivers its deferred patches as
-//     INVALIDATE round trips before it sends any request (a call-back,
-//     a nested access, an async flush, a REPLICATE), so a thread always
-//     reads its own writes. Otherwise they wait for the reply, whatever
-//     else the thread does on the owner first — every entry of an
-//     access vector adds its patches to the same reply.
-//  4. Ordering: patches to one replica can arrive out of order (two
-//     writer threads' replies, or an INVALIDATE overtaking an older
-//     carried patch), so each carries the write counter and the replica
-//     applies it only if it is newer than the version it holds for that
-//     slot: for one slot the newest write wins, and writes to different
-//     slots commute. The counter is two bytes; the replica widens it to
-//     64 bits against the newest counter it has seen (objects.go widen),
-//     which is exact because the patches in flight to one replica
-//     number at most the live logical threads plus one, and NewCluster
-//     keeps those far below 2¹⁵.
-//  5. Install/write race: a fetch records the record's generation
-//     before requesting; a patch, applied or not, (or a home move) that
-//     lands while the snapshot is in flight bumps the generation and the
-//     install is discarded — the fetched value may serve that one access
-//     (it was valid at snapshot time) but is never kept.
+// ARCHITECTURE.md states the safety argument once, in
+// "Read-replication" and in "Write barrier" under Correctness: the
+// snapshot is cut under the freeze gate, which reads the barrier
+// guarantees, how a thread reads its own writes, per-slot order by the
+// widened write counter, and the install-generation check.
 
 // maxReplicatedThreads bounds Options.MaxConcurrent under replication:
 // with fewer logical threads, the patches in flight to one replica span
@@ -232,10 +198,11 @@ func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, kind int, member str
 // its own goroutine and the last on this one, so the barrier costs one
 // round trip regardless of fan-out. Readers that answered holding no
 // replica leave the set and re-register on their next fetch; patched
-// readers, and the requester, stay in it.
+// readers stay in it, and so does a requester carried a drop, marked
+// (markDrop) until the thread retires: its reply may be in flight.
 func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) error {
 	var buf [4]int
-	readers, ver := n.objs.write(buf[:0], id)
+	readers, ver := n.objs.write(buf[:0], id, lt.tid)
 	if len(readers) == 0 {
 		return nil
 	}
@@ -247,7 +214,13 @@ func (n *Node) invalidateReaders(lt *lthread, id int64, slot int, v vm.Value) er
 	if p.Update {
 		n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaUpdates }, int64(len(readers)))
 	}
-	readers = lt.carry(readers, &p)
+	readers, to := lt.carry(readers, &p)
+	if to >= 0 && !p.Update && lt.tid != 0 {
+		n.objs.markDrop(id, to, lt.tid)
+		lt.mu.Lock()
+		lt.drops = append(lt.drops, id)
+		lt.mu.Unlock()
+	}
 	switch len(readers) {
 	case 0:
 		return nil

@@ -141,23 +141,6 @@ func TestReplicatedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplicatedPlanDegradesWithProtocolOff runs a replication-stamped
-// program with the runtime protocol disabled: every stamped kind must
-// degrade to a plain synchronous access and the output stay correct —
-// the A/B baseline on identical bytecode.
-func TestReplicatedPlanDegradesWithProtocolOff(t *testing.T) {
-	want := seqOutput(t, regSource)
-	got, c := replCluster(t, regSource, 2, map[string]int{"Reg": 0, "Probe": 1},
-		rewrite.Options{Replicate: true}, runtime.Options{}, false)
-	if got != want {
-		t.Errorf("degraded output %q != sequential %q", got, want)
-	}
-	s := c.TotalStats()
-	if s.ReplicaHits != 0 || s.ReplicaFetches != 0 || s.Invalidations != 0 {
-		t.Errorf("replication activity with protocol off: %+v", s)
-	}
-}
-
 // TestReplicationComposesWithAdaptive runs replication and adaptive
 // repartitioning together: migration must keep replica sets coherent
 // (they travel with ownership) and the output must stay sequential.
@@ -175,7 +158,8 @@ func TestReplicationComposesWithAdaptive(t *testing.T) {
 }
 
 // TestReplicateOptionValidation pins the fail-fast contracts: the
-// protocol needs a replicated plan, and conflicts with Unoptimized.
+// protocol needs a replicated plan, fusion a fused one, and the
+// rewrite refuses replication without the optimisations.
 func TestReplicateOptionValidation(t *testing.T) {
 	bp, _, err := compile.CompileSource(bankSource)
 	if err != nil {
@@ -196,13 +180,20 @@ func TestReplicateOptionValidation(t *testing.T) {
 		runtime.Options{Replicate: true}); err == nil {
 		t.Error("Replicate accepted without a replicated plan")
 	}
-	repl, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Replicate: true})
+	unfused, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runtime.NewCluster(repl.Nodes, repl.Plan, transport.NewInProc(2),
-		runtime.Options{Replicate: true, Unoptimized: true}); err == nil {
-		t.Error("Replicate+Unoptimized accepted")
+	if _, err := runtime.NewCluster(unfused.Nodes, unfused.Plan, transport.NewInProc(2),
+		runtime.Options{Fuse: true}); err == nil {
+		t.Error("Fuse accepted on a NoFuse plan")
+	}
+	if _, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Replicate: true, Unoptimized: true}); err == nil {
+		t.Error("Replicate+Unoptimized rewrite accepted")
+	}
+	repl, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Replicate: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The write counters are two bytes wide: the threads whose patches
 	// can be in flight at once must stay far below 2¹⁵.

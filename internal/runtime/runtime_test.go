@@ -456,7 +456,9 @@ func relayCluster(t *testing.T, tcp bool, unoptimized bool) (string, *runtime.Cl
 			res.ODG.Graph.Vertex(s.Node).Part = 2
 		}
 	}
-	rw, err := rewrite.Rewrite(bp, res, 3)
+	// Fusion is left out on both sides of the A/B, which compares the
+	// message-exchange optimisations alone.
+	rw, err := rewrite.RewriteWith(bp, res, 3, rewrite.Options{Unoptimized: unoptimized, NoFuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +473,7 @@ func relayCluster(t *testing.T, tcp bool, unoptimized bool) (string, *runtime.Cl
 	}
 	var out strings.Builder
 	c, err := runtime.NewCluster(rw.Nodes, rw.Plan, eps, runtime.Options{
-		Out: &out, MaxSteps: 50_000_000, Unoptimized: unoptimized,
+		Out: &out, MaxSteps: 50_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -657,14 +659,14 @@ class Main {
 			res.ODG.Graph.Vertex(s.Node).Part = 1
 		}
 	}
-	rw, err := rewrite.Rewrite(bp, res, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(unoptimized bool) *runtime.Cluster {
+		rw, err := rewrite.RewriteWith(bp, res, 2, rewrite.Options{Unoptimized: unoptimized, NoFuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var out strings.Builder
 		c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2), runtime.Options{
-			Out: &out, MaxSteps: 50_000_000, Unoptimized: unoptimized,
+			Out: &out, MaxSteps: 50_000_000,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -54,12 +54,17 @@ type lthread struct {
 	// DEPSEQ) the thread is serving on this node, -1 when none. carried,
 	// guarded by mu, holds the patches it owes that rank for writes made
 	// while serving the frame: they ride the frame's reply instead of an
-	// INVALIDATE round trip each (see carry). ncarried mirrors
+	// INVALIDATE round trip each (see carry), indexed by carryIdx;
+	// carrySeq counts the frame's carries. ncarried mirrors
 	// len(carried), so the paths that must deliver them first check
-	// without locking.
+	// without locking. drops lists the objects this thread marked a
+	// reader of dropping (markDrop), settled at retire.
 	replyTo  atomic.Int32
 	carried  []wire.InvalidateRequest
+	carryIdx map[carryKey]carryEntry
+	carrySeq uint64
 	ncarried atomic.Int32
+	drops    []int64
 
 	// dedupNext numbers this thread's outgoing effectful requests when
 	// failure recovery is on (rawRequest stamps it into the frame's
@@ -155,30 +160,70 @@ func (lt *lthread) endServe(prev int, dst []wire.InvalidateRequest) []wire.Inval
 	if lt.ncarried.Load() != 0 {
 		lt.mu.Lock()
 		dst = append(dst, lt.carried...)
-		clear(lt.carried)
-		lt.carried = lt.carried[:0]
-		lt.ncarried.Store(0)
+		lt.resetCarried()
 		lt.mu.Unlock()
 	}
 	lt.replyTo.Store(int32(prev))
 	return dst
 }
 
+// resetCarried empties the carried patches; the caller holds mu.
+func (lt *lthread) resetCarried() {
+	clear(lt.carried)
+	clear(lt.carryIdx)
+	lt.carried, lt.carrySeq = lt.carried[:0], 0
+	lt.ncarried.Store(0)
+}
+
+// carryKey names the (object, slot) a carried patch writes; carryEntry
+// locates the patch and the carry sequence it was opened at.
+type carryKey struct {
+	id   int64
+	slot int
+}
+type carryEntry struct {
+	at   int
+	from uint64
+}
+
+// carrySpan bounds how many carries a carried patch may absorb. The
+// requester widens each two-byte counter against the newest one it has
+// seen (objects.go widen), so the patches it applies in order must step
+// forward by well under 2¹⁵ each. The frame's own writes step an
+// object's counter by one per carry, so an entry that absorbs fewer
+// than carrySpan carries steps less than that past the entries carried
+// after it.
+const carrySpan = 1 << 13
+
 // carry defers p for the requester of the frame the thread is serving,
 // if that rank is among the readers a write must tell, and returns the
-// readers that still need an INVALIDATE. The requester stays in the
-// reader set: it applies the patch from the reply and sends no
-// acknowledgement.
-func (lt *lthread) carry(readers []int, p *wire.InvalidateRequest) []int {
-	i := slices.Index(readers, int(lt.replyTo.Load()))
+// readers that still need an INVALIDATE, and the requester's rank (-1
+// when none is owed p). The requester applies the patch from the reply
+// and sends no acknowledgement. Only the newest write to a slot can
+// apply, so p replaces the patch already carried for its (object,
+// slot), in place, unless that one was opened carrySpan or more carries
+// ago.
+func (lt *lthread) carry(readers []int, p *wire.InvalidateRequest) (rest []int, to int) {
+	to = int(lt.replyTo.Load())
+	i := slices.Index(readers, to)
 	if i < 0 {
-		return readers
+		return readers, -1
 	}
 	lt.mu.Lock()
-	lt.carried = append(lt.carried, *p)
-	lt.ncarried.Store(int32(len(lt.carried)))
+	lt.carrySeq++
+	k := carryKey{p.ID, p.Slot}
+	if e, ok := lt.carryIdx[k]; ok && lt.carrySeq-e.from < carrySpan {
+		lt.carried[e.at] = *p
+	} else {
+		if lt.carryIdx == nil {
+			lt.carryIdx = map[carryKey]carryEntry{}
+		}
+		lt.carryIdx[k] = carryEntry{at: len(lt.carried), from: lt.carrySeq}
+		lt.carried = append(lt.carried, *p)
+		lt.ncarried.Store(int32(len(lt.carried)))
+	}
 	lt.mu.Unlock()
-	return slices.Delete(readers, i, i+1)
+	return slices.Delete(readers, i, i+1), to
 }
 
 // takeCarried removes and returns the thread's carried patches and the
@@ -190,9 +235,7 @@ func (lt *lthread) takeCarried() (to int, ps []wire.InvalidateRequest) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	ps = slices.Clone(lt.carried)
-	clear(lt.carried)
-	lt.carried = lt.carried[:0]
-	lt.ncarried.Store(0)
+	lt.resetCarried()
 	return int(lt.replyTo.Load()), ps
 }
 
@@ -232,13 +275,18 @@ func (n *Node) ltOf(t *vm.Thread) *lthread {
 // counters. The invocation has already flushed the thread's buffered
 // fire-and-forget calls and had each acknowledged, so nothing else of
 // the thread's outlives it.
-func (n *Node) retireThread(tid uint64) NodeStats {
+func (n *Node) retireThread(tid uint64, completed bool) NodeStats {
 	n.ltMu.Lock()
 	lt := n.lts[tid]
 	delete(n.lts, tid)
 	n.ltMu.Unlock()
 	if lt == nil {
 		return NodeStats{}
+	}
+	// A failed invocation may have left a reply unapplied: its marked
+	// readers stay, to answer the next write.
+	for _, id := range lt.drops {
+		n.objs.settleDrop(id, tid, completed)
 	}
 	lt.fuseBuf = nil
 	if f, r := lt.onceFresh.Load(), lt.onceRetained.Load(); f != 0 || r != 0 {

@@ -37,9 +37,8 @@
 //
 // The same per-object record holds forwarding hints, the write-once
 // read cache, read replicas and owner-side replica sets. Ownership is
-// "home + replica set" rather than one
-// canonical location: under Options.Replicate (with a plan from
-// rewrite Options.Replicate) proxies satisfy reads of read-mostly
+// "home + replica set" rather than one canonical location: on a plan
+// from rewrite Options.Replicate, proxies satisfy reads of read-mostly
 // classes from local snapshots (replicate.go), and every write patches
 // each replica: on the reply to the requester whose frame the write
 // serves, and by INVALIDATE frames that must be acknowledged before it

@@ -65,17 +65,6 @@ type Config struct {
 	// TCP executes over local TCP sockets instead of in-process
 	// channels (distributed runs only).
 	TCP bool
-	// Unoptimized disables the message-exchange optimisations
-	// (proxy-side caching of write-once fields, fire-and-forget
-	// asynchronous void calls, batching) for A/B measurement.
-	Unoptimized bool
-	// NoFuse disables access fusion for A/B measurement: runs of
-	// consecutive remote accesses execute as one DEPENDENCE round trip
-	// each (the pre-fusion protocol, byte-identical on the wire)
-	// instead of one DEPSEQ frame per destination. Fusion is on by
-	// default because it only changes how many frames carry the
-	// accesses, never which accesses go remote or their order.
-	NoFuse bool
 	// Adaptive records that the partition is an initial placement with
 	// live object migration. Deploy and Distribution.Run fill it from
 	// the plan (distributions built with Plan.RewriteAdaptive or
@@ -86,14 +75,13 @@ type Config struct {
 	// which default to DefaultAdaptEvery when this is zero; on static
 	// distributions it must stay zero.
 	AdaptEvery int
-	// Replicate enables the coherence layer's read-replication
-	// protocol: proxies satisfy reads of replication-candidate classes
-	// from local snapshots, and writes invalidate every replica before
-	// completing. It requires a distribution built with
-	// RewriteOptions.Replicate (fail-fast otherwise) and conflicts
-	// with Unoptimized. Off, a replicated distribution still runs —
-	// its stamped access kinds degrade to plain synchronous accesses
-	// (the A/B baseline on identical bytecode).
+	// Replicate records that the distribution was built with
+	// RewriteOptions.Replicate: proxies satisfy reads of
+	// replication-candidate classes from local snapshots, and writes
+	// update or invalidate every replica before completing. Deploy and
+	// Distribution.Run fill it from the plan, as they fill Adaptive; an
+	// explicit true on a distribution without replicated stamps is an
+	// error. CLI front-ends set it from -replicate.
 	Replicate bool
 	// FailureRecovery makes a deployment survive node loss: every
 	// endpoint is wrapped with the transport reliability layer
@@ -191,8 +179,9 @@ const DefaultMaxRanks = 64
 // Validate rejects incoherent option combinations. It is the one
 // source of truth for the pairwise conflict rules: distribution-only
 // options on a sequential configuration, the adaptation epoch without
-// an adaptive distribution, replication with the optimisations
-// disabled, and a virtual-clock speed table shorter than the cluster.
+// an adaptive distribution, and a virtual-clock speed table shorter
+// than the cluster. Which optimisations a distribution carries is a
+// rewrite option, checked by Plan.RewriteWith.
 func (c *Config) Validate() error {
 	if c.K < 0 {
 		return fmt.Errorf("autodist: negative node count %d", c.K)
@@ -217,10 +206,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("autodist: Adaptive requires a distributed run (K ≥ 2)")
 		case c.Replicate:
 			return fmt.Errorf("autodist: Replicate requires a distributed run (K ≥ 2)")
-		case c.Unoptimized:
-			return fmt.Errorf("autodist: Unoptimized requires a distributed run (K ≥ 2)")
-		case c.NoFuse:
-			return fmt.Errorf("autodist: NoFuse requires a distributed run (K ≥ 2)")
 		case c.TCP:
 			return fmt.Errorf("autodist: TCP requires a distributed run (K ≥ 2)")
 		case c.MaxConcurrent > 1:
@@ -258,9 +243,6 @@ func (c *Config) Validate() error {
 	}
 	if c.AdaptEvery > 0 && !c.Adaptive {
 		return fmt.Errorf("autodist: AdaptEvery requires an adaptive distribution (Plan.RewriteAdaptive / -adaptive)")
-	}
-	if c.Replicate && c.Unoptimized {
-		return fmt.Errorf("autodist: Unoptimized disables the optimisations Replicate enables; pick one")
 	}
 	if c.K > 1 && len(c.CPUSpeeds) > 0 && len(c.CPUSpeeds) < c.K {
 		return fmt.Errorf("autodist: CPUSpeeds has %d entries for %d nodes", len(c.CPUSpeeds), c.K)
@@ -346,7 +328,7 @@ type RunResult struct {
 	// segment of an executed fused access run); FusedAccesses counts
 	// the individual accesses those frames carried. Their difference
 	// is the number of synchronous round trips fusion saved. Both are
-	// zero when the deployment ran with Config.NoFuse.
+	// zero on a distribution built with RewriteOptions.NoFuse.
 	FusedBatches  int64
 	FusedAccesses int64
 	// Retransmits counts frames the reliability layer resent, on a NACK
@@ -588,14 +570,17 @@ func (pl *Plan) RewriteAdaptive() (*Distribution, error) {
 }
 
 // RewriteOptions selects the rewriting mode: the zero value is the
-// static plan-as-contract rewrite, Adaptive enables live migration,
-// Replicate stamps read-replication access kinds for the analysis
-// pass's read-mostly candidate classes. The two compose.
+// static plan-as-contract rewrite with every optimisation stamped,
+// Adaptive enables live migration, Replicate stamps read-replication
+// access kinds for the analysis pass's read-mostly candidate classes.
+// NoFuse and Unoptimized are the ablations of A/B runs: the first
+// omits access fusion, the second write-once caching and asynchronous
+// calls. Everything composes except Replicate with Unoptimized.
 type RewriteOptions = rewrite.Options
 
 // RewriteWith generates per-node programs under the given mode
-// options (see RewriteOptions). Run it with Config.Replicate to
-// enable the replication protocol on a replicated distribution.
+// options (see RewriteOptions). The runtime executes exactly the
+// access kinds the rewrite stamped.
 func (pl *Plan) RewriteWith(opts RewriteOptions) (*Distribution, error) {
 	res, err := rewrite.RewriteWith(pl.Analysis.Program.Bytecode, pl.Analysis.Result, pl.K, opts)
 	if err != nil {

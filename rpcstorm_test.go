@@ -16,9 +16,9 @@ import (
 	"autodist"
 )
 
-// deployStorm deploys rpcstorm.mj under cfg (K 2, TCP) and provisions
-// it with main().
-func deployStorm(t *testing.T, cfg autodist.Config) *autodist.Cluster {
+// deployStorm rewrites rpcstorm.mj under ropts, deploys it under cfg
+// (K 2, TCP) and provisions it with main().
+func deployStorm(t *testing.T, ropts autodist.RewriteOptions, cfg autodist.Config) *autodist.Cluster {
 	t.Helper()
 	src, err := os.ReadFile("examples/rpcstorm/rpcstorm.mj")
 	if err != nil {
@@ -36,7 +36,7 @@ func deployStorm(t *testing.T, cfg autodist.Config) *autodist.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := plan.Rewrite()
+	dist, err := plan.RewriteWith(ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func deployStorm(t *testing.T, cfg autodist.Config) *autodist.Cluster {
 // side that sends DEPSEQ batches.
 func TestFusionCutsFramesOverTCP(t *testing.T) {
 	sweep := func(noFuse bool) autodist.Counters {
-		res, err := deployStorm(t, autodist.Config{NoFuse: noFuse}).Invoke("sweep", int64(64))
+		res, err := deployStorm(t, autodist.RewriteOptions{NoFuse: noFuse}, autodist.Config{}).Invoke("sweep", int64(64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestChaosKeepsHalfCleanThroughput(t *testing.T) {
 func stormRate(t *testing.T, cfg autodist.Config) (float64, autodist.Counters) {
 	const clients = 4
 	cfg.FailureRecovery, cfg.MaxConcurrent = true, clients
-	cluster := deployStorm(t, cfg)
+	cluster := deployStorm(t, autodist.RewriteOptions{}, cfg)
 	var measuring, stop atomic.Bool
 	var done atomic.Int64
 	errs := make(chan error, clients)

@@ -319,11 +319,9 @@ func TestConfigValidate(t *testing.T) {
 		{"adaptive distributed", autodist.Config{K: 2, Adaptive: true, AdaptEvery: 8}, true},
 		{"replicated distributed", autodist.Config{K: 3, Replicate: true}, true},
 		{"tcp sequential", autodist.Config{K: 1, TCP: true}, false},
-		{"unoptimized sequential", autodist.Config{Unoptimized: true}, false},
 		{"adaptive sequential", autodist.Config{K: 1, Adaptive: true}, false},
 		{"replicate sequential", autodist.Config{K: 0, Replicate: true}, false},
 		{"adapt-every without adaptive", autodist.Config{K: 2, AdaptEvery: 8}, false},
-		{"replicate with unoptimized", autodist.Config{K: 2, Replicate: true, Unoptimized: true}, false},
 		{"negative adapt-every", autodist.Config{K: 2, Adaptive: true, AdaptEvery: -1}, false},
 		{"negative k", autodist.Config{K: -2}, false},
 		{"short speed table", autodist.Config{K: 3, CPUSpeeds: []float64{1e9}}, false},
