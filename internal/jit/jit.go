@@ -30,7 +30,11 @@
 // per-call hooks, the call loads the caller's unboxed registers straight
 // into the callee's frame and takes the result back unboxed (typedSite);
 // otherwise, and at every other site, arguments and result go boxed
-// through vm.Thread.Call. A site the compiler cannot run
+// through vm.Thread.Call. A virtual site whose native registered a
+// probe for the site's constant arguments (vm.VM.SiteProbe) charges
+// its block and asks the probe first; the boxed call runs only when the
+// probe declines. The runtime's probe serves a write-once hit that way.
+// A site the compiler cannot run
 // — an unresolvable method, or a virtual call on null or a non-object
 // — is a deopt point: the compiled frame charges the partial block it
 // executed, materializes interpreter state (locals plus the operand
@@ -2009,32 +2013,73 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 		}, nil
 
 	case bytecode.INVOKEVIRTUAL:
-		cp.note(q, fmt.Sprintf("virtual call %s:%s, inline-cached (deopt @pc%d on null receiver)", name, desc, q.PC))
 		// Compiled methods are shared by concurrent logical threads, so
 		// the cache is an atomic pointer. It binds the first receiver
 		// class and never rebinds: other classes resolve through the
 		// class's own dispatch cache.
 		var ic atomic.Pointer[icEntry]
+		// A probed site asks the native's probe first and makes the
+		// call only when it declines, or when the receiver's method is
+		// not native.
+		probe := cm.v.SiteProbe(name, desc, siteArgs(q))
+		if probe == nil {
+			cp.note(q, fmt.Sprintf("virtual call %s:%s, inline-cached (deopt @pc%d on null receiver)", name, desc, q.PC))
+		} else {
+			cp.note(q, fmt.Sprintf("probed virtual call %s:%s, inline-cached call when the probe declines (deopt @pc%d on null receiver)", name, desc, q.PC))
+		}
 		return func(ma *mach) error {
 			ro, ok := argLd[0](ma).(*vm.Object)
 			if !ok || ro == nil {
 				return deopt(ma)
 			}
+			var ce *vm.Callee
 			e := ic.Load()
 			if e != nil && e.recv == ro.Class {
-				return call(ma, e.ce)
+				ce = e.ce
+			} else {
+				if ce = cm.v.VirtualCallee(ro.Class, name, desc); ce == nil {
+					return deopt(ma)
+				}
+				if e == nil {
+					ic.CompareAndSwap(nil, &icEntry{recv: ro.Class, ce: ce})
+				}
 			}
-			ce := cm.v.VirtualCallee(ro.Class, name, desc)
-			if ce == nil {
-				return deopt(ma)
+			if probe == nil || !ce.Native() {
+				return call(ma, ce)
 			}
-			if e == nil {
-				ic.CompareAndSwap(nil, &icEntry{recv: ro.Class, ce: ce})
+			t := ma.t
+			if err := t.ChargeBlock(steps, cycles); err != nil {
+				return err
 			}
-			return call(ma, ce)
+			if v, ok := probe(t, ro); ok {
+				if retSt != nil {
+					retSt(ma, v)
+				}
+				return nil
+			}
+			return boxed(ma, ce)
 		}, nil
 	}
 	return nil, fmt.Errorf("jit: unknown invoke kind %v", q.Invoke)
+}
+
+// siteArgs describes an INVOKE's arguments for vm.VM.SiteProbe:
+// constant operands with their values, registers as run-time values.
+func siteArgs(q *quad.Quad) []vm.SiteArg {
+	args := make([]vm.SiteArg, len(q.Args))
+	for i, o := range q.Args {
+		switch x := o.(type) {
+		case quad.IConst:
+			args[i] = vm.SiteArg{Const: true, Value: x.V}
+		case quad.FConst:
+			args[i] = vm.SiteArg{Const: true, Value: x.V}
+		case quad.SConst:
+			args[i] = vm.SiteArg{Const: true, Value: x.S}
+		case quad.NullConst:
+			args[i] = vm.SiteArg{Const: true}
+		}
+	}
+	return args
 }
 
 // typedSite is a static call site whose signature has only int and

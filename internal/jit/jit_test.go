@@ -376,4 +376,13 @@ class Main {
 	if !strings.Contains(ls, "typed call Main.inc") {
 		t.Errorf("listing does not note Main.inc as a typed call:\n%s", ls)
 	}
+	// A site whose native offers a probe for its constant arguments
+	// notes the probe; a site the probe declines does not.
+	pv, _ := newProbeVM(t, false)
+	if ls := listing(t, pv, "sum"); !strings.Contains(ls, "probed virtual call get:(IT)I") {
+		t.Errorf("listing does not note the probed site:\n%s", ls)
+	}
+	if ls := listing(t, pv, "other"); strings.Contains(ls, "probed") || !strings.Contains(ls, "virtual call get:(IT)I, inline-cached") {
+		t.Errorf("listing notes a probe at a site the probe declines:\n%s", ls)
+	}
 }

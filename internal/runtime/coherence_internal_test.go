@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"autodist/internal/vm"
+	"autodist/internal/wire"
 )
 
 func shadowObj(t *testing.T, n *Node) *vm.Object {
@@ -341,5 +343,35 @@ func TestCoherenceColdSlotBesideHotOne(t *testing.T) {
 	}
 	if r, _, _ := n.objs.replica(9); r.Fields[0] != int64(7) {
 		t.Fatalf("slot 0 = %v after a stale patch, want 7", r.Fields[0])
+	}
+}
+
+// TestFuseFinishPatchesPastFailedEntry: a DEPSEQ reply's patches ride
+// its last entry, and fuseFinish applies them before any entry's
+// epilogue, so an earlier entry that fails on this side — here its
+// array argument gets no copy-restore payload back — still leaves the
+// replica patched.
+func TestFuseFinishPatchesPastFailedEntry(t *testing.T) {
+	n := testNode(t)
+	cls := n.VM.Class("Object")
+	n.objs.installReplica(11, &vm.Object{Class: cls, Fields: []vm.Value{int64(0), int64(0)}}, n.objs.replicaGen(11), 0)
+	buf := []fusedEntry{
+		{id: 21, home: 1, member: "fill", args: []vm.Value{&vm.Array{Elem: "I", Data: []vm.Value{int64(0)}}}},
+		{id: 22, home: 1, member: "set"},
+	}
+	resp := wire.DepSeqResponse{Resps: []wire.DepResponse{
+		{Value: wire.Value{Kind: wire.KInt, Int: 1}},
+		{Patches: []wire.InvalidateRequest{{ID: 11, Ver: 1, Slot: 1, Update: true, Value: wire.Value{Kind: wire.KInt, Int: 42}}}},
+	}}
+	err := n.fuseFinish(n.lthread(1), 1, buf, resp.Encode())
+	if err == nil || !strings.Contains(err.Error(), "copy-restore") {
+		t.Fatalf("fuseFinish = %v, want the first entry's copy-restore failure", err)
+	}
+	r, _, ok := n.objs.replica(11)
+	if !ok {
+		t.Fatal("replica dropped")
+	}
+	if want := []vm.Value{int64(0), int64(42)}; !reflect.DeepEqual(r.Fields, want) {
+		t.Fatalf("replica fields %v, want %v: the carried patch was not applied", r.Fields, want)
 	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"autodist/internal/analysis"
 	"autodist/internal/compile"
+	"autodist/internal/jit"
 	"autodist/internal/rewrite"
 	"autodist/internal/transport"
 	"autodist/internal/vm"
@@ -58,12 +60,38 @@ class Main {
 }
 `
 
+// onceSource reads the write-once Params.scale of a remote Params n
+// times in a loop and does nothing else.
+const onceSource = `
+class Params {
+	int scale;
+	Params(int scale) { this.scale = scale; }
+}
+class Main {
+	static Params p;
+	static void main() { Main.p = new Params(3); }
+	static int sum(int n) {
+		Params q = Main.p;
+		int s = 0;
+		for (int i = 0; i < n; i++) { s = s + q.scale; }
+		return s;
+	}
+}
+`
+
 // deployCompute brings up a started two-node cluster of computeSource
 // with main() run; adaptive plans mediate every class, so Params can
 // migrate.
 func deployCompute(t *testing.T, adaptive bool, opts Options) *Cluster {
 	t.Helper()
-	bp, _, err := compile.CompileSource(computeSource)
+	return deployPinned(t, computeSource, adaptive, opts)
+}
+
+// deployPinned is deployCompute for any source whose Params and Sink
+// go on node 1 and everything else on node 0.
+func deployPinned(t testing.TB, src string, adaptive bool, opts Options) *Cluster {
+	t.Helper()
+	bp, _, err := compile.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +208,66 @@ func TestCachedOnceHitAllocations(t *testing.T) {
 	}
 }
 
+// TestCompiledOnceProbeAllocations pins the compiled write-once hit:
+// the compiled loop of onceSource.sum reads Params.scale through the
+// access site's probe, which allocates nothing and counts exactly one
+// CacheHit and one RetainedHit per read, on the node and on the thread.
+func TestCompiledOnceProbeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := deployPinned(t, onceSource, false, Options{Compile: true, CompileThreshold: 1})
+	// The first invocation fills the entry and compiles sum; the second
+	// starts a later epoch, so each hit below is retained.
+	for _, n := range []int64{10, 0} {
+		if _, _, err := c.InvokeEntry("sum", []vm.Value{n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := c.starter
+	main := n.VM.Class("Main")
+	cm, err := jit.Compile(n.VM, main, main.File.Method("sum", "(I)I"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls := cm.Listing(); !strings.Contains(ls, "probed virtual call access:") {
+		t.Fatalf("the read of Params.scale is not a probed site:\n%s", ls)
+	}
+	const tid = 1 << 40 // an application thread no invocation uses
+	lt := n.lthread(tid)
+	before := n.Stats
+	var hits int64
+	sum := func(reads int64) func() {
+		args := []vm.Value{reads}
+		return func() {
+			v, err := lt.vt.CallMethod("Main", "sum", "(I)I", args)
+			if err != nil || v != vm.Value(3*reads) {
+				t.Fatalf("sum(%d) = %v, %v; want %d", reads, v, err, 3*reads)
+			}
+			hits += reads
+		}
+	}
+	// A call allocates its boxed result (3·reads > 255 either way); the
+	// reads add nothing to that.
+	few, many := testing.AllocsPerRun(20, sum(100)), testing.AllocsPerRun(20, sum(1000))
+	if many != few {
+		t.Errorf("a call reading Params.scale 1000 times allocates %.0f times, one reading it 100 times %.0f", many, few)
+	}
+	delta := n.retireThread(tid, true)
+	if delta.CacheHits != hits || delta.RetainedHits != hits {
+		t.Errorf("thread delta: %d cache hits, %d retained; want %d of each", delta.CacheHits, delta.RetainedHits, hits)
+	}
+	if d := atomic.LoadInt64(&n.Stats.CacheHits) - before.CacheHits; d != hits {
+		t.Errorf("node CacheHits moved by %d, want %d", d, hits)
+	}
+	if d := atomic.LoadInt64(&n.Stats.RetainedHits) - before.RetainedHits; d != hits {
+		t.Errorf("node RetainedHits moved by %d, want %d", d, hits)
+	}
+	if delta.Deopts != 0 {
+		t.Errorf("%d deopts, want 0", delta.Deopts)
+	}
+}
+
 // TestComputeKernelUnderMigration runs the kernel compiled, adaptive
 // and four invocations at a time while Params keeps migrating between
 // the nodes: every move drops node 0's write-once entries and
@@ -273,4 +361,72 @@ func TestComputeKernelUnderMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	CheckQuiescent(t, c.Nodes)
+}
+
+// TestOnceIndex drives one shard's write-once index through fills,
+// drops, refills and the rebuilds they cause, with readers probing it
+// without the lock throughout: a reader only ever sees an id's own
+// entries, the writer's view is exact after every step, and a rebuild
+// keeps no dropped id.
+func TestOnceIndex(t *testing.T) {
+	const ids = 2000
+	var sh objShard
+	setOf := func(id int64) *onceSet { return &onceSet{{member: "f", v: id}} }
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := int64(1); ; i = i%ids + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if set := sh.once.load(i); set != nil && (*set)[0].v != vm.Value(i) {
+					t.Errorf("id %d loaded the entries of %v", i, (*set)[0].v)
+					return
+				}
+			}
+		}()
+	}
+	check := func(live func(id int64) bool) {
+		t.Helper()
+		for id := int64(1); id <= ids; id++ {
+			if got := sh.once.load(id) != nil; got != live(id) {
+				t.Fatalf("id %d: loaded %v, want %v", id, got, live(id))
+			}
+		}
+	}
+	sh.mu.Lock()
+	for id := int64(1); id <= ids; id++ {
+		sh.once.store(id, setOf(id))
+	}
+	check(func(int64) bool { return true })
+	for id := int64(2); id <= ids; id += 2 {
+		sh.once.drop(id)
+	}
+	check(func(id int64) bool { return id%2 == 1 })
+	for id := int64(2); id <= ids; id += 4 {
+		sh.once.store(id, setOf(id))
+	}
+	check(func(id int64) bool { return id%2 == 1 || id%4 == 2 })
+	for id := int64(1); id <= ids; id++ {
+		sh.once.drop(id)
+	}
+	check(func(int64) bool { return false })
+	full := len(sh.once.tab.Load().slots)
+	id := int64(ids)
+	for len(sh.once.tab.Load().slots) == full {
+		id++
+		sh.once.store(id, setOf(id))
+	}
+	if sh.once.used != int(id-ids) {
+		t.Errorf("the rebuild after every old id was dropped kept %d slots for %d live ids", sh.once.used, id-ids)
+	}
+	check(func(i int64) bool { return false })
+	sh.mu.Unlock()
+	close(stop)
+	readers.Wait()
 }

@@ -50,7 +50,7 @@ func (n *Node) registerNatives() {
 				return nil, fmt.Errorf("runtime: NEW %s on node %d: %w", className, home, err)
 			}
 			// The reply is a DEPENDENCE reply whose value is the new id.
-			v, err := n.finishDepResponse(home, 0, resp.Payload, ctorArgs, "new", className)
+			v, err := n.finishDepResponse(lt, home, 0, resp.Payload, ctorArgs, "new", className)
 			if err != nil {
 				return nil, err
 			}
@@ -69,6 +69,9 @@ func (n *Node) registerNatives() {
 		func(t *vm.Thread, args []vm.Value) (vm.Value, error) {
 			return n.accessFromArgs(n.ltOf(t), args)
 		})
+	// Compiled sites of every access native serve a write-once hit
+	// without the boxed call.
+	machine.RegisterProbe("access", rewrite.AccessDesc, n.onceProbe)
 
 	// DependentObject.staticAccess: remote static fields. Static
 	// contexts are pinned by the plan and never migrate.
@@ -97,7 +100,7 @@ func (n *Node) registerNatives() {
 			if err != nil {
 				return nil, err
 			}
-			return n.finishDepResponse(home, 0, resp.Payload, acc, "static access", class+"."+member)
+			return n.finishDepResponse(lt, home, 0, resp.Payload, acc, "static access", class+"."+member)
 		})
 
 	// Synthetic Class.access on every user class: the receiver's static
@@ -116,6 +119,34 @@ func (n *Node) registerNatives() {
 				break
 			}
 		}
+	}
+}
+
+// onceProbe is the compiled tier's shortcut for an access site that
+// reads a write-once field: kind the constant GetFieldCached, member a
+// constant, no arguments — what the rewriter emits for such a read. It
+// serves a hit exactly as dispatchAccess does (same lookup, same
+// counters) without boxing the arguments or calling the native. On a
+// miss it declines, and the site's ordinary call fetches and fills.
+// The probe re-reads the entry on every call and holds nothing across
+// calls, so it bakes in no ownership assumption: a home move drops the
+// entries it reads in the step that moves the home, as for the native.
+func (n *Node) onceProbe(args []vm.SiteArg) vm.Probe {
+	if len(args) != 4 || !args[1].Const || args[1].Value != vm.Value(int64(rewrite.GetFieldCached)) ||
+		!args[3].Const || args[3].Value != nil {
+		return nil
+	}
+	member, ok := args[2].Value.(string)
+	if !args[2].Const || !ok {
+		return nil
+	}
+	return func(t *vm.Thread, o *vm.Object) (vm.Value, bool) {
+		id, _, _ := n.reference(o)
+		v, retained, ok := n.objs.cachedOnce(id, member)
+		if ok {
+			n.countOnceHit(n.ltOf(t), retained)
+		}
+		return v, ok
 	}
 }
 
@@ -187,9 +218,10 @@ func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string
 
 // reference reads the global identity behind a mediated reference: the
 // id, the rank the reference names, and the instance itself when it is
-// not a proxy.
+// not a proxy. The node's VM loads DependentObject once, so a proxy is
+// told apart by its class pointer.
 func (n *Node) reference(o *vm.Object) (id int64, birth int, real *vm.Object) {
-	if o.Class.Name() == depObjectClassName {
+	if o.Class == n.proxy.cls {
 		birth, id, _ = n.proxyIdentity(o)
 		return id, birth, nil
 	}
@@ -273,7 +305,7 @@ func (n *Node) remoteAccess(lt *lthread, home int, id int64, kind int, member st
 	if err != nil {
 		return nil, err
 	}
-	return n.finishDepResponse(home, id, resp.Payload, acc, "access", member)
+	return n.finishDepResponse(lt, home, id, resp.Payload, acc, "access", member)
 }
 
 // accessWrites classifies an access kind for the affinity read/write
@@ -288,15 +320,19 @@ func accessWrites(kind int) bool {
 	return true
 }
 
-// finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW),
-// applies the patches it carried to this node's replicas, and applies
-// applyDepResponse to it.
-func (n *Node) finishDepResponse(home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
-	out, err := wire.DecodeDepResponse(payload)
+// finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW) on
+// lt, applies the patches it carried to this node's replicas, and
+// applies applyDepResponse to it. The patch list decodes into the
+// thread's lt.patches.
+func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
+	out := wire.DepResponse{Patches: lt.patches}
+	err := wire.DecodeDepResponseInto(payload, &out)
 	wire.PutBuf(payload)
 	if err == nil {
 		err = n.applyCarried(out.Patches)
 	}
+	clear(out.Patches)
+	lt.patches = out.Patches[:0]
 	if err != nil {
 		return nil, err
 	}

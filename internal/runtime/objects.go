@@ -62,7 +62,101 @@ type objShard struct {
 	// everything else (dropCopies). cachedOnce reads it without mu;
 	// storeOnce and dropCopies change it under mu, one key at a time,
 	// and never write a set once stored.
-	once sync.Map
+	once onceIndex
+}
+
+// onceIndex maps object ids to their write-once entries: reads take no
+// lock, writes hold the shard lock. It is an open-addressed table of
+// atomic slots, at most three quarters used. A slot that holds an id
+// keeps it for the table's life — a drop clears only its set — so a
+// reader's linear probe never passes the slot of the id it looks for.
+// When an insert would pass three quarters, the writer publishes a
+// fresh table of the live slots; a reader still on the old table sees
+// it as it was when it was replaced, as a Load concurrent with a
+// Delete may. Fill and drop cost O(1), amortised over the copies.
+type onceIndex struct {
+	tab  atomic.Pointer[onceTable]
+	used int // slots holding an id, dropped ones included (writer only)
+}
+
+type onceTable struct{ slots []onceSlot }
+
+type onceSlot struct {
+	id  atomic.Int64 // 0: empty; no object has id 0
+	set atomic.Pointer[onceSet]
+}
+
+// find returns the slot holding id, or the empty slot that ends its
+// probe sequence; nil when x has no table yet. Its hash takes other
+// bits of the product than objTable.shard does.
+func (x *onceIndex) find(id int64) *onceSlot {
+	tab := x.tab.Load()
+	if tab == nil {
+		return nil
+	}
+	mask := uint64(len(tab.slots) - 1)
+	for i := uint64(id) * 0x9E3779B97F4A7C15 >> 32; ; i++ {
+		sl := &tab.slots[i&mask]
+		if k := sl.id.Load(); k == id || k == 0 {
+			return sl
+		}
+	}
+}
+
+// load returns id's entries, nil when it has none.
+func (x *onceIndex) load(id int64) *onceSet {
+	if sl := x.find(id); sl != nil && sl.id.Load() == id {
+		return sl.set.Load()
+	}
+	return nil
+}
+
+// store publishes id's entries. Callers hold the shard lock.
+func (x *onceIndex) store(id int64, set *onceSet) {
+	sl := x.find(id)
+	if sl != nil && sl.id.Load() == id {
+		sl.set.Store(set)
+		return
+	}
+	if sl == nil || (x.used+1)*4 > len(x.tab.Load().slots)*3 {
+		x.rebuild()
+		sl = x.find(id)
+	}
+	// The set first: a reader that sees the id sees its set.
+	sl.set.Store(set)
+	sl.id.Store(id)
+	x.used++
+}
+
+// drop withdraws id's entries. Callers hold the shard lock.
+func (x *onceIndex) drop(id int64) {
+	if sl := x.find(id); sl != nil && sl.id.Load() == id {
+		sl.set.Store(nil)
+	}
+}
+
+// rebuild publishes a table of the live slots with room for as many
+// inserts again as live slots before the next rebuild.
+func (x *onceIndex) rebuild() {
+	var live []*onceSlot
+	if old := x.tab.Load(); old != nil {
+		for i := range old.slots {
+			if old.slots[i].set.Load() != nil {
+				live = append(live, &old.slots[i])
+			}
+		}
+	}
+	n := 8
+	for n < 4*(len(live)+1) {
+		n *= 2
+	}
+	next := &onceIndex{}
+	next.tab.Store(&onceTable{slots: make([]onceSlot, n)})
+	for _, sl := range live {
+		next.store(sl.id.Load(), sl.set.Load())
+	}
+	x.used = next.used
+	x.tab.Store(next.tab.Load())
 }
 
 // onceSet is one object's write-once cache entries, immutable once
@@ -445,7 +539,7 @@ func (t *objTable) intern(p *vm.Object, id int64, birth int) *vm.Object {
 // the replica — and moves the generation, so an install in flight is
 // discarded too. Callers hold the shard lock.
 func (sh *objShard) dropCopies(id int64, s *objState) {
-	sh.once.Delete(id)
+	sh.once.drop(id)
 	s.dropReplica()
 	s.gen++
 }
@@ -590,11 +684,11 @@ func (t *objTable) takeAffinity() []wire.AffinityEdge {
 // An entry visible here was stored by storeOnce under the shard lock and
 // is withdrawn the same way, in the step that moves the object's home.
 func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok bool) {
-	set, ok := t.shard(id).once.Load(id)
-	if !ok {
+	set := t.shard(id).once.load(id)
+	if set == nil {
 		return nil, false, false
 	}
-	e, ok := set.(*onceSet).lookup(member)
+	e, ok := set.lookup(member)
 	if !ok {
 		return nil, false, false
 	}
@@ -610,11 +704,11 @@ func (t *objTable) storeOnce(id int64, member string, v vm.Value) {
 	sh := t.lock(id)
 	if s := sh.m[id]; s == nil || s.home == nil {
 		var set onceSet
-		if old, ok := sh.once.Load(id); ok {
-			set = *old.(*onceSet)
+		if old := sh.once.load(id); old != nil {
+			set = *old
 		}
 		set = set.with(onceEntry{member: member, v: v, epoch: cur})
-		sh.once.Store(id, &set)
+		sh.once.store(id, &set)
 	}
 	sh.mu.Unlock()
 }
@@ -928,7 +1022,7 @@ func quiescent(nodes []*Node) error {
 					replicas[id] = append(replicas[id], held{n, s.replica})
 				}
 				if s.home != nil {
-					if _, ok := sh.once.Load(id); ok {
+					if sh.once.load(id) != nil {
 						bad("node %d: owner of %d holds write-once entries", n.Rank, id)
 					}
 					homes[id] = append(homes[id], n.Rank)

@@ -778,11 +778,12 @@ func putAllocations(t *testing.T, k, table, probe int, warm string) (allocs floa
 // patch rides its reply: node 0 is the table's only reader and the
 // requester of every put. Measured: 19.0 when every put dropped the
 // replica and the read behind it refetched a snapshot; 3.0 with the
-// patch in an INVALIDATE round trip; 3.9 with the patch carried — two
-// are the patched copy of the replica, one the patch list the reply
-// decodes into. No INVALIDATE is sent. The bound leaves a 1.5× margin.
+// patch in an INVALIDATE round trip; 3.9 with the patch carried and its
+// patch list decoded into a fresh slice; 3.0 (2.98) with the list
+// decoded into the thread's own — two are the patched copy of the
+// replica. No INVALIDATE is sent. The bound is the measured value.
 func TestReplicaUpdateAllocations(t *testing.T) {
-	const maxAllocs = 6
+	const maxAllocs = 3
 	got, before, s := putAllocations(t, 2, 1, 0, "peek")
 	t.Logf("%.1f allocations per remote put", got)
 	if s.ReplicaUpdates == before.ReplicaUpdates || s.ReplicaFetches != before.ReplicaFetches ||
@@ -797,10 +798,11 @@ func TestReplicaUpdateAllocations(t *testing.T) {
 // TestThirdPartyInvalidateAllocations is the twin with a third-party
 // reader: the probe on node 1 also holds a replica of the table on node
 // 2, so each put patches node 0 on its reply and node 1 in an
-// INVALIDATE round trip. Measured: 6.0 — the carried path's 3.9, plus
-// the patched copy of node 1's replica. The bound leaves a 1.5× margin.
+// INVALIDATE round trip. Measured: 5.0 — the carried path's 3.0, plus
+// the patched copy of node 1's replica (6.0 while the carried path's
+// was 3.9). The bound leaves a 1.5× margin.
 func TestThirdPartyInvalidateAllocations(t *testing.T) {
-	const maxAllocs = 9
+	const maxAllocs = 7
 	got, before, s := putAllocations(t, 3, 2, 1, "sum")
 	t.Logf("%.1f allocations per remote put", got)
 	if updates := s.ReplicaUpdates - before.ReplicaUpdates; updates == 0 || s.ReplicaFetches != before.ReplicaFetches ||

@@ -96,6 +96,9 @@ type lthread struct {
 	// encoded into the outgoing payload before the request is sent.
 	callBuf []vm.Value
 	wireBuf []wire.Value
+	// patches backs the patch list of a one-entry reply the thread
+	// decodes (finishDepResponse), zeroed once the patches are applied.
+	patches []wire.InvalidateRequest
 
 	// stats are this thread's protocol counters on this node — the
 	// per-thread shadow of Node.Stats that per-invocation deltas are

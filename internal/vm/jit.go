@@ -115,8 +115,9 @@ func (js *jitState) promote(t *Thread, c *Class, m *bytecode.Method, prof *metho
 // promotion after a death — so the tier re-profiles under the new
 // shape. It is hygiene, not safety: compiled code bakes in no
 // ownership assumption, because every mediated access is a call into
-// the runtime's access natives, which consult live ownership, gates
-// and coherence state on each call exactly as under interpretation.
+// the runtime's access natives, or a probe they registered
+// (RegisterProbe), which consult live ownership, gates and coherence
+// state on each call exactly as under interpretation.
 func (vm *VM) InvalidateCompiled() {
 	js := vm.jit
 	if js == nil {
@@ -227,6 +228,48 @@ func (ce *Callee) Native() bool { return ce.method.IsNative() }
 
 // String names the callee as Class.method.
 func (ce *Callee) String() string { return ce.class.Name() + "." + ce.method.Name }
+
+// SiteArg is one argument of a call site as the compiled tier sees it:
+// a constant the site always passes (Const, with its Value), or a value
+// known only when the call runs.
+type SiteArg struct {
+	Const bool
+	Value Value
+}
+
+// Probe is a shortcut a native offers one compiled virtual call site:
+// from the thread and the site's receiver alone it either answers the
+// call (ok true, v the result) or declines, and the site then makes the
+// ordinary call. An answer must be observably identical to what the
+// call would have done, and a declined probe must have done nothing.
+// The site charges its block before the probe, as before any call.
+type Probe func(t *Thread, recv *Object) (v Value, ok bool)
+
+// ProbeFunc builds the probe for one call site from the site's
+// arguments, receiver first; nil when it has none for them.
+type ProbeFunc func(args []SiteArg) Probe
+
+// RegisterProbe offers f to every compiled virtual call site of a
+// native named name with descriptor desc, whichever class declares it.
+// The compiled tier asks once per site, when it compiles the site, and
+// uses the probe only where the receiver's method is native. Register
+// probes with the natives, before any method compiles.
+func (vm *VM) RegisterProbe(name, desc string, f ProbeFunc) {
+	if vm.probes == nil {
+		vm.probes = map[string]ProbeFunc{}
+	}
+	vm.probes[name+":"+desc] = f
+}
+
+// SiteProbe returns the probe for one virtual call site of name:desc
+// with the given arguments: nil when no probe is registered for the
+// method or the registered one declines the site.
+func (vm *VM) SiteProbe(name, desc string, args []SiteArg) Probe {
+	if f := vm.probes[name+":"+desc]; f != nil {
+		return f(args)
+	}
+	return nil
+}
 
 // ResolveCallee resolves a static or special call site the way the
 // interpreter does; nil when the class or method does not exist.

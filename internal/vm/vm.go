@@ -69,6 +69,9 @@ type VM struct {
 	prog    *bytecode.Program
 	classes map[string]*Class
 	natives map[string]NativeFunc
+	// probes holds the compiled tier's call-site shortcuts, keyed
+	// "name:desc" (RegisterProbe).
+	probes map[string]ProbeFunc
 
 	// Out receives System.print output. Concurrent threads share it;
 	// writers must be safe for concurrent use when threads run in

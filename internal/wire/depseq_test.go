@@ -790,3 +790,34 @@ func FuzzDecodeDepSeqResponse(f *testing.F) {
 		}
 	})
 }
+
+// TestDepResponseDecodeIntoReusesPatches: DecodeDepResponseInto decodes
+// a reply's patch list into the caller's recycled list, overwriting
+// every field of a recycled patch, and allocates nothing for it.
+func TestDepResponseDecodeIntoReusesPatches(t *testing.T) {
+	stale := InvalidateRequest{ID: 99, Ver: 9, Slot: 9, Update: true, Value: Value{Kind: KStr, Str: "stale"}}
+	m := DepResponse{Patches: []InvalidateRequest{stale, stale, stale}}
+	backing := &m.Patches[0]
+	for _, want := range []DepResponse{
+		{Value: Value{Kind: KInt, Int: 1}, Patches: []InvalidateRequest{
+			{ID: 5, Ver: 2, Slot: 1, Update: true, Value: Value{Kind: KInt, Int: 7}},
+			{ID: 5, Ver: 3, Slot: 0},
+		}},
+		{Value: Value{Kind: KInt, Int: 2}, Patches: []InvalidateRequest{{ID: 6, Ver: 1, Slot: 2}}},
+		{Value: Value{Kind: KInt, Int: 3}},
+	} {
+		if err := DecodeDepResponseInto(want.Encode(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if !depResponseEq(m, want) {
+			t.Fatalf("decoded %+v, want %+v", m, want)
+		}
+		if cap(m.Patches) != 3 || &m.Patches[:1][0] != backing {
+			t.Fatal("decode reallocated the patch list")
+		}
+	}
+	enc := (&DepResponse{Patches: []InvalidateRequest{{ID: 6, Ver: 1, Slot: 2}, {ID: 6, Ver: 2, Slot: 3}}}).Encode()
+	if allocs := testing.AllocsPerRun(100, func() { _ = DecodeDepResponseInto(enc, &m) }); allocs != 0 {
+		t.Errorf("DecodeDepResponseInto into a sized patch list: %.1f allocs, want 0", allocs)
+	}
+}

@@ -88,13 +88,22 @@ func (m *DepResponse) Encode() []byte { return m.appendEntry(append(GetBuf(), 1)
 // DecodeDepResponse parses a one-entry DepSeqResponse body; a vector of
 // any other length is a decode error.
 func DecodeDepResponse(data []byte) (DepResponse, error) {
-	r := Reader{buf: data}
 	var m DepResponse
+	err := DecodeDepResponseInto(data, &m)
+	return m, err
+}
+
+// DecodeDepResponseInto is DecodeDepResponse into m, decoding the patch
+// list into the capacity of m.Patches: a caller that recycles the list
+// decodes without allocating it. A decode that succeeds overwrites
+// every field of m.
+func DecodeDepResponseInto(data []byte, m *DepResponse) error {
+	r := Reader{buf: data}
 	if n := r.count(); r.err == nil && n != 1 {
 		r.fail("reply vector of %d entries, want 1", n)
 	}
-	r.responseEntry(&m)
-	return m, r.err
+	r.responseEntry(m)
+	return r.err
 }
 
 func appendInts(b []byte, vs []int) []byte {
@@ -610,6 +619,7 @@ func (r *Reader) responseEntry(m *DepResponse) {
 		r.fail("undefined DEPSEQ response bits %#x", head&^seqRespBits)
 		return
 	}
+	ps := m.Patches[:0]
 	*m = DepResponse{Value: r.Value(), Moved: head&seqRespMoved != 0}
 	if head&seqRespOutArrays != 0 {
 		m.OutArrays = r.Values()
@@ -624,9 +634,10 @@ func (r *Reader) responseEntry(m *DepResponse) {
 		m.NewHome = int(r.Uvarint())
 	}
 	for more := head&seqRespPatches != 0; more && r.err == nil; {
-		m.Patches = append(m.Patches, InvalidateRequest{})
-		more = r.patch(&m.Patches[len(m.Patches)-1])
+		ps = append(ps, InvalidateRequest{})
+		more = r.patch(&ps[len(ps)-1])
 	}
+	m.Patches = ps
 }
 
 // Encode serialises the sequence.
