@@ -228,10 +228,13 @@ func (c *Cluster) Join() (int, error) {
 }
 
 // Drain gracefully retires one member of the elastic deployment: the
-// rank migrates every object it owns to the surviving members, the
-// membership view advances and is broadcast, and the node shuts down —
-// retired from the reliability layer so its silence is never mistaken
-// for a crash. Its rank is never reused. Requires Config.MaxRanks.
+// rank migrates every object it owns to the surviving members, and the
+// membership view advances and is broadcast. The drained node stays up,
+// owning nothing, until Shutdown or Kill: a request still routed to it
+// is forwarded to the object's new home, so invocations in flight
+// across the drain lose nothing, and a NEW sent to it is refused with
+// an error naming the rank. Its rank is never reused. Requires
+// Config.MaxRanks.
 func (c *Cluster) Drain(rank int) error {
 	if c.cfg.MaxRanks == 0 {
 		return fmt.Errorf("autodist: Drain requires a deployment with Config.MaxRanks")
@@ -249,7 +252,7 @@ func (c *Cluster) Drain(rank int) error {
 // (see Config.FailureRecovery). Requires a deployment with
 // FailureRecovery; any rank that exists now — joined ones included —
 // can be failed except node 0, which hosts the ExecutionStarter and the
-// recovery coordinator, and a drained rank, which is already gone.
+// recovery coordinator, and a drained rank, which is no longer a member.
 // Idempotent per rank; there is no way to revive a failed node.
 func (c *Cluster) FailNode(rank int) error {
 	if c.chaos == nil {

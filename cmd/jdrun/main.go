@@ -72,7 +72,8 @@
 // or jdrun -join addr from another shell — admits a fresh node while
 // invocations keep flowing, seeding it with a share of the live
 // objects; "!drain N" / jdrun -drain addr -rank N migrates rank N's
-// objects away and retires it without a false failure detection.
+// objects away and retires it; the drained node stays up, forwarding
+// requests still routed to it, until the server shuts down.
 // -max-ranks bounds how far the rank space can grow.
 //
 // -adaptive=off and -replicate=off (the defaults) keep today's static

@@ -514,8 +514,8 @@ func (c *Cluster) stop() {
 		nodes := c.nodesSnapshot()
 		starter := nodes[0]
 		for rank := len(nodes) - 1; rank > 0; rank-- {
-			if starter.roster.isDeparted(rank) {
-				// Already retired by a drain; its endpoint is closed.
+			if nodes[rank] == nil {
+				// A burned rank has no node.
 				continue
 			}
 			_ = starter.EP.Send(transport.Message{To: rank, Kind: KindShutdown})
@@ -662,15 +662,14 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, 
 	return n, nil
 }
 
-// burn retires a refused joiner's rank the way a drain retires a
-// member's: the coordinator's roster records it as departed, so the
-// view that admits the next joiner extends past it; the coordinator's
-// reliability layer forgets it (a refused JOIN is the only traffic it
-// ever saw); and the node table gets a nil entry, so that rank-indexed
-// table stays aligned with the fabric. A joiner the coordinator
-// admitted before its JOIN reply was lost is a member already: it is
-// retired with an announced shrink, as Drain would, minus the
-// migration — its node is gone.
+// burn retires a refused joiner's rank: the coordinator's roster
+// records it as departed, so the view that admits the next joiner
+// extends past it; the coordinator's reliability layer forgets it (its
+// node is gone); and the node table gets a nil entry, so that
+// rank-indexed table stays aligned with the fabric. A joiner the
+// coordinator admitted before its JOIN reply was lost is a member
+// already: it is retired with an announced shrink, as Drain would,
+// minus the migration.
 func (c *Cluster) burn(rank int) {
 	starter := c.starter
 	starter.coordMu.Lock()
@@ -680,8 +679,8 @@ func (c *Cluster) burn(rank int) {
 		}
 	} else {
 		starter.roster.burn(rank)
-		transport.RetirePeer(starter.EP, rank)
 	}
+	transport.RetirePeer(starter.EP, rank)
 	starter.coordMu.Unlock()
 	c.stateMu.Lock()
 	if len(c.Nodes) == rank {
@@ -691,14 +690,14 @@ func (c *Cluster) burn(rank int) {
 }
 
 // Drain retires a member gracefully: the rank migrates every object it
-// owns to the surviving members (LEAVE), the coordinator announces the
-// shrunk view with the new homes (one WELCOME, on which every member
-// also retires the rank from its reliability layer, so its silence is
-// never mistaken for a crash and no recovery round runs), and the
-// leaver is stopped. The rank's
-// number is never reused. Fails — with the cluster unchanged — if the
-// rank hosts static classes, kept objects (busy or non-migratable), or
-// is the coordinator.
+// owns to the surviving members (LEAVE), and the coordinator announces
+// the shrunk view with the new homes in one WELCOME, which reaches the
+// leaver too. The leaver stays up, owning nothing, until Shutdown or
+// Kill: it forwards a request still routed to it (queued, in flight, or
+// sent along a stale hint) as in any migration's handoff window, and
+// refuses NEW. The rank's number is never reused. Fails — with the
+// cluster unchanged — if the rank hosts static classes, kept objects
+// (busy or non-migratable), or is the coordinator.
 func (c *Cluster) Drain(rank int) error {
 	if c.opts.MaxRanks == 0 {
 		return fmt.Errorf("runtime: Drain on a non-elastic cluster (set Options.MaxRanks)")
@@ -708,15 +707,11 @@ func (c *Cluster) Drain(rank int) error {
 		c.stateMu.Unlock()
 		return fmt.Errorf("runtime: Drain needs a started, live cluster")
 	}
-	nodes := append([]*Node(nil), c.Nodes...)
 	c.stateMu.Unlock()
 	if rank == 0 {
 		return fmt.Errorf("runtime: the coordinator (rank 0) cannot be drained")
 	}
-	if rank < 0 || rank >= len(nodes) {
-		return fmt.Errorf("runtime: drain rank %d out of range [0,%d)", rank, len(nodes))
-	}
-	starter := nodes[0]
+	starter := c.starter
 	var statics []string
 	for cls, r := range starter.Plan.StaticPart {
 		if r == rank {
@@ -749,16 +744,8 @@ func (c *Cluster) Drain(rank int) error {
 		return fmt.Errorf("runtime: rank %d kept %d object(s) (busy or non-migratable); drain aborted", rank, out.Kept)
 	}
 	starter.count(sys, func(s *NodeStats) *int64 { return &s.Drains }, 1)
-	// Every member — this node first — learns the new homes and retires
-	// the leaver from its reliability layer on this delta, before the
-	// leaver's endpoint closes, so the heartbeat deadline never converts
-	// the graceful leave into a PEERDOWN verdict.
 	w.Homes = out.Homes
 	starter.announce(sys, &w, -1)
-	// Stop the leaver: closing its endpoint ends its serve loop as a
-	// SHUTDOWN frame would.
-	_ = nodes[rank].EP.Close()
-	nodes[rank].wg.Wait()
 	return nil
 }
 
@@ -769,8 +756,8 @@ func (c *Cluster) Ranks() int { return len(c.nodesSnapshot()) }
 // Departed reports whether rank was drained out of the cluster.
 func (c *Cluster) Departed(rank int) bool { return c.starter.roster.isDeparted(rank) }
 
-// Quiescent checks the invariants that hold on the surviving nodes of a
-// cluster with nothing in flight: one home per object, no hint on an
-// owner, no gate held, reader sets within the live ranks, and no
-// logical-thread context left behind by a finished invocation.
+// Quiescent checks the invariants that hold on a cluster with nothing
+// in flight: one home per object, no hint on an owner, no gate held,
+// reader sets within the live ranks, no logical-thread context left
+// behind by a finished invocation, and nothing owned by a drained node.
 func (c *Cluster) Quiescent() error { return quiescent(c.nodesSnapshot()) }

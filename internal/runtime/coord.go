@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 
-	"autodist/internal/transport"
 	"autodist/internal/wire"
 )
 
@@ -76,14 +75,16 @@ func (n *Node) promoteOn(lt *lthread, r, dead int, taken []int64) ([]wire.Home, 
 }
 
 // announce applies an ownership delta here, then sends it as a WELCOME
-// to every other live member — except skip, a joiner that reads the
+// to every other member of the view it replaces — a drained rank too,
+// which so learns it has left — except skip, a joiner that reads the
 // same delta from its JOIN reply. A member that misses it (dead, or
 // racing its own failure) still converges on the view: every later
 // stamped frame carries the new view id, and frames are refused only
 // when older than the receiver's view.
 func (n *Node) announce(lt *lthread, w *wire.Welcome, skip int) {
+	members := n.roster.members()
 	n.applyWelcome(w)
-	for _, r := range n.roster.members() {
+	for _, r := range members {
 		if r != n.Rank && r != skip {
 			_, _ = ask(n, lt, r, wire.KindWelcome, w.Encode(), wire.DecodeReply)
 		}
@@ -91,13 +92,12 @@ func (n *Node) announce(lt *lthread, w *wire.Welcome, skip int) {
 }
 
 // applyWelcome installs one ownership delta on this node — a member
-// receiving the broadcast, the coordinator announcing it, or a joiner
-// reading its JOIN reply. It advances the view; points hints at the
-// objects' new homes, which also drops stale cached values of them;
-// retires newly departed ranks from the reliability layer before their
-// endpoints close, so the heartbeat deadline never mistakes a graceful
-// leave for a crash; and drops departed and dead ranks from every
-// reader set, so no later write waits on them. Hints still naming a
+// receiving the broadcast, the coordinator announcing it, a joiner
+// reading its JOIN reply, or a leaver learning it has left. It advances
+// the view; points hints at the objects' new homes, which also drops
+// stale cached values of them; and drops departed and dead ranks from
+// every reader set, so no later write waits on them. A departed node
+// forwards until Shutdown, so hints naming it stay. Hints still naming a
 // dead rank for ids nobody could promote stay: accesses through them
 // fail fast with a peer-down error rather than hang. A delta whose view
 // is older than the installed one raced a later delta and is ignored.
@@ -113,7 +113,6 @@ func (n *Node) applyWelcome(w *wire.Welcome) {
 	}
 	for _, d := range gone {
 		if d != n.Rank {
-			transport.RetirePeer(n.EP, d)
 			n.objs.purgeRank(d)
 		}
 	}

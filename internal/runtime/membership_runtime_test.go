@@ -8,9 +8,11 @@ package runtime_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"autodist/internal/analysis"
 	"autodist/internal/bytecode"
@@ -66,7 +68,17 @@ class Main {
 // bytecode, plan, base endpoints).
 func buildElastic(t *testing.T, k int, opts runtime.Options) (*runtime.Cluster, *rewrite.Result, []transport.Endpoint) {
 	t.Helper()
-	bp, _, err := compile.CompileSource(cellsSource)
+	eps := transport.NewInProc(k)
+	c, rw := buildPlaced(t, cellsSource, map[string]int{"Cell": 1 % k}, eps, opts)
+	return c, rw, eps
+}
+
+// buildPlaced compiles src adaptively over eps with every allocation
+// site of a class in place on that rank and everything else on node 0,
+// and brings the cluster up with main() provisioned.
+func buildPlaced(t *testing.T, src string, place map[string]int, eps []transport.Endpoint, opts runtime.Options) (*runtime.Cluster, *rewrite.Result) {
+	t.Helper()
+	bp, _, err := compile.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +90,14 @@ func buildElastic(t *testing.T, k int, opts runtime.Options) (*runtime.Cluster, 
 		v.Part = 0
 	}
 	for _, s := range res.ODG.Sites {
-		if s.Allocated == "Cell" {
-			res.ODG.Graph.Vertex(s.Node).Part = 1 % k
+		if r, ok := place[s.Allocated]; ok {
+			res.ODG.Graph.Vertex(s.Node).Part = r
 		}
 	}
-	rw, err := rewrite.RewriteAdaptive(bp, res, k)
+	rw, err := rewrite.RewriteAdaptive(bp, res, len(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := transport.NewInProc(k)
 	var out strings.Builder
 	opts.Out = &out
 	if opts.MaxSteps == 0 {
@@ -100,7 +111,7 @@ func buildElastic(t *testing.T, k int, opts runtime.Options) (*runtime.Cluster, 
 	if _, _, err := c.InvokeEntry("main", nil); err != nil {
 		t.Fatalf("main: %v", err)
 	}
-	return c, rw, eps
+	return c, rw
 }
 
 // joinerProgram grows the fabric by one rank and rewrites the program
@@ -217,6 +228,138 @@ func TestElasticJoinThenDrain(t *testing.T) {
 	}
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	runtime.CheckQuiescent(t, c.Nodes)
+}
+
+// holderSource keeps a reference to a Cell inside a Holder: placed on
+// different ranks, the holder's node reaches the cell through the rank
+// the reference names until a reply tells it otherwise.
+const holderSource = `
+class Cell {
+	int v;
+	Cell(int v) { this.v = v; }
+	int get() { return this.v; }
+}
+class Holder {
+	Cell c;
+	Holder(Cell c) { this.c = c; }
+	int peek() { return this.c.get(); }
+}
+class Main {
+	static Cell c; static Holder h;
+	static void main() { Main.c = new Cell(5); Main.h = new Holder(Main.c); }
+	static int peek() { return Main.h.peek(); }
+}
+`
+
+// TestDrainedRankForwardsStaleHint: a cell born on rank 2 moves to
+// rank 0, then rank 2 drains. The drain's delta lists only what rank 2
+// owned when it left, so rank 1, which holds the cell and never heard
+// of the move, still sends to rank 2. The drained node stays up and
+// forwards the access along its own hint.
+func TestDrainedRankForwardsStaleHint(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		name := map[bool]string{false: "inproc", true: "tcp"}[tcp]
+		t.Run(name, func(t *testing.T) {
+			eps := transport.NewInProc(3)
+			if tcp {
+				var err error
+				if eps, err = transport.NewTCPCluster(3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Adaptive routing on, no adaptation round in this run.
+			c, _ := buildPlaced(t, holderSource, map[string]int{"Cell": 2, "Holder": 1}, eps,
+				runtime.Options{AdaptEvery: 1 << 30, MaxRanks: 8})
+			defer c.Kill()
+			peek := func() {
+				t.Helper()
+				done := make(chan struct{})
+				var v vm.Value
+				var err error
+				go func() { v, _, err = c.InvokeEntry("peek", nil); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(3 * time.Second):
+					t.Fatal("peek blocked for 3s")
+				}
+				if err != nil || v != int64(5) {
+					t.Fatalf("peek = %v, %v; want 5", v, err)
+				}
+			}
+			peek()
+			runtime.MoveStatic(t, c, "Main", "c", 0)
+			if err := c.Drain(2); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			peek()
+			if s := c.TotalStats(); s.Forwards == 0 {
+				t.Error("no forward: the access did not go through the drained rank")
+			}
+			runtime.CheckQuiescent(t, c.Nodes)
+			if err := c.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDrainedRankRefusesNew: an allocation site whose rank has drained
+// fails with an error that names the rank and the class — not a
+// peer-down error, which recovery would re-drive — and the drained node
+// creates nothing.
+func TestDrainedRankRefusesNew(t *testing.T) {
+	c, _, _ := buildElastic(t, 2, runtime.Options{AdaptEvery: 4, MaxRanks: 8})
+	defer c.Kill()
+	if err := c.Drain(1); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	_, _, err := c.InvokeEntry("main", nil)
+	runtime.CheckQuiescent(t, c.Nodes)
+	if err == nil || !strings.Contains(err.Error(), "node 1 has left the cluster: NEW Cell refused") {
+		t.Fatalf("main after drain: %v, want the NEW refusal", err)
+	}
+	if errors.Is(err, transport.ErrPeerDown) {
+		t.Errorf("refusal %v is a peer-down error", err)
+	}
+}
+
+// boxSource gives a Box a Helper of its own: placed on the same rank,
+// the helper is a private local object until the box's state is
+// shipped somewhere else.
+const boxSource = `
+class Helper {
+	int v;
+	Helper(int v) { this.v = v; }
+	int get() { return this.v; }
+}
+class Box {
+	Helper h;
+	Box() { this.h = new Helper(9); }
+	int get() { return this.h.get(); }
+}
+class Main {
+	static Box b;
+	static void main() { Main.b = new Box(); }
+	static int get() { return Main.b.get(); }
+}
+`
+
+// TestDrainMovesExportedObjects: draining the box's rank migrates the
+// box, and shipping its state exports the helper on the leaver after
+// LEAVE listed what the leaver owned. The leaver moves that helper off
+// too once it learns it has left, so the drained node owns nothing and
+// the box still reaches its helper.
+func TestDrainMovesExportedObjects(t *testing.T) {
+	c, _ := buildPlaced(t, boxSource, map[string]int{"Box": 1, "Helper": 1}, transport.NewInProc(2),
+		runtime.Options{AdaptEvery: 1 << 30, MaxRanks: 8})
+	defer c.Kill()
+	if err := c.Drain(1); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if v, _, err := c.InvokeEntry("get", nil); err != nil || v != int64(9) {
+		t.Fatalf("get after drain = %v, %v; want 9", v, err)
 	}
 	runtime.CheckQuiescent(t, c.Nodes)
 }

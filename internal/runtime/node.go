@@ -810,6 +810,11 @@ func (n *Node) command(lt *lthread, msg transport.Message) wire.Reply {
 		if w, err = wire.DecodeWelcome(msg.Payload); err == nil {
 			n.applyWelcome(&w)
 		}
+		// A leaver, refusing NEW from now on, also moves what became its
+		// own after LEAVE listed what it owned: a NEW that raced the
+		// drain, or an object its drain's migrations exported.
+		for n.roster.isDeparted(n.Rank) && len(n.handleLeave(lt).Homes) > 0 {
+		}
 	case wire.KindLeave:
 		if _, err = wire.DecodeLeaveRequest(msg.Payload); err == nil {
 			return n.handleLeave(lt)
@@ -824,8 +829,12 @@ func (n *Node) command(lt *lthread, msg transport.Message) wire.Reply {
 // handleNew creates the real object for a remote NEW message: it finds
 // the class, resolves the constructor by argument count, allocates and
 // initialises the object (on the requesting logical thread's
-// interpreter context), and registers it for remote reference.
+// interpreter context), and registers it for remote reference. A
+// departed node, which must own nothing, refuses.
 func (n *Node) handleNew(lt *lthread, req *wire.NewRequest) (int64, []wire.Value, error) {
+	if n.roster.isDeparted(n.Rank) {
+		return 0, nil, fmt.Errorf("node %d has left the cluster: NEW %s refused", n.Rank, req.Class)
+	}
 	cls := n.VM.Class(req.Class)
 	if cls == nil {
 		return 0, nil, fmt.Errorf("node %d: unknown class %s", n.Rank, req.Class)

@@ -967,7 +967,8 @@ func (t *objTable) restoreReaders(id int64, readers []int, ver uint16) {
 //     a retired thread arrives to recreate its context;
 //   - coherence: every replica a live node holds of an object homed on
 //     a live node is registered in the home's reader set, and equals the
-//     home's fields slot by slot, references compared by global id.
+//     home's fields slot by slot, references compared by global id;
+//   - no object owned by a departed node (it stays up, forwarding).
 //
 // A rank is live unless the first node saw it die or depart.
 func quiescent(nodes []*Node) error {
@@ -990,6 +991,11 @@ func quiescent(nodes []*Node) error {
 	owners := map[int64]owned{}
 	replicas := map[int64][]held{}
 	for _, n := range nodes {
+		if n != nil && nodes[0].roster.isDeparted(n.Rank) {
+			for _, o := range n.objs.owned() {
+				bad("node %d has left the cluster but owns %d", n.Rank, o.ID)
+			}
+		}
 		if n == nil || !live(n.Rank) {
 			continue
 		}

@@ -146,9 +146,6 @@ func (e *chaosEndpoint) Size() int { return e.inner.Size() }
 // or held for reordering, in which case the payload is copied first.
 func (e *chaosEndpoint) SendCopiesPayload() bool { return CopiesPayload(e.inner) }
 
-// CausalDelivery: injected reordering forfeits any causal guarantee.
-func (e *chaosEndpoint) CausalDelivery() bool { return false }
-
 // Flush delegates to the inner fabric's write barrier.
 func (e *chaosEndpoint) Flush() error { return Flush(e.inner) }
 

@@ -302,8 +302,8 @@ func (e *relEndpoint) markDown(p *relPeer) bool {
 	return true
 }
 
-// RetireRank drops all reliability state for a departed or recovered-
-// around rank immediately — see transport.RetirePeer. Unlike a
+// RetireRank drops all reliability state for a given-up rank
+// immediately — see transport.RetirePeer. Unlike a
 // heartbeat-deadline verdict it synthesises no PeerDown and counts no
 // peers-down: the caller already acted on the departure, and what this
 // buys is that frames queued to the rank stop retransmitting with
@@ -318,12 +318,6 @@ func (e *relEndpoint) RetireRank(rank int) {
 // SendCopiesPayload: Send copies the payload into the ring's master
 // copy before returning, so callers recycle their buffer immediately.
 func (e *relEndpoint) SendCopiesPayload() bool { return true }
-
-// CausalDelivery: retransmission can reorder frames across peers (a
-// delayed frame to B may be retried after a fresh frame to C that
-// causally follows it), so the wrapper never claims causal delivery
-// even over a causal inner fabric (see Causal for who asks).
-func (e *relEndpoint) CausalDelivery() bool { return false }
 
 // Flush is an ack barrier: it returns once every frame sent so far to
 // a live peer has been acknowledged, so a caller about to close the

@@ -138,13 +138,13 @@ func Grow(ep Endpoint) (Endpoint, error) {
 	return g.GrowEndpoint()
 }
 
-// RetirePeer removes a departed or dead rank from an endpoint's
+// RetirePeer removes a rank the caller has given up from an endpoint's
 // reliability state immediately: queued frames stop retransmitting,
 // heartbeats stop, and subsequent sends to the rank fail fast — with
 // no PEERDOWN verdict and no peers-down count, because the caller
-// already knows (a recovery round rehomed the rank's objects, or a
-// graceful leave drained it). Fabrics without reliability state ignore
-// it.
+// already knows. The runtime retires only burned ranks, grown for a
+// joiner it then refused; a drained rank stays up until shutdown and is
+// never retired. Fabrics without reliability state ignore it.
 func RetirePeer(ep Endpoint, rank int) {
 	if r, ok := ep.(interface{ RetireRank(rank int) }); ok {
 		r.RetireRank(rank)
@@ -154,10 +154,11 @@ func RetirePeer(ep Endpoint, rank int) {
 // Causal reports whether the fabric guarantees causally ordered
 // delivery: if send A completes before send B starts anywhere along a
 // happens-before chain, A is received before B at a shared receiver.
-// The in-process fabric has this property (channel sends are globally
-// ordered per inbox); independent TCP connections do not. The runtime
-// no longer asks (every asynchronous call is answered); the one caller
-// is benchmark/trace.go, whose recording wrapper forwards the property.
+// Only the in-process fabric claims it (channel sends are globally
+// ordered per inbox); independent TCP connections, retransmission and
+// injected reordering do not, and an endpoint without the method
+// reports false. The runtime does not ask; the one caller is
+// benchmark/trace.go, whose recording wrapper forwards the property.
 func Causal(ep Endpoint) bool {
 	c, ok := ep.(interface{ CausalDelivery() bool })
 	return ok && c.CausalDelivery()

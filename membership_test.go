@@ -6,6 +6,7 @@ package autodist_test
 // identical to what a fixed cluster would have returned.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -77,40 +78,85 @@ func buildElasticDist(k int) (*autodist.Distribution, error) {
 }
 
 // TestElasticJoinUnderLiveTraffic is the tentpole scenario, on the
-// in-process fabric and over TCP: deploy two nodes, keep invocations
-// flowing, admit a third node mid-stream, and require (a) the join
-// completes inside a second, (b) no invocation fails or returns a wrong
-// value across the transition, and (c) the joiner actually received
-// objects. Then drain the joiner back out under the same rules.
+// in-process fabric and over TCP, each with and without
+// FailureRecovery: deploy two nodes, keep four clients invoking, admit
+// a third node mid-stream and drain it again while the clients are
+// still invoking. Every run requires that the join completes inside a
+// second, that no invocation fails or returns a wrong value across
+// either transition, that the joiner actually received objects, and
+// that the cluster then reads back every tally, is quiescent and shuts
+// down. A drain that loses a request does so on some schedules only, so
+// each setting runs several times, each under a watchdog that turns a
+// hang into a failure; the batch then leaves no goroutine behind.
 func TestElasticJoinUnderLiveTraffic(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tcp  bool
-	}{{"inproc", false}, {"tcp", true}} {
-		t.Run(tc.name, func(t *testing.T) { testJoinUnderLiveTraffic(t, tc.tcp) })
+	runs := 12
+	if raceEnabled {
+		runs = 3
+	}
+	for _, fabric := range []string{"inproc", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			for _, recovery := range []bool{false, true} {
+				testJoinDrainRuns(t, runs, fabric == "tcp", recovery)
+			}
+		})
 	}
 }
 
-func testJoinUnderLiveTraffic(t *testing.T, tcp bool) {
+// testJoinDrainRuns repeats joinDrainUnderTraffic runs times as one
+// subtest, each run under a 10 s watchdog.
+func testJoinDrainRuns(t *testing.T, runs int, tcp, recovery bool) {
+	t.Run(fmt.Sprintf("recovery=%v", recovery), func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		for i := 0; i < runs; i++ {
+			done := make(chan error, 1)
+			go func() { done <- joinDrainUnderTraffic(t, tcp, recovery) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run %d: %v", i+1, err)
+				}
+			case <-time.After(10 * time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("run %d hung for 10s:\n%s", i+1, buf[:runtime.Stack(buf, true)])
+			}
+		}
+		// Pooled handlers retire a second or two after their last task;
+		// a leak stays.
+		deadline := time.Now().Add(3 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines before the runs, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
+// joinDrainUnderTraffic is one run of TestElasticJoinUnderLiveTraffic.
+// It returns the first failure; the cluster is killed at the test's end
+// whatever happens.
+func joinDrainUnderTraffic(t *testing.T, tcp, recovery bool) error {
 	dist, err := buildElasticDist(2)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	cluster, err := dist.Deploy(autodist.Config{
-		Adaptive: true, AdaptEvery: 8, TCP: tcp, MaxRanks: autodist.DefaultMaxRanks,
+		Adaptive: true, AdaptEvery: 8, TCP: tcp, FailureRecovery: recovery,
+		MaxRanks: autodist.DefaultMaxRanks,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	t.Cleanup(cluster.Kill)
 	if _, err := cluster.Invoke("main"); err != nil {
-		t.Fatal(err)
+		return err
 	}
 
-	// Background traffic: four workers, each owning two counters so
-	// the expected totals are deterministic per counter. Every add's
-	// return value is checked against the running tally — a response
-	// that diverges from single-cluster semantics fails immediately.
+	// Four clients, each owning two counters so the expected totals are
+	// deterministic per counter. Every add's return value is checked
+	// against the running tally — a response that diverges from
+	// single-cluster semantics fails the run.
 	const workers = 4
 	stop := make(chan struct{})
 	errs := make(chan error, workers)
@@ -120,9 +166,8 @@ func testJoinUnderLiveTraffic(t *testing.T, tcp bool) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a, b := int64(2*w), int64(2*w+1)
-			for n := int64(1); ; n++ {
-				for _, i := range []int64{a, b} {
+			for {
+				for _, i := range []int64{int64(2 * w), int64(2*w + 1)} {
 					res, err := cluster.Invoke("add", i, int64(1))
 					if err != nil {
 						errs <- fmt.Errorf("add(%d) during transition: %w", i, err)
@@ -143,28 +188,32 @@ func testJoinUnderLiveTraffic(t *testing.T, tcp bool) {
 		}(w)
 	}
 
-	// Let the workload cross a few adaptation epochs, then scale out.
-	time.Sleep(50 * time.Millisecond)
+	// Scale out and back in while the clients keep invoking.
+	time.Sleep(5 * time.Millisecond)
 	start := time.Now()
 	rank, err := cluster.Join()
 	joined := time.Since(start)
-	if err != nil {
-		t.Fatalf("Join: %v", err)
+	if err == nil && rank != 2 {
+		err = fmt.Errorf("joined rank %d, want 2", rank)
 	}
-	if rank != 2 {
-		t.Fatalf("joined rank %d, want 2", rank)
+	if err == nil && joined > time.Second {
+		err = fmt.Errorf("join took %v, want < 1s", joined)
 	}
-	if joined > time.Second {
-		t.Errorf("join took %v, want < 1s", joined)
+	if err == nil {
+		time.Sleep(5 * time.Millisecond)
+		if err = cluster.Drain(2); err != nil {
+			err = fmt.Errorf("Drain: %w", err)
+		}
 	}
-
-	// Keep the traffic flowing against the grown cluster, then stop.
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	if err != nil {
+		return err
+	}
 	select {
 	case err := <-errs:
-		t.Fatal(err)
+		return err
 	default:
 	}
 
@@ -173,37 +222,26 @@ func testJoinUnderLiveTraffic(t *testing.T, tcp bool) {
 	for i := int64(0); i < 8; i++ {
 		res, err := cluster.Invoke("get", i)
 		if err != nil {
-			t.Fatalf("get(%d): %v", i, err)
+			return fmt.Errorf("get(%d): %w", i, err)
 		}
 		if got := res.Value.(int64); got != totals[i] {
-			t.Errorf("counter %d reads %d, want %d", i, got, totals[i])
+			return fmt.Errorf("counter %d reads %d, want %d", i, got, totals[i])
 		}
 	}
 	stats := cluster.Stats()
-	if stats.Joins != 1 {
-		t.Errorf("Stats.Joins = %d, want 1", stats.Joins)
+	if stats.Joins != 1 || stats.Drains != 1 {
+		return fmt.Errorf("Stats: Joins %d, Drains %d, want 1 each", stats.Joins, stats.Drains)
 	}
 	if stats.Migrations == 0 {
-		t.Error("no migrations: the joiner was admitted but never seeded with objects")
+		return fmt.Errorf("no migrations: the joiner was admitted but never seeded with objects")
 	}
-
-	// Scale back in: the joiner drains, its objects come home, and the
-	// counters still read the same totals.
-	if err := cluster.Drain(2); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := cluster.Quiescent(); err != nil {
+		return err
 	}
-	for i := int64(0); i < 8; i++ {
-		res, err := cluster.Invoke("get", i)
-		if err != nil {
-			t.Fatalf("get(%d) after drain: %v", i, err)
-		}
-		if got := res.Value.(int64); got != totals[i] {
-			t.Errorf("counter %d reads %d after drain, want %d", i, got, totals[i])
-		}
+	if err := cluster.Shutdown(context.Background()); err != nil {
+		return fmt.Errorf("Shutdown: %w", err)
 	}
-	if stats := cluster.Stats(); stats.Drains != 1 {
-		t.Errorf("Stats.Drains = %d, want 1", stats.Drains)
-	}
+	return nil
 }
 
 // TestJoinRequiresElastic pins the opt-in: a deployment without
