@@ -228,5 +228,11 @@ func Figures8And9() (string, error) {
 		fmt.Fprintf(&b, "==== Transformed Bank.%s (node 0) ====\n%s\n", method,
 			bytecode.DisasmMethod(rewritten.Class("Bank"), after))
 	}
+	// The access natives take a site id where Figure 8 pushes the access
+	// kind and member name; the plan's site table says what each names.
+	fmt.Fprintf(&b, "==== Site table ====\n")
+	for id, s := range plan.Sites {
+		fmt.Fprintf(&b, "%4d: %s.%s %s (kind %d)\n", id, s.Class, s.Name, s.Desc, s.Kind)
+	}
 	return b.String(), nil
 }

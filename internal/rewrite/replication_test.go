@@ -52,21 +52,26 @@ func replicatedStampSetup(t *testing.T, opts Options) *Result {
 	return rw
 }
 
-// stampedKinds collects the integer constants loaded in a rewritten
-// method (the access-kind stamps among them). Sites inside fused runs
-// carry fusion bits on top of their base kind; those stamps are folded
-// back to the base kind so assertions about which access kinds were
-// chosen hold whether or not the site happens to fuse.
-func stampedKinds(cf *bytecode.ClassFile, m *bytecode.Method) map[int64]bool {
+// stampedKinds collects the base access kinds of a rewritten method's
+// mediated accesses: the kind of the plan site each access native call
+// names. The site constant is the instruction before the argument
+// array, and sites inside fused runs carry fusion bits on top of their
+// id, so assertions about which access kinds were chosen hold whether
+// or not the site happens to fuse.
+func stampedKinds(plan *Plan, cf *bytecode.ClassFile, m *bytecode.Method) map[int64]bool {
 	kinds := map[int64]bool{}
-	for _, in := range m.Code {
-		if in.Op == bytecode.LDC && cf.Pool.Entry(uint16(in.A)).Tag == bytecode.TagInt {
-			v := cf.Pool.Entry(uint16(in.A)).Int
-			kinds[v] = true
-			if v&FuseMask != 0 {
-				kinds[v&^FuseMask] = true
-			}
+	for j, in := range m.Code {
+		if in.Op != bytecode.INVOKEVIRTUAL && in.Op != bytecode.INVOKESTATIC || j < 2 {
+			continue
 		}
+		if cls, name, _ := cf.Pool.Ref(uint16(in.A)); cls != DependentObjectClass || name == "<init>" {
+			continue
+		}
+		ldc := m.Code[j-2]
+		if ldc.Op != bytecode.LDC || cf.Pool.Entry(uint16(ldc.A)).Tag != bytecode.TagInt {
+			continue
+		}
+		kinds[int64(plan.Sites[cf.Pool.Entry(uint16(ldc.A)).Int&^FuseMask].Kind)] = true
 	}
 	return kinds
 }
@@ -84,7 +89,7 @@ func TestReplicationKindsStamped(t *testing.T) {
 		}
 	}
 	cf := rw.Nodes[0].Class("Main")
-	kinds := stampedKinds(cf, cf.Method("main", "()V"))
+	kinds := stampedKinds(rw.Plan, cf, cf.Method("main", "()V"))
 	if !kinds[GetFieldReplicated] {
 		t.Errorf("no GetFieldReplicated stamped for mutable field read (constants: %v)", kinds)
 	}
@@ -105,7 +110,7 @@ func TestNoReplicationKindsWithoutOption(t *testing.T) {
 		t.Fatalf("plain rewrite populated Replicated: %v", rw.Plan.Replicated)
 	}
 	cf := rw.Nodes[0].Class("Main")
-	kinds := stampedKinds(cf, cf.Method("main", "()V"))
+	kinds := stampedKinds(rw.Plan, cf, cf.Method("main", "()V"))
 	if kinds[GetFieldReplicated] || kinds[InvokeReplicaRead] {
 		t.Errorf("replication kinds stamped without Options.Replicate (constants: %v)", kinds)
 	}
@@ -167,7 +172,7 @@ func TestReplicateComposesWithAdaptive(t *testing.T) {
 		t.Errorf("Dict not replicated under adaptive+replicate: %v", rw.Plan.Replicated)
 	}
 	cf := rw.Nodes[0].Class("Main")
-	kinds := stampedKinds(cf, cf.Method("main", "()V"))
+	kinds := stampedKinds(rw.Plan, cf, cf.Method("main", "()V"))
 	if !kinds[InvokeReplicaRead] {
 		t.Errorf("no InvokeReplicaRead stamped under adaptive+replicate (constants: %v)", kinds)
 	}

@@ -16,8 +16,8 @@ import (
 	"autodist/internal/bytecode"
 )
 
-// Access kinds carried in the first argument of DependentObject.access,
-// following Figure 8's INVOKE_METHOD_HASRETURN constant. Kinds 7–10
+// Access kinds, following Figure 8's INVOKE_METHOD_HASRETURN constant:
+// the base kind of every access site (Site.Kind). Kinds 7–10
 // are optimisation kinds stamped when the static facts pass licenses
 // them: GetFieldCached marks a read of a write-once field (the proxy
 // may cache it forever — the never-invalidated special case of the
@@ -40,9 +40,9 @@ const (
 	InvokeReplicaRead     = 10
 )
 
-// Fusion bits OR-ed onto an access kind by the access-fusion rewrite.
-// They never reach the wire: the runtime strips them before building a
-// DepRequest, so fused and unfused streams carry identical kinds.
+// Fusion bits OR-ed onto a site id by the access-fusion rewrite. They
+// never reach the wire: the runtime strips them before building a
+// DepRequest, so fused and unfused streams name identical sites.
 // FuseEnq marks a run entry whose remote execution is deferred into
 // the run's single DEPSEQ exchange (the site returns a placeholder);
 // FuseLast marks the run's final access, whose site triggers the
@@ -51,26 +51,57 @@ const (
 // target; FusePure marks side-effect-free entries — a run that is all
 // pure may be scattered to its destinations concurrently.
 const (
-	FuseEnq  = 0x100
-	FuseLast = 0x200
-	FusePure = 0x400
+	FuseEnq  = 1 << 24
+	FuseLast = 1 << 25
+	FusePure = 1 << 26
 	FuseMask = FuseEnq | FuseLast | FusePure
 )
+
+// maxSites bounds a program's site table, so site ids stay clear of
+// the fusion bits.
+const maxSites = FuseEnq
 
 // DependentObjectClass is the name of the synthetic proxy class.
 const DependentObjectClass = "DependentObject"
 
-// AccessDesc is the descriptor of the access method: (kind, member,
-// args) → result.
-const AccessDesc = "(IT[LObject;)LObject;"
+// AccessDesc is the descriptor of the access method: (site, args) →
+// result, the site id carrying the site's fusion bits.
+const AccessDesc = "(I[LObject;)LObject;"
 
 // CtorDesc is the DependentObject constructor descriptor: (home node,
 // class name, constructor args).
 const CtorDesc = "(IT[LObject;)V"
 
 // StaticAccessDesc is the descriptor of the static access entry point:
-// (home node, class name, kind, member, args) → result.
-const StaticAccessDesc = "(ITIT[LObject;)LObject;"
+// (home node, site, args) → result.
+const StaticAccessDesc = "(II[LObject;)LObject;"
+
+// Site is one entry of a plan's site table: an access the rewriter may
+// mediate, named by what it touches — the class the instruction names
+// (its static type), the field or method name, the descriptor — and
+// its base access kind. Equal accesses share one site, so the table is
+// as small as the program's distinct accesses. A site id is the index
+// of its entry, and it is the access's name on the wire: every node
+// runs the same program image and plan, so every node resolves an id
+// to the same access.
+type Site struct {
+	Class string
+	Name  string
+	Desc  string
+	Kind  int
+}
+
+// Static reports whether the site accesses a static field.
+func (s Site) Static() bool { return s.Kind == GetStatic || s.Kind == PutStatic }
+
+// Invoke reports whether the site calls a method.
+func (s Site) Invoke() bool {
+	switch s.Kind {
+	case InvokeMethodHasReturn, InvokeMethodVoid, InvokeMethodVoidAsync, InvokeReplicaRead:
+		return true
+	}
+	return false
+}
 
 // Plan captures the partitioning decisions the rewriter and runtime
 // share: where every allocation site and every static context lives.
@@ -126,6 +157,15 @@ type Plan struct {
 	// GetFieldCached or InvokeMethodVoidAsync, so every node — elastic
 	// joiners included — runs the unoptimised protocol.
 	Unoptimized bool
+	// Sites is the site table: every access the rewriter may mediate on
+	// any node, numbered from the program and the plan's modes alone
+	// (ClassHasRemote differs per node, so each node rewrites a subset).
+	// Filled when the plan first rewrites a program; the plan's mode
+	// fields must not change afterwards, and a rewrite that meets an
+	// access the table lacks fails.
+	Sites []Site
+	// siteIDs indexes Sites.
+	siteIDs map[Site]int
 	// replicatedChain is the precomputed set of class names whose
 	// inheritance chain contains a Replicated member — the use-site
 	// types whose accesses may be replica-served.
@@ -419,6 +459,9 @@ func RewriteWith(p *bytecode.Program, res *analysis.Result, k int, opts Options)
 	if opts.Replicate {
 		plan.markReplicated(p, res.Replication)
 	}
+	if err := plan.numberSites(p); err != nil {
+		return nil, err
+	}
 	out := &Result{Plan: plan, Nodes: make([]*bytecode.Program, k)}
 	for node := 0; node < k; node++ {
 		np, err := RewriteForNode(p, plan, node)
@@ -431,8 +474,14 @@ func RewriteWith(p *bytecode.Program, res *analysis.Result, k int, opts Options)
 }
 
 // RewriteForNode clones the program and rewrites every class's methods
-// for execution on the given node.
+// for execution on the given node, numbering the plan's sites first if
+// no rewrite has yet.
 func RewriteForNode(p *bytecode.Program, plan *Plan, node int) (*bytecode.Program, error) {
+	if plan.siteIDs == nil {
+		if err := plan.numberSites(p); err != nil {
+			return nil, err
+		}
+	}
 	np := p.Clone()
 	np.Add(NewDependentObjectClass())
 	dep := plan.ClassHasRemote[node]
@@ -520,14 +569,6 @@ func (rw *methodRewriter) isDependent(cls string) bool {
 		}
 	}
 	return false
-}
-
-// isReplicated reports whether accesses through static type cls may be
-// served from read replicas: some replication-candidate class lies on
-// cls's inheritance chain (the candidate set is chain-closed, so this
-// is equivalent to the whole chain qualifying).
-func (rw *methodRewriter) isReplicated(cls string) bool {
-	return rw.plan.replicatedChain[cls]
 }
 
 // isRelated reports whether a and b are on the same inheritance chain.
@@ -654,20 +695,146 @@ func (rw *methodRewriter) runValid(run *analysis.FusedRun) bool {
 	return true
 }
 
-// fusedKind stamps the site's fusion bits onto its access kind.
-func fusedKind(kind int64, fs *fuseRef) int64 {
+// fusedSite stamps the site's fusion bits onto its site id.
+func fusedSite(site int64, fs *fuseRef) int64 {
 	if fs == nil {
-		return kind
+		return site
 	}
 	if fs.last() {
-		kind |= FuseLast
+		site |= FuseLast
 	} else {
-		kind |= FuseEnq
+		site |= FuseEnq
 	}
 	if fs.run.Entries[fs.idx].Pure {
-		kind |= FusePure
+		site |= FusePure
 	}
-	return kind
+	return site
+}
+
+// site returns the id of the access an instruction makes, from the
+// plan's site table.
+func (rw *methodRewriter) site(op bytecode.Op, cls, name, desc string) (int64, error) {
+	s, err := rw.plan.siteFor(op, cls, name, desc)
+	if err != nil {
+		return 0, err
+	}
+	id, ok := rw.plan.siteIDs[s]
+	if !ok {
+		return 0, fmt.Errorf("access %s.%s:%s (kind %d) is not in the plan's site table", cls, name, desc, s.Kind)
+	}
+	return int64(id), nil
+}
+
+// siteFor derives the site of an access instruction: its base kind
+// follows from the plan alone, never from the node being rewritten.
+// Write-once field reads are cached reads and mutable fields of
+// replication candidates replica reads. A void call is asynchronous
+// when its touch set is confined and co-located; under an adaptive
+// plan co-location is only the initial state — migration could strand
+// the touch set — so the call stays synchronous, and a touch set
+// reaching a replicated class also stays synchronous, so its writes
+// run the invalidation protocol inside the caller's request (see
+// Plan.touchesReplicated). A proven read-only call on a replication
+// candidate may be served by executing the method on a local replica
+// snapshot. An unoptimised plan caches nothing and stamps no
+// asynchronous call.
+func (p *Plan) siteFor(op bytecode.Op, cls, name, desc string) (Site, error) {
+	s := Site{Class: cls, Name: name, Desc: desc}
+	switch op {
+	case bytecode.GETSTATIC:
+		s.Kind = GetStatic
+	case bytecode.PUTSTATIC:
+		s.Kind = PutStatic
+	case bytecode.PUTFIELD:
+		s.Kind = PutField
+	case bytecode.GETFIELD:
+		s.Kind = GetField
+		if !p.Unoptimized && p.Facts.FieldImmutable(cls, name, desc) {
+			s.Kind = GetFieldCached
+		} else if p.replicatedChain[cls] {
+			s.Kind = GetFieldReplicated
+		}
+	case bytecode.INVOKEVIRTUAL:
+		_, ret, err := bytecode.ParseMethodDesc(desc)
+		if err != nil {
+			return s, err
+		}
+		s.Kind = InvokeMethodHasReturn
+		if ret == "V" {
+			s.Kind = InvokeMethodVoid
+			if !p.Adaptive && !p.Unoptimized {
+				if touch, ok := p.Facts.AsyncConfined(cls, name, desc); ok &&
+					p.CoLocated(touch) && !p.touchesReplicated(touch) {
+					s.Kind = InvokeMethodVoidAsync
+				}
+			}
+		} else if p.replicatedChain[cls] && p.Facts.ReplicaRead(cls, name, desc) {
+			s.Kind = InvokeReplicaRead
+		}
+	default:
+		return s, fmt.Errorf("%v is not an access instruction", op)
+	}
+	return s, nil
+}
+
+// numberSites fills the site table from the program and the plan's
+// modes: every field or method access through a class that some node
+// treats as dependent, and every static field access (a static context
+// is remote on every node but its home, joiners included), in class,
+// method and code order.
+func (p *Plan) numberSites(prog *bytecode.Program) error {
+	var deps []string
+	seen := map[string]bool{}
+	for _, row := range p.ClassHasRemote {
+		for cls := range row {
+			if !seen[cls] {
+				seen[cls] = true
+				deps = append(deps, cls)
+			}
+		}
+	}
+	dependent := map[string]bool{}
+	isDependent := func(cls string) bool {
+		d, ok := dependent[cls]
+		if !ok {
+			for _, dep := range deps {
+				if d = isRelated(prog, dep, cls); d {
+					break
+				}
+			}
+			dependent[cls] = d
+		}
+		return d
+	}
+	p.Sites, p.siteIDs = nil, map[Site]int{}
+	for _, cf := range prog.Classes() {
+		for i := range cf.Methods {
+			for _, in := range cf.Methods[i].Code {
+				switch in.Op {
+				case bytecode.GETFIELD, bytecode.PUTFIELD, bytecode.INVOKEVIRTUAL:
+					if cls, _, _ := cf.Pool.Ref(uint16(in.A)); !isDependent(cls) {
+						continue
+					}
+				case bytecode.GETSTATIC, bytecode.PUTSTATIC:
+				default:
+					continue
+				}
+				cls, name, desc := cf.Pool.Ref(uint16(in.A))
+				s, err := p.siteFor(in.Op, cls, name, desc)
+				if err != nil {
+					return fmt.Errorf("rewrite: %s.%s: %w", cf.Name, cf.Methods[i].Name, err)
+				}
+				if _, ok := p.siteIDs[s]; !ok {
+					p.siteIDs[s] = len(p.Sites)
+					p.Sites = append(p.Sites, s)
+				}
+			}
+		}
+	}
+	if len(p.Sites) > maxSites {
+		return fmt.Errorf("rewrite: %d access sites, at most %d fit beside the fusion bits", len(p.Sites), maxSites)
+	}
+	return nil
 }
 
 func (rw *methodRewriter) rewrite() error {
@@ -742,41 +909,20 @@ func (rw *methodRewriter) rewrite() error {
 				rw.emit(in)
 				continue
 			}
-			// Figure 8: aload receiver stays; pack args; push access
-			// kind and member; call DependentObject.access.
+			// Figure 8: aload receiver stays; pack args; push the
+			// site, which names the access kind and member; call
+			// DependentObject.access.
 			params, ret, err := bytecode.ParseMethodDesc(desc)
 			if err != nil {
 				return err
 			}
-			arrT := rw.packArgs(params)
-			kind := int64(InvokeMethodHasReturn)
-			if ret == "V" {
-				kind = InvokeMethodVoid
-				// A confined void call whose touch set is co-located
-				// provably completes on the receiver's home node, so
-				// the runtime may fire it asynchronously and batch it.
-				// Under an adaptive plan co-location is only the
-				// initial state — migration could strand the touch set
-				// — so the call stays synchronous. A touch set reaching
-				// a replicated class also stays synchronous, so its
-				// writes run the invalidation protocol inside the
-				// caller's request (see Plan.touchesReplicated). An
-				// unoptimised plan stamps no asynchronous call.
-				if !rw.plan.Adaptive && !rw.plan.Unoptimized {
-					if touch, ok := rw.plan.Facts.AsyncConfined(cls, name, desc); ok &&
-						rw.plan.CoLocated(touch) && !rw.plan.touchesReplicated(touch) {
-						kind = InvokeMethodVoidAsync
-					}
-				}
-			} else if rw.isReplicated(cls) && rw.plan.Facts.ReplicaRead(cls, name, desc) {
-				// A proven read-only call on a replication candidate
-				// may be served by executing the method on a local
-				// replica snapshot.
-				kind = InvokeReplicaRead
+			site, err := rw.site(in.Op, cls, name, desc)
+			if err != nil {
+				return err
 			}
+			arrT := rw.packArgs(params)
 			fs := rw.fuse[i]
-			ldcInt(fusedKind(kind, fs))
-			ldcStr(name + ":" + desc)
+			ldcInt(fusedSite(site, fs))
 			rw.emit(bytecode.Instr{Op: bytecode.ALOAD, A: arrT})
 			mref := pool.AddMethodRef(DependentObjectClass, "access", AccessDesc)
 			rw.emit(bytecode.Instr{Op: bytecode.INVOKEVIRTUAL, A: int32(mref)})
@@ -792,20 +938,12 @@ func (rw *methodRewriter) rewrite() error {
 				rw.emit(in)
 				continue
 			}
-			fieldKind := int64(GetField)
-			// Write-once fields never change after construction, so
-			// the proxy may serve repeat reads from its cache; mutable
-			// fields of replication candidates are served from a
-			// replica kept fresh by invalidation instead. An
-			// unoptimised plan caches nothing.
-			if !rw.plan.Unoptimized && rw.plan.Facts.FieldImmutable(cls, name, desc) {
-				fieldKind = GetFieldCached
-			} else if rw.isReplicated(cls) {
-				fieldKind = GetFieldReplicated
+			site, err := rw.site(in.Op, cls, name, desc)
+			if err != nil {
+				return err
 			}
 			fs := rw.fuse[i]
-			ldcInt(fusedKind(fieldKind, fs))
-			ldcStr(name)
+			ldcInt(fusedSite(site, fs))
 			rw.emit(bytecode.Instr{Op: bytecode.ACONSTNULL}) // no args
 			mref := pool.AddMethodRef(DependentObjectClass, "access", AccessDesc)
 			rw.emit(bytecode.Instr{Op: bytecode.INVOKEVIRTUAL, A: int32(mref)})
@@ -821,11 +959,14 @@ func (rw *methodRewriter) rewrite() error {
 				rw.emit(in)
 				continue
 			}
+			site, err := rw.site(in.Op, cls, name, desc)
+			if err != nil {
+				return err
+			}
 			// Stack: recv, value. Pack the value as the single arg.
 			arrT := rw.packArgs([]string{desc})
 			fs := rw.fuse[i]
-			ldcInt(fusedKind(PutField, fs))
-			ldcStr(name)
+			ldcInt(fusedSite(site, fs))
 			rw.emit(bytecode.Instr{Op: bytecode.ALOAD, A: arrT})
 			mref := pool.AddMethodRef(DependentObjectClass, "access", AccessDesc)
 			rw.emit(bytecode.Instr{Op: bytecode.INVOKEVIRTUAL, A: int32(mref)})
@@ -842,10 +983,12 @@ func (rw *methodRewriter) rewrite() error {
 				rw.emit(in)
 				continue
 			}
+			site, err := rw.site(in.Op, cls, name, desc)
+			if err != nil {
+				return err
+			}
 			ldcInt(int64(home))
-			ldcStr(cls)
-			ldcInt(GetStatic)
-			ldcStr(name)
+			ldcInt(site)
 			rw.emit(bytecode.Instr{Op: bytecode.ACONSTNULL})
 			mref := pool.AddMethodRef(DependentObjectClass, "staticAccess", StaticAccessDesc)
 			rw.emit(bytecode.Instr{Op: bytecode.INVOKESTATIC, A: int32(mref)})
@@ -858,11 +1001,13 @@ func (rw *methodRewriter) rewrite() error {
 				rw.emit(in)
 				continue
 			}
+			site, err := rw.site(in.Op, cls, name, desc)
+			if err != nil {
+				return err
+			}
 			arrT := rw.packArgs([]string{desc})
 			ldcInt(int64(home))
-			ldcStr(cls)
-			ldcInt(PutStatic)
-			ldcStr(name)
+			ldcInt(site)
 			rw.emit(bytecode.Instr{Op: bytecode.ALOAD, A: arrT})
 			mref := pool.AddMethodRef(DependentObjectClass, "staticAccess", StaticAccessDesc)
 			rw.emit(bytecode.Instr{Op: bytecode.INVOKESTATIC, A: int32(mref)})

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,11 +152,15 @@ func TestFigure8InvokeTransformShape(t *testing.T) {
 	}
 	main := np.Class("Bank").Method("main", "()V")
 	dis := bytecode.DisasmMethod(np.Class("Bank"), main)
-	// Figure 8: access-kind constant, member name, invokevirtual
-	// DependentObject.access.
+	// Figure 8: the site constant, which names the access kind and
+	// member, then invokevirtual DependentObject.access.
+	id, ok := plan.siteIDs[Site{Class: "Account", Name: "getSavings", Desc: "()I", Kind: InvokeMethodHasReturn}]
+	if !ok {
+		t.Fatalf("no getSavings site in %+v", plan.Sites)
+	}
 	for _, want := range []string{
-		`ldc "getSavings:()I"`,
-		"invokevirtual DependentObject.access:(IT[LObject;)LObject;",
+		fmt.Sprintf("ldc %d (int)", id),
+		"invokevirtual DependentObject.access:(I[LObject;)LObject;",
 	} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("rewritten main missing %q:\n%s", want, dis)
@@ -304,21 +309,15 @@ class Main {
 	if plan.Facts == nil {
 		t.Fatal("BuildPlan did not adopt analysis facts")
 	}
-	// mainKinds rewrites main for node 0 and returns the integer
-	// constants it loads, the access kinds among them.
+	// mainKinds rewrites main for node 0 and returns the access kinds
+	// of its sites.
 	mainKinds := func() map[int64]bool {
 		np, err := RewriteForNode(bp, plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kinds := map[int64]bool{}
 		cf := np.Class("Main")
-		for _, in := range cf.Method("main", "()V").Code {
-			if in.Op == bytecode.LDC && cf.Pool.Entry(uint16(in.A)).Tag == bytecode.TagInt {
-				kinds[cf.Pool.Entry(uint16(in.A)).Int] = true
-			}
-		}
-		return kinds
+		return stampedKinds(plan, cf, cf.Method("main", "()V"))
 	}
 	kinds := mainKinds()
 	if !kinds[GetFieldCached] {
@@ -328,7 +327,9 @@ class Main {
 		t.Errorf("no InvokeMethodVoidAsync access stamped in rewritten main (constants seen: %v)", kinds)
 	}
 
-	// An unoptimised plan stamps the base kinds in their place.
+	// An unoptimised plan stamps the base kinds in their place. Its
+	// sites are numbered under that mode, so it is a plan of its own.
+	plan = BuildPlan(res, 2)
 	plan.Unoptimized = true
 	kinds = mainKinds()
 	if kinds[GetFieldCached] || kinds[InvokeMethodVoidAsync] || !kinds[GetField] || !kinds[InvokeMethodVoid] {
@@ -419,44 +420,18 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An access call site is emitted as: LDC kind; LDC member; args;
-	// INVOKEVIRTUAL DependentObject.access — so the kind constant sits
-	// three instructions before the invoke.
 	for node, np := range rw.Nodes {
 		for _, cf := range np.Classes() {
 			for i := range cf.Methods {
 				m := &cf.Methods[i]
-				for j, in := range m.Code {
-					if in.Op != bytecode.INVOKEVIRTUAL || j < 3 {
-						continue
-					}
-					cls, name, _ := cf.Pool.Ref(uint16(in.A))
-					if cls != DependentObjectClass || name != "access" {
-						continue
-					}
-					kin := m.Code[j-3]
-					if kin.Op == bytecode.LDC && cf.Pool.Entry(uint16(kin.A)).Tag == bytecode.TagInt &&
-						cf.Pool.Entry(uint16(kin.A)).Int == InvokeMethodVoidAsync {
-						t.Errorf("node %d: %s.%s stamps InvokeMethodVoidAsync under adaptive plan", node, cf.Name, m.Name)
-					}
+				if stampedKinds(rw.Plan, cf, m)[InvokeMethodVoidAsync] {
+					t.Errorf("node %d: %s.%s stamps InvokeMethodVoidAsync under adaptive plan", node, cf.Name, m.Name)
 				}
 			}
 		}
 	}
-	np, err := RewriteForNode(bp, rw.Plan, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := np.Class("Main")
-	m := cf.Method("main", "()V")
-	sawCached := false
-	for _, in := range m.Code {
-		if in.Op == bytecode.LDC && cf.Pool.Entry(uint16(in.A)).Tag == bytecode.TagInt &&
-			cf.Pool.Entry(uint16(in.A)).Int == GetFieldCached {
-			sawCached = true
-		}
-	}
-	if !sawCached {
+	cf := rw.Nodes[0].Class("Main")
+	if !stampedKinds(rw.Plan, cf, cf.Method("main", "()V"))[GetFieldCached] {
 		t.Error("write-once caching lost under adaptive plan")
 	}
 }

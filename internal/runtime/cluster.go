@@ -491,7 +491,7 @@ func (c *Cluster) Kill() {
 	}
 	for _, n := range nodes {
 		if n != nil {
-			n.wg.Wait()
+			n.waitStopped()
 		}
 	}
 }
@@ -530,7 +530,7 @@ func (c *Cluster) stop() {
 		}
 		for _, n := range nodes {
 			if n != nil {
-				n.wg.Wait()
+				n.waitStopped()
 			}
 		}
 	})
@@ -652,7 +652,7 @@ func (c *Cluster) Join(prog *bytecode.Program, ep transport.Endpoint) (_ *Node, 
 		// Wind the rejected node down without touching the cluster.
 		_ = n.EP.Send(transport.Message{To: n.Rank, Kind: KindShutdown})
 		_ = transport.Flush(n.EP)
-		n.wg.Wait()
+		n.waitStopped()
 		return nil, err
 	}
 	n.applyWelcome(&w)

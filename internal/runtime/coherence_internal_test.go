@@ -116,7 +116,7 @@ func TestCoherenceInstallDiscardedAfterInvalidate(t *testing.T) {
 // (learn) drops them.
 func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 	n := testNode(t)
-	n.objs.storeOnce(3, "size", int64(8))
+	n.objs.storeOnce(3, 0, int64(8))
 	gen := n.objs.replicaGen(3)
 	n.objs.installReplica(3, shadowObj(t, n), gen, 0)
 
@@ -124,12 +124,12 @@ func TestCoherenceInvalidateKeepsWriteOnce(t *testing.T) {
 	if _, _, ok := n.objs.replica(3); ok {
 		t.Fatal("replica survived INVALIDATE")
 	}
-	if v, _, ok := n.objs.cachedOnce(3, "size"); !ok || v != int64(8) {
+	if v, _, ok := n.objs.cachedOnce(3, 0); !ok || v != int64(8) {
 		t.Fatal("write-once entry dropped by INVALIDATE")
 	}
 
 	n.objs.learn(3, 1)
-	if _, _, ok := n.objs.cachedOnce(3, "size"); ok {
+	if _, _, ok := n.objs.cachedOnce(3, 0); ok {
 		t.Fatal("write-once entry survived a home move")
 	}
 }
@@ -172,7 +172,7 @@ func TestCoherenceReaderSetLifecycle(t *testing.T) {
 func TestCoherenceBecomeOwner(t *testing.T) {
 	n := testNode(t) // rank 0
 	n.objs.intern(shadowObj(t, n), 6, 1)
-	n.objs.storeOnce(6, "f", int64(1))
+	n.objs.storeOnce(6, 0, int64(1))
 	gen := n.objs.replicaGen(6)
 	n.objs.installReplica(6, shadowObj(t, n), gen, 0)
 
@@ -184,7 +184,7 @@ func TestCoherenceBecomeOwner(t *testing.T) {
 	if got := n.objs.holder(6); got != h {
 		t.Fatalf("holder after install = %v, want the installed instance", got)
 	}
-	if _, _, ok := n.objs.cachedOnce(6, "f"); ok {
+	if _, _, ok := n.objs.cachedOnce(6, 0); ok {
 		t.Fatal("cached read survived ownership")
 	}
 	if _, _, ok := n.objs.replica(6); ok {
@@ -356,8 +356,8 @@ func TestFuseFinishPatchesPastFailedEntry(t *testing.T) {
 	cls := n.VM.Class("Object")
 	n.objs.installReplica(11, &vm.Object{Class: cls, Fields: []vm.Value{int64(0), int64(0)}}, n.objs.replicaGen(11), 0)
 	buf := []fusedEntry{
-		{id: 21, home: 1, member: "fill", args: []vm.Value{&vm.Array{Elem: "I", Data: []vm.Value{int64(0)}}}},
-		{id: 22, home: 1, member: "set"},
+		{id: 21, home: 1, args: []vm.Value{&vm.Array{Elem: "I", Data: []vm.Value{int64(0)}}}},
+		{id: 22, home: 1},
 	}
 	resp := wire.DepSeqResponse{Resps: []wire.DepResponse{
 		{Value: wire.Value{Kind: wire.KInt, Int: 1}},

@@ -186,8 +186,9 @@ func TestCachedOnceHitAllocations(t *testing.T) {
 	const tid = 1 << 40 // an application thread no invocation uses
 	lt := n.lthread(tid)
 	before := n.Stats
+	scale := testSite(t, n, rewrite.GetFieldCached, "Params", "scale", "I")
 	hit := func() {
-		if v, err := n.dispatchAccess(lt, proxy, rewrite.GetFieldCached, "scale", nil); err != nil || v != int64(3) {
+		if v, err := n.dispatchAccess(lt, proxy, scale, nil); err != nil || v != int64(3) {
 			t.Fatalf("scale = %v, %v; want 3", v, err)
 		}
 	}
@@ -371,7 +372,7 @@ func TestComputeKernelUnderMigration(t *testing.T) {
 func TestOnceIndex(t *testing.T) {
 	const ids = 2000
 	var sh objShard
-	setOf := func(id int64) *onceSet { return &onceSet{{member: "f", v: id}} }
+	setOf := func(id int64) *onceSet { return &onceSet{{slot: 0, v: id}} }
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {

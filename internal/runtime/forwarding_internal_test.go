@@ -80,7 +80,7 @@ class Main {
 
 	// First access through the stale chain: node 2 forwards once and
 	// the Moved notice names the final home.
-	v, err := n1.remoteAccess(n1.lthread(0), 2, id, rewrite.GetField, "v", nil)
+	v, err := n1.remoteAccess(n1.lthread(0), 2, id, testSite(t, n1, rewrite.GetFieldCached, "Cell", "v", "I"), nil)
 	if err != nil {
 		t.Fatalf("access through stale chain: %v", err)
 	}
@@ -96,7 +96,7 @@ class Main {
 
 	// Second access goes direct: no forwarding anywhere.
 	_, home, _ := n1.objs.route(nil, id, 1, nil)
-	if _, err := n1.remoteAccess(n1.lthread(0), home, id, rewrite.GetField, "v", nil); err != nil {
+	if _, err := n1.remoteAccess(n1.lthread(0), home, id, testSite(t, n1, rewrite.GetFieldCached, "Cell", "v", "I"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := n2.Stats.Forwards + n0.Stats.Forwards + n1.Stats.Forwards; got != 1 {

@@ -5,9 +5,9 @@ package runtime
 // single DEPSEQ round trips.
 //
 // The rewriter stamps every site of a validated run with fusion bits
-// on top of its base access kind (rewrite.FuseEnq / FuseLast /
-// FusePure). An enqueue site buffers its access on the logical thread
-// and returns a nil placeholder; the run's last site routes every entry
+// on top of its site id (rewrite.FuseEnq / FuseLast / FusePure). An
+// enqueue site buffers its access on the logical thread and returns a
+// nil placeholder; the run's last site routes every entry
 // once, executes the whole buffer — one DEPSEQ request per destination
 // segment, in program order — and returns an Object[] holding every
 // entry's result, which the rewritten epilogue stores back into the
@@ -42,10 +42,9 @@ import (
 
 // fusedEntry is one buffered access of an open fused run.
 type fusedEntry struct {
-	self   *vm.Object
-	kind   int // base access kind, fusion bits stripped
-	pure   bool
-	member string
+	self *vm.Object
+	site *site
+	pure bool
 	// args is an owned copy: the rewriter-emitted argument array is
 	// recycled when the site's native returns, long before the run
 	// executes. The backing array stays with the buffer slot.
@@ -87,18 +86,16 @@ func (lt *lthread) recycleFuseBuf(buf []fusedEntry) {
 	lt.fuseBuf = buf[:0]
 }
 
-// fusedAccess handles an access-site call whose kind carries fusion
-// bits. acc aliases the caller's argument array, which is recycled as
-// soon as this returns.
-func (n *Node) fusedAccess(lt *lthread, self *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	base := kind &^ rewrite.FuseMask
-
+// fusedAccess handles an access-site call that carries fusion bits.
+// acc aliases the caller's argument array, which is recycled as soon
+// as this returns.
+func (n *Node) fusedAccess(lt *lthread, self *vm.Object, s *site, fuse int64, acc []vm.Value) (vm.Value, error) {
 	// Buffer the access (copying the dying argument slice) and defer
 	// execution to the run's last site.
 	e := lt.fuseEntry()
-	e.self, e.kind, e.pure, e.member = self, base, kind&rewrite.FusePure != 0, member
+	e.self, e.site, e.pure = self, s, fuse&rewrite.FusePure != 0
 	e.args = append(e.args, acc...)
-	if kind&rewrite.FuseLast == 0 {
+	if fuse&rewrite.FuseLast == 0 {
 		return nil, nil // placeholder; real value arrives via the epilogue
 	}
 	buf := lt.fuseBuf
@@ -164,7 +161,7 @@ func (n *Node) fuseExecute(lt *lthread, buf []fusedEntry) error {
 
 // fuseDispatch executes one entry individually.
 func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
-	e.result, err = n.dispatchAccess(lt, e.self, e.kind, e.member, e.args)
+	e.result, err = n.dispatchAccess(lt, e.self, e.site, e.args)
 	return err
 }
 
@@ -181,7 +178,7 @@ func (n *Node) fuseDispatch(lt *lthread, e *fusedEntry) (err error) {
 // the destination forwards and stamps Moved exactly as it would for a
 // plain DEPENDENCE.
 func (n *Node) fuseRoute(e *fusedEntry) int {
-	switch e.kind {
+	switch e.site.Kind {
 	case rewrite.GetFieldCached, rewrite.GetFieldReplicated, rewrite.InvokeReplicaRead,
 		rewrite.InvokeMethodVoidAsync:
 		return noHome
@@ -253,19 +250,24 @@ func (n *Node) fuseEncode(lt *lthread, buf []fusedEntry, home int) ([]byte, erro
 				break
 			}
 		}
-		reqs = append(reqs, wire.DepRequest{ID: e.id, Kind: e.kind, Member: e.member, Args: w})
+		reqs = append(reqs, wire.DepRequest{ID: e.id, Site: e.site.id, Args: w})
 	}
 	var payload []byte
 	if err == nil {
 		seq := wire.DepSeq{Reqs: reqs}
 		payload = seq.Encode()
 		per, extra := len(payload)/len(reqs), len(payload)%len(reqs)
-		for i := range reqs {
+		i := 0
+		for k := range buf {
+			if buf[k].home != home {
+				continue
+			}
 			b := per
 			if i < extra {
 				b++
 			}
-			n.recordAffinity(reqs[i].ID, b, accessWrites(reqs[i].Kind))
+			n.recordAffinity(buf[k].id, b, accessWrites(buf[k].site.Kind))
+			i++
 		}
 		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedBatches }, 1)
 		n.count(lt, func(s *NodeStats) *int64 { return &s.FusedAccesses }, int64(len(reqs)))
@@ -312,7 +314,7 @@ func (n *Node) fuseFinish(lt *lthread, home int, buf []fusedEntry, payload []byt
 			// returned below — defensive against a malformed short vector.
 			return fmt.Errorf("runtime: fused run stopped after %d of %d entries on node %d", k, sent, home)
 		}
-		if e.result, err = n.applyDepResponse(home, e.id, &out.Resps[k], e.args, "fused access", e.member); err != nil {
+		if e.result, err = n.applyDepResponse(home, e.id, &out.Resps[k], e.args, accessLabel{"fused access", e.site, ""}); err != nil {
 			return err
 		}
 		k++

@@ -35,9 +35,10 @@ func isViewStamped(kind uint8) bool {
 }
 
 // planDigest fingerprints the distribution contract a joiner must
-// share with the cluster: the starter class and its entrypoint table.
-// Two nodes with equal digests resolve every entrypoint identically,
-// so an invocation admitted on either side names the same method.
+// share with the cluster: the starter class, its entrypoint table and
+// the site table. Two nodes with equal digests resolve every entrypoint
+// and every site identically, so an invocation admitted on either side
+// names the same method, and an access frame the same access.
 func planDigest(p *rewrite.Plan) uint64 {
 	if p == nil {
 		return 0
@@ -54,6 +55,9 @@ func planDigest(p *rewrite.Plan) uint64 {
 		_, _ = h.Write([]byte(name))
 		_, _ = h.Write([]byte{0})
 		_, _ = h.Write([]byte(p.Entrypoints[name]))
+	}
+	for _, s := range p.Sites {
+		fmt.Fprintf(h, "\x01%s\x00%s\x00%s\x00%d", s.Class, s.Name, s.Desc, s.Kind)
 	}
 	return h.Sum64()
 }

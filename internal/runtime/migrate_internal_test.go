@@ -30,9 +30,9 @@ func TestFusedAffinityBytesMatchWire(t *testing.T) {
 	n := testNode(t) // rank 0 of 2
 	n.adaptEvery = 32
 	buf := []fusedEntry{
-		{kind: rewrite.GetField, member: "p0", id: 7, home: 1},
-		{kind: rewrite.GetField, member: "p1", id: 8, home: 1},
-		{kind: rewrite.PutField, member: "p2", id: 9, home: 1, args: []vm.Value{int64(5)}},
+		{site: testSite(t, n, rewrite.GetField, "Object", "p0", "I"), id: 7, home: 1},
+		{site: testSite(t, n, rewrite.GetField, "Object", "p1", "I"), id: 8, home: 1},
+		{site: testSite(t, n, rewrite.PutField, "Object", "p2", "I"), id: 9, home: 1, args: []vm.Value{int64(5)}},
 	}
 	payload, err := n.fuseEncode(n.lthread(0), buf, 1)
 	if err != nil {
@@ -68,19 +68,19 @@ func TestFusedAffinityBytesMatchWire(t *testing.T) {
 // replicas alike — and update the ownership hint for future accesses.
 func TestLearnHomeInvalidatesCachedReads(t *testing.T) {
 	n := testNode(t) // rank 0 of 2
-	n.objs.storeOnce(7, "size", int64(1))
-	n.objs.storeOnce(7, "tag", "x")
-	n.objs.storeOnce(9, "size", int64(2))
+	n.objs.storeOnce(7, 0, int64(1))
+	n.objs.storeOnce(7, 1, "x")
+	n.objs.storeOnce(9, 0, int64(2))
 
 	n.learnHome(7, 1)
 
-	if _, _, ok := n.objs.cachedOnce(7, "size"); ok {
+	if _, _, ok := n.objs.cachedOnce(7, 0); ok {
 		t.Error("cached read of moved object 7 survived invalidation")
 	}
-	if _, _, ok := n.objs.cachedOnce(7, "tag"); ok {
+	if _, _, ok := n.objs.cachedOnce(7, 1); ok {
 		t.Error("cached read of moved object 7 survived invalidation")
 	}
-	if _, _, ok := n.objs.cachedOnce(9, "size"); !ok {
+	if _, _, ok := n.objs.cachedOnce(9, 0); !ok {
 		t.Error("cached read of unmoved object 9 was dropped")
 	}
 	if got, _ := hintOf(n, 7); got != 1 {

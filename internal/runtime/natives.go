@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"strings"
 
 	"autodist/internal/bytecode"
 	"autodist/internal/rewrite"
@@ -50,7 +49,7 @@ func (n *Node) registerNatives() {
 				return nil, fmt.Errorf("runtime: NEW %s on node %d: %w", className, home, err)
 			}
 			// The reply is a DEPENDENCE reply whose value is the new id.
-			v, err := n.finishDepResponse(lt, home, 0, resp.Payload, ctorArgs, "new", className)
+			v, err := n.finishDepResponse(lt, home, 0, resp.Payload, ctorArgs, accessLabel{"new", nil, className})
 			if err != nil {
 				return nil, err
 			}
@@ -73,34 +72,35 @@ func (n *Node) registerNatives() {
 	// without the boxed call.
 	machine.RegisterProbe("access", rewrite.AccessDesc, n.onceProbe)
 
-	// DependentObject.staticAccess: remote static fields. Static
-	// contexts are pinned by the plan and never migrate.
+	// DependentObject.staticAccess(home, site, args): remote static
+	// fields. Static contexts are pinned by the plan and never migrate.
 	machine.RegisterNative(depObjectClassName, "staticAccess", rewrite.StaticAccessDesc,
 		func(t *vm.Thread, args []vm.Value) (vm.Value, error) {
 			lt := n.ltOf(t)
 			home := int(args[0].(int64))
-			class := args[1].(string)
-			kind := int(args[2].(int64))
-			member := args[3].(string)
 			var acc []vm.Value
-			if arr, ok := args[4].(*vm.Array); ok && arr != nil {
+			if arr, ok := args[2].(*vm.Array); ok && arr != nil {
 				acc = arr.Data
 				// Rewriter-emitted argument array; dead on return.
 				defer n.VM.RecycleArray(arr)
 			}
+			s, err := n.site(int(args[1].(int64)))
+			if err != nil {
+				return nil, err
+			}
 			if home == n.Rank {
-				return n.staticAccessLocal(lt, class, kind, member, n.canonicalizeSlice(acc))
+				return n.staticAccessLocal(s, n.canonicalizeSlice(acc))
 			}
 			wireArgs, err := n.toWireSliceScratch(lt, n.canonicalizeSlice(acc))
 			if err != nil {
 				return nil, err
 			}
-			req := wire.DepRequest{Static: true, Class: class, Kind: kind, Member: member, Args: wireArgs}
+			req := wire.DepRequest{Site: s.id, Args: wireArgs}
 			resp, err := n.request(lt, home, KindDependence, req.Encode())
 			if err != nil {
 				return nil, err
 			}
-			return n.finishDepResponse(lt, home, 0, resp.Payload, acc, "static access", class+"."+member)
+			return n.finishDepResponse(lt, home, 0, resp.Payload, acc, accessLabel{"static access", s, ""})
 		})
 
 	// Synthetic Class.access on every user class: the receiver's static
@@ -123,26 +123,29 @@ func (n *Node) registerNatives() {
 }
 
 // onceProbe is the compiled tier's shortcut for an access site that
-// reads a write-once field: kind the constant GetFieldCached, member a
-// constant, no arguments — what the rewriter emits for such a read. It
-// serves a hit exactly as dispatchAccess does (same lookup, same
-// counters) without boxing the arguments or calling the native. On a
-// miss it declines, and the site's ordinary call fetches and fills.
+// reads a write-once field: a constant site of kind GetFieldCached, no
+// fusion bits and no arguments — what the rewriter emits for such a
+// read. It serves a hit exactly as dispatchAccess does (same lookup,
+// same counters) without boxing the arguments or calling the native. On
+// a miss it declines, and the site's ordinary call fetches and fills.
 // The probe re-reads the entry on every call and holds nothing across
 // calls, so it bakes in no ownership assumption: a home move drops the
 // entries it reads in the step that moves the home, as for the native.
 func (n *Node) onceProbe(args []vm.SiteArg) vm.Probe {
-	if len(args) != 4 || !args[1].Const || args[1].Value != vm.Value(int64(rewrite.GetFieldCached)) ||
-		!args[3].Const || args[3].Value != nil {
+	if len(args) != 3 || !args[1].Const || !args[2].Const || args[2].Value != nil {
 		return nil
 	}
-	member, ok := args[2].Value.(string)
-	if !args[2].Const || !ok {
+	code, ok := args[1].Value.(int64)
+	if !ok {
+		return nil
+	}
+	s, err := n.site(int(code))
+	if err != nil || s.Kind != rewrite.GetFieldCached || s.slot < 0 {
 		return nil
 	}
 	return func(t *vm.Thread, o *vm.Object) (vm.Value, bool) {
 		id, _, _ := n.reference(o)
-		v, retained, ok := n.objs.cachedOnce(id, member)
+		v, retained, ok := n.objs.cachedOnce(id, s.slot)
 		if ok {
 			n.countOnceHit(n.ltOf(t), retained)
 		}
@@ -150,23 +153,26 @@ func (n *Node) onceProbe(args []vm.SiteArg) vm.Probe {
 	}
 }
 
-// accessFromArgs unpacks the access-method calling convention and
+// accessFromArgs unpacks the access-method calling convention — the
+// receiver, the site id with its fusion bits, the argument array — and
 // dispatches on the invoking logical thread.
 func (n *Node) accessFromArgs(lt *lthread, args []vm.Value) (vm.Value, error) {
 	self := args[0].(*vm.Object)
-	kind := int(args[1].(int64))
-	member := args[2].(string)
+	code := args[1].(int64)
 	var arr *vm.Array
 	var acc []vm.Value
-	if a, ok := args[3].(*vm.Array); ok && a != nil {
+	if a, ok := args[2].(*vm.Array); ok && a != nil {
 		arr, acc = a, a.Data
 	}
-	if kind&rewrite.FuseMask != 0 {
-		ret, err := n.fusedAccess(lt, self, kind, member, acc)
-		n.VM.RecycleArray(arr)
-		return ret, err
+	s, err := n.site(int(code &^ rewrite.FuseMask))
+	var ret vm.Value
+	switch {
+	case err != nil:
+	case code&rewrite.FuseMask != 0:
+		ret, err = n.fusedAccess(lt, self, s, code&rewrite.FuseMask, acc)
+	default:
+		ret, err = n.dispatchAccess(lt, self, s, acc)
 	}
-	ret, err := n.dispatchAccess(lt, self, kind, member, acc)
 	// The argument array is rewriter-emitted and dead once the access
 	// returns (callees receive its elements, never the array itself),
 	// so it goes back to the allocator.
@@ -181,19 +187,19 @@ func (n *Node) accessFromArgs(lt *lthread, args []vm.Value) (vm.Value, error) {
 // optimisations, otherwise. Under adaptation, references crossing the
 // access are canonicalised, since a backing instance may be serving a
 // migrated-in object.
-func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
+func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, s *site, acc []vm.Value) (vm.Value, error) {
 	adaptive := n.adaptEvery > 0
 	if adaptive {
 		acc = n.canonicalizeSlice(acc)
 	}
 	id, birth, real := n.reference(o)
-	if kind == rewrite.GetFieldCached {
+	if s.Kind == rewrite.GetFieldCached {
 		// Write-once reads: the never-invalidated special case of
 		// cached state. A hit needs no route: an entry exists only
 		// while this node does not hold the object, and a home move
 		// drops the entries in the step that installs or hands off the
 		// home.
-		if v, retained, ok := n.objs.cachedOnce(id, member); ok {
+		if v, retained, ok := n.objs.cachedOnce(id, s.slot); ok {
 			n.countOnceHit(lt, retained)
 			return v, nil
 		}
@@ -203,7 +209,7 @@ func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string
 		return nil, fmt.Errorf("runtime: node %d shut down", n.Rank)
 	}
 	if h != nil {
-		v, err := n.localDispatch(lt, h, kind, member, acc)
+		v, err := n.localDispatch(lt, h, s, acc)
 		n.objs.exit(id)
 		if adaptive {
 			v = n.canonicalize(v)
@@ -213,7 +219,7 @@ func (n *Node) dispatchAccess(lt *lthread, o *vm.Object, kind int, member string
 	if home == n.Rank {
 		return nil, fmt.Errorf("runtime: dangling home reference %d on node %d", id, n.Rank)
 	}
-	return n.remoteDispatch(lt, home, id, kind, member, acc)
+	return n.remoteDispatch(lt, home, id, s, acc)
 }
 
 // reference reads the global identity behind a mediated reference: the
@@ -234,35 +240,35 @@ func (n *Node) reference(o *vm.Object) (id int64, birth int, real *vm.Object) {
 // messages, but each one still prices an invalidation, so they feed
 // the replication planner's write-rate estimate here — and nowhere
 // else, or remote writes would be double-counted.
-func (n *Node) localDispatch(lt *lthread, obj *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	if kind == rewrite.PutField {
+func (n *Node) localDispatch(lt *lthread, obj *vm.Object, s *site, acc []vm.Value) (vm.Value, error) {
+	if s.Kind == rewrite.PutField {
 		n.recordLocalWrite(obj.ID)
 	}
-	return n.localAccess(lt, obj, kind, member, acc)
+	return n.localAccess(lt, obj, s, acc)
 }
 
 // remoteDispatch sends one access to the object's home, applying the
 // optimisation kinds the rewriter stamped (cache and replica hits cost
 // zero messages; confined void calls buffer as fire-and-forget
 // batches).
-func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	switch {
-	case kind == rewrite.GetFieldCached:
+func (n *Node) remoteDispatch(lt *lthread, home int, id int64, s *site, acc []vm.Value) (vm.Value, error) {
+	switch s.Kind {
+	case rewrite.GetFieldCached:
 		// A write-once miss (dispatchAccess served the hits): fetch
 		// and fill.
-		v, err := n.remoteAccess(lt, home, id, kind, member, acc)
+		v, err := n.remoteAccess(lt, home, id, s, acc)
 		if err != nil {
 			return nil, err
 		}
-		n.objs.storeOnce(id, member, v)
+		n.objs.storeOnce(id, s.slot, v)
 		return v, nil
-	case kind == rewrite.GetFieldReplicated || kind == rewrite.InvokeReplicaRead:
+	case rewrite.GetFieldReplicated, rewrite.InvokeReplicaRead:
 		if shadow, retained, ok := n.objs.replica(id); ok {
 			n.count(lt, func(s *NodeStats) *int64 { return &s.ReplicaHits }, 1)
 			if retained {
 				n.count(lt, func(s *NodeStats) *int64 { return &s.RetainedHits }, 1)
 			}
-			return n.replicaServe(lt, shadow, kind, member, acc)
+			return n.replicaServe(lt, shadow, s, acc)
 		}
 		if !n.objs.denied(id) {
 			shadow, err := n.fetchReplica(lt, home, id)
@@ -270,7 +276,7 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 				return nil, err
 			}
 			if shadow != nil {
-				return n.replicaServe(lt, shadow, kind, member, acc)
+				return n.replicaServe(lt, shadow, s, acc)
 			}
 			// The fetch may have followed Moved redirects and healed
 			// the hint; the fallback should use the fresh location.
@@ -278,34 +284,32 @@ func (n *Node) remoteDispatch(lt *lthread, home int, id int64, kind int, member 
 		}
 		// Denied: plain synchronous access (the kinds degrade at the
 		// owner).
-		return n.remoteAccess(lt, home, id, kind, member, acc)
-	case kind == rewrite.InvokeMethodVoidAsync:
+		return n.remoteAccess(lt, home, id, s, acc)
+	case rewrite.InvokeMethodVoidAsync:
 		wireArgs, err := n.toWireSlice(acc)
 		if err != nil {
 			return nil, err
 		}
 		n.recordAffinity(id, 0, true)
-		return nil, n.asyncEnqueue(lt, home, wire.DepRequest{
-			ID: id, Kind: kind, Member: member, Args: wireArgs,
-		})
+		return nil, n.asyncEnqueue(lt, home, wire.DepRequest{ID: id, Site: s.id, Args: wireArgs})
 	}
-	return n.remoteAccess(lt, home, id, kind, member, acc)
+	return n.remoteAccess(lt, home, id, s, acc)
 }
 
 // remoteAccess performs one synchronous DEPENDENCE exchange.
-func (n *Node) remoteAccess(lt *lthread, home int, id int64, kind int, member string, acc []vm.Value) (vm.Value, error) {
+func (n *Node) remoteAccess(lt *lthread, home int, id int64, s *site, acc []vm.Value) (vm.Value, error) {
 	wireArgs, err := n.toWireSliceScratch(lt, acc)
 	if err != nil {
 		return nil, err
 	}
-	req := wire.DepRequest{ID: id, Kind: kind, Member: member, Args: wireArgs}
+	req := wire.DepRequest{ID: id, Site: s.id, Args: wireArgs}
 	payload := req.Encode()
-	n.recordAffinity(id, len(payload), accessWrites(kind))
+	n.recordAffinity(id, len(payload), accessWrites(s.Kind))
 	resp, err := n.request(lt, home, KindDependence, payload)
 	if err != nil {
 		return nil, err
 	}
-	return n.finishDepResponse(lt, home, id, resp.Payload, acc, "access", member)
+	return n.finishDepResponse(lt, home, id, resp.Payload, acc, accessLabel{"access", s, ""})
 }
 
 // accessWrites classifies an access kind for the affinity read/write
@@ -320,11 +324,27 @@ func accessWrites(kind int) bool {
 	return true
 }
 
+// accessLabel names an access in the error a reply reports: what kind
+// of access, and its site, or for a NEW the class. It is rendered only
+// when there is an error.
+type accessLabel struct {
+	kind  string
+	site  *site
+	class string
+}
+
+func (l accessLabel) String() string {
+	if l.site != nil {
+		return l.kind + " " + l.site.label()
+	}
+	return l.kind + " " + l.class
+}
+
 // finishDepResponse decodes a one-entry reply (DEPENDENCE or NEW) on
 // lt, applies the patches it carried to this node's replicas, and
 // applies applyDepResponse to it. The patch list decodes into the
 // thread's lt.patches.
-func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
+func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte, acc []vm.Value, what accessLabel) (vm.Value, error) {
 	out := wire.DepResponse{Patches: lt.patches}
 	err := wire.DecodeDepResponseInto(payload, &out)
 	wire.PutBuf(payload)
@@ -336,7 +356,7 @@ func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte
 	if err != nil {
 		return nil, err
 	}
-	return n.applyDepResponse(home, id, &out, acc, whatKind, whatMember)
+	return n.applyDepResponse(home, id, &out, acc, what)
 }
 
 // applyDepResponse is the epilogue of one response entry, shared by
@@ -344,13 +364,12 @@ func (n *Node) finishDepResponse(lt *lthread, home int, id int64, payload []byte
 // direct errors and the failure of a fire-and-forget call that led the
 // request, copy-restore array arguments, convert the value. The reply's
 // carried patches are applied before it, by the decoder.
-func (n *Node) applyDepResponse(home int, id int64, r *wire.DepResponse, acc []vm.Value, whatKind, whatMember string) (vm.Value, error) {
+func (n *Node) applyDepResponse(home int, id int64, r *wire.DepResponse, acc []vm.Value, what accessLabel) (vm.Value, error) {
 	if r.Moved && id != 0 {
 		n.learnHome(id, r.NewHome)
 	}
 	if r.Err != "" {
-		// The label is split so the happy path never concatenates it.
-		return nil, fmt.Errorf("remote %s %s: %s", whatKind, whatMember, r.Err)
+		return nil, fmt.Errorf("remote %s: %s", what, r.Err)
 	}
 	if r.AsyncErr != "" {
 		return nil, fmt.Errorf("deferred async failure on node %d: %s", home, r.AsyncErr)
@@ -372,13 +391,13 @@ func (n *Node) applyDepResponse(home int, id int64, r *wire.DepResponse, acc []v
 // owner-local, direct or from inside a method body — lands in the
 // PutField case, where the update-or-invalidate barrier runs before the
 // write completes.
-func (n *Node) localAccess(lt *lthread, obj *vm.Object, kind int, member string, args []vm.Value) (vm.Value, error) {
-	switch kind {
+func (n *Node) localAccess(lt *lthread, obj *vm.Object, s *site, args []vm.Value) (vm.Value, error) {
+	switch s.Kind {
 	case rewrite.InvokeMethodHasReturn, rewrite.InvokeMethodVoid,
 		rewrite.InvokeMethodVoidAsync, rewrite.InvokeReplicaRead:
-		name, desc, ok := strings.Cut(member, ":")
-		if !ok {
-			return nil, fmt.Errorf("runtime: bad member key %q", member)
+		ce, err := s.callee(n.VM, obj.Class)
+		if err != nil {
+			return nil, err
 		}
 		// Assemble receiver+args in the thread's scratch buffer: the VM
 		// copies call arguments into frame locals on entry, so the
@@ -386,17 +405,17 @@ func (n *Node) localAccess(lt *lthread, obj *vm.Object, kind int, member string,
 		// logical thread could want it.
 		lt.callBuf = append(lt.callBuf[:0], obj)
 		lt.callBuf = append(lt.callBuf, args...)
-		return lt.vt.CallMethod(obj.Class.Name(), name, desc, lt.callBuf)
+		return lt.vt.Call(ce, lt.callBuf)
 	case rewrite.GetField, rewrite.GetFieldCached, rewrite.GetFieldReplicated:
-		slot := obj.Class.FieldSlot(member)
-		if slot < 0 {
-			return nil, fmt.Errorf("runtime: %s has no field %s", obj.Class.Name(), member)
+		slot, err := s.field(obj.Class)
+		if err != nil {
+			return nil, err
 		}
 		return obj.Fields[slot], nil
 	case rewrite.PutField:
-		slot := obj.Class.FieldSlot(member)
-		if slot < 0 {
-			return nil, fmt.Errorf("runtime: %s has no field %s", obj.Class.Name(), member)
+		slot, err := s.field(obj.Class)
+		if err != nil {
+			return nil, err
 		}
 		if len(args) != 1 {
 			return nil, fmt.Errorf("runtime: putfield needs 1 arg, got %d", len(args))
@@ -409,25 +428,21 @@ func (n *Node) localAccess(lt *lthread, obj *vm.Object, kind int, member string,
 		}
 		return nil, nil
 	}
-	return nil, fmt.Errorf("runtime: unknown access kind %d", kind)
+	return nil, fmt.Errorf("runtime: access kind %d is not an instance access", s.Kind)
 }
 
-// staticAccessLocal reads or writes a static field on this node.
-func (n *Node) staticAccessLocal(lt *lthread, class string, kind int, member string, args []vm.Value) (vm.Value, error) {
-	switch kind {
+// staticAccessLocal reads or writes a static field on this node. The
+// VM keeps statics by name, so the site's class and field name index
+// them as the interpreter's GETSTATIC and PUTSTATIC do.
+func (n *Node) staticAccessLocal(s *site, args []vm.Value) (vm.Value, error) {
+	switch s.Kind {
 	case rewrite.GetStatic:
-		return n.VM.GetStatic(class, member)
+		return n.VM.GetStatic(s.Class, s.Name)
 	case rewrite.PutStatic:
 		if len(args) != 1 {
 			return nil, fmt.Errorf("runtime: putstatic needs 1 arg, got %d", len(args))
 		}
-		return nil, n.VM.SetStatic(class, member, args[0])
-	case rewrite.InvokeMethodHasReturn, rewrite.InvokeMethodVoid:
-		name, desc, ok := strings.Cut(member, ":")
-		if !ok {
-			return nil, fmt.Errorf("runtime: bad member key %q", member)
-		}
-		return lt.vt.CallMethod(class, name, desc, args)
+		return nil, n.VM.SetStatic(s.Class, s.Name, args[0])
 	}
-	return nil, fmt.Errorf("runtime: unknown static access kind %d", kind)
+	return nil, fmt.Errorf("runtime: access kind %d is not a static access", s.Kind)
 }

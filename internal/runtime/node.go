@@ -102,6 +102,10 @@ type Node struct {
 	// mediated access through a proxy reads its identity.
 	proxy proxyLayout
 
+	// sites is the plan's site table resolved on this node (sites.go):
+	// every access names its target by an index into it.
+	sites []site
+
 	// reqEpoch counts synchronous requests for the adaptation trigger.
 	reqEpoch int64
 	// coordMu serialises the coordinator's rounds (coord.go):
@@ -266,6 +270,7 @@ func NewNode(prog *bytecode.Program, ep transport.Endpoint, plan *rewrite.Plan) 
 			id:    cls.FieldSlot("remoteId"),
 		}
 	}
+	n.resolveSites()
 	n.registerNatives()
 	return n, nil
 }
@@ -592,6 +597,9 @@ func (n *Node) Serve() {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		// No task is dispatched after the loop ends, so the handler pool
+		// retires with it.
+		defer n.workers.close()
 		for {
 			msg, err := n.EP.Recv()
 			if err != nil {
@@ -630,6 +638,13 @@ func (n *Node) Serve() {
 			}
 		}
 	}()
+}
+
+// waitStopped waits, once the serve loop has been told to end, for the
+// loop, every handler it started and the handler pool to wind down.
+func (n *Node) waitStopped() {
+	n.wg.Wait()
+	n.workers.wait()
 }
 
 // handle processes one request and replies on the logical thread the
@@ -728,7 +743,7 @@ func (n *Node) handle(msg transport.Message) {
 			for i := range seq.Reqs {
 				req := &seq.Reqs[i]
 				n.count(lt, func(s *NodeStats) *int64 { return &s.DepRequests }, 1)
-				r := n.serveDependence(lt, req)
+				r := n.serveEntry(lt, msg.Kind, req)
 				wire.PutValues(req.Args)
 				if req.Async {
 					if r.Err == "" && r.AsyncErr == "" {
@@ -874,6 +889,21 @@ func findCtorByArity(cf *bytecode.ClassFile, arity int) *bytecode.Method {
 	return nil
 }
 
+// serveEntry serves one entry of an access vector carried by a frame of
+// kind frame. An entry in the by-name layout, which no runtime sends,
+// is refused, never looked up by name.
+func (n *Node) serveEntry(lt *lthread, frame uint8, req *wire.DepRequest) wire.DepResponse {
+	if req.ByName() {
+		name := "DEPENDENCE"
+		if frame == KindDepSeq {
+			name = "DEPSEQ"
+		}
+		return wire.DepResponse{Err: fmt.Sprintf("node %d: %s frame carries a by-name access entry (kind %d, member %q); accesses are addressed by site",
+			n.Rank, name, req.Kind, req.Member)}
+	}
+	return n.serveDependence(lt, req)
+}
+
 // serveDependence performs the access named by a DEPENDENCE message on
 // the object's state-holder (or this node's statics), on the
 // requesting logical thread. If the object has migrated away, the
@@ -910,9 +940,13 @@ func (n *Node) serveDependence(lt *lthread, req *wire.DepRequest) wire.DepRespon
 		return out
 	}
 
-	if req.Static {
+	s, err := n.site(req.Site)
+	if err != nil {
+		return fail(err)
+	}
+	if s.Static() {
 		return serve(func(args []vm.Value) (vm.Value, error) {
-			return n.staticAccessLocal(lt, req.Class, req.Kind, req.Member, args)
+			return n.staticAccessLocal(s, args)
 		})
 	}
 	h, fwd, ok := n.objs.route(lt, req.ID, n.Rank, nil)
@@ -921,7 +955,7 @@ func (n *Node) serveDependence(lt *lthread, req *wire.DepRequest) wire.DepRespon
 	}
 	if h != nil {
 		resp := serve(func(args []vm.Value) (vm.Value, error) {
-			return n.localAccess(lt, h, req.Kind, req.Member, args)
+			return n.localAccess(lt, h, s, args)
 		})
 		n.objs.exit(req.ID)
 		return resp

@@ -160,32 +160,32 @@ func (x *onceIndex) rebuild() {
 }
 
 // onceSet is one object's write-once cache entries, immutable once
-// published: a few members at most, so a linear scan beats a map.
+// published: a few fields at most, so a linear scan beats a map.
 type onceSet []onceEntry
 
-// onceEntry is one cached field value and the invocation epoch it was
-// filled in.
+// onceEntry is one cached field value, by field slot, and the
+// invocation epoch it was filled in.
 type onceEntry struct {
-	member string
-	v      vm.Value
-	epoch  int64
+	slot  int
+	v     vm.Value
+	epoch int64
 }
 
-// lookup returns the entry for member.
-func (o onceSet) lookup(member string) (onceEntry, bool) {
+// lookup returns the entry for a field slot.
+func (o onceSet) lookup(slot int) (onceEntry, bool) {
 	for _, e := range o {
-		if e.member == member {
+		if e.slot == slot {
 			return e, true
 		}
 	}
 	return onceEntry{}, false
 }
 
-// with returns a copy of o with member's entry set.
+// with returns a copy of o with the entry's slot set.
 func (o onceSet) with(e onceEntry) onceSet {
 	out := make(onceSet, 0, len(o)+1)
 	for _, x := range o {
-		if x.member != e.member {
+		if x.slot != e.slot {
 			out = append(out, x)
 		}
 	}
@@ -676,19 +676,19 @@ func (t *objTable) takeAffinity() []wire.AffinityEdge {
 	return out
 }
 
-// cachedOnce returns a write-once cache entry plus whether the hit is
-// retained — served from an entry filled during an earlier invocation
-// epoch.
+// cachedOnce returns the write-once cache entry for field slot of id
+// plus whether the hit is retained — served from an entry filled
+// during an earlier invocation epoch.
 //
 // It takes no lock, so threads hitting the same object do not contend.
 // An entry visible here was stored by storeOnce under the shard lock and
 // is withdrawn the same way, in the step that moves the object's home.
-func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok bool) {
+func (t *objTable) cachedOnce(id int64, slot int) (v vm.Value, retained, ok bool) {
 	set := t.shard(id).once.load(id)
 	if set == nil {
 		return nil, false, false
 	}
-	e, ok := set.lookup(member)
+	e, ok := set.lookup(slot)
 	if !ok {
 		return nil, false, false
 	}
@@ -699,7 +699,7 @@ func (t *objTable) cachedOnce(id int64, member string) (v vm.Value, retained, ok
 // storeOnce fills the write-once cache, stamped with the current
 // invocation epoch — unless the object moved here while the read was in
 // flight, where an entry would shadow the live field.
-func (t *objTable) storeOnce(id int64, member string, v vm.Value) {
+func (t *objTable) storeOnce(id int64, slot int, v vm.Value) {
 	cur := t.curEpoch()
 	sh := t.lock(id)
 	if s := sh.m[id]; s == nil || s.home == nil {
@@ -707,7 +707,7 @@ func (t *objTable) storeOnce(id int64, member string, v vm.Value) {
 		if old := sh.once.load(id); old != nil {
 			set = *old
 		}
-		set = set.with(onceEntry{member: member, v: v, epoch: cur})
+		set = set.with(onceEntry{slot: slot, v: v, epoch: cur})
 		sh.once.store(id, &set)
 	}
 	sh.mu.Unlock()

@@ -77,11 +77,13 @@ class Main { static void main() { Cell c = new Cell(); } }`)
 	lt := n.lthread(0)
 	cls := n.VM.Class("Cell")
 	one := []vm.Value{int64(1)}
+	put := testSite(t, n, rewrite.PutField, "Cell", "v", "I")
+	get := testSite(t, n, rewrite.GetField, "Cell", "v", "I")
 	access := func(o *vm.Object) {
-		if _, err := n.dispatchAccess(lt, o, rewrite.PutField, "v", one); err != nil {
+		if _, err := n.dispatchAccess(lt, o, put, one); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := n.dispatchAccess(lt, o, rewrite.GetField, "v", nil); err != nil || v != int64(1) {
+		if v, err := n.dispatchAccess(lt, o, get, nil); err != nil || v != int64(1) {
 			t.Fatalf("read back %v, %v; want 1", v, err)
 		}
 	}

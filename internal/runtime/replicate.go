@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"autodist/internal/rewrite"
@@ -164,26 +163,26 @@ func (n *Node) fetchReplica(lt *lthread, home int, id int64) (*vm.Object, error)
 // replicaServe satisfies one stamped access from a replica shadow:
 // field reads index the snapshot, replica-read invokes execute the
 // (proven read-only) method body on it.
-func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, kind int, member string, acc []vm.Value) (vm.Value, error) {
-	switch kind {
+func (n *Node) replicaServe(lt *lthread, shadow *vm.Object, s *site, acc []vm.Value) (vm.Value, error) {
+	switch s.Kind {
 	case rewrite.GetFieldReplicated:
-		slot := shadow.Class.FieldSlot(member)
-		if slot < 0 {
-			return nil, fmt.Errorf("runtime: %s has no field %s", shadow.Class.Name(), member)
+		slot, err := s.field(shadow.Class)
+		if err != nil {
+			return nil, err
 		}
 		return shadow.Fields[slot], nil
 	case rewrite.InvokeReplicaRead:
-		name, desc, ok := strings.Cut(member, ":")
-		if !ok {
-			return nil, fmt.Errorf("runtime: bad member key %q", member)
+		ce, err := s.callee(n.VM, shadow.Class)
+		if err != nil {
+			return nil, err
 		}
 		// The thread's scratch buffer, as in localAccess: the VM copies
 		// call arguments into frame locals on entry.
 		lt.callBuf = append(lt.callBuf[:0], shadow)
 		lt.callBuf = append(lt.callBuf, acc...)
-		return lt.vt.CallMethod(shadow.Class.Name(), name, desc, lt.callBuf)
+		return lt.vt.Call(ce, lt.callBuf)
 	}
-	return nil, fmt.Errorf("runtime: access kind %d cannot be replica-served", kind)
+	return nil, fmt.Errorf("runtime: access kind %d cannot be replica-served", s.Kind)
 }
 
 // invalidateReaders runs the write barrier for a store of v into field

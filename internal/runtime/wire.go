@@ -22,7 +22,11 @@
 // proxy-side caching of write-once field reads, fire-and-forget
 // asynchronous void calls, and aggregation of consecutive asynchronous
 // messages into one batched frame. Payload bodies use the compact
-// internal/wire codec shared with the TCP transport.
+// internal/wire codec shared with the TCP transport. The access natives
+// — DependentObject.access(site, args), DependentObject.staticAccess(
+// home, site, args) and the synthetic local-dispatch access(site, args)
+// — and every DEPENDENCE or DEPSEQ entry name an access by its site id
+// in the plan's site table, which each node resolves once (sites.go).
 //
 // On top of the static protocol sits the adaptive-repartitioning
 // subsystem (adapt.go, migrate.go): under a rewrite.RewriteAdaptive

@@ -31,6 +31,11 @@ const workerIdle = time.Second
 // workers parked through a full sweep. The janitor exits when the
 // free list empties; parking a worker revives it, so a non-empty free
 // list always has a janitor and nothing leaks.
+//
+// When the node's serve loop ends, close retires the pool at once:
+// every parked worker and the janitor exit, and a worker still running
+// a task exits when it finishes instead of parking. wait then returns
+// once every goroutine the pool started has.
 type workerPool struct {
 	// exec runs one task; set once before the pool dispatches.
 	exec func(transport.Message)
@@ -41,6 +46,12 @@ type workerPool struct {
 	// at the end of gen g+1 (idle between one and two sweep periods).
 	gen       uint64
 	janitorOn bool
+	// closed is set by close; stop, made with the first janitor, is
+	// closed with it.
+	closed bool
+	stop   chan struct{}
+	// live counts the workers and the janitor.
+	live sync.WaitGroup
 }
 
 // poolWorker is one parked goroutine: its task channel and the sweep
@@ -64,40 +75,83 @@ func (p *workerPool) run(msg transport.Message) {
 	p.mu.Unlock()
 	if ch == nil {
 		ch = make(chan transport.Message, 1)
+		p.live.Add(1)
 		go p.loop(ch)
 	}
 	ch <- msg
 }
 
 // loop is one pooled worker: run a task, park, wait for the next. The
-// janitor retires a long-parked worker by closing its channel.
+// janitor retires a long-parked worker by closing its channel, and
+// close every parked one.
 func (p *workerPool) loop(ch chan transport.Message) {
+	defer p.live.Done()
 	for msg := range ch {
 		p.exec(msg)
-		p.park(ch)
+		if !p.park(ch) {
+			return
+		}
 	}
 }
 
 // park returns a worker to the free list, reviving the janitor if it
 // has exited (an empty free list is the only state it exits in, so a
-// parked worker is always under watch).
-func (p *workerPool) park(ch chan transport.Message) {
+// parked worker is always under watch). A closed pool parks nothing:
+// it reports false, and the worker exits.
+func (p *workerPool) park(ch chan transport.Message) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
 	p.free = append(p.free, poolWorker{ch: ch, gen: p.gen})
 	if !p.janitorOn {
 		p.janitorOn = true
-		go p.janitor()
+		if p.stop == nil {
+			p.stop = make(chan struct{})
+		}
+		p.live.Add(1)
+		go p.janitor(p.stop)
 	}
-	p.mu.Unlock()
+	return true
 }
 
+// close retires the pool: it closes every parked worker's channel and
+// stops the janitor. The serve loop calls it as it ends, after its last
+// run.
+func (p *workerPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	parked := p.free
+	p.free = nil
+	if p.stop != nil {
+		close(p.stop)
+	}
+	p.mu.Unlock()
+	for _, w := range parked {
+		close(w.ch)
+	}
+}
+
+// wait returns once every goroutine the pool started has exited: after
+// close, when the last task running has finished.
+func (p *workerPool) wait() { p.live.Wait() }
+
 // janitor retires workers that stayed parked through a full sweep
-// period. Channels are unlinked from the free list under the lock
-// before being closed, so run can never race a send against the
-// close.
-func (p *workerPool) janitor() {
+// period, until the free list empties or the pool closes. Channels are
+// unlinked from the free list under the lock before being closed, so
+// run can never race a send against the close.
+func (p *workerPool) janitor(stop <-chan struct{}) {
+	defer p.live.Done()
+	tick := time.NewTimer(workerIdle)
+	defer tick.Stop()
 	for {
-		time.Sleep(workerIdle)
+		select {
+		case <-tick.C:
+		case <-stop:
+			return
+		}
+		tick.Reset(workerIdle)
 		p.mu.Lock()
 		var stale []poolWorker
 		kept := p.free[:0]

@@ -10,20 +10,33 @@ import (
 	"testing"
 )
 
+// randDepRequest draws a request entry, by site or (one in four) by
+// name.
 func randDepRequest(r *rand.Rand) DepRequest {
 	args := make([]Value, r.Intn(4))
 	for i := range args {
 		args[i] = randValue(r, 2)
 	}
-	return DepRequest{
-		ID:     r.Int63(),
-		Static: r.Intn(2) == 0,
-		Async:  r.Intn(4) == 0,
-		Class:  []string{"", "Sink", "Main"}[r.Intn(3)],
-		Kind:   1 + r.Intn(10),
-		Member: []string{"ping:(I)I", "acc", "total:()I"}[r.Intn(3)],
-		Args:   args,
+	m := DepRequest{
+		ID:    r.Int63(),
+		Async: r.Intn(4) == 0,
+		Site:  r.Intn(300),
+		Args:  args,
 	}
+	if r.Intn(4) == 0 {
+		m.Site = 0
+		m.Static = r.Intn(2) == 0
+		m.Class = []string{"", "Sink", "Main"}[r.Intn(3)]
+		m.Kind = 1 + r.Intn(10)
+		m.Member = []string{"ping:(I)I", "acc", "total:()I"}[r.Intn(3)]
+	}
+	return m
+}
+
+// validReqHead reports whether a request head sets only defined bits:
+// the static and class bits are defined only in the by-name layout.
+func validReqHead(head byte) bool {
+	return head&^seqReqBits == 0 && (head&seqReqByName != 0 || head&(seqReqStatic|seqReqClass) == 0)
 }
 
 // randDepResponse draws a response entry. NewHome is only meaningful
@@ -62,15 +75,29 @@ func randPatches(r *rand.Rand) []InvalidateRequest {
 	return ps
 }
 
+// randReqHead draws a valid request head.
+func randReqHead(r *rand.Rand) byte {
+	for {
+		if head := byte(r.Intn(seqReqBits + 1)); validReqHead(head) {
+			return head
+		}
+	}
+}
+
 // seqRequestWithHead draws a request entry whose encoding after an
-// entry with ID prevID opens with exactly head.
+// entry with ID prevID opens with exactly head, which must be valid
+// (validReqHead).
 func seqRequestWithHead(r *rand.Rand, head byte, prevID int64) DepRequest {
 	m := DepRequest{
 		ID:     prevID,
 		Static: head&seqReqStatic != 0,
 		Async:  head&seqReqAsync != 0,
-		Kind:   1 + r.Intn(300),
-		Member: []string{"p0", "ping:(I)I", "total:()I"}[r.Intn(3)],
+	}
+	if head&seqReqByName != 0 {
+		m.Kind = 1 + r.Intn(300)
+		m.Member = []string{"p0", "ping:(I)I", "total:()I"}[r.Intn(3)]
+	} else {
+		m.Site = []int{0, 5, 127, 128, 1 << 20}[r.Intn(5)]
 	}
 	for head&seqReqSameID == 0 && m.ID == prevID {
 		m.ID = r.Int63n(1<<40) - 1<<39
@@ -212,7 +239,7 @@ func valuesEqBits(a, b []Value) bool {
 }
 
 func depRequestEq(a, b DepRequest) bool {
-	return a.ID == b.ID && a.Static == b.Static && a.Async == b.Async && a.Class == b.Class &&
+	return a.ID == b.ID && a.Static == b.Static && a.Async == b.Async && a.Site == b.Site && a.Class == b.Class &&
 		a.Kind == b.Kind && a.Member == b.Member && valuesEqBits(a.Args, b.Args)
 }
 
@@ -276,6 +303,9 @@ func TestDepSeqRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	checkDepSeq(t, DepSeq{})
 	for head := byte(0); head <= seqReqBits; head++ {
+		if !validReqHead(head) {
+			continue
+		}
 		for i := 0; i < 20; i++ {
 			m := DepSeq{Reqs: []DepRequest{seqRequestWithHead(r, head, 0)}}
 			if enc := checkDepSeq(t, m); enc[1] != head {
@@ -288,7 +318,7 @@ func TestDepSeqRoundTripProperty(t *testing.T) {
 			m := DepSeq{Reqs: make([]DepRequest, n)}
 			var prev int64
 			for j := range m.Reqs {
-				m.Reqs[j] = seqRequestWithHead(r, byte(r.Intn(seqReqBits+1)), prev)
+				m.Reqs[j] = seqRequestWithHead(r, randReqHead(r), prev)
 				prev = m.Reqs[j].ID
 			}
 			checkDepSeq(t, m)
@@ -334,23 +364,33 @@ func TestDepSeqResponseRoundTripProperty(t *testing.T) {
 const kindDepSeqTest uint8 = 17
 
 // sweepSeq is the vector a 4-field fused read sends (the benchmark's
-// sweep loop): four GETFIELDs (access kind 3) of one object, and the
-// four int results, each a 4-byte varint.
+// sweep loop): four GETFIELDs of one object, sites 3 to 6, and the four
+// int results, each a 4-byte varint.
 func sweepSeq() (DepSeq, DepSeqResponse) {
 	var seq DepSeq
 	var resp DepSeqResponse
-	for i, f := range []string{"p0", "p1", "p2", "p3"} {
-		seq.Reqs = append(seq.Reqs, DepRequest{ID: 5, Kind: 3, Member: f})
+	for i := 0; i < 4; i++ {
+		seq.Reqs = append(seq.Reqs, DepRequest{ID: 5, Site: 3 + i})
 		resp.Resps = append(resp.Resps, DepResponse{Value: Value{Kind: KInt, Int: 1<<20 + int64(i)}})
 	}
 	return seq, resp
 }
 
+// sweepByName is sweepSeq's request in the by-name layout: access kind
+// 3 and the field name in place of each site.
+func sweepByName() DepSeq {
+	var seq DepSeq
+	for _, f := range []string{"p0", "p1", "p2", "p3"} {
+		seq.Reqs = append(seq.Reqs, DepRequest{ID: 5, Kind: 3, Member: f})
+	}
+	return seq
+}
+
 // TestDepSeqEnvelopeVersionSelection pins the fusion contract on the
 // wire. The payload: the sweep vector encodes to exactly the bytes
-// below — 22 for the request (the ID once, then only kind and member
-// per entry) and 25 for the response (a head byte and the value per
-// entry), against 33 and 45 under the legacy layout. The envelope:
+// below — 10 for the request (the ID once, then a head byte and the
+// site per entry) and 25 for the response (a head byte and the value
+// per entry), against 33 and 45 under the legacy layout. The envelope:
 // DEPSEQ introduces a payload kind, not an envelope field, so a DEPSEQ
 // frame sets exactly the presence bits of the envelope state it carries
 // — none for reliability or membership on a plain run, Seq/Ack/Dedup
@@ -358,13 +398,7 @@ func sweepSeq() (DepSeq, DepSeqResponse) {
 // decodes to the same vector under every combination.
 func TestDepSeqEnvelopeVersionSelection(t *testing.T) {
 	seq, resp := sweepSeq()
-	wantReq := []byte{
-		4,
-		0x00, 10, 6, 2, 'p', '0',
-		seqReqSameID, 6, 2, 'p', '1',
-		seqReqSameID, 6, 2, 'p', '2',
-		seqReqSameID, 6, 2, 'p', '3',
-	}
+	wantReq := []byte{4, 0x00, 10, 3, seqReqSameID, 4, seqReqSameID, 5, seqReqSameID, 6}
 	wantResp := []byte{
 		4,
 		0x00, KInt, 0x80, 0x80, 0x80, 0x01,
@@ -373,13 +407,13 @@ func TestDepSeqEnvelopeVersionSelection(t *testing.T) {
 		0x00, KInt, 0x86, 0x80, 0x80, 0x01,
 	}
 	payload := seq.Encode()
-	if !bytes.Equal(payload, wantReq) || len(payload) != 22 {
-		t.Fatalf("sweep request encodes as % x (%d B), want % x (22 B)", payload, len(payload), wantReq)
+	if !bytes.Equal(payload, wantReq) || len(payload) != 10 {
+		t.Fatalf("sweep request encodes as % x (%d B), want % x (10 B)", payload, len(payload), wantReq)
 	}
 	if got := resp.Encode(); !bytes.Equal(got, wantResp) || len(got) != 25 {
 		t.Fatalf("sweep response encodes as % x (%d B), want % x (25 B)", got, len(got), wantResp)
 	}
-	if a, b := len(legacyDepSeq(seq.Reqs)), len(legacyDepSeqResponse(resp.Resps)); a != 33 || b != 45 {
+	if a, b := len(legacyDepSeq(sweepByName().Reqs)), len(legacyDepSeqResponse(resp.Resps)); a != 33 || b != 45 {
 		t.Fatalf("legacy sweep vector is %d+%d B, want 33+45", a, b)
 	}
 
@@ -410,30 +444,28 @@ func TestDepSeqEnvelopeVersionSelection(t *testing.T) {
 			t.Fatalf("%s: decoded %+v, want %+v", tc.name, f, tc.f)
 		}
 		m, err := DecodeDepSeq(f.Payload)
-		if err != nil || len(m.Reqs) != 4 || m.Reqs[3].Member != "p3" || m.Reqs[3].ID != 5 {
+		if err != nil || len(m.Reqs) != 4 || m.Reqs[3].Site != 6 || m.Reqs[3].ID != 5 {
 			t.Fatalf("%s: payload decode %+v (%v)", tc.name, m, err)
 		}
 	}
 }
 
 // pingExchange is one round trip of the rpc_storm ping: a DEPENDENCE
-// calling ping(I)I (access kind 1) with one int argument, and its int
-// result. Both ints sit in [2^20, 2^26), where a zig-zag varint is four
-// bytes.
+// calling ping(I)I (site 7) with one int argument, and its int result.
+// Both ints sit in [2^20, 2^26), where a zig-zag varint is four bytes.
 func pingExchange() (DepRequest, DepResponse) {
-	req := DepRequest{ID: 2, Kind: 1, Member: "ping:(I)I", Args: []Value{{Kind: KInt, Int: 1<<20 + 7}}}
+	req := DepRequest{ID: 2, Site: 7, Args: []Value{{Kind: KInt, Int: 1<<20 + 7}}}
 	return req, DepResponse{Value: Value{Kind: KInt, Int: 1<<20 + 8}}
 }
 
 // TestAccessVectorGoldens pins the one-entry and batch bodies byte for
-// byte. The ping exchange is 20 B out and 7 B back (the retired fixed
+// byte. The ping exchange is 10 B out and 7 B back (the retired fixed
 // layouts took 20 and 11); a batch of three same-object async calls
-// names the object once (47 B against 53); a NEW reply is the created
+// names the object once (17 B against 53); a NEW reply is the created
 // id as a KInt value (5 B against 6).
 func TestAccessVectorGoldens(t *testing.T) {
 	req, resp := pingExchange()
-	member := []byte{9, 'p', 'i', 'n', 'g', ':', '(', 'I', ')', 'I'}
-	wantReq := append(append([]byte{1, seqReqArgs, 4, 2}, member...), 1, KInt, 0x8e, 0x80, 0x80, 0x01)
+	wantReq := []byte{1, seqReqArgs, 4, 7, 1, KInt, 0x8e, 0x80, 0x80, 0x01}
 	wantResp := []byte{1, 0x00, KInt, 0x90, 0x80, 0x80, 0x01}
 	golden := func(name string, got, want []byte, legacy int) {
 		t.Helper()
@@ -446,8 +478,8 @@ func TestAccessVectorGoldens(t *testing.T) {
 	}
 	golden("ping request", req.Encode(), wantReq, len(legacyDepRequest(nil, &req)))
 	golden("ping reply", resp.Encode(), wantResp, len(legacyDepResponse(nil, &resp)))
-	if len(wantReq) != 20 || len(wantResp) != 7 || len(legacyDepResponse(nil, &resp)) != 11 {
-		t.Errorf("ping exchange is %d+%d B (legacy reply %d B), want 20+7 (11)",
+	if len(wantReq) != 10 || len(wantResp) != 7 || len(legacyDepResponse(nil, &resp)) != 11 {
+		t.Errorf("ping exchange is %d+%d B (legacy reply %d B), want 10+7 (11)",
 			len(wantReq), len(wantResp), len(legacyDepResponse(nil, &resp)))
 	}
 	if got, err := DecodeDepResponse(wantResp); err != nil || !depResponseEq(got, resp) {
@@ -456,16 +488,24 @@ func TestAccessVectorGoldens(t *testing.T) {
 
 	var batch DepSeq
 	for i := int64(1); i <= 3; i++ {
-		batch.Reqs = append(batch.Reqs, DepRequest{ID: 5, Kind: 8, Member: "tick:(I)V", Args: []Value{{Kind: KInt, Int: i}}})
+		batch.Reqs = append(batch.Reqs, DepRequest{ID: 5, Site: 9, Args: []Value{{Kind: KInt, Int: i}}})
 	}
-	tick := []byte{9, 't', 'i', 'c', 'k', ':', '(', 'I', ')', 'V'}
-	wantBatch := []byte{3, seqReqArgs, 10, 16}
-	wantBatch = append(append(wantBatch, tick...), 1, KInt, 2)
-	wantBatch = append(append(append(wantBatch, seqReqSameID|seqReqArgs, 16), tick...), 1, KInt, 4)
-	wantBatch = append(append(append(wantBatch, seqReqSameID|seqReqArgs, 16), tick...), 1, KInt, 6)
-	golden("batch", batch.Encode(), wantBatch, len(legacyBatch(batch.Reqs)))
-	if len(wantBatch) != 47 || len(legacyBatch(batch.Reqs)) != 53 {
-		t.Errorf("batch is %d B (legacy %d B), want 47 (53)", len(wantBatch), len(legacyBatch(batch.Reqs)))
+	wantBatch := []byte{
+		3,
+		seqReqArgs, 10, 9, 1, KInt, 2,
+		seqReqSameID | seqReqArgs, 9, 1, KInt, 4,
+		seqReqSameID | seqReqArgs, 9, 1, KInt, 6,
+	}
+	// The legacy bound is the batch's by-name layout's, whose entries
+	// named kind 8 and member tick:(I)V.
+	byName := batch
+	byName.Reqs = slices.Clone(batch.Reqs)
+	for i := range byName.Reqs {
+		byName.Reqs[i].Kind, byName.Reqs[i].Member = 8, "tick:(I)V"
+	}
+	golden("batch", batch.Encode(), wantBatch, len(legacyBatch(byName.Reqs)))
+	if len(wantBatch) != 17 || len(legacyBatch(byName.Reqs)) != 53 {
+		t.Errorf("batch is %d B (legacy %d B), want 17 (53)", len(wantBatch), len(legacyBatch(byName.Reqs)))
 	}
 
 	created := DepResponse{Value: Value{Kind: KInt, Int: 129}}
@@ -517,7 +557,7 @@ func TestLeadSplice(t *testing.T) {
 		var body DepSeq
 		var prev int64
 		for j := r.Intn(4); j >= 0; j-- {
-			body.Reqs = append(body.Reqs, seqRequestWithHead(r, byte(r.Intn(seqReqBits+1)), prev))
+			body.Reqs = append(body.Reqs, seqRequestWithHead(r, randReqHead(r), prev))
 			prev = body.Reqs[len(body.Reqs)-1].ID
 		}
 		got, err := DecodeDepSeq(Lead(lead, body.Encode()))
@@ -560,16 +600,23 @@ func optionalParts(m *DepResponse) int {
 func TestOneEntryBodiesNeverLonger(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 2000; i++ {
-		// The runtime names the class of static accesses only, and
-		// those address ID 0.
+		// Static accesses address ID 0, and a by-name one names its
+		// class. A request by site is held against its shortest
+		// by-name twin, a static one against a static twin.
 		req := randDepRequest(r)
+		req.Class = ""
 		if req.Static {
 			req.ID, req.Class = 0, "Main"
-		} else {
-			req.Class = ""
+		}
+		twin := req
+		if !req.ByName() {
+			twin.Kind, twin.Member = 1, "x"
+			if req.ID == 0 {
+				twin.Static, twin.Class = true, "Main"
+			}
 		}
 		enc := req.Encode()
-		if legacy := legacyDepRequest(nil, &req); len(enc) > len(legacy) {
+		if legacy := legacyDepRequest(nil, &twin); len(enc) > len(legacy) {
 			t.Fatalf("%+v: DEPENDENCE body %d B, legacy %d B", req, len(enc), len(legacy))
 		}
 		if got, err := DecodeDepSeq(enc); err != nil || len(got.Reqs) != 1 || !depRequestEq(got.Reqs[0], req) {
@@ -645,8 +692,10 @@ func TestDepSeqTruncated(t *testing.T) {
 	var seq DepSeq
 	var prev int64
 	for head := byte(0); head <= seqReqBits; head++ {
-		seq.Reqs = append(seq.Reqs, seqRequestWithHead(r, head, prev))
-		prev = seq.Reqs[len(seq.Reqs)-1].ID
+		if validReqHead(head) {
+			seq.Reqs = append(seq.Reqs, seqRequestWithHead(r, head, prev))
+			prev = seq.Reqs[len(seq.Reqs)-1].ID
+		}
 	}
 	enc := seq.Encode()
 	for n := 0; n < len(enc); n++ {
@@ -671,7 +720,7 @@ func TestDepSeqTruncated(t *testing.T) {
 	req1 := (&DepSeq{Reqs: one.Reqs[:1]}).Encode()
 	resp1 := (&DepSeqResponse{Resps: oneResp.Resps[:1]}).Encode()
 	for bit := 0; bit < 8; bit++ {
-		if seqReqBits&(1<<bit) == 0 {
+		if !validReqHead(1 << bit) {
 			bad := append([]byte(nil), req1...)
 			bad[1] |= 1 << bit
 			if _, err := DecodeDepSeq(bad); err == nil || !strings.Contains(err.Error(), "undefined DEPSEQ request bits") {

@@ -39,19 +39,32 @@ func DecodeNewRequest(data []byte) (NewRequest, error) {
 }
 
 // DepRequest is the paper's DEPENDENCE message: an access to object ID
-// on its home node (or to a class's static part when Static is set).
-// Kind is a rewrite access kind (rewrite.InvokeMethodHasReturn etc.).
-// Async marks a fire-and-forget void call: the responder answers it
-// only if it fails.
+// on its home node, or to a class's static part. Site names the access:
+// an index into the plan's site table (rewrite.Plan.Sites), which every
+// node shares, so the site also says whether the access is static (its
+// ID is then 0). Async marks a fire-and-forget void call: the responder
+// answers it only if it fails.
+//
+// Static, Kind, Member and Class are the by-name layout that preceded
+// site ids: the static flag, a rewrite access kind
+// (rewrite.InvokeMethodHasReturn etc.), the member key (name:desc for a
+// method) and, for a static access, the class. A request with a Member
+// encodes by name. The codec still round-trips it, but no runtime
+// sends it and a server refuses it.
 type DepRequest struct {
-	ID     int64
+	ID    int64
+	Async bool
+	Site  int
+	Args  []Value
+
 	Static bool
-	Async  bool
 	Class  string
 	Kind   int
 	Member string
-	Args   []Value
 }
+
+// ByName reports whether the request uses the by-name layout.
+func (m *DepRequest) ByName() bool { return m.Member != "" }
 
 // Encode serialises the request as a DEPENDENCE body: a one-entry
 // DepSeq vector.
@@ -484,10 +497,15 @@ func DecodeReplicaAck(data []byte) (ReplicaAck, error) {
 // fields that follow, and absent fields cost nothing. A request entry
 // is
 //
-//	head · [ID varint] · Kind varint · Member · [Class] · [Args]
+//	head · [ID varint] · Site uvarint · [Args]
 //
 // where the ID is omitted when it equals the previous entry's (0 before
-// the first), and a response entry is
+// the first). With the by-name head bit set, which also defines the
+// static and class bits, the site is replaced by
+//
+//	Kind varint · Member · [Class]
+//
+// A response entry is
 //
 //	head · Value · [OutArrays] · [Err] · [AsyncErr] · [NewHome] · [Patches]
 //
@@ -499,14 +517,16 @@ type DepSeq struct {
 }
 
 // Request entry head bits.
+// seqReqStatic and seqReqClass are defined only with seqReqByName.
 const (
 	seqReqStatic = 1 << iota
 	seqReqSameID
 	seqReqClass
 	seqReqArgs
 	seqReqAsync
+	seqReqByName
 
-	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs | seqReqAsync
+	seqReqBits = seqReqStatic | seqReqSameID | seqReqClass | seqReqArgs | seqReqAsync | seqReqByName
 )
 
 // Response entry head bits; seqRespMoved also carries NewHome, and
@@ -525,14 +545,18 @@ const (
 // the previous entry's ID (0 for the first).
 func (m *DepRequest) appendEntry(b []byte, prevID int64) []byte {
 	var head byte
-	if m.Static {
-		head |= seqReqStatic
-	}
 	if m.ID == prevID {
 		head |= seqReqSameID
 	}
-	if m.Class != "" {
-		head |= seqReqClass
+	byName := m.ByName()
+	if byName {
+		head |= seqReqByName
+		if m.Static {
+			head |= seqReqStatic
+		}
+		if m.Class != "" {
+			head |= seqReqClass
+		}
 	}
 	if len(m.Args) > 0 {
 		head |= seqReqArgs
@@ -544,10 +568,14 @@ func (m *DepRequest) appendEntry(b []byte, prevID int64) []byte {
 	if head&seqReqSameID == 0 {
 		b = appendVarint(b, m.ID)
 	}
-	b = appendVarint(b, int64(m.Kind))
-	b = appendString(b, m.Member)
-	if head&seqReqClass != 0 {
-		b = appendString(b, m.Class)
+	if byName {
+		b = appendVarint(b, int64(m.Kind))
+		b = appendString(b, m.Member)
+		if head&seqReqClass != 0 {
+			b = appendString(b, m.Class)
+		}
+	} else {
+		b = appendUvarint(b, uint64(m.Site))
 	}
 	if head&seqReqArgs != 0 {
 		b = appendValues(b, m.Args)
@@ -557,18 +585,26 @@ func (m *DepRequest) appendEntry(b []byte, prevID int64) []byte {
 
 func (r *Reader) requestEntry(m *DepRequest, prevID int64) {
 	head := r.Byte()
-	if head&^seqReqBits != 0 {
-		r.fail("undefined DEPSEQ request bits %#x", head&^seqReqBits)
+	undef := head &^ seqReqBits
+	if head&seqReqByName == 0 {
+		undef |= head & (seqReqStatic | seqReqClass)
+	}
+	if undef != 0 {
+		r.fail("undefined DEPSEQ request bits %#x", undef)
 		return
 	}
 	*m = DepRequest{ID: prevID, Static: head&seqReqStatic != 0, Async: head&seqReqAsync != 0}
 	if head&seqReqSameID == 0 {
 		m.ID = r.Varint()
 	}
-	m.Kind = int(r.Varint())
-	m.Member = r.Sym()
-	if head&seqReqClass != 0 {
-		m.Class = r.Sym()
+	if head&seqReqByName != 0 {
+		m.Kind = int(r.Varint())
+		m.Member = r.Sym()
+		if head&seqReqClass != 0 {
+			m.Class = r.Sym()
+		}
+	} else {
+		m.Site = int(r.Uvarint())
 	}
 	if head&seqReqArgs != 0 {
 		m.Args = r.Values()

@@ -120,9 +120,10 @@ func testJoinDrainRuns(t *testing.T, runs int, tcp, recovery bool) {
 				t.Fatalf("run %d hung for 10s:\n%s", i+1, buf[:runtime.Stack(buf, true)])
 			}
 		}
-		// Pooled handlers retire a second or two after their last task;
-		// a leak stays.
-		deadline := time.Now().Add(3 * time.Second)
+		// Shutdown waits for the nodes' handler pools, so only
+		// goroutines of the fabric itself are still winding down; a
+		// leak stays.
+		deadline := time.Now().Add(100 * time.Millisecond)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}

@@ -658,9 +658,9 @@ func TestShutdownSurvivesDroppedShutdownFrame(t *testing.T) {
 	if s := cluster.Stats(); s.Retransmits == 0 {
 		t.Errorf("no retransmit: the seed no longer drops the SHUTDOWN frame (stats %+v)", s)
 	}
-	// Goroutines wind down asynchronously after their wait groups
-	// release; give stragglers a moment before calling them leaked.
-	deadline := time.Now().Add(2 * time.Second)
+	// Shutdown waits for the serve loops and handler pools; give the
+	// fabric's own goroutines a moment before calling them leaked.
+	deadline := time.Now().Add(100 * time.Millisecond)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
