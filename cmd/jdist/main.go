@@ -8,7 +8,7 @@
 //	jdist -k 2 prog.mj                      # analyze + partition + rewrite, print summary
 //	jdist -k 2 -crg crg.vcg -odg odg.vcg prog.mj
 //	jdist -quads Bank.main prog.mj          # Figure 5-style quad listing
-//	jdist -tier Bank.main prog.mj           # quads + compiled-op listing + call sites
+//	jdist -tier Bank.main prog.mj           # quads + compiled-op listing + call sites (typed call, inlined typed call, ...)
 //	jdist -asm Bank.main -target x86 prog.mj
 //	jdist -k 2 -dump-node 0 prog.mj         # disassemble node 0's rewritten code
 package main
@@ -38,7 +38,7 @@ func main() {
 	crgOut := flag.String("crg", "", "write class relation graph VCG to file")
 	odgOut := flag.String("odg", "", "write object dependence graph VCG to file")
 	quads := flag.String("quads", "", "print quad IR for Class.method")
-	tier := flag.String("tier", "", "print the tiered-execution view of Class.method: quads, the compiled-op listing and how each call site runs")
+	tier := flag.String("tier", "", "print the tiered-execution view of Class.method: quads, the compiled-op listing and how each call site runs (typed call, inlined typed call, native call, ...)")
 	asm := flag.String("asm", "", "print generated assembly for Class.method")
 	target := flag.String("target", "x86", "code generation target: x86|strongarm")
 	dumpNode := flag.Int("dump-node", -1, "disassemble the rewritten program for this node")
@@ -97,7 +97,10 @@ func main() {
 			// The tier view pairs the quad IR with what the compiled
 			// tier makes of it: one Go closure per quad, and a note on
 			// each call site — a typed call (int/float arguments and
-			// result passed unboxed to compiled code), a direct call, a
+			// result passed unboxed to compiled code), an inlined typed
+			// call (a straight-line callee's code spliced into the
+			// caller's, behind a guard that makes the typed call when
+			// it cannot run), a direct call, a
 			// native call (the builtins, and in a rewritten program the
 			// access-mediated sites), an inline-cached virtual call, or
 			// a deopt back to the interpreter where a site does not

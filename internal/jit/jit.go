@@ -30,7 +30,10 @@
 // per-call hooks, the call loads the caller's unboxed registers straight
 // into the callee's frame and takes the result back unboxed (typedSite);
 // otherwise, and at every other site, arguments and result go boxed
-// through vm.Thread.Call. A virtual site whose native registered a
+// through vm.Thread.Call. A typed site whose callee is one straight-line
+// block runs the callee's code spliced into the caller's (inline.go),
+// behind a guard that makes the typed call whenever the spliced run
+// could differ from it. A virtual site whose native registered a
 // probe for the site's constant arguments (vm.VM.SiteProbe) charges
 // its block and asks the probe first; the boxed call runs only when the
 // probe declines. The runtime's probe serves a write-once hit that way.
@@ -211,6 +214,14 @@ const (
 	uDivAddF
 	uDivSubF
 	uDivRSubF
+
+	// A typed static call whose callee is spliced into the caller's
+	// code (inlineSite): the guard uInline admits the spliced run
+	// (vm.Thread.EnterInlined on the guard cm.inl[a]) and otherwise
+	// makes the ordinary call, fn, and skips the d spliced micro-ops.
+	uInline
+	uUnboxI // ints[d] = refs[a].(int64), a callee's boxed-argument load
+	uUnboxF
 )
 
 // uop is one micro-op: a code plus register-slot operands (indices
@@ -222,7 +233,7 @@ type uop struct {
 	a    int32
 	b    int32
 	c    int32 // fused pairs only
-	fn   opFn  // uCall only
+	fn   opFn  // uCall and uInline only
 }
 
 // Terminator kinds: the common branch/return shapes execute inline in
@@ -281,6 +292,10 @@ type Compiled struct {
 
 	frames sync.Pool
 
+	// inl holds the guards of the call sites whose callee is spliced
+	// into this method's code, indexed by their uInline micro-ops.
+	inl []inlineGuard
+
 	// notes annotates quad IDs for the inspection listing (call kinds,
 	// deopt points).
 	notes map[int]string
@@ -290,6 +305,13 @@ type Compiled struct {
 // closure arrays. An error means the method cannot be compiled and
 // should stay interpreted (the VM blacklists it).
 func Compile(v *vm.VM, c *vm.Class, m *bytecode.Method) (*Compiled, error) {
+	return compile(v, c, m, false)
+}
+
+// compile is Compile; leaf asks only for a method inline can splice,
+// and refuses any other before compiling any of it. (A leaf has no
+// call site, so compiling one never inlines in turn.)
+func compile(v *vm.VM, c *vm.Class, m *bytecode.Method, leaf bool) (*Compiled, error) {
 	if m.IsNative() || len(m.Code) == 0 {
 		return nil, errors.New("jit: native or empty method")
 	}
@@ -299,6 +321,9 @@ func Compile(v *vm.VM, c *vm.Class, m *bytecode.Method) (*Compiled, error) {
 	}
 	if len(fn.Blocks) <= 2 || len(fn.Blocks[0].Out) == 0 {
 		return nil, errors.New("jit: no executable blocks")
+	}
+	if leaf && !straightLine(fn) {
+		return nil, errors.New("jit: not one straight-line block")
 	}
 	// Fuse single-use stack-temp MOVEs before classifying registers so
 	// the eliminated temps drop out of the register file entirely.
@@ -379,7 +404,7 @@ func (cm *Compiled) mergeChains() {
 			tb := &cm.blocks[t]
 			pure := true
 			for i := range tb.uops {
-				if tb.uops[i].code == uCall {
+				if c := tb.uops[i].code; c == uCall || c == uInline {
 					pure = false
 					break
 				}
@@ -400,7 +425,8 @@ func (cm *Compiled) mergeChains() {
 		// increment) into a compare-and-branch terminator, saving one
 		// dispatch per loop iteration. The add still executes before the
 		// compare reads its operands, exactly as the separate micro-op
-		// did.
+		// did. A splice never ends in an add (its last op moves the
+		// result out), so the fold never takes an op its guard skips.
 		if blk.tkind == tIfII {
 			if n := len(blk.uops); n > 0 && blk.uops[n-1].code == uAddI {
 				u := blk.uops[n-1]
@@ -532,7 +558,7 @@ loop:
 	for bid >= 2 {
 		blk := &cm.blocks[bid]
 		uops := blk.uops
-		for i := range uops {
+		for i := 0; i < len(uops); i++ {
 			u := &uops[i]
 			switch u.code {
 			case uMovI:
@@ -605,6 +631,11 @@ loop:
 				flts[u.d] = float64(ints[u.a])
 			case uF2I:
 				ints[u.d] = int64(flts[u.a])
+			case uUnboxI:
+				// Same dynamic-type contract as the callee's loadArg.
+				ints[u.d] = refs[u.a].(int64)
+			case uUnboxF:
+				flts[u.d] = refs[u.a].(float64)
 			case uArrayLen:
 				a, ok := refs[u.a].(*vm.Array)
 				if !ok || a == nil {
@@ -652,6 +683,12 @@ loop:
 				default:
 					a.Data[idx] = refs[u.d]
 				}
+			case uInline:
+				if g := &cm.inl[u.a]; t.EnterInlined(g.ce, g.steps, g.cycles) {
+					continue
+				}
+				i += int(u.d)
+				fallthrough // the ordinary call
 			default: // uCall
 				if e := u.fn(ma); e != nil {
 					if e == errFrameDone {
@@ -1241,14 +1278,16 @@ func (cp *compiler) compileBlock(blk *quad.Block) (cblock, error) {
 		q := qs[i]
 		u, ok := cp.fastUop(q)
 		if !ok {
-			var op opFn
-			var err error
 			if q.Op == quad.INVOKE {
-				op, err = cp.invokeOp(q, charged)
+				us, err := cp.invokeOp(q, charged)
+				if err != nil {
+					return cb, err
+				}
 				charged = q.PC + 1
-			} else {
-				op, err = cp.compileQuad(q)
+				cb.uops = append(cb.uops, us...)
+				continue
 			}
+			op, err := cp.compileQuad(q)
 			if err != nil {
 				return cb, err
 			}
@@ -1928,13 +1967,16 @@ type icEntry struct {
 
 // invokeOp compiles an INVOKE into a call from the compiled frame —
 // into compiled, interpreted or native code alike (see the package
-// comment). from is the first pc of the block not yet charged.
-func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
+// comment) — or, at a typed site whose callee inline splices, into the
+// guard and the spliced micro-ops. from is the first pc of the block
+// not yet charged.
+func (cp *compiler) invokeOp(q *quad.Quad, from int) ([]uop, error) {
 	cm := cp.cm
 	deopt, err := cp.deoptFn(q, from)
 	if err != nil {
 		return nil, err
 	}
+	closure := func(fn opFn) []uop { return []uop{{code: uCall, fn: fn}} }
 	argLd := make([]func(*mach) vm.Value, len(q.Args))
 	for i, o := range q.Args {
 		ld, err := cp.valOf(o)
@@ -1985,19 +2027,18 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 		ce := cm.v.ResolveCallee(q.Class, name, desc)
 		if ce == nil {
 			cp.note(q, fmt.Sprintf("deopt @pc%d: unresolved %s.%s", q.PC, q.Class, name))
-			return deopt, nil
+			return closure(deopt), nil
 		}
 		if ce.Native() {
 			cp.note(q, fmt.Sprintf("native call %s", ce))
-			return func(ma *mach) error { return call(ma, ce) }, nil
+			return closure(func(ma *mach) error { return call(ma, ce) }), nil
 		}
 		ts := cp.typedSite(q, argLd, retSt)
 		if ts == nil {
 			cp.note(q, fmt.Sprintf("direct call %s", ce))
-			return func(ma *mach) error { return call(ma, ce) }, nil
+			return closure(func(ma *mach) error { return call(ma, ce) }), nil
 		}
-		cp.note(q, fmt.Sprintf("typed call %s", ce))
-		return func(ma *mach) error {
+		typed := func(ma *mach) error {
 			t := ma.t
 			if err := t.ChargeBlock(steps, cycles); err != nil {
 				return err
@@ -2010,7 +2051,13 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 			err := ts.call(ma, code.(*Compiled))
 			t.LeaveCompiled()
 			return err
-		}, nil
+		}
+		if us := cp.inlineSite(q, ce, ts, steps, cycles, typed); us != nil {
+			cp.note(q, fmt.Sprintf("inlined typed call %s", ce))
+			return us, nil
+		}
+		cp.note(q, fmt.Sprintf("typed call %s", ce))
+		return closure(typed), nil
 
 	case bytecode.INVOKEVIRTUAL:
 		// Compiled methods are shared by concurrent logical threads, so
@@ -2027,7 +2074,7 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 		} else {
 			cp.note(q, fmt.Sprintf("probed virtual call %s:%s, inline-cached call when the probe declines (deopt @pc%d on null receiver)", name, desc, q.PC))
 		}
-		return func(ma *mach) error {
+		return closure(func(ma *mach) error {
 			ro, ok := argLd[0](ma).(*vm.Object)
 			if !ok || ro == nil {
 				return deopt(ma)
@@ -2058,7 +2105,7 @@ func (cp *compiler) invokeOp(q *quad.Quad, from int) (opFn, error) {
 				return nil
 			}
 			return boxed(ma, ce)
-		}, nil
+		}), nil
 	}
 	return nil, fmt.Errorf("jit: unknown invoke kind %v", q.Invoke)
 }

@@ -341,11 +341,12 @@ func TestListing(t *testing.T) {
 	src := `
 class Main {
 	static int inc(int x) { return x + 1; }
+	static int odd(int x) { if (x % 2 == 1) { return 1; } return 0; }
 	static int work(int n) {
 		int s = 0;
 		int i = 0;
 		while (i < n) {
-			s = s + Math.abs(0 - i);
+			s = s + Math.abs(0 - i) + Main.odd(i);
 			i = Main.inc(i);
 		}
 		return s;
@@ -373,8 +374,11 @@ class Main {
 	if !strings.Contains(ls, "native call Math.abs") {
 		t.Errorf("listing does not note Math.abs as a native call:\n%s", ls)
 	}
-	if !strings.Contains(ls, "typed call Main.inc") {
-		t.Errorf("listing does not note Main.inc as a typed call:\n%s", ls)
+	if !strings.Contains(ls, "; inlined typed call Main.inc") {
+		t.Errorf("listing does not note Main.inc as an inlined typed call:\n%s", ls)
+	}
+	if !strings.Contains(ls, "; typed call Main.odd") {
+		t.Errorf("listing does not note Main.odd as a typed call:\n%s", ls)
 	}
 	// A site whose native offers a probe for its constant arguments
 	// notes the probe; a site the probe declines does not.

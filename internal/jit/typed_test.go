@@ -1,6 +1,7 @@
 package jit_test
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"strings"
@@ -95,25 +96,94 @@ func sameSteps(t *testing.T, mi, mj *vm.VM, err error) {
 	}
 }
 
+// innermost runs main interpreted, set up by tune, and names the
+// innermost frame on the stack of the error it fails with.
+func innermost(t *testing.T, src string, tune func(*vm.VM)) string {
+	t.Helper()
+	v := newVM(t, src, false)
+	if tune != nil {
+		tune(v)
+	}
+	_, err := v.CallMethod("Main", "main", "()V", nil)
+	var ve *vm.VMError
+	if !errors.As(err, &ve) || len(ve.Stack) == 0 {
+		t.Fatalf("interpreted run failed with %v, want an error with a stack", err)
+	}
+	top := ve.Stack[len(ve.Stack)-1]
+	return top.Class + "." + top.Method
+}
+
+// sameRun runs main runs times on the interpreter and on the tiered
+// VM, each from build, and requires the same output, steps and cycles,
+// no deopt, and one compiled entry per bytecode method the interpreter
+// enters (at threshold 1 the tiered VM enters each such call compiled,
+// inlined or not). It returns the tiered VM.
+func sameRun(t *testing.T, runs int, build func(jitOn bool) *vm.VM) *vm.VM {
+	t.Helper()
+	mi, mj := build(false), build(true)
+	var calls uint64
+	mi.Hooks.MethodEnter = func(string, string) { calls++ }
+	for range runs {
+		for _, v := range []*vm.VM{mi, mj} {
+			if _, err := v.CallMethod("Main", "main", "()V", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if oi, oj := mi.Out.(*strings.Builder).String(), mj.Out.(*strings.Builder).String(); oi != oj {
+		t.Errorf("output diverged:\ninterp:\n%s\ntiered:\n%s", oi, oj)
+	}
+	if mi.Steps() != mj.Steps() || mi.Cycles != mj.Cycles {
+		t.Errorf("accounting diverged: steps %d/%d, cycles %d/%d", mi.Steps(), mj.Steps(), mi.Cycles, mj.Cycles)
+	}
+	if _, _, en, d := mj.JITStats(); en != calls || d != 0 {
+		t.Errorf("compiled entries %d, deopts %d; want one entry per bytecode call (%d) and no deopt", en, d, calls)
+	}
+	return mj
+}
+
+// TestTypedCallDivisionByZero also holds the callees the inliner
+// declines — a register divisor, a branch, a call, an array access — to
+// plain typed calls; the division by zero fails with its callee's frame
+// on the stack, as interpreted.
 func TestTypedCallDivisionByZero(t *testing.T) {
 	const src = `
 class Main {
+	static int[] xs;
 	static int div(int a, int b) { return a / b; }
+	static int clamp(int a) { if (a > 100) { return 100; } return a; }
+	static int twice(int a) { return Main.clamp(a) * 2; }
+	static int at(int k) { return Main.xs[k & 3]; }
 	static int loop(int n) {
 		int s = 0;
-		for (int i = 0; i < n; i++) { s = s + Main.div(1000 + i, 5 - i); }
+		for (int i = 0; i < n; i++) {
+			s = s + Main.clamp(i * 30) + Main.twice(i) + Main.at(i);
+			s = s + Main.div(1000 + i, 5 - i);
+		}
 		return s;
 	}
-	static void main() { System.println("" + Main.loop(10)); }
+	static void main() {
+		Main.xs = new int[4];
+		System.println("" + Main.loop(10));
+	}
 }`
 	_, mj := sameFailure(t, src, nil, "division by zero")
-	if ls := listing(t, mj, "loop"); !strings.Contains(ls, "typed call Main.div") {
-		t.Errorf("Main.div is not called through the typed convention:\n%s", ls)
+	ls := listing(t, mj, "loop")
+	for _, m := range []string{"div", "clamp", "twice", "at"} {
+		if !strings.Contains(ls, "; typed call Main."+m) {
+			t.Errorf("Main.%s is not a plain typed call:\n%s", m, ls)
+		}
 	}
-	// The failing call was the callee's sixth: it ran typed, and its
-	// frame is on the error's stack.
+	if strings.Contains(ls, "inlined") {
+		t.Errorf("a declined callee was inlined:\n%s", ls)
+	}
+	// The failing call was div's sixth: it ran typed, and its frame is
+	// on the error's stack.
 	if _, _, en, _ := mj.JITStats(); en < 6 {
 		t.Errorf("compiled entries %d, want the typed calls among them", en)
+	}
+	if in := innermost(t, src, nil); in != "Main.div" {
+		t.Errorf("interpreted failure in %s, want Main.div", in)
 	}
 }
 
@@ -131,15 +201,19 @@ class Main {
 	sameFailure(t, src, func(v *vm.VM) { v.MaxSteps = 20_000 }, "step limit 20000 exceeded")
 }
 
+// TestTypedCallHooks runs typed sites, inlined or not, with per-call
+// hooks set: every site makes the hooked call, in the interpreter's
+// hook sequence.
 func TestTypedCallHooks(t *testing.T) {
 	const src = `
 class Main {
 	static int sq(int x) { return x * x; }
 	static float half(float x) { return x / 2.0; }
+	static int clamp(int x) { if (x > 2) { return 2; } return x; }
 	static void main() {
 		int s = 0;
 		float f = 0.0;
-		for (int i = 0; i < 4; i++) { s = s + Main.sq(i); f = f + Main.half(1.0 * i); }
+		for (int i = 0; i < 4; i++) { s = s + Main.sq(i) + Main.clamp(i); f = f + Main.half(1.0 * i); }
 		System.println("" + s + " " + f);
 	}
 }`
@@ -158,7 +232,16 @@ class Main {
 	if i != j {
 		t.Errorf("hook sequences diverged:\ninterp:\n%s\ntiered:\n%s", i, j)
 	}
+	if !strings.Contains(j, "> Main.sq\n< Main.sq\n") {
+		t.Errorf("no hooked call of Main.sq:\n%s", j)
+	}
 	sameSteps(t, mi, mj, nil)
+	ls := listing(t, mj, "main")
+	for _, want := range []string{"inlined typed call Main.sq", "inlined typed call Main.half", "; typed call Main.clamp"} {
+		if !strings.Contains(ls, want) {
+			t.Errorf("listing lacks %q:\n%s", want, ls)
+		}
+	}
 }
 
 func TestTypedCallCalleeDeopts(t *testing.T) {
@@ -190,45 +273,48 @@ class Main {
 	}
 }
 
+// TestTypedCallAcrossInvalidation drops all compiled code at every
+// println while main's compiled frame keeps running: an inlined site's
+// guard sees its callee uncompiled and makes the typed call, which
+// recompiles it, and a plain typed site picks up the callee's new code
+// and a new frame for it; neither runs the dropped code.
 func TestTypedCallAcrossInvalidation(t *testing.T) {
 	const src = `
 class Main {
 	static int mix(int a, int b) { return (a * 31 + b) % 1000003; }
+	static float ease(float x, int k) { return x * 0.75 + (float) k; }
+	static int tri(int a) { if (a < 0) { return 0 - a; } return a; }
 	static void main() {
 		int s = 7;
+		float f = 0.5;
 		for (int i = 0; i < 300; i++) {
-			s = Main.mix(s, i);
+			s = Main.mix(s, i) + Main.tri(i - 150);
+			f = Main.ease(f, i % 9);
 			if (i % 50 == 0) { System.println(s); }
 		}
-		System.println(s);
+		System.println(s + (int) f);
 	}
 }`
-	mi, mj := newVM(t, src, false), newVM(t, src, true)
-	// Every println also drops all compiled code, while main's compiled
-	// frame keeps running: its typed site must pick up mix's new code
-	// (and a new frame for it), not run the dropped one.
-	for _, v := range []*vm.VM{mi, mj} {
+	mj := sameRun(t, 3, func(jitOn bool) *vm.VM {
+		v := newVM(t, src, jitOn)
 		v.RegisterNative("System", "println", "(I)V", func(t *vm.Thread, args []vm.Value) (vm.Value, error) {
 			t.VM().InvalidateCompiled()
 			fmt.Fprintln(t.VM().Out, args[0])
 			return nil, nil
 		})
-	}
-	for round := 0; round < 3; round++ {
-		for _, v := range []*vm.VM{mi, mj} {
-			if _, err := v.CallMethod("Main", "main", "()V", nil); err != nil {
-				t.Fatal(err)
-			}
+		return v
+	})
+	ls := listing(t, mj, "main")
+	for _, want := range []string{"inlined typed call Main.mix", "inlined typed call Main.ease", "; typed call Main.tri"} {
+		if !strings.Contains(ls, want) {
+			t.Errorf("listing lacks %q:\n%s", want, ls)
 		}
 	}
-	if oi, oj := mi.Out.(*strings.Builder).String(), mj.Out.(*strings.Builder).String(); oi != oj {
-		t.Errorf("output diverged:\ninterp:\n%s\ntiered:\n%s", oi, oj)
-	}
-	if mi.Steps() != mj.Steps() || mi.Cycles != mj.Cycles {
-		t.Errorf("accounting diverged: steps %d/%d, cycles %d/%d", mi.Steps(), mj.Steps(), mi.Cycles, mj.Cycles)
-	}
-	if c, _, _, _ := mj.JITStats(); c < 3*7 {
-		t.Errorf("%d compilations, want mix recompiled after each of the 3×7 invalidations", c)
+	// Each run compiles main and its three callees, then the callees
+	// anew after each of the 6 invalidations inside the loop; the last
+	// println leaves main to recompile at the next run.
+	if c, _, _, _ := mj.JITStats(); c != 3*(1+3+3*6) {
+		t.Errorf("%d compilations, want %d", c, 3*(1+3+3*6))
 	}
 }
 
@@ -320,11 +406,38 @@ class Main {
 
 // TestCompiledCallAllocations pins the point of the typed convention:
 // a compiled→compiled call with int or float arguments and result
-// allocates nothing — no boxed argument, no boxed return.
+// allocates nothing — no boxed argument, no boxed return. The callees
+// branch, so the inliner leaves them as typed calls.
 func TestCompiledCallAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
+	const src = `
+class Main {
+	static int step(int s, int i, int k) {
+		if (k < 0) { k = 0 - k; }
+		return (s + i * k) & 1073741823;
 	}
+	static float damp(float f, float g) {
+		if (g < 0.0) { g = 0.0; }
+		return f * 0.5 + g;
+	}
+	static int ints(int n) {
+		int s = 1 << 20;
+		for (int i = 0; i < n; i++) { s = Main.step(s, i + 100000, 3); }
+		return s & 127;
+	}
+	static int floats(int n) {
+		float f = 1.0;
+		for (int i = 0; i < n; i++) { f = Main.damp(f, 1000.25); }
+		return (int) f & 127;
+	}
+	static void main() { }
+}`
+	pinAllocations(t, src, "typed call")
+}
+
+// TestInlinedCallAllocations is its twin for callees the inliner
+// splices: the loop runs the callee's micro-ops in the caller's frame
+// and allocates nothing per iteration either.
+func TestInlinedCallAllocations(t *testing.T) {
 	const src = `
 class Main {
 	static int step(int s, int i, int k) { return (s + i * k) & 1073741823; }
@@ -341,10 +454,24 @@ class Main {
 	}
 	static void main() { }
 }`
+	pinAllocations(t, src, "inlined typed call")
+}
+
+// pinAllocations requires Main.ints and Main.floats of src to call
+// Main.step and Main.damp as the note says (the listing's words before
+// the callee's name), and to allocate nothing in 1000 such calls.
+func pinAllocations(t *testing.T, src, note string) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	v := newVM(t, src, true)
 	c := v.Class("Main")
-	for _, name := range []string{"ints", "floats"} {
-		m := c.File.MethodByName(name)
+	for _, site := range []struct{ caller, callee string }{{"ints", "step"}, {"floats", "damp"}} {
+		if ls := listing(t, v, site.caller); !strings.Contains(ls, "; "+note+" Main."+site.callee) {
+			t.Errorf("Main.%s does not reach Main.%s by %q:\n%s", site.caller, site.callee, note, ls)
+		}
+		m := c.File.MethodByName(site.caller)
 		args := []vm.Value{int64(1000)}
 		run := func() {
 			if _, err := v.Invoke(c, m, args); err != nil {
@@ -354,7 +481,7 @@ class Main {
 		run()
 		run()
 		if got := testing.AllocsPerRun(20, run); got != 0 {
-			t.Errorf("Main.%s(1000): %.1f allocations per run of 1000 compiled calls, want 0", name, got)
+			t.Errorf("Main.%s(1000): %.1f allocations per run of 1000 compiled calls, want 0", site.caller, got)
 		}
 	}
 }

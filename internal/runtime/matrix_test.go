@@ -17,13 +17,14 @@ import (
 	"autodist/internal/vm"
 )
 
-// optionsName names a rewrite option set for a subtest.
-func optionsName(o rewrite.Options) string {
+// optionsName names a rewrite option set, run compiled or not, for a
+// subtest.
+func optionsName(o rewrite.Options, compiled bool) string {
 	var parts []string
 	for _, f := range []struct {
 		on   bool
 		name string
-	}{{o.Adaptive, "adaptive"}, {o.Replicate, "replicate"}, {o.NoFuse, "nofuse"}, {o.Unoptimized, "unoptimized"}} {
+	}{{o.Adaptive, "adaptive"}, {o.Replicate, "replicate"}, {o.NoFuse, "nofuse"}, {o.Unoptimized, "unoptimized"}, {compiled, "compile"}} {
 		if f.on {
 			parts = append(parts, f.name)
 		}
@@ -34,8 +35,10 @@ func optionsName(o rewrite.Options) string {
 	return strings.Join(parts, "+")
 }
 
-// TestRewriteOptionMatrix runs every combination of the rewrite options
-// on the Table 1 programs and on hotColdSource. A valid combination must
+// TestRewriteOptionMatrix runs every combination of the rewrite options,
+// each interpreted and compiled (Compile at CompileThreshold 1, so the
+// compiled tier, with its inlined calls, runs nearly everything), on
+// the Table 1 programs and on hotColdSource. A valid combination must
 // print the sequential output (hotColdSource's entrypoints must return
 // their sequential values) and leave every node quiescent after
 // Shutdown; the one invalid pairing, Replicate with Unoptimized, must
@@ -89,11 +92,12 @@ func TestRewriteOptionMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := seqOutput(t, p.src)
-			for mask := range 16 {
+			for mask := range 32 {
 				opts := rewrite.Options{
 					Adaptive: mask&1 != 0, Replicate: mask&2 != 0, NoFuse: mask&4 != 0, Unoptimized: mask&8 != 0,
 				}
-				t.Run(optionsName(opts), func(t *testing.T) {
+				compiled := mask&16 != 0
+				t.Run(optionsName(opts, compiled), func(t *testing.T) {
 					rw, err := matrixRewrite(t, bp, p.homes, opts)
 					if opts.Replicate && opts.Unoptimized {
 						if !errors.Is(err, rewrite.ErrOptions) {
@@ -111,6 +115,7 @@ func TestRewriteOptionMatrix(t *testing.T) {
 					var out strings.Builder
 					c, err := runtime.NewCluster(rw.Nodes, rw.Plan, transport.NewInProc(2), runtime.Options{
 						Out: &out, MaxSteps: 2_000_000_000, AdaptEvery: every,
+						Compile: compiled, CompileThreshold: 1,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -226,6 +226,9 @@ type Callee struct {
 // access mediation and the builtins).
 func (ce *Callee) Native() bool { return ce.method.IsNative() }
 
+// Method returns the callee's declaring class and method.
+func (ce *Callee) Method() (*Class, *bytecode.Method) { return ce.class, ce.method }
+
 // String names the callee as Class.method.
 func (ce *Callee) String() string { return ce.class.Name() + "." + ce.method.Name }
 
@@ -332,17 +335,48 @@ func (t *Thread) Call(ce *Callee, args []Value) (Value, error) {
 // nothing: the caller uses Call. The compiled code is re-read on every
 // call, so InvalidateCompiled takes effect at the next one.
 func (t *Thread) EnterCompiled(ce *Callee) CompiledMethod {
-	vm := t.vm
-	if ce.prof == nil || vm.jit == nil || vm.Hooks.MethodEnter != nil || vm.Hooks.MethodExit != nil || vm.Hooks.OnQuantum != nil {
-		return nil
-	}
-	cp := ce.prof.code.Load()
+	cp := t.typedCode(ce)
 	if cp == nil {
 		return nil
 	}
 	t.stack = append(t.stack, StackEntry{Class: ce.class.Name(), Method: ce.method.Name})
 	t.entryC++
 	return *cp
+}
+
+// typedCode is the callee's current compiled code when the typed
+// convention may enter it: a bytecode method with compiled code, on a
+// VM that fires no per-call hooks (MethodEnter, MethodExit, OnQuantum).
+func (t *Thread) typedCode(ce *Callee) *CompiledMethod {
+	vm := t.vm
+	if ce.prof == nil || vm.jit == nil || vm.Hooks.MethodEnter != nil || vm.Hooks.MethodExit != nil || vm.Hooks.OnQuantum != nil {
+		return nil
+	}
+	return ce.prof.code.Load()
+}
+
+// EnterInlined admits one run of a callee the compiled tier spliced
+// into its caller's code. steps and cycles are the call site's block
+// prefix, through the INVOKE, plus the callee's one block. It holds
+// when EnterCompiled would enter ce and the charge stays within
+// MaxSteps; then it charges both at once and counts the compiled entry
+// as EnterCompiled does, but pushes no stack entry: the spliced code
+// can raise no error. Otherwise it returns false and changes nothing,
+// and the caller makes the ordinary call, which charges the prefix and
+// the callee apart and so fails, if it fails, where it always did.
+func (t *Thread) EnterInlined(ce *Callee, steps, cycles uint64) bool {
+	if t.typedCode(ce) == nil {
+		return false
+	}
+	if limit := t.vm.MaxSteps; limit > 0 && t.steps+steps > limit {
+		return false
+	}
+	t.steps += steps
+	if t.vm.Time != nil {
+		t.chargeCycles(cycles)
+	}
+	t.entryC++
+	return true
 }
 
 // LeaveCompiled closes a frame EnterCompiled opened. The caller's own
